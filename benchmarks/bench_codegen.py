@@ -5,11 +5,9 @@ Every Fig. 7 query is compiled once and specialized once
 ``GTEA.execute`` with and without its compiled function — exactly what
 a warm ``QuerySession(codegen="auto")`` executes per evaluation.  The
 headline metric is the aggregate warm speedup (total interpreted time
-over total codegen time); answers are asserted identical per round, and
-both backend modes (emitted source and debuggable closures) must agree
-with the interpreted pipeline.
+over total codegen time); answers are asserted identical per round.
 
-Acceptance bar: the source mode's aggregate warm speedup must reach
+Acceptance bar: the aggregate warm speedup must reach
 2x locally (1.5x under CI, where shared runners add noise), with every
 workload query actually specialized — zero interpreted fallbacks.
 
@@ -44,15 +42,9 @@ def test_codegen_speedup_report(xmark_datasets):
     graph = xmark_datasets[0.05].graph
     queries = fig7_workload()
 
-    source = measure_codegen(graph, queries, rounds=ROUNDS, mode="auto")
+    source = measure_codegen(graph, queries, rounds=ROUNDS)
     assert source.mismatches == 0
     assert source.uncompiled == 0
-
-    # Closure mode is the debuggability fallback, not the fast path: it
-    # must agree exactly, but carries no speedup bar.
-    closure = measure_codegen(graph, queries, rounds=ROUNDS, mode="closure")
-    assert closure.mismatches == 0
-    assert closure.uncompiled == 0
 
     rows = [[*row.values()] for row in source.rows()]
     payload = {
@@ -60,7 +52,6 @@ def test_codegen_speedup_report(xmark_datasets):
         "rounds": ROUNDS,
         "graph_nodes": graph.num_nodes,
         "aggregate_speedup": round(source.speedup, 3),
-        "closure_aggregate_speedup": round(closure.speedup, 3),
         "queries": {row["query"]: row for row in source.rows()},
     }
 

@@ -242,7 +242,7 @@ def _cmd_codegen(args: argparse.Namespace) -> int:
         (variant, fig7_query(variant, person_group=2, item_group=4, seller_group=6))
         for variant in ("q1", "q2", "q3")
     ]
-    measurement = measure_codegen(graph, queries, rounds=args.rounds, mode=args.mode)
+    measurement = measure_codegen(graph, queries, rounds=args.rounds)
     if measurement.mismatches:
         print(
             "repro-bench: error: codegen and interpreted execution disagree "
@@ -260,7 +260,7 @@ def _cmd_codegen(args: argparse.Namespace) -> int:
     rows = measurement.rows()
     print(format_table(
         f"Plan codegen vs interpreted pipeline (warm, Fig. 7 queries, "
-        f"n={graph.num_nodes}, mode={measurement.mode})",
+        f"n={graph.num_nodes})",
         list(rows[0]),
         [list(row.values()) for row in rows],
     ))
@@ -615,8 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     codegen.add_argument("--rounds", type=int, default=7,
                          help="timed warm evaluations per query (default 7)")
-    codegen.add_argument("--mode", default="auto", choices=["auto", "closure"],
-                         help="codegen backend mode (default: auto = source)")
     codegen.add_argument("--enforce-floor", action="store_true",
                          help="fail unless the aggregate warm speedup reaches "
                               "--floor")

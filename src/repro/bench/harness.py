@@ -508,7 +508,6 @@ class CodegenMeasurement:
     """
 
     points: list[CodegenQueryPoint]
-    mode: str
     mismatches: int
     uncompiled: int
 
@@ -545,7 +544,6 @@ def measure_codegen(
     graph: DataGraph,
     queries: list[tuple[str, GTPQ]],
     rounds: int = 7,
-    mode: str = "auto",
 ) -> CodegenMeasurement:
     """Compare warm plan execution with and without plan codegen.
 
@@ -560,14 +558,13 @@ def measure_codegen(
 
     engine = GTEA(graph, index="3hop")
     engine.reachability  # build outside the measured regions
-    compile_mode = "closure" if mode == "closure" else "source"
 
     mismatches = uncompiled = 0
     points: list[CodegenQueryPoint] = []
     for name, query in queries:
         plan = engine.compile(query)
         try:
-            fn = compile_plan(plan, mode=compile_mode)
+            fn = compile_plan(plan)
         except CodegenError:
             uncompiled += 1
             fn = None
@@ -593,9 +590,7 @@ def measure_codegen(
                 results=len(expected),
             )
         )
-    return CodegenMeasurement(
-        points=points, mode=mode, mismatches=mismatches, uncompiled=uncompiled
-    )
+    return CodegenMeasurement(points=points, mismatches=mismatches, uncompiled=uncompiled)
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,163 @@
+"""The session's artifact kinds, declared once.
+
+:data:`ARTIFACT_KINDS` is the single list that construction,
+invalidation, rehydration, ``persist()`` and ``cache_info()`` of a
+:class:`~repro.engine.session.QuerySession` walk: adding a kind is one
+entry here, and the session never names a kind itself.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
+
+from ..plan import CompiledPlanFunction, CostProfile, rehydrate_plan_function
+from .cache import LRUCache
+
+
+@dataclass(frozen=True)
+class ArtifactKind:
+    """One kind of session artifact: where it lives and how it persists."""
+
+    name: str  #: the store kind (``<name>.artifact`` on disk).
+    attr: str  #: session attribute holding the live entries.
+    #: the ``QuerySession`` size parameter bounding the holder (an
+    #: LRUCache); ``None`` means unbounded (a plain dict).
+    capacity: str | None = None
+    info: str | None = None  #: ``cache_info()`` label, if reported.
+    lazy: bool = False  #: load on the first ``reachability()`` demand.
+    requires: str | None = None  #: session flag that must be on to load.
+    #: payload type: a dict or a list of pairs, oldest entry first either
+    #: way, so a reloaded LRU evicts what the saved one would.
+    container: type = dict
+    encode: Callable | None = None  #: live entry value → picklable value.
+    #: ``(session, stored value)`` → live value; an exception skips the
+    #: entry, which then cold-builds on first use.
+    decode: Callable | None = None
+
+    #: the kind's key in ``store_rehydrated`` / in ``persist()``'s result.
+    loaded_label = saved_label = property(lambda self: self.name.replace("-", "_"))
+
+    def new_holder(self, sizes: dict[str, int]):
+        return {} if self.capacity is None else LRUCache(sizes[self.capacity])
+
+    def clear(self, holder) -> None:
+        holder.clear()
+
+    def describe(self, holder) -> dict[str, int]:
+        """The ``cache_info()`` row of this kind."""
+        if self.capacity is None:
+            return {"pooled": len(holder)}
+        return {**holder.counters.snapshot(), "size": len(holder)}
+
+    def dump(self, session) -> tuple[object, int] | None:
+        """``(payload, entry count)`` to persist, or None when empty."""
+        entries = list(getattr(session, self.attr).items())
+        if self.encode is not None:
+            entries = [(key, self.encode(value)) for key, value in entries]
+        return (self.container(entries), len(entries)) if entries else None
+
+    def load(self, session, payload) -> int:
+        """Install a stored payload; returns the entries loaded (none of
+        a missing or mistyped one)."""
+        if not isinstance(payload, self.container):
+            return 0
+        holder = getattr(session, self.attr)
+        put = holder.__setitem__ if self.capacity is None else holder.put
+        loaded = 0
+        for key, value in dict(payload).items():
+            if self.decode is not None:
+                try:
+                    value = self.decode(session, value)
+                except Exception:
+                    continue
+            put(key, value)
+            loaded += 1
+        return loaded
+
+
+class _ProfileKind(ArtifactKind):
+    """The cost profile: one calibration state, not a keyed cache."""
+
+    loaded_label = "profile_executions"
+    saved_label = "profile_keys"
+
+    def new_holder(self, sizes):
+        return CostProfile()
+
+    def clear(self, holder) -> None:
+        # The profile survives invalidation: its entries are keyed by
+        # graph version, so stale observations simply stop being
+        # consulted.
+        pass
+
+    def dump(self, session):
+        state = session.cost_profile.export_state()
+        return None if state is None else (state, len(state["keys"]))
+
+    def load(self, session, payload) -> int:
+        return session.cost_profile.import_state(payload, session.graph.version)
+
+
+def _attach_graph(session, service):
+    # The pickle deliberately drops the graph reference
+    # (GraphReachability.__getstate__); attach the live one.
+    service.graph = session.graph
+    return service
+
+
+def _encode_codegen(entry):
+    if isinstance(entry, CompiledPlanFunction):
+        # The exec'd function object cannot pickle; its analysis and
+        # emitted source can, and rebuild it exactly.
+        return {"source": entry.source, "analysis": entry.analysis}
+    return entry
+
+
+def _decode_codegen(session, payload):
+    # A persisted fallback reason (a string) is as reusable as a
+    # persisted function: the analysis never re-runs.
+    if isinstance(payload, str):
+        return payload
+    return rehydrate_plan_function(payload["analysis"], payload.get("source"))
+
+
+#: every artifact kind of a session, in persist order.
+ARTIFACT_KINDS: tuple[ArtifactKind, ...] = (
+    # The two index kinds are by far the heaviest (an index unpickle
+    # rivals a rebuild on small graphs), and a warm restart serving
+    # known traffic answers straight from the rehydrated result/plan
+    # caches without ever probing an index — so they load lazily.
+    ArtifactKind("indexes", "_reach_pool", info="indexes", lazy=True, decode=_attach_graph),
+    # Footprint-restricted services keyed by (scoped index name, domain
+    # fingerprint), LRU-evicted so the pool stays a bounded budget of
+    # small artifacts.
+    ArtifactKind(
+        "partial-indexes",
+        "partial_pool",
+        "partial_pool_size",
+        info="partial",
+        lazy=True,
+        decode=_attach_graph,
+    ),
+    ArtifactKind("plans", "plan_cache", "plan_cache_size", info="plan", container=list),
+    ArtifactKind("candidates", "candidate_cache", "candidate_cache_size", info="candidate"),
+    ArtifactKind("subtrees", "subtree_cache", "subtree_cache_size", info="subtree"),
+    # Full answer sets are safe to serve across processes: the store
+    # key guarantees the graph content is identical, and the cache key
+    # carries the query fingerprint + group nodes.
+    ArtifactKind("results", "result_cache", "result_cache_size", info="result"),
+    # Specialized plan functions per fingerprint; non-specializable
+    # plans cache their fallback reason so the analysis never re-runs.
+    # Same key space and lifetime as the plan cache.
+    ArtifactKind(
+        "codegen",
+        "codegen_cache",
+        "plan_cache_size",
+        info="codegen",
+        requires="codegen",
+        encode=_encode_codegen,
+        decode=_decode_codegen,
+    ),
+    _ProfileKind("profile", "cost_profile"),
+)

@@ -39,7 +39,7 @@ from typing import Callable
 
 from ..graph.digraph import DataGraph
 from ..graph.stats import GraphStats, graph_stats
-from ..plan import CompiledPlan, compile_query
+from ..plan import CompiledPlan, codegen_refusal, compile_query
 from ..query.gtpq import GTPQ
 from ..reachability.base import GraphReachability
 from ..reachability.factory import build_reachability
@@ -230,10 +230,12 @@ class GTEA:
         ``codegen`` optionally carries a specialized
         :class:`~repro.plan.codegen.CompiledPlanFunction` for this plan
         (the session layer caches them per fingerprint).  It is used
-        only when it actually applies — plain GTEA routing, no group
-        nodes or output structures, no adaptive reordering, and an
-        index match — so passing one is always safe; anything else
-        falls back to the interpreted operator pipeline.
+        only when it actually applies — the shared applicability test
+        (:func:`repro.plan.route.codegen_refusal`: plain GTEA routing,
+        no group nodes, no adaptive reordering) plus what only the
+        engine knows: no output structures, and an index match — so
+        passing one is always safe; anything else falls back to the
+        interpreted operator pipeline.
         """
         if stats is None:
             stats = EvaluationStats()
@@ -242,12 +244,9 @@ class GTEA:
 
         if (
             codegen is not None
-            and not adaptive
-            and not group_nodes
             and output_structures is None
-            and plan.physical.executor == "gtea"
-            and plan.physical.covers_query(plan.query)
             and codegen.index_name == self.resolved_index()
+            and codegen_refusal(plan.physical, adaptive=adaptive, grouped=bool(group_nodes)) is None
         ):
             state = ExecutionState(
                 self, plan.query, stats, candidate_provider=candidate_provider

@@ -30,20 +30,20 @@ fork is available.
 
 The driver covers the whole plan suffix, not just the downward phase:
 
-* **sharded upward prune** (``upward=True``) — once the downward sets
-  are fixed, Procedure 7 refines each prime child independently per
+* **sharded upward prune** — once the downward sets are fixed,
+  Procedure 7 refines each prime child independently per
   candidate given the parent's refined set; the driver walks the prime
   subtree as a top-down frontier, ships each child's candidate shards
   to the same pool (parent successor contours are built driver-side,
   like the downward pass's predecessor contours), and merges survivors
   sorted — byte-identical to the serial operator;
-* **scan/prune overlap** (``overlap_scan=True``) — instead of scanning
-  every ``mat(u)`` up front, the driver fetches the root first (the
+* **scan/prune overlap** — instead of scanning every ``mat(u)`` up
+  front, the driver fetches the root first (the
   serial scan's empty-root exit), then scans the remaining nodes
   bottom-up *between* frontier polls, so leaf prune tasks start while
   later nodes' candidate fetches are still running;
-* **work stealing** (``steal=True``) — shard tasks are not thrown at
-  the pool all at once: at most ``workers`` are in flight, the rest
+* **work stealing** — shard tasks are not thrown at the pool all at
+  once: at most ``workers`` are in flight, the rest
   wait in a shared deque (largest shards first), and every completion
   drains the next pending task — so a worker finishing a small shard
   immediately steals queued work instead of idling behind a skewed
@@ -90,7 +90,7 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     wait,
 )
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from ..graph.partition import GraphPartition, merge_survivors
 from ..plan.compile import CompiledPlan
@@ -102,11 +102,9 @@ from ..reachability.contour import Contour, merge_succ_lists
 from .cache import CacheCounters, LRUCache
 from .operators import (
     BuildMatchingGraph,
-    CandidateScan,
     CollectResults,
     ExecutionState,
     OperatorStats,
-    UpwardPrune,
     begin_upward,
     finish_upward,
     run_pipeline,
@@ -141,13 +139,6 @@ class ParallelOptions:
             from its observed skew across the range shards.
         min_shard_size: candidates required per shard before a node's
             set is split further — small sets run as one task.
-        upward: shard the upward prune across the pool too (the serial
-            :class:`~repro.engine.operators.UpwardPrune` runs when off).
-        overlap_scan: fetch candidates lazily between frontier polls
-            instead of all up front (see the module docstring).
-        steal: cap in-flight tasks at ``workers`` and let completions
-            drain a shared pending deque (work stealing); off means
-            every shard task is submitted to the pool immediately.
     """
 
     workers: int = 2
@@ -155,9 +146,6 @@ class ParallelOptions:
     shards: int | None = None
     strategy: str = "hybrid"
     min_shard_size: int = 16
-    upward: bool = True
-    overlap_scan: bool = True
-    steal: bool = True
 
 
 def _resolve_backend(backend: str) -> str:
@@ -300,10 +288,9 @@ class _TaskPump:
     """The shared work-stealing deque between the driver and the pool.
 
     Submission thunks queue here instead of going straight to the pool;
-    at most ``cap`` tasks are in flight (``cap=None`` — stealing off —
-    submits everything immediately, the pre-stealing behaviour).  The
-    driver calls :meth:`fill` with ``stolen=False`` right after
-    enqueueing a wave and with ``stolen=True`` after completions — the
+    at most ``cap`` tasks are in flight.  The driver calls :meth:`fill`
+    with ``stolen=False`` right after enqueueing a wave and with
+    ``stolen=True`` after completions — the
     latter drains model "an idle worker steals the next pending shard"
     and count into ``EvaluationStats.parallel_steals``.  Queue order is
     dispatch order; callers enqueue each wave's shards largest-first
@@ -314,7 +301,7 @@ class _TaskPump:
     assertions pin down.
     """
 
-    def __init__(self, stats: EvaluationStats, cap: int | None):
+    def __init__(self, stats: EvaluationStats, cap: int):
         self.stats = stats
         self.cap = cap
         self.queue: deque = deque()  #: pending (key, submit thunk) tasks.
@@ -324,7 +311,7 @@ class _TaskPump:
         self.queue.append((key, thunk))
 
     def fill(self, *, stolen: bool) -> None:
-        while self.queue and (self.cap is None or len(self.in_flight) < self.cap):
+        while self.queue and len(self.in_flight) < self.cap:
             key, thunk = self.queue.popleft()
             self.in_flight[thunk()] = key
             if stolen:
@@ -372,35 +359,19 @@ class ParallelExecutor:
         shards: int | None = None,
         strategy: str = "hybrid",
         min_shard_size: int = 16,
-        upward: bool = True,
-        overlap_scan: bool = True,
-        steal: bool = True,
     ):
         self.engine = engine
         self.workers = max(1, int(workers))
         self.backend = _resolve_backend(backend)
         self.num_shards = max(1, int(shards) if shards is not None else self.workers)
         self.min_shard_size = max(1, int(min_shard_size))
-        self.upward = bool(upward)
-        self.overlap_scan = bool(overlap_scan)
-        self.steal = bool(steal)
         self._partition = GraphPartition.for_graph(engine.graph, self.num_shards, strategy)
         self._graph_version = engine.graph.version
         self._pool: ProcessPoolExecutor | ThreadPoolExecutor | None = None
 
     @classmethod
     def from_options(cls, engine, options: ParallelOptions) -> "ParallelExecutor":
-        return cls(
-            engine,
-            options.workers,
-            backend=options.backend,
-            shards=options.shards,
-            strategy=options.strategy,
-            min_shard_size=options.min_shard_size,
-            upward=options.upward,
-            overlap_scan=options.overlap_scan,
-            steal=options.steal,
-        )
+        return cls(engine, **asdict(options))
 
     # ------------------------------------------------------------------
     # Pool lifecycle
@@ -478,28 +449,20 @@ class ParallelExecutor:
         )
         stats.parallel_workers = max(stats.parallel_workers, self.workers)
         labels = _WorkerLabels()
-        if self.overlap_scan:
-            # The serial scan's only early exit is an empty root set, so
-            # fetching the root first preserves it; every other node is
-            # scanned lazily inside the frontier loop.
-            scan = _ScanProgress([n for n in state.query.bottom_up() if n != state.query.root])
-            self._scan_node(state, scan, state.query.root)
-            if not state.mats[state.query.root]:
-                self._finish_scan(state, scan)
-                state.finish_empty()
-                return state.answer, stats
-        else:
-            run_pipeline(state, [CandidateScan()])
-            scan = None
+        # The serial scan's only early exit is an empty root set, so
+        # fetching the root first preserves it; every other node is
+        # scanned lazily inside the frontier loop.
+        scan = _ScanProgress([n for n in state.query.bottom_up() if n != state.query.root])
+        self._scan_node(state, scan, state.query.root)
+        if not state.mats[state.query.root]:
+            self._finish_scan(state, scan)
+            state.finish_empty()
+            return state.answer, stats
+        self._prune_frontier(state, scan, labels)
         if not state.finished:
-            self._prune_frontier(state, scan, labels)
+            self._upward_prune(state, labels)
         if not state.finished:
-            if self.upward:
-                self._upward_prune(state, labels)
-                if not state.finished:
-                    run_pipeline(state, [BuildMatchingGraph(), CollectResults()])
-            else:
-                run_pipeline(state, [UpwardPrune(), BuildMatchingGraph(), CollectResults()])
+            run_pipeline(state, [BuildMatchingGraph(), CollectResults()])
         return state.answer, stats
 
     # ------------------------------------------------------------------
@@ -541,16 +504,15 @@ class ParallelExecutor:
         )
 
     def _prune_frontier(
-        self, state: ExecutionState, scan: _ScanProgress | None, labels: "_WorkerLabels"
+        self, state: ExecutionState, scan: _ScanProgress, labels: "_WorkerLabels"
     ) -> None:
         """Dispatch every eligible downward prune until all nodes refine.
 
-        With an overlapped scan (``scan`` not None) the loop fetches one
-        unscanned node's candidates per iteration and polls the pool
-        instead of blocking, so fetches hide behind in-flight prune
-        tasks; eligibility then additionally requires the node itself to
-        be scanned.  Scan time accrues to the ``candidates`` phase, the
-        rest of the loop to ``prune_downward``.
+        The loop fetches one unscanned node's candidates per iteration
+        and polls the pool instead of blocking, so fetches hide behind
+        in-flight prune tasks; eligibility additionally requires the
+        node itself to be scanned.  Scan time accrues to the
+        ``candidates`` phase, the rest of the loop to ``prune_downward``.
         """
         stats, query = state.stats, state.query
         pool = self._ensure_pool()
@@ -558,17 +520,16 @@ class ParallelExecutor:
         backbone = {n for n in query.nodes if query.nodes[n].is_backbone}
         remaining = set(query.nodes)
         runs: dict[str, _NodeRun] = {}
-        pump = _TaskPump(stats, self.workers if self.steal else None)
-        scanned = scan.scanned if scan is not None else None
+        pump = _TaskPump(stats, self.workers)
         loop_started = time.perf_counter()
-        scan_seconds_before = scan.seconds if scan is not None else 0.0
+        scan_seconds_before = scan.seconds
         while (remaining or pump.busy) and not state.finished:
-            if scan is not None and scan.pending:
+            if scan.pending:
                 self._scan_node(state, scan, scan.pending.popleft())
             eligible = sorted(
                 node_id
                 for node_id in remaining
-                if (scanned is None or node_id in scanned)
+                if node_id in scan.scanned
                 and all(child in state.down for child in query.children[node_id])
             )
             for node_id in eligible:
@@ -580,14 +541,10 @@ class ParallelExecutor:
                 break
             pump.fill(stolen=False)
             if not pump.in_flight:
-                if (
-                    remaining
-                    and not eligible
-                    and not (scan is not None and scan.pending)
-                ):  # pragma: no cover
+                if remaining and not eligible and not scan.pending:  # pragma: no cover
                     raise RuntimeError("downward frontier stalled (query is not a tree?)")
                 continue
-            timeout = 0 if scan is not None and scan.pending else None
+            timeout = 0 if scan.pending else None
             done, _ = wait(pump.in_flight, timeout=timeout, return_when=FIRST_COMPLETED)
             for future in sorted(done, key=lambda f: pump.in_flight[f]):
                 node_id = pump.in_flight.pop(future)
@@ -604,16 +561,13 @@ class ParallelExecutor:
                         break
             if not state.finished:
                 pump.fill(stolen=True)
-        scan_elapsed = (scan.seconds - scan_seconds_before) if scan is not None else 0.0
+        scan_elapsed = scan.seconds - scan_seconds_before
         prune_elapsed = max(0.0, time.perf_counter() - loop_started - scan_elapsed)
         stats.phase_seconds["prune_downward"] = (
             stats.phase_seconds.get("prune_downward", 0.0) + prune_elapsed
         )
-        if scan is not None and not state.finished:
-            self._finish_scan(state, scan)
         pump.drain()  # early exit with outstanding shards: drain the pool
-        if scan is not None and state.finished:
-            self._finish_scan(state, scan)
+        self._finish_scan(state, scan)
 
     # ------------------------------------------------------------------
     # Sharded upward prune
@@ -692,7 +646,7 @@ class ParallelExecutor:
         pending_parents = {n for n in state.prime if children_of[n]}
         finalized = {query.root}
         runs: dict[str, _NodeRun] = {}
-        pump = _TaskPump(stats, self.workers if self.steal else None)
+        pump = _TaskPump(stats, self.workers)
         tasks = total_lookups = total_entries = 0
         while pending_parents or pump.busy:
             ready = sorted(p for p in pending_parents if p in finalized or p == query.root)

@@ -60,13 +60,12 @@ from ..graph.stats import GraphStats, graph_stats
 from ..plan import (
     CodegenError,
     CompiledPlan,
-    CompiledPlanFunction,
-    CostProfile,
+    ExecutionRoute,
     choose_index,
     compile_batch,
     compile_plan,
     compile_query,
-    rehydrate_plan_function,
+    decide_route,
     should_share,
 )
 from ..query.gtpq import GTPQ
@@ -82,6 +81,7 @@ from ..reachability.base import GraphReachability
 from ..reachability.factory import build_reachability, resolve_index
 from ..reachability.partial import Footprint, build_partial_reachability
 from ..store import ArtifactStore, graph_fingerprint, seed_profile_from_reports
+from .artifacts import ARTIFACT_KINDS
 from .cache import LRUCache
 from .gtea import GTEA
 from .operators import OperatorStats
@@ -178,28 +178,26 @@ class QuerySession:
             function, cached per plan fingerprint next to the plan cache
             and invalidated with the graph version.  ``"auto"`` (or
             ``True``) tries codegen and falls back silently to the
-            interpreted operator pipeline wherever it does not apply —
-            baseline-routed plans, parallel-sharded execution, group
-            evaluation, adaptive sessions — recording the
+            interpreted operator pipeline wherever
+            :func:`repro.plan.route.codegen_refusal` says it does not
+            apply — baseline-routed or partial-scope plans, sharded,
+            group or adaptive runs — recording the
             ``codegen_hits`` / ``codegen_misses`` /
-            ``codegen_fallbacks`` counters; ``"closure"`` uses the
-            debuggable closure backend instead of emitted source;
-            ``False`` (default) never specializes.  Answers are
-            identical in every mode.  Compiled executions are filed in
-            the cost profile under the dedicated ``"gtea-codegen"``
-            executor key (their wall time describes the generated loop,
-            not the interpreted arm the calibration compares), so the
-            interpreted estimates are unchanged by compiled runs.
+            ``codegen_fallbacks`` counters; ``False`` (default) never
+            specializes.  Answers are identical either way.  Compiled
+            executions are filed in the cost profile under the
+            dedicated ``"gtea-codegen"`` executor key (their wall time
+            describes the generated loop, not the interpreted arm the
+            calibration compares), so the interpreted estimates are
+            unchanged by compiled runs.
         store: a warm store to rehydrate from and persist to — an
             :class:`~repro.store.ArtifactStore` or a directory path
             (``None``, the default, keeps the session purely in-memory).
-            On construction the session loads every artifact the store
-            holds for this graph's **content fingerprint** — pooled
-            reachability indexes, compiled plans, subtree-result sets,
-            specialized codegen functions (rebuilt from persisted
-            analysis + source), and cost-profile calibration — so a
-            fresh process starts warm; :attr:`store_rehydrated` records
-            what was found.  Call :meth:`persist` to publish the
+            On construction the session loads every artifact kind
+            (:data:`repro.engine.artifacts.ARTIFACT_KINDS`) the store
+            holds for this graph's **content fingerprint**, so a fresh
+            process starts warm; :attr:`store_rehydrated` records what
+            was found.  Call :meth:`persist` to publish the
             session's current artifacts back.  A corrupt, stale or
             missing store is never an error: affected kinds simply
             cold-build.
@@ -238,35 +236,30 @@ class QuerySession:
         self.graph = graph
         self.default_index = index
         self.adaptive = adaptive
-        if codegen not in (False, True, "auto", "closure"):
+        if codegen not in (False, True, "auto"):
             raise ValueError(
-                f"unknown codegen setting {codegen!r}; "
-                "expected False, True, 'auto' or 'closure'"
+                f"unknown codegen setting {codegen!r}; expected False, True or 'auto'"
             )
         self.codegen = codegen
         if parallel is None or isinstance(parallel, ParallelOptions):
             self.parallel_options = parallel
         else:
             self.parallel_options = ParallelOptions(workers=int(parallel))
-        self.plan_cache = LRUCache(plan_cache_size)
-        self.candidate_cache = LRUCache(candidate_cache_size)
-        self.result_cache = LRUCache(result_cache_size)
-        self.subtree_cache = LRUCache(subtree_cache_size)
-        # Specialized plan functions (repro.plan.codegen) per fingerprint;
-        # non-specializable plans cache their fallback reason so the
-        # analysis never re-runs.  Same key space and lifetime as the
-        # plan cache.
-        self.codegen_cache = LRUCache(plan_cache_size)
-        self.cost_profile = CostProfile()
+        # One holder per artifact kind — self.plan_cache through
+        # self.cost_profile are declared in ARTIFACT_KINDS, not here.
+        sizes = {
+            "plan_cache_size": plan_cache_size,
+            "candidate_cache_size": candidate_cache_size,
+            "result_cache_size": result_cache_size,
+            "subtree_cache_size": subtree_cache_size,
+            "partial_pool_size": partial_pool_size,
+        }
+        for kind in ARTIFACT_KINDS:
+            setattr(self, kind.attr, kind.new_holder(sizes))
         # Latest observed operator records per fingerprint (for
         # explain()'s estimated-vs-observed view), bounded like the plan
         # cache so a stream of distinct queries cannot grow it forever.
         self._observed_ops = LRUCache(plan_cache_size)
-        self._reach_pool: dict[str, GraphReachability] = {}
-        # Footprint-restricted reachability services, LRU-evicted so the
-        # pool stays a bounded budget of small artifacts; keys are
-        # (scoped index name, domain fingerprint).
-        self.partial_pool = LRUCache(partial_pool_size)
         # Computed footprints per plan fingerprint (False = the cone
         # blew the budget; the plan permanently falls back to full).
         self._footprint_cache = LRUCache(plan_cache_size)
@@ -281,11 +274,16 @@ class QuerySession:
             self.store = ArtifactStore(store)
         #: content fingerprint used by the last store interaction.
         self.store_fingerprint: str | None = None
-        #: per-kind entry counts loaded from the store at construction.
+        #: per-kind entry counts loaded from the store.
         self.store_rehydrated: dict[str, int] = {}
-        self._store_indexes_pending = False
+        self._lazy_kinds_pending = False
         if self.store is not None:
-            self._rehydrate_from_store()
+            self.store_fingerprint = graph_fingerprint(self.graph)
+            self.store_rehydrated = dict.fromkeys(
+                (kind.loaded_label for kind in ARTIFACT_KINDS), 0
+            )
+            self._rehydrate(lazy=False)
+            self._lazy_kinds_pending = True
 
     # ------------------------------------------------------------------
     # Index pool
@@ -311,7 +309,7 @@ class QuerySession:
     def reachability(self, index: str | None = None) -> GraphReachability:
         """The pooled reachability service for ``index`` (built lazily)."""
         self._ensure_fresh()
-        self._load_indexes_from_store()
+        self._load_lazy_kinds()
         name = self._resolve(index or self.default_index)
         service = self._reach_pool.get(name)
         if service is None:
@@ -362,29 +360,20 @@ class QuerySession:
         so an in-place edit moves :meth:`persist` and rehydration to a
         different key without any explicit call.
         """
-        self.plan_cache.clear()
-        self.candidate_cache.clear()
-        self.result_cache.clear()
-        self.subtree_cache.clear()
-        self.codegen_cache.clear()
-        # The cost profile survives: its entries are keyed by graph
-        # version, so stale observations simply stop being consulted.
+        for kind in ARTIFACT_KINDS:
+            kind.clear(getattr(self, kind.attr))
         self._observed_ops.clear()
-        self._reach_pool.clear()
-        self.partial_pool.clear()
         self._footprint_cache.clear()
         self._engines.clear()
         # Parallel executors are pinned to the graph version their
         # process workers forked with; a fresh pool is rebuilt lazily.
-        for executor in self._parallel_pool.values():
-            executor.close()
-        self._parallel_pool.clear()
+        self.close()
         self._resolved_auto = None
         self._graph_stats = None
         self._graph_version = self.graph.version
-        # Any still-pending lazy index load was keyed by the pre-mutation
+        # Any still-pending lazy load was keyed by the pre-mutation
         # content fingerprint; it no longer describes this graph.
-        self._store_indexes_pending = False
+        self._lazy_kinds_pending = False
 
     def close(self) -> None:
         """Release the worker pools of ``parallel=`` execution.
@@ -409,121 +398,38 @@ class QuerySession:
     # ------------------------------------------------------------------
     # Persistence (repro.store)
     # ------------------------------------------------------------------
-    def _rehydrate_from_store(self) -> None:
-        """Load every artifact the store holds for this graph's content.
+    def _rehydrate(self, *, lazy: bool) -> None:
+        """Load the eager (or the lazy) artifact kinds from the store.
 
         The store key is :func:`~repro.store.graph_fingerprint` — full
         graph *content*, not the version counter — so artifacts written
         before any mutation (including an in-place attribute edit the
         counter cannot see) are simply never found.  Each kind loads
-        independently; a missing, stale or corrupt artifact leaves that
-        kind cold.
+        independently; a missing, stale, corrupt or mistyped artifact
+        leaves that kind cold.
         """
-        store = self.store
-        assert store is not None
-        fingerprint = graph_fingerprint(self.graph)
-        self.store_fingerprint = fingerprint
-        counts = dict.fromkeys(
-            (
-                "indexes",
-                "partial_indexes",
-                "plans",
-                "candidates",
-                "subtrees",
-                "results",
-                "codegen",
-                "profile_executions",
-            ),
-            0,
-        )
+        for kind in ARTIFACT_KINDS:
+            if kind.lazy is not lazy:
+                continue
+            if kind.requires is not None and not getattr(self, kind.requires):
+                continue
+            payload = self.store.load(self.store_fingerprint, kind.name)
+            try:
+                loaded = kind.load(self, payload)
+            except Exception:
+                continue
+            self.store_rehydrated[kind.loaded_label] = loaded
 
-        # The index artifact is by far the heaviest (its unpickle rivals
-        # a rebuild on small graphs) and a warm restart serving known
-        # traffic answers straight from the rehydrated result/plan
-        # caches without ever probing an index — so indexes load lazily,
-        # on the first reachability() demand (see _load_indexes_from_store).
-        self._store_indexes_pending = True
-
-        plans = store.load(fingerprint, "plans")
-        if isinstance(plans, list):
-            for key, plan in plans:
-                self.plan_cache.put(key, plan)
-            counts["plans"] = len(plans)
-
-        candidates = store.load(fingerprint, "candidates")
-        if isinstance(candidates, dict):
-            for key, nodes in candidates.items():
-                self.candidate_cache.put(key, nodes)
-            counts["candidates"] = len(candidates)
-
-        subtrees = store.load(fingerprint, "subtrees")
-        if isinstance(subtrees, dict):
-            for key, survivors in subtrees.items():
-                self.subtree_cache.put(key, survivors)
-            counts["subtrees"] = len(subtrees)
-
-        # Full answer sets are safe to serve across processes: the store
-        # key guarantees the graph content is identical, and the cache
-        # key carries the query fingerprint + group nodes.
-        results = store.load(fingerprint, "results")
-        if isinstance(results, dict):
-            for key, answer in results.items():
-                self.result_cache.put(key, answer)
-            counts["results"] = len(results)
-
-        if self.codegen:
-            compiled = store.load(fingerprint, "codegen")
-            if isinstance(compiled, dict):
-                mode = "closure" if self.codegen == "closure" else "source"
-                for key, payload in compiled.items():
-                    if isinstance(payload, str):
-                        # A persisted fallback reason is as reusable as a
-                        # persisted function: the analysis never re-runs.
-                        self.codegen_cache.put(key, payload)
-                        counts["codegen"] += 1
-                        continue
-                    try:
-                        entry = rehydrate_plan_function(
-                            payload["analysis"],
-                            mode=mode,
-                            source=payload.get("source"),
-                        )
-                    except Exception:
-                        continue  # cold-compile on first use instead
-                    self.codegen_cache.put(key, entry)
-                    counts["codegen"] += 1
-
-        counts["profile_executions"] = self.cost_profile.import_state(
-            store.load(fingerprint, "profile"), self._graph_version
-        )
-        self.store_rehydrated = counts
-
-    def _load_indexes_from_store(self) -> None:
-        """Deferred half of rehydration: pooled reachability services.
+    def _load_lazy_kinds(self) -> None:
+        """Deferred half of rehydration: the pooled index kinds.
 
         Runs at most once per (store, fingerprint) pairing, on the first
         :meth:`reachability` demand; a result/plan-cache-served warm
         restart never pays the unpickle at all.
         """
-        if not self._store_indexes_pending:
-            return
-        self._store_indexes_pending = False
-        indexes = self.store.load(self.store_fingerprint, "indexes")
-        if isinstance(indexes, dict):
-            for name, service in indexes.items():
-                # The pickle deliberately drops the graph reference
-                # (GraphReachability.__getstate__); attach the live one.
-                service.graph = self.graph
-                self._reach_pool.setdefault(name, service)
-            self.store_rehydrated["indexes"] = len(indexes)
-        partial = self.store.load(self.store_fingerprint, "partial-indexes")
-        if isinstance(partial, dict):
-            # Oldest-first insertion keeps the persisted LRU recency;
-            # entries beyond the pool budget evict naturally.
-            for key, service in partial.items():
-                service.graph = self.graph
-                self.partial_pool.put(key, service)
-            self.store_rehydrated["partial_indexes"] = len(partial)
+        if self._lazy_kinds_pending:
+            self._lazy_kinds_pending = False
+            self._rehydrate(lazy=True)
 
     def persist(self) -> dict[str, int]:
         """Publish this session's warm artifacts to the store.
@@ -541,67 +447,17 @@ class QuerySession:
         fingerprint = graph_fingerprint(self.graph)
         self.store_fingerprint = fingerprint
         persisted: dict[str, int] = {}
-
-        if self._reach_pool and self._try_save(fingerprint, "indexes", dict(self._reach_pool)):
-            persisted["indexes"] = len(self._reach_pool)
-
-        partial = dict(self.partial_pool.items())
-        if partial and self._try_save(fingerprint, "partial-indexes", partial):
-            persisted["partial_indexes"] = len(partial)
-
-        plans = self.plan_cache.items()
-        if plans and self._try_save(fingerprint, "plans", plans):
-            persisted["plans"] = len(plans)
-
-        candidates = dict(self.candidate_cache.items())
-        if candidates and self._try_save(fingerprint, "candidates", candidates):
-            persisted["candidates"] = len(candidates)
-
-        subtrees = dict(self.subtree_cache.items())
-        if subtrees and self._try_save(fingerprint, "subtrees", subtrees):
-            persisted["subtrees"] = len(subtrees)
-
-        results = dict(self.result_cache.items())
-        if results and self._try_save(fingerprint, "results", results):
-            persisted["results"] = len(results)
-
-        compiled: dict[str, object] = {}
-        for key, entry in self.codegen_cache.items():
-            if isinstance(entry, CompiledPlanFunction):
-                # The exec'd function object cannot pickle; its analysis
-                # and emitted source can, and rebuild it exactly.
-                compiled[key] = {
-                    "mode": entry.mode,
-                    "source": entry.source,
-                    "analysis": entry.analysis,
-                }
-            else:
-                compiled[key] = entry
-        if compiled and self._try_save(fingerprint, "codegen", compiled):
-            persisted["codegen"] = len(compiled)
-
-        # Emitted source rides along under its own kind so the generated
-        # functions are inspectable on disk (and survive restarts) even
-        # where the function entries themselves fail to rebuild.
-        sources = {
-            key: entry.source
-            for key, entry in self.codegen_cache.items()
-            if isinstance(entry, CompiledPlanFunction) and entry.source
-        }
-        if sources and self._try_save(fingerprint, "codegen-src", sources):
-            persisted["codegen_src"] = len(sources)
-
-        state = self.cost_profile.export_state()
-        if state is not None and self._try_save(fingerprint, "profile", state):
-            persisted["profile_keys"] = len(state["keys"])
+        for kind in ARTIFACT_KINDS:
+            dumped = kind.dump(self)
+            if dumped is None:
+                continue
+            payload, count = dumped
+            try:
+                self.store.save(fingerprint, kind.name, payload)
+            except Exception:
+                continue
+            persisted[kind.saved_label] = count
         return persisted
-
-    def _try_save(self, fingerprint: str, kind: str, payload) -> bool:
-        try:
-            self.store.save(fingerprint, kind, payload)
-        except Exception:
-            return False
-        return True
 
     def seed_cost_profile(self, reports: str | os.PathLike) -> int:
         """Fold ``cost_profile`` snapshots from bench reports (a JSON
@@ -639,47 +495,33 @@ class QuerySession:
         When the session has already executed the query, the physical
         section shows each operator's compile-time estimate next to its
         latest observed runtime stats (set sizes, wall time, index
-        probes), including any adaptive reordering.  Codegen sessions
-        append a ``[codegen]`` note: the specialized function that will
-        run (mode, node count, const-folded steps), or why the plan
-        falls back to the interpreted pipeline.
+        probes), including any adaptive reordering.  The trailing
+        ``[codegen]`` / ``[parallel]`` notes are the execution route
+        that will run (:meth:`repro.plan.route.ExecutionRoute.notes`):
+        the specialized function (node count, const-folded steps) or
+        why the plan falls back to the interpreted pipeline, and how
+        the prune phases shard.
         """
         self._ensure_fresh()
         plan = self._plan_for(query)
+        route = self._route(plan)
+        entry = self._codegen_entry(plan)[0] if route.compiled else None
         rendered = plan.compiled.explain(observed=self._observed_ops.peek(plan.fingerprint))
-        if self.codegen:
-            rendered += "\n" + self._codegen_note(plan)
-        if self.parallel_options is not None:
-            rendered += "\n" + self._parallel_note(plan)
-        return rendered
+        return "\n".join([rendered, *route.notes(entry)])
 
-    def _parallel_note(self, plan: QueryPlan) -> str:
-        """The ``[parallel]`` line of :meth:`explain` for one plan."""
-        options = self.parallel_options
-        if plan.compiled.physical.executor != "gtea":
-            return "[parallel] serial (plan not routed to the GTEA executor)"
-        phases = ["downward"] + (["upward"] if options.upward else [])
-        extras = [f"strategy={options.strategy}"]
-        if options.overlap_scan:
-            extras.append("overlap-scan")
-        if options.steal:
-            extras.append("steal")
-        return (
-            f"[parallel] {'+'.join(phases)} sharded across "
-            f"{options.workers} workers ({options.backend} backend, "
-            f"{', '.join(extras)})"
+    def _route(
+        self, plan: QueryPlan, *, grouped: bool = False, shared: bool = False
+    ) -> ExecutionRoute:
+        """The execution route of one run of ``plan`` under this
+        session's flags (:func:`repro.plan.route.decide_route`)."""
+        return decide_route(
+            plan.compiled.physical,
+            codegen=self.codegen,
+            parallel=self.parallel_options,
+            adaptive=self.adaptive,
+            grouped=grouped,
+            shared=shared,
         )
-
-    def _codegen_note(self, plan: QueryPlan) -> str:
-        """The ``[codegen]`` line of :meth:`explain` for one plan."""
-        if self.adaptive:
-            return "[codegen] interpreted fallback (adaptive sessions reorder at runtime)"
-        if self.parallel_options is not None and plan.compiled.physical.executor == "gtea":
-            return "[codegen] interpreted fallback (parallel-sharded execution)"
-        entry, _ = self._codegen_entry(plan)
-        if isinstance(entry, str):
-            return f"[codegen] interpreted fallback ({entry})"
-        return f"[codegen] {entry.describe()}"
 
     def _plan_for(self, query: QueryLike) -> QueryPlan:
         # One planning operation counts exactly one plan-cache hit or miss,
@@ -754,18 +596,13 @@ class QuerySession:
         plan_hits = self.plan_cache.counters.hits
         plan_misses = self.plan_cache.counters.misses
         plan = self._plan_for(query)
-        results, stats = self._evaluate_plan(plan, tuple(group_nodes))
+        group_key = tuple(group_nodes)
+        results, stats = self._probe_result_cache(plan, group_key) or self._execute_plan(
+            plan, group_key
+        )
         stats.plan_cache_hits += self.plan_cache.counters.hits - plan_hits
         stats.plan_cache_misses += self.plan_cache.counters.misses - plan_misses
         return results, stats
-
-    def _evaluate_plan(
-        self, plan: QueryPlan, group_nodes: tuple[str, ...]
-    ) -> tuple[ResultSet, EvaluationStats]:
-        probed = self._probe_result_cache(plan, group_nodes)
-        if probed is not None:
-            return probed
-        return self._execute_plan(plan, group_nodes)
 
     def _probe_result_cache(
         self, plan: QueryPlan, group_nodes: tuple[str, ...]
@@ -791,95 +628,66 @@ class QuerySession:
     def _execute_plan(
         self, plan: QueryPlan, group_nodes: tuple[str, ...]
     ) -> tuple[ResultSet, EvaluationStats]:
-        """Run one cold plan through its engine (no result-cache probe)."""
+        """Run one cold plan along its route (no result-cache probe)."""
         stats = EvaluationStats()
-        physical = plan.compiled.physical
-        actual_index: str | None = None
-        partial_service = None
-        if physical.index_scope == "partial" and physical.executor == "gtea":
-            if group_nodes:
-                # Group evaluation runs the original, pre-rewrite query,
-                # whose candidates may fall outside the rewritten
-                # footprint; run it on a full index.
-                stats.partial_fallbacks = 1
-            else:
-                partial_service = self._partial_service(plan, stats)
-                if partial_service is None:
-                    stats.partial_fallbacks = 1
+        route = self._route(plan, grouped=bool(group_nodes))
+        key, index_name = route.key, plan.compiled.physical.scoped_index_name
+        partial_service = self._partial_service(plan, stats) if route.partial else None
+        sharded = None
         if partial_service is not None:
             # A per-footprint engine: construction is trivial (the
             # reachability service is prebuilt); sharded execution is
             # skipped — its pools pin full-scope engines by index name.
             engine = GTEA(
-                self.graph, reachability=partial_service, adaptive=self.adaptive
+                self.graph, reachability=partial_service, adaptive=route.adaptive
             )
-            parallel = None
-        elif physical.index_scope == "partial":
-            # Fallback runs resolve the session default (the ladder
-            # pick) — never the partial inner, whose name (e.g. "tc")
-            # must not become a whole-graph build.
-            engine = self.engine(None)
-            actual_index = engine.resolved_index()
-            parallel = None
-            if not group_nodes:
-                parallel = self.parallel_executor(None)
         else:
-            index_name = physical.index_name
-            engine = self.engine(index_name)
-            parallel = None
-            if not group_nodes and physical.executor == "gtea":
-                parallel = self.parallel_executor(index_name)
+            engine = self.engine(route.index_name)
+            if route.sharded:
+                sharded = self.parallel_executor(route.index_name)
+            if route.partial or route.partial_refused:
+                # Cone blow-out, or a statically refused partial scope:
+                # feedback files under the index actually used.
+                stats.partial_fallbacks = 1
+                key, index_name = route.fallback_key, engine.resolved_index()
         codegen_fn = None
-        if self.codegen:
-            if parallel is not None or group_nodes or self.adaptive:
-                # Sharded, group and adaptive executions stay interpreted.
+        if route.compiled:
+            entry, was_cached = self._codegen_entry(plan)
+            if isinstance(entry, str):
                 stats.codegen_fallbacks = 1
+                key = route.fallback_key
             else:
-                entry, was_cached = self._codegen_entry(plan)
-                if isinstance(entry, str):
-                    stats.codegen_fallbacks = 1
+                codegen_fn = entry
+                if was_cached:
+                    stats.codegen_hits = 1
                 else:
-                    codegen_fn = entry
-                    if was_cached:
-                        stats.codegen_hits = 1
-                    else:
-                        stats.codegen_misses = 1
+                    stats.codegen_misses = 1
+        elif route.codegen_fallback is not None:
+            stats.codegen_fallbacks = 1
+        provider = self._candidate_provider(plan)
         started = time.perf_counter()
         with stats.record_candidate_cache(self.candidate_cache.counters):
-            if parallel is not None:
-                results, stats = parallel.execute(
-                    plan.compiled,
-                    candidate_provider=self._candidate_provider(plan),
-                    stats=stats,
+            if sharded is not None:
+                results, stats = sharded.execute(
+                    plan.compiled, candidate_provider=provider, stats=stats
                 )
             else:
                 results, stats = engine.execute(
                     plan.compiled,
                     group_nodes=group_nodes,
-                    candidate_provider=self._candidate_provider(plan),
+                    candidate_provider=provider,
                     stats=stats,
                     codegen=codegen_fn,
                 )
         elapsed = time.perf_counter() - started
         stats.result_cache_misses = 1
         self.result_cache.put((plan.fingerprint, group_nodes), frozenset(results))
-        if not group_nodes:
-            # Group evaluation runs the GTEA pipeline over the *original*
-            # query regardless of the routed executor; recording it would
-            # file GTEA operator stats under the baseline's calibration
-            # arm (and against the rewritten query's estimates).  Sharded
-            # executions file under "gtea-parallel": their wall times
-            # reflect pool scheduling, not the serial cost model the
-            # calibration arms compare.
-            if codegen_fn is not None:
-                self._record_codegen_feedback(plan, stats, elapsed)
-            else:
-                self._record_feedback(
-                    plan,
-                    stats,
-                    executor="gtea-parallel" if parallel is not None else None,
-                    index_name=actual_index,
-                )
+        if codegen_fn is not None:
+            self._record_feedback(
+                plan, key, index_name, self._codegen_records(stats, elapsed), synthetic=True
+            )
+        elif key is not None:
+            self._record_feedback(plan, key, index_name, stats.operator_stats)
         return results, stats
 
     def _partial_service(self, plan: QueryPlan, stats: EvaluationStats):
@@ -894,7 +702,7 @@ class QuerySession:
         blows the footprint budget (the costing-time estimate was an
         upper bound on seeds, not on the cone).
         """
-        self._load_indexes_from_store()
+        self._load_lazy_kinds()
         physical = plan.compiled.physical
         footprint = self._footprint_for(plan)
         if footprint is None:
@@ -952,21 +760,18 @@ class QuerySession:
         )
         return footprint
 
-    def _record_codegen_feedback(
-        self, plan: QueryPlan, stats: EvaluationStats, elapsed: float
-    ) -> None:
-        """File one compiled execution under the ``"gtea-codegen"`` key.
+    @staticmethod
+    def _codegen_records(stats: EvaluationStats, elapsed: float) -> list[OperatorStats]:
+        """The synthetic operator records of one compiled execution.
 
-        Compiled runs skip per-operator instrumentation, so without this
-        they never reach the profile and calibration silently starves
-        under ``codegen=True``.  They must not feed the interpreted arms
-        either — the generated loop's seconds-per-element would skew the
-        executor inequality — so the record goes to its own executor key,
-        which the calibration reads exactly like the ``"gtea-parallel"``
-        exclusion (volume counts, interpreted estimates untouched).  The
-        synthetic record bypasses :meth:`_record_feedback` so the
-        ``explain()`` estimated-vs-observed view keeps showing genuine
-        interpreted operator stats only.
+        Compiled runs skip per-operator instrumentation, so without
+        these they never reach the profile and calibration silently
+        starves under ``codegen=True``.  They must not feed the
+        interpreted arms either — the generated loop's
+        seconds-per-element would skew the executor inequality — so
+        they file under the route's own ``"gtea-codegen"`` key, which
+        the calibration reads exactly like the ``"gtea-parallel"``
+        exclusion (volume counts, interpreted estimates untouched).
 
         Alongside the whole-execution record, the compiled prune loop's
         wall time (the ``prune_downward`` phase the generated function
@@ -999,12 +804,7 @@ class QuerySession:
                     index_entries=0,
                 )
             )
-        self.cost_profile.record(
-            index_name=plan.compiled.physical.index_name,
-            executor="gtea-codegen",
-            graph_version=self._graph_version,
-            operator_stats=records,
-        )
+        return records
 
     def _codegen_entry(self, plan: QueryPlan) -> tuple[object, bool]:
         """The codegen-cache entry for ``plan``, compiling on a miss.
@@ -1018,9 +818,8 @@ class QuerySession:
         cached = self.codegen_cache.get(plan.fingerprint)
         if cached is not None:
             return cached, True
-        mode = "closure" if self.codegen == "closure" else "source"
         try:
-            entry: object = compile_plan(plan.compiled, mode=mode)
+            entry: object = compile_plan(plan.compiled)
         except CodegenError as error:
             entry = str(error)
         self.codegen_cache.put(plan.fingerprint, entry)
@@ -1029,32 +828,45 @@ class QuerySession:
     def _record_feedback(
         self,
         plan: QueryPlan,
-        stats: EvaluationStats,
-        executor: str | None = None,
-        index_name: str | None = None,
+        key: str,
+        index_name: str,
+        records: list[OperatorStats],
+        *,
+        synthetic: bool = False,
     ) -> None:
-        """Fold one execution's operator records into the cost profile.
+        """Fold one execution's operator records into the cost profile
+        under the route's executor ``key``.
 
         Partial-scope executions file under the *scoped* index name
         ("tc@partial"), so full-index calibration is never diluted by
         partial-build economics — and per-query costing reads the scoped
-        key back to learn when partial beats full.
+        key back to learn when partial beats full.  ``synthetic``
+        records (compiled runs) stay out of the ``explain()``
+        estimated-vs-observed view, which keeps showing genuine
+        interpreted operator stats only.
         """
-        if not stats.operator_stats:
+        if not records:
             return
         self.cost_profile.record(
-            index_name=index_name or plan.compiled.physical.scoped_index_name,
-            executor=executor or plan.compiled.physical.executor,
+            index_name=index_name,
+            executor=key,
             graph_version=self._graph_version,
-            operator_stats=stats.operator_stats,
+            operator_stats=records,
         )
-        self._observed_ops.put(plan.fingerprint, list(stats.operator_stats))
+        if not synthetic:
+            self._observed_ops.put(plan.fingerprint, list(records))
 
-    def _candidate_provider(self, plan: QueryPlan):
-        """A ``(query, node_id) -> mat(u)`` source backed by the cache."""
+    def _candidate_provider(self, plan: QueryPlan | None = None):
+        """A ``(query, node_id) -> mat(u)`` source backed by the cache.
+
+        Predicate keys come from ``plan`` when it has the node, and are
+        computed on the fly otherwise — so one plan-less provider serves
+        every plan of a shared batch.
+        """
+        known = plan.predicate_keys if plan is not None else {}
 
         def provider(query: GTPQ, node_id: str) -> list[int]:
-            key = plan.predicate_keys[node_id]
+            key = known.get(node_id) or predicate_key(query.attribute(node_id))
             nodes = self.candidate_cache.get(key)
             if nodes is None:
                 nodes = tuple(candidate_nodes(self.graph, query, node_id))
@@ -1183,17 +995,17 @@ class QuerySession:
         falls back to the isolated per-query path; the second return
         value counts those skipped groups.
         """
-        by_index: dict[str, list[int]] = {}
+        by_index: dict[str | None, list[int]] = {}
         outcomes: list[tuple[ResultSet, EvaluationStats] | None] = [None] * len(plans)
-        for position, plan in enumerate(plans):
-            physical = plan.compiled.physical
-            if physical.index_scope != "full":
+        routes = [self._route(plan, shared=True) for plan in plans]
+        for position, route in enumerate(routes):
+            if route.partial:
                 # Partial-scope plans bind to their own footprint index;
                 # the shared DAG prunes every subtree on one engine, so
                 # they run the isolated path instead.
-                outcomes[position] = self._execute_plan(plan, ())
+                outcomes[position] = self._execute_plan(plans[position], ())
                 continue
-            by_index.setdefault(physical.index_name, []).append(position)
+            by_index.setdefault(route.index_name, []).append(position)
 
         skipped = 0
         cached = lambda fingerprint: self.subtree_cache.peek(fingerprint) is not None
@@ -1209,26 +1021,22 @@ class QuerySession:
             batch = compile_batch(self.graph, plans=compiled)
             executor = SharedExecutor(
                 self.engine(index_name),
-                candidate_provider=self._shared_candidate_provider(),
+                candidate_provider=self._candidate_provider(),
                 subtree_cache=self.subtree_cache,
                 candidate_counters=self.candidate_cache.counters,
                 parallel=self.parallel_executor(index_name),
             )
             for position, outcome in zip(positions, executor.execute(batch)):
                 results, stats = outcome
+                plan = plans[position]
                 stats.result_cache_misses += 1
-                self.result_cache.put(
-                    (plans[position].fingerprint, ()), frozenset(results)
+                self.result_cache.put((plan.fingerprint, ()), frozenset(results))
+                self._record_feedback(
+                    plan,
+                    routes[position].key,
+                    plan.compiled.physical.scoped_index_name,
+                    stats.operator_stats,
                 )
-                # GTEA-participating executions are filed under their
-                # own key: a warm subtree cache leaves them with
-                # suffix-only operator records (no scan, no prunes),
-                # which would corrupt the isolated GTEA arm's
-                # seconds-per-element.  Ride-along plans (baseline,
-                # unsat) ran their actual executor and file under it.
-                routed = plans[position].compiled.physical.executor
-                tag = "gtea-shared" if routed == "gtea" else routed
-                self._record_feedback(plans[position], stats, executor=tag)
                 outcomes[position] = (results, stats)
         return outcomes, skipped
 
@@ -1244,62 +1052,22 @@ class QuerySession:
         batch = compile_batch(self.graph, plans=[plan.compiled for plan in plans])
         return batch.explain()
 
-    def _shared_candidate_provider(self):
-        """A plan-agnostic ``(query, node_id) -> mat(u)`` cache source.
-
-        Unlike :meth:`_candidate_provider` it computes predicate keys on
-        the fly, so one provider serves every plan of a shared batch.
-        """
-
-        def provider(query: GTPQ, node_id: str) -> list[int]:
-            key = predicate_key(query.attribute(node_id))
-            nodes = self.candidate_cache.get(key)
-            if nodes is None:
-                nodes = tuple(candidate_nodes(self.graph, query, node_id))
-                self.candidate_cache.put(key, nodes)
-            return list(nodes)
-
-        return provider
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def cache_info(self) -> dict[str, dict[str, int]]:
         """Counter snapshots and sizes of every session cache."""
-        return {
-            "plan": {**self.plan_cache.counters.snapshot(), "size": len(self.plan_cache)},
-            "candidate": {
-                **self.candidate_cache.counters.snapshot(),
-                "size": len(self.candidate_cache),
-            },
-            "result": {
-                **self.result_cache.counters.snapshot(),
-                "size": len(self.result_cache),
-            },
-            "subtree": {
-                **self.subtree_cache.counters.snapshot(),
-                "size": len(self.subtree_cache),
-            },
-            "codegen": {
-                **self.codegen_cache.counters.snapshot(),
-                "size": len(self.codegen_cache),
-            },
-            "partial": {
-                **self.partial_pool.counters.snapshot(),
-                "size": len(self.partial_pool),
-            },
-            "indexes": {"pooled": len(self._reach_pool)},
-            **(
-                {
-                    "store": {
-                        **self.store.counters.snapshot(),
-                        "rehydrated": sum(self.store_rehydrated.values()),
-                    }
-                }
-                if self.store is not None
-                else {}
-            ),
+        info = {
+            kind.info: kind.describe(getattr(self, kind.attr))
+            for kind in ARTIFACT_KINDS
+            if kind.info is not None
         }
+        if self.store is not None:
+            info["store"] = {
+                **self.store.counters.snapshot(),
+                "rehydrated": sum(self.store_rehydrated.values()),
+            }
+        return info
 
     def __repr__(self) -> str:
         return (

@@ -11,7 +11,15 @@ Three headline numbers per evaluation:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+
+#: the int counters :meth:`EvaluationStats.merge` does not simply add.
+_MERGE_EXCEPTIONS = {
+    # the configured pool size, not a tally.
+    "parallel_workers": max,
+    # a single evaluation leaves it at 0 and reads as one.
+    "evaluations": lambda mine, theirs: mine + max(theirs, 1),
+}
 
 
 @dataclass
@@ -107,8 +115,8 @@ class EvaluationStats:
     parallel_upward_tasks: int = 0
     #: shard tasks drained from the shared pending deque by a completion
     #: (a worker went idle and stole queued work) rather than submitted
-    #: in a wave's initial pool fill.  Zero when stealing is off or no
-    #: wave ever overflowed the pool.
+    #: in a wave's initial pool fill.  Zero when no wave ever overflowed
+    #: the pool.
     parallel_steals: int = 0
     #: shard tasks completed per worker, keyed by a per-execution label
     #: (``"w0"``, ``"w1"``, ... in order of first completion).
@@ -162,41 +170,16 @@ class EvaluationStats:
     def merge(self, other: "EvaluationStats") -> None:
         """Fold ``other`` into this object (used by batch aggregation).
 
-        Scalar counters add up; phase timings accumulate by name; the
-        per-query-node candidate breakdowns and per-operator records are
-        dropped (they are not meaningful across different queries).
+        Every int counter of the dataclass adds up (bar the
+        :data:`_MERGE_EXCEPTIONS`), so a counter added to the class is
+        aggregated without being listed here; phase timings and
+        per-worker task counts accumulate by name; the per-query-node
+        candidate breakdowns and per-operator records are dropped (they
+        are not meaningful across different queries).
         """
-        self.input_nodes += other.input_nodes
-        self.index_lookups += other.index_lookups
-        self.index_entries += other.index_entries
-        self.matching_graph_nodes += other.matching_graph_nodes
-        self.matching_graph_edges += other.matching_graph_edges
-        self.intermediate_tuples += other.intermediate_tuples
-        self.downward_prune_ops += other.downward_prune_ops
-        self.result_count += other.result_count
-        self.evaluations += max(other.evaluations, 1)
-        self.plan_cache_hits += other.plan_cache_hits
-        self.plan_cache_misses += other.plan_cache_misses
-        self.candidate_cache_hits += other.candidate_cache_hits
-        self.candidate_cache_misses += other.candidate_cache_misses
-        self.result_cache_hits += other.result_cache_hits
-        self.result_cache_misses += other.result_cache_misses
-        self.subtree_cache_hits += other.subtree_cache_hits
-        self.subtree_cache_misses += other.subtree_cache_misses
-        self.batch_queries += other.batch_queries
-        self.batch_unique_queries += other.batch_unique_queries
-        self.batch_shared_subtrees += other.batch_shared_subtrees
-        self.batch_share_skipped += other.batch_share_skipped
-        self.codegen_hits += other.codegen_hits
-        self.codegen_misses += other.codegen_misses
-        self.codegen_fallbacks += other.codegen_fallbacks
-        self.partial_builds += other.partial_builds
-        self.partial_hits += other.partial_hits
-        self.partial_fallbacks += other.partial_fallbacks
-        self.parallel_workers = max(self.parallel_workers, other.parallel_workers)
-        self.parallel_shard_tasks += other.parallel_shard_tasks
-        self.parallel_upward_tasks += other.parallel_upward_tasks
-        self.parallel_steals += other.parallel_steals
+        for name in _INT_COUNTERS:
+            combine = _MERGE_EXCEPTIONS.get(name, int.__add__)
+            setattr(self, name, combine(getattr(self, name), getattr(other, name)))
         for worker, tasks in other.parallel_worker_tasks.items():
             self.parallel_worker_tasks[worker] = (
                 self.parallel_worker_tasks.get(worker, 0) + tasks
@@ -244,6 +227,11 @@ class EvaluationStats:
             "partial_hits": self.partial_hits,
             "partial_fallbacks": self.partial_fallbacks,
         }
+
+
+#: every int counter of the dataclass — what :meth:`EvaluationStats.merge`
+#: folds (annotations are strings under ``from __future__ import annotations``).
+_INT_COUNTERS = tuple(spec.name for spec in fields(EvaluationStats) if spec.type == "int")
 
 
 class _CandidateCacheDelta:

@@ -14,7 +14,7 @@ from .assignment import (
     evaluate,
     models,
 )
-from .codegen import LoweringError, compile_formula, lower_formula
+from .codegen import LoweringError, lower_formula
 from .formula import (
     FALSE,
     TRUE,
@@ -69,7 +69,6 @@ __all__ = [
     "brute_force_satisfiable",
     "brute_force_tautology",
     "cnf_clauses",
-    "compile_formula",
     "count_models",
     "disjoint",
     "dnf_terms",

@@ -8,23 +8,14 @@ Python boolean expression — constants folded away, each variable
 replaced by a caller-chosen expression — so a compiled prune loop pays
 zero AST traversal and zero dict lookups per candidate.
 
-Two artifacts:
-
-* :func:`lower_formula` — the expression *source* (a string), used by
-  the source-emitting backend (:mod:`repro.plan.codegen`), which splices
-  it into a generated prune loop;
-* :func:`compile_formula` — a callable over a positional tuple of
-  variable bits, used by the closure-mode backend and by tests as an
-  executable cross-check of the lowering.
-
-Both share :func:`lower_formula`; ``compile_formula`` wraps the lowered
-expression in a ``lambda`` and runs it through :func:`compile`, so the
-two artifacts cannot drift apart.
+The one artifact is :func:`lower_formula` — the expression *source* (a
+string), which the source-emitting backend (:mod:`repro.plan.codegen`)
+splices into a generated prune loop.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Mapping
 
 from .formula import And, Const, Formula, Not, Or, Var
 
@@ -62,17 +53,3 @@ def lower_formula(formula: Formula, names: Mapping[str, str]) -> str:
         return "(" + " or ".join(lower_formula(c, names) for c in formula.children) + ")"
     raise LoweringError(f"cannot lower {formula!r}")
 
-
-def compile_formula(formula: Formula, variables: Sequence[str]) -> Callable[[Sequence[bool]], bool]:
-    """Compile ``formula`` to ``bits -> bool`` over positional variables.
-
-    ``variables`` fixes the bit order: ``bits[i]`` is the valuation of
-    ``variables[i]``.  Every variable of the formula must appear in
-    ``variables`` (extras are allowed and ignored).  The result is a
-    flat, non-recursive evaluator: one ``lambda`` whose body is the
-    lowered expression.
-    """
-    names = {name: f"_bits[{position}]" for position, name in enumerate(variables)}
-    source = f"lambda _bits: bool({lower_formula(formula, names)})"
-    namespace = {"__builtins__": {}, "bool": bool}
-    return eval(compile(source, "<repro.logic.codegen>", "eval"), namespace)

@@ -16,9 +16,9 @@ from .codegen import (
     analyze_plan,
     compile_plan,
     rehydrate_plan_function,
-    supports_plan,
 )
 from .compile import CompiledPlan, compile_query
+from .route import ExecutionRoute, codegen_refusal, decide_route
 from .shared import (
     BatchPlan,
     SharedPlanDAG,
@@ -63,6 +63,7 @@ __all__ = [
     "CompiledPlanFunction",
     "CostEstimate",
     "CostProfile",
+    "ExecutionRoute",
     "IndexChoice",
     "LogicalPlan",
     "NormalizedQuery",
@@ -81,9 +82,11 @@ __all__ = [
     "choose_index",
     "choose_index_detail",
     "choose_scoped_index",
+    "codegen_refusal",
     "compile_batch",
     "compile_plan",
     "compile_query",
+    "decide_route",
     "estimate_candidates",
     "estimate_executor",
     "estimated_sharing_savings",
@@ -92,5 +95,4 @@ __all__ = [
     "scoped_index_key",
     "rehydrate_plan_function",
     "should_share",
-    "supports_plan",
 ]

@@ -20,15 +20,10 @@ plan fingerprint:
   computed once per DAG component for the whole set (one call into the
   chain-shared scan), never per candidate.
 
-Two modes share one analysis (:func:`analyze_plan`):
-
-* ``mode="source"`` (default) emits Python source for the whole
-  scan + downward phase and runs it through :func:`compile`; the source
-  is kept on the artifact (``CompiledPlanFunction.source``) for
-  inspection;
-* ``mode="closure"`` interprets the same per-node step specs with
-  closures from :func:`repro.logic.codegen.compile_formula` — slower,
-  but every step is ordinary Python visible to a debugger.
+One analysis (:func:`analyze_plan`) feeds one backend: Python source
+for the whole scan + downward phase is emitted and run through
+:func:`compile`; the source is kept on the artifact
+(``CompiledPlanFunction.source``) for inspection and persistence.
 
 The suffix of the pipeline (UpwardPrune → BuildMatchingGraph →
 CollectResults) is *not* specialized: the generated function hands the
@@ -52,12 +47,10 @@ from time import perf_counter
 from typing import Callable
 
 from ..logic import Const, Formula
-from ..logic.codegen import compile_formula, lower_formula
+from ..logic.codegen import lower_formula
 from ..query.gtpq import EdgeType
 from .compile import CompiledPlan
-
-#: modes :func:`compile_plan` accepts.
-MODES = ("source", "closure")
+from .route import codegen_refusal
 
 
 class CodegenError(Exception):
@@ -65,7 +58,7 @@ class CodegenError(Exception):
 
 
 # ----------------------------------------------------------------------
-# Compile-time analysis — shared by both modes
+# Compile-time analysis
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class NodeStep:
@@ -103,7 +96,7 @@ class NodeStep:
 
 @dataclass(frozen=True)
 class PlanAnalysis:
-    """Everything the emitter / closure driver needs about one plan."""
+    """Everything the emitter needs about one plan."""
 
     steps: tuple[NodeStep, ...]
     index_name: str
@@ -128,13 +121,9 @@ def analyze_plan(plan: CompiledPlan) -> PlanAnalysis:
     abandon the plan's operator list.
     """
     physical = plan.physical
-    if physical.executor != "gtea":
-        raise CodegenError(f"executor {physical.executor!r} is not specializable")
-    if getattr(physical, "index_scope", "full") != "full":
-        # Partial-scope plans bind to a footprint-restricted index whose
-        # lifetime the session pool controls; compiled functions cache by
-        # plan fingerprint and would outlive (and pin) that domain.
-        raise CodegenError("partial-scope index choice is not specializable")
+    refusal = codegen_refusal(physical)
+    if refusal is not None:
+        raise CodegenError(refusal)
     query = plan.query
     if not physical.covers_query(query):
         raise CodegenError("downward order does not cover the rewritten query")
@@ -187,17 +176,8 @@ def _label_only_scan(predicate) -> str | None:
     return None
 
 
-def supports_plan(plan: CompiledPlan) -> bool:
-    """Can :func:`compile_plan` specialize this plan?"""
-    try:
-        analyze_plan(plan)
-    except CodegenError:
-        return False
-    return True
-
-
 # ----------------------------------------------------------------------
-# Runtime helpers — shared by generated source and closure mode
+# Runtime helpers of the generated source
 # ----------------------------------------------------------------------
 def _ad_bit_chain(context, candidates, child_id, contour, down):
     """One AD child's valuation per DAG component (3-hop chain scan)."""
@@ -281,7 +261,7 @@ def _finish_pipeline(state, context, ops, started, lookups0, entries0):
     a codegen execution records *no* per-operator ``operator_stats``.
     The session instead files one whole-execution record under the
     dedicated ``"gtea-codegen"`` cost-profile key
-    (``QuerySession._record_codegen_feedback``), keeping the interpreted
+    (``QuerySession._execute_plan``), keeping the interpreted
     arms' calibration untouched by compiled timings.
     """
     from ..engine.operators import BuildMatchingGraph, CollectResults, UpwardPrune
@@ -454,104 +434,6 @@ def _runtime_namespace(analysis: PlanAnalysis) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Closure mode
-# ----------------------------------------------------------------------
-class _ClosureRunner:
-    """Interpret the analysis' step specs with compiled predicates.
-
-    Same counters, phases and early exits as the generated source, but
-    every step is ordinary Python a debugger can walk through.
-    """
-
-    __slots__ = ("analysis", "predicates")
-
-    def __init__(self, analysis: PlanAnalysis):
-        self.analysis = analysis
-        self.predicates = {
-            step.node_id: compile_formula(step.fext, step.ad_used + step.pc_used)
-            for step in analysis.steps
-            if step.kind == "filter"
-        }
-
-    def __call__(self, state):
-        from ..query.naive import candidate_nodes
-        from ..reachability.contour import merge_pred_lists
-
-        analysis = self.analysis
-        stats, query, mats = state.stats, state.query, state.mats
-        started = perf_counter()
-        provider = state.candidate_provider
-        for step in analysis.steps:
-            node_id = step.node_id
-            if provider is not None:
-                mats[node_id] = list(provider(query, node_id))
-            elif step.label_scan is not None:
-                mats[node_id] = list(state.graph.nodes_with_label(step.label_scan))
-            else:
-                mats[node_id] = candidate_nodes(state.graph, query, node_id)
-            stats.candidates_initial[node_id] = len(mats[node_id])
-        stats.input_nodes = sum(stats.candidates_initial.values())
-        phases = stats.phase_seconds
-        phases["candidates"] = phases.get("candidates", 0.0) + (perf_counter() - started)
-        if not mats[analysis.root]:
-            return state.finish_empty()
-
-        context = state.context
-        counters = context.reach.counters
-        lookups0, entries0 = counters.lookups, counters.entries_scanned
-        down = state.down
-        contours: dict[str, object] = {}
-        ops = 0
-        started = perf_counter()
-        for step in analysis.steps:
-            node_id = step.node_id
-            candidates = mats[node_id]
-            if step.kind == "copy":
-                survivors = candidates
-            elif step.kind == "empty":
-                survivors = []
-            else:
-                survivors = self._filter(state, step, candidates, contours)
-            down[node_id] = survivors
-            stats.candidates_after_downward[node_id] = len(survivors)
-            ops += 1
-            if step.backbone and not survivors:
-                return _bail_empty_backbone(state, context, ops, started, lookups0, entries0)
-            if step.needs_contour:
-                contours[node_id] = merge_pred_lists(context.index, context.dag_images(survivors))
-        return _finish_pipeline(state, context, ops, started, lookups0, entries0)
-
-    def _filter(self, state, step: NodeStep, candidates, contours):
-        """One filter step: batched AD bits + PC membership + predicate."""
-        context = state.context
-        down = state.down
-        predecessors = state.graph.predecessors
-        pc_sets = [{p for w in down[child] for p in predecessors(w)} for child in step.pc_used]
-        predicate = self.predicates[step.node_id]
-        if not step.ad_used:
-            survivors = []
-            for candidate in candidates:
-                if predicate(tuple(candidate in s for s in pc_sets)):
-                    survivors.append(candidate)
-            return survivors
-        if self.analysis.three_hop:
-            flat = _ad_bits_chain(
-                context,
-                candidates,
-                tuple((c, contours[c], down[c]) for c in step.ad_used),
-            )
-        else:
-            flat = _ad_bits_generic(context, candidates, tuple((c, down[c]) for c in step.ad_used))
-        component_of = context.reach.component_of
-        survivors = []
-        for candidate in candidates:
-            bits = flat[component_of(candidate)] + tuple(candidate in s for s in pc_sets)
-            if predicate(bits):
-                survivors.append(candidate)
-        return survivors
-
-
-# ----------------------------------------------------------------------
 # The public artifact
 # ----------------------------------------------------------------------
 class CompiledPlanFunction:
@@ -561,11 +443,10 @@ class CompiledPlanFunction:
     plan cache (same fingerprint key, same graph-version invalidation).
     """
 
-    __slots__ = ("fn", "mode", "source", "analysis")
+    __slots__ = ("fn", "source", "analysis")
 
-    def __init__(self, fn: Callable, mode: str, source: str | None, analysis: PlanAnalysis):
+    def __init__(self, fn: Callable, source: str, analysis: PlanAnalysis):
         self.fn = fn
-        self.mode = mode
         self.source = source
         self.analysis = analysis
 
@@ -581,7 +462,7 @@ class CompiledPlanFunction:
         folded = self.analysis.folded_steps
         note = f", {folded} const-folded" if folded else ""
         return (
-            f"codegen[{self.mode}] {len(self.analysis.steps)} nodes, "
+            f"codegen[source] {len(self.analysis.steps)} nodes, "
             f"{self.analysis.index_name} index{note}"
         )
 
@@ -589,46 +470,26 @@ class CompiledPlanFunction:
         return f"CompiledPlanFunction({self.describe()})"
 
 
-def compile_plan(plan: CompiledPlan, mode: str = "source") -> CompiledPlanFunction:
-    """Specialize ``plan``; raises :class:`CodegenError` if it can't be.
-
-    ``mode="source"`` emits and compiles Python source (fastest);
-    ``mode="closure"`` builds a debuggable interpreter over the same
-    analysis.  Both produce identical answers, survivor sets and
-    counters.
-    """
-    if mode not in MODES:
-        raise ValueError(f"unknown codegen mode {mode!r}; expected one of {MODES}")
-    analysis = analyze_plan(plan)
-    if mode == "closure":
-        return CompiledPlanFunction(_ClosureRunner(analysis), mode, None, analysis)
-    source = emit_plan_source(analysis)
-    namespace = _runtime_namespace(analysis)
-    exec(compile(source, "<repro.plan.codegen>", "exec"), namespace)
-    return CompiledPlanFunction(namespace["_specialized"], mode, source, analysis)
+def compile_plan(plan: CompiledPlan) -> CompiledPlanFunction:
+    """Specialize ``plan``; raises :class:`CodegenError` if it can't be."""
+    return rehydrate_plan_function(analyze_plan(plan))
 
 
 def rehydrate_plan_function(
-    analysis: PlanAnalysis, mode: str = "source", source: str | None = None
+    analysis: PlanAnalysis, source: str | None = None
 ) -> CompiledPlanFunction:
-    """Rebuild a specialized function from persisted pieces.
+    """Build a specialized function from its (possibly persisted) pieces.
 
     The warm store (:mod:`repro.store`) can only serialize the pure-data
     half of a :class:`CompiledPlanFunction` — its :class:`PlanAnalysis`
     and emitted source text; the executable half (an ``exec``'d function
     object) does not pickle.  Rehydration skips :func:`analyze_plan` and
-    goes straight to ``compile``/``exec`` over the stored source (or
-    rebuilds the closure interpreter from the analysis alone).  When the
-    source text is absent in source mode — e.g. the store was written by
-    a closure-mode session — it is re-emitted from the analysis, which
+    goes straight to ``compile``/``exec`` over the stored source.  When
+    the source text is absent it is re-emitted from the analysis, which
     is deterministic.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown codegen mode {mode!r}; expected one of {MODES}")
-    if mode == "closure":
-        return CompiledPlanFunction(_ClosureRunner(analysis), mode, None, analysis)
     if source is None:
         source = emit_plan_source(analysis)
     namespace = _runtime_namespace(analysis)
-    exec(compile(source, "<repro.plan.codegen rehydrated>", "exec"), namespace)
-    return CompiledPlanFunction(namespace["_specialized"], mode, source, analysis)
+    exec(compile(source, "<repro.plan.codegen>", "exec"), namespace)
+    return CompiledPlanFunction(namespace["_specialized"], source, analysis)

@@ -1,0 +1,157 @@
+"""The execution route: which executor runs a plan, decided once.
+
+A :class:`~repro.plan.physical.PhysicalPlan` fixes index and operator
+pipeline; the session adds three flags (codegen, parallel, adaptive)
+and the call two facts (group nodes, a shared batch).  These exclude
+each other in places, and :func:`decide_route` is the one function that
+resolves them: execution, feedback filing and ``explain()`` all consume
+its :class:`ExecutionRoute`, and nothing downstream re-decides.
+
+The route is a pure function of plan and flags and is *not* stored on
+the plan — plans travel through the warm store between sessions with
+different flags.  Two outcomes are only known at run time and stay
+fallbacks layered on the route: a partial-scope plan whose footprint
+blows its budget, and a plan the codegen analysis rejects.  At most one
+can hit a given route (partial-scope plans never compile).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..engine.parallel import ParallelOptions
+    from .physical import PhysicalPlan
+
+
+def codegen_refusal(
+    physical: "PhysicalPlan",
+    *,
+    adaptive: bool = False,
+    sharded: bool = False,
+    grouped: bool = False,
+) -> str | None:
+    """Why no compiled function may drive a run of ``physical``, or None.
+
+    The single statement of codegen applicability: the route, the
+    codegen analysis (:func:`repro.plan.codegen.analyze_plan`) and the
+    engine's guard (:meth:`repro.engine.gtea.GTEA.execute`) all ask here.
+    """
+    if adaptive:
+        return "adaptive sessions reorder at runtime"
+    if sharded:
+        return "parallel-sharded execution"
+    if grouped:
+        return "group evaluation runs the original query"
+    if physical.executor != "gtea":
+        return f"executor {physical.executor!r} is not specializable"
+    if physical.index_scope != "full":
+        # Partial-scope plans bind to a footprint-restricted index whose
+        # lifetime the session pool controls; compiled functions cache by
+        # plan fingerprint and would outlive (and pin) that domain.
+        return "partial-scope index choice is not specializable"
+    return None
+
+
+@dataclass(frozen=True)
+class ExecutionRoute:
+    """How one run of a physical plan executes under a session's flags."""
+
+    #: index of the pooled full-scope engine; ``None`` is the session
+    #: default, which partial-scope plans fall back to — their inner
+    #: name (``"tc"``) must never become a whole-graph build.
+    index_name: str | None
+    #: try the pooled partial reachability service (a serial engine)
+    #: first; a footprint blow-out falls back to the full-scope engine.
+    partial: bool
+    #: a partial-scope plan statically sent to the full-scope engine.
+    partial_refused: bool
+    sharded: bool  #: the sharded executor drives the full-scope engine.
+    adaptive: bool  #: engines reorder the downward prune at run time.
+    compiled: bool  #: a compiled plan function may drive the run.
+    #: the static reason none may; ``None`` when ``compiled``, with
+    #: codegen off, and in shared batches (which never count one).
+    codegen_fallback: str | None
+    #: cost-profile executor key of the run (``None``: not filed), and
+    #: that key after a run-time fallback.
+    key: str | None
+    fallback_key: str | None
+    parallel: "ParallelOptions | None" = None
+
+    def notes(self, compiled_entry=None) -> list[str]:
+        """The ``[codegen]`` / ``[parallel]`` lines of ``explain()``;
+        ``compiled_entry`` is the codegen-cache entry of a ``compiled``
+        route (the function, or why the analysis rejected the plan)."""
+        lines = []
+        reason = compiled_entry if self.compiled else self.codegen_fallback
+        if isinstance(reason, str):
+            lines.append(f"[codegen] interpreted fallback ({reason})")
+        elif self.compiled:
+            lines.append(f"[codegen] {compiled_entry.describe()}")
+        if self.sharded:
+            lines.append(
+                f"[parallel] downward+upward sharded across "
+                f"{self.parallel.workers} workers ({self.parallel.backend} backend, "
+                f"strategy={self.parallel.strategy}, overlap-scan, steal)"
+            )
+        elif self.parallel is not None:
+            lines.append("[parallel] serial (plan not routed to the GTEA executor)")
+        return lines
+
+
+def decide_route(
+    physical: "PhysicalPlan",
+    *,
+    codegen: bool | str = False,
+    parallel: "ParallelOptions | None" = None,
+    adaptive: bool = False,
+    grouped: bool = False,
+    shared: bool = False,
+) -> ExecutionRoute:
+    """Resolve the session's ``codegen`` / ``parallel`` / ``adaptive``
+    flags against one plan, for a call that carries group nodes
+    (``grouped``) or runs inside a shared batch DAG (``shared``)."""
+    gtea = physical.executor == "gtea"
+    partial_scope = gtea and physical.index_scope == "partial"
+    # Group evaluation runs the original, pre-rewrite query: its
+    # candidates may fall outside the rewritten footprint, and the
+    # sharded executor would only hand it (like any non-GTEA plan) back
+    # to the engine.
+    sharded = parallel is not None and gtea and not grouped
+    refusal, compiled = None, False
+    if codegen and not shared:
+        refusal = codegen_refusal(physical, adaptive=adaptive, sharded=sharded, grouped=grouped)
+        compiled = refusal is None
+    if grouped:
+        # Group evaluation runs the GTEA pipeline over the *original*
+        # query regardless of the routed executor; recording it would
+        # file GTEA operator stats under the baseline's calibration arm
+        # (and against the rewritten query's estimates).
+        key = fallback_key = None
+    elif not gtea:
+        # Ride-along plans (baseline, unsat) file under their executor.
+        key = fallback_key = physical.executor
+    elif shared:
+        # A warm subtree cache leaves shared executions suffix-only
+        # operator records (no scan, no prunes), which would corrupt
+        # the isolated GTEA arm's seconds-per-element.
+        key = fallback_key = "gtea-shared"
+    else:
+        # Sharded wall times reflect pool scheduling and compiled ones
+        # the generated loop, not the serial cost model the calibration
+        # arms compare.  A partial route's own engine is serial.
+        fallback_key = "gtea-parallel" if sharded else "gtea"
+        key = "gtea-codegen" if compiled else "gtea" if partial_scope else fallback_key
+    return ExecutionRoute(
+        index_name=None if physical.index_scope == "partial" else physical.index_name,
+        partial=partial_scope and not grouped,
+        partial_refused=partial_scope and grouped,
+        sharded=sharded,
+        adaptive=adaptive,
+        compiled=compiled,
+        codegen_fallback=refusal,
+        key=key,
+        fallback_key=fallback_key,
+        parallel=parallel,
+    )

@@ -14,12 +14,22 @@ import asyncio
 import json
 import os
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 from ..engine.session import QuerySession
 from ..graph.digraph import DataGraph
 from ..store import ArtifactStore
+
+
+#: per-request latencies :class:`ServerStats` keeps — a fixed window, so
+#: a long-lived server's memory and its ``summary()`` sort stay bounded.
+LATENCY_WINDOW = 4096
+
+#: longest request line the TCP front accepts, in bytes (asyncio's
+#: default ``StreamReader`` limit, made explicit).
+MAX_REQUEST_LINE = 2**16
 
 
 class StaleSnapshotError(RuntimeError):
@@ -54,8 +64,10 @@ class ServerStats:
         self.requests = 0
         self.errors = 0
         self.stale_rejections = 0
-        #: per-request wall seconds (checkout wait + evaluation).
-        self.latencies: list[float] = []
+        #: wall seconds (checkout wait + evaluation) of the most recent
+        #: :data:`LATENCY_WINDOW` requests; the percentiles of
+        #: :meth:`summary` describe this window.
+        self.latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
 
     def summary(self) -> dict[str, float]:
         return {
@@ -273,7 +285,17 @@ def _render_results(results) -> list:
 
 async def _handle_connection(server: QueryServer, reader, writer) -> None:
     while True:
-        line = await reader.readline()
+        try:
+            line = await reader.readline()
+        except ValueError:
+            # The line outgrew the reader's limit and its buffered part
+            # is already discarded; whatever follows on this connection
+            # cannot be framed any more, so answer once and hang up.
+            server.stats.errors += 1
+            response = {"ok": False, "error": f"request line exceeds {MAX_REQUEST_LINE} bytes"}
+            writer.write(json.dumps(response).encode("utf-8") + b"\n")
+            await writer.drain()
+            break
         if not line:
             break
         try:
@@ -309,4 +331,4 @@ async def serve_tcp(server: QueryServer, host: str = "127.0.0.1", port: int = 87
     async def handler(reader, writer):
         await _handle_connection(server, reader, writer)
 
-    return await asyncio.start_server(handler, host=host, port=port)
+    return await asyncio.start_server(handler, host=host, port=port, limit=MAX_REQUEST_LINE)

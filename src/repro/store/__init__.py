@@ -24,11 +24,10 @@ used by the benchmarks and CI smokes.
 
 from .fingerprint import graph_fingerprint
 from .seed import seed_profile_from_reports
-from .store import SESSION_KINDS, STORE_FORMAT_VERSION, ArtifactStore, StoreCounters
+from .store import STORE_FORMAT_VERSION, ArtifactStore, StoreCounters
 
 __all__ = [
     "ArtifactStore",
-    "SESSION_KINDS",
     "STORE_FORMAT_VERSION",
     "StoreCounters",
     "graph_fingerprint",

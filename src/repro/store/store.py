@@ -44,20 +44,6 @@ STORE_FORMAT_VERSION = 2
 _MAGIC = b"repro-store\n"
 _SUFFIX = ".artifact"
 
-#: artifact kinds the session layer persists (other kinds are legal —
-#: the store is schema-agnostic above the header).
-SESSION_KINDS = (
-    "indexes",
-    "partial-indexes",
-    "plans",
-    "candidates",
-    "subtrees",
-    "results",
-    "codegen",
-    "codegen-src",
-    "profile",
-)
-
 
 class StoreCounters:
     """Mutable counters of one store's activity."""

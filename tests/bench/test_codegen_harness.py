@@ -22,7 +22,6 @@ class TestMeasureCodegen:
     def test_small_xmark_workload_compiles_and_agrees(self):
         graph = generate_xmark(scale=0.02, seed=97).graph
         measurement = measure_codegen(graph, tiny_workload(), rounds=3)
-        assert measurement.mode == "auto"
         assert measurement.mismatches == 0
         assert measurement.uncompiled == 0
         assert len(measurement.points) == 2
@@ -30,14 +29,8 @@ class TestMeasureCodegen:
         assert [row["query"] for row in rows] == ["q1", "q2"]
         assert all(row["codegen_ms"] > 0 for row in rows)
 
-    def test_closure_mode_agrees_too(self):
-        graph = generate_xmark(scale=0.02, seed=97).graph
-        measurement = measure_codegen(graph, tiny_workload(), rounds=2, mode="closure")
-        assert measurement.mismatches == 0
-        assert measurement.uncompiled == 0
-
     def test_aggregate_speedup_handles_zero_denominator(self):
-        empty = CodegenMeasurement(points=[], mode="auto", mismatches=0, uncompiled=0)
+        empty = CodegenMeasurement(points=[], mismatches=0, uncompiled=0)
         assert empty.speedup == 0.0
         degenerate = CodegenQueryPoint(name="q", interpreted_ms=1.0, codegen_ms=0.0, results=0)
         assert degenerate.speedup == 0.0
@@ -48,7 +41,6 @@ class TestMeasureCodegen:
                 CodegenQueryPoint(name="a", interpreted_ms=3.0, codegen_ms=1.0, results=1),
                 CodegenQueryPoint(name="b", interpreted_ms=1.0, codegen_ms=1.0, results=0),
             ],
-            mode="auto",
             mismatches=0,
             uncompiled=0,
         )

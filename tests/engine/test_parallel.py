@@ -7,6 +7,7 @@ coverage.  One thread-pool and one process-pool case check the real
 pools agree with it.
 """
 
+import dataclasses
 import multiprocessing
 import random
 
@@ -69,24 +70,17 @@ class TestOptions:
             shards=2,
             strategy="range",
             min_shard_size=4,
-            upward=False,
-            overlap_scan=False,
-            steal=False,
         )
         executor = ParallelExecutor.from_options(GTEA(small_graph()), options)
         assert executor.workers == 5
         assert executor.backend == "serial"
         assert executor.num_shards == 2
         assert executor.min_shard_size == 4
-        assert executor.upward is False
-        assert executor.overlap_scan is False
-        assert executor.steal is False
+        assert executor._partition.strategy == "range"
 
-    def test_full_pipeline_knobs_default_on(self):
+    def test_options_have_five_fields_and_hybrid_routing_by_default(self):
+        assert len(dataclasses.fields(ParallelOptions)) == 5
         executor = ParallelExecutor(GTEA(small_graph()), 2, backend="serial")
-        assert executor.upward is True
-        assert executor.overlap_scan is True
-        assert executor.steal is True
         assert executor._partition.strategy == "hybrid"
 
 
@@ -226,26 +220,24 @@ class TestSingleQueryExecution:
         assert stats.operator_stats[0].note == "parallel overlap"
 
     def test_sharded_upward_matches_the_serial_upward_operator(self):
-        # The same plan, once with the sharded upward frontier and once
-        # falling back to the serial UpwardPrune operator: identical
-        # answers and upward survivor sets, and only the sharded run
-        # dispatches upward tasks.
+        # The same plan through the sharded upward frontier and through
+        # the engine's serial UpwardPrune operator: identical answers
+        # and upward survivor sets.
         rng = random.Random(5)
         graph = random_labeled_graph(60, rng)
         engine = GTEA(graph)
+        dispatched = 0
         for query in random_query_batch(graph, rng, batch_size=4):
             plan = engine.compile(query)
             if plan.physical.executor != "gtea":
                 continue
             with serial_executor(engine) as sharded:
                 answer, stats = sharded.execute(plan)
-            with serial_executor(
-                engine, upward=False, overlap_scan=False, steal=False
-            ) as fallback:
-                base_answer, base_stats = fallback.execute(plan)
+            base_answer, base_stats = engine.execute(plan)
             assert answer == base_answer
             assert stats.candidates_after_upward == base_stats.candidates_after_upward
-            assert base_stats.parallel_upward_tasks == 0
+            dispatched += stats.parallel_upward_tasks
+        assert dispatched > 0
 
     def test_steals_occur_when_shards_overflow_the_workers(self):
         # Four shards over two workers: every multi-shard wave queues
@@ -257,9 +249,6 @@ class TestSingleQueryExecution:
         with serial_executor(engine, workers=2, shards=4) as executor:
             _, stats = executor.execute(plan)
         assert stats.parallel_steals > 0
-        with serial_executor(engine, workers=2, shards=4, steal=False) as executor:
-            _, stats = executor.execute(plan)
-        assert stats.parallel_steals == 0
 
 
 class TestDelegation:
@@ -395,18 +384,6 @@ class TestSessionIntegration:
         assert "strategy=hybrid" in text
         assert "overlap-scan" in text
         assert "steal" in text
-
-    def test_explain_notes_disabled_phases(self):
-        session = QuerySession(
-            small_graph(),
-            parallel=ParallelOptions(
-                workers=2, backend="serial", upward=False, overlap_scan=False, steal=False
-            ),
-        )
-        text = session.explain(query_abc())
-        assert "[parallel] downward sharded across 2 workers" in text
-        assert "overlap-scan" not in text
-        assert "steal" not in text
 
     def test_explain_notes_serial_fallback_for_unrouted_plans(self):
         query = (

@@ -1,11 +1,12 @@
 """QuerySession partial-index pooling: lazy builds, domain-fingerprint
-sharing, fallbacks, invalidation and warm-store rehydration."""
+sharing, fallbacks and invalidation.  (Warm-store round trips of the
+pool are covered with every other artifact kind in
+``tests/store/test_session_artifacts.py``.)"""
 
 from repro.datasets import index_choice_workload
 from repro.engine import QuerySession
 from repro.graph import DataGraph
 from repro.query import AttributePredicate, QueryBuilder, evaluate_naive
-from repro.store import ArtifactStore, graph_fingerprint
 
 
 def workload(scale=1, queries=6):
@@ -162,44 +163,3 @@ class TestPartialFallbacks:
         for query, results in zip(queries[:3], batch.results):
             assert results == evaluate_naive(query, graph)
         assert batch.stats.partial_builds + batch.stats.partial_hits >= 3
-
-
-class TestPartialPersistence:
-    def test_partial_pool_round_trips_through_the_store(self, tmp_path):
-        graph, queries = workload()
-        store = ArtifactStore(tmp_path / "warm")
-        cold = QuerySession(graph, store=store)
-        expected = cold.evaluate(queries[0])
-        persisted = cold.persist()
-        assert persisted["partial_indexes"] == 1
-        assert "partial-indexes" in store.kinds(graph_fingerprint(graph))
-
-        warm = QuerySession(graph, store=store)
-        # queries[3] shares queries[0]'s footprint but not its result-
-        # cache key, so the answer must come through the rehydrated pool.
-        __, stats = warm.evaluate_with_stats(queries[3])
-        assert warm.store_rehydrated.get("partial_indexes") == 1
-        assert stats.partial_hits == 1
-        assert stats.partial_builds == 0
-        assert warm.evaluate(queries[0]) == expected
-
-    def test_codegen_source_is_persisted(self, tmp_path):
-        graph, queries = workload()
-        store = ArtifactStore(tmp_path / "warm")
-        session = QuerySession(graph, store=store, codegen=True)
-        # A full-scope query (bulk labels) so codegen actually compiles.
-        query = (
-            QueryBuilder()
-            .backbone("a", predicate=AttributePredicate.label("a"))
-            .backbone("b", parent="a", predicate=AttributePredicate.label("b"))
-            .outputs("a")
-            .build()
-        )
-        __, stats = session.evaluate_with_stats(query)
-        assert stats.codegen_misses == 1
-        persisted = session.persist()
-        assert persisted["codegen_src"] == 1
-        kinds = store.kinds(graph_fingerprint(graph))
-        assert "codegen-src" in kinds
-        sources = store.load(graph_fingerprint(graph), "codegen-src")
-        assert all("def " in source for source in sources.values())

@@ -1,0 +1,175 @@
+"""The execution route: decided once, consumed by execution, feedback
+and ``explain()`` alike.
+
+The matrix test walks the full flag product — ``codegen × parallel ×
+adaptive × grouped × {full, partial} scope`` — and holds every cell to
+three things: the answer equals ``evaluate_naive``, ``explain()`` prints
+exactly what :func:`repro.plan.route.decide_route` renders, and the run
+is filed in the cost profile under the route's executor key.
+"""
+
+import itertools
+
+import pytest
+
+from repro.datasets import index_choice_workload
+from repro.engine import ParallelOptions, QuerySession
+from repro.plan import codegen_refusal, compile_query, decide_route
+from repro.query import AttributePredicate, QueryBuilder, evaluate_naive
+from tests.engine.test_partial_session import apex_query, chain_with_wide_apex
+
+SERIAL = ParallelOptions(workers=2, backend="serial", shards=2, min_shard_size=1)
+
+
+def pair_query(head, tail, edge="ad"):
+    return (
+        QueryBuilder()
+        .backbone("a", predicate=AttributePredicate.label(head))
+        .backbone("b", parent="a", edge=edge, predicate=AttributePredicate.label(tail))
+        .outputs("a", "b")
+        .build()
+    )
+
+
+@pytest.fixture(scope="module")
+def cases():
+    """``scope -> (graph, query, naive answer)``: an enclave query the
+    planner costs to a partial index, and a bulk query it does not."""
+    graph, enclave = index_choice_workload(scale=1, queries=1)
+    full = pair_query("a", "b", edge="pc")
+    return {
+        "partial": (graph, enclave[0], evaluate_naive(enclave[0], graph)),
+        "full": (graph, full, evaluate_naive(full, graph)),
+    }
+
+
+def ungrouped(rows):
+    """Flatten ``group_nodes=("b",)`` rows back to ``(a, b)`` tuples."""
+    return {(a, dict(item)["b"]) for a, group in rows for item in group}
+
+
+def executor_keys(session):
+    return {key.split("/")[1] for key in session.cost_profile.snapshot()}
+
+
+FLAGS = list(itertools.product((False, "auto"), (None, SERIAL), (False, True), (False, True)))
+
+
+@pytest.mark.parametrize("scope", ["full", "partial"])
+@pytest.mark.parametrize("codegen,parallel,adaptive,grouped", FLAGS)
+def test_every_flag_combination_follows_its_route(
+    cases, scope, codegen, parallel, adaptive, grouped
+):
+    graph, query, expected = cases[scope]
+    flags = {"codegen": codegen, "parallel": parallel, "adaptive": adaptive}
+    with QuerySession(graph, result_cache_size=0, **flags) as session:
+        plan = session.plan(query)
+        physical = plan.compiled.physical
+        assert (physical.executor, physical.index_scope) == ("gtea", scope)
+        route = decide_route(physical, grouped=grouped, **flags)
+
+        group_nodes = ("b",) if grouped else ()
+        answer, stats = session.evaluate_with_stats(query, group_nodes)
+        assert (ungrouped(answer) if grouped else answer) == expected
+
+        # explain() takes no group nodes: it prints the ungrouped route.
+        printed = decide_route(physical, **flags)
+        notes = [
+            line
+            for line in session.explain(query).splitlines()
+            if line.startswith(("[codegen]", "[parallel]"))
+        ]
+        entry = session.codegen_cache.peek(plan.fingerprint) if printed.compiled else None
+        assert notes == printed.notes(entry)
+        assert len(notes) == bool(codegen) + (parallel is not None)
+
+        assert executor_keys(session) == ({route.key} if route.key else set())
+        scoped = any(key.startswith("tc@partial/") for key in session.cost_profile.snapshot())
+        assert scoped == route.partial
+
+        assert stats.codegen_hits + stats.codegen_misses == route.compiled
+        assert stats.codegen_fallbacks == (route.codegen_fallback is not None)
+        assert stats.partial_builds + stats.partial_hits == route.partial
+        assert stats.partial_fallbacks == route.partial_refused
+        # The per-footprint engine of a partial route is serial.
+        assert (stats.parallel_workers > 0) == (route.sharded and not route.partial)
+
+
+class TestDecideRoute:
+    @pytest.fixture(scope="class")
+    def physical(self, cases):
+        graph, query, _ = cases["full"]
+        return compile_query(graph, query).physical
+
+    def test_default_flags_route_to_the_plain_executor(self, physical):
+        route = decide_route(physical)
+        assert (route.key, route.fallback_key) == ("gtea", "gtea")
+        assert route.index_name == physical.index_name
+        assert not (route.partial or route.sharded or route.compiled or route.adaptive)
+        assert route.notes() == []
+
+    def test_keys_per_flag(self, physical):
+        assert decide_route(physical, codegen="auto").key == "gtea-codegen"
+        assert decide_route(physical, codegen="auto").fallback_key == "gtea"
+        assert decide_route(physical, parallel=SERIAL).key == "gtea-parallel"
+        assert decide_route(physical, shared=True).key == "gtea-shared"
+        assert decide_route(physical, grouped=True).key is None
+
+    def test_shared_batches_never_compile_and_count_no_fallback(self, physical):
+        route = decide_route(physical, codegen="auto", shared=True)
+        assert (route.compiled, route.codegen_fallback) == (False, None)
+
+    def test_refusal_reasons_in_precedence_order(self, physical):
+        flags = {"adaptive": True, "sharded": True, "grouped": True}
+        for flag, fragment in (
+            ("adaptive", "adaptive sessions"),
+            ("sharded", "parallel-sharded"),
+            ("grouped", "group evaluation"),
+        ):
+            assert fragment in codegen_refusal(physical, **flags)
+            del flags[flag]
+        assert codegen_refusal(physical) is None
+
+    def test_partial_scope_never_uses_the_inner_index_name(self, cases):
+        graph, query, _ = cases["partial"]
+        physical = compile_query(graph, query).physical
+        route = decide_route(physical, codegen="auto", parallel=SERIAL)
+        assert route.partial and route.index_name is None
+        # The partial engine is serial; a blow-out lands on the sharded one.
+        assert (route.key, route.fallback_key) == ("gtea", "gtea-parallel")
+        assert route.codegen_fallback == "parallel-sharded execution"
+        assert "partial-scope" in codegen_refusal(physical)
+
+
+class TestRunTimeFallbacks:
+    """The two outcomes the route cannot know file under its fallback key."""
+
+    def test_footprint_blow_out_files_under_the_fallback_key(self):
+        graph, query = chain_with_wide_apex(), apex_query()
+        with QuerySession(graph, parallel=SERIAL, result_cache_size=0) as session:
+            route = decide_route(session.plan(query).compiled.physical, parallel=SERIAL)
+            assert route.partial
+            answer, stats = session.evaluate_with_stats(query)
+            assert answer == evaluate_naive(query, graph)
+            assert stats.partial_fallbacks == 1 and stats.parallel_workers == 2
+            assert executor_keys(session) == {route.fallback_key} == {"gtea-parallel"}
+
+    def test_rejected_compilation_files_under_the_fallback_key(self, cases):
+        graph, query, expected = cases["full"]
+        session = QuerySession(graph, codegen="auto", result_cache_size=0)
+        plan = session.plan(query)
+        session.codegen_cache.put(plan.fingerprint, "forced rejection")
+        answer, stats = session.evaluate_with_stats(query)
+        assert answer == expected
+        assert stats.codegen_fallbacks == 1
+        assert executor_keys(session) == {"gtea"}
+        assert session.explain(query).endswith("[codegen] interpreted fallback (forced rejection)")
+
+    def test_shared_batch_files_under_the_shared_key(self, cases):
+        graph, query, expected = cases["full"]
+        other = pair_query("a", "c", edge="pc")
+        session = QuerySession(graph, codegen="auto", result_cache_size=0)
+        batch = session.evaluate_many([query, other], share=True)
+        assert batch.results[0] == expected
+        assert batch.stats.codegen_fallbacks == batch.stats.codegen_hits == 0
+        assert executor_keys(session) == {"gtea-shared"}

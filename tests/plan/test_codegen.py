@@ -12,7 +12,6 @@ from repro.plan import (
     analyze_plan,
     compile_plan,
     compile_query,
-    supports_plan,
 )
 from repro.plan.codegen import emit_plan_source
 from repro.query import QueryBuilder, evaluate_naive
@@ -116,7 +115,6 @@ class TestAnalyzePlan:
         )
         with pytest.raises(CodegenError, match="executor 'twigstackd'"):
             analyze_plan(routed)
-        assert not supports_plan(routed)
 
     def test_constant_empty_plan_is_rejected(self):
         graph = chain_graph()
@@ -136,38 +134,18 @@ class TestAnalyzePlan:
         )
         with pytest.raises(CodegenError, match="does not cover"):
             analyze_plan(truncated)
-        assert not supports_plan(truncated)
-
-    def test_supports_plan_accepts_gtea_plans(self):
-        graph = chain_graph()
-        assert supports_plan(compile_query(graph, simple_query(), index="3hop"))
 
 
 class TestCompilePlan:
-    def test_unknown_mode_rejected(self):
-        graph = chain_graph()
-        plan = compile_query(graph, simple_query(), index="3hop")
-        with pytest.raises(ValueError, match="unknown codegen mode"):
-            compile_plan(plan, mode="jit")
-
-    def test_source_mode_artifact(self):
+    def test_compiled_artifact(self):
         graph = chain_graph()
         plan = compile_query(graph, simple_query(), index="3hop")
         compiled = compile_plan(plan)
-        assert compiled.mode == "source"
         assert compiled.index_name == "3hop"
         assert "def _specialized(state):" in compiled.source
         assert "codegen[source]" in compiled.describe()
         assert "3hop index" in compiled.describe()
         assert "CompiledPlanFunction" in repr(compiled)
-
-    def test_closure_mode_has_no_source(self):
-        graph = chain_graph()
-        plan = compile_query(graph, simple_query(), index="3hop")
-        compiled = compile_plan(plan, mode="closure")
-        assert compiled.mode == "closure"
-        assert compiled.source is None
-        assert "codegen[closure]" in compiled.describe()
 
     def test_emitted_source_reflects_the_analysis(self):
         graph = chain_graph()
@@ -180,23 +158,49 @@ class TestCompilePlan:
         # The emitted prose names the index decided at compile time.
         assert "3hop index" in source
 
-    def test_both_modes_agree_with_the_engine(self):
+    def test_compiled_function_agrees_with_the_engine(self):
         graph = fig2_graph()
         query = fig2_query()
         plan = compile_query(graph, query, index="3hop")
         engine = GTEA(graph)
         expected, _ = engine.execute(plan)
-        for mode in ("source", "closure"):
-            compiled = compile_plan(plan, mode=mode)
-            answer, _ = engine.execute(plan, codegen=compiled)
-            assert answer == expected == evaluate_naive(query, graph)
+        answer, stats = engine.execute(plan, codegen=compile_plan(plan))
+        assert answer == expected == evaluate_naive(query, graph)
+        # Compiled runs bypass the per-operator stats wrapper.
+        assert stats.operator_stats == []
+
+    def test_passing_a_function_where_it_does_not_apply_is_safe(self):
+        # The engine's guard asks the shared applicability test, plus
+        # what only it knows (index match, output structures): every
+        # refused run falls back to the interpreted pipeline.
+        graph = fig2_graph()
+        query = fig2_query()
+        plan = compile_query(graph, query, index="3hop")
+        compiled = compile_plan(plan)
+        engine = GTEA(graph)
+        group = (plan.original.outputs[0],)
+        grouped, _ = engine.execute(plan, group_nodes=group)
+        for kwargs in (
+            {"group_nodes": group},
+            {"adaptive": True},
+            {"output_structures": [list(plan.original.outputs)]},
+        ):
+            answer, stats = engine.execute(plan, codegen=compiled, **kwargs)
+            assert stats.operator_stats, f"{kwargs} ran the compiled function"
+            if "group_nodes" in kwargs:
+                assert answer == grouped
+        other_index = GTEA(graph, index="interval")
+        answer, stats = other_index.execute(plan, codegen=compiled)
+        assert stats.operator_stats
+        assert answer == evaluate_naive(query, graph)
 
 
 class TestSessionCodegen:
     def test_setting_validation(self):
         graph = chain_graph()
-        with pytest.raises(ValueError, match="unknown codegen setting"):
-            QuerySession(graph, codegen="yes")
+        for setting in ("yes", "closure"):
+            with pytest.raises(ValueError, match="unknown codegen setting"):
+                QuerySession(graph, codegen=setting)
 
     def test_default_is_off(self):
         graph = chain_graph()
@@ -254,16 +258,6 @@ class TestSessionCodegen:
         answer, stats = session.evaluate_with_stats(query)
         assert answer == evaluate_naive(query, graph)
         assert stats.codegen_fallbacks == 1
-
-    def test_closure_mode_runs(self):
-        graph = chain_graph()
-        session = QuerySession(graph, result_cache_size=0, codegen="closure")
-        query = simple_query()
-        answer, stats = session.evaluate_with_stats(query)
-        assert answer == evaluate_naive(query, graph)
-        assert stats.codegen_misses == 1
-        entry = session.codegen_cache.get(session.plan(query).fingerprint)
-        assert entry.mode == "closure"
 
     def test_graph_mutation_invalidates_the_codegen_cache(self):
         graph = chain_graph()

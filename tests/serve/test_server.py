@@ -15,10 +15,12 @@ from repro.query import (
 )
 from repro.serve import (
     QueryServer,
+    ServerStats,
     StaleSnapshotError,
     percentile,
     serve_tcp,
 )
+from repro.serve.server import LATENCY_WINDOW, MAX_REQUEST_LINE
 
 
 def serve_graph():
@@ -51,6 +53,18 @@ class TestPercentile:
 
     def test_order_independent(self):
         assert percentile([3.0, 1.0, 2.0], 50) == percentile([1.0, 2.0, 3.0], 50)
+
+
+class TestServerStats:
+    def test_latencies_are_a_fixed_window(self):
+        stats = ServerStats()
+        for sample in range(LATENCY_WINDOW + 500):
+            stats.latencies.append(float(sample))
+        assert len(stats.latencies) == LATENCY_WINDOW
+        # The summary describes the window: the oldest 500 are gone.
+        assert min(stats.latencies) == 500.0
+        summary = stats.summary()
+        assert summary["p99_ms"] > summary["p50_ms"] > 500.0 * 1000
 
 
 class TestQueryServer:
@@ -207,6 +221,49 @@ class TestTcpFront:
         assert first["ok"] and first["count"] == len(expected)
         assert first == second, "identical answers must render byte-identically"
         assert not bad["ok"] and "error" in bad
+
+    def test_oversized_request_line_gets_a_reply_and_only_its_connection_closes(self):
+        graph = serve_graph()
+        query = serve_query()
+        request = (json.dumps({"query": query_to_dict(query)}) + "\n").encode()
+
+        async def run():
+            server = QueryServer(graph, workers=1)
+            tcp = await serve_tcp(server, host="127.0.0.1", port=0)
+            port = tcp.sockets[0].getsockname()[1]
+            bystander_reader, bystander = await asyncio.open_connection("127.0.0.1", port)
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b"x" * 70_000 + b"\n")
+            await writer.drain()
+            refused = json.loads(await asyncio.wait_for(reader.readline(), 10))
+            closed = await asyncio.wait_for(reader.read(), 10)
+            writer.close()
+            await writer.wait_closed()
+            # The server, its open connections and new ones keep serving.
+            answers = []
+            bystander.write(request)
+            await bystander.drain()
+            answers.append(json.loads(await bystander_reader.readline()))
+            bystander.close()
+            await bystander.wait_closed()
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(request)
+            await writer.drain()
+            answers.append(json.loads(await reader.readline()))
+            writer.close()
+            await writer.wait_closed()
+            errors = server.stats.errors
+            tcp.close()
+            await tcp.wait_closed()
+            await server.stop()
+            return refused, closed, answers, errors
+
+        refused, closed, answers, errors = asyncio.run(run())
+        assert refused == {"ok": False, "error": f"request line exceeds {MAX_REQUEST_LINE} bytes"}
+        assert closed == b"", "the offending connection is closed after the reply"
+        assert errors == 1
+        expected = len(evaluate_naive(query, graph))
+        assert [(a["ok"], a["count"]) for a in answers] == [(True, expected)] * 2
 
 
 class TestRefreshCheckpoint:

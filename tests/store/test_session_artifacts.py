@@ -1,0 +1,183 @@
+"""Every artifact kind of the session's table, through the warm store.
+
+One session is driven until every kind of
+:data:`repro.engine.artifacts.ARTIFACT_KINDS` holds entries; the tests
+then walk the table — never a hand-written kind list — so a kind added
+there is covered here without an edit: it must persist, rehydrate into
+a fresh session with equal entries, and degrade to "only this kind is
+cold" when its file is damaged or holds the wrong type.
+"""
+
+import shutil
+
+import pytest
+
+from repro.datasets import index_choice_workload
+from repro.engine import QuerySession
+from repro.engine.artifacts import ARTIFACT_KINDS
+from repro.query import AttributePredicate, QueryBuilder, evaluate_naive
+from repro.store import ArtifactStore
+
+KIND_IDS = [kind.name for kind in ARTIFACT_KINDS]
+
+#: what to compare of a stored value whose class defines no equality.
+VIEWS = {
+    "indexes": lambda service: (service.index.name, service.index.index_size()),
+    "partial-indexes": lambda service: (service.index.name, service.index.index_size()),
+    "plans": lambda plan: (plan.fingerprint, plan.predicate_keys, plan.compiled.explain()),
+}
+
+
+def bulk_query(head, tail, *outputs):
+    """A full-scope query: bulk labels, so costing builds a whole index."""
+    return (
+        QueryBuilder()
+        .backbone("a", predicate=AttributePredicate.label(head))
+        .backbone("b", parent="a", predicate=AttributePredicate.label(tail))
+        .outputs(*outputs)
+        .build()
+    )
+
+
+@pytest.fixture(scope="module")
+def workload():
+    graph, enclave = index_choice_workload(scale=1, queries=4)
+    shared = [bulk_query("a", "b", "a"), bulk_query("a", "b", "b")]
+    queries = [*enclave, *shared, bulk_query("b", "c", "a")]
+    return graph, queries, shared, [evaluate_naive(query, graph) for query in queries]
+
+
+@pytest.fixture(scope="module")
+def populated(workload, tmp_path_factory):
+    """A store holding every kind, and the session that wrote it."""
+    graph, queries, shared, _ = workload
+    store = ArtifactStore(tmp_path_factory.mktemp("warm"))
+    session = QuerySession(graph, store=store, codegen="auto")
+    # Partial-scope plans first: once a full index is pooled, costing
+    # never picks partial against it.
+    for query in queries[: -len(shared) - 1]:
+        session.evaluate(query)
+    session.evaluate_many(shared, share=True)  # the DAG path fills subtrees
+    session.evaluate(queries[-1])  # the isolated full-scope path compiles
+    persisted = session.persist()
+    return store, session, persisted
+
+
+def reopen(workload, root, **flags):
+    """A fresh session over ``root`` with both rehydration halves run."""
+    graph = workload[0]
+    session = QuerySession(graph, store=root, codegen="auto", **flags)
+    session.reachability()
+    return session
+
+
+def entries(session, kind):
+    """The kind's persisted view of a session, values made comparable."""
+    payload, _ = kind.dump(session)
+    view = VIEWS.get(kind.name)
+    if view is None:
+        return payload
+    return [(key, view(value)) for key, value in dict(payload).items()]
+
+
+def copy_of(store, tmp_path):
+    root = tmp_path / "copy"
+    shutil.copytree(store.root, root)
+    return ArtifactStore(root)
+
+
+def assert_only_cold(session, cold_kind):
+    for kind in ARTIFACT_KINDS:
+        loaded = session.store_rehydrated[kind.loaded_label]
+        assert (loaded == 0) == (kind is cold_kind), (kind.name, loaded)
+
+
+def assert_answers(session, workload):
+    _, queries, _, expected = workload
+    for query, answer in zip(queries, expected):
+        assert session.evaluate(query) == answer
+
+
+def test_every_kind_persists_under_its_own_name(populated):
+    store, session, persisted = populated
+    assert set(persisted) == {kind.saved_label for kind in ARTIFACT_KINDS}
+    assert all(count > 0 for count in persisted.values())
+    assert store.kinds(session.store_fingerprint) == sorted(KIND_IDS)
+
+
+@pytest.mark.parametrize("kind", ARTIFACT_KINDS, ids=KIND_IDS)
+def test_kind_round_trips(kind, workload, populated):
+    store, cold, _ = populated
+    warm = reopen(workload, store.root)
+    assert warm.store_rehydrated[kind.loaded_label] > 0
+    assert entries(warm, kind) == entries(cold, kind)
+
+
+@pytest.mark.parametrize("kind", ARTIFACT_KINDS, ids=KIND_IDS)
+def test_damaged_kind_is_the_only_cold_one(kind, workload, populated, tmp_path):
+    store = copy_of(populated[0], tmp_path)
+    target = store.path(populated[1].store_fingerprint, kind.name)
+    blob = bytearray(target.read_bytes())
+    blob[-3] ^= 0xFF
+    target.write_bytes(bytes(blob))
+    session = reopen(workload, store)
+    assert store.counters.corrupt == 1
+    assert_only_cold(session, kind)
+    assert_answers(session, workload)
+
+
+@pytest.mark.parametrize("kind", ARTIFACT_KINDS, ids=KIND_IDS)
+def test_mistyped_kind_is_the_only_cold_one(kind, workload, populated, tmp_path):
+    store = copy_of(populated[0], tmp_path)
+    store.save(populated[1].store_fingerprint, kind.name, [("not", "this"), "kind's", 5])
+    session = reopen(workload, store)
+    assert_only_cold(session, kind)
+    assert_answers(session, workload)
+
+
+def test_unpicklable_entry_skips_only_its_kind(workload, populated, tmp_path):
+    session = reopen(workload, copy_of(populated[0], tmp_path))
+    session.result_cache.put("poison", lambda: None)
+    persisted = session.persist()
+    assert "results" not in persisted
+    assert set(persisted) == {k.saved_label for k in ARTIFACT_KINDS} - {"results"}
+
+
+def test_index_kinds_load_only_on_reachability_demand(workload, populated):
+    graph, queries, _, expected = workload
+    session = QuerySession(graph, store=populated[0].root)
+    lazy = [kind for kind in ARTIFACT_KINDS if kind.lazy]
+    assert lazy
+    # A result-cache-served warm restart never unpickles an index.
+    for query, answer in zip(queries, expected):
+        assert session.evaluate(query) == answer
+    assert all(session.store_rehydrated[kind.loaded_label] == 0 for kind in lazy)
+    assert session.cache_info()["indexes"]["pooled"] == 0
+    session.reachability()
+    assert all(session.store_rehydrated[kind.loaded_label] > 0 for kind in lazy)
+
+
+def test_codegen_kind_is_skipped_with_codegen_off(workload, populated):
+    session = QuerySession(workload[0], store=populated[0].root)
+    assert session.store_rehydrated["codegen"] == 0
+    assert session.cache_info()["codegen"]["size"] == 0
+
+
+def test_rehydrated_artifacts_are_used(workload, populated):
+    graph, queries, shared, _ = workload
+    session = reopen(workload, populated[0].root, result_cache_size=0)
+    # queries[3] shares queries[0]'s footprint, so the rehydrated pool
+    # serves it; the compiled function of a full-scope plan is a hit.
+    _, stats = session.evaluate_with_stats(queries[3])
+    assert (stats.partial_hits, stats.partial_builds) == (1, 0)
+    _, stats = session.evaluate_with_stats(queries[-1])
+    assert (stats.codegen_hits, stats.codegen_misses) == (1, 0)
+    assert session.cache_info()["indexes"]["pooled"] == 1
+
+
+def test_invalidate_empties_every_kind_but_the_profile(workload, populated):
+    session = reopen(workload, populated[0].root)
+    session.invalidate()
+    for kind in ARTIFACT_KINDS:
+        dumped = kind.dump(session)
+        assert (dumped is None) == (kind.info is not None), kind.name

@@ -21,10 +21,10 @@ import threading
 import pytest
 
 from repro.engine import QuerySession
+from repro.engine.artifacts import ARTIFACT_KINDS
 from repro.graph import DataGraph
 from repro.query import AttributePredicate, QueryBuilder, evaluate_naive
 from repro.store import (
-    SESSION_KINDS,
     STORE_FORMAT_VERSION,
     ArtifactStore,
     graph_fingerprint,
@@ -285,7 +285,7 @@ class TestSessionStoreKey:
         warm = QuerySession(graph, store=tmp_path / "store")
         baseline = warm.evaluate(query)
         persisted = warm.persist()
-        assert set(persisted) <= set(SESSION_KINDS) | {"profile_keys"}
+        assert set(persisted) <= {kind.saved_label for kind in ARTIFACT_KINDS}
         warm.close()
 
         restarted = QuerySession(graph, store=tmp_path / "store")
