@@ -8,9 +8,10 @@ from .containment import (
 )
 from .minimization import minimize_query
 from .satisfiability import is_query_satisfiable, normalize_query
-from .structure import QueryAnalysis
+from .structure import AnalysisContext, QueryAnalysis
 
 __all__ = [
+    "AnalysisContext",
     "QueryAnalysis",
     "are_equivalent",
     "are_isomorphic",

@@ -12,24 +12,29 @@ problem is co-NP-hard (Theorem 4), and queries are small.
 
 from __future__ import annotations
 
-from ..logic import is_tautology, lnot, lor, rename
+from ..logic import entails, rename
 from ..query.gtpq import GTPQ, EdgeType
 from .satisfiability import normalize_query
-from .structure import QueryAnalysis
+from .structure import AnalysisContext
 
 
-def find_homomorphism(source: GTPQ, target: GTPQ) -> dict[str, str] | None:
+def find_homomorphism(
+    source: GTPQ, target: GTPQ, context: AnalysisContext | None = None
+) -> dict[str, str] | None:
     """A homomorphism from ``source`` onto ``target``, or ``None``.
 
     The returned mapping covers the independent nodes of ``source``
-    (non-independent nodes are implicitly ⊥).
+    (non-independent nodes are implicitly ⊥).  ``context`` shares the two
+    queries' analyses with the caller's other checks on the same objects.
     """
-    source = normalize_query(source)
-    target = normalize_query(target)
+    if context is None:
+        context = AnalysisContext()
+    source = normalize_query(source, context)
+    target = normalize_query(target, context)
     if len(source.outputs) != len(target.outputs):
         return None
-    source_analysis = QueryAnalysis(source)
-    target_analysis = QueryAnalysis(target)
+    source_analysis = context.analysis(source)
+    target_analysis = context.analysis(target)
     independent = [
         node_id
         for node_id in source.depth_first()  # parents first
@@ -42,8 +47,7 @@ def find_homomorphism(source: GTPQ, target: GTPQ) -> dict[str, str] | None:
     pinned = dict(zip(source.outputs, target.outputs))
     target_nodes = list(target.nodes)
     target_descendants = {
-        node_id: set(target.subtree_nodes(node_id)) - {node_id}
-        for node_id in target.nodes
+        node_id: set(target.subtree_nodes(node_id)) - {node_id} for node_id in target.nodes
     }
 
     def candidates(node_id: str, image_of: dict[str, str]) -> list[str]:
@@ -72,8 +76,7 @@ def find_homomorphism(source: GTPQ, target: GTPQ) -> dict[str, str] | None:
     def search(position: int, image_of: dict[str, str]) -> dict[str, str] | None:
         if position == len(independent):
             renamed = rename(source_analysis.fcs(source.root), image_of)
-            implication = lor(lnot(target_analysis.fcs(target.root)), renamed)
-            if is_tautology(implication):
+            if entails(target_analysis.fcs(target.root), renamed):
                 return dict(image_of)
             return None
         node_id = independent[position]
@@ -88,20 +91,23 @@ def find_homomorphism(source: GTPQ, target: GTPQ) -> dict[str, str] | None:
     return search(0, {})
 
 
-def is_contained(q1: GTPQ, q2: GTPQ) -> bool:
+def is_contained(q1: GTPQ, q2: GTPQ, context: AnalysisContext | None = None) -> bool:
     """``Q1 ⊑ Q2``: every answer of Q1 on any graph is an answer of Q2."""
-    return find_homomorphism(q2, q1) is not None
+    return find_homomorphism(q2, q1, context) is not None
 
 
-def are_equivalent(q1: GTPQ, q2: GTPQ) -> bool:
+def are_equivalent(q1: GTPQ, q2: GTPQ, context: AnalysisContext | None = None) -> bool:
     """``Q1 ≡ Q2``: containment in both directions."""
-    return is_contained(q1, q2) and is_contained(q2, q1)
+    if context is None:
+        context = AnalysisContext()  # both directions look at the same two queries
+    return is_contained(q1, q2, context) and is_contained(q2, q1, context)
 
 
 def are_isomorphic(q1: GTPQ, q2: GTPQ) -> bool:
     """Equivalence witnessed by bijective homomorphisms (Proposition 5)."""
-    forward = find_homomorphism(q2, q1)
-    backward = find_homomorphism(q1, q2)
+    context = AnalysisContext()
+    forward = find_homomorphism(q2, q1, context)
+    backward = find_homomorphism(q1, q2, context)
     if forward is None or backward is None:
         return False
     return (

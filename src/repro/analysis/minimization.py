@@ -21,75 +21,82 @@ Steps (paper numbering):
 
 from __future__ import annotations
 
-from ..logic import Var, implies, is_tautology, simplify, substitute
+from ..logic import Formula, forced_literals, is_satisfiable, simplify, substitute
 from ..query.gtpq import GTPQ, EdgeType
+from .containment import are_equivalent
 from .satisfiability import normalize_query
-from .structure import QueryAnalysis
+from .structure import AnalysisContext
 
 
-def minimize_query(query: GTPQ) -> GTPQ:
-    """Return a minimum equivalent GTPQ (Algorithm 1)."""
+def minimize_query(query: GTPQ, context: AnalysisContext | None = None) -> GTPQ:
+    """Return a minimum equivalent GTPQ (Algorithm 1).
+
+    ``context`` shares analyses with the caller's other checks on the same
+    query objects (see :class:`AnalysisContext`); it never changes the
+    result.
+    """
+    if context is None:
+        context = AnalysisContext()
     # All passes iterate to a joint fixpoint: removing one subtree can
-    # expose fresh non-independence or redundancy elsewhere.
+    # expose fresh non-independence or redundancy elsewhere.  A pass that
+    # changes nothing returns its input object, which the context has
+    # already seen — the round that confirms the fixpoint recomputes
+    # nothing.
     current = query
     while True:
         size_before = current.size
-        current = normalize_query(current)          # steps 1-2
-        current = _drop_unsat_subtrees(current)     # steps 4-7
-        current = _eliminate_subsumed(current)      # steps 8-19
+        current = normalize_query(current, context)  # steps 1-2
+        current = context.once(_drop_unsat_subtrees, current)  # steps 4-7
+        current = context.once(_eliminate_subsumed, current)  # steps 8-19
         if current.size == size_before:
             return current
 
 
-def _drop_unsat_subtrees(query: GTPQ) -> GTPQ:
-    analysis = QueryAnalysis(query)
-    drop: list[str] = []
-    overrides: dict[str, object] = {}
+def _drop_unsat_subtrees(query: GTPQ, context: AnalysisContext) -> GTPQ:
+    analysis = context.analysis(query)
+    drop: set[str] = set()
+    overrides: dict[str, Formula] = {}
     for node_id in query.bottom_up():
         if node_id == query.root or query.nodes[node_id].is_backbone:
             continue
         if any(a in drop for a in query.ancestors(node_id)):
             continue
-        from ..logic import is_satisfiable
-
         if not is_satisfiable(analysis.fcs(node_id)):
-            drop.append(node_id)
+            drop.add(node_id)
             parent_id = query.parent[node_id]
             base = overrides.get(parent_id, query.fs(parent_id))
             overrides[parent_id] = simplify(substitute(base, {node_id: False}))
     if not drop:
         return query
-    return query.copy(drop=drop, structural_override=overrides)  # type: ignore[arg-type]
+    return query.copy(drop=drop, structural_override=overrides)
 
 
-def _eliminate_subsumed(query: GTPQ) -> GTPQ:
+def _eliminate_subsumed(query: GTPQ, context: AnalysisContext) -> GTPQ:
     """One round of Algorithm 1 lines 8–19; returns ``query`` if no change."""
-    analysis = QueryAnalysis(query)
-    fcs_root = analysis.fcs(query.root)
+    analysis = context.analysis(query)
     pairs = analysis.subsumption_pairs()
+    # fcs(root) -> ±p_u for every u: one truth table, two mask tests each.
+    forced = forced_literals(analysis.fcs(query.root), query.nodes)
     for node_id in query.nodes:
         if node_id == query.root:
             continue
-        if is_tautology(implies(fcs_root, Var(node_id))):
+        presence = forced.get(node_id)
+        if presence is True:
             # u is present in every certificate: subsumed peers u' ⊴ u are
             # redundant — hardwire their variables to 1 and drop them.
             for subsumed_id, subsumer_id in pairs:
                 if subsumer_id != node_id or subsumed_id == node_id:
                     continue
-                replacement = _drop_hardwired(
-                    query, analysis, subsumed_id, subsumer_id, value=True
-                )
+                replacement = _drop_hardwired(query, context, subsumed_id, subsumer_id, value=True)
                 if replacement is not None:
                     return replacement
-        elif is_tautology(implies(fcs_root, ~Var(node_id))):
+        elif presence is False:
             # u never embeds; any u' that subsumes u (u ⊴ u') cannot embed
             # either (its embedding would force one of u).
             for subsumed_id, subsumer_id in pairs:
                 if subsumed_id != node_id:
                     continue
-                replacement = _drop_hardwired(
-                    query, analysis, subsumer_id, None, value=False
-                )
+                replacement = _drop_hardwired(query, context, subsumer_id, None, value=False)
                 if replacement is not None:
                     return replacement
     return query
@@ -97,7 +104,7 @@ def _eliminate_subsumed(query: GTPQ) -> GTPQ:
 
 def _drop_hardwired(
     query: GTPQ,
-    analysis: QueryAnalysis,
+    context: AnalysisContext,
     victim: str,
     keeper: str | None,
     value: bool,
@@ -110,6 +117,7 @@ def _drop_hardwired(
     """
     if victim == query.root:
         return None
+    analysis = context.analysis(query)
     subtree = set(query.subtree_nodes(victim))
     relocation: dict[str, str] = {}
     if keeper is not None:
@@ -148,9 +156,7 @@ def _drop_hardwired(
     # forces u's embedding.  Verify each removal with the Theorem-3
     # equivalence procedure — subsumption remains the search heuristic,
     # the homomorphism check is the correctness gate.
-    from .containment import are_equivalent
-
-    if not are_equivalent(query, candidate):
+    if not are_equivalent(query, candidate, context):
         return None
     return candidate
 
@@ -159,9 +165,7 @@ def _subtree_shapes_match(query: GTPQ, left: str, right: str) -> bool:
     """Isomorphism of the two subtree patterns (shape + edge types)."""
 
     def shape(node_id: str):
-        children = sorted(
-            (query.edge_type(c).value, shape(c)) for c in query.children[node_id]
-        )
+        children = sorted((query.edge_type(c).value, shape(c)) for c in query.children[node_id])
         return tuple(children)
 
     left_edge = query.edge_types.get(left, EdgeType.DESCENDANT)

@@ -11,16 +11,26 @@ from __future__ import annotations
 
 from ..logic import evaluate, is_satisfiable, simplify, substitute
 from ..query.gtpq import GTPQ
-from .structure import QueryAnalysis
+from .structure import AnalysisContext
 
 
-def normalize_query(query: GTPQ) -> GTPQ:
+def normalize_query(query: GTPQ, context: AnalysisContext | None = None) -> GTPQ:
     """Remove unsatisfiable-attribute subtrees and non-independent nodes.
 
     Their variables are assigned 0 in the parents' structural predicates
     (minGTPQ lines 1–2).  Iterates to a fixpoint: hardwiring a variable can
     render further nodes non-independent.  Preserves query equivalence.
+
+    ``context`` shares analyses with the caller's other checks on the same
+    query objects (see :class:`AnalysisContext`); it never changes the
+    result.
     """
+    if context is None:
+        context = AnalysisContext()
+    return context.once(_normalize_fixpoint, query)
+
+
+def _normalize_fixpoint(query: GTPQ, context: AnalysisContext) -> GTPQ:
     current = query
     while True:
         drop: set[str] = set()
@@ -29,7 +39,7 @@ def normalize_query(query: GTPQ) -> GTPQ:
                 continue
             if not current.attribute(node_id).is_satisfiable():
                 drop.add(node_id)
-        analysis = QueryAnalysis(current)
+        analysis = context.analysis(current)
         for node_id in current.nodes:
             if node_id == current.root or current.nodes[node_id].is_backbone:
                 # Backbone nodes are never removed here: their images are
@@ -39,9 +49,7 @@ def normalize_query(query: GTPQ) -> GTPQ:
                 drop.add(node_id)
         # Keep only the shallowest dropped nodes (subtrees go with them).
         roots_of_drop = {
-            node_id
-            for node_id in drop
-            if not any(a in drop for a in current.ancestors(node_id))
+            node_id for node_id in drop if not any(a in drop for a in current.ancestors(node_id))
         }
         if not roots_of_drop:
             return current
@@ -53,16 +61,17 @@ def normalize_query(query: GTPQ) -> GTPQ:
         current = current.copy(drop=roots_of_drop, structural_override=overrides)
 
 
-def is_query_satisfiable(query: GTPQ) -> bool:
+def is_query_satisfiable(query: GTPQ, context: AnalysisContext | None = None) -> bool:
     """Theorem 1 decision procedure."""
     if not query.attribute(query.root).is_satisfiable():
         return False
     # Fast path (Theorem 2.1): monotone predicates, linear check.
     if query.is_union_conjunctive():
         return _union_conjunctive_satisfiable(query)
-    normalized = normalize_query(query)
-    analysis = QueryAnalysis(normalized)
-    return is_satisfiable(analysis.fcs(normalized.root))
+    if context is None:
+        context = AnalysisContext()
+    normalized = normalize_query(query, context)
+    return is_satisfiable(context.analysis(normalized).fcs(normalized.root))
 
 
 def _union_conjunctive_satisfiable(query: GTPQ) -> bool:
@@ -77,8 +86,6 @@ def _union_conjunctive_satisfiable(query: GTPQ) -> bool:
         if not query.attribute(node_id).is_satisfiable():
             matchable[node_id] = False
             continue
-        valuation = {
-            child_id: matchable[child_id] for child_id in query.children[node_id]
-        }
+        valuation = {child_id: matchable[child_id] for child_id in query.children[node_id]}
         matchable[node_id] = evaluate(query.fext(node_id), valuation, default=False)
     return matchable[query.root]

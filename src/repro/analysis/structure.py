@@ -21,12 +21,13 @@ Two readings documented in DESIGN.md:
 from __future__ import annotations
 
 from itertools import product
+from typing import Callable
 
 from ..logic import (
     Formula,
     Var,
+    entails,
     is_satisfiable,
-    is_tautology,
     land,
     lnot,
     lor,
@@ -49,7 +50,10 @@ class QueryAnalysis:
         self.query = query
         self._independent: set[str] | None = None
         self._ftr: dict[str, Formula] = {}
+        self._fcs: dict[str, Formula] = {}
         self._similar: dict[tuple[str, str], bool] = {}
+        self._lca: dict[tuple[str, str], str] = {}
+        self._pairs: list[tuple[str, str]] | None = None
         self._heights: dict[str, int] | None = None
 
     # ------------------------------------------------------------------
@@ -149,7 +153,8 @@ class QueryAnalysis:
                 continue
             if query.edge_type(child) is EdgeType.CHILD:
                 candidates = [
-                    c for c in query.children[u2]
+                    c
+                    for c in query.children[u2]
                     if query.edge_type(c) is EdgeType.CHILD and self.similar(child, c)
                 ]
             else:
@@ -185,15 +190,10 @@ class QueryAnalysis:
             # heuristic — paper leaves the renaming choice unspecified).
             choices = [options[:1] for options in choices]
         for combination in product(*choices):
-            mapping = {
-                old: new
-                for old, new in zip(relevant, combination)
-                if new is not None
-            }
-            renamed = rename(ftr_u1, mapping)
-            if is_tautology(lor(lnot(ftr_u2), renamed)):
+            mapping = {old: new for old, new in zip(relevant, combination) if new is not None}
+            if entails(ftr_u2, rename(ftr_u1, mapping)):
                 return True
-        return is_tautology(lor(lnot(ftr_u2), ftr_u1)) if not relevant else False
+        return False
 
     def subsumed(self, u1: str, u2: str) -> bool:
         """``u1 ⊴ u2`` — u1 is subsumed by u2 (Section 3.1).
@@ -217,15 +217,18 @@ class QueryAnalysis:
         return True
 
     def lowest_common_ancestor(self, u1: str, u2: str) -> str:
-        path1 = self.query.path_to_root(u1)
-        path2 = set(self.query.path_to_root(u2))
-        for node_id in path1:
-            if node_id in path2:
-                return node_id
-        raise AssertionError("tree nodes always share the root")  # pragma: no cover
+        key = (u1, u2)
+        lca = self._lca.get(key)
+        if lca is None:
+            path2 = set(self.query.path_to_root(u2))
+            lca = next(n for n in self.query.path_to_root(u1) if n in path2)
+            self._lca[key] = self._lca[u2, u1] = lca
+        return lca
 
     def subsumption_pairs(self) -> list[tuple[str, str]]:
         """All pairs ``(a, b)`` with ``a ⊴ b`` and divergent subtrees."""
+        if self._pairs is not None:
+            return self._pairs
         query = self.query
         pairs: list[tuple[str, str]] = []
         node_ids = list(query.nodes)
@@ -240,6 +243,7 @@ class QueryAnalysis:
                     continue  # same path, not distinct subtrees
                 if self.subsumed(a, b):
                     pairs.append((a, b))
+        self._pairs = pairs
         return pairs
 
     # ------------------------------------------------------------------
@@ -253,13 +257,13 @@ class QueryAnalysis:
         ``a ⊴ b`` diverging inside u's subtree, conjoin
         ``!p_b | (p_a & fext(a))``.
         """
+        if node_id in self._fcs:
+            return self._fcs[node_id]
         query = self.query
         result = self.ftr(node_id)
         subtree = set(query.subtree_nodes(node_id))
         unsat = {
-            d: False
-            for d in subtree
-            if d != node_id and not query.attribute(d).is_satisfiable()
+            d: False for d in subtree if d != node_id and not query.attribute(d).is_satisfiable()
         }
         if unsat:
             result = substitute(result, unsat)
@@ -273,4 +277,37 @@ class QueryAnalysis:
                 if self.lowest_common_ancestor(a, b) == node_id:
                     clause = lor(lnot(Var(b)), land(Var(a), query.fext(a)))
                     result = land(result, clause)
-        return simplify(result)
+        result = self._fcs[node_id] = simplify(result)
+        return result
+
+
+class AnalysisContext:
+    """Everything derived from the queries met during one decision.
+
+    One ``normalize()`` / ``is_contained()`` call looks at the same few
+    immutable :class:`GTPQ` objects again and again — the satisfiability
+    check, every minimization pass, both directions of every Theorem-3
+    guard.  The context holds one :class:`QueryAnalysis` per query object
+    and the outcome of each rewriting pass over it, so each is computed
+    once per call.  Keys are the query *objects* (identity): the context
+    keeps them alive, lives for one call and is then dropped — nothing is
+    cached per module and nothing is attached to a query.
+    """
+
+    def __init__(self):
+        self._analyses: dict[GTPQ, QueryAnalysis] = {}
+        self._rewrites: dict[tuple[Callable, GTPQ], GTPQ] = {}
+
+    def analysis(self, query: GTPQ) -> QueryAnalysis:
+        analysis = self._analyses.get(query)
+        if analysis is None:
+            analysis = self._analyses[query] = QueryAnalysis(query)
+        return analysis
+
+    def once(self, rewrite: Callable[[GTPQ, "AnalysisContext"], GTPQ], query: GTPQ) -> GTPQ:
+        """``rewrite(query, self)``, computed once per query object."""
+        key = (rewrite, query)
+        result = self._rewrites.get(key)
+        if result is None:
+            result = self._rewrites[key] = rewrite(query, self)
+        return result

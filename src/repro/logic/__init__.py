@@ -36,6 +36,7 @@ from .sat import (
     disjoint,
     entails,
     equivalent,
+    forced_literals,
     is_satisfiable,
     is_tautology,
     satisfying_assignment,
@@ -75,6 +76,7 @@ __all__ = [
     "entails",
     "equivalent",
     "evaluate",
+    "forced_literals",
     "implies",
     "is_satisfiable",
     "is_tautology",

@@ -76,7 +76,4 @@ def brute_force_satisfiable(formula: Formula) -> bool:
 
 def brute_force_tautology(formula: Formula) -> bool:
     """Exhaustive tautology check; test oracle for the DPLL solver."""
-    return all(
-        evaluate(formula, assignment)
-        for assignment in all_assignments(formula.variables())
-    )
+    return all(evaluate(formula, assignment) for assignment in all_assignments(formula.variables()))

@@ -36,9 +36,9 @@ class Formula:
         fs = Var("u2") & ~Var("u3")
     """
 
-    # ``_vars`` lazily caches the variables() frozenset; formulas are
-    # immutable, so the set can never go stale.
-    __slots__ = ("_vars",)
+    # ``_vars`` lazily caches the variables() frozenset and ``_hash`` the
+    # structural hash; formulas are immutable, so neither can go stale.
+    __slots__ = ("_vars", "_hash")
 
     def __and__(self, other: "Formula") -> "Formula":
         return land(self, other)
@@ -53,10 +53,18 @@ class Formula:
     # setattr, which the subclasses' immutability guards reject, so
     # formulas inside persisted plans would fail to *un*pickle.  Spell
     # the state out and restore it through object.__setattr__.
+    #
+    # ``_hash`` stays out of the state: ``str`` hashes are salted per
+    # process, so a hash pickled by one process would disagree with the
+    # hashes another process computes for equal formulas, and set/dict
+    # lookups (``land``/``lor`` dedup, the Tseitin cache) would miss.
+    # ``_vars`` is a frozenset of names and re-hashes on load.
     def __getstate__(self):
         state = {}
         for klass in type(self).__mro__:
             for slot in getattr(klass, "__slots__", ()):
+                if slot == "_hash":
+                    continue
                 try:
                     state[slot] = getattr(self, slot)
                 except AttributeError:
@@ -66,6 +74,22 @@ class Formula:
     def __setstate__(self, state):
         for slot, value in state.items():
             object.__setattr__(self, slot, value)
+
+    def _structure(self) -> tuple:
+        """What ``==`` compares, as a hashable tuple (per subclass)."""
+        raise NotImplementedError
+
+    def __hash__(self) -> int:
+        # Substitution, the smart constructors and the analysis memos put
+        # the same nodes into sets and dicts over and over; without the
+        # memo every lookup re-hashes the whole subtree.
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        value = hash(self._structure())
+        object.__setattr__(self, "_hash", value)
+        return value
 
     def variables(self) -> frozenset[str]:
         """Return the set of variable names occurring in the formula.
@@ -132,8 +156,11 @@ class Const(Formula):
     def __eq__(self, other) -> bool:
         return isinstance(other, Const) and self.value == other.value
 
-    def __hash__(self) -> int:
-        return hash(("const", self.value))
+    def _structure(self) -> tuple:
+        return ("const", self.value)
+
+    # Defining __eq__ resets __hash__ to None; take the memoized one back.
+    __hash__ = Formula.__hash__
 
 
 #: The constant true formula (paper notation: ``1``).
@@ -167,8 +194,10 @@ class Var(Formula):
     def __eq__(self, other) -> bool:
         return isinstance(other, Var) and self.name == other.name
 
-    def __hash__(self) -> int:
-        return hash(("var", self.name))
+    def _structure(self) -> tuple:
+        return ("var", self.name)
+
+    __hash__ = Formula.__hash__
 
 
 class Not(Formula):
@@ -191,8 +220,10 @@ class Not(Formula):
     def __eq__(self, other) -> bool:
         return isinstance(other, Not) and self.child == other.child
 
-    def __hash__(self) -> int:
-        return hash(("not", self.child))
+    def _structure(self) -> tuple:
+        return ("not", self.child)
+
+    __hash__ = Formula.__hash__
 
 
 class _Nary(Formula):
@@ -218,8 +249,10 @@ class _Nary(Formula):
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self.children == other.children
 
-    def __hash__(self) -> int:
-        return hash((self._tag, self.children))
+    def _structure(self) -> tuple:
+        return (self._tag, self.children)
+
+    __hash__ = Formula.__hash__
 
 
 class And(_Nary):

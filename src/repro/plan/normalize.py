@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 from ..analysis.minimization import minimize_query
 from ..analysis.satisfiability import is_query_satisfiable
+from ..analysis.structure import AnalysisContext
 from ..logic import Formula
 from ..logic.transform import simplify
 from ..query.gtpq import GTPQ
@@ -121,10 +122,15 @@ def normalize(query: GTPQ, *, minimize: bool = True) -> NormalizedQuery:
         minimize: run Algorithm 1 after the satisfiability check.  The
             simplification and satisfiability steps always run — they are
             linear-to-SAT on query-sized formulas, while minimization
-            performs the (cached, but heavier) containment checks.
+            performs the heavier Theorem-3 containment check on every
+            removal it proposes.
     """
     simplified, simplified_ids = _simplify_structural(query)
     notes: list[str] = []
+    # One analysis per query object for this call: minimization starts from
+    # the satisfiability pass's normalized query and fcs, and the re-check
+    # below finds the last fixpoint round's.  Dropped on return.
+    context = AnalysisContext()
 
     unsat_backbone = [
         node_id
@@ -138,7 +144,7 @@ def normalize(query: GTPQ, *, minimize: bool = True) -> NormalizedQuery:
         )
         satisfiable = False
     else:
-        satisfiable = is_query_satisfiable(simplified)
+        satisfiable = is_query_satisfiable(simplified, context)
         if not satisfiable:
             notes.append("Theorem 1: fa(root) & fcs(root) unsatisfiable")
     if not satisfiable:
@@ -155,7 +161,7 @@ def normalize(query: GTPQ, *, minimize: bool = True) -> NormalizedQuery:
     removed: tuple[str, ...] = ()
     output_mapping = {o: o for o in query.outputs}
     if minimize:
-        minimized = minimize_query(simplified)
+        minimized = minimize_query(simplified, context)
         if len(minimized.outputs) == len(query.outputs):
             rewritten = minimized
             removed = tuple(sorted(set(simplified.nodes) - set(minimized.nodes)))
@@ -168,7 +174,7 @@ def normalize(query: GTPQ, *, minimize: bool = True) -> NormalizedQuery:
         # child variables as independent, so inter-child containment such
         # as a PC child entailing an AD sibling only surfaces once
         # minimization folds it in).  Re-check the rewritten query.
-        if rewritten is not simplified and not is_query_satisfiable(rewritten):
+        if rewritten is not simplified and not is_query_satisfiable(rewritten, context):
             notes.append("minimization exposed unsatisfiability -> constant-empty plan")
             return NormalizedQuery(
                 original=query,

@@ -35,7 +35,7 @@ class TestExample5:
         mapping = find_homomorphism(fig4_q3(), _q("q2"))
         assert mapping is not None
         assert mapping["u1"] == "u1"
-        assert mapping["u3"] == "u3"   # output is pinned positionally
+        assert mapping["u3"] == "u3"  # output is pinned positionally
         assert mapping["u6"] == "u6"
         assert mapping["u7"] == "u7"
 
@@ -58,12 +58,7 @@ class TestBasicContainment:
         assert are_equivalent(query, query)
 
     def test_extra_predicate_tightens(self):
-        loose = (
-            QueryBuilder()
-            .backbone("a", label="x")
-            .outputs("a")
-            .build()
-        )
+        loose = QueryBuilder().backbone("a", label="x").outputs("a").build()
         tight = (
             QueryBuilder()
             .backbone("a", label="x")
@@ -75,12 +70,7 @@ class TestBasicContainment:
         assert not is_contained(loose, tight)
 
     def test_attribute_generalization(self):
-        year_tight = (
-            QueryBuilder()
-            .backbone("a", predicate=None, label=None)
-            .outputs("a")
-            .build()
-        )
+        year_tight = QueryBuilder().backbone("a", predicate=None, label=None).outputs("a").build()
         from repro.query import AttributePredicate
 
         q_2005 = (

@@ -17,7 +17,7 @@ class TestExample6:
         # Steps: u5, u8 dropped (non-independent); u2, u4 dropped
         # (subsumed by u6 whose presence fcs guarantees).
         assert set(minimized.nodes) == {"u1", "u3", "u6", "u7"}
-        assert minimized.fs("u1").is_constant()          # fs(u1) = 1
+        assert minimized.fs("u1").is_constant()  # fs(u1) = 1
         from repro.logic import Var
 
         assert minimized.fs("u3") == Var("u6")

@@ -58,7 +58,10 @@ class TestTransitivePredicates:
         # fcs(u1) = u2 & u5 & u3 & u4 & (!u6 | (u7 & (u9|u10) & u8)).
         analysis = QueryAnalysis(fig2_query())
         expected = land(
-            Var("u2"), Var("u5"), Var("u3"), Var("u4"),
+            Var("u2"),
+            Var("u5"),
+            Var("u3"),
+            Var("u4"),
             lor(
                 lnot(Var("u6")),
                 land(Var("u7"), lor(Var("u9"), Var("u10")), Var("u8")),
@@ -132,6 +135,4 @@ class TestCompletePredicatesOnFig4:
         analysis = QueryAnalysis(fig4_query("q1"))
         fcs = analysis.fcs("u1")
         # fcs must entail u6 -> (u2 & u4).
-        assert is_tautology(
-            lor(lnot(fcs), lor(lnot(Var("u6")), land(Var("u2"), Var("u4"))))
-        )
+        assert is_tautology(lor(lnot(fcs), lor(lnot(Var("u6")), land(Var("u2"), Var("u4")))))

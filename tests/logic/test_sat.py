@@ -1,22 +1,30 @@
-"""Tests for the DPLL solver and decision procedures, incl. property tests."""
+"""Tests for the truth-table kernel, the DPLL solver and the decision procedures."""
+
+import random
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.logic import (
     FALSE,
     TRUE,
+    And,
+    Not,
+    Or,
     Var,
     brute_force_satisfiable,
     brute_force_tautology,
     entails,
     equivalent,
     evaluate,
+    forced_literals,
     is_satisfiable,
     is_tautology,
     land,
     lnot,
     lor,
+    sat,
     satisfying_assignment,
     tseitin_cnf,
     xor_satisfiable,
@@ -168,3 +176,140 @@ def test_entailment_is_reflexive_and_consistent(f, g):
     assert entails(f, f)
     if entails(f, g) and entails(g, f):
         assert equivalent(f, g)
+
+
+# ----------------------------------------------------------------------
+# Table kernel vs Tseitin + DPLL vs brute force, on both sides of the cut-off
+# ----------------------------------------------------------------------
+#
+# ``is_satisfiable`` & co. decide formulas over at most TABLE_MAX_VARS
+# variables from a truth table and wider ones with DPLL, so the five-variable
+# property tests above only ever reach the table.  These run every decider on
+# the same formulas: the table kernel called directly (whatever the width),
+# the DPLL path called directly (``satisfying_assignment``), and enumeration.
+
+K = sat.TABLE_MAX_VARS
+
+
+def table_satisfiable(formula) -> bool:
+    return sat._table(formula, *sat._layout(formula.variables())) != 0
+
+
+def wide_formula(rng: random.Random, width: int, satisfiable: bool):
+    """A formula mentioning exactly ``width`` variables.
+
+    A random And/Or/Not tree conjoined with an implication chain
+    ``x0 -> x1 -> ... -> x_last``; the unsatisfiable flavour adds ``x0`` and
+    ``!x_last`` (raw AST, so no smart constructor folds it away).
+    """
+    names = [f"x{i}" for i in range(width)]
+
+    def tree(depth: int):
+        if depth == 0 or rng.random() < 0.2:
+            leaf = Var(rng.choice(names))
+            return lnot(leaf) if rng.random() < 0.4 else leaf
+        parts = [tree(depth - 1) for _ in range(rng.randint(2, 3))]
+        node = land(*parts) if rng.random() < 0.5 else lor(*parts)
+        return lnot(node) if rng.random() < 0.2 else node
+
+    chain = [Or([Not(Var(a)), Var(b)]) for a, b in zip(names, names[1:])]
+    if satisfiable:
+        return And([Or([tree(3), Var(names[0])]), *chain])
+    return And([Var(names[0]), Not(Var(names[-1])), *chain, tree(3)])
+
+
+@pytest.mark.parametrize("width", [K - 1, K, K + 1])
+def test_table_dpll_and_brute_force_agree_around_cutoff(width):
+    rng = random.Random(width)
+    verdicts = set()
+    for case in range(6):
+        formula = wide_formula(rng, width, satisfiable=bool(case % 3))
+        assert len(formula.variables()) == width
+        model = satisfying_assignment(formula)
+        expected = brute_force_satisfiable(formula)
+        assert table_satisfiable(formula) == expected
+        assert (model is not None) == expected
+        assert is_satisfiable(formula) == expected
+        assert is_tautology(Not(formula)) == (not expected)
+        if model is not None:
+            assert evaluate(formula, model, default=False)
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("width", [K - 1, K, K + 1])
+def test_entailment_and_forced_literals_around_cutoff(width):
+    """``a -> b`` and ``f -> ±p`` against their definitions by enumeration;
+    the variable count of the *pair* is what picks the path."""
+    rng = random.Random(100 + width)
+    names = [f"x{i}" for i in range(width)]
+    chain = land(*(lor(lnot(Var(a)), Var(b)) for a, b in zip(names, names[1:])))
+    # x_mid and the chain force everything after mid; x_(mid-1) false forces
+    # everything before it; nothing else is forced.
+    mid = width // 2
+    formula = land(chain, Var(names[mid]), lnot(Var(names[mid - 1])))
+    forced = forced_literals(formula, names + ["elsewhere"])
+    assert forced == {
+        **{name: False for name in names[:mid]},
+        **{name: True for name in names[mid:]},
+    }
+    for name in rng.sample(names, 2):
+        assert entails(formula, Var(name)) == brute_force_tautology(Or([Not(formula), Var(name)]))
+        assert entails(formula, lnot(Var(name))) == (forced.get(name) is False)
+    assert entails(formula, chain) and not entails(chain, formula)
+    # An unsatisfiable formula entails everything, mentioned or not.
+    nothing = And([formula, Not(Var(names[-1]))])
+    assert set(forced_literals(nothing, names + ["elsewhere"]).values()) == {True}
+    assert entails(nothing, Var("elsewhere"))
+
+
+def test_twenty_variables_go_through_dpll_and_yield_real_models():
+    rng = random.Random(20)
+    for case in range(6):
+        expected = bool(case % 2)
+        formula = wide_formula(rng, 20, satisfiable=expected)
+        assert len(formula.variables()) == 20 > K
+        model = satisfying_assignment(formula)
+        assert (model is not None) == expected
+        assert is_satisfiable(formula) == expected
+        assert is_tautology(Not(formula)) == (not expected)
+        if model is not None:
+            assert evaluate(formula, model, default=False)
+
+
+def test_constant_and_variable_free_formulas():
+    for formula, expected in [
+        (TRUE, True),
+        (FALSE, False),
+        (Not(FALSE), True),
+        (And([TRUE, Not(TRUE)]), False),
+        (Or([FALSE, And([TRUE, TRUE])]), True),
+    ]:
+        assert not formula.variables()
+        assert table_satisfiable(formula) == expected
+        assert (satisfying_assignment(formula) is not None) == expected
+        assert brute_force_satisfiable(formula) == expected
+        assert is_satisfiable(formula) == expected
+        assert is_tautology(formula) == expected
+        assert entails(TRUE, formula) == expected
+        assert forced_literals(formula, ["p"]) == ({} if expected else {"p": True})
+
+
+@settings(max_examples=200, deadline=None)
+@given(formulas(), formulas())
+def test_table_decisions_agree_with_dpll_and_enumeration(f, g):
+    """The public deciders (table path at five variables) against DPLL
+    called directly and against enumeration."""
+    assert is_satisfiable(f) == (satisfying_assignment(f) is not None)
+    assert is_tautology(f) == (satisfying_assignment(lnot(f)) is None)
+    implication = lor(lnot(f), g)
+    assert entails(f, g) == brute_force_tautology(implication)
+    assert entails(f, g) == (satisfying_assignment(land(f, lnot(g))) is None)
+    forced = forced_literals(f, _VARS)
+    for name in _VARS:
+        if brute_force_tautology(lor(lnot(f), Var(name))):
+            assert forced[name] is True
+        elif brute_force_tautology(lor(lnot(f), lnot(Var(name)))):
+            assert forced[name] is False
+        else:
+            assert name not in forced
