@@ -101,8 +101,10 @@ class _ProfileKind(ArtifactKind):
 
 def _attach_graph(session, service):
     # The pickle deliberately drops the graph reference
-    # (GraphReachability.__getstate__); attach the live one.
-    service.graph = session.graph
+    # (GraphReachability.__getstate__); attach the live one.  A service
+    # whose condensation disagrees with the graph's raises here and is
+    # skipped: a damaged artifact costs a rebuild.
+    service.attach(session.graph)
     return service
 
 

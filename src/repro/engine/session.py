@@ -355,6 +355,9 @@ class QuerySession:
         Called automatically when :attr:`DataGraph.version` moves (the
         graph gained nodes or edges); call it explicitly after in-place
         attribute mutations, which the version counter cannot see.  The
+        graph's structural snapshot (:meth:`DataGraph.structure`) is the
+        graph's own and is *not* dropped here: pooled services are rebuilt
+        over it, extended first when the mutations were append-only.  The
         warm store does **not** share this blind spot: its key is the
         graph *content* fingerprint (:func:`~repro.store.graph_fingerprint`),
         so an in-place edit moves :meth:`persist` and rehydration to a
@@ -424,8 +427,9 @@ class QuerySession:
         """Deferred half of rehydration: the pooled index kinds.
 
         Runs at most once per (store, fingerprint) pairing, on the first
-        :meth:`reachability` demand; a result/plan-cache-served warm
-        restart never pays the unpickle at all.
+        :meth:`reachability` or :meth:`graph_statistics` demand; a
+        result/plan-cache-served warm restart never pays the unpickle at
+        all.
         """
         if self._lazy_kinds_pending:
             self._lazy_kinds_pending = False
@@ -472,6 +476,11 @@ class QuerySession:
         """Graph statistics for the planner, cached per graph version."""
         self._ensure_fresh()
         if self._graph_stats is None:
+            # Statistics read the graph's structural snapshot; a stored
+            # index brings its own, so it is loaded (and adopted) first
+            # and a warm restart never condenses what it is about to
+            # unpickle.
+            self._load_lazy_kinds()
             self._graph_stats = graph_stats(self.graph)
         return self._graph_stats
 
@@ -630,6 +639,7 @@ class QuerySession:
     ) -> tuple[ResultSet, EvaluationStats]:
         """Run one cold plan along its route (no result-cache probe)."""
         stats = EvaluationStats()
+        self._book_structure(stats)
         route = self._route(plan, grouped=bool(group_nodes))
         key, index_name = route.key, plan.compiled.physical.scoped_index_name
         partial_service = self._partial_service(plan, stats) if route.partial else None
@@ -689,6 +699,37 @@ class QuerySession:
         elif key is not None:
             self._record_feedback(plan, key, index_name, stats.operator_stats)
         return results, stats
+
+    def _book_structure(self, stats: EvaluationStats) -> None:
+        """Force the graph's structural snapshot before any index build
+        is timed, and book it when this call is what built or extended it.
+
+        Both index arms read the one snapshot (:meth:`DataGraph.structure`),
+        so its cost belongs to neither: it files under its own
+        ``"structure"`` phase and a synthetic ``StructureBuild`` operator
+        record that calibration leaves out of every arm's rate, instead
+        of inflating whichever build happened to come first in a version.
+        Planning normally demands it first (through the statistics), so
+        this books only when the plan came from the cache or the store.
+        """
+        self._load_lazy_kinds()  # a stored index donates its condensation
+        if self.graph.structure_info()["version"] == self.graph.version:
+            return
+        started = time.perf_counter()
+        condensation = self.graph.structure().condensation
+        elapsed = time.perf_counter() - started
+        stats.phase_seconds["structure"] = elapsed
+        stats.operator_stats.append(
+            OperatorStats(
+                op="StructureBuild",
+                target=None,
+                input_size=self.graph.num_nodes,
+                output_size=condensation.num_components,
+                seconds=elapsed,
+                index_lookups=0,
+                index_entries=0,
+            )
+        )
 
     def _partial_service(self, plan: QueryPlan, stats: EvaluationStats):
         """The pooled partial reachability service for ``plan``, or None.
@@ -1056,12 +1097,16 @@ class QuerySession:
     # Introspection
     # ------------------------------------------------------------------
     def cache_info(self) -> dict[str, dict[str, int]]:
-        """Counter snapshots and sizes of every session cache."""
+        """Counter snapshots and sizes of every session cache, plus the
+        ``"structure"`` row of the graph's own snapshot
+        (:meth:`DataGraph.structure_info`): extensions are mutations
+        absorbed, builds are mutations that forced a whole-graph pass."""
         info = {
             kind.info: kind.describe(getattr(self, kind.attr))
             for kind in ARTIFACT_KINDS
             if kind.info is not None
         }
+        info["structure"] = self.graph.structure_info()
         if self.store is not None:
             info["store"] = {
                 **self.store.counters.snapshot(),

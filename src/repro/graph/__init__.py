@@ -1,6 +1,6 @@
 """Attributed digraph substrate (S2 in DESIGN.md)."""
 
-from .condensation import Condensation, condense
+from .condensation import Condensation, Dag, GraphStructure, condense
 from .digraph import DataGraph
 from .partition import GraphPartition, merge_survivors
 from .stats import GraphStats, graph_stats
@@ -16,9 +16,11 @@ from .traversal import (
 
 __all__ = [
     "Condensation",
+    "Dag",
     "DataGraph",
     "GraphPartition",
     "GraphStats",
+    "GraphStructure",
     "ancestors",
     "bfs_layers",
     "condense",

@@ -1,19 +1,31 @@
-"""Strongly connected components and DAG condensation.
+"""Strongly connected components, DAG condensation, structural snapshots.
 
 The paper's AD relationship means "nonempty path", so on cyclic graphs every
 node of a non-trivial SCC is a descendant of every other (and of itself).
 All reachability indexes in :mod:`repro.reachability` are built on the
 condensation DAG; this module computes it with an iterative Tarjan SCC so
 deep graphs do not hit Python's recursion limit.
+
+A graph version has exactly one condensation: the :class:`GraphStructure`
+snapshot :meth:`DataGraph.structure() <repro.graph.digraph.DataGraph.structure>`
+hands out.  Graph statistics, full and partial index builds all read that
+one object, and an append-only mutation *extends* it
+(:meth:`Condensation.extended`) instead of condensing the graph again.
 """
 
 from __future__ import annotations
 
-from .digraph import DataGraph
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .digraph import DataGraph
 
 
 class Condensation:
     """The condensation DAG of a :class:`~repro.graph.digraph.DataGraph`.
+
+    Instances are immutable once built: services, pickles and user code
+    may hold one across graph mutations.
 
     Attributes:
         scc_of: for each data node, the id of its component (``0..k-1``),
@@ -29,23 +41,67 @@ class Condensation:
     __slots__ = ("scc_of", "members", "cyclic", "_succ", "_pred", "_edge_count")
 
     def __init__(self, graph: DataGraph):
-        self.scc_of, self.members = _tarjan(graph)
-        count = len(self.members)
-        self.cyclic = [len(nodes) > 1 for nodes in self.members]
-        succ_sets: list[set[int]] = [set() for _ in range(count)]
-        for source, target in graph.edges():
-            cs, ct = self.scc_of[source], self.scc_of[target]
-            if cs == ct:
-                if source == target:
-                    self.cyclic[cs] = True
-                continue
-            succ_sets[cs].add(ct)
-        self._succ = [sorted(targets) for targets in succ_sets]
-        self._pred: list[list[int]] = [[] for _ in range(count)]
-        for source, targets in enumerate(self._succ):
-            for target in targets:
-                self._pred[target].append(source)
-        self._edge_count = sum(len(targets) for targets in self._succ)
+        self.scc_of: list[int] = []
+        self.members: list[list[int]] = []
+        self.cyclic: list[bool] = []
+        self._succ: list[list[int]] = []
+        self._pred: list[list[int]] = []
+        self._edge_count = 0
+        self._absorb(graph._succ)
+
+    def extended(self, graph: DataGraph) -> "Condensation":
+        """The condensation of ``graph``, grown from this one.
+
+        ``graph`` must be the graph this condensation describes plus an
+        *append-only* delta: nodes from ``len(self.scc_of)`` on are new and
+        no new edge leaves an old node.  Old nodes then cannot reach new
+        ones, so a from-scratch Tarjan would walk the old part first and
+        number it exactly as here; running it over the new nodes alone
+        continues that numbering.  The result equals ``Condensation(graph)``
+        id for id, in every field.
+
+        Copy-on-write: the outer lists are new and an old component's
+        predecessor list is copied before a new component is appended to
+        it, so ``self`` never changes.
+        """
+        grown = Condensation.__new__(Condensation)
+        grown.scc_of = list(self.scc_of)
+        grown.members = list(self.members)
+        grown.cyclic = list(self.cyclic)
+        grown._succ = list(self._succ)
+        grown._pred = list(self._pred)
+        grown._edge_count = self._edge_count
+        grown._absorb(graph._succ)
+        return grown
+
+    def _absorb(self, adjacency: list[list[int]]) -> None:
+        """Condense the nodes of ``adjacency`` this object does not cover yet."""
+        scc_of, members, cyclic = self.scc_of, self.members, self.cyclic
+        succ, pred = self._succ, self._pred
+        first = len(members)
+        _tarjan(adjacency, scc_of, members)
+        component_of = scc_of.__getitem__
+        copied: set[int] = set()
+        for component in range(first, len(members)):
+            nodes = members[component]
+            targets = set(map(component_of, adjacency[nodes[0]]))
+            for node in nodes[1:]:
+                targets.update(map(component_of, adjacency[node]))
+            # An edge inside the component: a self-loop when it has one node.
+            inner = component in targets
+            if inner:
+                targets.discard(component)
+            cyclic.append(inner or len(nodes) > 1)
+            ordered = sorted(targets) if len(targets) > 1 else list(targets)
+            succ.append(ordered)
+            pred.append([])
+            self._edge_count += len(ordered)
+            for target in ordered:
+                if target < first and target not in copied:
+                    # An old list the snapshot being extended still reads.
+                    copied.add(target)
+                    pred[target] = list(pred[target])
+                pred[target].append(component)
 
     # -- DAG view -------------------------------------------------------
     @property
@@ -75,68 +131,123 @@ class Condensation:
         return not any(self.cyclic)
 
 
-def _tarjan(graph: DataGraph) -> tuple[list[int], list[list[int]]]:
-    """Iterative Tarjan SCC.
+def _tarjan(adjacency: list[list[int]], scc_of: list[int], members: list[list[int]]) -> None:
+    """Iterative Tarjan SCC over the nodes ``scc_of`` does not cover yet.
 
-    Returns ``(scc_of, members)`` with components numbered in reverse
-    topological order (a component is numbered only after everything it
-    reaches).
+    Appends to ``scc_of`` and ``members`` in place, numbering components in
+    reverse topological order (a component is numbered only after
+    everything it reaches).  Nodes ``scc_of`` already covers count as
+    visited and closed, which is exact when none of them reaches an
+    uncovered node.
     """
-    n = graph.num_nodes
-    UNVISITED = -1
-    index_of = [UNVISITED] * n
+    first, n = len(scc_of), len(adjacency)
+    unvisited, closed = -1, n  # discovery indices lie strictly between
+    index_of = [closed] * first + [unvisited] * (n - first)
     low_link = [0] * n
-    on_stack = [False] * n
-    scc_of = [UNVISITED] * n
-    members: list[list[int]] = []
+    scc_of.extend([unvisited] * (n - first))
     stack: list[int] = []
     next_index = 0
 
-    for start in range(n):
-        if index_of[start] != UNVISITED:
+    for start in range(first, n):
+        if index_of[start] != unvisited:
             continue
-        # Each frame is [node, iterator position over successors].
-        work: list[list[int]] = [[start, 0]]
-        while work:
-            frame = work[-1]
-            node, position = frame
-            if position == 0:
-                index_of[node] = next_index
-                low_link[node] = next_index
-                next_index += 1
-                stack.append(node)
-                on_stack[node] = True
-            successors = graph.successors(node)
-            advanced = False
-            while frame[1] < len(successors):
-                successor = successors[frame[1]]
-                frame[1] += 1
-                if index_of[successor] == UNVISITED:
-                    work.append([successor, 0])
-                    advanced = True
+        index_of[start] = low_link[start] = next_index
+        next_index += 1
+        stack.append(start)
+        # The DFS path and, per node on it, the successors not yet tried.
+        path = [start]
+        pending = [iter(adjacency[start])]
+        while path:
+            node = path[-1]
+            for successor in pending[-1]:
+                seen = index_of[successor]
+                if seen == unvisited:
+                    index_of[successor] = low_link[successor] = next_index
+                    next_index += 1
+                    stack.append(successor)
+                    path.append(successor)
+                    pending.append(iter(adjacency[successor]))
                     break
-                if on_stack[successor]:
-                    low_link[node] = min(low_link[node], index_of[successor])
-            if advanced:
-                continue
-            # Node finished: close component if it is a root.
-            if low_link[node] == index_of[node]:
-                component: list[int] = []
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    scc_of[member] = len(members)
-                    component.append(member)
-                    if member == node:
-                        break
-                members.append(component)
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low_link[parent] = min(low_link[parent], low_link[node])
-    return scc_of, members
+                # A closed node compares greater than any low link.
+                if seen < low_link[node]:
+                    low_link[node] = seen
+            else:
+                # Node finished: close its component if it is a root.
+                path.pop()
+                pending.pop()
+                low = low_link[node]
+                if low == index_of[node]:
+                    component: list[int] = []
+                    number = len(members)
+                    while True:
+                        member = stack.pop()
+                        index_of[member] = closed
+                        scc_of[member] = number
+                        component.append(member)
+                        if member == node:
+                            break
+                    members.append(component)
+                if path and low < low_link[path[-1]]:
+                    low_link[path[-1]] = low
+
+
+class Dag:
+    """A plain adjacency-list DAG with a fixed topological order."""
+
+    __slots__ = ("succ", "pred", "order")
+
+    def __init__(self, succ: list[list[int]], pred: list[list[int]], order: list[int]):
+        self.succ = succ
+        self.pred = pred
+        self.order = order  # sources first
+
+    @property
+    def num_nodes(self) -> int:
+        return len(self.succ)
+
+    @property
+    def num_edges(self) -> int:
+        return sum(len(targets) for targets in self.succ)
+
+    @classmethod
+    def from_condensation(cls, condensation: Condensation) -> "Dag":
+        """The condensation's own adjacency lists, viewed as a DAG."""
+        return cls(condensation._succ, condensation._pred, condensation.topological_order())
+
+    @classmethod
+    def from_graph(cls, graph: DataGraph) -> "Dag":
+        """Treat an acyclic :class:`DataGraph` directly as a DAG.
+
+        Raises ``ValueError`` when the graph is cyclic — condense first.
+        """
+        # Deferred import: traversal imports the graph, which imports this.
+        from .traversal import topological_order
+
+        order = topological_order(graph)
+        if any(graph.has_edge(node, node) for node in graph.nodes()):
+            raise ValueError("graph has self-loops; condense first")
+        succ = [list(graph.successors(node)) for node in graph.nodes()]
+        pred = [list(graph.predecessors(node)) for node in graph.nodes()]
+        return cls(succ, pred, order)
+
+
+class GraphStructure:
+    """The structural snapshot of one graph version.
+
+    Attributes:
+        condensation: the version's :class:`Condensation`.
+        dag: its :class:`Dag` view — what every DAG index is built over.
+        version: the :attr:`DataGraph.version` the snapshot describes.
+    """
+
+    __slots__ = ("condensation", "dag", "version")
+
+    def __init__(self, condensation: Condensation, version: int):
+        self.condensation = condensation
+        self.dag = Dag.from_condensation(condensation)
+        self.version = version
 
 
 def condense(graph: DataGraph) -> Condensation:
-    """Compute the condensation of ``graph``."""
-    return Condensation(graph)
+    """The condensation of ``graph`` (its shared structural snapshot's)."""
+    return graph.structure().condensation

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, Mapping
 
+from .condensation import Condensation, GraphStructure
+
 
 class DataGraph:
     """A directed graph whose nodes carry attribute dictionaries.
@@ -22,9 +24,26 @@ class DataGraph:
     are collapsed (the semantics of PC/AD relationships only care about edge
     existence) and self-loops are permitted (they make a node its own
     descendant under the paper's nonempty-path AD semantics).
+
+    The graph owns two lazily derived, mutation-invalidated caches: the
+    label postings behind :meth:`nodes_with_label` and the structural
+    snapshot behind :meth:`structure`.  Neither is synchronised: threads
+    that demand one at the same moment may each derive an equal copy, and
+    mutating a graph while another thread queries it is not supported.
     """
 
-    __slots__ = ("_attrs", "_succ", "_pred", "_edge_count", "_label_index", "_version")
+    __slots__ = (
+        "_attrs",
+        "_succ",
+        "_pred",
+        "_edge_count",
+        "_label_index",
+        "_version",
+        "_structure",
+        "_structure_nodes",
+        "_append_only",
+        "_structure_counts",
+    )
 
     def __init__(self):
         self._attrs: list[dict[str, Any]] = []
@@ -33,6 +52,12 @@ class DataGraph:
         self._edge_count = 0
         self._label_index: dict[Any, tuple[int, ...]] | None = None
         self._version = 0
+        self._structure: GraphStructure | None = None
+        #: nodes the snapshot covers, and whether every edge added since
+        #: leaves a node it does not cover (an *append-only* delta).
+        self._structure_nodes = 0
+        self._append_only = True
+        self._structure_counts = {"builds": 0, "extensions": 0, "hits": 0}
 
     @property
     def version(self) -> int:
@@ -43,6 +68,11 @@ class DataGraph:
         :mod:`repro.engine.session`) can detect staleness cheaply.  Direct
         mutation of an attribute dictionary obtained from :meth:`attrs` is
         *not* tracked.
+
+        A version bump does no structural work: the :meth:`structure`
+        snapshot goes stale and is brought up to date at its next demand —
+        extended when everything added since is append-only, rebuilt
+        otherwise.
         """
         return self._version
 
@@ -77,6 +107,8 @@ class DataGraph:
         self._pred[target].append(source)
         self._edge_count += 1
         self._version += 1
+        if source < self._structure_nodes:
+            self._append_only = False
         return True
 
     @classmethod
@@ -183,16 +215,88 @@ class DataGraph:
                 node_label = attrs.get("label")
                 if node_label is not None:
                     lists.setdefault(node_label, []).append(node)
-            self._label_index = {
-                node_label: tuple(nodes) for node_label, nodes in lists.items()
-            }
+            self._label_index = {node_label: tuple(nodes) for node_label, nodes in lists.items()}
         return self._label_index.get(label, ())
+
+    # ------------------------------------------------------------------
+    # Structural snapshot
+    # ------------------------------------------------------------------
+    def structure(self) -> GraphStructure:
+        """The condensation and condensation DAG of the current version.
+
+        The one structural snapshot every consumer shares — graph
+        statistics, full and partial reachability builds — computed on
+        first demand, never at construction or inside a mutation.  A stale
+        snapshot is *extended* when the delta since it is append-only
+        (every new edge leaves a node the snapshot does not cover): old
+        nodes then cannot reach new ones, so condensing the new nodes alone
+        continues the old numbering and the result equals a from-scratch
+        build id for id (:meth:`Condensation.extended`).  Any other delta
+        rebuilds.  Snapshots are never modified once handed out, so one
+        held across a mutation keeps describing its own version.
+        """
+        snapshot = self._structure
+        if snapshot is not None and snapshot.version == self._version:
+            self._structure_counts["hits"] += 1
+            return snapshot
+        if snapshot is not None and self._append_only:
+            self._structure_counts["extensions"] += 1
+            condensation = snapshot.condensation.extended(self)
+        else:
+            self._structure_counts["builds"] += 1
+            condensation = Condensation(self)
+        return self._install(condensation)
+
+    def adopt_structure(self, condensation: Condensation) -> GraphStructure:
+        """Reconcile a condensation that arrived from outside — an
+        unpickled reachability service's — with this graph's snapshot.
+
+        A process holds one condensation per graph version.  When the
+        graph has a current snapshot and ``condensation`` agrees with it,
+        that snapshot is returned and the caller drops its copy; when the
+        graph has none, ``condensation`` becomes the snapshot.  Returns
+        the snapshot to use either way.
+
+        Raises:
+            ValueError: ``condensation`` does not describe this graph (a
+                damaged or misfiled artifact); the graph's own snapshot
+                is left untouched.
+        """
+        snapshot = self._structure
+        if snapshot is not None and snapshot.version == self._version:
+            if snapshot.condensation.scc_of != condensation.scc_of:
+                raise ValueError("condensation disagrees with the graph's structural snapshot")
+            return snapshot
+        sizes = {
+            len(condensation.members),
+            len(condensation.cyclic),
+            len(condensation._succ),
+            len(condensation._pred),
+        }
+        if len(condensation.scc_of) != len(self._attrs) or len(sizes) != 1:
+            raise ValueError("condensation does not have this graph's shape")
+        return self._install(condensation)
+
+    def _install(self, condensation: Condensation) -> GraphStructure:
+        snapshot = GraphStructure(condensation, self._version)
+        # Published first: a concurrent reader sees the old snapshot with
+        # its own bookkeeping or the new one, never a mix.
+        self._structure = snapshot
+        self._structure_nodes = len(self._attrs)
+        self._append_only = True
+        return snapshot
+
+    def structure_info(self) -> dict[str, int | None]:
+        """Counters of :meth:`structure`: ``builds`` (from scratch),
+        ``extensions`` (append-only deltas absorbed), ``hits``, and the
+        ``version`` the held snapshot describes (None before the first
+        demand)."""
+        snapshot = self._structure
+        return {**self._structure_counts, "version": snapshot.version if snapshot else None}
 
     def distinct_labels(self) -> set[Any]:
         """The set of distinct ``"label"`` values present in the graph."""
-        return {
-            attrs["label"] for attrs in self._attrs if attrs.get("label") is not None
-        }
+        return {attrs["label"] for attrs in self._attrs if attrs.get("label") is not None}
 
     def __repr__(self) -> str:
         return f"DataGraph(nodes={self.num_nodes}, edges={self.num_edges})"

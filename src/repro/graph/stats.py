@@ -4,9 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .condensation import Condensation
 from .digraph import DataGraph
-from .traversal import node_depths, topological_order
 
 
 @dataclass(frozen=True)
@@ -40,34 +38,29 @@ class GraphStats:
 def graph_stats(graph: DataGraph) -> GraphStats:
     """Compute :class:`GraphStats` for ``graph``.
 
-    Depth statistics are computed on the condensation when the graph is
-    cyclic, so they are always defined.
+    Acyclicity and the depth figures are read off the graph's structural
+    snapshot (:meth:`DataGraph.structure`), so they cost no traversal of
+    their own.  Depth is the longest-path depth of each *component* of
+    the condensation — of each node, on an acyclic graph — so it is
+    always defined.
     """
-    try:
-        topological_order(graph)
-        acyclic = all(not graph.has_edge(node, node) for node in graph.nodes())
-    except ValueError:
-        acyclic = False
+    condensation = graph.structure().condensation
+    successors = condensation._succ
+    # Component ids are reverse topological: descending order visits every
+    # component after all of its predecessors.
+    depths = [0] * len(successors)
+    for component in range(len(successors) - 1, -1, -1):
+        below = depths[component] + 1
+        for successor in successors[component]:
+            if below > depths[successor]:
+                depths[successor] = below
 
-    if acyclic:
-        depths = node_depths(graph)
-    else:
-        condensation = Condensation(graph)
-        dag = DataGraph()
-        for _ in range(condensation.num_components):
-            dag.add_node()
-        for component in range(condensation.num_components):
-            for successor in condensation.successors(component):
-                dag.add_edge(component, successor)
-        depths = node_depths(dag)
-
-    num_nodes = graph.num_nodes
     return GraphStats(
-        num_nodes=num_nodes,
+        num_nodes=graph.num_nodes,
         num_edges=graph.num_edges,
         num_labels=len(graph.distinct_labels()),
         num_roots=len(graph.roots()),
         max_depth=max(depths) if depths else 0,
         avg_depth=(sum(depths) / len(depths)) if depths else 0.0,
-        is_dag=acyclic,
+        is_dag=condensation.is_trivial(),
     )

@@ -73,6 +73,11 @@ from dataclasses import dataclass, field
 #: ``GTEA_CANDIDATE_PASSES * total_candidates``.
 _GTEA_VOLUME_OP = "CandidateScan"
 
+#: the graph's structural snapshot, booked by whichever execution first
+#: demands it in a graph version: visible in the snapshot's operator
+#: breakdown, but no arm's cost — every index build reads the same one.
+_STRUCTURE_OP = "StructureBuild"
+
 #: observed executions required before a calibration is trusted.
 MIN_SAMPLES = 3
 
@@ -119,7 +124,7 @@ class _KeyProfile:
 
     @property
     def seconds(self) -> float:
-        return sum(obs.seconds for obs in self.by_operator.values())
+        return sum(obs.seconds for op, obs in self.by_operator.items() if op != _STRUCTURE_OP)
 
     @property
     def volume(self) -> int:

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
-from ..graph.condensation import Condensation
+from ..graph.condensation import Dag
 from ..graph.digraph import DataGraph
-from ..graph.traversal import topological_order
+
+__all__ = ["Dag", "DagIndex", "GraphReachability", "IndexCounters"]
 
 
 class IndexCounters:
@@ -36,45 +37,6 @@ class IndexCounters:
 
     def snapshot(self) -> dict[str, int]:
         return {"lookups": self.lookups, "entries_scanned": self.entries_scanned}
-
-
-class Dag:
-    """A plain adjacency-list DAG with a fixed topological order."""
-
-    __slots__ = ("succ", "pred", "order")
-
-    def __init__(self, succ: list[list[int]], pred: list[list[int]], order: list[int]):
-        self.succ = succ
-        self.pred = pred
-        self.order = order  # sources first
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.succ)
-
-    @property
-    def num_edges(self) -> int:
-        return sum(len(targets) for targets in self.succ)
-
-    @classmethod
-    def from_condensation(cls, condensation: Condensation) -> "Dag":
-        count = condensation.num_components
-        succ = [condensation.successors(c) for c in range(count)]
-        pred = [condensation.predecessors(c) for c in range(count)]
-        return cls(succ, pred, condensation.topological_order())
-
-    @classmethod
-    def from_graph(cls, graph: DataGraph) -> "Dag":
-        """Treat an acyclic :class:`DataGraph` directly as a DAG.
-
-        Raises ``ValueError`` when the graph is cyclic — condense first.
-        """
-        order = topological_order(graph)
-        if any(graph.has_edge(node, node) for node in graph.nodes()):
-            raise ValueError("graph has self-loops; condense first")
-        succ = [list(graph.successors(node)) for node in graph.nodes()]
-        pred = [list(graph.predecessors(node)) for node in graph.nodes()]
-        return cls(succ, pred, order)
 
 
 class DagIndex(ABC):
@@ -101,6 +63,11 @@ class DagIndex(ABC):
         """Total number of stored index entries (for size comparisons)."""
         return 0
 
+    def rebind(self, dag: Dag) -> None:
+        """Read ``dag`` — an equal copy of the DAG this index was built
+        over — from now on, so the copy it held can be freed."""
+        self.dag = dag
+
 
 class GraphReachability:
     """Strict data-node reachability: condensation + a DAG-level index.
@@ -117,8 +84,9 @@ class GraphReachability:
             index_factory: callable ``Dag -> DagIndex``.
         """
         self.graph = graph
-        self.condensation = Condensation(graph)
-        self.dag = Dag.from_condensation(self.condensation)
+        structure = graph.structure()
+        self.condensation = structure.condensation
+        self.dag = structure.dag
         self.index = index_factory(self.dag)
 
     def __getstate__(self):
@@ -130,6 +98,21 @@ class GraphReachability:
         state = self.__dict__.copy()
         state["graph"] = None
         return state
+
+    def attach(self, graph: DataGraph) -> None:
+        """Re-attach the live graph to an unpickled service.
+
+        A process holds one condensation per graph version: the service is
+        re-pointed at the graph's structural snapshot, or donates its own
+        condensation when the graph has none yet
+        (:meth:`DataGraph.adopt_structure`, which raises ``ValueError``
+        when the two disagree — the artifact is damaged and must rebuild).
+        """
+        structure = graph.adopt_structure(self.condensation)
+        self.graph = graph
+        self.condensation = structure.condensation
+        self.dag = structure.dag
+        self.index.rebind(structure.dag)
 
     @property
     def counters(self) -> IndexCounters:

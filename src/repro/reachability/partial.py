@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable
 
-from ..graph.condensation import Condensation
 from ..graph.digraph import DataGraph
 from .base import Dag, DagIndex, GraphReachability
 from .factory import _REGISTRY, available_indexes
@@ -63,15 +62,19 @@ def candidate_cone(
     one over most of the graph.
     """
     seen: set[int] = set(seeds)
-    if budget is not None and len(seen) > budget:
+    adjacency = graph._succ
+    limit = len(adjacency) if budget is None else budget  # no cone outgrows the graph
+    if len(seen) > limit:
         return None
+    if seen:
+        graph._check(min(seen))
+        graph._check(max(seen))
     stack = list(seen)
     while stack:
-        node = stack.pop()
-        for successor in graph.successors(node):
+        for successor in adjacency[stack.pop()]:
             if successor not in seen:
                 seen.add(successor)
-                if budget is not None and len(seen) > budget:
+                if len(seen) > limit:
                     return None
                 stack.append(successor)
     return frozenset(seen)
@@ -113,7 +116,8 @@ class PartialIndex(DagIndex):
 
     The domain is a set of condensation components (descendant-closed at
     the component level, because the footprint is descendant-closed at
-    the data-node level).  Probes resolve in three tiers:
+    the data-node level) and ``dag`` a condensation DAG, whose ids are
+    reverse topological.  Probes resolve in three tiers:
 
     * both endpoints in the domain — answered by the inner index over
       the restricted DAG (exact: paths from in-domain sources cannot
@@ -138,15 +142,12 @@ class PartialIndex(DagIndex):
                 f"{', '.join(available_indexes())}"
             )
         super().__init__(dag)
-        domain = set(domain_components)
-        # Local ids follow the full DAG's topological order, so the
-        # restricted DAG's order is simply 0..k-1.
-        ordered = [comp for comp in dag.order if comp in domain]
+        # Local ids follow the full DAG's topological order — descending
+        # component id, so the domain alone is walked, not the whole DAG —
+        # and the restricted DAG's order is simply 0..k-1.
+        ordered = sorted(set(domain_components), reverse=True)
         local_of = {comp: local for local, comp in enumerate(ordered)}
-        succ = [
-            [local_of[t] for t in dag.succ[comp] if t in domain]
-            for comp in ordered
-        ]
+        succ = [[local_of[t] for t in dag.succ[comp] if t in local_of] for comp in ordered]
         pred: list[list[int]] = [[] for _ in ordered]
         for source, targets in enumerate(succ):
             for target in targets:
@@ -205,16 +206,15 @@ class PartialReachability(GraphReachability):
 
     Drop-in for the engine's reachability service: condensation and the
     component mapping cover the whole graph (pruning needs them for every
-    candidate), only the index structure is restricted to the footprint.
+    candidate) and are the graph's shared structural snapshot; only the
+    index structure is built, and it is restricted to the footprint.
     """
 
     def __init__(self, graph: DataGraph, footprint: Footprint, inner: str = "tc"):
-        self.graph = graph
         self.footprint = footprint
-        self.condensation = Condensation(graph)
-        self.dag = Dag.from_condensation(self.condensation)
-        domain = {self.condensation.scc_of[node] for node in footprint.nodes}
-        self.index = PartialIndex(self.dag, domain, inner)
+        scc_of = graph.structure().condensation.scc_of
+        domain = {scc_of[node] for node in footprint.nodes}
+        super().__init__(graph, lambda dag: PartialIndex(dag, domain, inner))
 
 
 def build_partial_reachability(

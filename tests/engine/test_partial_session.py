@@ -163,3 +163,53 @@ class TestPartialFallbacks:
         for query, results in zip(queries[:3], batch.results):
             assert results == evaluate_naive(query, graph)
         assert batch.stats.partial_builds + batch.stats.partial_hits >= 3
+
+
+class TestStructureAttribution:
+    """The graph's structural snapshot is neither index arm's cost."""
+
+    def test_planning_pays_for_the_snapshot_before_any_build_is_timed(self):
+        graph, queries = workload()
+        session = QuerySession(graph)
+        __, stats = session.evaluate_with_stats(queries[0])
+        assert stats.partial_builds == 1
+        assert "structure" not in stats.phase_seconds
+        assert all(op.op != "StructureBuild" for op in stats.operator_stats)
+        row = session.cache_info()["structure"]
+        assert (row["builds"], row["extensions"], row["version"]) == (1, 0, graph.version)
+
+    def test_mutations_show_up_as_extensions_or_builds(self):
+        graph, queries = workload()
+        session = QuerySession(graph)
+        session.evaluate(queries[0])
+        graph.add_edge(graph.add_node(label="q"), graph.num_nodes - 2)
+        session.evaluate(queries[0])
+        assert session.cache_info()["structure"]["extensions"] == 1
+        assert any(graph.add_edge(0, target) for target in range(5, 30))  # one old→old edge
+        assert session.evaluate(queries[0]) == evaluate_naive(queries[0], graph)
+        row = session.cache_info()["structure"]
+        assert (row["builds"], row["extensions"]) == (2, 1)
+
+    def test_first_demand_under_execution_is_booked_apart(self, tmp_path):
+        # Plans rehydrate from the store, indexes do not: the execution,
+        # not the planner, is then the first to need the snapshot.
+        graph, queries = workload()
+        writer = QuerySession(graph, store=tmp_path)
+        writer.evaluate(queries[0])
+        writer.persist()
+        for kind in ("indexes", "partial-indexes", "results", "profile"):
+            writer.store.path(writer.store_fingerprint, kind).unlink(missing_ok=True)
+
+        graph, queries = workload()  # equal content, no snapshot yet
+        session = QuerySession(graph, store=tmp_path)
+        results, stats = session.evaluate_with_stats(queries[0])
+        assert results == evaluate_naive(queries[0], graph)
+        assert stats.plan_cache_hits == 1
+        ops = [record.op for record in stats.operator_stats]
+        assert ops.index("StructureBuild") < ops.index("PartialIndexBuild")
+        assert stats.phase_seconds["structure"] > 0.0
+        # Calibration reads every operator of the arm but the snapshot.
+        (key, row), = session.cost_profile.snapshot().items()
+        assert key.startswith("tc@partial/gtea/")
+        own = sum(r.seconds for r in stats.operator_stats if r.op != "StructureBuild")
+        assert row["seconds"] == round(own, 6)

@@ -1,0 +1,377 @@
+"""The graph-owned structural snapshot: one per version, exact, never mutated.
+
+``DataGraph.structure()`` must hand out, after any interleaving of
+mutations and demands, exactly what a from-scratch condensation of the
+current graph would be — id for id, because component numbering fixes the
+engine's iteration order and with it the documented probe-count parity —
+and a snapshot already handed out must never change (services, pickles and
+users hold them across mutations).  The references below are the
+algorithms as they stood before the snapshot existed, kept here verbatim:
+the per-graph ``Condensation`` and the traversal-based ``graph_stats``.
+"""
+
+import copy
+import pickle
+import random
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import settings
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+
+from repro.datasets import enclave_graph, generate_arxiv, generate_dblp, generate_xmark
+from repro.graph import Condensation, DataGraph, GraphStats, condense, graph_stats
+from repro.graph.traversal import node_depths, topological_order
+from repro.reachability import build_reachability
+
+FIELDS = ("scc_of", "members", "cyclic", "_succ", "_pred", "_edge_count")
+
+
+# ----------------------------------------------------------------------
+# References: the pre-snapshot algorithms
+# ----------------------------------------------------------------------
+class ReferenceCondensation:
+    """``Condensation.__init__`` of the parent commit."""
+
+    def __init__(self, graph):
+        self.scc_of, self.members = reference_tarjan(graph)
+        count = len(self.members)
+        self.cyclic = [len(nodes) > 1 for nodes in self.members]
+        succ_sets = [set() for _ in range(count)]
+        for source, target in graph.edges():
+            cs, ct = self.scc_of[source], self.scc_of[target]
+            if cs == ct:
+                if source == target:
+                    self.cyclic[cs] = True
+                continue
+            succ_sets[cs].add(ct)
+        self._succ = [sorted(targets) for targets in succ_sets]
+        self._pred = [[] for _ in range(count)]
+        for source, targets in enumerate(self._succ):
+            for target in targets:
+                self._pred[target].append(source)
+        self._edge_count = sum(len(targets) for targets in self._succ)
+        self.order = list(range(count - 1, -1, -1))
+
+
+def reference_tarjan(graph):
+    n = graph.num_nodes
+    index_of = [-1] * n
+    low_link = [0] * n
+    on_stack = [False] * n
+    scc_of = [-1] * n
+    members = []
+    stack = []
+    next_index = 0
+    for start in range(n):
+        if index_of[start] != -1:
+            continue
+        work = [[start, 0]]
+        while work:
+            frame = work[-1]
+            node, position = frame
+            if position == 0:
+                index_of[node] = next_index
+                low_link[node] = next_index
+                next_index += 1
+                stack.append(node)
+                on_stack[node] = True
+            successors = graph.successors(node)
+            advanced = False
+            while frame[1] < len(successors):
+                successor = successors[frame[1]]
+                frame[1] += 1
+                if index_of[successor] == -1:
+                    work.append([successor, 0])
+                    advanced = True
+                    break
+                if on_stack[successor]:
+                    low_link[node] = min(low_link[node], index_of[successor])
+            if advanced:
+                continue
+            if low_link[node] == index_of[node]:
+                component = []
+                while True:
+                    member = stack.pop()
+                    on_stack[member] = False
+                    scc_of[member] = len(members)
+                    component.append(member)
+                    if member == node:
+                        break
+                members.append(component)
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low_link[parent] = min(low_link[parent], low_link[node])
+    return scc_of, members
+
+
+def reference_graph_stats(graph):
+    """``graph_stats`` of the parent commit: two Kahn passes, a self-loop
+    scan, and a scratch graph of the condensation when cyclic."""
+    try:
+        topological_order(graph)
+        acyclic = all(not graph.has_edge(node, node) for node in graph.nodes())
+    except ValueError:
+        acyclic = False
+    if acyclic:
+        depths = node_depths(graph)
+    else:
+        condensation = ReferenceCondensation(graph)
+        dag = DataGraph()
+        for _ in condensation.members:
+            dag.add_node()
+        for component, successors in enumerate(condensation._succ):
+            for successor in successors:
+                dag.add_edge(component, successor)
+        depths = node_depths(dag)
+    return GraphStats(
+        num_nodes=graph.num_nodes,
+        num_edges=graph.num_edges,
+        num_labels=len(graph.distinct_labels()),
+        num_roots=len(graph.roots()),
+        max_depth=max(depths) if depths else 0,
+        avg_depth=(sum(depths) / len(depths)) if depths else 0.0,
+        is_dag=acyclic,
+    )
+
+
+def fields_of(condensation):
+    return {name: getattr(condensation, name) for name in FIELDS}
+
+
+def assert_is_fresh_build(structure, graph):
+    reference = ReferenceCondensation(graph)
+    assert fields_of(structure.condensation) == fields_of(reference)
+    assert structure.dag.order == reference.order
+    assert structure.dag.succ == reference._succ
+    assert structure.dag.pred == reference._pred
+    assert structure.version == graph.version
+
+
+# ----------------------------------------------------------------------
+# Snapshot identity under arbitrary mutation / demand interleavings
+# ----------------------------------------------------------------------
+class SnapshotMachine(RuleBasedStateMachine):
+    """One graph; every kind of mutation; demands at arbitrary points."""
+
+    def __init__(self):
+        super().__init__()
+        self.graph = DataGraph()
+        self.covered = 0  # nodes the latest snapshot covers
+        self.append_only = True
+        self.held = []  # (snapshot, deep copy taken when it was obtained)
+        self.expected = {"builds": 0, "extensions": 0, "hits": 0}
+
+    def _pick(self, data, low, high):
+        return data.draw(st.integers(min_value=low, max_value=high - 1))
+
+    def _edge(self, source, target):
+        if self.graph.add_edge(source, target) and source < self.covered:
+            self.append_only = False
+
+    @rule()
+    def add_node(self):
+        self.graph.add_node(label="x")
+
+    @precondition(lambda self: 0 < self.covered < self.graph.num_nodes)
+    @rule(data=st.data())
+    def edge_new_to_old(self, data):
+        source = self._pick(data, self.covered, self.graph.num_nodes)
+        self._edge(source, self._pick(data, 0, self.covered))
+
+    @precondition(lambda self: self.covered < self.graph.num_nodes)
+    @rule(data=st.data())
+    def edge_new_to_new(self, data):
+        # Either direction, so cycles among new nodes and self-loops occur.
+        source = self._pick(data, self.covered, self.graph.num_nodes)
+        self._edge(source, self._pick(data, self.covered, self.graph.num_nodes))
+
+    @precondition(lambda self: self.covered < self.graph.num_nodes)
+    @rule(data=st.data())
+    def self_loop_on_new(self, data):
+        node = self._pick(data, self.covered, self.graph.num_nodes)
+        self._edge(node, node)
+
+    @precondition(lambda self: self.covered > 0)
+    @rule(data=st.data())
+    def edge_old_to_old(self, data):
+        self._edge(self._pick(data, 0, self.covered), self._pick(data, 0, self.covered))
+
+    @precondition(lambda self: 0 < self.covered < self.graph.num_nodes)
+    @rule(data=st.data())
+    def edge_old_to_new(self, data):
+        source = self._pick(data, 0, self.covered)
+        self._edge(source, self._pick(data, self.covered, self.graph.num_nodes))
+
+    @precondition(lambda self: self.graph.num_edges > 0)
+    @rule(data=st.data())
+    def duplicate_edge(self, data):
+        edges = list(self.graph.edges())
+        version = self.graph.version
+        assert not self.graph.add_edge(*edges[self._pick(data, 0, len(edges))])
+        assert self.graph.version == version
+
+    @rule()
+    def demand_structure(self):
+        graph = self.graph
+        previous = self.held[-1][0] if self.held else None
+        if previous is not None and previous.version == graph.version:
+            self.expected["hits"] += 1
+        elif previous is not None and self.append_only:
+            self.expected["extensions"] += 1
+        else:
+            self.expected["builds"] += 1
+        structure = graph.structure()
+        assert_is_fresh_build(structure, copy.deepcopy(graph))
+        assert graph.structure_info() == {**self.expected, "version": graph.version}
+        if previous is None or previous is not structure:
+            self.held.append((structure, copy.deepcopy(structure.condensation)))
+        self.covered = graph.num_nodes
+        self.append_only = True
+
+    @invariant()
+    def held_snapshots_never_change(self):
+        for structure, taken in self.held:
+            assert fields_of(structure.condensation) == fields_of(taken)
+            assert structure.dag.succ == taken._succ
+            assert structure.dag.pred == taken._pred
+
+    @invariant()
+    def mutations_do_no_structural_work(self):
+        info = self.graph.structure_info()
+        assert {name: info[name] for name in self.expected} == self.expected
+
+
+TestSnapshotMachine = SnapshotMachine.TestCase
+TestSnapshotMachine.settings = settings(max_examples=150, stateful_step_count=40, deadline=None)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_seeded_append_deltas_extend_exactly(seed):
+    """Append epochs of the churn workload's shape, larger than the state
+    machine explores: new nodes citing old ones and each other."""
+    rng = random.Random(seed)
+    graph = DataGraph()
+    for _ in range(rng.randint(1, 40)):
+        graph.add_node(label="x")
+    for _ in range(rng.randint(0, 120)):
+        graph.add_edge(rng.randrange(graph.num_nodes), rng.randrange(graph.num_nodes))
+    held = []
+    for epoch in range(6):
+        structure = graph.structure()
+        assert_is_fresh_build(structure, graph)
+        held.append((structure, copy.deepcopy(structure.condensation)))
+        first = graph.num_nodes
+        for _ in range(rng.randint(1, 5)):
+            graph.add_node(label="y")
+        for _ in range(rng.randint(0, 12)):
+            source = rng.randrange(first, graph.num_nodes)
+            graph.add_edge(source, rng.randrange(graph.num_nodes))
+    assert graph.structure_info()["builds"] == 1
+    assert graph.structure_info()["extensions"] == 5
+    for structure, taken in held:
+        assert fields_of(structure.condensation) == fields_of(taken)
+
+
+def test_structure_is_lazy_and_shared():
+    graph = DataGraph.from_edges("abc", [(0, 1), (1, 2), (2, 1)])
+    assert graph.structure_info() == {"builds": 0, "extensions": 0, "hits": 0, "version": None}
+    first = build_reachability(graph, "tc")
+    second = build_reachability(graph, "interval")
+    assert first.condensation is second.condensation is graph.structure().condensation
+    assert first.dag is second.dag is graph.structure().dag
+    assert condense(graph) is first.condensation
+    assert graph.structure_info()["builds"] == 1
+
+
+def test_held_service_answers_for_its_own_version():
+    graph = DataGraph.from_edges("abc", [(0, 1), (1, 2)])
+    old = build_reachability(graph, "tc")
+    node = graph.add_node(label="d")
+    graph.add_edge(node, 0)  # append-only: extends
+    graph.add_edge(2, 0)  # old -> old: closes a cycle, rebuilds
+    new = build_reachability(graph, "tc")
+    assert not old.reaches(2, 0) and not old.reaches(0, 0)
+    assert new.reaches(2, 0) and new.reaches(0, 0) and new.reaches(node, 2)
+    assert old.condensation.num_components == 3
+    assert graph.structure_info()["builds"] == 2
+
+
+def test_snapshot_pickles_without_bookkeeping():
+    """The pickled layout of a condensation is its six fields, whether it
+    was built or extended."""
+    graph = DataGraph.from_edges("ab", [(0, 1)])
+    graph.structure()
+    graph.add_edge(graph.add_node(label="c"), 0)
+    extended = graph.structure().condensation
+    clone = pickle.loads(pickle.dumps(extended))
+    assert fields_of(clone) == fields_of(Condensation(graph))
+
+
+class TestAdoption:
+    def graph(self):
+        return DataGraph.from_edges("abcd", [(0, 1), (1, 2), (2, 1), (2, 3)])
+
+    def test_graph_without_snapshot_takes_the_donation(self):
+        graph, donor = self.graph(), Condensation(self.graph())
+        assert graph.adopt_structure(donor).condensation is donor
+        assert graph.structure().condensation is donor
+        assert graph.structure_info()["builds"] == 0
+
+    def test_graph_with_snapshot_keeps_its_own(self):
+        graph = self.graph()
+        own = graph.structure()
+        assert graph.adopt_structure(Condensation(self.graph())) is own
+
+    def test_disagreeing_condensation_is_refused(self):
+        graph = self.graph()
+        own = graph.structure()
+        wrong = Condensation(DataGraph.from_edges("abcd", [(0, 1), (1, 2), (2, 3)]))
+        with pytest.raises(ValueError):
+            graph.adopt_structure(wrong)
+        assert graph.structure() is own
+
+    def test_wrong_shape_is_refused_without_a_snapshot(self):
+        graph = self.graph()
+        with pytest.raises(ValueError):
+            graph.adopt_structure(Condensation(DataGraph.from_edges("ab", [(0, 1)])))
+        assert graph.structure_info()["version"] is None
+
+
+# ----------------------------------------------------------------------
+# graph_stats: derived from the snapshot, equal to the traversals
+# ----------------------------------------------------------------------
+def random_digraph(rng, cyclic):
+    graph = DataGraph()
+    n = rng.randint(0, 30)
+    for _ in range(n):
+        graph.add_node(label=rng.choice("abcd"))
+    for _ in range(rng.randint(0, 3 * n) if n else 0):
+        source, target = rng.randrange(n), rng.randrange(n)
+        if cyclic or source < target:
+            graph.add_edge(source, target)
+    return graph
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        pytest.param(generate_xmark(scale=0.02, seed=97).graph, id="xmark-0.02"),
+        pytest.param(generate_arxiv(seed=7).graph, id="arxiv"),
+        pytest.param(generate_dblp().graph, id="dblp"),
+        pytest.param(enclave_graph(1, random.Random(3)), id="enclave"),
+    ],
+)
+def test_graph_stats_match_reference_on_datasets(graph):
+    assert graph_stats(graph) == reference_graph_stats(graph)
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_graph_stats_match_reference_on_random_digraphs(seed):
+    rng = random.Random(seed)
+    graph = random_digraph(rng, cyclic=seed % 2 == 0)
+    assert graph_stats(graph) == reference_graph_stats(graph)
+    if graph.num_nodes:  # and again from an extended snapshot
+        graph.add_edge(graph.add_node(label="z"), 0)
+        assert graph_stats(graph) == reference_graph_stats(graph)

@@ -1,0 +1,139 @@
+"""Differential testing of sessions over a churned graph.
+
+The graph owns its structural snapshot and absorbs append-only mutations
+by *extending* it (:meth:`repro.graph.DataGraph.structure`); every other
+mutation rebuilds.  Sessions of every flavour share that snapshot, drop
+their caches on each version bump and rebuild their indexes over it.  A
+seeded enclave graph is driven through append epochs — new rare-label
+nodes citing old ones and each other, cycles among the new nodes
+included — with an edge between two *old* nodes every third epoch, and
+after every step:
+
+* **oracle** — partial-scope, full-scope, ``codegen=True`` and
+  ``adaptive=True`` sessions all agree with ``evaluate_naive``;
+* **probe parity** — the partial session probes its index exactly as
+  often as a session pinned to a full ``tc`` index, as in
+  ``test_partial_index_differential.py``: an extended snapshot numbers
+  components like a fresh one, so the engine iterates them alike;
+* **bookkeeping** — the graph reports one extension per append epoch and
+  one build per old→old epoch, whatever the number of sessions;
+* **held services** — a service obtained before a mutation keeps
+  answering for the version it was built for.
+"""
+
+import random
+
+import pytest
+
+from repro.datasets import enclave_graph
+from repro.engine import QuerySession
+from repro.graph import reaches
+from repro.query import AttributePredicate, QueryBuilder, evaluate_naive
+
+SEEDS = range(900, 903)
+EPOCHS = 6
+#: every third epoch also adds an edge between two pre-existing nodes.
+REBUILD_EVERY = 3
+BULK = 2000
+
+
+def pair_query(head, tail):
+    return (
+        QueryBuilder()
+        .backbone("a", predicate=AttributePredicate.label(head))
+        .backbone("b", parent="a", predicate=AttributePredicate.label(tail))
+        .outputs("a", "b")
+        .build()
+    )
+
+
+def append_epoch(graph, rng):
+    """New enclave nodes whose edges all leave new nodes."""
+    old = range(BULK, graph.num_nodes)
+    new = [graph.add_node(label=rng.choice("qrs")) for _ in range(rng.randint(1, 3))]
+    for node in new:
+        for _ in range(rng.randint(1, 3)):
+            graph.add_edge(node, rng.choice(old))
+    if len(new) > 1:  # a cycle among the new nodes
+        graph.add_edge(new[0], new[1])
+        graph.add_edge(new[1], new[0])
+    if rng.random() < 0.3:
+        graph.add_edge(new[0], new[0])
+    graph.add_edge(new[-1], rng.choice(old))  # mostly a duplicate
+
+
+def old_to_old_edge(graph, rng):
+    enclave = range(BULK, graph.num_nodes)
+    while not graph.add_edge(rng.choice(enclave), rng.choice(enclave)):
+        pass
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_churned_sessions_match_naive_with_probe_parity(seed):
+    rng = random.Random(seed)
+    graph = enclave_graph(1, rng)
+    queries = [pair_query("q", "r"), pair_query("r", "s"), pair_query("s", "q")]
+    sessions = {
+        "partial": QuerySession(graph),
+        "full": QuerySession(graph, index="3hop"),
+        "codegen": QuerySession(graph, codegen=True),
+        "adaptive": QuerySession(graph, adaptive=True),
+    }
+    parity = QuerySession(graph, index="tc")
+    expected = {"builds": 0, "extensions": 0}
+
+    def check(step):
+        for position, query in enumerate(queries):
+            where = f"seed {seed} {step} query {position}"
+            oracle = evaluate_naive(query, graph)
+            probes = {}
+            for name, session in sessions.items():
+                answer, stats = session.evaluate_with_stats(query)
+                assert answer == oracle, f"{where}: {name} != naive"
+                probes[name] = stats
+            assert probes["partial"].partial_builds + probes["partial"].partial_hits == 1, where
+            assert probes["partial"].partial_fallbacks == 0, where
+            _, parity_stats = parity.evaluate_with_stats(query)
+            assert probes["partial"].index_lookups == parity_stats.index_lookups, (
+                f"{where}: partial run probed {probes['partial'].index_lookups} times, "
+                f"full tc run {parity_stats.index_lookups}"
+            )
+        info = graph.structure_info()
+        assert {name: info[name] for name in expected} == expected, f"seed {seed} {step}"
+        assert info["version"] == graph.version
+
+    expected["builds"] = 1
+    check("initial")
+    for epoch in range(1, EPOCHS + 1):
+        append_epoch(graph, rng)
+        if epoch % REBUILD_EVERY == 0:
+            old_to_old_edge(graph, rng)
+            expected["builds"] += 1
+        else:
+            expected["extensions"] += 1
+        check(f"epoch {epoch}")
+    for session in (*sessions.values(), parity):
+        session.close()
+
+
+@pytest.mark.parametrize("index", ["tc", "3hop"])
+def test_service_held_across_mutations_answers_for_its_version(index):
+    rng = random.Random(77)
+    graph = enclave_graph(1, rng)
+    session = QuerySession(graph, index=index)
+    held = session.reachability()
+    nodes = range(BULK, graph.num_nodes)
+    pairs = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(200)]
+    before = [reaches(graph, source, target) for source, target in pairs]
+    assert [held.reaches(source, target) for source, target in pairs] == before
+
+    append_epoch(graph, rng)
+    fresh = session.reachability()  # extended snapshot, rebuilt index
+    old_to_old_edge(graph, rng)
+    # The held service still reads the snapshot it was built over.
+    assert [held.reaches(source, target) for source, target in pairs] == before
+    assert fresh is not held and fresh.condensation is not held.condensation
+    assert held.condensation.num_components == BULK + len(nodes)
+    rebuilt = session.reachability()
+    assert [rebuilt.reaches(s, t) for s, t in pairs] == [reaches(graph, s, t) for s, t in pairs]
+    session.close()

@@ -181,3 +181,80 @@ def test_invalidate_empties_every_kind_but_the_profile(workload, populated):
     for kind in ARTIFACT_KINDS:
         dumped = kind.dump(session)
         assert (dumped is None) == (kind.info is not None), kind.name
+
+
+# ----------------------------------------------------------------------
+# One condensation per graph version per process
+# ----------------------------------------------------------------------
+#: ``partial-indexes.artifact`` of the ``populated`` store as the commit
+#: before the shared structural snapshot wrote it (each service pickled a
+#: condensation of its own).
+PRIVATE_CONDENSATION_PARTIAL_BYTES = 183_767
+
+
+def services_of(session):
+    return [*session._reach_pool.values(), *dict(session.partial_pool.items()).values()]
+
+
+def assert_one_condensation(session):
+    structure = session.graph.structure()
+    services = services_of(session)
+    assert len(services) == 3
+    for service in services:
+        assert service.graph is session.graph
+        assert service.condensation is structure.condensation
+        assert service.dag is service.index.dag is structure.dag
+
+
+def test_rehydrated_services_adopt_the_graphs_snapshot(workload, populated):
+    assert workload[0].structure_info()["version"] == workload[0].version
+    assert_one_condensation(reopen(workload, populated[0].root))
+
+
+def test_rehydrated_service_donates_to_a_graph_without_snapshot(workload, populated):
+    graph, _ = index_choice_workload(scale=1, queries=4)  # equal content, no snapshot
+    session = QuerySession(graph, store=populated[0].root, result_cache_size=0)
+    # The first statistics demand loads the stored indexes instead of
+    # condensing the graph next to them.
+    session.graph_statistics()
+    assert session.store_rehydrated["indexes"] == 1
+    assert graph.structure_info()["builds"] == 0
+    assert_one_condensation(session)
+    for query, answer in zip(workload[1], workload[3]):
+        assert session.evaluate(query) == answer
+    assert graph.structure_info()["builds"] == 0
+
+
+def test_partial_payload_pickles_its_condensation_once(populated):
+    store, session, _ = populated
+    size = store.path(session.store_fingerprint, "partial-indexes").stat().st_size
+    assert size < PRIVATE_CONDENSATION_PARTIAL_BYTES / 2
+
+
+@pytest.mark.parametrize("with_snapshot", [True, False], ids=["snapshot", "no-snapshot"])
+def test_damaged_condensation_costs_a_rebuild_not_the_snapshot(
+    with_snapshot, workload, populated, tmp_path
+):
+    """An ``indexes`` artifact that still unpickles but describes another
+    graph is refused: it neither replaces nor becomes the snapshot."""
+    store = copy_of(populated[0], tmp_path)
+    fingerprint = populated[1].store_fingerprint
+    payload = store.load(fingerprint, "indexes")
+    for service in payload.values():
+        if with_snapshot:
+            service.condensation.scc_of[0] += 1  # same shape, wrong content
+        else:
+            service.condensation.scc_of.pop()  # wrong shape
+    store.save(fingerprint, "indexes", payload)
+    store.path(fingerprint, "partial-indexes").unlink()
+
+    graph, _ = index_choice_workload(scale=1, queries=4)
+    own = graph.structure() if with_snapshot else None
+    session = QuerySession(graph, store=store, result_cache_size=0)
+    session.reachability()
+    assert session.store_rehydrated["indexes"] == 0
+    if with_snapshot:
+        assert graph.structure() is own
+    assert entries(session, ARTIFACT_KINDS[0]) == entries(populated[1], ARTIFACT_KINDS[0])
+    for query, answer in zip(workload[1], workload[3]):
+        assert session.evaluate(query) == answer
