@@ -7,16 +7,17 @@ a warm ``QuerySession(codegen="auto")`` executes per evaluation.  The
 headline metric is the aggregate warm speedup (total interpreted time
 over total codegen time); answers are asserted identical per round.
 
-Acceptance bar: the aggregate warm speedup must reach
-2x locally (1.5x under CI, where shared runners add noise), with every
-workload query actually specialized — zero interpreted fallbacks.
+Acceptance bar: the aggregate warm speedup must reach 1.5x, with every
+workload query actually specialized — zero interpreted fallbacks.  (The
+floor was 2x locally until the interpreted downward kernel became set
+algebra: the measured ratio went from ~2.8x to ~2.1x because the
+baseline got faster.)
 
 Results land in ``benchmarks/reports/codegen.json`` (machine-readable)
 and as a table on stdout.
 """
 
 import json
-import os
 import pathlib
 
 from repro.bench import format_table, measure_codegen
@@ -26,8 +27,8 @@ from .conftest import emit_report
 
 REPORT_DIR = pathlib.Path(__file__).parent / "reports"
 
-#: aggregate warm-speedup floor: relaxed on shared CI runners.
-FLOOR = 1.5 if os.environ.get("CI") else 2.0
+#: aggregate warm-speedup floor.
+FLOOR = 1.5
 ROUNDS = 7
 
 

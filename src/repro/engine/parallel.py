@@ -215,7 +215,7 @@ def _run_upward_shard(graph, reach, kind, candidates, payload):
         survivors = [
             candidate
             for candidate in candidates
-            if any(p in payload for p in graph.predecessors(candidate))
+            if not payload.isdisjoint(graph.predecessors(candidate))
         ]
     else:
         context = PruningContext(graph, None, reach)

@@ -11,20 +11,23 @@ grows as the sequence number shrinks, so child valuations are inherited
 monotonically (0 -> 1) and each chain region of the index is scanned once —
 the ``visited`` bookkeeping of the paper's expanded Procedure 6.
 
-Deviations documented in DESIGN.md:
+Deviations from the paper, argued in docs/ARCHITECTURE.md ("Reachability
+and pruning"):
 
-* PC children are evaluated *exactly* with parent/successor set lookups
-  (the paper's Section 4.4 "first strategy"), so negation over PC edges
-  needs no special casing;
+* PC children are evaluated *exactly*, by membership in the merged parent
+  set of the child's survivors (the paper's Section 4.4 "first strategy"),
+  so negation over PC edges needs no special casing;
+* ``fext(u)`` is decided once per node in the algebra of candidate sets
+  and not once per candidate ("Procedure 6 as set algebra");
 * upward pruning also refines across parents with singleton candidate
   sets — required for correctness of the Cartesian assembly when shrinking
-  disconnects the prime subtree (see the analysis in DESIGN.md).
+  disconnects the prime subtree.
 """
 
 from __future__ import annotations
 
 from ..graph.digraph import DataGraph
-from ..logic import Const, evaluate
+from ..logic import And, Const, Not, Or, Var
 from ..query.gtpq import GTPQ, EdgeType
 from ..reachability.base import GraphReachability
 from ..reachability.contour import Contour, merge_pred_lists, merge_succ_lists
@@ -70,9 +73,7 @@ class PruningContext:
         scc_of = self.reach.condensation.scc_of
         return sorted({scc_of[node] for node in nodes})
 
-    def component_reaches_any(
-        self, component: int, target_components: list[int]
-    ) -> bool:
+    def component_reaches_any(self, component: int, target_components: list[int]) -> bool:
         """Generic strict set-reachability: ``component`` to any target.
 
         Cyclic same-component hits are included (a node of a cyclic
@@ -114,9 +115,7 @@ def prune_downward(
     for node_id in order if order is not None else query.bottom_up():
         refined[node_id] = downward_step(context, node_id, mats[node_id], refined)
         if needs_pred_contour(context, node_id):
-            context.pred_contours[node_id] = build_pred_contour(
-                context, refined[node_id]
-            )
+            context.pred_contours[node_id] = build_pred_contour(context, refined[node_id])
     return refined
 
 
@@ -142,7 +141,7 @@ def downward_step(
         # leaf (normally TRUE, but rewrites can leave a constant FALSE
         # behind — a dropped subtree substituted to 0), and any internal
         # node whose obligations folded away.  Hoisting the check here
-        # skips the per-candidate valuation loop entirely.
+        # skips building the child sets entirely.
         return list(candidates) if fext.value else []
     return _filter_downward(context, node_id, list(candidates), refined_children, fext)
 
@@ -177,49 +176,67 @@ def _filter_downward(
     refined: MatSets,
     fext,
 ) -> list[int]:
-    """Evaluate ``fext(node_id)`` for every candidate; keep the satisfied."""
-    query, graph = context.query, context.graph
-    ad_children = [
-        c for c in query.children[node_id]
-        if query.edge_type(c) is EdgeType.DESCENDANT
-    ]
-    pc_children = [
-        c for c in query.children[node_id]
-        if query.edge_type(c) is EdgeType.CHILD
-    ]
+    """Keep the candidates that satisfy ``fext(node_id)``, in input order.
+
+    ``fext`` is evaluated once, in the Boolean algebra of candidate sets
+    (docs/ARCHITECTURE.md, "Procedure 6 as set algebra"): each child
+    contributes the set of candidates it holds for, and the connectives
+    become set operations.
+    """
+    query = context.query
+    ad_children = [c for c in query.children[node_id] if query.edge_type(c) is EdgeType.DESCENDANT]
     # Section 4.4: "merge the set of parents of mat(u') for each child u'
-    # into P_{u'}" — one pass over the child candidates, O(1) per check.
-    pc_parent_sets = {
-        c: {p for w in refined[c] for p in graph.predecessors(w)}
-        for c in pc_children
+    # into P_{u'}" — a PC child holds for exactly the members of P_{u'}.
+    child_sets = {
+        c: context.graph.parents_of(refined[c])
+        for c in query.children[node_id]
+        if query.edge_type(c) is EdgeType.CHILD
     }
 
     # The chain-shared contour machinery only pays off when there are AD
     # children to valuate; PC-only nodes (common in XMark patterns) skip
     # it entirely.
-    if not ad_children:
-        ad_valuations = {}
-    elif context.index is not None:
-        ad_valuations = _ad_valuations_by_component(
-            context,
-            candidates,
-            {c: context.pred_contours[c] for c in ad_children},
-            {c: refined[c] for c in ad_children},
-        )
-    else:
-        ad_valuations = _ad_valuations_generic(
-            context, candidates, {c: refined[c] for c in ad_children}
-        )
+    if ad_children:
+        if context.index is not None:
+            ad_valuations = _ad_valuations_by_component(
+                context,
+                candidates,
+                {c: context.pred_contours[c] for c in ad_children},
+                {c: refined[c] for c in ad_children},
+            )
+        else:
+            ad_valuations = _ad_valuations_generic(
+                context, candidates, {c: refined[c] for c in ad_children}
+            )
+        # An AD child holds for the candidates of the components whose
+        # valuation has its bit set.
+        scc_of = context.reach.condensation.scc_of
+        for c in ad_children:
+            holds = {comp for comp, bits in ad_valuations.items() if bits[c]}
+            child_sets[c] = {x for x in candidates if scc_of[x] in holds}
 
-    survivors: list[int] = []
-    for candidate in candidates:
-        component = context.reach.component_of(candidate)
-        valuation = dict(ad_valuations.get(component, {}))
-        for child_id, parent_set in pc_parent_sets.items():
-            valuation[child_id] = candidate in parent_set
-        if evaluate(fext, valuation, default=False):
-            survivors.append(candidate)
-    return survivors
+    def satisfying(formula) -> set[int]:
+        """Candidates satisfying ``formula``; operand sets are never mutated."""
+        if isinstance(formula, Var):
+            if formula.name not in child_sets:
+                raise KeyError(
+                    f"fext({node_id!r}) reads {formula.name!r}, which has no child valuation"
+                )
+            return child_sets[formula.name]
+        if isinstance(formula, And):
+            smallest, *rest = sorted(map(satisfying, formula.children), key=len)
+            return smallest.intersection(*rest)
+        if isinstance(formula, Or):
+            return set().union(*map(satisfying, formula.children))
+        # Negation and constants are relative to the node's own candidates.
+        if isinstance(formula, Not):
+            return set(candidates) - satisfying(formula.child)
+        if isinstance(formula, Const):
+            return set(candidates) if formula.value else set()
+        raise TypeError(f"not a formula: {formula!r}")
+
+    keep = satisfying(fext)
+    return [candidate for candidate in candidates if candidate in keep]
 
 
 def _ad_valuations_generic(
@@ -270,9 +287,7 @@ def _ad_valuations_by_component(
     index, reach = context.index, context.reach
     probe_cache = context.probe_cache
     cover = index.cover
-    components = sorted(
-        {reach.component_of(candidate) for candidate in candidates}
-    )
+    components = sorted({reach.component_of(candidate) for candidate in candidates})
     # Cyclic same-component hits: candidate's component contains a child
     # match and is cyclic -> the candidate strictly reaches that match.
     child_component_sets = {
@@ -289,17 +304,13 @@ def _ad_valuations_by_component(
     for chain, members in by_chain.items():
         members.sort(key=lambda c: cover.sid[c], reverse=True)
         valuation = {child_id: False for child_id in child_ids}
-        pending = {
-            child_id for child_id in child_ids if len(contours[child_id]) > 0
-        }
+        pending = {child_id for child_id in child_ids if len(contours[child_id]) > 0}
         scanned_up_to: int | None = None  # smallest sid already scanned
         for component in members:
             sid = cover.sid[component]
             if probe_cache is not None and pending:
                 seeded = probe_cache.seed(chain, sid)
-                if seeded is not None and (
-                    scanned_up_to is None or seeded[0] < scanned_up_to
-                ):
+                if seeded is not None and (scanned_up_to is None or seeded[0] < scanned_up_to):
                     for child_id, bit in seeded[1].items():
                         if bit and not valuation[child_id]:
                             valuation[child_id] = True
@@ -335,9 +346,7 @@ def _ad_valuations_by_component(
     return result
 
 
-def prune_upward(
-    context: PruningContext, mats: MatSets, prime: list[str]
-) -> MatSets:
+def prune_upward(context: PruningContext, mats: MatSets, prime: list[str]) -> MatSets:
     """Procedure 7: keep candidates reachable from refined parent sets.
 
     Traverses the prime subtree top-down.  AD edges use successor contours
@@ -346,7 +355,7 @@ def prune_upward(
     parent-set membership.
     """
     query, index, reach = context.query, context.index, context.reach
-    graph = context.graph
+    parents = context.graph.predecessors
     prime_set = set(prime)
     refined = {node_id: list(nodes) for node_id, nodes in mats.items()}
     succ_contours: dict[str, Contour] = {}
@@ -369,10 +378,7 @@ def prune_upward(
                 refined[child_id] = [
                     candidate
                     for candidate in refined[child_id]
-                    if any(
-                        p in parent_data_set
-                        for p in graph.predecessors(candidate)
-                    )
+                    if not parent_data_set.isdisjoint(parents(candidate))
                 ]
             elif index is not None:
                 refined[child_id] = _filter_upward_ad(
@@ -443,11 +449,8 @@ def _filter_upward_ad(
                 # Once one chain member is reached, all deeper members are
                 # reached through the chain (real-edge chains), including
                 # the cyclic same-component case.
-                confirmed = _component_reached(
-                    index, component, chain, contour
-                ) or (
-                    component in parent_components
-                    and reach.is_cyclic_component(component)
+                confirmed = _component_reached(index, component, chain, contour) or (
+                    component in parent_components and reach.is_cyclic_component(component)
                 )
             if confirmed:
                 reachable_components.add(component)
@@ -458,9 +461,7 @@ def _filter_upward_ad(
     ]
 
 
-def _component_reached(
-    index: ThreeHopIndex, component: int, chain: int, contour: Contour
-) -> bool:
+def _component_reached(index: ThreeHopIndex, component: int, chain: int, contour: Contour) -> bool:
     """Does the contour (strict successor) reach ``component``?"""
     index.counters.lookups += 1
     cover = index.cover

@@ -12,7 +12,7 @@ the attribute name ``"label"``.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Collection, Iterable, Iterator, Mapping
 
 from .condensation import Condensation, GraphStructure
 
@@ -174,6 +174,20 @@ class DataGraph:
         """Parents of ``node``."""
         self._check(node)
         return self._pred[node]
+
+    def parents_of(self, nodes: Collection[int]) -> set[int]:
+        """The merged parent set of ``nodes``: every node with an edge into one.
+
+        The bulk form of :meth:`predecessors` for the pruning passes
+        (``P_{u'}`` of the paper's Section 4.4): the ids are bounds-checked
+        once, on their extremes, instead of once per node.
+        """
+        if not nodes:
+            return set()
+        self._check(min(nodes))
+        self._check(max(nodes))
+        pred = self._pred
+        return {parent for node in nodes for parent in pred[node]}
 
     def out_degree(self, node: int) -> int:
         self._check(node)

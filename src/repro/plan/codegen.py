@@ -327,7 +327,7 @@ def emit_plan_source(analysis: PlanAnalysis) -> str:
     if any(step.ad_used for step in analysis.steps):
         emit("    _cof = _ctx.reach.component_of")
     if any(step.pc_used for step in analysis.steps):
-        emit("    _pred = state.graph.predecessors")
+        emit("    _parents = state.graph.parents_of")
     if any(step.needs_contour for step in analysis.steps):
         emit("    _idx = _ctx.index")
         emit("    _dimg = _ctx.dag_images")
@@ -358,7 +358,7 @@ def _emit_step(emit, step: NodeStep, position_of: dict[str, int], three_hop: boo
         for child in step.pc_used:
             j = position_of[child]
             names[child] = f"(_x in _ps{j})"
-            emit(f"    _ps{j} = {{_p for _w in _d{j} for _p in _pred(_w)}}")
+            emit(f"    _ps{j} = _parents(_d{j})")
         if step.ad_used:
             emit(f"    _fl{k} = {_ad_call(step, position_of, f'_m{k}', three_hop)}")
         expression = lower_formula(step.fext, names)

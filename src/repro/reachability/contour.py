@@ -10,11 +10,12 @@ then applies Proposition 7:
 * ``v`` reaches ``mat(u)``  iff  ∃ chain ``c``: ``X_v[c] <= Cp[c]``;
 * ``mat(u)`` reaches ``v``  iff  ∃ chain ``c``: ``Cs[c] <= Y_v[c]``.
 
-Strictness discipline (DESIGN.md, semantics notes): contours are built from
-*strict* predecessor/successor lists — a set member's own chain position is
-replaced by its chain neighbour — while the probing side ``X_v``/``Y_v``
-stays inclusive.  On a DAG with real-edge chains this makes both checks
-answer exactly "nonempty path", with no diagonal false positives.
+Strictness discipline (docs/ARCHITECTURE.md, "Reachability and pruning"):
+contours are built from *strict* predecessor/successor lists — a set
+member's own chain position is replaced by its chain neighbour — while the
+probing side ``X_v``/``Y_v`` stays inclusive.  On a DAG with real-edge
+chains this makes both checks answer exactly "nonempty path", with no
+diagonal false positives.
 
 Two observations keep merging linear (the paper's cost analysis):
 
