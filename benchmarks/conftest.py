@@ -3,7 +3,7 @@
 Dataset generation and index construction happen once per session; the
 benchmarks measure query processing only, as the paper does.
 
-Scale note (see DESIGN.md substitutions): the paper sweeps XMark scaling
+Scale note: the paper sweeps XMark scaling
 factors 0.5–4 with C++-era implementations; this pure-Python benchmark
 sweeps the same 1:2:3:4:8 ladder at smaller absolute sizes.
 """

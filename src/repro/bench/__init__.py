@@ -1,37 +1,5 @@
-"""Benchmark support (S9 in DESIGN.md)."""
+"""Benchmark support: the paper-figure suite and the ``repro-bench`` CLI."""
 
-from .harness import (
-    AdaptiveMeasurement,
-    AlgorithmSuite,
-    CodegenMeasurement,
-    CodegenQueryPoint,
-    Measurement,
-    ParallelMeasurement,
-    ParallelScalePoint,
-    WarmColdMeasurement,
-    format_table,
-    mean,
-    measure_adaptive,
-    measure_codegen,
-    measure_index_choice,
-    measure_parallel,
-    measure_warm_cold,
-)
+from .harness import AlgorithmSuite, Measurement, format_table, mean
 
-__all__ = [
-    "AdaptiveMeasurement",
-    "AlgorithmSuite",
-    "CodegenMeasurement",
-    "CodegenQueryPoint",
-    "Measurement",
-    "ParallelMeasurement",
-    "ParallelScalePoint",
-    "WarmColdMeasurement",
-    "format_table",
-    "mean",
-    "measure_adaptive",
-    "measure_codegen",
-    "measure_index_choice",
-    "measure_parallel",
-    "measure_warm_cold",
-]
+__all__ = ["AlgorithmSuite", "Measurement", "format_table", "mean"]

@@ -1,20 +1,15 @@
-"""Dataset generators and paper workloads (S8 in DESIGN.md)."""
+"""Dataset generators and paper workloads."""
 
 from .arxiv import ArxivGraph, generate_arxiv
 from .dblp import AUTHOR_POOL, DblpGraph, generate_dblp
 from .random_queries import (
     GeneratedQuery,
     enclave_graph,
-    funnel_workload,
     index_choice_workload,
     generate_query_groups,
-    parallel_graph,
-    parallel_workload,
     random_embedded_query,
     random_labeled_graph,
     random_query_batch,
-    skewed_graph,
-    skewed_workload,
 )
 from .workloads import (
     FIG7_CROSS,
@@ -46,18 +41,13 @@ __all__ = [
     "fig11_query",
     "enclave_graph",
     "fig7_query",
-    "funnel_workload",
     "generate_arxiv",
     "generate_dblp",
     "generate_query_groups",
     "generate_xmark",
     "index_choice_workload",
-    "parallel_graph",
-    "parallel_workload",
     "random_embedded_query",
     "random_labeled_graph",
     "random_query_batch",
-    "skewed_graph",
-    "skewed_workload",
     "table1_row",
 ]

@@ -12,7 +12,7 @@ large-result group (200–1200); :func:`generate_query_groups` reproduces
 that protocol with configurable bounds (result sizes scale with the
 synthetic graph).
 
-For the differential-test harness and the shared-subtree benchmarks this
+For the differential-test harness this
 module also provides :func:`random_labeled_graph` (seeded random data
 graphs, cycles included) and :func:`random_query_batch` (random GTPQ
 workloads with *deliberately overlapping subtrees*: a configurable
@@ -271,227 +271,6 @@ def generate_query_groups(
             ):
                 groups["large"][size].append(record)
     return groups
-
-
-# ----------------------------------------------------------------------
-# Skewed workloads (adaptive-executor benchmark inputs)
-# ----------------------------------------------------------------------
-def skewed_graph(scale: int, rng: random.Random) -> DataGraph:
-    """A graph whose label statistics mislead the compile-time estimates.
-
-    Label ``h`` is heavy (``20 * scale`` nodes) but every ``h`` node
-    carries ``kind=0``, so a query atom pinning ``h`` *and* another
-    ``kind`` is estimated at the full posting list while matching
-    nothing.  Label ``t`` is absent from the label index's radar for
-    attribute-only predicates (estimated at graph size) yet only
-    ``scale`` nodes carry ``kind=1``.  Label ``m`` behaves as estimated.
-    """
-    graph = DataGraph()
-    roots = [graph.add_node(label="r") for _ in range(2 * scale)]
-    heavy = [graph.add_node({"kind": 0}, label="h") for _ in range(20 * scale)]
-    mid = [graph.add_node(label="m") for _ in range(5 * scale)]
-    rare = [graph.add_node({"kind": 1}, label="t") for _ in range(scale)]
-    for root in roots:
-        for pool in (heavy, mid, rare):
-            for node in rng.sample(pool, max(1, len(pool) // 2)):
-                graph.add_edge(root, node)
-    return graph
-
-
-def skewed_workload(
-    scale: int = 4, repeats: int = 8, seed: int = 31
-) -> tuple[DataGraph, list[GTPQ]]:
-    """A (graph, queries) pair where runtime sizes contradict estimates.
-
-    Three query shapes, ``repeats`` copies each (distinct output choices
-    keep the copies' fingerprints distinct):
-
-    * **skew-empty** — a backbone child pins the heavy label plus an
-      impossible ``kind``: estimated at the full ``h`` posting list,
-      actually empty.  The static order prunes it last; the adaptive
-      order prunes it first and early-exits.
-    * **skew-order** — a backbone child with an attribute-only predicate
-      (estimated at graph size, actually tiny) next to a label-pinned
-      sibling: the adaptive order flips the two.
-    * **plain** — estimates match reality; both orders agree.
-    """
-    rng = random.Random(seed)
-    graph = skewed_graph(scale, rng)
-    queries: list[GTPQ] = []
-    for copy in range(repeats):
-        empty = (
-            QueryBuilder()
-            .backbone("root", predicate=AttributePredicate.label("r"))
-            .backbone(
-                "a",
-                parent="root",
-                predicate=AttributePredicate([("label", "=", "h"), ("kind", "=", 7)]),
-            )
-            .backbone("b", parent="root", predicate=AttributePredicate.label("m"))
-            .backbone("c", parent="root", predicate=AttributePredicate.label("t"))
-            .outputs(*(["root", "b", "c"][: 1 + copy % 3]))
-            .build()
-        )
-        order = (
-            QueryBuilder()
-            .backbone("root", predicate=AttributePredicate.label("r"))
-            .backbone(
-                "a", parent="root", predicate=AttributePredicate([("kind", "=", 1)])
-            )
-            .backbone("b", parent="root", predicate=AttributePredicate.label("m"))
-            .outputs(*(["root", "a", "b"][: 1 + copy % 3]))
-            .build()
-        )
-        plain = (
-            QueryBuilder()
-            .backbone("root", predicate=AttributePredicate.label("r"))
-            .backbone("b", parent="root", predicate=AttributePredicate.label("m"))
-            .outputs(*(["root", "b"][: 1 + copy % 2]))
-            .build()
-        )
-        queries.extend((empty, order, plain))
-    return graph, queries
-
-
-# ----------------------------------------------------------------------
-# Shard-friendly workloads (parallel-executor benchmark inputs)
-# ----------------------------------------------------------------------
-def parallel_graph(scale: int, rng: random.Random, span: int = 30) -> DataGraph:
-    """A deep local-span DAG whose AD pruning is shard-divisible.
-
-    ``600 * scale`` nodes over three labels; every node draws two
-    incoming edges from the ``span`` nodes before it (O(n·span)
-    generation, no quadratic pair loop), plus a couple of local back
-    edges so the graph is not a pure DAG.  The local-span structure
-    yields long reachability chains, so AD valuations do real per-chain
-    scanning work *per candidate*.
-
-    A small **early slice** of nodes (ids ``span .. span + n/100``, all
-    labels) carries ``kind=1``.  Queries that funnel into that slice do
-    heavy downward pruning — every broad candidate set is valuated
-    against a tiny, early target set, so most candidates scan their full
-    index entry lists before failing — while survivor sets (and with
-    them the upward/matching-graph/collect suffix) stay small.  That is
-    the shape candidate sharding divides across workers.
-    """
-    graph = DataGraph()
-    num_nodes = 600 * scale
-    special = range(span, span + max(12, num_nodes // 100))
-    for node in range(num_nodes):
-        attrs = {"kind": 1} if node in special else None
-        graph.add_node(attrs, label=rng.choice("abc"))
-    for target in range(1, num_nodes):
-        lower = max(0, target - span)
-        for _ in range(2):
-            graph.add_edge(rng.randrange(lower, target), target)
-    for _ in range(2):
-        target = rng.randrange(span, num_nodes)
-        graph.add_edge(target, rng.randrange(max(0, target - span), target))
-    return graph
-
-
-def parallel_workload(
-    scale: int = 4, queries: int = 6, seed: int = 47
-) -> tuple[DataGraph, list[GTPQ]]:
-    """A (graph, queries) pair whose prune phase shards near-linearly.
-
-    AD-heavy funnel patterns over :func:`parallel_graph`, alternating
-    two shapes (distinct output choices keep the copies' fingerprints
-    distinct):
-
-    * **deep** — ``a → b → (kind=1)``: the ``b`` visit valuates ~n/3
-      candidates against the tiny early slice's contour, the ``a``
-      visit against ``b``'s small survivor set;
-    * **wide** — ``a`` with two AD children pinning ``kind=1`` plus a
-      label each: one visit, two-child valuation per candidate.
-
-    Because the funnel target sits early in the DAG, most candidates
-    exhaust their index entry lists before failing — real per-candidate
-    work that divides evenly across shards — and the small survivor
-    sets keep the (unsharded) suffix phases negligible.  (Contrast
-    :func:`skewed_workload`, whose shapes are cheap per candidate —
-    sharding them moves no real work.)
-    """
-    rng = random.Random(seed)
-    graph = parallel_graph(scale, rng)
-    workload: list[GTPQ] = []
-    for copy in range(queries):
-        if copy % 2 == 0:
-            builder = (
-                QueryBuilder()
-                .backbone("a", predicate=AttributePredicate.label("a"))
-                .backbone("b", parent="a", predicate=AttributePredicate.label("b"))
-                .backbone("c", parent="b", predicate=AttributePredicate([("kind", "=", 1)]))
-            )
-            backbone = ["a", "b", "c"]
-        else:
-            builder = (
-                QueryBuilder()
-                .backbone("a", predicate=AttributePredicate.label("a"))
-                .backbone(
-                    "b",
-                    parent="a",
-                    predicate=AttributePredicate([("label", "=", "b"), ("kind", "=", 1)]),
-                )
-                .backbone(
-                    "c",
-                    parent="a",
-                    predicate=AttributePredicate([("label", "=", "c"), ("kind", "=", 1)]),
-                )
-            )
-            backbone = ["a", "b", "c"]
-        builder.outputs(*backbone[: 1 + (copy // 2) % 3])
-        workload.append(builder.build())
-    return graph, workload
-
-
-def funnel_workload(
-    scale: int = 4, queries: int = 6, seed: int = 47
-) -> tuple[DataGraph, list[GTPQ]]:
-    """A (graph, queries) pair exercising *every* sharded phase.
-
-    :func:`parallel_workload` funnels into the ``kind=1`` slice at the
-    *bottom* of the pattern, so its survivor sets — and with them the
-    whole upward/suffix half of the pipeline — stay tiny.  This variant
-    puts the slice in the *middle*::
-
-        a (label "a", broad)  -AD->  b (kind=1, tiny)  -AD->  c (label, broad)
-
-    with ``c`` as the output (plus ``a`` on alternating copies to vary
-    fingerprints):
-
-    * **downward** — ``c`` is a leaf (inline); ``b``'s visit is small;
-      ``a``'s visit valuates ~n/3 candidates against ``b``'s contour —
-      the sharded downward bulk;
-    * **upward** — the prime path re-refines ``b`` from ``a`` (small)
-      and then ``c`` from ``b``: ~n/3 surviving ``c`` candidates
-      checked against the successor contour — upward work of the same
-      order as the downward bulk, which only a sharded upward pass can
-      divide;
-    * **suffix** — the matching graph bridges through the tiny ``b``
-      set, so BuildMatchingGraph/CollectResults (always serial) stay a
-      small fraction even though the *result list* is broad.
-
-    End-to-end speedup on this workload therefore measures the whole
-    sharded pipeline, not just Procedure 6.
-    """
-    rng = random.Random(seed)
-    graph = parallel_graph(scale, rng)
-    # (head, tail) label pairs — every copy gets a distinct fingerprint;
-    # all labels are equally broad, so the shape's cost is unchanged.
-    label_pairs = [("a", "c"), ("a", "b"), ("b", "c"), ("b", "a"), ("c", "a"), ("c", "b")]
-    workload: list[GTPQ] = []
-    for copy in range(queries):
-        head, tail = label_pairs[copy % len(label_pairs)]
-        workload.append(
-            QueryBuilder()
-            .backbone("a", predicate=AttributePredicate.label(head))
-            .backbone("b", parent="a", predicate=AttributePredicate([("kind", "=", 1)]))
-            .backbone("c", parent="b", predicate=AttributePredicate.label(tail))
-            .outputs("c")
-            .build()
-        )
-    return graph, workload
 
 
 def enclave_graph(scale: int, rng: random.Random, span: int = 20) -> DataGraph:

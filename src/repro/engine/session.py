@@ -80,7 +80,7 @@ from ..plan.cost import PARTIAL_FOOTPRINT_FRACTION
 from ..reachability.base import GraphReachability
 from ..reachability.factory import build_reachability, resolve_index
 from ..reachability.partial import Footprint, build_partial_reachability
-from ..store import ArtifactStore, graph_fingerprint, seed_profile_from_reports
+from ..store import ArtifactStore, graph_fingerprint
 from .artifacts import ARTIFACT_KINDS
 from .cache import LRUCache
 from .gtea import GTEA
@@ -462,12 +462,6 @@ class QuerySession:
                 continue
             persisted[kind.saved_label] = count
         return persisted
-
-    def seed_cost_profile(self, reports: str | os.PathLike) -> int:
-        """Fold ``cost_profile`` snapshots from bench reports (a JSON
-        file or a directory of them, e.g. ``benchmarks/reports``) into
-        this session's profile; returns executions imported."""
-        return seed_profile_from_reports(self.cost_profile, reports, self._graph_version)
 
     # ------------------------------------------------------------------
     # Planning

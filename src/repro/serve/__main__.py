@@ -2,9 +2,9 @@
 
 Demo/ops entry point: builds the deterministic XMark graph for
 ``--scale``/``--seed`` (the same generator the benchmarks use, so a
-warm store produced by ``benchmarks/bench_serving.py`` or
-``python -m repro.store.restart`` matches by content fingerprint),
-starts a :class:`~repro.serve.QueryServer` and serves until interrupted.
+warm store produced by ``python -m repro.store.restart`` matches by
+content fingerprint), starts a :class:`~repro.serve.QueryServer` and
+serves until interrupted.
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=42, help="XMark generator seed")
     parser.add_argument("--store", default=None, help="warm-store directory to share")
     parser.add_argument("--codegen", action="store_true", help="specialize plans")
-    parser.add_argument(
-        "--seed-reports", default=None, help="bench reports dir to seed calibration from"
-    )
     return parser
 
 
@@ -40,7 +37,6 @@ async def _run(args) -> None:
         workers=args.workers,
         store=args.store,
         codegen="auto" if args.codegen else False,
-        seed_reports=args.seed_reports,
     )
     await server.start()
     tcp = await serve_tcp(server, host=args.host, port=args.port)

@@ -90,9 +90,6 @@ class QueryServer:
             a directory path, or ``None`` for purely in-memory workers.
             Every worker rehydrates from it at :meth:`start`.
         index / codegen / adaptive: forwarded to each worker session.
-        seed_reports: optional path to bench reports
-            (``benchmarks/reports``) whose ``cost_profile`` snapshots
-            seed every worker's calibration.
 
     Usage::
 
@@ -111,7 +108,6 @@ class QueryServer:
         index: str = "auto",
         codegen: bool | str = False,
         adaptive: bool = False,
-        seed_reports: str | os.PathLike | None = None,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -124,7 +120,6 @@ class QueryServer:
         self.index = index
         self.codegen = codegen
         self.adaptive = adaptive
-        self.seed_reports = seed_reports
         self.stats = ServerStats()
         self._sessions: list[QuerySession] = []
         self._pool: asyncio.Queue[QuerySession] | None = None
@@ -162,8 +157,6 @@ class QueryServer:
                 adaptive=self.adaptive,
                 store=self.store,
             )
-            if self.seed_reports is not None:
-                session.seed_cost_profile(self.seed_reports)
             # Touching the engine materializes the pooled reachability
             # index now (rehydrated or built), not under the first request.
             session.engine()

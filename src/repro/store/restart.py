@@ -9,11 +9,11 @@ deterministic Fig. 7 graph, open a session (optionally against a store),
 time the distance from session construction to the first answer, run the
 whole workload, optionally persist, and print one JSON object on stdout.
 
-``benchmarks/bench_serving.py``, the ``repro-bench serving`` smoke and
-the warm-restart tests all run it twice (cold, then warm) and compare
-the timings and the answer digests — the digest makes corrupt-store
+``tests/store/test_warm_restart.py`` runs it twice (cold, then warm)
+and compares the answer digests — the digest makes corrupt-store
 fallback verifiable: a damaged store must reproduce the cold digest
-byte-for-byte.
+byte-for-byte.  The timings it prints are measured on the paper
+workloads by ``store.rehydrate_ms`` in ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from ..engine.session import QuerySession
 
 
 def fig7_workload() -> list:
-    """The Fig. 7 q1/q2/q3 instances every serving bench and smoke uses."""
+    """The Fig. 7 q1/q2/q3 instances of the restart race."""
     return [
         fig7_query(variant, person_group=2, item_group=4, seller_group=6)
         for variant in ("q1", "q2", "q3")

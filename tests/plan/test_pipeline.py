@@ -9,11 +9,15 @@ correct, and ``explain()`` is surfaced through the session and CLI.
 
 import random
 
+import pytest
+
+from repro.bench.cli import build_parser
 from repro.bench.cli import main as bench_main
-from repro.datasets import random_embedded_query
+from repro.datasets import fig7_query, random_embedded_query
 from repro.engine import GTEA, QuerySession
 from repro.graph import DataGraph
 from repro.query import QueryBuilder, evaluate_naive
+from repro.query.serialize import query_to_json
 from tests.paper_fixtures import FIG2_ANSWER, fig2_graph, fig2_query, fig4_query
 
 
@@ -219,25 +223,36 @@ class TestExplainSurface:
         assert code == 2
         assert "unknown index" in err
 
-    def test_cli_shared_subcommand(self, capsys):
-        code = bench_main([
-            "--seed", "23", "shared",
-            "--batch", "8", "--nodes", "120", "--explain",
-        ])
+    def test_cli_stats_subcommand(self, capsys):
+        code = bench_main(["--scale", "0.02", "stats"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        columns = "nodes edges labels roots max_depth avg_depth auto_index"
+        assert lines[2].split() == columns.split()
+        assert len(lines[3].split()) == 7
+
+    def test_cli_explain_query_json(self, capsys, tmp_path):
+        path = tmp_path / "q1.json"
+        path.write_text(
+            query_to_json(fig7_query("q1", person_group=2, item_group=4, seller_group=6))
+        )
+        code = bench_main(["--scale", "0.02", "explain", "--query-json", str(path)])
         out = capsys.readouterr().out
         assert code == 0
-        assert "shared-dag" in out
-        assert "prune work saved" in out
-        assert "== shared plan DAG ==" in out
+        assert "== normalize ==" in out
+        assert "== logical plan ==" in out
+        assert "== physical plan ==" in out
 
-    def test_cli_shared_rejects_bad_overlap(self, capsys):
-        code = bench_main(["shared", "--overlap", "1.5"])
-        err = capsys.readouterr().err
+    @pytest.mark.parametrize("text", [None, "not json {", "[1, 2]"])
+    def test_cli_explain_rejects_bad_query_json(self, capsys, tmp_path, text):
+        path = tmp_path / "query.json"
+        if text is not None:  # None: the path is left unreadable (missing)
+            path.write_text(text)
+        code = bench_main(["--scale", "0.02", "explain", "--query-json", str(path)])
+        captured = capsys.readouterr()
         assert code == 2
-        assert "--overlap" in err
+        assert captured.err.startswith("repro-bench: error:")
+        assert captured.out == ""
 
-    def test_cli_shared_rejects_bad_nodes(self, capsys):
-        code = bench_main(["shared", "--nodes", "0"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "--nodes" in err
+    def test_cli_has_exactly_stats_and_explain(self):
+        assert "{stats,explain}" in build_parser().format_usage()
