@@ -16,12 +16,11 @@ Evaluation runs in four explicit phases (see :mod:`repro.plan`):
    adaptive prune reordering (re-sorting the remaining downward
    obligations by actual post-prune set sizes mid-flight).
 
-:class:`repro.engine.parallel.ParallelExecutor` replaces phases of this
-driver with sharded pool execution — the candidate scan, the downward
-prune and the upward prune; BuildMatchingGraph and CollectResults (and
-the batch path's whole plan suffix) always run through the serial
-pipeline here, because the matching graph joins *across* the merged
-survivor sets and has no per-candidate independence to shard on.
+:class:`repro.engine.parallel.ParallelExecutor` replaces one phase of
+this driver with sharded pool execution — the downward prune, where the
+time goes; CandidateScan, UpwardPrune, BuildMatchingGraph and
+CollectResults (and the batch path's whole plan suffix) always run as
+the serial operators here.
 
 Usage::
 

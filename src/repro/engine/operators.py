@@ -205,49 +205,30 @@ class DownwardPrune(Operator):
         return state
 
 
-def begin_upward(state: ExecutionState) -> bool:
-    """Shared preamble of Procedure 7 (the serial operator and the
-    parallel driver's sharded pass): bump the #input metric, run the
-    root/output emptiness checks, and fix ``state.prime_outputs``.
-    Returns False when the state finished empty (callers skip the pass).
-    """
-    stats, query = state.stats, state.query
-    # The paper's Procedure 6 reads candidates a second time during
-    # the bottom-up sweep; mirror that in the #input metric.
-    stats.input_nodes += sum(stats.candidates_after_downward.values())
-    if not state.down[query.root] or any(not state.down[o] for o in query.outputs):
-        state.finish_empty()
-        return False
-    structure_outputs = (
-        [o for outputs in (state.output_structures or []) for o in outputs]
-        if state.output_structures
-        else []
-    )
-    state.prime_outputs = list(dict.fromkeys(query.outputs + structure_outputs))
-    return True
-
-
-def finish_upward(state: ExecutionState) -> None:
-    """Shared epilogue of Procedure 7: record the refined sizes and
-    finish empty when any prime output lost all candidates."""
-    state.stats.candidates_after_upward = {
-        node_id: len(nodes) for node_id, nodes in state.down.items()
-    }
-    if any(not state.down[o] for o in state.prime_outputs):
-        state.finish_empty()
-
-
 class UpwardPrune(Operator):
     """Procedure 7: refine candidates reachable from parent survivors."""
 
     def run(self, state: ExecutionState) -> ExecutionState:
         stats, query = state.stats, state.query
-        if not begin_upward(state):
-            return state
+        # The paper's Procedure 6 reads candidates a second time during
+        # the bottom-up sweep; mirror that in the #input metric.
+        stats.input_nodes += sum(stats.candidates_after_downward.values())
+        if not state.down[query.root] or any(not state.down[o] for o in query.outputs):
+            return state.finish_empty()
+        structure_outputs = (
+            [o for outputs in (state.output_structures or []) for o in outputs]
+            if state.output_structures
+            else []
+        )
+        state.prime_outputs = list(dict.fromkeys(query.outputs + structure_outputs))
         with stats.time_phase("prune_upward"):
             state.prime = compute_prime_subtree(query, state.down, state.prime_outputs)
             state.down = prune_upward(state.context, state.down, state.prime)
-        finish_upward(state)
+        stats.candidates_after_upward = {
+            node_id: len(nodes) for node_id, nodes in state.down.items()
+        }
+        if any(not state.down[o] for o in state.prime_outputs):
+            return state.finish_empty()
         return state
 
 

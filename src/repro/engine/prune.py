@@ -57,11 +57,6 @@ class PruningContext:
             reach.index if isinstance(reach.index, ThreeHopIndex) else None
         )
         self.pred_contours: dict[str, Contour] = {}
-        #: optional :class:`~repro.graph.partition.ContourProbeCache`
-        #: shared between the candidate shards of one prune wave; see
-        #: :func:`_ad_valuations_by_component`.  ``None`` (the default)
-        #: keeps every chain scan local to this context.
-        self.probe_cache = None
         #: node-level downward refinements executed through this context
         #: (one per Procedure-6 node visit; the shared batch executor
         #: counts its per-subtree evaluations the same way, so the two
@@ -275,17 +270,8 @@ def _ad_valuations_by_component(
     chain, processed in descending sequence order; a valuation set to true
     at a deep component is inherited by every shallower component on the
     chain, and index regions are never re-scanned.
-
-    When ``context.probe_cache`` is set (the parallel executor's shard
-    waves), the inheritance extends *across* candidate shards: each
-    component's pre-cyclic valuation is published as a (chain, sid)
-    snapshot, and a shard meeting a chain another shard already scanned
-    seeds its running valuation from the deepest applicable snapshot
-    instead of re-walking that region.  Cached bits are value-identical
-    to recomputed ones, so the survivor sets are unchanged.
     """
     index, reach = context.index, context.reach
-    probe_cache = context.probe_cache
     cover = index.cover
     components = sorted({reach.component_of(candidate) for candidate in candidates})
     # Cyclic same-component hits: candidate's component contains a child
@@ -308,14 +294,6 @@ def _ad_valuations_by_component(
         scanned_up_to: int | None = None  # smallest sid already scanned
         for component in members:
             sid = cover.sid[component]
-            if probe_cache is not None and pending:
-                seeded = probe_cache.seed(chain, sid)
-                if seeded is not None and (scanned_up_to is None or seeded[0] < scanned_up_to):
-                    for child_id, bit in seeded[1].items():
-                        if bit and not valuation[child_id]:
-                            valuation[child_id] = True
-                            pending.discard(child_id)
-                    scanned_up_to = seeded[0]
             if pending:
                 for child_id in list(pending):
                     upper = contours[child_id].get(chain)
@@ -334,8 +312,6 @@ def _ad_valuations_by_component(
                         if not pending:
                             break
                 scanned_up_to = sid
-            if probe_cache is not None:
-                probe_cache.publish(chain, sid, valuation)
             entry = dict(valuation)
             if context.reach.is_cyclic_component(component):
                 for child_id in child_ids:

@@ -165,9 +165,11 @@ class QuerySession:
             :mod:`repro.engine.operators`).  Answers are identical to
             the static order.
         parallel: shard the downward prune phase across a worker pool
-            (see :mod:`repro.engine.parallel`).  Accepts a worker count
-            or a :class:`~repro.engine.parallel.ParallelOptions`;
-            ``None`` (default) keeps execution serial.  Applies to
+            (see :mod:`repro.engine.parallel`; the scan and every later
+            phase stay serial).  Accepts a worker count >= 1 or a
+            :class:`~repro.engine.parallel.ParallelOptions`; ``None``
+            (default), ``False`` and ``0`` keep execution serial, any
+            other value raises ``ValueError``.  Applies to
             GTEA-routed, non-group evaluations and to the shared batch
             path of :meth:`evaluate_many`; answers, survivor sets and
             prune-op counts are identical to serial execution.  Call
@@ -241,10 +243,11 @@ class QuerySession:
                 f"unknown codegen setting {codegen!r}; expected False, True or 'auto'"
             )
         self.codegen = codegen
-        if parallel is None or isinstance(parallel, ParallelOptions):
-            self.parallel_options = parallel
-        else:
-            self.parallel_options = ParallelOptions(workers=int(parallel))
+        if not isinstance(parallel, ParallelOptions):
+            # None, False and 0 mean serial; ParallelOptions rejects True,
+            # negative counts and anything that is not an int.
+            parallel = None if parallel in (None, False, 0) else ParallelOptions(workers=parallel)
+        self.parallel_options = parallel
         # One holder per artifact kind — self.plan_cache through
         # self.cost_profile are declared in ARTIFACT_KINDS, not here.
         sizes = {

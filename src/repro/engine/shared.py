@@ -54,10 +54,11 @@ class SharedExecutor:
             ``candidate_provider``; when given, per-fetch deltas are
             attributed to the consuming query's stats.
         parallel: optional :class:`~repro.engine.parallel.ParallelExecutor`;
-            when given, the DAG materializes through its batch-wide
-            concurrent frontier (:meth:`~repro.engine.parallel.
+            when given, the DAG's downward prunes run sharded through
+            its frontier (:meth:`~repro.engine.parallel.
             ParallelExecutor.materialize_dag`) instead of the serial
-            topological sweep — same sets, same attribution.
+            topological sweep — same sets, same attribution; the plan
+            suffix of every query stays serial either way.
     """
 
     def __init__(

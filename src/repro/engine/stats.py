@@ -102,7 +102,7 @@ class EvaluationStats:
     partial_fallbacks: int = 0
     # ------------------------------------------------------------------
     # Sharded-execution counters (repro.engine.parallel).  All zero when
-    # the prune phase ran serially.
+    # the downward prune ran serially.
     # ------------------------------------------------------------------
     #: configured worker count of the parallel executor that ran
     #: (aggregation keeps the maximum, not the sum).
@@ -110,17 +110,6 @@ class EvaluationStats:
     #: downward-prune shard tasks dispatched to the worker pool (inline
     #: leaf/empty refinements in the driver are not counted).
     parallel_shard_tasks: int = 0
-    #: upward-prune shard tasks dispatched to the worker pool (inline
-    #: refinements of small candidate sets are not counted).
-    parallel_upward_tasks: int = 0
-    #: shard tasks drained from the shared pending deque by a completion
-    #: (a worker went idle and stole queued work) rather than submitted
-    #: in a wave's initial pool fill.  Zero when no wave ever overflowed
-    #: the pool.
-    parallel_steals: int = 0
-    #: shard tasks completed per worker, keyed by a per-execution label
-    #: (``"w0"``, ``"w1"``, ... in order of first completion).
-    parallel_worker_tasks: dict[str, int] = field(default_factory=dict)
 
     @property
     def intermediate_cost(self) -> int:
@@ -172,18 +161,14 @@ class EvaluationStats:
 
         Every int counter of the dataclass adds up (bar the
         :data:`_MERGE_EXCEPTIONS`), so a counter added to the class is
-        aggregated without being listed here; phase timings and
-        per-worker task counts accumulate by name; the per-query-node
-        candidate breakdowns and per-operator records are dropped (they
-        are not meaningful across different queries).
+        aggregated without being listed here; phase timings accumulate
+        by name; the per-query-node candidate breakdowns and per-operator
+        records are dropped (they are not meaningful across different
+        queries).
         """
         for name in _INT_COUNTERS:
             combine = _MERGE_EXCEPTIONS.get(name, int.__add__)
             setattr(self, name, combine(getattr(self, name), getattr(other, name)))
-        for worker, tasks in other.parallel_worker_tasks.items():
-            self.parallel_worker_tasks[worker] = (
-                self.parallel_worker_tasks.get(worker, 0) + tasks
-            )
         for name, seconds in other.phase_seconds.items():
             self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + seconds
 
@@ -218,8 +203,6 @@ class EvaluationStats:
             "shared_subtrees": self.batch_shared_subtrees,
             "workers": self.parallel_workers,
             "shard_tasks": self.parallel_shard_tasks,
-            "upward_tasks": self.parallel_upward_tasks,
-            "steals": self.parallel_steals,
             "codegen_hits": self.codegen_hits,
             "codegen_misses": self.codegen_misses,
             "codegen_fallbacks": self.codegen_fallbacks,

@@ -2,7 +2,6 @@
 
 from .condensation import Condensation, Dag, GraphStructure, condense
 from .digraph import DataGraph
-from .partition import GraphPartition, merge_survivors
 from .stats import GraphStats, graph_stats
 from .traversal import (
     ancestors,
@@ -18,7 +17,6 @@ __all__ = [
     "Condensation",
     "Dag",
     "DataGraph",
-    "GraphPartition",
     "GraphStats",
     "GraphStructure",
     "ancestors",
@@ -27,7 +25,6 @@ __all__ = [
     "descendants",
     "graph_stats",
     "is_dag",
-    "merge_survivors",
     "node_depths",
     "reaches",
     "topological_order",

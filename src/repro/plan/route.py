@@ -91,9 +91,8 @@ class ExecutionRoute:
             lines.append(f"[codegen] {compiled_entry.describe()}")
         if self.sharded:
             lines.append(
-                f"[parallel] downward+upward sharded across "
-                f"{self.parallel.workers} workers ({self.parallel.backend} backend, "
-                f"strategy={self.parallel.strategy}, overlap-scan, steal)"
+                f"[parallel] downward prune sharded across {self.parallel.workers} "
+                f"workers ({self.parallel.resolved_backend} backend)"
             )
         elif self.parallel is not None:
             lines.append("[parallel] serial (plan not routed to the GTEA executor)")

@@ -18,7 +18,7 @@ from repro.plan import codegen_refusal, compile_query, decide_route
 from repro.query import AttributePredicate, QueryBuilder, evaluate_naive
 from tests.engine.test_partial_session import apex_query, chain_with_wide_apex
 
-SERIAL = ParallelOptions(workers=2, backend="serial", shards=2, min_shard_size=1)
+SERIAL = ParallelOptions(workers=2, backend="serial", min_shard_size=1)
 
 
 def pair_query(head, tail, edge="ad"):

@@ -150,7 +150,7 @@ def test_codegen_agrees_on_unsatisfiable_query():
 def test_codegen_session_with_parallel_falls_back_and_agrees():
     """codegen="auto" on a sharded session: interpreted answers and
     counted fallbacks whenever the prune phase actually sharded."""
-    options = ParallelOptions(workers=3, backend="serial", shards=3, min_shard_size=1)
+    options = ParallelOptions(workers=3, backend="serial", min_shard_size=1)
     for seed in range(620, 630):
         rng = random.Random(seed)
         graph = random_labeled_graph(rng.randint(8, 14), rng)

@@ -5,18 +5,20 @@ of :mod:`repro.engine.parallel` three ways:
 
 * **semantics** — sharded answers must equal ``evaluate_naive`` (the
   Section-2 oracle) and the serial engine exactly;
-* **determinism** — a sharded run (several workers, several shards)
-  must be *byte-identical* to a single-shard run: same answers, same
-  per-node survivor sets, same prune-op counts.  This is the contract
-  ``repro.graph.partition.merge_survivors`` (sorted merge) exists for;
+* **determinism** — a sharded run (several workers, several slices per
+  node) must be *byte-identical* to a single-slice run: same answers,
+  same per-node survivor sets, same prune-op counts.  Concatenating the
+  slice results in slice order is what guarantees it;
 * **batch frontier** — ``evaluate_many`` through the parallel DAG
   frontier must match the serial shared path query by query.
 
 The default sweep uses the ``"serial"`` backend — the same dispatch,
-sharding and merge machinery with inline futures — because it is
+split and fold machinery with inline futures — because it is
 deterministic under pytest and visible to coverage; the ``slow`` sweep
-re-runs a slice on a real thread pool.
+re-runs a slice on a real process pool.
 """
+
+import multiprocessing
 
 import random
 
@@ -34,8 +36,8 @@ from repro.query.builder import QueryBuilder
 DEFAULT_CHUNKS = [(start, 20) for start in range(400, 480, 20)]
 
 
-def parallel_session(graph, workers, shards, backend="serial"):
-    options = ParallelOptions(workers=workers, backend=backend, shards=shards, min_shard_size=1)
+def parallel_session(graph, workers, backend="serial"):
+    options = ParallelOptions(workers=workers, backend=backend, min_shard_size=1)
     return QuerySession(graph, result_cache_size=0, parallel=options)
 
 
@@ -47,13 +49,14 @@ def run_parallel_differential_cases(seeds, *, backend="serial") -> dict:
         graph = random_labeled_graph(rng.randint(8, 16), rng)
         batch = random_query_batch(graph, rng, batch_size=rng.randint(3, 6), overlap=0.6)
         serial = QuerySession(graph, result_cache_size=0)
-        single = parallel_session(graph, workers=1, shards=1, backend=backend)
-        sharded = parallel_session(graph, workers=3, shards=3, backend=backend)
+        single = parallel_session(graph, workers=1, backend=backend)
+        sharded = parallel_session(graph, workers=3, backend=backend)
 
         # Per-query path: naive oracle + serial session + byte identity.
         for position, query in enumerate(batch):
             expected = evaluate_naive(query, graph)
-            assert serial.evaluate(query) == expected, (
+            serial_answer, serial_stats = serial.evaluate_with_stats(query)
+            assert serial_answer == expected, (
                 f"seed {seed} query {position}: serial session disagrees with evaluate_naive"
             )
             single_answer, single_stats = single.evaluate_with_stats(query)
@@ -78,6 +81,18 @@ def run_parallel_differential_cases(seeds, *, backend="serial") -> dict:
             coverage["queries"] += 1
             coverage["nonempty"] += bool(expected)
             coverage["sharded_tasks"] += sharded_stats.parallel_shard_tasks
+            if expected:
+                # No backbone early exit on a nonempty answer: the run
+                # must also match the serial engine node for node.
+                for name in (
+                    "candidates_after_downward",
+                    "candidates_after_upward",
+                    "downward_prune_ops",
+                ):
+                    assert getattr(sharded_stats, name) == getattr(serial_stats, name), (
+                        f"seed {seed} query {position}: sharded {name} differs "
+                        f"from the serial engine's"
+                    )
 
         # Batch path: the DAG frontier vs the serial shared executor.
         serial_batch = serial.evaluate_many(batch)
@@ -94,6 +109,8 @@ def run_parallel_differential_cases(seeds, *, backend="serial") -> dict:
                 f"are not byte-identical to the single-shard batch run"
             )
         coverage["cases"] += 1
+        single.close()
+        sharded.close()
     return coverage
 
 
@@ -110,10 +127,10 @@ def test_parallel_differential_agreement(start, count):
 def skewed_candidate_graph(seed: int, nodes: int = 36) -> DataGraph:
     """A graph whose label-``"a"`` candidates cluster in one id range.
 
-    The first third of the node ids carries label ``"a"`` — a contiguous
-    block that lands entirely in one range shard, the skew shape hybrid
-    routing exists for.  A low-to-high spine plus random forward edges
-    keeps every pattern embedded (nonempty answers).
+    The first third of the node ids carries label ``"a"`` — one
+    contiguous block, which the even split must still cut into equal
+    slices.  A low-to-high spine plus random forward edges keeps every
+    pattern embedded (nonempty answers).
     """
     rng = random.Random(seed)
     graph = DataGraph()
@@ -144,20 +161,17 @@ def skewed_queries() -> list:
 
 
 def test_parallel_skewed_shards_steal_and_match_oracle():
-    """Skewed candidates, shards > workers: stealing + sharded upward.
+    """Candidates clustered in one id block, split four ways.
 
-    With four shards over two workers every multi-shard wave overflows
-    the in-flight cap, so idle workers must steal queued shard tasks;
-    the skewed root block additionally forces hybrid routing's hash
-    fallback.  Answers, survivor sets after *both* prune phases, and
-    prune-op counts must still be byte-identical to the single-shard
-    run, and the answers must match ``evaluate_naive``.
+    Answers, survivor sets after *both* prune phases, and prune-op
+    counts must be byte-identical to the single-slice run, and the
+    answers must match ``evaluate_naive``.
     """
-    steals = upward_tasks = 0
+    tasks = 0
     for seed in range(640, 648):
         graph = skewed_candidate_graph(seed)
-        single = parallel_session(graph, workers=1, shards=1)
-        sharded = parallel_session(graph, workers=2, shards=4)
+        single = parallel_session(graph, workers=1)
+        sharded = parallel_session(graph, workers=4)
         for position, query in enumerate(skewed_queries()):
             expected = evaluate_naive(query, graph)
             single_answer, single_stats = single.evaluate_with_stats(query)
@@ -176,17 +190,18 @@ def test_parallel_skewed_shards_steal_and_match_oracle():
                 == single_stats.candidates_after_upward
             )
             assert sharded_stats.downward_prune_ops == single_stats.downward_prune_ops
-            steals += sharded_stats.parallel_steals
-            upward_tasks += sharded_stats.parallel_upward_tasks
-    # The sweep must actually exercise the new machinery: queued shard
-    # tasks picked up by freed workers, and sharded upward refinement.
-    assert steals > 0
-    assert upward_tasks > 0
+            tasks += sharded_stats.parallel_shard_tasks - single_stats.parallel_shard_tasks
+    # The sweep must actually cut the block: more tasks than one per node.
+    assert tasks > 0
 
 
 @pytest.mark.slow
-def test_parallel_differential_agreement_thread_pool():
-    """A slice of the sweep on a real thread pool."""
-    coverage = run_parallel_differential_cases(range(400, 420), backend="thread")
-    assert coverage["cases"] == 20
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="fork start method unavailable",
+)
+def test_parallel_differential_agreement_process_pool():
+    """A slice of the sweep on a real process pool."""
+    coverage = run_parallel_differential_cases(range(400, 406), backend="process")
+    assert coverage["cases"] == 6
     assert coverage["nonempty"] > 0

@@ -252,7 +252,7 @@ class TestSessionCodegen:
 
     def test_parallel_session_falls_back(self):
         graph = chain_graph()
-        options = ParallelOptions(workers=2, backend="serial", shards=2, min_shard_size=1)
+        options = ParallelOptions(workers=2, backend="serial", min_shard_size=1)
         session = QuerySession(graph, result_cache_size=0, parallel=options, codegen="auto")
         query = simple_query()
         answer, stats = session.evaluate_with_stats(query)
@@ -280,7 +280,7 @@ class TestSessionCodegen:
         )
         adaptive = QuerySession(graph, adaptive=True, codegen="auto")
         assert "[codegen] interpreted fallback (adaptive" in adaptive.explain(simple_query())
-        options = ParallelOptions(workers=2, backend="serial", shards=2, min_shard_size=1)
+        options = ParallelOptions(workers=2, backend="serial", min_shard_size=1)
         sharded = QuerySession(graph, parallel=options, codegen="auto")
         assert "[codegen] interpreted fallback (parallel-sharded execution)" in sharded.explain(
             simple_query()
