@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from ..graph.digraph import DataGraph
 from ..plan import CompiledPlanFunction, CostProfile, rehydrate_plan_function
+from ..reachability.partial import PartialReachability
 from .cache import LRUCache
 
 
@@ -99,6 +101,75 @@ class _ProfileKind(ArtifactKind):
         return session.cost_profile.import_state(payload, session.graph.version)
 
 
+class ClosureSlot:
+    """The session's one descendant closure
+    (:class:`~repro.reachability.partial.PartialReachability`) and what
+    became of it.  A version bump does not empty the slot:
+    :meth:`current` asks the graph's lineage at the next use whether the
+    rows are still exact."""
+
+    def __init__(self):
+        self.service: PartialReachability | None = None
+        self.kept = 0  #: version bumps survived (append-only deltas).
+        self.dropped = 0  #: closures discarded: lineage break, blow-out, invalidate().
+        self._dropped_fills = 0
+
+    def current(self, graph: DataGraph) -> PartialReachability | None:
+        """The held closure re-pointed at the graph's current version, or
+        None (the slot emptied) when there is none to keep."""
+        held = self.service
+        if held is None:
+            return None
+        service = held.following(graph)
+        if service is None:
+            self.drop()
+        elif service is not held:
+            self.kept += 1
+            self.service = service
+        return service
+
+    def drop(self) -> None:
+        if self.service is not None:
+            self._dropped_fills += self.service.index.fills
+            self.service = None
+            self.dropped += 1
+
+    def info(self) -> dict[str, int]:
+        index = self.service.index if self.service is not None else None
+        return {
+            "rows": index.rows if index else 0,
+            "bytes": index.index_size() if index else 0,
+            "fills": self._dropped_fills + (index.fills if index else 0),
+            "kept": self.kept,
+            "dropped": self.dropped,
+        }
+
+
+class _ClosureKind(ArtifactKind):
+    """The partial scope's closure: one service in a slot, not a pool."""
+
+    def new_holder(self, sizes):
+        return ClosureSlot()
+
+    def clear(self, holder) -> None:
+        pass  # the lineage decides at the next use; invalidate() drops it
+
+    def describe(self, holder) -> dict[str, int]:
+        return holder.info()
+
+    def dump(self, session):
+        service = getattr(session, self.attr).current(session.graph)
+        return (service, service.index.rows) if service and service.index.rows else None
+
+    def load(self, session, payload) -> int:
+        # Anything else — a footprint pool written before the closure
+        # existed, a damaged file — leaves the slot empty.
+        if not isinstance(payload, PartialReachability):
+            return 0
+        getattr(session, self.attr).service = _attach_graph(session, payload)
+        return payload.index.rows
+
+
 def _attach_graph(session, service):
     # The pickle deliberately drops the graph reference
     # (GraphReachability.__getstate__); attach the live one.  A service
@@ -126,22 +197,12 @@ def _decode_codegen(session, payload):
 
 #: every artifact kind of a session, in persist order.
 ARTIFACT_KINDS: tuple[ArtifactKind, ...] = (
-    # The two index kinds are by far the heaviest (an index unpickle
+    # The index kinds are by far the heaviest (an index unpickle
     # rivals a rebuild on small graphs), and a warm restart serving
     # known traffic answers straight from the rehydrated result/plan
     # caches without ever probing an index — so they load lazily.
     ArtifactKind("indexes", "_reach_pool", info="indexes", lazy=True, decode=_attach_graph),
-    # Footprint-restricted services keyed by (scoped index name, domain
-    # fingerprint), LRU-evicted so the pool stays a bounded budget of
-    # small artifacts.
-    ArtifactKind(
-        "partial-indexes",
-        "partial_pool",
-        "partial_pool_size",
-        info="partial",
-        lazy=True,
-        decode=_attach_graph,
-    ),
+    _ClosureKind("partial-indexes", "_closure", info="partial", lazy=True),
     ArtifactKind("plans", "plan_cache", "plan_cache_size", info="plan", container=list),
     ArtifactKind("candidates", "candidate_cache", "candidate_cache_size", info="candidate"),
     ArtifactKind("subtrees", "subtree_cache", "subtree_cache_size", info="subtree"),

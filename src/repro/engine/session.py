@@ -30,8 +30,15 @@ distinct rooted subtree) and executes it through
 five queries is pruned once, not five times.
 
 Staleness is detected through :attr:`repro.graph.digraph.DataGraph.version`:
-any ``add_node``/``add_edge`` after session creation invalidates every
-cache and index on the next use.  Cache activity is surfaced through the
+any ``add_node``/``add_edge`` after session creation drops every cache
+and every pooled full index on the next use.  Only the descendant
+closure of the partial scope (:mod:`repro.reachability.partial`)
+outlives an *append* — a new node with edges out of new nodes only: its
+rows stay exact along the graph's structural lineage.  An edge between
+old nodes, or :meth:`QuerySession.invalidate`, drops it too.  (The graph
+absorbs an append below the session: condensation, label postings and
+statistics are extended, not rebuilt.)  Cache activity is surfaced
+through :meth:`QuerySession.cache_info` and the
 ``*_cache_hits``/``*_cache_misses`` counters of
 :class:`~repro.engine.stats.EvaluationStats`, next to the paper's I/O
 metrics.
@@ -79,7 +86,7 @@ from ..query.serialize import (
 from ..plan.cost import PARTIAL_FOOTPRINT_FRACTION
 from ..reachability.base import GraphReachability
 from ..reachability.factory import build_reachability, resolve_index
-from ..reachability.partial import Footprint, build_partial_reachability
+from ..reachability.partial import PartialReachability
 from ..store import ArtifactStore, graph_fingerprint
 from .artifacts import ARTIFACT_KINDS
 from .cache import LRUCache
@@ -203,15 +210,6 @@ class QuerySession:
             session's current artifacts back.  A corrupt, stale or
             missing store is never an error: affected kinds simply
             cold-build.
-        partial_pool_size: LRU capacity of the partial-index pool — the
-            budgeted set of footprint-restricted reachability services
-            per-query costing builds lazily
-            (:mod:`repro.reachability.partial`), keyed by
-            ``(scoped index name, domain fingerprint)`` so equal
-            footprints share one build.  Entries persist through the
-            warm store (kind ``"partial-indexes"``) and rehydrate on
-            restart.  Pass ``0`` to disable pooling (each partial plan
-            rebuilds its index).
 
     Every execution's observed per-operator stats feed the session-held
     :attr:`cost_profile` (:class:`~repro.plan.feedback.CostProfile`),
@@ -233,7 +231,6 @@ class QuerySession:
         parallel: int | ParallelOptions | None = None,
         codegen: bool | str = False,
         store: ArtifactStore | str | os.PathLike | None = None,
-        partial_pool_size: int = 8,
     ):
         self.graph = graph
         self.default_index = index
@@ -255,7 +252,6 @@ class QuerySession:
             "candidate_cache_size": candidate_cache_size,
             "result_cache_size": result_cache_size,
             "subtree_cache_size": subtree_cache_size,
-            "partial_pool_size": partial_pool_size,
         }
         for kind in ARTIFACT_KINDS:
             setattr(self, kind.attr, kind.new_holder(sizes))
@@ -263,9 +259,9 @@ class QuerySession:
         # explain()'s estimated-vs-observed view), bounded like the plan
         # cache so a stream of distinct queries cannot grow it forever.
         self._observed_ops = LRUCache(plan_cache_size)
-        # Computed footprints per plan fingerprint (False = the cone
-        # blew the budget; the plan permanently falls back to full).
-        self._footprint_cache = LRUCache(plan_cache_size)
+        # Partial-scope plans whose rows blew the fill budget: they run
+        # on the full index until the next version.
+        self._closure_refused: set[str] = set()
         self._engines: dict[str, GTEA] = {}
         self._parallel_pool: dict[str, ParallelExecutor] = {}
         self._resolved_auto: str | None = None
@@ -353,23 +349,32 @@ class QuerySession:
     # Invalidation
     # ------------------------------------------------------------------
     def invalidate(self) -> None:
-        """Drop every cache and pooled index.
+        """Drop every cache, every pooled index and the descendant closure.
 
-        Called automatically when :attr:`DataGraph.version` moves (the
-        graph gained nodes or edges); call it explicitly after in-place
-        attribute mutations, which the version counter cannot see.  The
-        graph's structural snapshot (:meth:`DataGraph.structure`) is the
-        graph's own and is *not* dropped here: pooled services are rebuilt
-        over it, extended first when the mutations were append-only.  The
-        warm store does **not** share this blind spot: its key is the
-        graph *content* fingerprint (:func:`~repro.store.graph_fingerprint`),
-        so an in-place edit moves :meth:`persist` and rehydration to a
-        different key without any explicit call.
+        For in-place attribute mutations, which the version counter
+        cannot see.  A moved :attr:`DataGraph.version` needs no call: the
+        next use drops the same things — plans, candidate, subtree and
+        result sets, compiled functions, pooled full indexes — except the
+        closure, which is kept when every mutation since was an append
+        (``cache_info()["partial"]``: ``kept`` / ``dropped``).  The cost
+        profile survives both, and the graph's own derived state
+        (:meth:`DataGraph.structure`, label postings, depths) follows the
+        graph by itself.  The warm store does **not** share the attribute
+        blind spot: its key is the graph *content* fingerprint
+        (:func:`~repro.store.graph_fingerprint`), so an in-place edit
+        moves :meth:`persist` and rehydration to a different key without
+        any explicit call.
         """
+        self._closure.drop()
+        self._drop_versioned()
+
+    def _drop_versioned(self) -> None:
+        """What a version bump invalidates.  The closure's slot is left
+        alone: it asks the graph's lineage at its next use."""
         for kind in ARTIFACT_KINDS:
             kind.clear(getattr(self, kind.attr))
         self._observed_ops.clear()
-        self._footprint_cache.clear()
+        self._closure_refused.clear()
         self._engines.clear()
         # Parallel executors are pinned to the graph version their
         # process workers forked with; a fresh pool is rebuilt lazily.
@@ -399,7 +404,7 @@ class QuerySession:
 
     def _ensure_fresh(self) -> None:
         if self.graph.version != self._graph_version:
-            self.invalidate()
+            self._drop_versioned()
 
     # ------------------------------------------------------------------
     # Persistence (repro.store)
@@ -642,9 +647,9 @@ class QuerySession:
         partial_service = self._partial_service(plan, stats) if route.partial else None
         sharded = None
         if partial_service is not None:
-            # A per-footprint engine: construction is trivial (the
-            # reachability service is prebuilt); sharded execution is
-            # skipped — its pools pin full-scope engines by index name.
+            # An engine over the closure: construction is trivial (the
+            # service exists); sharded execution is skipped — its pools
+            # pin full-scope engines by index name.
             engine = GTEA(
                 self.graph, reachability=partial_service, adaptive=route.adaptive
             )
@@ -653,7 +658,7 @@ class QuerySession:
             if route.sharded:
                 sharded = self.parallel_executor(route.index_name)
             if route.partial or route.partial_refused:
-                # Cone blow-out, or a statically refused partial scope:
+                # Fill blow-out, or a statically refused partial scope:
                 # feedback files under the index actually used.
                 stats.partial_fallbacks = 1
                 key, index_name = route.fallback_key, engine.resolved_index()
@@ -729,74 +734,42 @@ class QuerySession:
         )
 
     def _partial_service(self, plan: QueryPlan, stats: EvaluationStats):
-        """The pooled partial reachability service for ``plan``, or None.
+        """The descendant closure with this plan's rows filled, or None.
 
-        Pool hits (including warm-store rehydrations) are free; a miss
-        computes the query's footprint — the union of its candidate sets
-        closed under reachability — and builds the plan's inner index
-        over just that cone, filing the build time as a synthetic
-        ``PartialIndexBuild`` operator record so calibration prices the
-        cold partial arm honestly.  Returns None when the real cone
-        blows the footprint budget (the costing-time estimate was an
-        upper bound on seeds, not on the cone).
+        One closure per graph lineage: the first partial-scope plan
+        creates it (``partial_builds``), later ones — across appends too —
+        reuse it (``partial_hits``).  Probes leave the candidates of
+        non-leaf query nodes, so their components' rows are filled before
+        the engine starts, through the candidate cache the execution
+        reads.  A plan needing more *new* rows than
+        :data:`~repro.plan.cost.PARTIAL_FOOTPRINT_FRACTION` of the graph
+        (costing bounded its seeds, not their cone) gets None: the
+        closure is dropped, the plan runs on the full index and is not
+        tried again in this version.
         """
-        self._load_lazy_kinds()
-        physical = plan.compiled.physical
-        footprint = self._footprint_for(plan)
-        if footprint is None:
+        if plan.fingerprint in self._closure_refused:
             return None
-        key = (physical.scoped_index_name, footprint.fingerprint)
-        service = self.partial_pool.get(key)
-        if service is not None:
-            stats.partial_hits = 1
-            return service
-        started = time.perf_counter()
-        service = build_partial_reachability(
-            self.graph, footprint, physical.index_name
-        )
-        elapsed = time.perf_counter() - started
-        stats.partial_builds = 1
-        stats.phase_seconds["partial_build"] = (
-            stats.phase_seconds.get("partial_build", 0.0) + elapsed
-        )
-        stats.operator_stats.append(
-            OperatorStats(
-                op="PartialIndexBuild",
-                target=None,
-                input_size=len(footprint),
-                output_size=service.index.index_size(),
-                seconds=elapsed,
-                index_lookups=0,
-                index_entries=0,
-            )
-        )
-        self.partial_pool.put(key, service)
-        return service
-
-    def _footprint_for(self, plan: QueryPlan) -> Footprint | None:
-        """The plan's candidate footprint, cached per fingerprint.
-
-        Seeds are the rewritten query's candidate sets — fetched through
-        the same predicate-keyed cache the execution uses, so the fetch
-        is paid once — closed under reachability with a hard budget of
-        :data:`~repro.plan.cost.PARTIAL_FOOTPRINT_FRACTION` of the
-        graph.  A budget blowout caches ``False`` so the plan falls back
-        to full scope permanently (until invalidation).
-        """
-        cached = self._footprint_cache.get(plan.fingerprint)
-        if cached is not None:
-            return cached or None
+        self._load_lazy_kinds()
+        service = self._closure.current(self.graph)
+        created = service is None
+        if created:
+            service = self._closure.service = PartialReachability(self.graph)
         query = plan.compiled.query
         provider = self._candidate_provider(plan)
-        seeds: set[int] = set()
-        for node_id in query.nodes:
-            seeds.update(provider(query, node_id))
+        scc_of = service.condensation.scc_of
+        sources = {
+            scc_of[node]
+            for node_id in query.nodes
+            if query.children[node_id]
+            for node in provider(query, node_id)
+        }
         budget = max(1, int(PARTIAL_FOOTPRINT_FRACTION * self.graph.num_nodes))
-        footprint = Footprint.from_seeds(self.graph, seeds, budget=budget)
-        self._footprint_cache.put(
-            plan.fingerprint, footprint if footprint is not None else False
-        )
-        return footprint
+        if not service.index.fill(sources, budget):
+            self._closure.drop()
+            self._closure_refused.add(plan.fingerprint)
+            return None
+        stats.partial_builds, stats.partial_hits = int(created), int(not created)
+        return service
 
     @staticmethod
     def _codegen_records(stats: EvaluationStats, elapsed: float) -> list[OperatorStats]:
@@ -1038,8 +1011,8 @@ class QuerySession:
         routes = [self._route(plan, shared=True) for plan in plans]
         for position, route in enumerate(routes):
             if route.partial:
-                # Partial-scope plans bind to their own footprint index;
-                # the shared DAG prunes every subtree on one engine, so
+                # Partial-scope plans bind to the closure; the shared
+                # DAG prunes every subtree on one full-scope engine, so
                 # they run the isolated path instead.
                 outcomes[position] = self._execute_plan(plans[position], ())
                 continue

@@ -89,16 +89,17 @@ class EvaluationStats:
     #: plan the backend cannot specialize).
     codegen_fallbacks: int = 0
     # ------------------------------------------------------------------
-    # Partial-index counters (repro.reachability.partial, behind the
+    # Partial-scope counters (repro.reachability.partial, behind the
     # per-query costing of repro.plan.cost).  All zero for full-scope
     # plans.
     # ------------------------------------------------------------------
-    #: executions that built a footprint-restricted index first.
+    #: executions that created the session's descendant closure first.
     partial_builds: int = 0
-    #: executions served by a pooled (or rehydrated) partial index.
+    #: executions served by the closure the session already held (kept
+    #: across appends, or rehydrated), filling only the rows it lacked.
     partial_hits: int = 0
-    #: partial-scope plans that ran on a full index anyway (candidate
-    #: cone blew the footprint budget, or group evaluation).
+    #: partial-scope plans that ran on a full index anyway (their rows
+    #: blew the fill budget, or group evaluation).
     partial_fallbacks: int = 0
     # ------------------------------------------------------------------
     # Sharded-execution counters (repro.engine.parallel).  All zero when

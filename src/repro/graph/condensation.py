@@ -15,6 +15,8 @@ one object, and an append-only mutation *extends* it
 
 from __future__ import annotations
 
+import heapq
+from itertools import chain
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -238,14 +240,59 @@ class GraphStructure:
         condensation: the version's :class:`Condensation`.
         dag: its :class:`Dag` view — what every DAG index is built over.
         version: the :attr:`DataGraph.version` the snapshot describes.
+        lineage: a token shared by exactly the snapshots grown out of one
+            another by :meth:`extended`.  Along a lineage an old component
+            keeps its id and successor list and cannot reach a newer one,
+            so what is derived per component from its successors alone (a
+            descendant row, a depth) stays exact.
+        depths: longest-path depth per component; None until
+            :meth:`DataGraph.component_depths` asks, then carried along.
     """
 
-    __slots__ = ("condensation", "dag", "version")
+    __slots__ = ("condensation", "dag", "version", "lineage", "depths")
 
-    def __init__(self, condensation: Condensation, version: int):
+    def __init__(self, condensation: Condensation, version: int, lineage: object = None):
         self.condensation = condensation
         self.dag = Dag.from_condensation(condensation)
         self.version = version
+        self.lineage = object() if lineage is None else lineage
+        self.depths: list[int] | None = None
+
+    def extended(self, graph: DataGraph) -> "GraphStructure":
+        """The snapshot of ``graph`` — this one plus an append-only delta
+        (:meth:`Condensation.extended`) — on the same lineage; known
+        depths are carried over and only the delta is walked."""
+        grown = GraphStructure(self.condensation.extended(graph), graph.version, self.lineage)
+        if self.depths is not None:
+            grown.depths = component_depths(grown.dag.succ, self.depths)
+        return grown
+
+
+def component_depths(successors: list[list[int]], known: list[int]) -> list[int]:
+    """Longest-path depths over ``successors``, grown from ``known``: the
+    depths of components ``0..len(known)-1`` before the newer ones existed
+    (copied, not changed).  Ids are reverse topological, so descending
+    order visits a component after its predecessors: the new components
+    are walked that way, then ``depth + 1`` is pushed down through exactly
+    the old components whose depth grew, highest id first."""
+    first, count = len(known), len(successors)
+    depths = known + [0] * (count - first)
+    grown: set[int] = set()
+    heap: list[int] = []  # the old components of ``grown`` still to walk, negated
+    for component in chain(range(count - 1, first - 1, -1), _pop_descending(heap)):
+        below = depths[component] + 1
+        for successor in successors[component]:
+            if below > depths[successor]:
+                depths[successor] = below
+                if successor < first and successor not in grown:
+                    grown.add(successor)
+                    heapq.heappush(heap, -successor)
+    return depths
+
+
+def _pop_descending(heap: list[int]):
+    while heap:
+        yield -heapq.heappop(heap)
 
 
 def condense(graph: DataGraph) -> Condensation:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Collection, Iterable, Iterator, Mapping
 
-from .condensation import Condensation, GraphStructure
+from .condensation import Condensation, GraphStructure, component_depths
 
 
 class DataGraph:
@@ -25,11 +25,13 @@ class DataGraph:
     existence) and self-loops are permitted (they make a node its own
     descendant under the paper's nonempty-path AD semantics).
 
-    The graph owns two lazily derived, mutation-invalidated caches: the
-    label postings behind :meth:`nodes_with_label` and the structural
-    snapshot behind :meth:`structure`.  Neither is synchronised: threads
-    that demand one at the same moment may each derive an equal copy, and
-    mutating a graph while another thread queries it is not supported.
+    The graph owns two lazily derived caches: the label postings behind
+    :meth:`nodes_with_label` and the structural snapshot behind
+    :meth:`structure`.  Once built they follow the graph: :meth:`add_node`
+    appends to the postings and an append-only delta extends the
+    snapshot.  Neither is synchronised: threads that demand one at the
+    same moment may each derive an equal copy, and mutating a graph while
+    another thread queries it is not supported.
     """
 
     __slots__ = (
@@ -37,6 +39,7 @@ class DataGraph:
         "_succ",
         "_pred",
         "_edge_count",
+        "_root_count",
         "_label_index",
         "_version",
         "_structure",
@@ -50,6 +53,7 @@ class DataGraph:
         self._succ: list[list[int]] = []
         self._pred: list[list[int]] = []
         self._edge_count = 0
+        self._root_count = 0
         self._label_index: dict[Any, tuple[int, ...]] | None = None
         self._version = 0
         self._structure: GraphStructure | None = None
@@ -57,7 +61,9 @@ class DataGraph:
         #: leaves a node it does not cover (an *append-only* delta).
         self._structure_nodes = 0
         self._append_only = True
-        self._structure_counts = {"builds": 0, "extensions": 0, "hits": 0}
+        self._structure_counts = dict.fromkeys(
+            ("builds", "extensions", "hits", "depth_passes", "label_builds"), 0
+        )
 
     @property
     def version(self) -> int:
@@ -90,12 +96,24 @@ class DataGraph:
         node_attrs: dict[str, Any] = dict(attrs) if attrs else {}
         if label is not None:
             node_attrs.setdefault("label", label)
+        node = len(self._attrs)
+        posting = None
+        if self._label_index is not None:
+            node_label = node_attrs.get("label")
+            if node_label is not None:
+                # Looked up before anything is appended: an unhashable
+                # label raises here and leaves no half-added node.
+                posting = self._label_index.get(node_label, ()) + (node,)
         self._attrs.append(node_attrs)
         self._succ.append([])
         self._pred.append([])
-        self._label_index = None
+        self._root_count += 1
         self._version += 1
-        return len(self._attrs) - 1
+        if posting is not None:
+            # A tuple handed out earlier is never modified; the dict
+            # assignment publishes the longer one.
+            self._label_index[node_label] = posting
+        return node
 
     def add_edge(self, source: int, target: int) -> bool:
         """Add edge ``source -> target``; returns False if already present."""
@@ -104,7 +122,10 @@ class DataGraph:
         if target in self._succ[source]:
             return False
         self._succ[source].append(target)
-        self._pred[target].append(source)
+        parents = self._pred[target]
+        if not parents:
+            self._root_count -= 1
+        parents.append(source)
         self._edge_count += 1
         self._version += 1
         if source < self._structure_nodes:
@@ -206,6 +227,11 @@ class DataGraph:
         """Nodes without incoming edges."""
         return [node for node in self.nodes() if not self._pred[node]]
 
+    @property
+    def num_roots(self) -> int:
+        """``len(roots())``, counted as nodes and edges arrive."""
+        return self._root_count
+
     def leaves(self) -> list[int]:
         """Nodes without outgoing edges."""
         return [node for node in self.nodes() if not self._succ[node]]
@@ -220,17 +246,23 @@ class DataGraph:
         implementations stream ``mat(u)`` per query node without a full
         graph scan per query.  Returns the stored (immutable) posting
         tuple itself — repeated candidate scans share one object instead
-        of copying the list per call; the index is rebuilt only after a
-        mutation.
+        of copying the list per call.  The index is built once, at its
+        first demand; :meth:`add_node` appends to it from then on.
         """
-        if self._label_index is None:
+        return self._postings().get(label, ())
+
+    def _postings(self) -> dict[Any, tuple[int, ...]]:
+        postings = self._label_index
+        if postings is None:
             lists: dict[Any, list[int]] = {}
             for node, attrs in enumerate(self._attrs):
                 node_label = attrs.get("label")
                 if node_label is not None:
                     lists.setdefault(node_label, []).append(node)
-            self._label_index = {node_label: tuple(nodes) for node_label, nodes in lists.items()}
-        return self._label_index.get(label, ())
+            postings = {node_label: tuple(nodes) for node_label, nodes in lists.items()}
+            self._label_index = postings
+            self._structure_counts["label_builds"] += 1
+        return postings
 
     # ------------------------------------------------------------------
     # Structural snapshot
@@ -255,11 +287,9 @@ class DataGraph:
             return snapshot
         if snapshot is not None and self._append_only:
             self._structure_counts["extensions"] += 1
-            condensation = snapshot.condensation.extended(self)
-        else:
-            self._structure_counts["builds"] += 1
-            condensation = Condensation(self)
-        return self._install(condensation)
+            return self._install(snapshot.extended(self))
+        self._structure_counts["builds"] += 1
+        return self._install(GraphStructure(Condensation(self), self._version))
 
     def adopt_structure(self, condensation: Condensation) -> GraphStructure:
         """Reconcile a condensation that arrived from outside — an
@@ -268,8 +298,9 @@ class DataGraph:
         A process holds one condensation per graph version.  When the
         graph has a current snapshot and ``condensation`` agrees with it,
         that snapshot is returned and the caller drops its copy; when the
-        graph has none, ``condensation`` becomes the snapshot.  Returns
-        the snapshot to use either way.
+        graph has none, ``condensation`` becomes the snapshot — of a new
+        lineage, since nothing says it extends the one held before.
+        Returns the snapshot to use either way.
 
         Raises:
             ValueError: ``condensation`` does not describe this graph (a
@@ -289,10 +320,9 @@ class DataGraph:
         }
         if len(condensation.scc_of) != len(self._attrs) or len(sizes) != 1:
             raise ValueError("condensation does not have this graph's shape")
-        return self._install(condensation)
+        return self._install(GraphStructure(condensation, self._version))
 
-    def _install(self, condensation: Condensation) -> GraphStructure:
-        snapshot = GraphStructure(condensation, self._version)
+    def _install(self, snapshot: GraphStructure) -> GraphStructure:
         # Published first: a concurrent reader sees the old snapshot with
         # its own bookkeeping or the new one, never a mix.
         self._structure = snapshot
@@ -300,17 +330,35 @@ class DataGraph:
         self._append_only = True
         return snapshot
 
+    def component_depths(self) -> list[int]:
+        """Longest-path depth of every component of :meth:`structure`
+        (the snapshot's list: do not modify).  One whole-graph walk per
+        lineage — ``depth_passes`` of :meth:`structure_info`; an extended
+        snapshot carries its predecessor's depths and walks the delta."""
+        structure = self.structure()
+        if structure.depths is None:
+            structure.depths = component_depths(structure.dag.succ, [])
+            self._structure_counts["depth_passes"] += 1
+        return structure.depths
+
     def structure_info(self) -> dict[str, int | None]:
-        """Counters of :meth:`structure`: ``builds`` (from scratch),
+        """Counters of :meth:`structure` — ``builds`` (from scratch),
         ``extensions`` (append-only deltas absorbed), ``hits``, and the
         ``version`` the held snapshot describes (None before the first
-        demand)."""
+        demand) — and of the other whole-graph passes an append spares:
+        ``depth_passes`` (:meth:`component_depths`) and ``label_builds``
+        (the label postings)."""
         snapshot = self._structure
         return {**self._structure_counts, "version": snapshot.version if snapshot else None}
 
     def distinct_labels(self) -> set[Any]:
         """The set of distinct ``"label"`` values present in the graph."""
-        return {attrs["label"] for attrs in self._attrs if attrs.get("label") is not None}
+        return set(self._postings())
+
+    @property
+    def num_labels(self) -> int:
+        """``len(distinct_labels())``, read off the label postings."""
+        return len(self._postings())
 
     def __repr__(self) -> str:
         return f"DataGraph(nodes={self.num_nodes}, edges={self.num_edges})"

@@ -42,25 +42,18 @@ def graph_stats(graph: DataGraph) -> GraphStats:
     snapshot (:meth:`DataGraph.structure`), so they cost no traversal of
     their own.  Depth is the longest-path depth of each *component* of
     the condensation — of each node, on an acyclic graph — so it is
-    always defined.
+    always defined.  After an append-only mutation only the delta is
+    paid: the snapshot is extended, the depths are pushed down from the
+    new components (:meth:`DataGraph.component_depths`), and roots and
+    labels are counted as they arrive.
     """
-    condensation = graph.structure().condensation
-    successors = condensation._succ
-    # Component ids are reverse topological: descending order visits every
-    # component after all of its predecessors.
-    depths = [0] * len(successors)
-    for component in range(len(successors) - 1, -1, -1):
-        below = depths[component] + 1
-        for successor in successors[component]:
-            if below > depths[successor]:
-                depths[successor] = below
-
+    depths = graph.component_depths()
     return GraphStats(
         num_nodes=graph.num_nodes,
         num_edges=graph.num_edges,
-        num_labels=len(graph.distinct_labels()),
-        num_roots=len(graph.roots()),
+        num_labels=graph.num_labels,
+        num_roots=graph.num_roots,
         max_depth=max(depths) if depths else 0,
         avg_depth=(sum(depths) / len(depths)) if depths else 0.0,
-        is_dag=condensation.is_trivial(),
+        is_dag=graph.structure().condensation.is_trivial(),
     )

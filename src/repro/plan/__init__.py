@@ -38,6 +38,7 @@ from .cost import (
     choose_index,
     choose_index_detail,
     choose_scoped_index,
+    closure_fill_units,
     estimate_candidates,
     estimate_executor,
     index_build_units,
@@ -82,6 +83,7 @@ __all__ = [
     "choose_index",
     "choose_index_detail",
     "choose_scoped_index",
+    "closure_fill_units",
     "codegen_refusal",
     "compile_batch",
     "compile_plan",

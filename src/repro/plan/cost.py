@@ -48,9 +48,10 @@ BASELINE_SWEEPS = 2
 #: bottom-up re-read of Procedure 6, and the matching-graph assembly.
 GTEA_CANDIDATE_PASSES = 3
 
-#: a partial index only pays when its footprint stays under this
-#: fraction of the graph — beyond it the "partial" build approaches a
-#: full build plus adapter overhead.
+#: the partial scope only pays while a query's footprint stays under
+#: this fraction of the graph — at costing time the estimated cone, at
+#: run time the closure rows one query may add.  Beyond it a full index
+#: is the better thing to have built.
 PARTIAL_FOOTPRINT_FRACTION = 0.25
 
 #: estimated cone size per candidate: the label posting lists give the
@@ -142,10 +143,10 @@ class IndexChoice:
     """The per-query (index, scope) decision and why it was made.
 
     ``scope`` is ``"full"`` (one index over the whole graph, shared by
-    every query) or ``"partial"`` (an index over this query's candidate
-    footprint, built lazily and pooled by domain fingerprint).
-    ``footprint_estimate`` is the costing-time cone estimate — the
-    executor recomputes the real footprint before building.
+    every query) or ``"partial"`` (the session's lazily filled
+    descendant closure, :mod:`repro.reachability.partial`, whose index
+    name is always ``"tc"``).  ``footprint_estimate`` is the costing-time
+    cone estimate — the executor fills the rows the query really needs.
     """
 
     index_name: str
@@ -173,6 +174,16 @@ def index_build_units(index_name: str, num_nodes: int, num_edges: int) -> float:
     return 4.0 * (num_nodes + num_edges)
 
 
+def closure_fill_units(rows: int, edges: int, num_nodes: int) -> float:
+    """Cost of filling ``rows`` closure rows joined by ``edges`` DAG
+    edges, in the units of :func:`index_build_units`: one traversal of
+    the cone, each edge one OR into a row whose width follows the *graph*
+    (component ids are graph-wide) — one more unit per 16 Ki nodes, i.e.
+    per 2 KiB of row.  (All 9.6 K arXiv rows fill in about the time
+    interval labels take to build.)"""
+    return (rows + edges) * (1.0 + num_nodes / 16384.0)
+
+
 def choose_scoped_index(
     stats: GraphStats,
     sources: Sequence["CandidateSource"],
@@ -184,16 +195,16 @@ def choose_scoped_index(
     """Per-query index costing: pick an (index, scope) arm.
 
     The graph-shape ladder (:func:`choose_index_detail`) prices the
-    full-scope arm.  The partial arm is admissible when every candidate
-    source is bounded by a label posting list and the estimated
-    footprint (seeds times :data:`PARTIAL_CONE_EXPANSION`, clamped to
-    the node count) stays under :data:`PARTIAL_FOOTPRINT_FRACTION` of
-    the graph; it wins when its estimated build
-    (:func:`index_build_units` over the footprint) undercuts the full
-    build — trivially true once the full index is this cheap to skip.
-    Already-built pool entries (``pooled``) make the full arm free, so
-    it always wins; and when the cost profile has observed both arms,
-    measured seconds-per-element settle the race instead.
+    full-scope arm.  The partial arm — always ``tc``, the session's
+    descendant closure — is admissible when every candidate source is
+    bounded by a label posting list and the estimated footprint (seeds
+    times :data:`PARTIAL_CONE_EXPANSION`, clamped to the node count)
+    stays under :data:`PARTIAL_FOOTPRINT_FRACTION` of the graph; it wins
+    when filling the footprint's rows (:func:`closure_fill_units` — as
+    if none were filled yet) undercuts the full build.  Already-built
+    pool entries (``pooled``) make the full arm free, so it always wins;
+    and when the cost profile has observed both arms, measured
+    seconds-per-element settle the race instead.
     """
     full_name, full_reason = choose_index_detail(stats, profile, graph_version)
     full = IndexChoice(full_name, "full", full_reason)
@@ -209,19 +220,18 @@ def choose_scoped_index(
     footprint = min(stats.num_nodes, int(PARTIAL_CONE_EXPANSION * seeds) + 1)
     if footprint > PARTIAL_FOOTPRINT_FRACTION * stats.num_nodes:
         return full
-    inner = "tc" if footprint <= AUTO_TC_MAX_NODES else full_name
     edge_density = stats.num_edges / max(1, stats.num_nodes)
-    partial_units = index_build_units(
-        inner, footprint, int(edge_density * footprint) + 1
+    partial_units = closure_fill_units(
+        footprint, int(edge_density * footprint) + 1, stats.num_nodes
     )
     full_units = index_build_units(full_name, stats.num_nodes, stats.num_edges)
     if partial_units >= full_units:
         return full
     choice = IndexChoice(
-        inner,
+        "tc",
         "partial",
         f"per-query: footprint≈{footprint} of {stats.num_nodes} nodes; "
-        f"{inner} over the cone undercuts a full {full_name} build",
+        f"closure rows over the cone undercut a full {full_name} build",
         footprint,
     )
     if profile is not None and graph_version is not None:

@@ -80,8 +80,8 @@ class PhysicalPlan:
         operators: the ordered operator pipeline the executor drives
             (see :class:`PhysicalOperator`).
         index_scope: ``"full"`` (one index over the whole graph) or
-            ``"partial"`` (built lazily over this query's candidate
-            footprint — see :mod:`repro.reachability.partial`).
+            ``"partial"`` (the session's lazily filled descendant
+            closure — see :mod:`repro.reachability.partial`).
         footprint_estimate: the costing-time footprint estimate behind a
             partial-scope choice; None for full-scope plans.
     """

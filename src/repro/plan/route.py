@@ -10,9 +10,9 @@ its :class:`ExecutionRoute`, and nothing downstream re-decides.
 The route is a pure function of plan and flags and is *not* stored on
 the plan — plans travel through the warm store between sessions with
 different flags.  Two outcomes are only known at run time and stay
-fallbacks layered on the route: a partial-scope plan whose footprint
-blows its budget, and a plan the codegen analysis rejects.  At most one
-can hit a given route (partial-scope plans never compile).
+fallbacks layered on the route: a partial-scope plan whose closure rows
+blow the fill budget, and a plan the codegen analysis rejects.  At most
+one can hit a given route (partial-scope plans never compile).
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ def codegen_refusal(
     if physical.executor != "gtea":
         return f"executor {physical.executor!r} is not specializable"
     if physical.index_scope != "full":
-        # Partial-scope plans bind to a footprint-restricted index whose
-        # lifetime the session pool controls; compiled functions cache by
-        # plan fingerprint and would outlive (and pin) that domain.
+        # Partial-scope plans bind to the session's descendant closure,
+        # whose lifetime the graph's lineage controls; compiled functions
+        # cache by plan fingerprint and would outlive (and pin) it.
         return "partial-scope index choice is not specializable"
     return None
 
@@ -62,8 +62,8 @@ class ExecutionRoute:
     #: default, which partial-scope plans fall back to — their inner
     #: name (``"tc"``) must never become a whole-graph build.
     index_name: str | None
-    #: try the pooled partial reachability service (a serial engine)
-    #: first; a footprint blow-out falls back to the full-scope engine.
+    #: try the session's descendant closure (a serial engine) first; a
+    #: fill blow-out falls back to the full-scope engine.
     partial: bool
     #: a partial-scope plan statically sent to the full-scope engine.
     partial_refused: bool
@@ -113,10 +113,9 @@ def decide_route(
     (``grouped``) or runs inside a shared batch DAG (``shared``)."""
     gtea = physical.executor == "gtea"
     partial_scope = gtea and physical.index_scope == "partial"
-    # Group evaluation runs the original, pre-rewrite query: its
-    # candidates may fall outside the rewritten footprint, and the
-    # sharded executor would only hand it (like any non-GTEA plan) back
-    # to the engine.
+    # Group evaluation runs the original, pre-rewrite query, whose
+    # candidates the costing never bounded, and the sharded executor
+    # would only hand it (like any non-GTEA plan) back to the engine.
     sharded = parallel is not None and gtea and not grouped
     refusal, compiled = None, False
     if codegen and not shared:

@@ -25,13 +25,12 @@ from .factory import (
 )
 from .interval import IntervalIndex, IntervalLabeling
 from .partial import (
+    DescendantClosure,
     Footprint,
-    PartialIndex,
     PartialReachability,
     build_partial_reachability,
     candidate_cone,
     domain_fingerprint,
-    scoped_name,
 )
 from .sspi import SSPIIndex
 from .three_hop import ThreeHopIndex
@@ -45,12 +44,12 @@ __all__ = [
     "ContourIndex",
     "Dag",
     "DagIndex",
+    "DescendantClosure",
     "Footprint",
     "GraphReachability",
     "IndexCounters",
     "IntervalIndex",
     "IntervalLabeling",
-    "PartialIndex",
     "PartialReachability",
     "SSPIIndex",
     "ThreeHopIndex",
@@ -67,6 +66,5 @@ __all__ = [
     "merge_succ_lists",
     "node_reaches_contour",
     "resolve_index",
-    "scoped_name",
     "select_auto_index",
 ]

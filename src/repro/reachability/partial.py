@@ -1,51 +1,51 @@
-"""Partial reachability indexes over a query's candidate footprint.
+"""The partial scope: one lazily filled descendant closure per graph lineage.
 
-A *partial* index builds any registered DAG index (transitive closure,
-interval, contour, ...) over only the subgraph a query can touch: the
-union of its candidate label sets plus their reachable cone.  Because the
-footprint is descendant-closed (every node reachable from a footprint
-node is itself in the footprint), reachability restricted to the
-footprint is *exact* for in-domain sources — a probe from an in-domain
-source to an out-of-domain target is always False, and only probes from
-out-of-domain sources need the on-demand BFS fallback.
+A full index answers every probe after one whole-graph build; the
+partial scope builds what the queries touch.  :class:`DescendantClosure`
+is the transitive closure (``tc``) with its rows computed on demand and
+memoized.  Condensation ids are reverse topological, so the descendants
+of component ``c`` have smaller ids and ``row(c)`` is one Python int of
+fewer than ``c`` bits::
 
-The footprint carries a :func:`domain_fingerprint` so equal footprints
-(across queries, sessions and warm restarts) share one build.
+    row(c) = OR over s in dag.succ[c] of (row(s) | 1 << s)
+
+It is exact for *every* source (a missing row is filled when first
+probed) and ``reaches`` is one shift-and-mask that counts one lookup,
+like ``tc``.  Worst case the memo is the lower-triangular closure,
+``n² / 16`` bytes; a caller that wants less bounds each ``fill``.
+
+**The lineage rule.**  A row depends only on the successor lists of the
+components below it.  Along a lineage of structural snapshots
+(:class:`~repro.graph.condensation.GraphStructure`, each grown from the
+last by an append-only delta) an old component keeps its id and
+successor list and cannot reach a new one, so every stored row is still
+exact for the extended DAG: :meth:`PartialReachability.following`
+re-points the rows instead of rebuilding them.  A snapshot of another
+lineage (an edge between old nodes) gets a new closure.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import sys
 from typing import Iterable
 
 from ..graph.digraph import DataGraph
 from .base import Dag, DagIndex, GraphReachability
-from .factory import _REGISTRY, available_indexes
 
 __all__ = [
+    "DescendantClosure",
     "Footprint",
-    "PartialIndex",
     "PartialReachability",
     "build_partial_reachability",
     "candidate_cone",
     "domain_fingerprint",
-    "scoped_name",
 ]
 
 
-def scoped_name(inner: str) -> str:
-    """The index name a partial build reports (e.g. ``"tc@partial"``)."""
-    return f"{inner}@partial"
-
-
 def domain_fingerprint(nodes: Iterable[int]) -> str:
-    """Order-independent fingerprint of a footprint's node set.
-
-    Equal node sets always hash equal, so sessions key pooled partial
-    indexes — and the `ArtifactStore` entries behind them — by
-    ``(graph_fingerprint, domain_fingerprint)`` and share one build per
-    footprint.
-    """
+    """Order-independent fingerprint of a footprint's node set."""
     digest = hashlib.sha256()
     for node in sorted(nodes):
         digest.update(node.to_bytes(8, "little", signed=False))
@@ -58,8 +58,8 @@ def candidate_cone(
     """Seeds plus everything reachable from them (descendant-closed).
 
     Returns ``None`` as soon as the cone exceeds ``budget`` nodes — the
-    caller should fall back to a full index rather than build a partial
-    one over most of the graph.
+    caller should fall back to a full index rather than close most of
+    the graph.
     """
     seen: set[int] = set(seeds)
     adjacency = graph._succ
@@ -83,11 +83,10 @@ def candidate_cone(
 class Footprint:
     """A descendant-closed node set with a stable fingerprint."""
 
-    __slots__ = ("nodes", "seeds", "fingerprint")
+    __slots__ = ("nodes", "fingerprint")
 
-    def __init__(self, nodes: frozenset[int], seeds: frozenset[int]):
+    def __init__(self, nodes: frozenset[int]):
         self.nodes = nodes
-        self.seeds = seeds
         self.fingerprint = domain_fingerprint(nodes)
 
     @classmethod
@@ -95,130 +94,122 @@ class Footprint:
         cls, graph: DataGraph, seeds: Iterable[int], *, budget: int | None = None
     ) -> "Footprint | None":
         """Close ``seeds`` under reachability; ``None`` on budget blowout."""
-        seed_set = frozenset(seeds)
-        cone = candidate_cone(graph, seed_set, budget=budget)
-        if cone is None:
-            return None
-        return cls(cone, seed_set)
+        cone = candidate_cone(graph, seeds, budget=budget)
+        return None if cone is None else cls(cone)
 
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Footprint(nodes={len(self.nodes)}, seeds={len(self.seeds)}, "
-            f"fingerprint={self.fingerprint!r})"
-        )
 
+class DescendantClosure(DagIndex):
+    """Strict transitive closure of a condensation DAG, row by row.
 
-class PartialIndex(DagIndex):
-    """Any registered index built over a domain-restricted DAG.
-
-    The domain is a set of condensation components (descendant-closed at
-    the component level, because the footprint is descendant-closed at
-    the data-node level) and ``dag`` a condensation DAG, whose ids are
-    reverse topological.  Probes resolve in three tiers:
-
-    * both endpoints in the domain — answered by the inner index over
-      the restricted DAG (exact: paths from in-domain sources cannot
-      leave a descendant-closed domain);
-    * in-domain source, out-of-domain target — always False, for the
-      same reason;
-    * out-of-domain source — memoized on-demand BFS over the full DAG.
-
-    The inner index shares this adapter's :class:`IndexCounters`, so a
-    partial run reports the same ``#index`` probe counts as a full-scope
-    index would at identical call sites.
+    ``dag`` must number its nodes in reverse topological order (every
+    successor id is smaller than its source's), as condensation DAGs do.
     """
 
-    name = "partial"
+    name = "tc@partial"
 
-    def __init__(
-        self, dag: Dag, domain_components: Iterable[int], inner: str = "tc"
-    ):
-        if inner not in _REGISTRY:
-            raise ValueError(
-                f"unknown inner index {inner!r}; available: "
-                f"{', '.join(available_indexes())}"
-            )
+    def __init__(self, dag: Dag):
         super().__init__(dag)
-        # Local ids follow the full DAG's topological order — descending
-        # component id, so the domain alone is walked, not the whole DAG —
-        # and the restricted DAG's order is simply 0..k-1.
-        ordered = sorted(set(domain_components), reverse=True)
-        local_of = {comp: local for local, comp in enumerate(ordered)}
-        succ = [[local_of[t] for t in dag.succ[comp] if t in local_of] for comp in ordered]
-        pred: list[list[int]] = [[] for _ in ordered]
-        for source, targets in enumerate(succ):
-            for target in targets:
-                pred[target].append(source)
-        self.restricted = Dag(succ, pred, list(range(len(ordered))))
-        self.inner = _REGISTRY[inner](self.restricted)
-        self.inner.counters = self.counters
-        self.inner_name = inner
-        self.name = scoped_name(inner)
-        self._local = local_of
-        self._descendant_memo: dict[int, frozenset[int]] = {}
+        self._rows: dict[int, int] = {}
+        self.fills = 0  #: rows computed into this memo so far.
 
-    @property
-    def domain_size(self) -> int:
-        return self.restricted.num_nodes
+    def extended(self, dag: Dag) -> "DescendantClosure":
+        """This closure over ``dag`` — the DAG it was filled over plus an
+        append-only delta — *sharing* the memo: every row is exact in
+        both, whichever object fills it (the lineage rule).  The receiver
+        keeps answering for its own DAG."""
+        grown = copy.copy(self)
+        grown.dag = dag
+        return grown
 
-    def in_domain(self, component: int) -> bool:
-        return component in self._local
+    def fill(self, components: Iterable[int], budget: int | None = None) -> bool:
+        """Make sure every component of ``components`` has its row.
+
+        A row needs the rows of everything below it, so this computes
+        the missing part of the cone, smallest id (successors) first.
+        With a ``budget``, a cone with more missing rows than that is
+        left alone: False is returned and the memo is as it was.
+        """
+        rows, successors = self._rows, self.dag.succ
+        limit = len(successors) if budget is None else budget  # no cone outgrows the DAG
+        missing = {component for component in components if component not in rows}
+        stack = list(missing)
+        while stack and len(missing) <= limit:
+            for successor in successors[stack.pop()]:
+                if successor not in rows and successor not in missing:
+                    missing.add(successor)
+                    stack.append(successor)
+        if len(missing) > limit:
+            return False
+        for component in sorted(missing):
+            row = 0
+            for successor in successors[component]:
+                row |= rows[successor] | 1 << successor
+            rows[component] = row
+        self.fills += len(missing)
+        return True
 
     def reaches(self, source: int, target: int) -> bool:
-        local_source = self._local.get(source)
-        if local_source is not None:
-            local_target = self._local.get(target)
-            if local_target is not None:
-                return self.inner.reaches(local_source, local_target)
-            # Descendant-closed domain: nothing outside it is reachable
-            # from inside.  Count the probe for parity with a full index.
-            self.counters.lookups += 1
-            return False
         self.counters.lookups += 1
-        return target in self._fallback_descendants(source)
+        row = self._rows.get(source)
+        if row is None:
+            self.fill((source,))
+            row = self._rows[source]
+        return bool(row >> target & 1)
 
-    def _fallback_descendants(self, component: int) -> frozenset[int]:
-        cached = self._descendant_memo.get(component)
-        if cached is not None:
-            return cached
-        seen: set[int] = set()
-        stack = list(self.dag.succ[component])
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            self.counters.entries_scanned += 1
-            stack.extend(self.dag.succ[current])
-        result = frozenset(seen)
-        self._descendant_memo[component] = result
-        return result
+    @property
+    def rows(self) -> int:
+        """How many rows the memo holds."""
+        return len(self._rows)
 
     def index_size(self) -> int:
-        return self.inner.index_size()
+        """Bytes held by the stored rows."""
+        return sum(map(sys.getsizeof, self._rows.values()))
 
 
 class PartialReachability(GraphReachability):
-    """A :class:`GraphReachability` whose index covers one footprint.
+    """The reachability service over a :class:`DescendantClosure`.
 
-    Drop-in for the engine's reachability service: condensation and the
-    component mapping cover the whole graph (pruning needs them for every
-    candidate) and are the graph's shared structural snapshot; only the
-    index structure is built, and it is restricted to the footprint.
+    Drop-in for the engine's service: condensation and component mapping
+    are the graph's shared structural snapshot.  ``lineage`` is that
+    snapshot's token, which decides whether the rows outlive a version
+    bump (:meth:`following`).
     """
 
-    def __init__(self, graph: DataGraph, footprint: Footprint, inner: str = "tc"):
-        self.footprint = footprint
-        scc_of = graph.structure().condensation.scc_of
-        domain = {scc_of[node] for node in footprint.nodes}
-        super().__init__(graph, lambda dag: PartialIndex(dag, domain, inner))
+    def __init__(self, graph: DataGraph, index_factory=DescendantClosure):
+        super().__init__(graph, index_factory)
+        self.lineage = graph.structure().lineage
+
+    def attach(self, graph: DataGraph) -> None:
+        super().attach(graph)
+        self.lineage = graph.structure().lineage
+
+    def following(self, graph: DataGraph) -> "PartialReachability | None":
+        """This service for the graph's *current* version: itself when
+        nothing changed, a service over the extended DAG sharing the rows
+        when every version bump since was an append, and None when the
+        lineage broke and the rows describe another graph."""
+        structure = graph.structure()
+        if structure.lineage is not self.lineage:
+            return None
+        if structure.dag is self.dag:
+            return self
+        return PartialReachability(graph, self.index.extended)
 
 
 def build_partial_reachability(
     graph: DataGraph, footprint: Footprint, inner: str = "tc"
 ) -> PartialReachability:
-    """Build a partial reachability service over ``footprint``."""
-    return PartialReachability(graph, footprint, inner)
+    """A fresh closure with the rows of ``footprint`` already filled.
+
+    ``inner`` names the index family of the partial scope, which is
+    always the closure's: anything but ``"tc"`` is refused.
+    """
+    if inner != "tc":
+        raise ValueError(f"the partial scope is a descendant closure (tc), not {inner!r}")
+    service = PartialReachability(graph)
+    scc_of = service.condensation.scc_of
+    service.index.fill({scc_of[node] for node in footprint.nodes})
+    return service

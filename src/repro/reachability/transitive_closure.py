@@ -36,12 +36,14 @@ class TransitiveClosureIndex(DagIndex):
 
     def descendants(self, source: int) -> list[int]:
         """All strict descendants of ``source`` (DAG nodes)."""
-        return np.flatnonzero(
-            np.unpackbits(self._bits[source], count=self.dag.num_nodes)
-        ).tolist()
+        return np.flatnonzero(self._unpacked(source)).tolist()
 
     def descendant_count(self, source: int) -> int:
-        return int(np.unpackbits(self._bits[source], count=self.dag.num_nodes).sum())
+        return int(self._unpacked(source).sum())
+
+    def _unpacked(self, source: int) -> np.ndarray:
+        # Rows are packed least significant bit first (``1 << (node & 7)``).
+        return np.unpackbits(self._bits[source], count=self.dag.num_nodes, bitorder="little")
 
     def index_size(self) -> int:
         return int(self._bits.size)

@@ -1,7 +1,9 @@
-"""QuerySession partial-index pooling: lazy builds, domain-fingerprint
-sharing, fallbacks and invalidation.  (Warm-store round trips of the
-pool are covered with every other artifact kind in
-``tests/store/test_session_artifacts.py``.)"""
+"""QuerySession's partial scope: one descendant closure, created by the
+first partial-scope plan, filled by the ones after it, kept across
+appends, with fallbacks and invalidation.  (Its warm-store round trip is
+covered with every other artifact kind in
+``tests/store/test_session_artifacts.py``; appends against the oracle in
+``tests/oracle/test_churn_differential.py``.)"""
 
 from repro.datasets import index_choice_workload
 from repro.engine import QuerySession
@@ -18,7 +20,7 @@ def chain_with_wide_apex(length=2000):
 
     The label posting lists are tiny (one ``q``, one ``r``), so costing
     picks the partial arm — but the apex's descendant cone is the whole
-    graph, so the footprint budget blows and execution must fall back.
+    graph, so the fill budget blows and execution must fall back.
     """
     graph = DataGraph()
     graph.add_node(label="q")
@@ -49,25 +51,26 @@ class TestPartialPool:
         assert stats.partial_hits == 0
         assert stats.partial_fallbacks == 0
         assert results == evaluate_naive(queries[0], graph)
-        assert session.cache_info()["partial"]["size"] == 1
-        assert any(op.op == "PartialIndexBuild" for op in stats.operator_stats)
-        assert "partial_build" in stats.phase_seconds
+        row = session.cache_info()["partial"]
+        assert row["rows"] == row["fills"] > 0 and row["bytes"] > 0
+        assert (row["kept"], row["dropped"]) == (0, 0)
 
     def test_equal_footprints_share_one_build(self):
         graph, queries = workload()
         session = QuerySession(graph)
         # queries[0]=(q,r) and queries[3]=(r,q) pin the same label set,
-        # hence the same seed set and the same domain fingerprint.
+        # hence the same non-leaf cones: nothing is left to fill.
         session.evaluate(queries[0])
+        filled = session.cache_info()["partial"]["fills"]
         __, stats = session.evaluate_with_stats(queries[3])
         assert stats.partial_builds == 0
         assert stats.partial_hits == 1
-        assert session.cache_info()["partial"]["size"] == 1
+        assert session.cache_info()["partial"]["fills"] == filled
 
-    def test_distinct_footprints_build_separately(self):
+    def test_distinct_footprints_fill_one_closure(self):
         # Two disjoint rare-label chains off a bulk of `a` nodes: the
-        # q→r and s→t footprints cannot overlap, so each builds its own
-        # pooled partial index.
+        # q→r and s→t cones cannot overlap, so the second query finds the
+        # closure there and none of its rows.
         graph = DataGraph()
         for __ in range(600):
             graph.add_node(label="a")
@@ -96,11 +99,12 @@ class TestPartialPool:
 
         session = QuerySession(graph)
         __, first = session.evaluate_with_stats(pair_query("q", "r"))
+        rows = session.cache_info()["partial"]["rows"]
         __, second = session.evaluate_with_stats(pair_query("s", "t"))
-        assert first.partial_builds == 1
-        assert second.partial_builds == 1
-        assert second.partial_hits == 0
-        assert session.cache_info()["partial"]["size"] == 2
+        assert (first.partial_builds, first.partial_hits) == (1, 0)
+        assert (second.partial_builds, second.partial_hits) == (0, 1)
+        assert rows == 30  # the q/r chain, nothing of the bulk
+        assert session.cache_info()["partial"]["rows"] == 60
 
     def test_full_index_never_materializes_on_the_partial_path(self):
         graph, queries = workload()
@@ -112,10 +116,41 @@ class TestPartialPool:
         graph, queries = workload()
         session = QuerySession(graph)
         session.evaluate(queries[0])
+        filled = session.cache_info()["partial"]["fills"]
         session.invalidate()
-        assert session.cache_info()["partial"]["size"] == 0
-        # And the session still answers correctly afterwards.
-        assert session.evaluate(queries[0]) == evaluate_naive(queries[0], graph)
+        row = session.cache_info()["partial"]
+        assert (row["rows"], row["bytes"], row["dropped"]) == (0, 0, 1)
+        # And the session still answers correctly afterwards, from a new
+        # closure; ``fills`` keeps counting across the drop.
+        answer, stats = session.evaluate_with_stats(queries[0])
+        assert answer == evaluate_naive(queries[0], graph)
+        assert stats.partial_builds == 1
+        assert session.cache_info()["partial"]["fills"] == 2 * filled
+
+    def test_an_append_keeps_the_closure_and_an_old_edge_drops_it(self):
+        graph, queries = workload()
+        session = QuerySession(graph)
+        session.evaluate(queries[0])
+        held = session._closure.service
+        rows = dict(held.index._rows)
+        node = graph.add_node(label="q")
+        graph.add_edge(node, graph.num_nodes - 2)
+        answer, stats = session.evaluate_with_stats(queries[0])
+        assert answer == evaluate_naive(queries[0], graph)
+        assert (stats.partial_builds, stats.partial_hits) == (0, 1)
+        row = session.cache_info()["partial"]
+        assert (row["kept"], row["dropped"]) == (1, 0)
+        kept = session._closure.service
+        assert kept is not held and kept.index._rows is held.index._rows
+        assert {c: kept.index._rows[c] for c in rows} == rows
+        assert held.dag is not kept.dag  # the held service still reads its version
+        assert any(graph.add_edge(0, target) for target in range(5, 30))  # one old→old edge
+        answer, stats = session.evaluate_with_stats(queries[0])
+        assert answer == evaluate_naive(queries[0], graph)
+        assert (stats.partial_builds, stats.partial_hits) == (1, 0)
+        row = session.cache_info()["partial"]
+        assert (row["kept"], row["dropped"]) == (1, 1)
+        assert session._closure.service.index._rows is not held.index._rows
 
     def test_feedback_files_under_the_scoped_key(self):
         graph, queries = workload()
@@ -133,7 +168,7 @@ class TestPartialFallbacks:
         __, stats = session.evaluate_with_stats(queries[0], group_nodes=("b",))
         assert stats.partial_fallbacks == 1
         assert stats.partial_builds == 0
-        assert session.cache_info()["partial"]["size"] == 0
+        assert session.cache_info()["partial"]["rows"] == 0
 
     def test_footprint_blowout_falls_back_to_the_ladder_index(self):
         graph = chain_with_wide_apex()
@@ -145,9 +180,16 @@ class TestPartialFallbacks:
         assert stats.partial_fallbacks == 1
         assert stats.partial_builds == 0
         assert results == evaluate_naive(query, graph)
-        # The fallback pooled the *ladder* index, not the partial inner.
+        # The fallback pooled the *ladder* index, not the partial inner,
+        # and gave the rows back.
         assert session.cache_info()["indexes"]["pooled"] == 1
-        assert session.cache_info()["partial"]["size"] == 0
+        row = session.cache_info()["partial"]
+        assert (row["rows"], row["dropped"]) == (0, 1)
+        # The refusal is remembered: the plan is not tried again.
+        session.result_cache.clear()
+        __, again = session.evaluate_with_stats(query)
+        assert again.partial_fallbacks == 1
+        assert session.cache_info()["partial"] == row
 
     def test_blowout_feedback_records_the_index_actually_used(self):
         graph = chain_with_wide_apex()
@@ -206,7 +248,7 @@ class TestStructureAttribution:
         assert results == evaluate_naive(queries[0], graph)
         assert stats.plan_cache_hits == 1
         ops = [record.op for record in stats.operator_stats]
-        assert ops.index("StructureBuild") < ops.index("PartialIndexBuild")
+        assert ops[0] == "StructureBuild" and stats.partial_builds == 1
         assert stats.phase_seconds["structure"] > 0.0
         # Calibration reads every operator of the arm but the snapshot.
         (key, row), = session.cost_profile.snapshot().items()

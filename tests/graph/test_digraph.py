@@ -1,5 +1,7 @@
 """Unit tests for the DataGraph substrate."""
 
+import random
+
 import pytest
 
 from repro.graph import DataGraph
@@ -97,11 +99,63 @@ class TestLabelIndex:
         assert graph._label_index is index_before  # never rebuilt
         graph.add_node(label="a")
         assert graph.nodes_with_label("a") == (0, 2, 4)
-        assert graph._label_index is not index_before  # rebuilt once
+        assert first == (0, 2)  # a posting handed out is never modified
+        assert graph._label_index is index_before  # appended to, not rebuilt
+        assert graph.structure_info()["label_builds"] == 1
 
     def test_distinct_labels(self):
         graph = DataGraph.from_edges("aabc", [])
         assert graph.distinct_labels() == {"a", "b", "c"}
+        assert graph.num_labels == 3
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_appended_postings_equal_a_rebuild(self, seed):
+        """Appends after the first lookup extend the postings; every label
+        — one first seen in an append included — reads as a from-scratch
+        rebuild would, and unlabelled nodes stay out."""
+        rng = random.Random(seed)
+        labels = [None, "a", "b", ("tuple", 1), 3]
+        graph = DataGraph()
+        for _ in range(rng.randint(0, 10)):
+            graph.add_node(label=rng.choice(labels))
+        graph.nodes_with_label("a")  # builds the postings
+        held = {label: graph.nodes_with_label(label) for label in labels[1:]}
+        copies = dict(held)
+        for step in range(30):
+            label = rng.choice([*labels, f"fresh{step}"])
+            attrs = {"kind": "x"} if rng.random() < 0.3 else None
+            graph.add_node(attrs, label=label)
+        rebuilt = DataGraph()
+        for node in graph.nodes():
+            rebuilt.add_node(graph.attrs(node))
+        for label in rebuilt.distinct_labels() | set(labels[1:]):
+            assert graph.nodes_with_label(label) == rebuilt.nodes_with_label(label)
+        assert graph.distinct_labels() == rebuilt.distinct_labels()
+        assert graph.num_labels == rebuilt.num_labels
+        assert graph.nodes_with_label(None) == ()
+        assert graph.structure_info()["label_builds"] == 1
+        assert held == copies  # postings handed out earlier never change
+
+    def test_appends_before_the_first_lookup_build_nothing(self):
+        graph = DataGraph.from_edges("ab", [])
+        graph.add_node(label="c")
+        assert graph._label_index is None
+        assert graph.structure_info()["label_builds"] == 0
+
+    @pytest.mark.parametrize("built", [False, True])
+    def test_unhashable_label_never_leaves_a_half_added_node(self, built):
+        graph = DataGraph.from_edges("ab", [])
+        if built:
+            graph.nodes_with_label("a")
+            with pytest.raises(TypeError):
+                graph.add_node(label=["not", "hashable"])
+            assert (graph.num_nodes, graph.num_roots, graph.version) == (2, 2, 2)
+            assert graph.nodes_with_label("a") == (0,)
+        else:  # as before: the node is added whole, the lookup fails
+            graph.add_node(label=["not", "hashable"])
+            assert graph.num_nodes == 3
+            with pytest.raises(TypeError):
+                graph.nodes_with_label("a")
 
 
 class TestFig2Fixture:

@@ -7,7 +7,9 @@ engine's iteration order and with it the documented probe-count parity —
 and a snapshot already handed out must never change (services, pickles and
 users hold them across mutations).  The references below are the
 algorithms as they stood before the snapshot existed, kept here verbatim:
-the per-graph ``Condensation`` and the traversal-based ``graph_stats``.
+the per-graph ``Condensation`` and the traversal-based ``graph_stats`` —
+plus the ``graph_stats`` that walked every component at every call, which
+the carried-over depths and the root and label counts must keep equalling.
 """
 
 import copy
@@ -136,6 +138,38 @@ def reference_graph_stats(graph):
     )
 
 
+def whole_graph_stats(graph):
+    """``graph_stats`` of the commit before depths were carried along a
+    lineage: a depth pass over every component, an attribute pass for the
+    labels and a node pass for the roots, over a condensation of its own."""
+    condensation = Condensation(graph)
+    successors = condensation._succ
+    depths = [0] * len(successors)
+    for component in range(len(successors) - 1, -1, -1):
+        below = depths[component] + 1
+        for successor in successors[component]:
+            if below > depths[successor]:
+                depths[successor] = below
+    labels = {attrs["label"] for attrs in graph._attrs if attrs.get("label") is not None}
+    return GraphStats(
+        num_nodes=graph.num_nodes,
+        num_edges=graph.num_edges,
+        num_labels=len(labels),
+        num_roots=sum(1 for node in graph.nodes() if not graph._pred[node]),
+        max_depth=max(depths) if depths else 0,
+        avg_depth=(sum(depths) / len(depths)) if depths else 0.0,
+        is_dag=condensation.is_trivial(),
+    )
+
+
+def rebuilt_postings(graph):
+    postings = {}
+    for node, attrs in enumerate(graph._attrs):
+        if attrs.get("label") is not None:
+            postings[attrs["label"]] = postings.get(attrs["label"], ()) + (node,)
+    return postings
+
+
 def fields_of(condensation):
     return {name: getattr(condensation, name) for name in FIELDS}
 
@@ -161,7 +195,10 @@ class SnapshotMachine(RuleBasedStateMachine):
         self.covered = 0  # nodes the latest snapshot covers
         self.append_only = True
         self.held = []  # (snapshot, deep copy taken when it was obtained)
-        self.expected = {"builds": 0, "extensions": 0, "hits": 0}
+        self.expected = dict.fromkeys(
+            ("builds", "extensions", "hits", "depth_passes", "label_builds"), 0
+        )
+        self.depths_known = False  # the held lineage has walked its depths
 
     def _pick(self, data, low, high):
         return data.draw(st.integers(min_value=low, max_value=high - 1))
@@ -170,9 +207,9 @@ class SnapshotMachine(RuleBasedStateMachine):
         if self.graph.add_edge(source, target) and source < self.covered:
             self.append_only = False
 
-    @rule()
-    def add_node(self):
-        self.graph.add_node(label="x")
+    @rule(label=st.sampled_from([None, "x", "y", "z", 7]))
+    def add_node(self, label):
+        self.graph.add_node(label=label)
 
     @precondition(lambda self: 0 < self.covered < self.graph.num_nodes)
     @rule(data=st.data())
@@ -212,8 +249,8 @@ class SnapshotMachine(RuleBasedStateMachine):
         assert not self.graph.add_edge(*edges[self._pick(data, 0, len(edges))])
         assert self.graph.version == version
 
-    @rule()
-    def demand_structure(self):
+    @rule(with_stats=st.booleans())
+    def demand_structure(self, with_stats):
         graph = self.graph
         previous = self.held[-1][0] if self.held else None
         if previous is not None and previous.version == graph.version:
@@ -222,7 +259,20 @@ class SnapshotMachine(RuleBasedStateMachine):
             self.expected["extensions"] += 1
         else:
             self.expected["builds"] += 1
+            self.depths_known = False
+        rebuilt = self.expected["builds"] - graph.structure_info()["builds"]
         structure = graph.structure()
+        # Hits and extensions stay on the lineage; a build starts one.
+        if previous is not None:
+            assert (structure.lineage is previous.lineage) == (not rebuilt)
+        if with_stats:
+            # Append, old→old and cyclic-new-node steps alike: the carried
+            # depths and the running counts equal a whole-graph pass.
+            assert graph_stats(graph) == whole_graph_stats(copy.deepcopy(graph))
+            self.expected["hits"] += 2  # the depths' and the acyclicity's demand
+            self.expected["depth_passes"] += not self.depths_known
+            self.expected["label_builds"] = 1
+            self.depths_known = True
         assert_is_fresh_build(structure, copy.deepcopy(graph))
         assert graph.structure_info() == {**self.expected, "version": graph.version}
         if previous is None or previous is not structure:
@@ -236,6 +286,12 @@ class SnapshotMachine(RuleBasedStateMachine):
             assert fields_of(structure.condensation) == fields_of(taken)
             assert structure.dag.succ == taken._succ
             assert structure.dag.pred == taken._pred
+
+    @invariant()
+    def postings_equal_a_rebuild(self):
+        if self.graph._label_index is not None:
+            assert self.graph._label_index == rebuilt_postings(self.graph)
+        assert self.graph.num_roots == len(self.graph.roots())
 
     @invariant()
     def mutations_do_no_structural_work(self):
@@ -261,7 +317,8 @@ def test_seeded_append_deltas_extend_exactly(seed):
     for epoch in range(6):
         structure = graph.structure()
         assert_is_fresh_build(structure, graph)
-        held.append((structure, copy.deepcopy(structure.condensation)))
+        assert graph_stats(graph) == whole_graph_stats(graph)
+        held.append((structure, copy.deepcopy(structure.condensation), list(structure.depths)))
         first = graph.num_nodes
         for _ in range(rng.randint(1, 5)):
             graph.add_node(label="y")
@@ -270,13 +327,22 @@ def test_seeded_append_deltas_extend_exactly(seed):
             graph.add_edge(source, rng.randrange(graph.num_nodes))
     assert graph.structure_info()["builds"] == 1
     assert graph.structure_info()["extensions"] == 5
-    for structure, taken in held:
+    assert graph.structure_info()["depth_passes"] == 1
+    for structure, taken, depths in held:
         assert fields_of(structure.condensation) == fields_of(taken)
+        assert structure.depths == depths
 
 
 def test_structure_is_lazy_and_shared():
     graph = DataGraph.from_edges("abc", [(0, 1), (1, 2), (2, 1)])
-    assert graph.structure_info() == {"builds": 0, "extensions": 0, "hits": 0, "version": None}
+    assert graph.structure_info() == {
+        "builds": 0,
+        "extensions": 0,
+        "hits": 0,
+        "depth_passes": 0,
+        "label_builds": 0,
+        "version": None,
+    }
     first = build_reachability(graph, "tc")
     second = build_reachability(graph, "interval")
     assert first.condensation is second.condensation is graph.structure().condensation
@@ -375,3 +441,4 @@ def test_graph_stats_match_reference_on_random_digraphs(seed):
     if graph.num_nodes:  # and again from an extended snapshot
         graph.add_edge(graph.add_node(label="z"), 0)
         assert graph_stats(graph) == reference_graph_stats(graph)
+        assert graph.structure_info()["depth_passes"] == 1

@@ -1,24 +1,30 @@
 """Differential testing of sessions over a churned graph.
 
 The graph owns its structural snapshot and absorbs append-only mutations
-by *extending* it (:meth:`repro.graph.DataGraph.structure`); every other
-mutation rebuilds.  Sessions of every flavour share that snapshot, drop
-their caches on each version bump and rebuild their indexes over it.  A
-seeded enclave graph is driven through append epochs — new rare-label
-nodes citing old ones and each other, cycles among the new nodes
-included — with an edge between two *old* nodes every third epoch, and
-after every step:
+by *extending* it (:meth:`repro.graph.DataGraph.structure`), together
+with its label postings and depth statistics; every other mutation
+rebuilds the snapshot.  Sessions of every flavour share it and drop their
+caches and full indexes on each version bump; the partial-scope session
+keeps its descendant closure across appends.  A seeded enclave graph is
+driven through append epochs — new rare-label nodes citing old ones and
+each other, cycles among the new nodes included — with an edge between
+two *old* nodes every third epoch, and after every step:
 
 * **oracle** — partial-scope, full-scope, ``codegen=True`` and
   ``adaptive=True`` sessions all agree with ``evaluate_naive``;
 * **probe parity** — the partial session probes its index exactly as
   often as a session pinned to a full ``tc`` index, as in
   ``test_partial_index_differential.py``: an extended snapshot numbers
-  components like a fresh one, so the engine iterates them alike;
+  components like a fresh one, so the engine iterates them alike, and a
+  kept row answers like a rebuilt one;
 * **bookkeeping** — the graph reports one extension per append epoch and
-  one build per old→old epoch, whatever the number of sessions;
+  one build per old→old epoch, whatever the number of sessions; an
+  append epoch rebuilds neither the closure, nor the label postings, nor
+  the depths, and an old→old epoch rebuilds the closure and the depths
+  exactly once (the postings never: no edge touches them);
 * **held services** — a service obtained before a mutation keeps
-  answering for the version it was built for.
+  answering for the version it was built for, full index and closure
+  alike.
 """
 
 import random
@@ -80,7 +86,9 @@ def test_churned_sessions_match_naive_with_probe_parity(seed):
         "adaptive": QuerySession(graph, adaptive=True),
     }
     parity = QuerySession(graph, index="tc")
-    expected = {"builds": 0, "extensions": 0}
+    expected = {"builds": 0, "extensions": 0, "depth_passes": 0, "label_builds": 1}
+    closure = {"kept": 0, "dropped": 0}
+    created = []  # steps at which the partial session made a closure
 
     def check(step):
         for position, query in enumerate(queries):
@@ -93,6 +101,8 @@ def test_churned_sessions_match_naive_with_probe_parity(seed):
                 probes[name] = stats
             assert probes["partial"].partial_builds + probes["partial"].partial_hits == 1, where
             assert probes["partial"].partial_fallbacks == 0, where
+            if probes["partial"].partial_builds:
+                created.append(step)
             _, parity_stats = parity.evaluate_with_stats(query)
             assert probes["partial"].index_lookups == parity_stats.index_lookups, (
                 f"{where}: partial run probed {probes['partial'].index_lookups} times, "
@@ -101,19 +111,60 @@ def test_churned_sessions_match_naive_with_probe_parity(seed):
         info = graph.structure_info()
         assert {name: info[name] for name in expected} == expected, f"seed {seed} {step}"
         assert info["version"] == graph.version
+        row = sessions["partial"].cache_info()["partial"]
+        assert {name: row[name] for name in closure} == closure, f"seed {seed} {step}"
+        assert row["rows"] > 0 and row["fills"] >= row["rows"]
 
-    expected["builds"] = 1
+    expected["builds"] = expected["depth_passes"] = 1
     check("initial")
+    rebuilds = ["initial"]
     for epoch in range(1, EPOCHS + 1):
         append_epoch(graph, rng)
         if epoch % REBUILD_EVERY == 0:
             old_to_old_edge(graph, rng)
             expected["builds"] += 1
+            expected["depth_passes"] += 1
+            closure["dropped"] += 1
+            rebuilds.append(f"epoch {epoch}")
         else:
             expected["extensions"] += 1
+            closure["kept"] += 1
         check(f"epoch {epoch}")
+    # One closure per lineage: made at the first query after each rebuild.
+    assert created == rebuilds
     for session in (*sessions.values(), parity):
         session.close()
+
+
+def test_closure_held_across_mutations_answers_for_its_version():
+    rng = random.Random(78)
+    graph = enclave_graph(1, rng)
+    session = QuerySession(graph)
+    query = pair_query("q", "r")
+    session.evaluate(query)
+    held = session._closure.service
+    nodes = range(BULK, graph.num_nodes)
+    pairs = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(200)]
+    before = [reaches(graph, source, target) for source, target in pairs]
+
+    append_epoch(graph, rng)
+    assert session.evaluate(query) == evaluate_naive(query, graph)
+    kept = session._closure.service
+    assert kept is not held and kept.index._rows is held.index._rows
+    # Both answer, each for its own version, out of the one memo.
+    assert [held.reaches(source, target) for source, target in pairs] == before
+    assert held.condensation.num_components == BULK + len(nodes)
+    everything = range(BULK, graph.num_nodes)
+    later = [(rng.choice(everything), rng.choice(everything)) for _ in range(200)]
+    assert [kept.reaches(s, t) for s, t in later] == [reaches(graph, s, t) for s, t in later]
+
+    old_to_old_edge(graph, rng)
+    assert session.evaluate(query) == evaluate_naive(query, graph)
+    fresh = session._closure.service
+    assert fresh.index._rows is not held.index._rows
+    assert [held.reaches(source, target) for source, target in pairs] == before
+    assert [fresh.reaches(s, t) for s, t in later] == [reaches(graph, s, t) for s, t in later]
+    session.close()
 
 
 @pytest.mark.parametrize("index", ["tc", "3hop"])

@@ -7,12 +7,13 @@ the partial arm — are cross-checked three ways:
 * **oracle** — the partial-plan session must agree byte-for-byte with
   ``evaluate_naive`` (the Section-2 semantics oracle);
 * **full-index differential** — and with a session pinned to a
-  full-graph index, *including probe-count parity*: the partial adapter
-  mirrors its inner index's lookup counters at identical call sites, so
-  any silent fallback or double-probe shows up as a counter drift;
-* **boundary** — footprints at and past the budget fraction must fall
-  back to a full index and still match the oracle (the partial arm can
-  cost time, never correctness).
+  full-graph index, *including probe-count parity*: the descendant
+  closure counts one lookup per probe at the call sites a full ``tc``
+  counts them, so any silent fallback or double-probe shows up as a
+  counter drift;
+* **boundary** — cones at and past the budget fraction must fall back
+  to a full index and still match the oracle (the partial arm can cost
+  time, never correctness).
 """
 
 import random
@@ -108,7 +109,7 @@ class TestFootprintBoundary:
 
     @pytest.mark.parametrize("cone_fraction", [0.05, 0.24, 0.5, 0.95])
     def test_boundary_cones_stay_correct(self, cone_fraction):
-        """Below the budget the cone builds; past it the footprint blows
+        """Below the budget the rows are filled; past it the fill blows
         the budget at execution time and falls back — either way the
         answers match the oracle and a pinned full index."""
         graph = self.ladder_graph(cone_fraction)

@@ -10,6 +10,7 @@ from repro.plan import (
     CostProfile,
     IndexChoice,
     choose_scoped_index,
+    closure_fill_units,
     compile_query,
     index_build_units,
     scoped_index_key,
@@ -70,6 +71,13 @@ class TestBuildUnits:
         assert index_build_units("interval", n, e) < index_build_units("3hop", n, e)
         assert index_build_units("tree-cover", n, e) == n + e
 
+    def test_closure_rows_are_one_traversal_widened_by_the_graph(self):
+        assert closure_fill_units(100, 300, 0) == 400
+        assert closure_fill_units(100, 300, 16_384) == 800
+        n, e = 10_000, 25_000  # filling every row: dearer than interval labels,
+        assert index_build_units("interval", n, e) < closure_fill_units(n, e, n)
+        assert closure_fill_units(n, e, n) < index_build_units("3hop", n, e)  # cheaper than 3-hop
+
 
 class TestScopedChoiceGates:
     def test_selective_label_sources_pick_partial(self):
@@ -105,13 +113,21 @@ class TestScopedChoiceGates:
         assert pooled.scope == "full"
         assert "pooled" in pooled.reason
 
-    def test_large_footprint_promotes_the_inner_past_tc(self):
-        # Footprint above the tc rung: the partial arm inherits the
-        # ladder's index instead of a quadratic closure over the cone.
+    def test_large_footprint_still_names_tc(self):
+        # The partial arm is the descendant closure whatever the cone's
+        # size: rows are priced, not a quadratic matrix over the cone.
         huge = stats_for(100_000, 250_000)
         choice = choose_scoped_index(huge, [label_source(estimate=500)])
         assert choice.scope == "partial"
-        assert choice.index_name == "3hop"
+        assert choice.index_name == "tc"
+        assert choice.footprint_estimate > 512
+
+    def test_wide_rows_price_the_closure_out_against_a_cheap_full_build(self):
+        # A forest's interval labels are one traversal; closure rows over
+        # a tenth of a million-node graph (rows of ~60 KiB) are not.
+        forest = stats_for(1_000_000, 999_999)
+        choice = choose_scoped_index(forest, [label_source(estimate=25_000)])
+        assert choice.scope == "full" and choice.index_name == "interval"
 
 
 class TestScopedCalibration:

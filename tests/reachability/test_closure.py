@@ -1,0 +1,176 @@
+"""The lazily filled descendant closure: exact for every pair, in any
+probe order, across append-only extensions with the memo kept — and not
+reused across anything else."""
+
+import pickle
+import random
+
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
+from repro.graph import DataGraph, reaches
+from repro.reachability import (
+    DescendantClosure,
+    PartialReachability,
+    TransitiveClosureIndex,
+    build_reachability,
+)
+
+
+@st.composite
+def digraphs(draw, min_nodes=1, max_nodes=12):
+    """Random digraphs; both edge directions, so cycles and self-loops occur."""
+    n = draw(st.integers(min_value=min_nodes, max_value=max_nodes))
+    graph = DataGraph()
+    for _ in range(n):
+        graph.add_node(label="x")
+    node = st.integers(min_value=0, max_value=n - 1)
+    for source, target in draw(st.lists(st.tuples(node, node), max_size=3 * n)):
+        graph.add_edge(source, target)
+    return graph
+
+
+def append_delta(draw, graph):
+    """New nodes whose edges all leave new nodes (cycles among them included)."""
+    first = graph.num_nodes
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        graph.add_node(label="y")
+    new = st.integers(min_value=first, max_value=graph.num_nodes - 1)
+    anywhere = st.integers(min_value=0, max_value=graph.num_nodes - 1)
+    for source, target in draw(st.lists(st.tuples(new, anywhere), max_size=10)):
+        graph.add_edge(source, target)
+
+
+def all_pairs(draw, graph):
+    pairs = [(s, t) for s in graph.nodes() for t in graph.nodes()]
+    return draw(st.permutations(pairs))
+
+
+def assert_rows_equal_tc(closure: DescendantClosure):
+    """Every stored row is the ``tc`` row of its component."""
+    full = TransitiveClosureIndex(closure.dag)
+    for component, row in closure._rows.items():
+        assert row == sum(1 << descendant for descendant in full.descendants(component)), component
+        assert row.bit_count() == full.descendant_count(component)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_reaches_equals_tc_and_dfs_for_all_pairs_in_any_order(data):
+    graph = data.draw(digraphs())
+    service = PartialReachability(graph)
+    full = build_reachability(graph, "tc")
+    for source, target in all_pairs(data.draw, graph):
+        expected = reaches(graph, source, target)
+        assert service.reaches(source, target) == expected == full.reaches(source, target)
+        assert service.counters.lookups == full.counters.lookups  # one lookup per probe
+    assert_rows_equal_tc(service.index)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_memo_survives_append_only_extensions(data):
+    graph = data.draw(digraphs())
+    first = service = PartialReachability(graph)
+    nodes = graph.num_nodes
+    probes = [(s, t, reaches(graph, s, t)) for s, t in all_pairs(data.draw, graph)[:30]]
+    for source, target, expected in probes:
+        assert service.reaches(source, target) == expected
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        append_delta(data.draw, graph)
+        rows_before = dict(service.index._rows)
+        follower = service.following(graph)
+        assert follower is not None and follower is not service
+        assert follower.index._rows is service.index._rows  # kept, not copied
+        assert follower.dag is graph.structure().dag
+        for source, target in all_pairs(data.draw, graph):
+            assert follower.reaches(source, target) == reaches(graph, source, target)
+        # Old rows were exact already: none was recomputed or changed.
+        assert {c: follower.index._rows[c] for c in rows_before} == rows_before
+        assert_rows_equal_tc(follower.index)
+        service = follower
+    # A service held from an old version keeps answering for it.
+    assert first.condensation.scc_of == graph.structure().condensation.scc_of[:nodes]
+    for source, target, expected in probes:
+        assert first.reaches(source, target) == expected
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_an_old_to_old_edge_changes_the_lineage(data):
+    graph = data.draw(digraphs(min_nodes=2))
+    service = PartialReachability(graph)
+    service.index.fill(range(service.dag.num_nodes))
+    assert service.following(graph) is service
+    node = st.integers(min_value=0, max_value=graph.num_nodes - 1)
+    source, target = data.draw(node), data.draw(node)
+    if not graph.add_edge(source, target):
+        return
+    assert service.following(graph) is None  # the memo must not be reused
+    fresh = PartialReachability(graph)
+    assert fresh.index._rows is not service.index._rows
+    for s, t in all_pairs(data.draw, graph):
+        assert fresh.reaches(s, t) == reaches(graph, s, t)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_budget_abort_leaves_every_stored_row_exact(data):
+    graph = data.draw(digraphs(min_nodes=2))
+    index = DescendantClosure(graph.structure().dag)
+    component = st.integers(min_value=0, max_value=index.dag.num_nodes - 1)
+    for _ in range(6):
+        wanted = data.draw(st.sets(component, max_size=4))
+        budget = data.draw(st.integers(min_value=0, max_value=index.dag.num_nodes))
+        before = dict(index._rows)
+        if index.fill(wanted, budget):
+            assert wanted <= index._rows.keys()
+            assert len(index._rows) - len(before) <= budget
+        else:
+            assert index._rows == before
+        assert index.fills == len(index._rows)
+        assert_rows_equal_tc(index)
+
+
+def test_fill_is_iterative_on_a_deep_chain():
+    graph = DataGraph()
+    for _ in range(5000):
+        graph.add_node(label="x")
+    for node in range(4999):
+        graph.add_edge(node, node + 1)
+    service = PartialReachability(graph)
+    head = service.component_of(0)
+    assert not service.index.fill([head], budget=4999) and service.index.rows == 0
+    assert service.reaches(0, 4999) and not service.reaches(4999, 0)
+    assert service.index.rows == service.index.fills == 5000
+
+
+def test_pickle_round_trip_and_attach():
+    rng = random.Random(5)
+    graph = DataGraph()
+    for _ in range(25):
+        graph.add_node(label="x")
+    for _ in range(45):
+        graph.add_edge(rng.randrange(25), rng.randrange(25))
+    service = PartialReachability(graph)
+    service.index.fill({service.component_of(node) for node in range(0, 25, 3)})
+    restored = pickle.loads(pickle.dumps(service))
+    assert restored.graph is None
+    assert restored.index._rows == service.index._rows
+    assert restored.lineage is not service.lineage  # meaningless until attached
+    restored.attach(graph)
+    assert restored.graph is graph and restored.lineage is graph.structure().lineage
+    assert restored.dag is restored.index.dag is graph.structure().dag
+    lookups = restored.counters.lookups
+    for source in range(25):
+        for target in range(25):
+            assert restored.reaches(source, target) == reaches(graph, source, target)
+    # One lookup per cross-component probe, like every DAG index.
+    cross = sum(
+        service.component_of(s) != service.component_of(t) for s in range(25) for t in range(25)
+    )
+    assert restored.counters.lookups - lookups == cross
+    # And it follows the graph from there.
+    graph.add_edge(graph.add_node(label="y"), 3)
+    follower = restored.following(graph)
+    assert follower is not None and follower.reaches(25, 3)

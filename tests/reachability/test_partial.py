@@ -1,4 +1,7 @@
-"""Partial (footprint-restricted) index correctness and probe parity."""
+"""The partial scope's public surface: footprints, and the closure that
+``build_partial_reachability`` pre-fills for one (correctness against
+the full indexes, probe parity, persistence).  The closure's own
+properties — laziness, lineage, budget — are in ``test_closure.py``."""
 
 import pickle
 import random
@@ -64,32 +67,38 @@ class TestFootprint:
 @pytest.mark.parametrize("inner", ["tc", "3hop", "contour"])
 class TestPartialDifferential:
     def test_matches_oracle_everywhere(self, inner):
-        """In-domain probes, boundary probes and fallback probes all agree
-        with the DFS oracle — including sources outside the footprint."""
+        """Probes inside the footprint, across its boundary and from
+        sources outside it all agree with the DFS oracle and with the
+        full-scope ``inner`` index."""
         rng = random.Random(17)
         for case in range(8):
             graph = random_digraph(rng, 24, 50)
             seeds = {rng.randrange(24) for __ in range(3)}
             footprint = Footprint.from_seeds(graph, seeds)
-            service = build_partial_reachability(graph, footprint, inner)
+            service = build_partial_reachability(graph, footprint)
+            full = build_reachability(graph, inner)
             for source in range(24):
                 for target in range(24):
-                    assert service.reaches(source, target) == reaches(
-                        graph, source, target
-                    ), (case, source, target)
+                    expected = reaches(graph, source, target)
+                    assert service.reaches(source, target) == expected, (case, source, target)
+                    assert full.reaches(source, target) == expected, (case, source, target)
 
     def test_scoped_name(self, inner):
+        """The partial scope is one index family, the closure's."""
         graph = random_digraph(random.Random(3), 8, 10)
         footprint = Footprint.from_seeds(graph, {0})
-        service = build_partial_reachability(graph, footprint, inner)
-        assert service.index.name == f"{inner}@partial"
-        assert service.index.inner_name == inner
+        if inner == "tc":
+            service = build_partial_reachability(graph, footprint, inner)
+            assert service.index.name == "tc@partial"
+        else:
+            with pytest.raises(ValueError, match="descendant closure"):
+                build_partial_reachability(graph, footprint, inner)
 
 
 class TestProbeParity:
     def test_in_domain_probes_count_like_full_index(self):
-        """A partial index reports the same lookup counts a full index
-        would for the same probe sequence (the ``#index`` metric)."""
+        """The closure reports the same lookup counts a full index would
+        for the same probe sequence (the ``#index`` metric)."""
         rng = random.Random(23)
         graph = random_digraph(rng, 30, 55)
         footprint = Footprint.from_seeds(graph, {0, 1, 2})
@@ -111,18 +120,20 @@ class TestProbeParity:
         assert not service.reaches(0, 2)
         assert service.counters.lookups == before + 1
 
-    def test_fallback_bfs_is_memoized(self):
+    def test_unfilled_source_is_filled_once_on_demand(self):
         graph = DataGraph()
         for __ in range(4):
             graph.add_node(label="x")
         graph.add_edge(0, 1)
         graph.add_edge(1, 2)
-        footprint = Footprint.from_seeds(graph, {3})  # 0..2 out of domain
+        footprint = Footprint.from_seeds(graph, {3})  # 0..2 outside the footprint
         service = build_partial_reachability(graph, footprint, "tc")
+        assert service.index.rows == 1
         assert service.reaches(0, 2)
-        scanned = service.counters.entries_scanned
-        assert service.reaches(0, 1)
-        assert service.counters.entries_scanned == scanned
+        assert service.index.rows == service.index.fills == 4
+        assert service.reaches(0, 1) and service.reaches(1, 2)
+        assert service.index.fills == 4  # memoized
+        assert service.counters.lookups == 3
 
 
 class TestPersistence:
@@ -132,13 +143,12 @@ class TestPersistence:
         service = build_partial_reachability(graph, footprint, "tc")
         restored = pickle.loads(pickle.dumps(service))
         assert restored.graph is None
-        restored.graph = graph
-        assert restored.footprint.fingerprint == footprint.fingerprint
+        restored.attach(graph)
+        assert restored.graph is graph
+        assert restored.index.rows == service.index.rows
         for source in range(20):
             for target in range(20):
-                assert restored.reaches(source, target) == service.reaches(
-                    source, target
-                )
+                assert restored.reaches(source, target) == service.reaches(source, target)
 
 
 @given(st.data())
@@ -163,7 +173,10 @@ def test_partial_matches_oracle_on_random_digraphs(data):
         st.sets(st.integers(min_value=0, max_value=n - 1), max_size=3)
     )
     footprint = Footprint.from_seeds(graph, seeds)
-    service = PartialReachability(graph, footprint, "tc")
+    service = build_partial_reachability(graph, footprint)
+    assert isinstance(service, PartialReachability)
+    scc_of = service.condensation.scc_of
+    assert service.index.rows == len({scc_of[node] for node in footprint.nodes})
     for source in range(n):
         for target in range(n):
             assert service.reaches(source, target) == reaches(graph, source, target)

@@ -6,7 +6,10 @@ snapshot (:meth:`repro.graph.DataGraph.structure`): every pickled
 service in it carries a private ``Condensation`` and ``Dag``.  It pins
 that such stores keep loading — no ``STORE_FORMAT_VERSION`` bump.  Only
 the two index kinds are kept: with no stored results or plans, a session
-over the fixture has to answer through the rehydrated services.
+over the fixture has to answer through the rehydrated services.  Its
+``partial-indexes`` artifact (two per-footprint services) predates the
+descendant closure and names classes that are gone: it pins that such a
+payload is skipped, not raised on.
 
 The graph is built with plain arithmetic, no ``random``, so its content
 fingerprint — the store key — is the same on every Python version.

@@ -23,7 +23,6 @@ KIND_IDS = [kind.name for kind in ARTIFACT_KINDS]
 #: what to compare of a stored value whose class defines no equality.
 VIEWS = {
     "indexes": lambda service: (service.index.name, service.index.index_size()),
-    "partial-indexes": lambda service: (service.index.name, service.index.index_size()),
     "plans": lambda plan: (plan.fingerprint, plan.predicate_keys, plan.compiled.explain()),
 }
 
@@ -74,6 +73,8 @@ def reopen(workload, root, **flags):
 def entries(session, kind):
     """The kind's persisted view of a session, values made comparable."""
     payload, _ = kind.dump(session)
+    if kind.name == "partial-indexes":  # one closure service, not a keyed payload
+        return payload.index.name, payload.index._rows
     view = VIEWS.get(kind.name)
     if view is None:
         return payload
@@ -166,10 +167,12 @@ def test_codegen_kind_is_skipped_with_codegen_off(workload, populated):
 def test_rehydrated_artifacts_are_used(workload, populated):
     graph, queries, shared, _ = workload
     session = reopen(workload, populated[0].root, result_cache_size=0)
-    # queries[3] shares queries[0]'s footprint, so the rehydrated pool
-    # serves it; the compiled function of a full-scope plan is a hit.
+    # The rehydrated closure already holds queries[3]'s rows; the
+    # compiled function of a full-scope plan is a hit.
+    filled = session.cache_info()["partial"]["fills"]
     _, stats = session.evaluate_with_stats(queries[3])
     assert (stats.partial_hits, stats.partial_builds) == (1, 0)
+    assert session.cache_info()["partial"]["fills"] == filled
     _, stats = session.evaluate_with_stats(queries[-1])
     assert (stats.codegen_hits, stats.codegen_misses) == (1, 0)
     assert session.cache_info()["indexes"]["pooled"] == 1
@@ -187,19 +190,20 @@ def test_invalidate_empties_every_kind_but_the_profile(workload, populated):
 # One condensation per graph version per process
 # ----------------------------------------------------------------------
 #: ``partial-indexes.artifact`` of the ``populated`` store as the commit
-#: before the shared structural snapshot wrote it (each service pickled a
-#: condensation of its own).
+#: before the shared structural snapshot wrote it (two footprint services,
+#: each pickling a condensation of its own).
 PRIVATE_CONDENSATION_PARTIAL_BYTES = 183_767
 
 
 def services_of(session):
-    return [*session._reach_pool.values(), *dict(session.partial_pool.items()).values()]
+    return [*session._reach_pool.values(), session._closure.service]
 
 
 def assert_one_condensation(session):
     structure = session.graph.structure()
     services = services_of(session)
-    assert len(services) == 3
+    assert len(services) == 2
+    assert session._closure.service.lineage is structure.lineage
     for service in services:
         assert service.graph is session.graph
         assert service.condensation is structure.condensation
