@@ -19,9 +19,7 @@ setup(
     python_requires=">=3.10",
     package_dir={"": "src"},
     packages=find_packages("src"),
-    install_requires=[
-        "numpy",
-    ],
+    install_requires=[],
     extras_require={
         "bench": [
             "pytest",

@@ -128,16 +128,26 @@ class ClosureSlot:
             self.service = service
         return service
 
+    def create(self, graph: DataGraph) -> PartialReachability:
+        """Fill the (empty) slot with a closure over ``graph``, no row filled."""
+        self.service = PartialReachability(graph)
+        return self.service
+
     def drop(self) -> None:
         if self.service is not None:
             self._dropped_fills += self.service.index.fills
             self.service = None
             self.dropped += 1
 
+    @property
+    def rows(self) -> int:
+        """Rows the held closure has filled (0 for an empty slot)."""
+        return self.service.index.rows if self.service is not None else 0
+
     def info(self) -> dict[str, int]:
         index = self.service.index if self.service is not None else None
         return {
-            "rows": index.rows if index else 0,
+            "rows": self.rows,
             "bytes": index.index_size() if index else 0,
             "fills": self._dropped_fills + (index.fills if index else 0),
             "kept": self.kept,

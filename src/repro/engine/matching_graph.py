@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from ..query.gtpq import EdgeType
 from ..reachability.contour import merge_succ_lists
+from ..reachability.partial import mask
 from .prune import MatSets, PruningContext
 
 
@@ -141,27 +142,57 @@ def _ad_edges(
 def _ad_edges_generic(
     context: PruningContext, result: MatchingGraph, parent_id, child_id, mats
 ) -> None:
-    """AD edge matches via plain index probes (non-3-hop indexes).
+    """AD edge matches of non-3-hop indexes.
 
     Target lists are memoized per source component — all sources in one
-    component strictly reach the same candidates.
+    component strictly reach the same candidates: one row AND (one
+    counted lookup) where the index hands out rows, else a ``reaches``
+    probe per child component.  Targets keep the child's candidate order
+    either way.
     """
     reach = context.reach
     dag_index = reach.index
     by_component: dict[int, list[int]] = {}
     for candidate in mats[child_id]:
         by_component.setdefault(reach.component_of(candidate), []).append(candidate)
+    rows = dag_index.rows_for({reach.component_of(source) for source in mats[parent_id]})
+    if rows is not None:
+        child_mask = mask(by_component)
+        rank = {component: position for position, component in enumerate(by_component)}
     targets_of: dict[int, list[int]] = {}
     for source in mats[parent_id]:
         source_component = reach.component_of(source)
         targets = targets_of.get(source_component)
         if targets is None:
             targets = []
-            for component, members in by_component.items():
-                if component == source_component:
-                    if reach.is_cyclic_component(component):
+            if rows is not None:
+                # Row kernel: the child components below this source.
+                dag_index.counters.lookups += 1
+                hits = rows[source_component] & child_mask
+                if reach.is_cyclic_component(source_component) and source_component in rank:
+                    hits |= 1 << source_component
+                for component in _hit_components(hits, rank):
+                    targets.extend(by_component[component])
+            else:
+                for component, members in by_component.items():
+                    if component == source_component:
+                        if reach.is_cyclic_component(component):
+                            targets.extend(members)
+                    elif dag_index.reaches(source_component, component):
                         targets.extend(members)
-                elif dag_index.reaches(source_component, component):
-                    targets.extend(members)
             targets_of[source_component] = targets
         result.branches.setdefault((parent_id, source), {})[child_id] = list(targets)
+
+
+def _hit_components(hits: int, rank: dict[int, int]) -> list[int]:
+    """The components of ``rank`` whose bit is set in ``hits``, in rank
+    order — walked by set bit or by component, whichever is shorter."""
+    if hits.bit_count() >= len(rank):
+        return [component for component in rank if hits >> component & 1]
+    components = []
+    while hits:
+        lowest = hits & -hits
+        components.append(lowest.bit_length() - 1)
+        hits ^= lowest
+    components.sort(key=rank.__getitem__)
+    return components

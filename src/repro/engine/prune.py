@@ -31,6 +31,7 @@ from ..logic import And, Const, Not, Or, Var
 from ..query.gtpq import GTPQ, EdgeType
 from ..reachability.base import GraphReachability
 from ..reachability.contour import Contour, merge_pred_lists, merge_succ_lists
+from ..reachability.partial import mask
 from ..reachability.three_hop import ThreeHopIndex
 
 #: Candidate sets per query node (data-node ids).
@@ -42,10 +43,14 @@ class PruningContext:
 
     The chain/contour machinery (Section 4.2) applies when the reachability
     service is backed by the 3-hop index; :attr:`index` then holds it.  Any
-    other :class:`~repro.reachability.base.DagIndex` works too — the
-    pruning passes fall back to memoized set-reachability probes against
-    the generic ``reaches`` interface (the paper's "flexible for our
-    framework to use other labeling schemes" remark, Section 4.1).
+    other :class:`~repro.reachability.base.DagIndex` works too (the paper's
+    "flexible for our framework to use other labeling schemes" remark,
+    Section 4.1), through the generic AD sites: an index that hands out
+    descendant rows (``rows_for`` — ``tc``, the lazily filled closure) is
+    read by the *row kernel*, one AND of a component's row against the
+    mask of a candidate set per test; any other falls back to memoized
+    per-pair probes of ``reaches``.  A row is strict, so all three sites
+    add the cyclic same-component hit themselves.
     """
 
     def __init__(self, graph: DataGraph, query: GTPQ, reach: GraphReachability):
@@ -239,21 +244,39 @@ def _ad_valuations_generic(
     candidates: list[int],
     child_mats: dict[str, list[int]],
 ) -> dict[int, dict[str, bool]]:
-    """AD child valuations via plain index probes (non-3-hop indexes).
+    """AD child valuations of non-3-hop indexes.
 
-    One valuation per DAG component, as in the chain-shared variant, but
-    each bit is decided by probing ``reaches`` against the child's
-    component set directly.
+    One valuation per DAG component, as in the chain-shared variant; each
+    bit is one row test (one counted lookup) where the index hands out
+    rows, else a ``reaches`` probe per target of the child's component set.
     """
     child_components = {
         child_id: context.dag_images(nodes)
         for child_id, nodes in child_mats.items()
     }
+    condensation = context.reach.condensation
+    components = set(map(condensation.scc_of.__getitem__, candidates))
+    rows = context.reach.index.rows_for(components)
+    if rows is None:
+        return {
+            component: {
+                child_id: context.component_reaches_any(component, targets)
+                for child_id, targets in child_components.items()
+            }
+            for component in components
+        }
+    # Row kernel: "component has a descendant in S_child" is one AND of
+    # its row against the child's mask.  A row is strict, so the cyclic
+    # same-component hit is read off the mask itself.
+    cyclic = condensation.cyclic
+    masks = {child_id: mask(targets) for child_id, targets in child_components.items()}
+    context.reach.counters.lookups += len(components) * len(masks)
     result: dict[int, dict[str, bool]] = {}
-    for component in {context.reach.component_of(c) for c in candidates}:
+    for component in components:
+        row, own = rows[component], cyclic[component]
         result[component] = {
-            child_id: context.component_reaches_any(component, components)
-            for child_id, components in child_components.items()
+            child_id: bool(row & targets or own and targets >> component & 1)
+            for child_id, targets in masks.items()
         }
     return result
 
@@ -378,22 +401,35 @@ def _filter_upward_ad_generic(
 ) -> list[int]:
     """Generic upward AD filter: keep candidates some parent reaches.
 
-    Memoized per DAG component; probes the index's plain ``reaches``.
+    Memoized per DAG component: one bit test (one counted lookup) against
+    the OR of the parents' rows where the index hands out rows, else a
+    ``reaches`` probe per parent.
     """
     reach = context.reach
     dag_index = reach.index
+    rows = dag_index.rows_for(parent_components)
+    if rows is not None:
+        # Row kernel: everything strictly below some parent, in one int.
+        below = 0
+        for parent in parent_components:
+            below |= rows[parent]
+        cyclic_parents = set(filter(reach.is_cyclic_component, parent_components))
     reached: dict[int, bool] = {}
     survivors: list[int] = []
     for candidate in candidates:
         component = reach.component_of(candidate)
         hit = reached.get(component)
         if hit is None:
-            hit = any(
-                dag_index.reaches(parent, component)
-                if parent != component
-                else reach.is_cyclic_component(component)
-                for parent in parent_components
-            )
+            if rows is not None:
+                dag_index.counters.lookups += 1
+                hit = bool(below >> component & 1) or component in cyclic_parents
+            else:
+                hit = any(
+                    dag_index.reaches(parent, component)
+                    if parent != component
+                    else reach.is_cyclic_component(component)
+                    for parent in parent_components
+                )
             reached[component] = hit
         if hit:
             survivors.append(candidate)

@@ -3,8 +3,11 @@
 The paper's GTEA engine assumes a query-independent reachability index
 built once and amortized over many queries (Section 4.1).  A
 :class:`QuerySession` takes that idea to a serving setting: it owns one
-data graph plus a lazily built pool of reachability indexes, and reuses
-three kinds of evaluation artifacts across queries:
+data graph, one lazily *filled* descendant closure (``tc`` — what
+``index="auto"`` resolves to while the closure's worst case fits
+:data:`~repro.plan.cost.AUTO_CLOSURE_MAX_BYTES`; nothing is built before
+a query reads a row) plus a lazily built pool of the other reachability
+indexes, and reuses four kinds of evaluation artifacts across queries:
 
 * a **plan cache** — parsed and *compiled* queries (the full
   normalize → logical → physical artifact of :mod:`repro.plan`) keyed by
@@ -30,12 +33,13 @@ distinct rooted subtree) and executes it through
 five queries is pruned once, not five times.
 
 Staleness is detected through :attr:`repro.graph.digraph.DataGraph.version`:
-any ``add_node``/``add_edge`` after session creation drops every cache
-and every pooled full index on the next use.  Only the descendant
-closure of the partial scope (:mod:`repro.reachability.partial`)
-outlives an *append* — a new node with edges out of new nodes only: its
-rows stay exact along the graph's structural lineage.  An edge between
-old nodes, or :meth:`QuerySession.invalidate`, drops it too.  (The graph
+any ``add_node``/``add_edge``/``set_attr`` after session creation drops
+every cache and every pooled index on the next use.  Only the descendant
+closure (:mod:`repro.reachability.partial`; one per session, whichever
+route reads it) outlives an *append* — a new node with edges out of new
+nodes only — and an attribute write: its rows stay exact along the
+graph's structural lineage.  An edge between old nodes, or
+:meth:`QuerySession.invalidate`, drops it too.  (The graph
 absorbs an append below the session: condensation, label postings and
 statistics are extended, not rebuilt.)  Cache activity is surfaced
 through :meth:`QuerySession.cache_info` and the
@@ -86,7 +90,6 @@ from ..query.serialize import (
 from ..plan.cost import PARTIAL_FOOTPRINT_FRACTION
 from ..reachability.base import GraphReachability
 from ..reachability.factory import build_reachability, resolve_index
-from ..reachability.partial import PartialReachability
 from ..store import ArtifactStore, graph_fingerprint
 from .artifacts import ARTIFACT_KINDS
 from .cache import LRUCache
@@ -155,7 +158,13 @@ class QuerySession:
         graph: the data graph to serve queries against.
         index: default reachability index name, or ``"auto"`` (default)
             for the cost-based pick of the physical planner
-            (:func:`repro.plan.cost.choose_index`).
+            (:func:`repro.plan.cost.choose_index`): ``tc``, the session's
+            lazily filled descendant closure, while its worst case
+            (``n² / 16`` bytes) fits
+            :data:`~repro.plan.cost.AUTO_CLOSURE_MAX_BYTES` — such a
+            session never builds another index; above the bound the
+            graph-shape ladder (interval / tree-cover / 3-hop) with the
+            budgeted per-query partial scope.
         plan_cache_size: LRU capacity of the plan cache.
         candidate_cache_size: LRU capacity of the shared ``mat(u)`` cache
             (entries are predicates, not queries).
@@ -306,10 +315,16 @@ class QuerySession:
         return self._resolved_auto
 
     def reachability(self, index: str | None = None) -> GraphReachability:
-        """The pooled reachability service for ``index`` (built lazily)."""
+        """The reachability service for ``index``: the session's one
+        descendant closure for ``tc`` (created empty, re-pointed along the
+        lineage after a version bump), the pooled service otherwise
+        (built lazily)."""
         self._ensure_fresh()
         self._load_lazy_kinds()
         name = self._resolve(index or self.default_index)
+        if name == "tc":
+            # One holder: ``tc`` is the slot's closure, whoever asks.
+            return self._closure.current(self.graph) or self._closure.create(self.graph)
         service = self._reach_pool.get(name)
         if service is None:
             service = build_reachability(self.graph, name)
@@ -351,11 +366,14 @@ class QuerySession:
     def invalidate(self) -> None:
         """Drop every cache, every pooled index and the descendant closure.
 
-        For in-place attribute mutations, which the version counter
-        cannot see.  A moved :attr:`DataGraph.version` needs no call: the
-        next use drops the same things — plans, candidate, subtree and
-        result sets, compiled functions, pooled full indexes — except the
-        closure, which is kept when every mutation since was an append
+        For writes the version counter cannot see — a write to the live
+        dict of :meth:`DataGraph.attrs`; prefer :meth:`DataGraph.set_attr`,
+        which the graph tracks and which needs no call here.  A moved
+        :attr:`DataGraph.version` needs no call either: the next use drops
+        the same things — plans, candidate, subtree and result sets,
+        compiled functions, pooled full indexes — except the closure,
+        which is kept when every mutation since was an append or an
+        attribute write
         (``cache_info()["partial"]``: ``kept`` / ``dropped``).  The cost
         profile survives both, and the graph's own derived state
         (:meth:`DataGraph.structure`, label postings, depths) follows the
@@ -517,7 +535,10 @@ class QuerySession:
         plan = self._plan_for(query)
         route = self._route(plan)
         entry = self._codegen_entry(plan)[0] if route.compiled else None
-        rendered = plan.compiled.explain(observed=self._observed_ops.peek(plan.fingerprint))
+        rendered = plan.compiled.explain(
+            observed=self._observed_ops.peek(plan.fingerprint),
+            closure_rows=self._closure.rows,
+        )
         return "\n".join([rendered, *route.notes(entry)])
 
     def _route(
@@ -736,12 +757,14 @@ class QuerySession:
     def _partial_service(self, plan: QueryPlan, stats: EvaluationStats):
         """The descendant closure with this plan's rows filled, or None.
 
-        One closure per graph lineage: the first partial-scope plan
-        creates it (``partial_builds``), later ones — across appends too —
-        reuse it (``partial_hits``).  Probes leave the candidates of
-        non-leaf query nodes, so their components' rows are filled before
-        the engine starts, through the candidate cache the execution
-        reads.  A plan needing more *new* rows than
+        The partial scope of a graph above the closure bound.  One
+        closure per graph lineage — the one :meth:`reachability` hands
+        out for ``tc``: the first partial-scope plan to find the slot
+        empty creates it (``partial_builds``), later ones — across
+        appends too — reuse it (``partial_hits``).  Probes leave the
+        candidates of non-leaf query nodes, so their components' rows are
+        filled before the engine starts, through the candidate cache the
+        execution reads.  A plan needing more *new* rows than
         :data:`~repro.plan.cost.PARTIAL_FOOTPRINT_FRACTION` of the graph
         (costing bounded its seeds, not their cone) gets None: the
         closure is dropped, the plan runs on the full index and is not
@@ -753,7 +776,7 @@ class QuerySession:
         service = self._closure.current(self.graph)
         created = service is None
         if created:
-            service = self._closure.service = PartialReachability(self.graph)
+            service = self._closure.create(self.graph)
         query = plan.compiled.query
         provider = self._candidate_provider(plan)
         scc_of = service.condensation.scc_of
@@ -766,6 +789,7 @@ class QuerySession:
         budget = max(1, int(PARTIAL_FOOTPRINT_FRACTION * self.graph.num_nodes))
         if not service.index.fill(sources, budget):
             self._closure.drop()
+            self._engines.pop("tc", None)  # a pinned-tc engine held the dropped rows
             self._closure_refused.add(plan.fingerprint)
             return None
         stats.partial_builds, stats.partial_hits = int(created), int(not created)
@@ -1070,7 +1094,14 @@ class QuerySession:
         """Counter snapshots and sizes of every session cache, plus the
         ``"structure"`` row of the graph's own snapshot
         (:meth:`DataGraph.structure_info`): extensions are mutations
-        absorbed, builds are mutations that forced a whole-graph pass."""
+        absorbed, builds are mutations that forced a whole-graph pass.
+
+        ``"partial"`` is *the* descendant closure's row — ``rows`` /
+        ``bytes`` held, ``fills`` ever computed, version bumps ``kept``
+        across, closures ``dropped`` — whichever route filled it: the
+        ``tc`` rung under the closure bound, the partial scope above it,
+        or a pinned ``index="tc"``.  ``"indexes"`` counts the other,
+        pooled indexes."""
         info = {
             kind.info: kind.describe(getattr(self, kind.attr))
             for kind in ARTIFACT_KINDS

@@ -28,10 +28,11 @@ class DataGraph:
     The graph owns two lazily derived caches: the label postings behind
     :meth:`nodes_with_label` and the structural snapshot behind
     :meth:`structure`.  Once built they follow the graph: :meth:`add_node`
-    appends to the postings and an append-only delta extends the
-    snapshot.  Neither is synchronised: threads that demand one at the
-    same moment may each derive an equal copy, and mutating a graph while
-    another thread queries it is not supported.
+    appends to the postings, :meth:`set_attr` moves a node between them,
+    and an append-only delta extends the snapshot.  Neither is
+    synchronised: threads that demand one at the same moment may each
+    derive an equal copy, and mutating a graph while another thread
+    queries it is not supported.
     """
 
     __slots__ = (
@@ -69,11 +70,11 @@ class DataGraph:
     def version(self) -> int:
         """Monotonic mutation counter.
 
-        Incremented by every :meth:`add_node` / :meth:`add_edge`, so derived
-        structures (reachability indexes, the session caches of
-        :mod:`repro.engine.session`) can detect staleness cheaply.  Direct
-        mutation of an attribute dictionary obtained from :meth:`attrs` is
-        *not* tracked.
+        Incremented by every :meth:`add_node` / :meth:`add_edge` /
+        :meth:`set_attr`, so derived structures (reachability indexes, the
+        session caches of :mod:`repro.engine.session`) can detect
+        staleness cheaply.  Direct mutation of an attribute dictionary
+        obtained from :meth:`attrs` is *not* tracked.
 
         A version bump does no structural work: the :meth:`structure`
         snapshot goes stale and is brought up to date at its next demand —
@@ -132,6 +133,34 @@ class DataGraph:
             self._append_only = False
         return True
 
+    def set_attr(self, node: int, key: str, value: Any) -> None:
+        """Set attribute ``key`` of ``node`` to ``value`` — the write the
+        graph can see.
+
+        Bumps :attr:`version`, so sessions drop their versioned caches,
+        and a ``"label"`` write moves the node between label postings
+        (a tuple handed out earlier is never modified; a ``None`` label
+        is no label).  The structure did not change: the snapshot's
+        lineage — and with it every descendant closure — is kept.
+        """
+        self._check(node)
+        attrs = self._attrs[node]
+        postings, old = self._label_index, attrs.get("label")
+        if key == "label" and postings is not None and old != value:
+            # Looked up before anything is written: an unhashable label
+            # raises here and leaves the node as it was.
+            grown = None if value is None else tuple(sorted((*postings.get(value, ()), node)))
+            if old is not None:
+                rest = tuple(member for member in postings[old] if member != node)
+                if rest:
+                    postings[old] = rest
+                else:
+                    del postings[old]
+            if grown is not None:
+                postings[value] = grown
+        attrs[key] = value
+        self._version += 1
+
     @classmethod
     def from_edges(
         cls,
@@ -177,7 +206,11 @@ class DataGraph:
                 yield (source, target)
 
     def attrs(self, node: int) -> dict[str, Any]:
-        """The attribute dictionary ``f(v)`` of ``node``."""
+        """The attribute dictionary ``f(v)`` of ``node`` — the live dict,
+        for reading.  Write through :meth:`set_attr`: a write to this
+        dict is invisible to :attr:`version` and leaves the label
+        postings, which are appended to and never rebuilt, wrong for the
+        life of the graph."""
         self._check(node)
         return self._attrs[node]
 
@@ -247,7 +280,8 @@ class DataGraph:
         graph scan per query.  Returns the stored (immutable) posting
         tuple itself — repeated candidate scans share one object instead
         of copying the list per call.  The index is built once, at its
-        first demand; :meth:`add_node` appends to it from then on.
+        first demand; :meth:`add_node` and :meth:`set_attr` keep it current
+        from then on.
         """
         return self._postings().get(label, ())
 

@@ -29,8 +29,8 @@ from .shared import (
     should_share,
 )
 from .cost import (
+    AUTO_CLOSURE_MAX_BYTES,
     AUTO_NEAR_TREE_RATIO,
-    AUTO_TC_MAX_NODES,
     PARTIAL_CONE_EXPANSION,
     PARTIAL_FOOTPRINT_FRACTION,
     CostEstimate,
@@ -55,8 +55,8 @@ from .physical import (
 )
 
 __all__ = [
+    "AUTO_CLOSURE_MAX_BYTES",
     "AUTO_NEAR_TREE_RATIO",
-    "AUTO_TC_MAX_NODES",
     "BatchPlan",
     "CandidateSource",
     "CodegenError",

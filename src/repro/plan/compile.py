@@ -46,7 +46,7 @@ class CompiledPlan:
         """Per rewritten-query node, its canonical subtree fingerprint."""
         return self.logical.subtree_fingerprint_map
 
-    def explain(self, observed=None) -> str:
+    def explain(self, observed=None, closure_rows=None) -> str:
         """Render every compilation stage, one section per phase.
 
         Args:
@@ -54,11 +54,13 @@ class CompiledPlan:
                 (``EvaluationStats.operator_stats``); the physical-plan
                 section then shows estimated *and* observed per-operator
                 stats, including runtime reorderings.
+            closure_rows: rows the session's descendant closure holds,
+                printed on a ``tc`` index line.
         """
         sections = [
             ("normalize", self.normalized.explain_lines()),
             ("logical plan", self.logical.explain_lines()),
-            ("physical plan", self.physical.explain_lines(observed=observed)),
+            ("physical plan", self.physical.explain_lines(observed, closure_rows)),
         ]
         lines: list[str] = []
         for title, body in sections:

@@ -3,10 +3,11 @@
 Two decisions are made here, both from statistics only (no index is
 built and no candidate list is materialized at costing time):
 
-* **index choice** — the heuristic ladder that used to live in
-  :func:`repro.reachability.factory.select_auto_index`; the factory now
-  delegates to :func:`choose_index` so the cost model is the single
-  owner of the decision;
+* **index choice** — the ladder of :func:`choose_index`: the lazily
+  filled descendant closure (``tc``) while its worst case fits a memory
+  bound, graph shape above it
+  (:func:`repro.reachability.factory.select_auto_index` delegates here,
+  so the cost model is the single owner of the decision);
 * **executor choice** — GTEA versus the TwigStackD baseline.  GTEA's
   per-query work scales with the candidate sets it prunes and joins,
   while TwigStackD's pre-filter performs two whole-graph sweeps
@@ -33,9 +34,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .feedback import CostProfile
     from .logical import CandidateSource
 
-#: node count up to which the packed-bitset transitive closure is the
-#: obvious winner (O(1) queries; the bit matrix stays under ~32 KiB).
-AUTO_TC_MAX_NODES = 512
+#: bytes the *whole* descendant closure may take for ``tc`` to be the
+#: ladder's first rung.  Worst case (a total order) the closure is the
+#: lower triangle, n²/2 bits = n²/16 bytes, so 64 MiB admits n ≤ 32 768;
+#: rows are filled as queries read them and a real graph stays far below
+#: (XMark at 13 329 nodes: 11.1 MB worst case, 4.3 MB with every row).
+AUTO_CLOSURE_MAX_BYTES = 64 * 2**20
 
 #: edge/node ratio under which a DAG counts as "near-tree".
 AUTO_NEAR_TREE_RATIO = 1.1
@@ -69,8 +73,11 @@ def choose_index(
 
     The heuristic ladder:
 
-    1. tiny graphs — packed transitive closure (quadratic space is noise,
-       queries are one bit probe);
+    1. graphs whose worst-case descendant closure, ``n² / 16`` bytes,
+       fits :data:`AUTO_CLOSURE_MAX_BYTES` — ``tc``, the lazily filled
+       closure (:mod:`repro.reachability.partial`): nothing is built up
+       front, a row is filled when a query first reads it, and the
+       pruning passes test a component against a set with one AND;
     2. forests (acyclic, every non-root with exactly one parent) —
        interval labels, whose containment test is exact there;
     3. near-tree DAGs (edge count within :data:`AUTO_NEAR_TREE_RATIO` of
@@ -78,8 +85,9 @@ def choose_index(
        per node on such graphs;
     4. everything else — 3-hop, the paper's default.
 
-    Cyclic graphs skip the forest/near-tree rungs: the statistics describe
-    the raw graph, not its condensation, so tree-shape evidence is absent.
+    Above the bound cyclic graphs skip the forest/near-tree rungs: the
+    statistics describe the raw graph, not its condensation, so
+    tree-shape evidence is absent.
 
     When a :class:`~repro.plan.feedback.CostProfile` with observations for
     ``graph_version`` is given, measured per-element execution rates can
@@ -101,8 +109,10 @@ def choose_index_detail(
     :data:`~repro.plan.feedback.INDEX_OVERRIDE_MARGIN` factor — the
     measurement wins over the heuristic.
     """
-    if stats.num_nodes <= AUTO_TC_MAX_NODES:
+    reason = "cost model: graph-shape ladder"
+    if closure_fits(stats.num_nodes):
         ladder = "tc"
+        reason = f"closure: n²/16 = {stats.num_nodes**2 // 16} bytes ≤ {AUTO_CLOSURE_MAX_BYTES}"
     elif stats.is_dag and stats.num_edges == stats.num_nodes - stats.num_roots:
         ladder = "interval"
     elif stats.is_dag and stats.num_edges <= AUTO_NEAR_TREE_RATIO * stats.num_nodes:
@@ -125,7 +135,13 @@ def choose_index_detail(
                 f"cost profile: observed {best[1]:.2e}s/element beats "
                 f"{ladder} at {ladder_rate:.2e}s/element"
             )
-    return ladder, "cost model: graph-shape ladder"
+    return ladder, reason
+
+
+def closure_fits(num_nodes: int) -> bool:
+    """Does the worst-case closure of ``num_nodes`` nodes, ``n² / 16``
+    bytes, fit :data:`AUTO_CLOSURE_MAX_BYTES` — is ``tc`` the first rung?"""
+    return num_nodes * num_nodes // 16 <= AUTO_CLOSURE_MAX_BYTES
 
 
 def scoped_index_key(index_name: str, scope: str) -> str:
@@ -142,9 +158,11 @@ def scoped_index_key(index_name: str, scope: str) -> str:
 class IndexChoice:
     """The per-query (index, scope) decision and why it was made.
 
-    ``scope`` is ``"full"`` (one index over the whole graph, shared by
-    every query) or ``"partial"`` (the session's lazily filled
-    descendant closure, :mod:`repro.reachability.partial`, whose index
+    ``scope`` is ``"full"`` (one index for the whole graph, shared by
+    every query — under the closure bound that index is ``tc``, which
+    fills rows as queries read them) or ``"partial"`` (above the bound:
+    the same descendant closure, :mod:`repro.reachability.partial`,
+    filled under a per-query budget with a full-index fallback; its index
     name is always ``"tc"``).  ``footprint_estimate`` is the costing-time
     cone estimate — the executor fills the rows the query really needs.
     """
@@ -162,13 +180,13 @@ class IndexChoice:
 def index_build_units(index_name: str, num_nodes: int, num_edges: int) -> float:
     """Rough build cost of one index, in graph-element units.
 
-    Only the *relative* order across (index, scope) arms matters: the
-    packed transitive closure is quadratic in nodes, interval labels and
-    the tree cover are one traversal, and the chain/contour/hop family
-    pays a few passes plus its chain decomposition.
+    Only the *relative* order across (index, scope) arms matters:
+    interval labels and the tree cover are one traversal, and the
+    chain/contour/hop family pays a few passes plus its chain
+    decomposition.  (``tc`` builds nothing up front and is never priced
+    here: under its bound it is the ladder's pick outright, above it the
+    ladder never names it — :func:`closure_fill_units` prices its rows.)
     """
-    if index_name == "tc":
-        return num_nodes * num_nodes / 8 + num_nodes + num_edges
     if index_name in ("interval", "tree-cover"):
         return num_nodes + num_edges
     return 4.0 * (num_nodes + num_edges)
@@ -194,9 +212,12 @@ def choose_scoped_index(
 ) -> IndexChoice:
     """Per-query index costing: pick an (index, scope) arm.
 
-    The graph-shape ladder (:func:`choose_index_detail`) prices the
-    full-scope arm.  The partial arm — always ``tc``, the session's
-    descendant closure — is admissible when every candidate source is
+    The ladder (:func:`choose_index_detail`) names the full-scope arm.
+    Under the closure bound (:func:`closure_fits`) that arm is ``tc``,
+    which already fills only the rows a query reads: it is returned as
+    is and nothing below applies.  Above the bound the partial arm —
+    always ``tc``, the session's descendant closure filled under a
+    per-query budget — is admissible when every candidate source is
     bounded by a label posting list and the estimated footprint (seeds
     times :data:`PARTIAL_CONE_EXPANSION`, clamped to the node count)
     stays under :data:`PARTIAL_FOOTPRINT_FRACTION` of the graph; it wins
@@ -212,7 +233,9 @@ def choose_scoped_index(
         return IndexChoice(
             full_name, "full", f"pooled: {full_name} already built", None
         )
-    if stats.num_nodes <= AUTO_TC_MAX_NODES:
+    if closure_fits(stats.num_nodes):
+        # Under the bound the ladder's pick *is* the closure: there is
+        # no cheaper scope to race it against.
         return full
     if not sources or any(s.source != "label-index" for s in sources):
         return full

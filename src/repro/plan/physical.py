@@ -111,13 +111,20 @@ class PhysicalPlan:
         """
         return set(self.downward_order) == set(query.nodes)
 
-    def explain_lines(self, observed: "Sequence | None" = None) -> list[str]:
+    def explain_lines(
+        self, observed: "Sequence | None" = None, closure_rows: int | None = None
+    ) -> list[str]:
         """Render the plan; with ``observed`` operator stats (an
         execution's ``EvaluationStats.operator_stats``), each pipeline
         row also shows what actually happened — including runtime
-        reorderings, early exits and skipped operators."""
+        reorderings, early exits and skipped operators.  A session passes
+        ``closure_rows``, the rows its descendant closure holds, which a
+        full-scope ``tc`` line reports as ``rows filled R``."""
         if self.index_scope == "full":
-            lines = [f"index: {self.index_name} ({self.index_reason})"]
+            reason = self.index_reason
+            if self.index_name == "tc" and closure_rows is not None:
+                reason += f"; rows filled {closure_rows}"
+            lines = [f"index: {self.index_name} ({reason})"]
         else:
             footprint = (
                 f"footprint≈{self.footprint_estimate}"

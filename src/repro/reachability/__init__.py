@@ -31,10 +31,10 @@ from .partial import (
     build_partial_reachability,
     candidate_cone,
     domain_fingerprint,
+    mask,
 )
 from .sspi import SSPIIndex
 from .three_hop import ThreeHopIndex
-from .transitive_closure import TransitiveClosureIndex
 from .tree_cover import TreeCoverIndex
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "PartialReachability",
     "SSPIIndex",
     "ThreeHopIndex",
-    "TransitiveClosureIndex",
     "TreeCoverIndex",
     "available_indexes",
     "build_partial_reachability",
@@ -62,6 +61,7 @@ __all__ = [
     "chain_decomposition",
     "contour_reaches_node",
     "domain_fingerprint",
+    "mask",
     "merge_pred_lists",
     "merge_succ_lists",
     "node_reaches_contour",

@@ -59,6 +59,13 @@ class DagIndex(ABC):
     def reaches(self, source: int, target: int) -> bool:
         """Strict DAG reachability."""
 
+    def rows_for(self, components) -> dict[int, int] | None:
+        """``component -> descendant row`` (an int, bit ``d`` set iff the
+        component strictly reaches ``d``) covering at least
+        ``components``, for indexes that store such rows; None (the
+        default) sends the pruning passes through per-pair ``reaches``."""
+        return None
+
     def index_size(self) -> int:
         """Total number of stored index entries (for size comparisons)."""
         return 0

@@ -1,10 +1,10 @@
 """Index factory: build a reachability service by name, or pick one.
 
 Besides the explicit names, ``index="auto"`` selects an index from the
-shape of the data graph (see :func:`select_auto_index`): the quadratic
-transitive closure where it is trivially affordable, interval labels on
-forests, the tree-cover on near-tree DAGs, and 3-hop — the paper's default
-— everywhere else.
+shape of the data graph (see :func:`select_auto_index`): the lazily
+filled descendant closure (``tc``) while its worst case fits a memory
+bound, then interval labels on forests, the tree-cover on near-tree DAGs,
+and 3-hop — the paper's default — everywhere else.
 """
 
 from __future__ import annotations
@@ -13,19 +13,19 @@ from typing import Callable
 
 from ..graph.digraph import DataGraph
 from ..graph.stats import GraphStats, graph_stats
-from ..plan.cost import AUTO_NEAR_TREE_RATIO, AUTO_TC_MAX_NODES, choose_index
+from ..plan.cost import AUTO_CLOSURE_MAX_BYTES, AUTO_NEAR_TREE_RATIO, choose_index
 from .base import Dag, DagIndex, GraphReachability
 from .chain_cover import ChainCoverIndex
 from .contour import ContourIndex
 from .interval import IntervalIndex
+from .partial import DescendantClosure
 from .sspi import SSPIIndex
 from .three_hop import ThreeHopIndex
-from .transitive_closure import TransitiveClosureIndex
 from .tree_cover import TreeCoverIndex
 
 _REGISTRY: dict[str, Callable[[Dag], DagIndex]] = {
     "3hop": ThreeHopIndex,
-    "tc": TransitiveClosureIndex,
+    "tc": DescendantClosure,
     "sspi": SSPIIndex,
     "tree-cover": TreeCoverIndex,
     "interval": IntervalIndex,
@@ -34,8 +34,8 @@ _REGISTRY: dict[str, Callable[[Dag], DagIndex]] = {
 }
 
 __all__ = [
+    "AUTO_CLOSURE_MAX_BYTES",
     "AUTO_NEAR_TREE_RATIO",
-    "AUTO_TC_MAX_NODES",
     "available_indexes",
     "build_reachability",
     "resolve_index",

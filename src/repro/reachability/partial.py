@@ -1,18 +1,22 @@
-"""The partial scope: one lazily filled descendant closure per graph lineage.
+"""``tc``: one lazily filled descendant closure per graph lineage.
 
-A full index answers every probe after one whole-graph build; the
-partial scope builds what the queries touch.  :class:`DescendantClosure`
-is the transitive closure (``tc``) with its rows computed on demand and
-memoized.  Condensation ids are reverse topological, so the descendants
-of component ``c`` have smaller ids and ``row(c)`` is one Python int of
-fewer than ``c`` bits::
+Every other index answers probes after one whole-graph build;
+:class:`DescendantClosure` — the registry's ``"tc"`` — is the transitive
+closure with its rows computed on demand and memoized, so it builds
+what the queries touch.  Condensation ids are reverse topological, so
+the descendants of component ``c`` have smaller ids and ``row(c)`` is
+one Python int of fewer than ``c`` bits::
 
     row(c) = OR over s in dag.succ[c] of (row(s) | 1 << s)
 
 It is exact for *every* source (a missing row is filled when first
-probed) and ``reaches`` is one shift-and-mask that counts one lookup,
-like ``tc``.  Worst case the memo is the lower-triangular closure,
-``n² / 16`` bytes; a caller that wants less bounds each ``fill``.
+probed) and ``reaches`` is one shift-and-mask that counts one lookup.
+The pruning passes read whole rows (:meth:`DescendantClosure.rows_for`)
+and test a component against a *set* with one AND against a
+:func:`mask`.  Worst case the memo is the lower-triangular closure,
+``n² / 16`` bytes — the bound the index ladder admits ``tc`` under
+(:data:`repro.plan.cost.AUTO_CLOSURE_MAX_BYTES`); above it the planner's
+partial scope bounds each ``fill``.
 
 **The lineage rule.**  A row depends only on the successor lists of the
 components below it.  Along a lineage of structural snapshots
@@ -41,7 +45,21 @@ __all__ = [
     "build_partial_reachability",
     "candidate_cone",
     "domain_fingerprint",
+    "mask",
 ]
+
+
+def mask(components: Iterable[int]) -> int:
+    """The row-shaped int with bit ``c`` set for every ``c`` of
+    ``components``, in O(k + width): bits are set in a ``bytearray`` and
+    converted once, where ``k`` shift-and-ORs copy the int ``k`` times."""
+    components = list(components)
+    if not components:
+        return 0
+    bits = bytearray((max(components) >> 3) + 1)
+    for component in components:
+        bits[component >> 3] |= 1 << (component & 7)
+    return int.from_bytes(bits, "little")
 
 
 def domain_fingerprint(nodes: Iterable[int]) -> str:
@@ -108,7 +126,7 @@ class DescendantClosure(DagIndex):
     successor id is smaller than its source's), as condensation DAGs do.
     """
 
-    name = "tc@partial"
+    name = "tc"
 
     def __init__(self, dag: Dag):
         super().__init__(dag)
@@ -159,6 +177,11 @@ class DescendantClosure(DagIndex):
             row = self._rows[source]
         return bool(row >> target & 1)
 
+    def rows_for(self, components: Iterable[int]) -> dict[int, int]:
+        """The memo itself, with the rows of ``components`` filled."""
+        self.fill(components)
+        return self._rows
+
     @property
     def rows(self) -> int:
         """How many rows the memo holds."""
@@ -170,7 +193,8 @@ class DescendantClosure(DagIndex):
 
 
 class PartialReachability(GraphReachability):
-    """The reachability service over a :class:`DescendantClosure`.
+    """The reachability service over a :class:`DescendantClosure` that a
+    session keeps across versions.
 
     Drop-in for the engine's service: condensation and component mapping
     are the graph's shared structural snapshot.  ``lineage`` is that

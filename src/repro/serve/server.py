@@ -157,8 +157,11 @@ class QueryServer:
                 adaptive=self.adaptive,
                 store=self.store,
             )
-            # Touching the engine materializes the pooled reachability
-            # index now (rehydrated or built), not under the first request.
+            # Touching the engine resolves the index now, not under the
+            # first request: a stored closure or pooled index is
+            # rehydrated, a pinned full index is built.  The default
+            # (``tc`` under the closure bound) builds nothing here — the
+            # first requests fill the rows they read.
             session.engine()
             sessions.append(session)
         return sessions

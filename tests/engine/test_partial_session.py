@@ -3,12 +3,22 @@ first partial-scope plan, filled by the ones after it, kept across
 appends, with fallbacks and invalidation.  (Its warm-store round trip is
 covered with every other artifact kind in
 ``tests/store/test_session_artifacts.py``; appends against the oracle in
-``tests/oracle/test_churn_differential.py``.)"""
+``tests/oracle/test_churn_differential.py``.)
+
+The partial scope exists *above* the closure bound
+(``AUTO_CLOSURE_MAX_BYTES``); every test here runs with the bound
+patched down so that graphs of test size sit above it.  What a session
+does under the bound is ``tests/engine/test_closure_rung.py``."""
+
+import pytest
 
 from repro.datasets import index_choice_workload
 from repro.engine import QuerySession
 from repro.graph import DataGraph
 from repro.query import AttributePredicate, QueryBuilder, evaluate_naive
+
+
+pytestmark = pytest.mark.usefixtures("low_closure_bound")
 
 
 def workload(scale=1, queries=6):

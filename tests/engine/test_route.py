@@ -2,8 +2,11 @@
 and ``explain()`` alike.
 
 The matrix test walks the full flag product — ``codegen × parallel ×
-adaptive × grouped × {full, partial} scope`` — and holds every cell to
-three things: the answer equals ``evaluate_naive``, ``explain()`` prints
+adaptive × grouped × scope`` — where the scope is ``full`` / ``full-ad``
+(the closure rung, under the bound; a PC and an AD query), or one of the
+two arms above it (the bound patched down): ``partial`` and ``ladder``
+(the full-scope 3-hop pick).
+Every cell is held to three things: the answer equals ``evaluate_naive``, ``explain()`` prints
 exactly what :func:`repro.plan.route.decide_route` renders, and the run
 is filed in the cost profile under the route's executor key.
 """
@@ -55,17 +58,30 @@ def executor_keys(session):
 FLAGS = list(itertools.product((False, "auto"), (None, SERIAL), (False, True), (False, True)))
 
 
-@pytest.mark.parametrize("scope", ["full", "partial"])
+#: matrix scope -> (case, index_name, index_scope) the plan must carry.
+SCOPES = {
+    "full": ("full", "tc", "full"),
+    "full-ad": ("partial", "tc", "full"),  # the enclave query's AD edge, on the closure rung
+    "partial": ("partial", "tc", "partial"),
+    "ladder": ("full", "3hop", "full"),
+}
+
+
+@pytest.mark.parametrize("scope", list(SCOPES))
 @pytest.mark.parametrize("codegen,parallel,adaptive,grouped", FLAGS)
 def test_every_flag_combination_follows_its_route(
-    cases, scope, codegen, parallel, adaptive, grouped
+    request, cases, scope, codegen, parallel, adaptive, grouped
 ):
-    graph, query, expected = cases[scope]
+    if scope in ("partial", "ladder"):
+        request.getfixturevalue("low_closure_bound")
+    case, *index_choice = SCOPES[scope]
+    graph, query, expected = cases[case]
     flags = {"codegen": codegen, "parallel": parallel, "adaptive": adaptive}
     with QuerySession(graph, result_cache_size=0, **flags) as session:
         plan = session.plan(query)
         physical = plan.compiled.physical
-        assert (physical.executor, physical.index_scope) == ("gtea", scope)
+        assert physical.executor == "gtea"
+        assert [physical.index_name, physical.index_scope] == index_choice
         route = decide_route(physical, grouped=grouped, **flags)
 
         group_nodes = ("b",) if grouped else ()
@@ -130,7 +146,7 @@ class TestDecideRoute:
             del flags[flag]
         assert codegen_refusal(physical) is None
 
-    def test_partial_scope_never_uses_the_inner_index_name(self, cases):
+    def test_partial_scope_never_uses_the_inner_index_name(self, cases, low_closure_bound):
         graph, query, _ = cases["partial"]
         physical = compile_query(graph, query).physical
         route = decide_route(physical, codegen="auto", parallel=SERIAL)
@@ -144,7 +160,7 @@ class TestDecideRoute:
 class TestRunTimeFallbacks:
     """The two outcomes the route cannot know file under its fallback key."""
 
-    def test_footprint_blow_out_files_under_the_fallback_key(self):
+    def test_footprint_blow_out_files_under_the_fallback_key(self, low_closure_bound):
         graph, query = chain_with_wide_apex(), apex_query()
         with QuerySession(graph, parallel=SERIAL, result_cache_size=0) as session:
             route = decide_route(session.plan(query).compiled.physical, parallel=SERIAL)

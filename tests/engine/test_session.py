@@ -184,7 +184,11 @@ class TestIndexPooling:
         assert session.reachability("3hop") is session.reachability("3hop")
         assert session.engine("3hop") is session.engine("3hop")
         assert session.engine("3hop") is not session.engine("tc")
-        assert session.cache_info()["indexes"]["pooled"] == 2
+        # One holder: ``tc`` is the closure slot's service, not a pool entry.
+        assert session.reachability("tc") is session.reachability("tc")
+        assert session.reachability("tc") is session._closure.service
+        assert session.engine("tc").reachability is session._closure.service
+        assert session.cache_info()["indexes"]["pooled"] == 1
 
     @pytest.mark.parametrize("index", ["3hop", "tc", "tree-cover", "chain-cover"])
     def test_all_pooled_indexes_agree(self, index):

@@ -158,6 +158,69 @@ class TestLabelIndex:
                 graph.nodes_with_label("a")
 
 
+class TestSetAttr:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_label_writes_keep_the_postings_equal_to_a_rebuild(self, seed):
+        """Any mix of label writes (a new label, the last node of a label
+        leaving it, ``None``, the same label again), other attribute
+        writes and appends reads as a from-scratch rebuild would."""
+        rng = random.Random(seed)
+        labels = [None, "a", "b", ("tuple", 1), 3]
+        graph = DataGraph()
+        for _ in range(rng.randint(1, 10)):
+            graph.add_node(label=rng.choice(labels))
+        graph.nodes_with_label("a")  # builds the postings
+        held = {label: graph.nodes_with_label(label) for label in labels[1:]}
+        copies = dict(held)
+        for step in range(40):
+            version = graph.version
+            node = rng.randrange(graph.num_nodes)
+            roll = rng.random()
+            if roll < 0.6:
+                graph.set_attr(node, "label", rng.choice([*labels, f"fresh{step}"]))
+            elif roll < 0.8:
+                graph.set_attr(node, "kind", step)
+            else:
+                graph.add_node(label=rng.choice(labels))
+            assert graph.version == version + 1
+        rebuilt = DataGraph()
+        for node in graph.nodes():
+            rebuilt.add_node(graph.attrs(node))
+        assert graph._label_index == rebuilt._postings()
+        assert graph.num_labels == rebuilt.num_labels
+        assert graph.nodes_with_label(None) == ()
+        assert graph.structure_info()["label_builds"] == 1
+        assert held == copies  # postings handed out earlier never change
+
+    def test_a_write_before_the_first_lookup_builds_nothing(self):
+        graph = DataGraph.from_edges("ab", [])
+        graph.set_attr(0, "label", "b")
+        assert graph._label_index is None
+        assert graph.nodes_with_label("b") == (0, 1)
+        assert graph.attrs(0) == {"label": "b"}
+
+    def test_an_attribute_write_keeps_the_structural_lineage(self):
+        graph = DataGraph.from_edges("abc", [(0, 1), (1, 2)])
+        lineage = graph.structure().lineage
+        graph.set_attr(1, "label", "z")
+        graph.set_attr(2, "rank", 7)
+        assert graph.structure().lineage is lineage
+        info = graph.structure_info()
+        assert (info["builds"], info["version"]) == (1, graph.version)
+
+    def test_unhashable_label_leaves_the_node_as_it_was(self):
+        graph = DataGraph.from_edges("ab", [])
+        graph.nodes_with_label("a")
+        with pytest.raises(TypeError):
+            graph.set_attr(0, "label", ["not", "hashable"])
+        assert (graph.label(0), graph.version) == ("a", 2)
+        assert graph.nodes_with_label("a") == (0,)
+
+    def test_out_of_range_node(self):
+        with pytest.raises(IndexError):
+            DataGraph.from_edges("a", []).set_attr(1, "label", "b")
+
+
 class TestFig2Fixture:
     def test_shape(self):
         graph = fig2_graph()

@@ -4,19 +4,21 @@ The graph owns its structural snapshot and absorbs append-only mutations
 by *extending* it (:meth:`repro.graph.DataGraph.structure`), together
 with its label postings and depth statistics; every other mutation
 rebuilds the snapshot.  Sessions of every flavour share it and drop their
-caches and full indexes on each version bump; the partial-scope session
-keeps its descendant closure across appends.  A seeded enclave graph is
+caches and full indexes on each version bump; an ``index="auto"`` session
+keeps its descendant closure across appends, whether it reaches it as the
+ladder's first rung (under the closure bound) or through the budgeted
+partial scope (above it — the bound is patched down for that half).  A seeded enclave graph is
 driven through append epochs — new rare-label nodes citing old ones and
 each other, cycles among the new nodes included — with an edge between
 two *old* nodes every third epoch, and after every step:
 
-* **oracle** — partial-scope, full-scope, ``codegen=True`` and
-  ``adaptive=True`` sessions all agree with ``evaluate_naive``;
-* **probe parity** — the partial session probes its index exactly as
-  often as a session pinned to a full ``tc`` index, as in
-  ``test_partial_index_differential.py``: an extended snapshot numbers
-  components like a fresh one, so the engine iterates them alike, and a
-  kept row answers like a rebuilt one;
+* **oracle** — auto, 3-hop, ``codegen=True`` and ``adaptive=True``
+  sessions all agree with ``evaluate_naive``;
+* **probe parity** — the auto session probes its closure exactly as
+  often as a session pinned to ``tc`` whose rows are thrown away before
+  every step, as in ``test_partial_index_differential.py``: an extended
+  snapshot numbers components like a fresh one, so the engine iterates
+  them alike, and a kept row answers like a rebuilt one;
 * **bookkeeping** — the graph reports one extension per append epoch and
   one build per old→old epoch, whatever the number of sessions; an
   append epoch rebuilds neither the closure, nor the label postings, nor
@@ -74,23 +76,30 @@ def old_to_old_edge(graph, rng):
         pass
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_churned_sessions_match_naive_with_probe_parity(seed):
+def churn(seed, *, partial_arm):
+    """Drive one seeded graph through the epochs; ``partial_arm`` says
+    which route the ``index="auto"`` session is expected to take — the
+    budgeted partial scope (the closure bound patched down by the
+    caller) or the closure rung itself."""
     rng = random.Random(seed)
     graph = enclave_graph(1, rng)
     queries = [pair_query("q", "r"), pair_query("r", "s"), pair_query("s", "q")]
     sessions = {
-        "partial": QuerySession(graph),
+        "auto": QuerySession(graph),
         "full": QuerySession(graph, index="3hop"),
         "codegen": QuerySession(graph, codegen=True),
         "adaptive": QuerySession(graph, adaptive=True),
     }
+    # Pinned to ``tc`` and emptied before every step: its rows are always
+    # rebuilt, the auto session's are kept wherever the lineage allows.
     parity = QuerySession(graph, index="tc")
     expected = {"builds": 0, "extensions": 0, "depth_passes": 0, "label_builds": 1}
     closure = {"kept": 0, "dropped": 0}
-    created = []  # steps at which the partial session made a closure
+    created = []  # steps at which the auto session made a closure
 
     def check(step):
+        parity.invalidate()
+        held = sessions["auto"]._closure.service
         for position, query in enumerate(queries):
             where = f"seed {seed} {step} query {position}"
             oracle = evaluate_naive(query, graph)
@@ -99,21 +108,24 @@ def test_churned_sessions_match_naive_with_probe_parity(seed):
                 answer, stats = session.evaluate_with_stats(query)
                 assert answer == oracle, f"{where}: {name} != naive"
                 probes[name] = stats
-            assert probes["partial"].partial_builds + probes["partial"].partial_hits == 1, where
-            assert probes["partial"].partial_fallbacks == 0, where
-            if probes["partial"].partial_builds:
-                created.append(step)
+            routed = probes["auto"].partial_builds + probes["auto"].partial_hits
+            assert routed == partial_arm, where
+            assert probes["auto"].partial_fallbacks == 0, where
+            assert sessions["auto"].cache_info()["indexes"]["pooled"] == 0, where
             _, parity_stats = parity.evaluate_with_stats(query)
-            assert probes["partial"].index_lookups == parity_stats.index_lookups, (
-                f"{where}: partial run probed {probes['partial'].index_lookups} times, "
-                f"full tc run {parity_stats.index_lookups}"
+            assert probes["auto"].index_lookups == parity_stats.index_lookups, (
+                f"{where}: auto run probed {probes['auto'].index_lookups} times, "
+                f"rebuilt tc run {parity_stats.index_lookups}"
             )
         info = graph.structure_info()
         assert {name: info[name] for name in expected} == expected, f"seed {seed} {step}"
         assert info["version"] == graph.version
-        row = sessions["partial"].cache_info()["partial"]
+        row = sessions["auto"].cache_info()["partial"]
         assert {name: row[name] for name in closure} == closure, f"seed {seed} {step}"
         assert row["rows"] > 0 and row["fills"] >= row["rows"]
+        now = sessions["auto"]._closure.service
+        if held is None or now.index._rows is not held.index._rows:
+            created.append(step)
 
     expected["builds"] = expected["depth_passes"] = 1
     check("initial")
@@ -134,6 +146,16 @@ def test_churned_sessions_match_naive_with_probe_parity(seed):
     assert created == rebuilds
     for session in (*sessions.values(), parity):
         session.close()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_churned_sessions_match_naive_with_probe_parity(seed, low_closure_bound):
+    churn(seed, partial_arm=True)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_churned_sessions_on_the_closure_rung(seed):
+    churn(seed, partial_arm=False)
 
 
 def test_closure_held_across_mutations_answers_for_its_version():

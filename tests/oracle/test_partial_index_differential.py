@@ -14,6 +14,12 @@ the partial arm — are cross-checked three ways:
 * **boundary** — cones at and past the budget fraction must fall back
   to a full index and still match the oracle (the partial arm can cost
   time, never correctness).
+
+The partial arm exists above the closure bound (``AUTO_CLOSURE_MAX_BYTES``);
+the whole module runs with the bound patched down so the generated
+graphs sit above it.  Under the bound the same sessions run on the
+closure rung: ``tests/engine/test_closure_rung.py`` and the un-patched
+half of ``test_churn_differential.py``.
 """
 
 import random
@@ -26,6 +32,8 @@ from repro.graph import DataGraph
 from repro.query import AttributePredicate, QueryBuilder, evaluate_naive
 
 SEEDS = range(700, 706)
+
+pytestmark = pytest.mark.usefixtures("low_closure_bound")
 
 
 def pair_query(head, tail):

@@ -52,7 +52,8 @@ def scan_source(node_id="a"):
     )
 
 
-BIG = stats_for(10_000, 25_000)
+#: above the closure bound (n ≤ 32 768), where the scoped race runs.
+BIG = stats_for(100_000, 250_000)
 
 
 class TestScopedKey:
@@ -65,9 +66,10 @@ class TestScopedKey:
 
 
 class TestBuildUnits:
-    def test_tc_is_quadratic_and_traversal_indexes_linear(self):
+    def test_traversal_indexes_are_linear_and_hops_dearer(self):
+        # No ``tc`` arm: the closure builds nothing up front, and above
+        # its bound the ladder never names it (rows are priced below).
         n, e = 10_000, 25_000
-        assert index_build_units("tc", n, e) > index_build_units("3hop", n, e)
         assert index_build_units("interval", n, e) < index_build_units("3hop", n, e)
         assert index_build_units("tree-cover", n, e) == n + e
 
@@ -91,6 +93,17 @@ class TestScopedChoiceGates:
         tiny = stats_for(100, 150)
         choice = choose_scoped_index(tiny, [label_source(estimate=2)])
         assert choice.scope == "full"
+
+    def test_under_the_closure_bound_the_pick_is_the_closure_itself(self):
+        # The sources that win the race above the bound have nothing to
+        # race under it: the full-scope pick already fills rows on demand.
+        fits = stats_for(32_768, 80_000)
+        choice = choose_scoped_index(fits, [label_source(estimate=20)])
+        assert (choice.index_name, choice.scope) == ("tc", "full")
+        assert choice.reason == f"closure: n²/16 = {2**26} bytes ≤ {2**26}"
+        over = stats_for(32_769, 80_000)
+        assert choose_scoped_index(over, [label_source(estimate=20)]).scope == "partial"
+        assert choose_scoped_index(over, []).index_name == "3hop"
 
     def test_full_scan_source_disqualifies_partial(self):
         choice = choose_scoped_index(BIG, [label_source(), scan_source("b")])
@@ -116,8 +129,7 @@ class TestScopedChoiceGates:
     def test_large_footprint_still_names_tc(self):
         # The partial arm is the descendant closure whatever the cone's
         # size: rows are priced, not a quadratic matrix over the cone.
-        huge = stats_for(100_000, 250_000)
-        choice = choose_scoped_index(huge, [label_source(estimate=500)])
+        choice = choose_scoped_index(BIG, [label_source(estimate=500)])
         assert choice.scope == "partial"
         assert choice.index_name == "tc"
         assert choice.footprint_estimate > 512
@@ -151,6 +163,7 @@ class TestScopedCalibration:
         assert choose_scoped_index(BIG, sources, profile, 7).scope == "partial"
 
 
+@pytest.mark.usefixtures("low_closure_bound")
 class TestPhysicalSurface:
     @pytest.fixture(scope="class")
     def workload(self):
@@ -201,6 +214,7 @@ class TestPhysicalSurface:
             analyze_plan(compiled)
 
 
+@pytest.mark.usefixtures("low_closure_bound")
 class TestLiveGraphAgreement:
     def test_workload_stats_actually_cross_every_gate(self):
         """The synthetic stats above must match what a real enclave

@@ -89,7 +89,10 @@ class TestPartialDifferential:
         footprint = Footprint.from_seeds(graph, {0})
         if inner == "tc":
             service = build_partial_reachability(graph, footprint, inner)
-            assert service.index.name == "tc@partial"
+            # The registry's ``tc``; the ``@partial`` tag is the plan's
+            # and the profile's (``scoped_index_key``), not the index's.
+            assert service.index.name == "tc"
+            assert type(service.index) is type(build_reachability(graph, "tc").index)
         else:
             with pytest.raises(ValueError, match="descendant closure"):
                 build_partial_reachability(graph, footprint, inner)

@@ -6,8 +6,14 @@ then walk the table — never a hand-written kind list — so a kind added
 there is covered here without an edit: it must persist, rehydrate into
 a fresh session with equal entries, and degrade to "only this kind is
 cold" when its file is damaged or holds the wrong type.
+
+Under the closure bound an ``index="auto"`` session runs on the
+descendant closure (persisted as ``partial-indexes``) and never pools a
+full index, so the ``indexes`` kind gets its entry from one explicit
+``reachability("3hop")`` request.
 """
 
+import pickle
 import shutil
 
 import pytest
@@ -28,7 +34,7 @@ VIEWS = {
 
 
 def bulk_query(head, tail, *outputs):
-    """A full-scope query: bulk labels, so costing builds a whole index."""
+    """A query over the bulk labels: many candidates, many closure rows."""
     return (
         QueryBuilder()
         .backbone("a", predicate=AttributePredicate.label(head))
@@ -52,12 +58,12 @@ def populated(workload, tmp_path_factory):
     graph, queries, shared, _ = workload
     store = ArtifactStore(tmp_path_factory.mktemp("warm"))
     session = QuerySession(graph, store=store, codegen="auto")
-    # Partial-scope plans first: once a full index is pooled, costing
-    # never picks partial against it.
     for query in queries[: -len(shared) - 1]:
         session.evaluate(query)
     session.evaluate_many(shared, share=True)  # the DAG path fills subtrees
-    session.evaluate(queries[-1])  # the isolated full-scope path compiles
+    session.evaluate(queries[-1])  # the isolated path compiles
+    assert session.cache_info()["indexes"]["pooled"] == 0  # all of it on the closure
+    session.reachability("3hop")  # the one entry of the ``indexes`` kind
     persisted = session.persist()
     return store, session, persisted
 
@@ -168,10 +174,11 @@ def test_rehydrated_artifacts_are_used(workload, populated):
     graph, queries, shared, _ = workload
     session = reopen(workload, populated[0].root, result_cache_size=0)
     # The rehydrated closure already holds queries[3]'s rows; the
-    # compiled function of a full-scope plan is a hit.
+    # compiled function of a plan is a hit.
     filled = session.cache_info()["partial"]["fills"]
+    assert filled == session.store_rehydrated["partial_indexes"] > 0
     _, stats = session.evaluate_with_stats(queries[3])
-    assert (stats.partial_hits, stats.partial_builds) == (1, 0)
+    assert stats.index_lookups > 0
     assert session.cache_info()["partial"]["fills"] == filled
     _, stats = session.evaluate_with_stats(queries[-1])
     assert (stats.codegen_hits, stats.codegen_misses) == (1, 0)
@@ -189,12 +196,6 @@ def test_invalidate_empties_every_kind_but_the_profile(workload, populated):
 # ----------------------------------------------------------------------
 # One condensation per graph version per process
 # ----------------------------------------------------------------------
-#: ``partial-indexes.artifact`` of the ``populated`` store as the commit
-#: before the shared structural snapshot wrote it (two footprint services,
-#: each pickling a condensation of its own).
-PRIVATE_CONDENSATION_PARTIAL_BYTES = 183_767
-
-
 def services_of(session):
     return [*session._reach_pool.values(), session._closure.service]
 
@@ -232,7 +233,10 @@ def test_rehydrated_service_donates_to_a_graph_without_snapshot(workload, popula
 def test_partial_payload_pickles_its_condensation_once(populated):
     store, session, _ = populated
     size = store.path(session.store_fingerprint, "partial-indexes").stat().st_size
-    assert size < PRIVATE_CONDENSATION_PARTIAL_BYTES / 2
+    service = session._closure.service
+    rows = len(pickle.dumps(service.index._rows))
+    condensation = len(pickle.dumps(service.condensation))
+    assert rows + condensation < size < rows + 1.5 * condensation
 
 
 @pytest.mark.parametrize("with_snapshot", [True, False], ids=["snapshot", "no-snapshot"])
@@ -254,11 +258,28 @@ def test_damaged_condensation_costs_a_rebuild_not_the_snapshot(
 
     graph, _ = index_choice_workload(scale=1, queries=4)
     own = graph.structure() if with_snapshot else None
-    session = QuerySession(graph, store=store, result_cache_size=0)
-    session.reachability()
+    session = QuerySession(graph, "3hop", store=store, result_cache_size=0)
+    session.reachability()  # the stored 3-hop is refused, a new one built
     assert session.store_rehydrated["indexes"] == 0
     if with_snapshot:
         assert graph.structure() is own
     assert entries(session, ARTIFACT_KINDS[0]) == entries(populated[1], ARTIFACT_KINDS[0])
     for query, answer in zip(workload[1], workload[3]):
         assert session.evaluate(query) == answer
+
+
+def test_an_auto_session_under_the_bound_persists_no_indexes_kind(workload, tmp_path):
+    graph, queries, _, expected = workload
+    session = QuerySession(graph, store=tmp_path)
+    for query, answer in zip(queries, expected):
+        assert session.evaluate(query) == answer
+    persisted = session.persist()
+    assert "indexes" not in persisted and persisted["partial_indexes"] > 0
+    assert "indexes" not in session.store.kinds(session.store_fingerprint)
+    # The closure comes back with its rows: a restart fills nothing anew.
+    warm = QuerySession(graph, store=tmp_path, result_cache_size=0)
+    for query, answer in zip(queries, expected):
+        assert warm.evaluate(query) == answer
+    row = warm.cache_info()["partial"]
+    assert row["rows"] == row["fills"] == persisted["partial_indexes"]
+    assert warm.cache_info()["indexes"]["pooled"] == 0
