@@ -1,9 +1,12 @@
-"""The session's artifact kinds, declared once.
+"""The session's persisted artifact kinds, declared once.
 
 :data:`ARTIFACT_KINDS` is the single list that construction,
 invalidation, rehydration, ``persist()`` and ``cache_info()`` of a
 :class:`~repro.engine.session.QuerySession` walk: adding a kind is one
-entry here, and the session never names a kind itself.
+entry here, and the session never names a kind itself.  The table lists
+what the warm store holds; the reachability state a session keeps in
+memory only — its index pool and the one :class:`ClosureSlot` — is not
+in it.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..graph.digraph import DataGraph
-from ..plan import CompiledPlanFunction, CostProfile, rehydrate_plan_function
+from ..plan import CompiledPlanFunction, rehydrate_plan_function
 from ..reachability.partial import PartialReachability
 from .cache import LRUCache
 
@@ -21,35 +24,26 @@ from .cache import LRUCache
 class ArtifactKind:
     """One kind of session artifact: where it lives and how it persists."""
 
-    name: str  #: the store kind (``<name>.artifact`` on disk).
-    attr: str  #: session attribute holding the live entries.
-    #: the ``QuerySession`` size parameter bounding the holder (an
-    #: LRUCache); ``None`` means unbounded (a plain dict).
-    capacity: str | None = None
-    info: str | None = None  #: ``cache_info()`` label, if reported.
-    lazy: bool = False  #: load on the first ``reachability()`` demand.
+    #: the store kind (``<name>.artifact`` on disk) and the kind's key in
+    #: ``store_rehydrated`` / in ``persist()``'s result.
+    name: str
+    attr: str  #: session attribute holding the live entries (an LRUCache).
+    capacity: str  #: the ``QuerySession`` size parameter bounding it.
+    info: str  #: ``cache_info()`` label.
     requires: str | None = None  #: session flag that must be on to load.
     #: payload type: a dict or a list of pairs, oldest entry first either
     #: way, so a reloaded LRU evicts what the saved one would.
     container: type = dict
     encode: Callable | None = None  #: live entry value → picklable value.
-    #: ``(session, stored value)`` → live value; an exception skips the
-    #: entry, which then cold-builds on first use.
+    #: stored value → live value; an exception skips the entry, which
+    #: then cold-builds on first use.
     decode: Callable | None = None
 
-    #: the kind's key in ``store_rehydrated`` / in ``persist()``'s result.
-    loaded_label = saved_label = property(lambda self: self.name.replace("-", "_"))
+    def new_holder(self, sizes: dict[str, int]) -> LRUCache:
+        return LRUCache(sizes[self.capacity])
 
-    def new_holder(self, sizes: dict[str, int]):
-        return {} if self.capacity is None else LRUCache(sizes[self.capacity])
-
-    def clear(self, holder) -> None:
-        holder.clear()
-
-    def describe(self, holder) -> dict[str, int]:
+    def describe(self, holder: LRUCache) -> dict[str, int]:
         """The ``cache_info()`` row of this kind."""
-        if self.capacity is None:
-            return {"pooled": len(holder)}
         return {**holder.counters.snapshot(), "size": len(holder)}
 
     def dump(self, session) -> tuple[object, int] | None:
@@ -65,40 +59,16 @@ class ArtifactKind:
         if not isinstance(payload, self.container):
             return 0
         holder = getattr(session, self.attr)
-        put = holder.__setitem__ if self.capacity is None else holder.put
         loaded = 0
         for key, value in dict(payload).items():
             if self.decode is not None:
                 try:
-                    value = self.decode(session, value)
+                    value = self.decode(value)
                 except Exception:
                     continue
-            put(key, value)
+            holder.put(key, value)
             loaded += 1
         return loaded
-
-
-class _ProfileKind(ArtifactKind):
-    """The cost profile: one calibration state, not a keyed cache."""
-
-    loaded_label = "profile_executions"
-    saved_label = "profile_keys"
-
-    def new_holder(self, sizes):
-        return CostProfile()
-
-    def clear(self, holder) -> None:
-        # The profile survives invalidation: its entries are keyed by
-        # graph version, so stale observations simply stop being
-        # consulted.
-        pass
-
-    def dump(self, session):
-        state = session.cost_profile.export_state()
-        return None if state is None else (state, len(state["keys"]))
-
-    def load(self, session, payload) -> int:
-        return session.cost_profile.import_state(payload, session.graph.version)
 
 
 class ClosureSlot:
@@ -155,40 +125,6 @@ class ClosureSlot:
         }
 
 
-class _ClosureKind(ArtifactKind):
-    """The partial scope's closure: one service in a slot, not a pool."""
-
-    def new_holder(self, sizes):
-        return ClosureSlot()
-
-    def clear(self, holder) -> None:
-        pass  # the lineage decides at the next use; invalidate() drops it
-
-    def describe(self, holder) -> dict[str, int]:
-        return holder.info()
-
-    def dump(self, session):
-        service = getattr(session, self.attr).current(session.graph)
-        return (service, service.index.rows) if service and service.index.rows else None
-
-    def load(self, session, payload) -> int:
-        # Anything else — a footprint pool written before the closure
-        # existed, a damaged file — leaves the slot empty.
-        if not isinstance(payload, PartialReachability):
-            return 0
-        getattr(session, self.attr).service = _attach_graph(session, payload)
-        return payload.index.rows
-
-
-def _attach_graph(session, service):
-    # The pickle deliberately drops the graph reference
-    # (GraphReachability.__getstate__); attach the live one.  A service
-    # whose condensation disagrees with the graph's raises here and is
-    # skipped: a damaged artifact costs a rebuild.
-    service.attach(session.graph)
-    return service
-
-
 def _encode_codegen(entry):
     if isinstance(entry, CompiledPlanFunction):
         # The exec'd function object cannot pickle; its analysis and
@@ -197,7 +133,7 @@ def _encode_codegen(entry):
     return entry
 
 
-def _decode_codegen(session, payload):
+def _decode_codegen(payload):
     # A persisted fallback reason (a string) is as reusable as a
     # persisted function: the analysis never re-runs.
     if isinstance(payload, str):
@@ -205,21 +141,15 @@ def _decode_codegen(session, payload):
     return rehydrate_plan_function(payload["analysis"], payload.get("source"))
 
 
-#: every artifact kind of a session, in persist order.
+#: every persisted artifact kind of a session, in persist order.
 ARTIFACT_KINDS: tuple[ArtifactKind, ...] = (
-    # The index kinds are by far the heaviest (an index unpickle
-    # rivals a rebuild on small graphs), and a warm restart serving
-    # known traffic answers straight from the rehydrated result/plan
-    # caches without ever probing an index — so they load lazily.
-    ArtifactKind("indexes", "_reach_pool", info="indexes", lazy=True, decode=_attach_graph),
-    _ClosureKind("partial-indexes", "_closure", info="partial", lazy=True),
-    ArtifactKind("plans", "plan_cache", "plan_cache_size", info="plan", container=list),
-    ArtifactKind("candidates", "candidate_cache", "candidate_cache_size", info="candidate"),
-    ArtifactKind("subtrees", "subtree_cache", "subtree_cache_size", info="subtree"),
+    ArtifactKind("plans", "plan_cache", "plan_cache_size", "plan", container=list),
+    ArtifactKind("candidates", "candidate_cache", "candidate_cache_size", "candidate"),
+    ArtifactKind("subtrees", "subtree_cache", "subtree_cache_size", "subtree"),
     # Full answer sets are safe to serve across processes: the store
     # key guarantees the graph content is identical, and the cache key
     # carries the query fingerprint + group nodes.
-    ArtifactKind("results", "result_cache", "result_cache_size", info="result"),
+    ArtifactKind("results", "result_cache", "result_cache_size", "result"),
     # Specialized plan functions per fingerprint; non-specializable
     # plans cache their fallback reason so the analysis never re-runs.
     # Same key space and lifetime as the plan cache.
@@ -227,10 +157,9 @@ ARTIFACT_KINDS: tuple[ArtifactKind, ...] = (
         "codegen",
         "codegen_cache",
         "plan_cache_size",
-        info="codegen",
+        "codegen",
         requires="codegen",
         encode=_encode_codegen,
         decode=_decode_codegen,
     ),
-    _ProfileKind("profile", "cost_profile"),
 )

@@ -19,7 +19,7 @@ operators, each exposing ``run(state) -> state`` over a shared
 :func:`run_pipeline` drives an operator list and records one
 :class:`OperatorStats` per executed operator (input/output set sizes,
 wall time, index probes) into ``EvaluationStats.operator_stats`` — the
-raw material of the cost-feedback loop in :mod:`repro.plan.feedback`.
+observed columns of ``explain()``.
 
 **Adaptive prune reordering** (``adaptive=True``): any
 children-before-parents permutation of the :class:`DownwardPrune`

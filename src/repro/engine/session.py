@@ -91,7 +91,7 @@ from ..plan.cost import PARTIAL_FOOTPRINT_FRACTION
 from ..reachability.base import GraphReachability
 from ..reachability.factory import build_reachability, resolve_index
 from ..store import ArtifactStore, graph_fingerprint
-from .artifacts import ARTIFACT_KINDS
+from .artifacts import ARTIFACT_KINDS, ClosureSlot
 from .cache import LRUCache
 from .gtea import GTEA
 from .operators import OperatorStats
@@ -202,12 +202,7 @@ class QuerySession:
             group or adaptive runs — recording the
             ``codegen_hits`` / ``codegen_misses`` /
             ``codegen_fallbacks`` counters; ``False`` (default) never
-            specializes.  Answers are identical either way.  Compiled
-            executions are filed in the cost profile under the
-            dedicated ``"gtea-codegen"`` executor key (their wall time
-            describes the generated loop, not the interpreted arm the
-            calibration compares), so the interpreted estimates are
-            unchanged by compiled runs.
+            specializes.  Answers are identical either way.
         store: a warm store to rehydrate from and persist to — an
             :class:`~repro.store.ArtifactStore` or a directory path
             (``None``, the default, keeps the session purely in-memory).
@@ -220,11 +215,10 @@ class QuerySession:
             missing store is never an error: affected kinds simply
             cold-build.
 
-    Every execution's observed per-operator stats feed the session-held
-    :attr:`cost_profile` (:class:`~repro.plan.feedback.CostProfile`),
-    which subsequent compilations consult to calibrate the executor
-    inequality and the index ladder; :meth:`explain` renders the latest
-    observed stats next to the compile-time estimates.
+    Planning is a function of the query, the graph statistics and the
+    pooled indexes alone; an execution's observed per-operator stats are
+    kept only for :meth:`explain`, which renders the latest ones next to
+    the compile-time estimates.
     """
 
     def __init__(
@@ -254,8 +248,9 @@ class QuerySession:
             # negative counts and anything that is not an int.
             parallel = None if parallel in (None, False, 0) else ParallelOptions(workers=parallel)
         self.parallel_options = parallel
-        # One holder per artifact kind — self.plan_cache through
-        # self.cost_profile are declared in ARTIFACT_KINDS, not here.
+        # One holder per persisted artifact kind — self.plan_cache
+        # through self.codegen_cache are declared in ARTIFACT_KINDS, not
+        # here.
         sizes = {
             "plan_cache_size": plan_cache_size,
             "candidate_cache_size": candidate_cache_size,
@@ -264,6 +259,10 @@ class QuerySession:
         }
         for kind in ARTIFACT_KINDS:
             setattr(self, kind.attr, kind.new_holder(sizes))
+        # Reachability state lives in memory only: the pooled full
+        # indexes by name, and the one descendant closure.
+        self._reach_pool: dict[str, GraphReachability] = {}
+        self._closure = ClosureSlot()
         # Latest observed operator records per fingerprint (for
         # explain()'s estimated-vs-observed view), bounded like the plan
         # cache so a stream of distinct queries cannot grow it forever.
@@ -284,14 +283,10 @@ class QuerySession:
         self.store_fingerprint: str | None = None
         #: per-kind entry counts loaded from the store.
         self.store_rehydrated: dict[str, int] = {}
-        self._lazy_kinds_pending = False
         if self.store is not None:
             self.store_fingerprint = graph_fingerprint(self.graph)
-            self.store_rehydrated = dict.fromkeys(
-                (kind.loaded_label for kind in ARTIFACT_KINDS), 0
-            )
-            self._rehydrate(lazy=False)
-            self._lazy_kinds_pending = True
+            self.store_rehydrated = dict.fromkeys((kind.name for kind in ARTIFACT_KINDS), 0)
+            self._rehydrate()
 
     # ------------------------------------------------------------------
     # Index pool
@@ -307,11 +302,8 @@ class QuerySession:
             return resolve_index(self.graph, index)
         if self._resolved_auto is None:
             # Same ladder as resolve_index(graph, "auto"), but fed from
-            # the session's cached statistics (one graph walk, not two)
-            # and open to cost-profile overrides.
-            self._resolved_auto = choose_index(
-                self.graph_statistics(), self.cost_profile, self._graph_version
-            )
+            # the session's cached statistics (one graph walk, not two).
+            self._resolved_auto = choose_index(self.graph_statistics())
         return self._resolved_auto
 
     def reachability(self, index: str | None = None) -> GraphReachability:
@@ -320,7 +312,6 @@ class QuerySession:
         lineage after a version bump), the pooled service otherwise
         (built lazily)."""
         self._ensure_fresh()
-        self._load_lazy_kinds()
         name = self._resolve(index or self.default_index)
         if name == "tc":
             # One holder: ``tc`` is the slot's closure, whoever asks.
@@ -374,14 +365,13 @@ class QuerySession:
         compiled functions, pooled full indexes — except the closure,
         which is kept when every mutation since was an append or an
         attribute write
-        (``cache_info()["partial"]``: ``kept`` / ``dropped``).  The cost
-        profile survives both, and the graph's own derived state
-        (:meth:`DataGraph.structure`, label postings, depths) follows the
-        graph by itself.  The warm store does **not** share the attribute
-        blind spot: its key is the graph *content* fingerprint
-        (:func:`~repro.store.graph_fingerprint`), so an in-place edit
-        moves :meth:`persist` and rehydration to a different key without
-        any explicit call.
+        (``cache_info()["partial"]``: ``kept`` / ``dropped``).  The
+        graph's own derived state (:meth:`DataGraph.structure`, label
+        postings, depths) follows the graph by itself.  The warm store
+        does **not** share the attribute blind spot: its key is the graph
+        *content* fingerprint (:func:`~repro.store.graph_fingerprint`),
+        so an in-place edit moves :meth:`persist` and rehydration to a
+        different key without any explicit call.
         """
         self._closure.drop()
         self._drop_versioned()
@@ -390,7 +380,8 @@ class QuerySession:
         """What a version bump invalidates.  The closure's slot is left
         alone: it asks the graph's lineage at its next use."""
         for kind in ARTIFACT_KINDS:
-            kind.clear(getattr(self, kind.attr))
+            getattr(self, kind.attr).clear()
+        self._reach_pool.clear()
         self._observed_ops.clear()
         self._closure_refused.clear()
         self._engines.clear()
@@ -400,9 +391,6 @@ class QuerySession:
         self._resolved_auto = None
         self._graph_stats = None
         self._graph_version = self.graph.version
-        # Any still-pending lazy load was keyed by the pre-mutation
-        # content fingerprint; it no longer describes this graph.
-        self._lazy_kinds_pending = False
 
     def close(self) -> None:
         """Release the worker pools of ``parallel=`` execution.
@@ -427,8 +415,8 @@ class QuerySession:
     # ------------------------------------------------------------------
     # Persistence (repro.store)
     # ------------------------------------------------------------------
-    def _rehydrate(self, *, lazy: bool) -> None:
-        """Load the eager (or the lazy) artifact kinds from the store.
+    def _rehydrate(self) -> None:
+        """Load every artifact kind the store holds for this graph.
 
         The store key is :func:`~repro.store.graph_fingerprint` — full
         graph *content*, not the version counter — so artifacts written
@@ -438,8 +426,6 @@ class QuerySession:
         leaves that kind cold.
         """
         for kind in ARTIFACT_KINDS:
-            if kind.lazy is not lazy:
-                continue
             if kind.requires is not None and not getattr(self, kind.requires):
                 continue
             payload = self.store.load(self.store_fingerprint, kind.name)
@@ -447,19 +433,7 @@ class QuerySession:
                 loaded = kind.load(self, payload)
             except Exception:
                 continue
-            self.store_rehydrated[kind.loaded_label] = loaded
-
-    def _load_lazy_kinds(self) -> None:
-        """Deferred half of rehydration: the pooled index kinds.
-
-        Runs at most once per (store, fingerprint) pairing, on the first
-        :meth:`reachability` or :meth:`graph_statistics` demand; a
-        result/plan-cache-served warm restart never pays the unpickle at
-        all.
-        """
-        if self._lazy_kinds_pending:
-            self._lazy_kinds_pending = False
-            self._rehydrate(lazy=True)
+            self.store_rehydrated[kind.name] = loaded
 
     def persist(self) -> dict[str, int]:
         """Publish this session's warm artifacts to the store.
@@ -486,7 +460,7 @@ class QuerySession:
                 self.store.save(fingerprint, kind.name, payload)
             except Exception:
                 continue
-            persisted[kind.saved_label] = count
+            persisted[kind.name] = count
         return persisted
 
     # ------------------------------------------------------------------
@@ -496,11 +470,6 @@ class QuerySession:
         """Graph statistics for the planner, cached per graph version."""
         self._ensure_fresh()
         if self._graph_stats is None:
-            # Statistics read the graph's structural snapshot; a stored
-            # index brings its own, so it is loaded (and adopted) first
-            # and a warm restart never condenses what it is about to
-            # unpickle.
-            self._load_lazy_kinds()
             self._graph_stats = graph_stats(self.graph)
         return self._graph_stats
 
@@ -599,7 +568,6 @@ class QuerySession:
                     parsed,
                     index=self.default_index,
                     stats=self.graph_statistics(),
-                    profile=self.cost_profile,
                     pooled=tuple(self._reach_pool),
                 ),
             )
@@ -664,7 +632,6 @@ class QuerySession:
         stats = EvaluationStats()
         self._book_structure(stats)
         route = self._route(plan, grouped=bool(group_nodes))
-        key, index_name = route.key, plan.compiled.physical.scoped_index_name
         partial_service = self._partial_service(plan, stats) if route.partial else None
         sharded = None
         if partial_service is not None:
@@ -679,16 +646,13 @@ class QuerySession:
             if route.sharded:
                 sharded = self.parallel_executor(route.index_name)
             if route.partial or route.partial_refused:
-                # Fill blow-out, or a statically refused partial scope:
-                # feedback files under the index actually used.
+                # Fill blow-out, or a statically refused partial scope.
                 stats.partial_fallbacks = 1
-                key, index_name = route.fallback_key, engine.resolved_index()
         codegen_fn = None
         if route.compiled:
             entry, was_cached = self._codegen_entry(plan)
             if isinstance(entry, str):
                 stats.codegen_fallbacks = 1
-                key = route.fallback_key
             else:
                 codegen_fn = entry
                 if was_cached:
@@ -698,7 +662,6 @@ class QuerySession:
         elif route.codegen_fallback is not None:
             stats.codegen_fallbacks = 1
         provider = self._candidate_provider(plan)
-        started = time.perf_counter()
         with stats.record_candidate_cache(self.candidate_cache.counters):
             if sharded is not None:
                 results, stats = sharded.execute(
@@ -712,30 +675,27 @@ class QuerySession:
                     stats=stats,
                     codegen=codegen_fn,
                 )
-        elapsed = time.perf_counter() - started
         stats.result_cache_misses = 1
         self.result_cache.put((plan.fingerprint, group_nodes), frozenset(results))
-        if codegen_fn is not None:
-            self._record_feedback(
-                plan, key, index_name, self._codegen_records(stats, elapsed), synthetic=True
-            )
-        elif key is not None:
-            self._record_feedback(plan, key, index_name, stats.operator_stats)
+        if codegen_fn is None and not group_nodes:
+            # Compiled runs skip per-operator instrumentation, and group
+            # evaluation runs the original, pre-rewrite query, whose
+            # records do not line up with this plan's estimates.
+            self._record_observed(plan, stats)
         return results, stats
 
     def _book_structure(self, stats: EvaluationStats) -> None:
         """Force the graph's structural snapshot before any index build
         is timed, and book it when this call is what built or extended it.
 
-        Both index arms read the one snapshot (:meth:`DataGraph.structure`),
-        so its cost belongs to neither: it files under its own
+        Every index reads the one snapshot (:meth:`DataGraph.structure`),
+        so its cost belongs to none of them: it files under its own
         ``"structure"`` phase and a synthetic ``StructureBuild`` operator
-        record that calibration leaves out of every arm's rate, instead
-        of inflating whichever build happened to come first in a version.
-        Planning normally demands it first (through the statistics), so
-        this books only when the plan came from the cache or the store.
+        record, instead of inflating whichever build happened to come
+        first in a version.  Planning normally demands it first (through
+        the statistics), so this books only when the plan came from the
+        cache or the store.
         """
-        self._load_lazy_kinds()  # a stored index donates its condensation
         if self.graph.structure_info()["version"] == self.graph.version:
             return
         started = time.perf_counter()
@@ -772,7 +732,6 @@ class QuerySession:
         """
         if plan.fingerprint in self._closure_refused:
             return None
-        self._load_lazy_kinds()
         service = self._closure.current(self.graph)
         created = service is None
         if created:
@@ -795,52 +754,6 @@ class QuerySession:
         stats.partial_builds, stats.partial_hits = int(created), int(not created)
         return service
 
-    @staticmethod
-    def _codegen_records(stats: EvaluationStats, elapsed: float) -> list[OperatorStats]:
-        """The synthetic operator records of one compiled execution.
-
-        Compiled runs skip per-operator instrumentation, so without
-        these they never reach the profile and calibration silently
-        starves under ``codegen=True``.  They must not feed the
-        interpreted arms either — the generated loop's
-        seconds-per-element would skew the executor inequality — so
-        they file under the route's own ``"gtea-codegen"`` key, which
-        the calibration reads exactly like the ``"gtea-parallel"``
-        exclusion (volume counts, interpreted estimates untouched).
-
-        Alongside the whole-execution record, the compiled prune loop's
-        wall time (the ``prune_downward`` phase the generated function
-        books) files as a ``CodegenPrune`` record — so the profile
-        snapshot can compare the specialized loop against the
-        interpreted ``DownwardPrune`` arm per phase, not just end to
-        end.
-        """
-        records = [
-            OperatorStats(
-                op="CodegenExecute",
-                target=None,
-                input_size=stats.input_nodes,
-                output_size=stats.result_count,
-                seconds=elapsed,
-                index_lookups=stats.index_lookups,
-                index_entries=stats.index_entries,
-            )
-        ]
-        prune_seconds = stats.phase_seconds.get("prune_downward")
-        if prune_seconds is not None:
-            records.append(
-                OperatorStats(
-                    op="CodegenPrune",
-                    target=None,
-                    input_size=stats.input_nodes,
-                    output_size=sum(stats.candidates_after_downward.values()),
-                    seconds=prune_seconds,
-                    index_lookups=0,
-                    index_entries=0,
-                )
-            )
-        return records
-
     def _codegen_entry(self, plan: QueryPlan) -> tuple[object, bool]:
         """The codegen-cache entry for ``plan``, compiling on a miss.
 
@@ -860,36 +773,11 @@ class QuerySession:
         self.codegen_cache.put(plan.fingerprint, entry)
         return entry, False
 
-    def _record_feedback(
-        self,
-        plan: QueryPlan,
-        key: str,
-        index_name: str,
-        records: list[OperatorStats],
-        *,
-        synthetic: bool = False,
-    ) -> None:
-        """Fold one execution's operator records into the cost profile
-        under the route's executor ``key``.
-
-        Partial-scope executions file under the *scoped* index name
-        ("tc@partial"), so full-index calibration is never diluted by
-        partial-build economics — and per-query costing reads the scoped
-        key back to learn when partial beats full.  ``synthetic``
-        records (compiled runs) stay out of the ``explain()``
-        estimated-vs-observed view, which keeps showing genuine
-        interpreted operator stats only.
-        """
-        if not records:
-            return
-        self.cost_profile.record(
-            index_name=index_name,
-            executor=key,
-            graph_version=self._graph_version,
-            operator_stats=records,
-        )
-        if not synthetic:
-            self._observed_ops.put(plan.fingerprint, list(records))
+    def _record_observed(self, plan: QueryPlan, stats: EvaluationStats) -> None:
+        """Keep one execution's operator records for :meth:`explain`'s
+        estimated-vs-observed view."""
+        if stats.operator_stats:
+            self._observed_ops.put(plan.fingerprint, list(stats.operator_stats))
 
     def _candidate_provider(self, plan: QueryPlan | None = None):
         """A ``(query, node_id) -> mat(u)`` source backed by the cache.
@@ -1066,12 +954,7 @@ class QuerySession:
                 plan = plans[position]
                 stats.result_cache_misses += 1
                 self.result_cache.put((plan.fingerprint, ()), frozenset(results))
-                self._record_feedback(
-                    plan,
-                    routes[position].key,
-                    plan.compiled.physical.scoped_index_name,
-                    stats.operator_stats,
-                )
+                self._record_observed(plan, stats)
                 outcomes[position] = (results, stats)
         return outcomes, skipped
 
@@ -1102,11 +985,9 @@ class QuerySession:
         ``tc`` rung under the closure bound, the partial scope above it,
         or a pinned ``index="tc"``.  ``"indexes"`` counts the other,
         pooled indexes."""
-        info = {
-            kind.info: kind.describe(getattr(self, kind.attr))
-            for kind in ARTIFACT_KINDS
-            if kind.info is not None
-        }
+        info = {"indexes": {"pooled": len(self._reach_pool)}, "partial": self._closure.info()}
+        for kind in ARTIFACT_KINDS:
+            info[kind.info] = kind.describe(getattr(self, kind.attr))
         info["structure"] = self.graph.structure_info()
         if self.store is not None:
             info["store"] = {

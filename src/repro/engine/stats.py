@@ -41,8 +41,7 @@ class EvaluationStats:
     result_count: int = 0
     #: one :class:`repro.engine.operators.OperatorStats` per executed
     #: physical operator, in execution order — the observed side of the
-    #: physical plan's estimated-vs-observed ``explain()`` and the raw
-    #: material of :class:`repro.plan.feedback.CostProfile`.
+    #: physical plan's estimated-vs-observed ``explain()``.
     operator_stats: list = field(default_factory=list)
     candidates_initial: dict[str, int] = field(default_factory=dict)
     candidates_after_downward: dict[str, int] = field(default_factory=dict)

@@ -325,37 +325,6 @@ class DataGraph:
         self._structure_counts["builds"] += 1
         return self._install(GraphStructure(Condensation(self), self._version))
 
-    def adopt_structure(self, condensation: Condensation) -> GraphStructure:
-        """Reconcile a condensation that arrived from outside — an
-        unpickled reachability service's — with this graph's snapshot.
-
-        A process holds one condensation per graph version.  When the
-        graph has a current snapshot and ``condensation`` agrees with it,
-        that snapshot is returned and the caller drops its copy; when the
-        graph has none, ``condensation`` becomes the snapshot — of a new
-        lineage, since nothing says it extends the one held before.
-        Returns the snapshot to use either way.
-
-        Raises:
-            ValueError: ``condensation`` does not describe this graph (a
-                damaged or misfiled artifact); the graph's own snapshot
-                is left untouched.
-        """
-        snapshot = self._structure
-        if snapshot is not None and snapshot.version == self._version:
-            if snapshot.condensation.scc_of != condensation.scc_of:
-                raise ValueError("condensation disagrees with the graph's structural snapshot")
-            return snapshot
-        sizes = {
-            len(condensation.members),
-            len(condensation.cyclic),
-            len(condensation._succ),
-            len(condensation._pred),
-        }
-        if len(condensation.scc_of) != len(self._attrs) or len(sizes) != 1:
-            raise ValueError("condensation does not have this graph's shape")
-        return self._install(GraphStructure(condensation, self._version))
-
     def _install(self, snapshot: GraphStructure) -> GraphStructure:
         # Published first: a concurrent reader sees the old snapshot with
         # its own bookkeeping or the new one, never a mix.

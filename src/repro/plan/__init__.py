@@ -44,7 +44,6 @@ from .cost import (
     index_build_units,
     scoped_index_key,
 )
-from .feedback import CostProfile
 from .logical import CandidateSource, LogicalPlan, PruneObligation, build_logical_plan
 from .normalize import NormalizedQuery, normalize
 from .physical import (
@@ -63,7 +62,6 @@ __all__ = [
     "CompiledPlan",
     "CompiledPlanFunction",
     "CostEstimate",
-    "CostProfile",
     "ExecutionRoute",
     "IndexChoice",
     "LogicalPlan",

@@ -28,10 +28,7 @@ for the whole scan + downward phase is emitted and run through
 The suffix of the pipeline (UpwardPrune → BuildMatchingGraph →
 CollectResults) is *not* specialized: the generated function hands the
 execution state to the existing operators, bypassing the per-operator
-stats wrapper so a codegen execution never feeds
-:class:`repro.plan.feedback.CostProfile` calibration (its wall times
-describe the specialized loop, not the interpreted arms the profile
-compares).
+stats wrapper.
 
 A plan qualifies when it routes to the GTEA executor and its downward
 order covers the rewritten query (``PhysicalPlan.covers_query``);
@@ -258,11 +255,8 @@ def _finish_pipeline(state, context, ops, started, lookups0, entries0):
     """Close the downward phase and run the interpreted suffix.
 
     The suffix operators run directly (no ``_run_operator`` wrapper), so
-    a codegen execution records *no* per-operator ``operator_stats``.
-    The session instead files one whole-execution record under the
-    dedicated ``"gtea-codegen"`` cost-profile key
-    (``QuerySession._execute_plan``), keeping the interpreted
-    arms' calibration untouched by compiled timings.
+    a codegen execution records *no* per-operator ``operator_stats``
+    (and ``explain()`` shows no observed columns for it).
     """
     from ..engine.operators import BuildMatchingGraph, CollectResults, UpwardPrune
 

@@ -76,7 +76,6 @@ def compile_query(
     index: str = "auto",
     minimize: bool = True,
     stats: GraphStats | None = None,
-    profile=None,
     pooled=(),
 ) -> CompiledPlan:
     """Compile ``query`` for evaluation over ``graph``.
@@ -91,9 +90,6 @@ def compile_query(
             always run).
         stats: precomputed graph statistics, to skip the per-compile
             :func:`~repro.graph.stats.graph_stats` walk.
-        profile: optional :class:`~repro.plan.feedback.CostProfile` of
-            observed runtime stats; calibrates the physical planner's
-            executor inequality and index choice.
         pooled: full-scope index names already built by the caller (the
             session's reachability pool); per-query costing treats those
             as free and never picks a partial index against them.
@@ -101,7 +97,6 @@ def compile_query(
     normalized = normalize(query, minimize=minimize)
     logical = build_logical_plan(graph, normalized)
     physical = build_physical_plan(
-        graph, normalized, logical, index=index, stats=stats, profile=profile,
-        pooled=pooled,
+        graph, normalized, logical, index=index, stats=stats, pooled=pooled
     )
     return CompiledPlan(normalized=normalized, logical=logical, physical=physical)

@@ -31,7 +31,6 @@ from ..graph.stats import GraphStats
 from ..query.gtpq import GTPQ
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .feedback import CostProfile
     from .logical import CandidateSource
 
 #: bytes the *whole* descendant closure may take for ``tc`` to be the
@@ -64,12 +63,8 @@ PARTIAL_FOOTPRINT_FRACTION = 0.25
 PARTIAL_CONE_EXPANSION = 4.0
 
 
-def choose_index(
-    stats: GraphStats,
-    profile: "CostProfile | None" = None,
-    graph_version: int | None = None,
-) -> str:
-    """Cost-based index choice from graph statistics (and observations).
+def choose_index(stats: GraphStats) -> str:
+    """Cost-based index choice from graph statistics.
 
     The heuristic ladder:
 
@@ -88,27 +83,12 @@ def choose_index(
     Above the bound cyclic graphs skip the forest/near-tree rungs: the
     statistics describe the raw graph, not its condensation, so
     tree-shape evidence is absent.
-
-    When a :class:`~repro.plan.feedback.CostProfile` with observations for
-    ``graph_version`` is given, measured per-element execution rates can
-    override the ladder — see :func:`choose_index_detail`.
     """
-    return choose_index_detail(stats, profile, graph_version)[0]
+    return choose_index_detail(stats)[0]
 
 
-def choose_index_detail(
-    stats: GraphStats,
-    profile: "CostProfile | None" = None,
-    graph_version: int | None = None,
-) -> tuple[str, str]:
-    """:func:`choose_index` plus the reason for the pick.
-
-    The shape ladder decides first.  If the session's cost profile has
-    observed the ladder pick *and* a cheaper alternative index on this
-    graph version — cheaper by the
-    :data:`~repro.plan.feedback.INDEX_OVERRIDE_MARGIN` factor — the
-    measurement wins over the heuristic.
-    """
+def choose_index_detail(stats: GraphStats) -> tuple[str, str]:
+    """:func:`choose_index` plus the reason for the pick."""
     reason = "cost model: graph-shape ladder"
     if closure_fits(stats.num_nodes):
         ladder = "tc"
@@ -119,22 +99,6 @@ def choose_index_detail(
         ladder = "tree-cover"
     else:
         ladder = "3hop"
-
-    if profile is not None and graph_version is not None:
-        from .feedback import INDEX_OVERRIDE_MARGIN
-
-        ladder_rate = profile.observed_rate(ladder, graph_version)
-        best = profile.preferred_index(graph_version)
-        if (
-            ladder_rate is not None
-            and best is not None
-            and best[0] != ladder
-            and best[1] < INDEX_OVERRIDE_MARGIN * ladder_rate
-        ):
-            return best[0], (
-                f"cost profile: observed {best[1]:.2e}s/element beats "
-                f"{ladder} at {ladder_rate:.2e}s/element"
-            )
     return ladder, reason
 
 
@@ -145,10 +109,9 @@ def closure_fits(num_nodes: int) -> bool:
 
 
 def scoped_index_key(index_name: str, scope: str) -> str:
-    """The profile/pool key of one (index, scope) arm.
+    """The name of one (index, scope) arm.
 
-    Full-scope arms keep the bare index name, so every pre-existing
-    profile key and pool entry reads unchanged; partial arms append the
+    Full-scope arms keep the bare index name; partial arms append the
     scope tag (``"tc@partial"``).
     """
     return index_name if scope == "full" else f"{index_name}@{scope}"
@@ -171,10 +134,6 @@ class IndexChoice:
     scope: str
     reason: str
     footprint_estimate: int | None = None
-
-    @property
-    def scoped_name(self) -> str:
-        return scoped_index_key(self.index_name, self.scope)
 
 
 def index_build_units(index_name: str, num_nodes: int, num_edges: int) -> float:
@@ -205,8 +164,6 @@ def closure_fill_units(rows: int, edges: int, num_nodes: int) -> float:
 def choose_scoped_index(
     stats: GraphStats,
     sources: Sequence["CandidateSource"],
-    profile: "CostProfile | None" = None,
-    graph_version: int | None = None,
     *,
     pooled: Iterable[str] = (),
 ) -> IndexChoice:
@@ -223,11 +180,9 @@ def choose_scoped_index(
     stays under :data:`PARTIAL_FOOTPRINT_FRACTION` of the graph; it wins
     when filling the footprint's rows (:func:`closure_fill_units` — as
     if none were filled yet) undercuts the full build.  Already-built
-    pool entries (``pooled``) make the full arm free, so it always wins;
-    and when the cost profile has observed both arms, measured
-    seconds-per-element settle the race instead.
+    pool entries (``pooled``) make the full arm free, so it always wins.
     """
-    full_name, full_reason = choose_index_detail(stats, profile, graph_version)
+    full_name, full_reason = choose_index_detail(stats)
     full = IndexChoice(full_name, "full", full_reason)
     if full_name in pooled:
         return IndexChoice(
@@ -250,32 +205,13 @@ def choose_scoped_index(
     full_units = index_build_units(full_name, stats.num_nodes, stats.num_edges)
     if partial_units >= full_units:
         return full
-    choice = IndexChoice(
+    return IndexChoice(
         "tc",
         "partial",
         f"per-query: footprint≈{footprint} of {stats.num_nodes} nodes; "
         f"closure rows over the cone undercut a full {full_name} build",
         footprint,
     )
-    if profile is not None and graph_version is not None:
-        from .feedback import INDEX_OVERRIDE_MARGIN
-
-        partial_rate = profile.observed_rate(choice.scoped_name, graph_version)
-        full_rate = profile.observed_rate(full_name, graph_version)
-        if (
-            partial_rate is not None
-            and full_rate is not None
-            and full_rate < INDEX_OVERRIDE_MARGIN * partial_rate
-        ):
-            return IndexChoice(
-                full_name,
-                "full",
-                f"cost profile: observed full {full_name} at "
-                f"{full_rate:.2e}s/element beats partial at "
-                f"{partial_rate:.2e}s/element",
-                footprint,
-            )
-    return choice
 
 
 def estimate_candidates(graph: DataGraph, query: GTPQ) -> dict[str, int]:
@@ -308,9 +244,8 @@ def estimate_candidates(graph: DataGraph, query: GTPQ) -> dict[str, int]:
 class CostEstimate:
     """The two executor costs and the resulting pick.
 
-    Costs are in abstract "elements touched" units — or, when the cost
-    profile calibrated them (``calibrated=True``), in observed seconds.
-    Only their relative order matters either way.
+    Costs are in abstract "elements touched" units; only their relative
+    order matters.
     """
 
     total_candidates: int
@@ -318,16 +253,12 @@ class CostEstimate:
     baseline_cost: float
     executor: str
     reason: str
-    calibrated: bool = False
 
 
 def estimate_executor(
     stats: GraphStats,
     query: GTPQ,
     candidate_estimates: dict[str, int],
-    profile: "CostProfile | None" = None,
-    index_name: str | None = None,
-    graph_version: int | None = None,
 ) -> CostEstimate:
     """Pick the executor for one query: ``"gtea"`` or ``"twigstackd"``.
 
@@ -335,23 +266,10 @@ def estimate_executor(
     data (its pre-filter DP assumes both); within that class it wins when
     its two fixed whole-graph sweeps undercut GTEA's candidate-volume
     work.
-
-    With a :class:`~repro.plan.feedback.CostProfile` holding enough
-    observed executions of *both* executors on this graph version, the
-    abstract unit constants are replaced by measured seconds-per-element
-    rates, so the inequality compares predicted wall time instead.
     """
     total = sum(candidate_estimates.values())
-    gtea_cost: float = GTEA_CANDIDATE_PASSES * total
-    baseline_cost: float = BASELINE_SWEEPS * (stats.num_nodes + stats.num_edges) + total
-    calibrated = False
-    if profile is not None and index_name is not None and graph_version is not None:
-        rates = profile.executor_costs(index_name, graph_version)
-        if rates is not None:
-            gtea_rate, baseline_rate = rates
-            gtea_cost = gtea_rate * total
-            baseline_cost = baseline_rate * (stats.num_nodes + stats.num_edges)
-            calibrated = True
+    gtea_cost = GTEA_CANDIDATE_PASSES * total
+    baseline_cost = BASELINE_SWEEPS * (stats.num_nodes + stats.num_edges) + total
     if not query.is_conjunctive():
         return CostEstimate(
             total,
@@ -359,7 +277,6 @@ def estimate_executor(
             baseline_cost,
             "gtea",
             "query uses OR/NOT: GTEA evaluates logical operators natively",
-            calibrated,
         )
     if not stats.is_dag:
         return CostEstimate(
@@ -368,9 +285,7 @@ def estimate_executor(
             baseline_cost,
             "gtea",
             "cyclic data: the baseline pre-filter assumes a DAG",
-            calibrated,
         )
-    suffix = " [calibrated from observed stats]" if calibrated else ""
     if baseline_cost < gtea_cost:
         return CostEstimate(
             total,
@@ -378,14 +293,12 @@ def estimate_executor(
             baseline_cost,
             "twigstackd",
             f"low selectivity (~{total} candidates): two whole-graph "
-            f"sweeps undercut candidate-volume pruning{suffix}",
-            calibrated,
+            "sweeps undercut candidate-volume pruning",
         )
     return CostEstimate(
         total,
         gtea_cost,
         baseline_cost,
         "gtea",
-        f"selective candidates (~{total}): pruning beats graph sweeps{suffix}",
-        calibrated,
+        f"selective candidates (~{total}): pruning beats graph sweeps",
     )

@@ -4,9 +4,7 @@ Turns a :class:`~repro.plan.logical.LogicalPlan` into concrete execution
 decisions using the cost model of :mod:`repro.plan.cost`:
 
 * which reachability index the executor should probe (the ladder that
-  used to be hardwired in ``reachability.factory.select_auto_index``,
-  optionally overridden by the session's observed
-  :class:`~repro.plan.feedback.CostProfile`);
+  used to be hardwired in ``reachability.factory.select_auto_index``);
 * the **operator pipeline** — an explicit ordered list of
   :class:`PhysicalOperator` rows that
   :mod:`repro.engine.operators` instantiates and runs: CandidateScan →
@@ -14,8 +12,7 @@ decisions using the cost model of :mod:`repro.plan.cost`:
   order) → UpwardPrune → BuildMatchingGraph → CollectResults for GTEA,
   a single BaselineDelegate for TwigStackD-routed plans, or a single
   ConstantEmpty for plans the normalize phase proved unsatisfiable;
-* the executor cost comparison itself (estimated, or calibrated from
-  observed runtime stats when the profile has enough samples).
+* the executor cost comparison itself.
 
 ``explain()`` renders the operator rows with their compile-time
 estimates; pass the observed
@@ -26,21 +23,19 @@ the estimated-vs-observed comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ..graph.digraph import DataGraph
 from ..graph.stats import GraphStats, graph_stats
 from .cost import (
     CostEstimate,
+    choose_index,
     choose_scoped_index,
     estimate_executor,
     scoped_index_key,
 )
 from .logical import LogicalPlan
 from .normalize import NormalizedQuery
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .feedback import CostProfile
 
 #: executor names a physical plan may carry.
 EXECUTORS = ("gtea", "twigstackd", "constant-empty")
@@ -97,7 +92,7 @@ class PhysicalPlan:
 
     @property
     def scoped_index_name(self) -> str:
-        """The pool/profile key of this plan's index choice
+        """This plan's index choice with its scope
         (``"tc"``, ``"tc@partial"``, ...)."""
         return scoped_index_key(self.index_name, self.index_scope)
 
@@ -137,10 +132,9 @@ class PhysicalPlan:
             ]
         if self.cost is not None:
             lines.append(f"executor: {self.executor} ({self.cost.reason})")
-            unit = "s" if self.cost.calibrated else ""
             lines.append(
-                f"  cost estimate: gtea={_fmt(self.cost.gtea_cost)}{unit} "
-                f"baseline={_fmt(self.cost.baseline_cost)}{unit} "
+                f"  cost estimate: gtea={_fmt(self.cost.gtea_cost)} "
+                f"baseline={_fmt(self.cost.baseline_cost)} "
                 f"candidates~{self.cost.total_candidates}"
             )
         else:
@@ -212,7 +206,6 @@ def build_physical_plan(
     *,
     index: str = "auto",
     stats: GraphStats | None = None,
-    profile: "CostProfile | None" = None,
     pooled: Iterable[str] = (),
 ) -> PhysicalPlan:
     """Cost the logical plan and fix index, executor and operator list.
@@ -227,9 +220,6 @@ def build_physical_plan(
         stats: precomputed :func:`~repro.graph.stats.graph_stats` (the
             session layer caches them per graph version); computed on
             demand when omitted.
-        profile: the session's observed :class:`CostProfile`; when given,
-            measured per-element rates calibrate the executor inequality
-            and may override the index ladder.
         pooled: names of full-scope indexes the session has already
             built; an already-built index makes the full arm free, so
             per-query costing never picks partial against it.
@@ -239,9 +229,7 @@ def build_physical_plan(
     index_scope = "full"
     footprint_estimate: int | None = None
     if index == "auto":
-        choice = choose_scoped_index(
-            stats, logical.sources, profile, graph.version, pooled=pooled
-        )
+        choice = choose_scoped_index(stats, logical.sources, pooled=pooled)
         index_name = choice.index_name
         index_reason = choice.reason
         index_scope = choice.scope
@@ -272,22 +260,13 @@ def build_physical_plan(
         )
 
     estimates = {source.node_id: source.estimate for source in logical.sources}
-    cost = estimate_executor(
-        stats,
-        logical.query,
-        estimates,
-        profile=profile,
-        index_name=scoped_index_key(index_name, index_scope),
-        graph_version=graph.version,
-    )
+    cost = estimate_executor(stats, logical.query, estimates)
     if cost.executor != "gtea" and index_scope != "full":
         # Partial indexes serve the GTEA pipeline only; a baseline-routed
         # plan performs whole-graph sweeps, so fall back to the full arm —
         # the ladder pick, not the partial inner (a small-footprint inner
         # like tc must never become a whole-graph build).
-        from .cost import choose_index_detail
-
-        index_name, _ = choose_index_detail(stats, profile, graph.version)
+        index_name = choose_index(stats)
         index_scope = "full"
         footprint_estimate = None
         index_reason += " [full scope: baseline executor]"

@@ -4,8 +4,8 @@ A :class:`~repro.plan.physical.PhysicalPlan` fixes index and operator
 pipeline; the session adds three flags (codegen, parallel, adaptive)
 and the call two facts (group nodes, a shared batch).  These exclude
 each other in places, and :func:`decide_route` is the one function that
-resolves them: execution, feedback filing and ``explain()`` all consume
-its :class:`ExecutionRoute`, and nothing downstream re-decides.
+resolves them: execution and ``explain()`` both consume its
+:class:`ExecutionRoute`, and nothing downstream re-decides.
 
 The route is a pure function of plan and flags and is *not* stored on
 the plan — plans travel through the warm store between sessions with
@@ -73,10 +73,6 @@ class ExecutionRoute:
     #: the static reason none may; ``None`` when ``compiled``, with
     #: codegen off, and in shared batches (which never count one).
     codegen_fallback: str | None
-    #: cost-profile executor key of the run (``None``: not filed), and
-    #: that key after a run-time fallback.
-    key: str | None
-    fallback_key: str | None
     parallel: "ParallelOptions | None" = None
 
     def notes(self, compiled_entry=None) -> list[str]:
@@ -121,26 +117,6 @@ def decide_route(
     if codegen and not shared:
         refusal = codegen_refusal(physical, adaptive=adaptive, sharded=sharded, grouped=grouped)
         compiled = refusal is None
-    if grouped:
-        # Group evaluation runs the GTEA pipeline over the *original*
-        # query regardless of the routed executor; recording it would
-        # file GTEA operator stats under the baseline's calibration arm
-        # (and against the rewritten query's estimates).
-        key = fallback_key = None
-    elif not gtea:
-        # Ride-along plans (baseline, unsat) file under their executor.
-        key = fallback_key = physical.executor
-    elif shared:
-        # A warm subtree cache leaves shared executions suffix-only
-        # operator records (no scan, no prunes), which would corrupt
-        # the isolated GTEA arm's seconds-per-element.
-        key = fallback_key = "gtea-shared"
-    else:
-        # Sharded wall times reflect pool scheduling and compiled ones
-        # the generated loop, not the serial cost model the calibration
-        # arms compare.  A partial route's own engine is serial.
-        fallback_key = "gtea-parallel" if sharded else "gtea"
-        key = "gtea-codegen" if compiled else "gtea" if partial_scope else fallback_key
     return ExecutionRoute(
         index_name=None if physical.index_scope == "partial" else physical.index_name,
         partial=partial_scope and not grouped,
@@ -149,7 +125,5 @@ def decide_route(
         adaptive=adaptive,
         compiled=compiled,
         codegen_fallback=refusal,
-        key=key,
-        fallback_key=fallback_key,
         parallel=parallel,
     )

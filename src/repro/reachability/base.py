@@ -70,11 +70,6 @@ class DagIndex(ABC):
         """Total number of stored index entries (for size comparisons)."""
         return 0
 
-    def rebind(self, dag: Dag) -> None:
-        """Read ``dag`` — an equal copy of the DAG this index was built
-        over — from now on, so the copy it held can be freed."""
-        self.dag = dag
-
 
 class GraphReachability:
     """Strict data-node reachability: condensation + a DAG-level index.
@@ -95,31 +90,6 @@ class GraphReachability:
         self.condensation = structure.condensation
         self.dag = structure.dag
         self.index = index_factory(self.dag)
-
-    def __getstate__(self):
-        # The graph reference stays out of the pickle: persisting a
-        # private copy would double the warm-store artifact and desync
-        # from the live object.  Loaders (QuerySession rehydration)
-        # re-attach their graph; the index structures themselves only
-        # ever use the condensation arrays.
-        state = self.__dict__.copy()
-        state["graph"] = None
-        return state
-
-    def attach(self, graph: DataGraph) -> None:
-        """Re-attach the live graph to an unpickled service.
-
-        A process holds one condensation per graph version: the service is
-        re-pointed at the graph's structural snapshot, or donates its own
-        condensation when the graph has none yet
-        (:meth:`DataGraph.adopt_structure`, which raises ``ValueError``
-        when the two disagree — the artifact is damaged and must rebuild).
-        """
-        structure = graph.adopt_structure(self.condensation)
-        self.graph = graph
-        self.condensation = structure.condensation
-        self.dag = structure.dag
-        self.index.rebind(structure.dag)
 
     @property
     def counters(self) -> IndexCounters:

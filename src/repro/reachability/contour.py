@@ -172,7 +172,3 @@ class ContourIndex(DagIndex):
 
     def index_size(self) -> int:
         return self.three_hop.index_size()
-
-    def rebind(self, dag: Dag) -> None:
-        super().rebind(dag)
-        self.three_hop.rebind(dag)

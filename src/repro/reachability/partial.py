@@ -206,10 +206,6 @@ class PartialReachability(GraphReachability):
         super().__init__(graph, index_factory)
         self.lineage = graph.structure().lineage
 
-    def attach(self, graph: DataGraph) -> None:
-        super().attach(graph)
-        self.lineage = graph.structure().lineage
-
     def following(self, graph: DataGraph) -> "PartialReachability | None":
         """This service for the graph's *current* version: itself when
         nothing changed, a service over the extended DAG sharing the rows

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import gc
 
 from ..datasets import generate_xmark
 from .server import QueryServer, serve_tcp
@@ -39,6 +40,10 @@ async def _run(args) -> None:
         codegen="auto" if args.codegen else False,
     )
     await server.start()
+    # Graph, rehydrated caches and condensation stay for the life of the
+    # process: keep the collector from walking them under the first
+    # requests (whichever one a young collection happens to land in).
+    gc.freeze()
     tcp = await serve_tcp(server, host=args.host, port=args.port)
     address = tcp.sockets[0].getsockname()
     print(f"serving on {address[0]}:{address[1]} with {args.workers} workers", flush=True)

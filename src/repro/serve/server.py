@@ -158,10 +158,10 @@ class QueryServer:
                 store=self.store,
             )
             # Touching the engine resolves the index now, not under the
-            # first request: a stored closure or pooled index is
-            # rehydrated, a pinned full index is built.  The default
-            # (``tc`` under the closure bound) builds nothing here — the
-            # first requests fill the rows they read.
+            # first request: the graph condenses (once, shared by every
+            # worker) and a pinned full index is built.  The default
+            # (``tc`` under the closure bound) builds nothing more here —
+            # the first misses fill the rows they read.
             session.engine()
             sessions.append(session)
         return sessions

@@ -1,10 +1,13 @@
-"""Cross-process persistence for everything the engine learns (S13).
+"""Cross-process persistence for what the engine learns per query (S13).
 
 The warm store serializes the artifacts a :class:`repro.engine.QuerySession`
-accumulates — pooled reachability indexes, compiled plans, downward-pruned
-subtree sets, emitted codegen source and analyses, and cost-profile
-calibration — under a **graph content fingerprint** so a fresh process
-rehydrates them instead of rebuilding (``QuerySession(store=...)``).
+accumulates — compiled plans, candidate sets, downward-pruned subtree
+sets, answer sets, and emitted codegen source and analyses
+(:data:`repro.engine.artifacts.ARTIFACT_KINDS`) — under a **graph content
+fingerprint** so a fresh process rehydrates them instead of rebuilding
+(``QuerySession(store=...)``).  Reachability state is not stored: the
+graph condenses once per process and closure rows fill as misses read
+them.
 
 Two pieces:
 

@@ -2,8 +2,8 @@
 
 The warm store's headline claim is cross-*process*: a fresh interpreter
 pointed at a populated store reaches its first answer several times
-faster than a cold one, because the reachability index, compiled plans
-and specialized codegen functions rehydrate instead of rebuilding.  This
+faster than a cold one, because compiled plans, answer sets and
+specialized codegen functions rehydrate instead of rebuilding.  This
 driver is the single-process half of that experiment: build the
 deterministic Fig. 7 graph, open a session (optionally against a store),
 time the distance from session construction to the first answer, run the

@@ -1,10 +1,10 @@
 """The warm store: durable evaluation artifacts keyed by graph content.
 
-Everything the engine learns — pooled reachability indexes, compiled
-plans, downward-pruned subtree sets, emitted codegen source, cost-profile
-calibration — is query-independent or content-addressed, so it can
-outlive the process that paid for it.  An :class:`ArtifactStore` is a
-directory of self-describing artifact files::
+What the engine learns per query — compiled plans, candidate sets,
+downward-pruned subtree sets, answer sets, emitted codegen source — is
+content-addressed, so it can outlive the process that paid for it.  An
+:class:`ArtifactStore` is a directory of self-describing artifact
+files::
 
     <root>/<graph content fingerprint>/<kind>.artifact
 
@@ -199,6 +199,7 @@ class ArtifactStore:
         removed = 0
         targets = [fingerprint] if fingerprint is not None else self.fingerprints()
         for key in targets:
+            directory = self.root / key
             for kind in self.kinds(key):
                 try:
                     self.path(key, kind).unlink()
@@ -206,7 +207,12 @@ class ArtifactStore:
                 except OSError:
                     pass
             try:
-                (self.root / key).rmdir()
+                # A writer killed between write and rename leaves its temp
+                # file behind; a live writer's save() fails its rename and
+                # raises, publishing nothing.
+                for orphan in directory.glob(".*.tmp"):
+                    orphan.unlink(missing_ok=True)
+                directory.rmdir()
             except OSError:
                 pass
         return removed

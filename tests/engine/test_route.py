@@ -1,14 +1,16 @@
-"""The execution route: decided once, consumed by execution, feedback
-and ``explain()`` alike.
+"""The execution route: decided once, consumed by execution and
+``explain()`` alike.
 
 The matrix test walks the full flag product — ``codegen × parallel ×
 adaptive × grouped × scope`` — where the scope is ``full`` / ``full-ad``
 (the closure rung, under the bound; a PC and an AD query), or one of the
 two arms above it (the bound patched down): ``partial`` and ``ladder``
 (the full-scope 3-hop pick).
-Every cell is held to three things: the answer equals ``evaluate_naive``, ``explain()`` prints
-exactly what :func:`repro.plan.route.decide_route` renders, and the run
-is filed in the cost profile under the route's executor key.
+Every cell is held to three things: the answer equals
+``evaluate_naive``, ``explain()`` prints exactly what
+:func:`repro.plan.route.decide_route` renders, and the run's operator
+records reach ``explain()``'s observed columns exactly when it was
+interpreted and ungrouped.
 """
 
 import itertools
@@ -51,10 +53,6 @@ def ungrouped(rows):
     return {(a, dict(item)["b"]) for a, group in rows for item in group}
 
 
-def executor_keys(session):
-    return {key.split("/")[1] for key in session.cost_profile.snapshot()}
-
-
 FLAGS = list(itertools.product((False, "auto"), (None, SERIAL), (False, True), (False, True)))
 
 
@@ -90,18 +88,17 @@ def test_every_flag_combination_follows_its_route(
 
         # explain() takes no group nodes: it prints the ungrouped route.
         printed = decide_route(physical, **flags)
+        explained = session.explain(query)
         notes = [
             line
-            for line in session.explain(query).splitlines()
+            for line in explained.splitlines()
             if line.startswith(("[codegen]", "[parallel]"))
         ]
         entry = session.codegen_cache.peek(plan.fingerprint) if printed.compiled else None
         assert notes == printed.notes(entry)
         assert len(notes) == bool(codegen) + (parallel is not None)
 
-        assert executor_keys(session) == ({route.key} if route.key else set())
-        scoped = any(key.startswith("tc@partial/") for key in session.cost_profile.snapshot())
-        assert scoped == route.partial
+        assert (" obs in=" in explained) == (not grouped and not route.compiled)
 
         assert stats.codegen_hits + stats.codegen_misses == route.compiled
         assert stats.codegen_fallbacks == (route.codegen_fallback is not None)
@@ -119,17 +116,9 @@ class TestDecideRoute:
 
     def test_default_flags_route_to_the_plain_executor(self, physical):
         route = decide_route(physical)
-        assert (route.key, route.fallback_key) == ("gtea", "gtea")
         assert route.index_name == physical.index_name
         assert not (route.partial or route.sharded or route.compiled or route.adaptive)
         assert route.notes() == []
-
-    def test_keys_per_flag(self, physical):
-        assert decide_route(physical, codegen="auto").key == "gtea-codegen"
-        assert decide_route(physical, codegen="auto").fallback_key == "gtea"
-        assert decide_route(physical, parallel=SERIAL).key == "gtea-parallel"
-        assert decide_route(physical, shared=True).key == "gtea-shared"
-        assert decide_route(physical, grouped=True).key is None
 
     def test_shared_batches_never_compile_and_count_no_fallback(self, physical):
         route = decide_route(physical, codegen="auto", shared=True)
@@ -152,15 +141,15 @@ class TestDecideRoute:
         route = decide_route(physical, codegen="auto", parallel=SERIAL)
         assert route.partial and route.index_name is None
         # The partial engine is serial; a blow-out lands on the sharded one.
-        assert (route.key, route.fallback_key) == ("gtea", "gtea-parallel")
+        assert route.sharded
         assert route.codegen_fallback == "parallel-sharded execution"
         assert "partial-scope" in codegen_refusal(physical)
 
 
 class TestRunTimeFallbacks:
-    """The two outcomes the route cannot know file under its fallback key."""
+    """The two outcomes the route cannot know, and the shared batch."""
 
-    def test_footprint_blow_out_files_under_the_fallback_key(self, low_closure_bound):
+    def test_footprint_blow_out_runs_on_the_sharded_engine(self, low_closure_bound):
         graph, query = chain_with_wide_apex(), apex_query()
         with QuerySession(graph, parallel=SERIAL, result_cache_size=0) as session:
             route = decide_route(session.plan(query).compiled.physical, parallel=SERIAL)
@@ -168,9 +157,8 @@ class TestRunTimeFallbacks:
             answer, stats = session.evaluate_with_stats(query)
             assert answer == evaluate_naive(query, graph)
             assert stats.partial_fallbacks == 1 and stats.parallel_workers == 2
-            assert executor_keys(session) == {route.fallback_key} == {"gtea-parallel"}
 
-    def test_rejected_compilation_files_under_the_fallback_key(self, cases):
+    def test_rejected_compilation_runs_interpreted(self, cases):
         graph, query, expected = cases["full"]
         session = QuerySession(graph, codegen="auto", result_cache_size=0)
         plan = session.plan(query)
@@ -178,14 +166,15 @@ class TestRunTimeFallbacks:
         answer, stats = session.evaluate_with_stats(query)
         assert answer == expected
         assert stats.codegen_fallbacks == 1
-        assert executor_keys(session) == {"gtea"}
+        assert " obs in=" in session.explain(query)
         assert session.explain(query).endswith("[codegen] interpreted fallback (forced rejection)")
 
-    def test_shared_batch_files_under_the_shared_key(self, cases):
+    def test_shared_batch_never_compiles(self, cases):
         graph, query, expected = cases["full"]
         other = pair_query("a", "c", edge="pc")
         session = QuerySession(graph, codegen="auto", result_cache_size=0)
         batch = session.evaluate_many([query, other], share=True)
         assert batch.results[0] == expected
         assert batch.stats.codegen_fallbacks == batch.stats.codegen_hits == 0
-        assert executor_keys(session) == {"gtea-shared"}
+        assert batch.stats.codegen_misses == 0
+        assert " obs in=" in session.explain(query)

@@ -375,36 +375,6 @@ def test_snapshot_pickles_without_bookkeeping():
     assert fields_of(clone) == fields_of(Condensation(graph))
 
 
-class TestAdoption:
-    def graph(self):
-        return DataGraph.from_edges("abcd", [(0, 1), (1, 2), (2, 1), (2, 3)])
-
-    def test_graph_without_snapshot_takes_the_donation(self):
-        graph, donor = self.graph(), Condensation(self.graph())
-        assert graph.adopt_structure(donor).condensation is donor
-        assert graph.structure().condensation is donor
-        assert graph.structure_info()["builds"] == 0
-
-    def test_graph_with_snapshot_keeps_its_own(self):
-        graph = self.graph()
-        own = graph.structure()
-        assert graph.adopt_structure(Condensation(self.graph())) is own
-
-    def test_disagreeing_condensation_is_refused(self):
-        graph = self.graph()
-        own = graph.structure()
-        wrong = Condensation(DataGraph.from_edges("abcd", [(0, 1), (1, 2), (2, 3)]))
-        with pytest.raises(ValueError):
-            graph.adopt_structure(wrong)
-        assert graph.structure() is own
-
-    def test_wrong_shape_is_refused_without_a_snapshot(self):
-        graph = self.graph()
-        with pytest.raises(ValueError):
-            graph.adopt_structure(Condensation(DataGraph.from_edges("ab", [(0, 1)])))
-        assert graph.structure_info()["version"] is None
-
-
 # ----------------------------------------------------------------------
 # graph_stats: derived from the snapshot, equal to the traversals
 # ----------------------------------------------------------------------

@@ -4,7 +4,8 @@ Satellite + acceptance coverage: unsatisfiable queries short-circuit to
 O(1) with zero index I/O, minimized queries answer exactly like the
 unoptimized path (paper fixtures and generated workloads, cross-checked
 against the naive oracle), the cost model's baseline routing stays
-correct, and ``explain()`` is surfaced through the session and CLI.
+correct and independent of what the session has executed, and
+``explain()`` is surfaced through the session and CLI.
 """
 
 import random
@@ -13,10 +14,10 @@ import pytest
 
 from repro.bench.cli import build_parser
 from repro.bench.cli import main as bench_main
-from repro.datasets import fig7_query, random_embedded_query
+from repro.datasets import fig7_query, generate_arxiv, random_embedded_query
 from repro.engine import GTEA, QuerySession
 from repro.graph import DataGraph
-from repro.query import QueryBuilder, evaluate_naive
+from repro.query import AttributePredicate, QueryBuilder, evaluate_naive
 from repro.query.serialize import query_to_json
 from tests.paper_fixtures import FIG2_ANSWER, fig2_graph, fig2_query, fig4_query
 
@@ -189,6 +190,44 @@ class TestBaselineRouting:
         raw = GTEA(graph, optimize=False)
         expected, _ = raw.evaluate_with_stats(query, group_nodes=("y",))
         assert grouped == expected
+
+
+class TestPlannerIsPure:
+    """A plan is a function of (query, graph statistics, pooled indexes):
+    nothing the session executes moves a later compilation."""
+
+    def test_executions_do_not_move_a_recompilation(self):
+        graph = generate_arxiv(seed=7).graph
+        # The benchmark's ``arxiv_churn`` recipe: embedded AD patterns of
+        # sizes 5/7/9 from one seed.
+        rng = random.Random(7)
+        queries = []
+        for size in (5, 7, 9):
+            drawn = 0
+            while drawn < 20:
+                pattern = random_embedded_query(graph, size, rng)
+                if pattern is not None:
+                    queries.append(pattern)
+                    drawn += 1
+        # No label is pinned, so every node is costed at the node count:
+        # the static inequality sends the chain to the two sweeps.
+        recent = AttributePredicate([("time", ">=", 7900)])
+        chain = QueryBuilder().backbone("n0", predicate=recent)
+        for depth in range(1, 5):
+            chain.backbone(f"n{depth}", parent=f"n{depth - 1}", predicate=recent)
+        queries.append(chain.outputs("n0").build())
+
+        session = QuerySession(graph, result_cache_size=0)
+        before = [session.plan(query).compiled for query in queries]
+        assert {plan.physical.executor for plan in before} == {"gtea", "twigstackd"}
+        assert session.evaluate(queries[-1]) == evaluate_naive(queries[-1], graph)
+        for query in queries:
+            for _ in range(5):
+                session.evaluate(query)
+        session.invalidate()
+        after = [session.plan(query).compiled for query in queries]
+        assert all(new is not old for new, old in zip(after, before))
+        assert [plan.explain() for plan in after] == [plan.explain() for plan in before]
 
 
 class TestExplainSurface:

@@ -7,17 +7,13 @@ import pytest
 from repro.graph import GraphStats, graph_stats
 from repro.plan import (
     PARTIAL_FOOTPRINT_FRACTION,
-    CostProfile,
-    IndexChoice,
     choose_scoped_index,
     closure_fill_units,
     compile_query,
     index_build_units,
     scoped_index_key,
 )
-from repro.plan.feedback import MIN_SAMPLES
 from repro.plan.logical import CandidateSource
-from tests.plan.test_feedback import fill, gtea_record
 
 
 def stats_for(num_nodes, num_edges, *, is_dag=True):
@@ -62,7 +58,6 @@ class TestScopedKey:
 
     def test_partial_scope_appends_the_tag(self):
         assert scoped_index_key("tc", "partial") == "tc@partial"
-        assert IndexChoice("3hop", "partial", "why").scoped_name == "3hop@partial"
 
 
 class TestBuildUnits:
@@ -140,27 +135,6 @@ class TestScopedChoiceGates:
         forest = stats_for(1_000_000, 999_999)
         choice = choose_scoped_index(forest, [label_source(estimate=25_000)])
         assert choice.scope == "full" and choice.index_name == "interval"
-
-
-class TestScopedCalibration:
-    def test_observed_slow_partial_demotes_to_full(self):
-        sources = [label_source(estimate=20)]
-        assert choose_scoped_index(BIG, sources).scope == "partial"
-        profile = CostProfile()
-        fill(profile, index_name="tc@partial", executor="gtea",
-             records=gtea_record(seconds=1.0), graph_version=7, runs=MIN_SAMPLES)
-        fill(profile, index_name="3hop", executor="gtea",
-             records=gtea_record(seconds=1e-6), graph_version=7, runs=MIN_SAMPLES)
-        demoted = choose_scoped_index(BIG, sources, profile, 7)
-        assert demoted.scope == "full"
-        assert "cost profile" in demoted.reason
-
-    def test_one_sided_observations_keep_the_partial_pick(self):
-        sources = [label_source(estimate=20)]
-        profile = CostProfile()
-        fill(profile, index_name="tc@partial", executor="gtea",
-             records=gtea_record(seconds=1.0), graph_version=7, runs=MIN_SAMPLES)
-        assert choose_scoped_index(BIG, sources, profile, 7).scope == "partial"
 
 
 @pytest.mark.usefixtures("low_closure_bound")

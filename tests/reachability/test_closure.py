@@ -2,9 +2,6 @@
 probe order, across append-only extensions with the memo kept — and not
 reused across anything else."""
 
-import pickle
-import random
-
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
@@ -147,34 +144,3 @@ def test_fill_is_iterative_on_a_deep_chain():
     assert not service.index.fill([head], budget=4999) and service.index.rows == 0
     assert service.reaches(0, 4999) and not service.reaches(4999, 0)
     assert service.index.rows == service.index.fills == 5000
-
-
-def test_pickle_round_trip_and_attach():
-    rng = random.Random(5)
-    graph = DataGraph()
-    for _ in range(25):
-        graph.add_node(label="x")
-    for _ in range(45):
-        graph.add_edge(rng.randrange(25), rng.randrange(25))
-    service = PartialReachability(graph)
-    service.index.fill({service.component_of(node) for node in range(0, 25, 3)})
-    restored = pickle.loads(pickle.dumps(service))
-    assert restored.graph is None
-    assert restored.index._rows == service.index._rows
-    assert restored.lineage is not service.lineage  # meaningless until attached
-    restored.attach(graph)
-    assert restored.graph is graph and restored.lineage is graph.structure().lineage
-    assert restored.dag is restored.index.dag is graph.structure().dag
-    lookups = restored.counters.lookups
-    for source in range(25):
-        for target in range(25):
-            assert restored.reaches(source, target) == reaches(graph, source, target)
-    # One lookup per cross-component probe, like every DAG index.
-    cross = sum(
-        service.component_of(s) != service.component_of(t) for s in range(25) for t in range(25)
-    )
-    assert restored.counters.lookups - lookups == cross
-    # And it follows the graph from there.
-    graph.add_edge(graph.add_node(label="y"), 3)
-    follower = restored.following(graph)
-    assert follower is not None and follower.reaches(25, 3)

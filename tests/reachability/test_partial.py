@@ -1,9 +1,8 @@
 """The partial scope's public surface: footprints, and the closure that
 ``build_partial_reachability`` pre-fills for one (correctness against
-the full indexes, probe parity, persistence).  The closure's own
+the full indexes, probe parity).  The closure's own
 properties — laziness, lineage, budget — are in ``test_closure.py``."""
 
-import pickle
 import random
 
 import hypothesis.strategies as st
@@ -90,7 +89,7 @@ class TestPartialDifferential:
         if inner == "tc":
             service = build_partial_reachability(graph, footprint, inner)
             # The registry's ``tc``; the ``@partial`` tag is the plan's
-            # and the profile's (``scoped_index_key``), not the index's.
+            # (``scoped_index_key``), not the index's.
             assert service.index.name == "tc"
             assert type(service.index) is type(build_reachability(graph, "tc").index)
         else:
@@ -137,21 +136,6 @@ class TestProbeParity:
         assert service.reaches(0, 1) and service.reaches(1, 2)
         assert service.index.fills == 4  # memoized
         assert service.counters.lookups == 3
-
-
-class TestPersistence:
-    def test_pickle_roundtrip_drops_graph_and_reattaches(self):
-        graph = random_digraph(random.Random(5), 20, 35)
-        footprint = Footprint.from_seeds(graph, {0, 1})
-        service = build_partial_reachability(graph, footprint, "tc")
-        restored = pickle.loads(pickle.dumps(service))
-        assert restored.graph is None
-        restored.attach(graph)
-        assert restored.graph is graph
-        assert restored.index.rows == service.index.rows
-        for source in range(20):
-            for target in range(20):
-                assert restored.reaches(source, target) == service.reaches(source, target)
 
 
 @given(st.data())

@@ -1,19 +1,18 @@
 """The parent-written store fixture: what it holds and how it was made.
 
-``fixtures/parent_store.zip`` is a warm store persisted by the commit
-*before* reachability services started sharing the graph's structural
-snapshot (:meth:`repro.graph.DataGraph.structure`): every pickled
-service in it carries a private ``Condensation`` and ``Dag``.  It pins
-that such stores keep loading — no ``STORE_FORMAT_VERSION`` bump.  Only
-the two index kinds are kept: with no stored results or plans, a session
-over the fixture has to answer through the rehydrated services.  Its
-``partial-indexes`` artifact (two per-footprint services) predates the
-descendant closure and names classes that are gone: it pins that such a
-payload is skipped, not raised on.
+``fixtures/parent_store.zip`` is a warm store persisted by a commit that
+still stored reachability indexes: it holds exactly an ``indexes`` and a
+``partial-indexes`` artifact (pickled services, each with a private
+``Condensation`` and ``Dag``) and no plans or results.  Neither kind is
+in :data:`repro.engine.artifacts.ARTIFACT_KINDS` any more; the fixture
+pins that such files are *ignored* — never opened, counted neither
+corrupt nor stale, removed by ``clear()`` — and that a session over the
+store answers exactly as a cold one (``parent_store_digests.json``).
 
 The graph is built with plain arithmetic, no ``random``, so its content
 fingerprint — the store key — is the same on every Python version.
-Regenerate (at the commit whose format is to be pinned) with::
+:func:`main` is how the fixture was written; it only reproduces it at a
+commit that persists those two kinds::
 
     PYTHONPATH=src python tests/store/parent_store.py
 """

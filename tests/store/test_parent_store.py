@@ -1,5 +1,6 @@
-"""A store written before services shared the graph's snapshot — and
-before the partial scope was one descendant closure — still loads."""
+"""A store written when reachability indexes and the cost profile were
+persisted still loads: those files are ignored — never opened, counted
+neither corrupt nor stale — and leave with ``clear()``."""
 
 import json
 import zipfile
@@ -8,32 +9,34 @@ from repro.engine import QuerySession
 from repro.query import evaluate_naive
 from tests.store.parent_store import DIGESTS, STORE_ZIP, build_graph, digest, queries
 
+RETIRED = ["indexes", "partial-indexes", "profile"]
+
 
 def test_parent_written_store_rehydrates_with_equal_digests(tmp_path):
     with zipfile.ZipFile(STORE_ZIP) as archive:
         archive.extractall(tmp_path)
     graph = build_graph()
     session = QuerySession(graph, store=tmp_path)
-    session.reachability()
-    assert session.store_rehydrated["indexes"] == 1
-    # The fixture's ``partial-indexes`` artifact holds two per-footprint
-    # services of classes that no longer exist: it is skipped (read as
-    # damaged, never raised) and that kind alone starts cold.
-    assert session.store_rehydrated["partial_indexes"] == 0
-    assert (session.store.counters.corrupt, session.store.counters.stale) == (1, 0)
-    assert session.cache_info()["partial"]["rows"] == 0
+    store, fingerprint = session.store, session.store_fingerprint
+    # The fixture holds the two index kinds; the profile kind is added raw.
+    assert store.kinds(fingerprint) == RETIRED[:2]
+    store.save(fingerprint, "profile", {"keys": []})
+    untouched = {kind: store.path(fingerprint, kind).read_bytes() for kind in RETIRED}
 
-    # The pickled full index carried its own condensation and donated it
-    # to the graph: nothing was condensed in this process.
-    structure = graph.structure()
-    assert graph.structure_info()["builds"] == 0
-    (service,) = session._reach_pool.values()
-    assert service.condensation is structure.condensation
-    assert service.dag is service.index.dag is structure.dag
+    session = QuerySession(graph, store=tmp_path)
+    assert not {"indexes", "partial_indexes", "profile_executions"} & set(session.store_rehydrated)
+    assert sum(session.store_rehydrated.values()) == 0
+    assert store.kinds(fingerprint) == RETIRED
 
     answers = [session.evaluate(query) for query in queries()]
     assert [digest(answer) for answer in answers] == json.loads(DIGESTS.read_text())
     assert answers == [evaluate_naive(query, graph) for query in queries()]
-    # The stored full index answered: nothing was built in this process.
-    assert session.cache_info()["indexes"]["pooled"] == 1
-    assert graph.structure_info()["builds"] == 0
+    # Nothing was donated: the process condensed the graph itself, once.
+    assert graph.structure_info()["builds"] == 1
+    assert session.cache_info()["partial"]["rows"] > 0
+
+    for used in (session.store, store):
+        assert (used.counters.corrupt, used.counters.stale, used.counters.hits) == (0, 0, 0)
+    assert {kind: store.path(fingerprint, kind).read_bytes() for kind in RETIRED} == untouched
+    assert store.clear() == len(RETIRED)
+    assert not (tmp_path / fingerprint).exists()

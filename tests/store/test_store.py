@@ -214,6 +214,38 @@ class TestFailureModes:
         assert value["writer"] in range(8) and value["round"] == 4
         assert [p.name for p in store.path(FP, "plans").parent.iterdir()] == ["plans.artifact"]
 
+    def test_clear_removes_a_killed_writers_temp_file(self, store):
+        # A writer killed between write and rename never unlinks its temp
+        # file; left behind, it would keep the directory alive and out of
+        # fingerprints() for good.
+        directory = saved(store).parent
+        orphan = directory / ".plans.4242.deadbeef.tmp"
+        orphan.write_bytes(b"half a payload")
+        assert store.kinds(FP) == ["plans"]
+        assert store.clear() == 1
+        assert not directory.exists()
+
+    def test_save_whose_temp_was_cleared_raises_and_publishes_nothing(self, store, monkeypatch):
+        saved(store, kind="results")  # the one write that succeeds
+        replace = os.replace
+
+        def cleared_underneath(source, target):
+            # Another process clears the fingerprint between write and rename.
+            store.clear(os.path.basename(os.path.dirname(target)))
+            replace(source, target)
+
+        monkeypatch.setattr("repro.store.store.os.replace", cleared_underneath)
+        with pytest.raises(OSError):
+            store.save(FP, "plans", {"answer": 42})
+        assert not (store.root / FP).exists() and store.counters.writes == 1
+
+        # persist() is best-effort per kind: the cleared ones are skipped.
+        graph = two_label_graph()
+        session = QuerySession(graph, store=store)
+        session.evaluate(simple_query())
+        assert session.persist() == {}
+        assert store.fingerprints() == []
+
 
 def two_label_graph():
     return DataGraph.from_edges("aabb", [(0, 2), (1, 3), (0, 3)])
@@ -285,7 +317,7 @@ class TestSessionStoreKey:
         warm = QuerySession(graph, store=tmp_path / "store")
         baseline = warm.evaluate(query)
         persisted = warm.persist()
-        assert set(persisted) <= {kind.saved_label for kind in ARTIFACT_KINDS}
+        assert set(persisted) <= {kind.name for kind in ARTIFACT_KINDS}
         warm.close()
 
         restarted = QuerySession(graph, store=tmp_path / "store")
