@@ -86,6 +86,6 @@ def _union_conjunctive_satisfiable(query: GTPQ) -> bool:
         if not query.attribute(node_id).is_satisfiable():
             matchable[node_id] = False
             continue
-        valuation = {child_id: matchable[child_id] for child_id in query.children[node_id]}
-        matchable[node_id] = evaluate(query.fext(node_id), valuation, default=False)
+        # fext(u) mentions children of u only, and bottom-up has decided them.
+        matchable[node_id] = evaluate(query.fext(node_id), matchable)
     return matchable[query.root]

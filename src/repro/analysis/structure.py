@@ -24,14 +24,15 @@ from itertools import product
 from typing import Callable
 
 from ..logic import (
+    TRUE,
     Formula,
     Var,
     entails,
+    essential_variables,
     is_satisfiable,
     land,
     lnot,
     lor,
-    lxor,
     rename,
     simplify,
     substitute,
@@ -52,7 +53,6 @@ class QueryAnalysis:
         self._ftr: dict[str, Formula] = {}
         self._fcs: dict[str, Formula] = {}
         self._similar: dict[tuple[str, str], bool] = {}
-        self._lca: dict[tuple[str, str], str] = {}
         self._pairs: list[tuple[str, str]] | None = None
         self._heights: dict[str, int] | None = None
 
@@ -66,26 +66,23 @@ class QueryAnalysis:
         The root is independent iff its own structural predicate is
         satisfiable; a non-root ``u`` with parent ``w`` is independent iff
         ``w`` is and ``(fext(w)[p_u/1] XOR fext(w)[p_u/0]) AND fs(u)`` is
-        satisfiable.
+        satisfiable.  The two conjuncts share no variable (``fext(w)``
+        ranges over w's children, ``fs(u)`` over u's), so each is decided on
+        its own: the XOR for all children of ``w`` from one truth table of
+        ``fext(w)`` (:func:`~repro.logic.sat.essential_variables`).
         """
         if self._independent is None:
             query = self.query
             independent: set[str] = set()
+            if is_satisfiable(query.fs(query.root)):
+                independent.add(query.root)
             for node_id in query.depth_first():  # parents before children
-                if node_id == query.root:
-                    if is_satisfiable(query.fs(node_id)):
-                        independent.add(node_id)
+                if node_id not in independent or query.is_leaf(node_id):
                     continue
-                parent_id = query.parent[node_id]
-                if parent_id not in independent:
-                    continue
-                parent_fext = query.fext(parent_id)
-                flip = lxor(
-                    substitute(parent_fext, {node_id: True}),
-                    substitute(parent_fext, {node_id: False}),
-                )
-                if is_satisfiable(land(flip, query.fs(node_id))):
-                    independent.add(node_id)
+                matters = essential_variables(query.fext(node_id))
+                for child_id in query.children[node_id]:
+                    if child_id in matters and is_satisfiable(query.fs(child_id)):
+                        independent.add(child_id)
             self._independent = independent
         return self._independent
 
@@ -101,11 +98,13 @@ class QueryAnalysis:
         if query.is_leaf(node_id) or node_id not in independent:
             result = query.fext(node_id)
         else:
-            bindings: dict[str, Formula] = {}
-            for child_id in query.children[node_id]:
-                if child_id in independent:
-                    bindings[child_id] = land(Var(child_id), self.ftr(child_id))
-            result = simplify(substitute(query.fext(node_id), bindings))
+            # ``p_c & 1`` is ``p_c``: a child with nothing below it binds to
+            # itself.  Both calls rebuild ``fext`` through the smart
+            # constructors, so substituting leaves nothing to simplify.
+            below = {c: self.ftr(c) for c in query.children[node_id] if c in independent}
+            bindings = {c: land(Var(c), f) for c, f in below.items() if f != TRUE}
+            fext = query.fext(node_id)
+            result = substitute(fext, bindings) if bindings else simplify(fext)
         self._ftr[node_id] = result
         return result
 
@@ -217,29 +216,34 @@ class QueryAnalysis:
         return True
 
     def lowest_common_ancestor(self, u1: str, u2: str) -> str:
-        key = (u1, u2)
-        lca = self._lca.get(key)
-        if lca is None:
-            path2 = set(self.query.path_to_root(u2))
-            lca = next(n for n in self.query.path_to_root(u1) if n in path2)
-            self._lca[key] = self._lca[u2, u1] = lca
-        return lca
+        """Walk the deeper node up to the other's depth, then both in step."""
+        parent, depths = self.query.parent, self.query.depths()
+        gap = depths[u1] - depths[u2]
+        for _ in range(gap):
+            u1 = parent[u1]
+        for _ in range(-gap):
+            u2 = parent[u2]
+        while u1 != u2:
+            u1, u2 = parent[u1], parent[u2]
+        return u1
 
     def subsumption_pairs(self) -> list[tuple[str, str]]:
-        """All pairs ``(a, b)`` with ``a ⊴ b`` and divergent subtrees."""
+        """All pairs ``(a, b)`` with ``a ⊴ b`` and divergent subtrees.
+
+        Cheapest test first: attribute subsumption ``fa(b) ⊢ fa(a)`` is a
+        precondition of ``a ⊳ b``, hence of ``a ⊴ b``, and rejects nearly
+        every pair before any ancestor walk or similarity recursion.
+        """
         if self._pairs is not None:
             return self._pairs
         query = self.query
         pairs: list[tuple[str, str]] = []
-        node_ids = list(query.nodes)
-        for a in node_ids:
-            if a == query.root:
-                continue
-            for b in node_ids:
-                if a == b or b == query.root:
+        attributes = [(n, query.attribute(n)) for n in query.nodes if n != query.root]
+        for a, fa_a in attributes:
+            for b, fa_b in attributes:
+                if a == b or not fa_b.subsumes(fa_a):
                     continue
-                lca = self.lowest_common_ancestor(a, b)
-                if lca in (a, b):
+                if self.lowest_common_ancestor(a, b) in (a, b):
                     continue  # same path, not distinct subtrees
                 if self.subsumed(a, b):
                     pairs.append((a, b))
@@ -291,7 +295,7 @@ class AnalysisContext:
     and the outcome of each rewriting pass over it, so each is computed
     once per call.  Keys are the query *objects* (identity): the context
     keeps them alive, lives for one call and is then dropped — nothing is
-    cached per module and nothing is attached to a query.
+    cached per module and no analysis is attached to a query.
     """
 
     def __init__(self):

@@ -934,7 +934,7 @@ class QuerySession:
         cached = lambda fingerprint: self.subtree_cache.peek(fingerprint) is not None
         for index_name, positions in by_index.items():
             compiled = [plans[p].compiled for p in positions]
-            # The guard reads the plans' precomputed fingerprints, so a
+            # The guard reads the plans' memoised fingerprints, so a
             # skipped group never pays the DAG compilation either.
             if not force_share and not should_share(compiled, cached_fingerprints=cached):
                 skipped += 1

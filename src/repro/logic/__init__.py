@@ -36,6 +36,7 @@ from .sat import (
     disjoint,
     entails,
     equivalent,
+    essential_variables,
     forced_literals,
     is_satisfiable,
     is_tautology,
@@ -75,6 +76,7 @@ __all__ = [
     "dnf_terms",
     "entails",
     "equivalent",
+    "essential_variables",
     "evaluate",
     "forced_literals",
     "implies",

@@ -25,6 +25,7 @@ from functools import cache
 from typing import Iterable, Mapping
 
 from .formula import And, Const, Formula, Not, Or, Var, land, lnot, lor
+from .transform import substitute
 from .tseitin import Clause, CnfInstance, tseitin_cnf
 
 #: Widest formula decided by truth table; wider ones go through DPLL.
@@ -159,6 +160,30 @@ def forced_literals(formula: Formula, names: Iterable[str]) -> dict[str, bool]:
         elif not models & column:
             forced[name] = False
     return forced
+
+
+def essential_variables(formula: Formula) -> frozenset[str]:
+    """The variables ``p`` that matter: ``f[p/1] XOR f[p/0]`` is satisfiable.
+
+    One truth table decides all of them: variable ``i`` matters iff the
+    table differs from itself shifted by ``2^i`` where column ``i`` is 0.
+    """
+    names = formula.variables()
+    if len(names) > TABLE_MAX_VARS:
+        return frozenset(
+            name
+            for name in names
+            if xor_satisfiable(
+                substitute(formula, {name: True}), substitute(formula, {name: False})
+            )
+        )
+    columns, full = _layout(names)
+    table = _table(formula, columns, full)
+    return frozenset(
+        name
+        for i, (name, column) in enumerate(columns.items())
+        if (table ^ (table >> (1 << i))) & (full ^ column)
+    )
 
 
 def equivalent(left: Formula, right: Formula) -> bool:

@@ -44,7 +44,7 @@ class CompiledPlan:
     @property
     def subtree_fingerprints(self) -> dict[str, str]:
         """Per rewritten-query node, its canonical subtree fingerprint."""
-        return self.logical.subtree_fingerprint_map
+        return self.logical.subtree_fingerprints
 
     def explain(self, observed=None, closure_rows=None) -> str:
         """Render every compilation stage, one section per phase.

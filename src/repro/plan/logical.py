@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..graph.digraph import DataGraph
+from ..query.attribute import AttributePredicate
 from ..query.gtpq import GTPQ, EdgeType
 from ..query.serialize import subtree_fingerprints
 from .cost import estimate_candidates
@@ -36,7 +37,7 @@ class CandidateSource:
     node_id: str
     kind: str  #: ``"backbone"`` or ``"predicate"``
     source: str  #: ``"label-index"`` or ``"full-scan"``
-    predicate: str  #: display form of ``fa(u)``
+    predicate: AttributePredicate | str  #: ``fa(u)``; ``explain`` prints its display form
     estimate: int  #: estimated ``|mat(u)|`` (upper bound)
 
 
@@ -58,27 +59,43 @@ class LogicalPlan:
         sources: candidate source per query node, in plan order.
         downward_order: children-before-parents node order for
             Procedure 6, cheapest subtrees first.
-        obligations: the prune obligations, downward then upward.
         outputs: output node ids of the rewritten query.
         total_candidate_estimate: sum of the per-node estimates.
-        subtree_fingerprints: per query node, the canonical fingerprint
-            of its rooted subtree (:func:`repro.query.serialize.subtree_fingerprints`)
-            — the sharing key of the batch compiler in
-            :mod:`repro.plan.shared`.
+
+    Execution reads the fields above.  What only ``explain`` and the batch
+    compiler read is derived from ``query`` when asked for: the prune
+    :attr:`obligations` and the :attr:`subtree_fingerprints`.
     """
 
     query: GTPQ
     sources: tuple[CandidateSource, ...]
     downward_order: tuple[str, ...]
-    obligations: tuple[PruneObligation, ...]
     outputs: tuple[str, ...]
     total_candidate_estimate: int
-    subtree_fingerprints: tuple[tuple[str, str], ...] = ()
 
     @property
-    def subtree_fingerprint_map(self) -> dict[str, str]:
-        """``node id -> subtree fingerprint`` as a dictionary."""
-        return dict(self.subtree_fingerprints)
+    def subtree_fingerprints(self) -> dict[str, str]:
+        """Per query node, the canonical fingerprint of its rooted subtree
+        (:func:`repro.query.serialize.subtree_fingerprints`) — the sharing
+        key of the batch compiler in :mod:`repro.plan.shared`."""
+        return subtree_fingerprints(self.query)
+
+    @property
+    def obligations(self) -> tuple[PruneObligation, ...]:
+        """The prune obligations, downward then upward."""
+        query = self.query
+        obligations = [
+            PruneObligation(node_id, "downward", f"fext = {query.fext(node_id)}")
+            for node_id in query.depth_first()
+            if query.children[node_id]
+        ]
+        for node_id in query.depth_first():
+            if node_id == query.root or not query.nodes[node_id].is_backbone:
+                continue
+            edge = "child" if query.edge_type(node_id) is EdgeType.CHILD else "descendant"
+            test = f"{edge} of a surviving mat({query.parent[node_id]}) node"
+            obligations.append(PruneObligation(node_id, "upward", test))
+        return tuple(obligations)
 
     def explain_lines(self) -> list[str]:
         lines = ["candidate sources:"]
@@ -95,12 +112,11 @@ class LogicalPlan:
         for obligation in self.obligations:
             lines.append(f"  [{obligation.phase}] {obligation.node_id}: {obligation.test}")
         lines.append(f"outputs: {tuple(self.outputs)}")
-        if self.subtree_fingerprints:
-            distinct = len({fp for _, fp in self.subtree_fingerprints})
-            lines.append(
-                f"subtrees: {len(self.subtree_fingerprints)} rooted, "
-                f"{distinct} distinct fingerprints"
-            )
+        fingerprints = self.subtree_fingerprints
+        lines.append(
+            f"subtrees: {len(fingerprints)} rooted, "
+            f"{len(set(fingerprints.values()))} distinct fingerprints"
+        )
         return lines
 
 
@@ -147,30 +163,8 @@ def build_logical_plan(
                 node_id=node_id,
                 kind="backbone" if query.nodes[node_id].is_backbone else "predicate",
                 source="label-index" if pins_label else "full-scan",
-                predicate=str(predicate),
+                predicate=predicate,
                 estimate=estimates[node_id],
-            )
-        )
-
-    obligations = []
-    for node_id in query.depth_first():
-        if query.children[node_id]:
-            obligations.append(
-                PruneObligation(
-                    node_id=node_id,
-                    phase="downward",
-                    test=f"fext = {query.fext(node_id)}",
-                )
-            )
-    for node_id in query.depth_first():
-        if node_id == query.root or not query.nodes[node_id].is_backbone:
-            continue
-        edge = "child" if query.edge_type(node_id) is EdgeType.CHILD else "descendant"
-        obligations.append(
-            PruneObligation(
-                node_id=node_id,
-                phase="upward",
-                test=f"{edge} of a surviving mat({query.parent[node_id]}) node",
             )
         )
 
@@ -178,8 +172,6 @@ def build_logical_plan(
         query=query,
         sources=tuple(sources),
         downward_order=_selectivity_order(query, estimates),
-        obligations=tuple(obligations),
         outputs=tuple(query.outputs),
         total_candidate_estimate=sum(estimates.values()),
-        subtree_fingerprints=tuple(subtree_fingerprints(query).items()),
     )

@@ -143,7 +143,7 @@ def _subtree_occurrences(
 ) -> tuple[dict[str, int], dict[str, int]]:
     """Occurrence count and exemplar candidate estimate per fingerprint.
 
-    Computed straight from the plans' precomputed subtree fingerprints —
+    Computed straight from the plans' memoised subtree fingerprints —
     no :class:`SharedPlanDAG` is built, so the tiny-batch guard can
     decide *before* paying any batch-compilation bookkeeping.
     """
@@ -190,7 +190,7 @@ def should_share(
     bookkeeping (batch compilation, contexts, contour maps, cache
     probes, tuple materialization) without sharing anything — the guard
     routes them to the isolated per-query path instead, and is itself
-    cheap: it reads the plans' precomputed subtree fingerprints without
+    cheap: it reads the plans' memoised subtree fingerprints without
     building the DAG.  Sharing stays on when
 
     * some subtree is consumed by ≥ 2 query nodes *and* the estimated

@@ -13,9 +13,11 @@ analysis algorithms need:
 
 from __future__ import annotations
 
+import json
 from typing import Any, Iterable, Mapping
 
 _OPS = ("<", "<=", "=", "!=", ">", ">=")
+_COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
 def _compare(left: Any, op: str, right: Any) -> bool:
@@ -42,9 +44,13 @@ class AttributePredicate:
 
     The empty predicate (no atoms) matches every node — useful for
     wildcard query nodes like the starred ``*`` nodes of the paper's Fig. 1.
+
+    ``_sat`` and ``_canonical`` lazily cache the satisfiability verdict and
+    the canonical rendering (:func:`repro.query.serialize.predicate_key`);
+    ``__reduce__`` rebuilds through ``__init__``, so neither is pickled.
     """
 
-    __slots__ = ("atoms",)
+    __slots__ = ("atoms", "_sat", "_canonical")
 
     def __init__(self, atoms: Iterable[tuple[str, str, Any]] = ()):
         normalized = []
@@ -81,7 +87,7 @@ class AttributePredicate:
         and ``i >= j`` (Example 3).
         """
         head = paper_label.rstrip("0123456789")
-        rank = int(paper_label[len(head):])
+        rank = int(paper_label[len(head) :])
         return cls([("tag", "=", head.lower()), ("rank", ">=", rank)])
 
     @classmethod
@@ -115,10 +121,16 @@ class AttributePredicate:
         treated as dense (documented simplification — query constants in
         all paper workloads are labels or years, where this is exact).
         """
+        try:
+            return self._sat
+        except AttributeError:
+            pass
         by_attribute: dict[str, list[tuple[str, Any]]] = {}
         for attribute, op, constant in self.atoms:
             by_attribute.setdefault(attribute, []).append((op, constant))
-        return all(_atoms_satisfiable(atom_list) for atom_list in by_attribute.values())
+        verdict = all(_atoms_satisfiable(atom_list) for atom_list in by_attribute.values())
+        object.__setattr__(self, "_sat", verdict)
+        return verdict
 
     def subsumes(self, other: "AttributePredicate") -> bool:
         """The paper's ``self ⊢ other`` check (self is the more specific).
@@ -129,15 +141,33 @@ class AttributePredicate:
         ``=, !=``: ``a1 = a2``.  Every tuple matching ``self`` then matches
         ``other``.
         """
+        own_atoms = self.atoms
         for attribute, op, constant in other.atoms:
-            if not any(
-                own_attribute == attribute
-                and own_op == op
-                and _subsumption_compatible(op, own_constant, constant)
-                for own_attribute, own_op, own_constant in self.atoms
-            ):
+            for own_attribute, own_op, own_constant in own_atoms:
+                if (
+                    own_attribute == attribute
+                    and own_op == op
+                    and _subsumption_compatible(op, own_constant, constant)
+                ):
+                    break
+            else:
                 return False
         return True
+
+    def canonical(self) -> tuple[tuple[tuple[str, str, str, str], ...], str]:
+        """Sorted, type-tagged atoms (``5`` and ``"5"`` differ) and their JSON text.
+
+        The one canonical rendering every fingerprint of
+        :mod:`repro.query.serialize` is built from.
+        """
+        try:
+            return self._canonical
+        except AttributeError:
+            pass
+        atoms = tuple(sorted((a, op, type(c).__name__, repr(c)) for a, op, c in self.atoms))
+        rendered = atoms, _COMPACT_JSON.encode(atoms)
+        object.__setattr__(self, "_canonical", rendered)
+        return rendered
 
     def conjoin(self, other: "AttributePredicate") -> "AttributePredicate":
         """The conjunction of two predicates."""
@@ -188,8 +218,10 @@ def _atoms_satisfiable(atoms: list[tuple[str, Any]]) -> bool:
         if op in (">", ">="):
             strict = op == ">"
             try:
-                replace = lower is None or constant > lower or (
-                    constant == lower and strict and not lower_strict
+                replace = (
+                    lower is None
+                    or constant > lower
+                    or (constant == lower and strict and not lower_strict)
                 )
             except TypeError:
                 return False
@@ -198,8 +230,10 @@ def _atoms_satisfiable(atoms: list[tuple[str, Any]]) -> bool:
         elif op in ("<", "<="):
             strict = op == "<"
             try:
-                replace = upper is None or constant < upper or (
-                    constant == upper and strict and not upper_strict
+                replace = (
+                    upper is None
+                    or constant < upper
+                    or (constant == upper and strict and not upper_strict)
                 )
             except TypeError:
                 return False

@@ -28,15 +28,15 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, Iterator
 
-from ..logic import TRUE, Formula, Var, land
+from ..logic import TRUE, And, Const, Formula, Not, Var, land
 from .attribute import AttributePredicate
 
 
 class EdgeType(Enum):
     """The two structural relationships of tree pattern queries."""
 
-    CHILD = "pc"        #: parent-child: one data edge
-    DESCENDANT = "ad"   #: ancestor-descendant: nonempty data path
+    CHILD = "pc"  #: parent-child: one data edge
+    DESCENDANT = "ad"  #: ancestor-descendant: nonempty data path
 
     @classmethod
     def parse(cls, value: "EdgeType | str") -> "EdgeType":
@@ -76,6 +76,11 @@ class GTPQ:
     (recommended) or directly from components.  After construction the
     structure is fixed; the analysis algorithms produce *new* queries
     rather than mutating existing ones.
+
+    Because the structure is fixed, every fact derived from it — ``fext``,
+    the depth map, the class verdicts, the subtree fingerprints — is
+    computed when first read and kept in ``_facts`` (:meth:`derived`),
+    which is never pickled and which a :meth:`copy` starts empty.
     """
 
     def __init__(
@@ -88,7 +93,9 @@ class GTPQ:
         structural: dict[str, Formula],
         outputs: list[str],
     ):
-        """Args:
+        """Build a query from its components; :meth:`validate` runs at once.
+
+        Args:
             root: id of the root node.
             nodes: all query nodes by id.
             parent: parent id of every non-root node.
@@ -102,11 +109,20 @@ class GTPQ:
         self.parent = parent
         self.children = {node_id: list(children.get(node_id, [])) for node_id in nodes}
         self.edge_types = edge_types
-        self.structural = {
-            node_id: structural.get(node_id, TRUE) for node_id in nodes
-        }
+        self.structural = {node_id: structural.get(node_id, TRUE) for node_id in nodes}
         self.outputs = list(outputs)
         self.validate()
+        self._facts: dict[str, object] = {}
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_facts": {}}
+
+    def derived(self, name: str, compute):
+        """``compute(self)``, evaluated once per query object and ``name``."""
+        facts = self._facts
+        if name not in facts:
+            facts[name] = compute(self)
+        return facts[name]
 
     # ------------------------------------------------------------------
     # Validation
@@ -128,9 +144,7 @@ class GTPQ:
             while current != self.root:
                 current = self.parent.get(current)
                 if current is None or current not in self.nodes:
-                    raise QueryValidationError(
-                        f"node {node_id!r} is not connected to the root"
-                    )
+                    raise QueryValidationError(f"node {node_id!r} is not connected to the root")
                 if current in seen:
                     raise QueryValidationError("query edges form a cycle")
                 seen.add(current)
@@ -148,9 +162,7 @@ class GTPQ:
             if node_id == self.root:
                 continue
             if node.is_backbone and not self.nodes[self.parent[node_id]].is_backbone:
-                raise QueryValidationError(
-                    f"backbone node {node_id!r} has a predicate parent"
-                )
+                raise QueryValidationError(f"backbone node {node_id!r} has a predicate parent")
         # fs(u) ranges over predicate children only.
         for node_id, formula in self.structural.items():
             allowed = {
@@ -169,9 +181,7 @@ class GTPQ:
             if node_id not in self.nodes:
                 raise QueryValidationError(f"output {node_id!r} is not a query node")
             if not self.nodes[node_id].is_backbone:
-                raise QueryValidationError(
-                    f"output node {node_id!r} must be a backbone node"
-                )
+                raise QueryValidationError(f"output node {node_id!r} must be a backbone node")
 
     # ------------------------------------------------------------------
     # Structure accessors
@@ -197,12 +207,7 @@ class GTPQ:
 
     def fext(self, node_id: str) -> Formula:
         """``fext(u)``: backbone-children conjunction AND ``fs(u)``."""
-        backbone_vars = [
-            Var(child_id)
-            for child_id in self.children[node_id]
-            if self.nodes[child_id].is_backbone
-        ]
-        return land(*backbone_vars, self.structural[node_id])
+        return self.derived("fext", _fext)[node_id]
 
     def edge_type(self, node_id: str) -> EdgeType:
         """Type of the edge *into* ``node_id`` (undefined for the root)."""
@@ -240,26 +245,20 @@ class GTPQ:
         """``node_id`` plus its ancestors, ending at the root."""
         return [node_id] + self.ancestors(node_id)
 
+    def depths(self) -> dict[str, int]:
+        """Edges between each node and the root."""
+        return self.derived("depths", _depths)
+
     # ------------------------------------------------------------------
     # Classification (paper Section 2)
     # ------------------------------------------------------------------
     def is_conjunctive(self) -> bool:
         """Structural predicates use conjunction only."""
-        from ..logic import And, Const, Var as _Var
-
-        return all(
-            all(isinstance(g, (And, Const, _Var)) for g in formula.walk())
-            for formula in self.structural.values()
-        )
+        return self.derived("conjunctive", _is_conjunctive)
 
     def is_union_conjunctive(self) -> bool:
         """Structural predicates are negation-free."""
-        from ..logic import Not
-
-        return all(
-            not any(isinstance(g, Not) for g in formula.walk())
-            for formula in self.structural.values()
-        )
+        return self.derived("union_conjunctive", _is_union_conjunctive)
 
     def has_pc_edges(self) -> bool:
         return any(edge is EdgeType.CHILD for edge in self.edge_types.values())
@@ -307,14 +306,39 @@ class GTPQ:
                 for node_id, edge in self.edge_types.items()
                 if node_id in keep
             },
-            structural={
-                node_id: structural[node_id] for node_id in keep
-            },
+            structural={node_id: structural[node_id] for node_id in keep},
             outputs=[node_id for node_id in outputs if node_id in keep],
         )
 
     def __repr__(self) -> str:
-        return (
-            f"GTPQ(root={self.root!r}, nodes={len(self.nodes)}, "
-            f"outputs={self.outputs!r})"
-        )
+        return f"GTPQ(root={self.root!r}, nodes={len(self.nodes)}, outputs={self.outputs!r})"
+
+
+def _fext(query: GTPQ) -> dict[str, Formula]:
+    nodes, fext = query.nodes, {}
+    for node_id, fs in query.structural.items():
+        backbone_vars = [Var(c) for c in query.children[node_id] if nodes[c].is_backbone]
+        fext[node_id] = land(*backbone_vars, fs)
+    return fext
+
+
+def _depths(query: GTPQ) -> dict[str, int]:
+    depths = {query.root: 0}
+    for node_id in query.depth_first():  # parents before children
+        for child_id in query.children[node_id]:
+            depths[child_id] = depths[node_id] + 1
+    return depths
+
+
+def _is_conjunctive(query: GTPQ) -> bool:
+    return all(
+        isinstance(g, (And, Const, Var))
+        for formula in query.structural.values()
+        for g in formula.walk()
+    )
+
+
+def _is_union_conjunctive(query: GTPQ) -> bool:
+    return not any(
+        isinstance(g, Not) for formula in query.structural.values() for g in formula.walk()
+    )

@@ -78,14 +78,6 @@ def query_from_json(text: str) -> GTPQ:
 # ----------------------------------------------------------------------
 # Canonicalization and fingerprints
 # ----------------------------------------------------------------------
-def _canonical_atoms(predicate: AttributePredicate) -> list[list[str]]:
-    """Sorted, type-tagged atom list (value 5 and value "5" must differ)."""
-    return sorted(
-        [attribute, op, type(value).__name__, repr(value)]
-        for attribute, op, value in predicate.atoms
-    )
-
-
 def _canonical_formula(formula: Formula, rename: dict[str, str] | None = None) -> str:
     """Order-independent rendering of a structural formula.
 
@@ -105,9 +97,8 @@ def _canonical_formula(formula: Formula, rename: dict[str, str] | None = None) -
         return f"!({_canonical_formula(formula.child, rename)})"
     if isinstance(formula, (And, Or)):
         separator = " & " if isinstance(formula, And) else " | "
-        return "(" + separator.join(
-            sorted(_canonical_formula(child, rename) for child in formula.children)
-        ) + ")"
+        operands = sorted(_canonical_formula(child, rename) for child in formula.children)
+        return "(" + separator.join(operands) + ")"
     return str(formula)  # future connectives: fall back to display form
 
 
@@ -118,7 +109,7 @@ def predicate_key(predicate: AttributePredicate) -> str:
     the property the session's candidate-set cache relies on to reuse
     ``mat(u)`` across queries with overlapping node predicates.
     """
-    return json.dumps(_canonical_atoms(predicate), separators=(",", ":"))
+    return predicate.canonical()[1]
 
 
 def canonical_query_dict(query: GTPQ) -> dict[str, Any]:
@@ -134,7 +125,7 @@ def canonical_query_dict(query: GTPQ) -> dict[str, Any]:
         entry: dict[str, Any] = {
             "id": node_id,
             "kind": "backbone" if node.is_backbone else "predicate",
-            "atoms": _canonical_atoms(node.predicate),
+            "atoms": node.predicate.canonical()[0],
         }
         if node_id != query.root:
             entry["parent"] = query.parent[node_id]
@@ -165,20 +156,23 @@ def subtree_fingerprints(query: GTPQ) -> dict[str, str]:
     per distinct subtree.  The converse does not hold — semantically
     equivalent but structurally different subtrees may hash apart, which
     costs sharing but never correctness.
+
+    Computed once per query object (:meth:`GTPQ.derived`); callers get
+    their own copy of the mapping.
     """
+    return dict(query.derived("subtree_fingerprints", _subtree_fingerprints))
+
+
+def _subtree_fingerprints(query: GTPQ) -> dict[str, str]:
     fingerprints: dict[str, str] = {}
     for node_id in query.bottom_up():
         rename = {
             child_id: f"{query.edge_type(child_id).value}:{fingerprints[child_id]}"
             for child_id in query.children[node_id]
         }
-        payload = json.dumps(
-            [
-                _canonical_atoms(query.attribute(node_id)),
-                _canonical_formula(query.fext(node_id), rename),
-            ],
-            separators=(",", ":"),
-        )
+        # The JSON text of ``[canonical atoms, canonical fext]``.
+        formula = json.dumps(_canonical_formula(query.fext(node_id), rename))
+        payload = f"[{predicate_key(query.attribute(node_id))},{formula}]"
         fingerprints[node_id] = hashlib.sha256(payload.encode("utf-8")).hexdigest()
     return fingerprints
 
@@ -195,7 +189,5 @@ def query_fingerprint(query: GTPQ) -> str:
     stable across processes and across :func:`query_to_dict` /
     :func:`query_from_dict` round trips.
     """
-    payload = json.dumps(
-        canonical_query_dict(query), sort_keys=True, separators=(",", ":")
-    )
+    payload = json.dumps(canonical_query_dict(query), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

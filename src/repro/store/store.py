@@ -38,8 +38,10 @@ from pathlib import Path
 #: bumped whenever the artifact layout or any payload schema changes;
 #: readers reject (and discard) artifacts from any other revision.
 #: (2: PhysicalPlan grew index_scope/footprint_estimate fields, so
-#: format-1 plan pickles no longer describe the live schema.)
-STORE_FORMAT_VERSION = 2
+#: format-1 plan pickles no longer describe the live schema.  3:
+#: LogicalPlan stopped storing obligations and subtree fingerprints, GTPQ
+#: grew its unpickled memo slots.)
+STORE_FORMAT_VERSION = 3
 
 _MAGIC = b"repro-store\n"
 _SUFFIX = ".artifact"

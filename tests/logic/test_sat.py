@@ -17,6 +17,7 @@ from repro.logic import (
     brute_force_tautology,
     entails,
     equivalent,
+    essential_variables,
     evaluate,
     forced_literals,
     is_satisfiable,
@@ -24,8 +25,10 @@ from repro.logic import (
     land,
     lnot,
     lor,
+    lxor,
     sat,
     satisfying_assignment,
+    substitute,
     tseitin_cnf,
     xor_satisfiable,
 )
@@ -261,6 +264,31 @@ def test_entailment_and_forced_literals_around_cutoff(width):
     nothing = And([formula, Not(Var(names[-1]))])
     assert set(forced_literals(nothing, names + ["elsewhere"]).values()) == {True}
     assert entails(nothing, Var("elsewhere"))
+
+
+@given(formulas())
+@settings(max_examples=200, deadline=None)
+def test_essential_variables_are_the_ones_a_flip_can_show(formula):
+    """``p`` matters iff ``f[p/1] XOR f[p/0]`` is satisfiable, by enumeration."""
+    expected = {
+        name
+        for name in formula.variables()
+        if brute_force_satisfiable(
+            lxor(substitute(formula, {name: True}), substitute(formula, {name: False}))
+        )
+    }
+    assert essential_variables(formula) == expected
+
+
+@pytest.mark.parametrize("width", [K, K + 1])
+def test_essential_variables_around_cutoff(width):
+    """The table path and the per-variable fallback agree on what matters."""
+    names = [f"x{i}" for i in range(width)]
+    absorbed = Or([Var(names[0]), And([Var(names[0]), Var(names[1])])])  # x1 never matters
+    masked = And([Var(names[2]), Not(Var(names[2])), Var(names[3])])  # constant 0
+    formula = Or([absorbed, masked, And([Var(name) for name in names[4:]])])
+    assert formula.variables() == set(names)
+    assert essential_variables(formula) == {names[0], *names[4:]}
 
 
 def test_twenty_variables_go_through_dpll_and_yield_real_models():

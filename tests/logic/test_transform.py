@@ -129,6 +129,17 @@ def test_simplify_preserves_equivalence(f):
     assert equivalent(f, simplify(f))
 
 
+@settings(max_examples=200, deadline=None)
+@given(formulas(), formulas(max_leaves=4), st.sampled_from(["p", "q", "r"]))
+def test_substitution_leaves_nothing_to_simplify(f, g, name):
+    """``substitute`` rebuilds through the smart constructors, as ``simplify``
+    does: binding a simplified formula (``ftr`` binds ``p_c & ftr(c)``) yields
+    a formula ``simplify`` returns unchanged, and binding nothing *is* simplify."""
+    bound = substitute(f, {name: simplify(g)})
+    assert simplify(bound) == bound and str(simplify(bound)) == str(bound)
+    assert substitute(f, {}) == simplify(f) == simplify(simplify(f))
+
+
 @settings(max_examples=100, deadline=None)
 @given(formulas(max_leaves=6))
 def test_dnf_terms_cover_exactly_the_models(f):
