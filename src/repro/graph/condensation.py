@@ -11,16 +11,29 @@ snapshot :meth:`DataGraph.structure() <repro.graph.digraph.DataGraph.structure>`
 hands out.  Graph statistics, full and partial index builds all read that
 one object, and an append-only mutation *extends* it
 (:meth:`Condensation.extended`) instead of condensing the graph again.
+
+A snapshot stores what the descendant closure reads — the component of
+each node and each component's successors — and allocates per cycle and
+per edge, not per node: a one-node component has no member list and a
+component without successors shares one empty tuple.  Member lists and
+predecessor lists are derived on first read and kept.  Every list is a
+container the cyclic garbage collector walks, and on tree-shaped graphs
+nearly every component is a single node and most are leaves.
 """
 
 from __future__ import annotations
 
+import copy
 import heapq
 from itertools import chain
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
     from .digraph import DataGraph
+
+#: The adjacency row of every node or component without edges in that
+#: direction: one shared empty tuple instead of a list each.
+NO_EDGES: tuple[int, ...] = ()
 
 
 class Condensation:
@@ -34,22 +47,43 @@ class Condensation:
             numbered in *reverse topological* order of the condensation
             (Tarjan's output order), i.e. if component ``a`` reaches ``b``
             then ``a > b``.
-        members: for each component, the list of data nodes inside it.
+        cycles: the members of each multi-node component, by component
+            id, in the order Tarjan popped them.
         cyclic: for each component, True iff it contains a cycle (size > 1
             or a self-loop) — exactly when its nodes are their own
             descendants under nonempty-path semantics.
     """
 
-    __slots__ = ("scc_of", "members", "cyclic", "_succ", "_pred", "_edge_count")
+    __slots__ = (
+        "scc_of",
+        "cycles",
+        "cyclic",
+        "_succ",
+        "_edge_count",
+        "_cyclic_count",
+        "_members",
+        "_pred_rows",
+    )
 
     def __init__(self, graph: DataGraph):
         self.scc_of: list[int] = []
-        self.members: list[list[int]] = []
+        self.cycles: dict[int, list[int]] = {}
         self.cyclic: list[bool] = []
-        self._succ: list[list[int]] = []
-        self._pred: list[list[int]] = []
-        self._edge_count = 0
+        self._succ: list[Sequence[int]] = []
+        self._edge_count = self._cyclic_count = 0
+        self._members = self._pred_rows = None
         self._absorb(graph._succ)
+
+    #: The state: what is derived on read is not part of it.
+    _STORED = ("scc_of", "cycles", "cyclic", "_succ", "_edge_count", "_cyclic_count")
+
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in self._STORED}
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._members = self._pred_rows = None
 
     def extended(self, graph: DataGraph) -> "Condensation":
         """The condensation of ``graph``, grown from this one.
@@ -62,59 +96,79 @@ class Condensation:
         continues that numbering.  The result equals ``Condensation(graph)``
         id for id, in every field.
 
-        Copy-on-write: the outer lists are new and an old component's
-        predecessor list is copied before a new component is appended to
-        it, so ``self`` never changes.
+        The stored containers are copied and only appended to, so ``self``
+        never changes.  Nothing derived on read is carried over: an old
+        component gains predecessors, and the grown condensation derives
+        its own member and predecessor lists when they are first read.
         """
-        grown = Condensation.__new__(Condensation)
-        grown.scc_of = list(self.scc_of)
-        grown.members = list(self.members)
-        grown.cyclic = list(self.cyclic)
-        grown._succ = list(self._succ)
-        grown._pred = list(self._pred)
-        grown._edge_count = self._edge_count
+        grown = copy.copy(self)  # the stored fields only
+        grown.scc_of, grown.cycles = list(self.scc_of), dict(self.cycles)
+        grown.cyclic, grown._succ = list(self.cyclic), list(self._succ)
         grown._absorb(graph._succ)
         return grown
 
-    def _absorb(self, adjacency: list[list[int]]) -> None:
+    def _absorb(self, adjacency: Sequence[Sequence[int]]) -> None:
         """Condense the nodes of ``adjacency`` this object does not cover yet."""
-        scc_of, members, cyclic = self.scc_of, self.members, self.cyclic
-        succ, pred = self._succ, self._pred
-        first = len(members)
-        _tarjan(adjacency, scc_of, members)
+        scc_of, cycles, cyclic, succ = self.scc_of, self.cycles, self.cyclic, self._succ
+        first = len(cyclic)
+        heads = _tarjan(adjacency, scc_of, first, cycles)
         component_of = scc_of.__getitem__
-        copied: set[int] = set()
-        for component in range(first, len(members)):
-            nodes = members[component]
-            targets = set(map(component_of, adjacency[nodes[0]]))
-            for node in nodes[1:]:
-                targets.update(map(component_of, adjacency[node]))
-            # An edge inside the component: a self-loop when it has one node.
-            inner = component in targets
-            if inner:
-                targets.discard(component)
-            cyclic.append(inner or len(nodes) > 1)
-            ordered = sorted(targets) if len(targets) > 1 else list(targets)
-            succ.append(ordered)
-            pred.append([])
-            self._edge_count += len(ordered)
-            for target in ordered:
-                if target < first and target not in copied:
-                    # An old list the snapshot being extended still reads.
-                    copied.add(target)
-                    pred[target] = list(pred[target])
-                pred[target].append(component)
+        for component, head in enumerate(heads, first):
+            nodes = cycles.get(component)
+            outgoing = adjacency[head]
+            if nodes is None and len(outgoing) < 2:
+                # One node with at most one edge: no set to build.
+                target = component_of(outgoing[0]) if outgoing else None
+                inner = target == component  # a self-loop
+                row = NO_EDGES if target is None or inner else [target]
+            else:
+                targets: set[int] = set()
+                for node in nodes or (head,):
+                    targets.update(map(component_of, adjacency[node]))
+                # An edge inside the component: a self-loop when it has one node.
+                inner = component in targets
+                if inner:
+                    targets.discard(component)
+                inner = inner or nodes is not None
+                row = sorted(targets) if targets else NO_EDGES
+            succ.append(row)
+            cyclic.append(inner)
+            self._edge_count += len(row)
+            self._cyclic_count += inner
+
+    # -- derived on read ------------------------------------------------
+    @property
+    def members(self) -> list[list[int]]:
+        """For each component, the data nodes inside it (derived once)."""
+        if self._members is None:
+            members: list = [None] * len(self.cyclic)  # every slot is filled below
+            cycles = self.cycles
+            for node, component in enumerate(self.scc_of):
+                if component not in cycles:
+                    members[component] = [node]
+            for component, nodes in cycles.items():
+                members[component] = nodes
+            self._members = members
+        return self._members
+
+    @property
+    def _pred(self) -> list[list[int]]:
+        """For each component, its predecessors in ascending id order
+        (derived once)."""
+        if self._pred_rows is None:
+            self._pred_rows = predecessor_rows(self._succ)
+        return self._pred_rows
 
     # -- DAG view -------------------------------------------------------
     @property
     def num_components(self) -> int:
-        return len(self.members)
+        return len(self.cyclic)
 
     @property
     def num_edges(self) -> int:
         return self._edge_count
 
-    def successors(self, component: int) -> list[int]:
+    def successors(self, component: int) -> Sequence[int]:
         return self._succ[component]
 
     def predecessors(self, component: int) -> list[int]:
@@ -126,19 +180,36 @@ class Condensation:
         Tarjan numbers components in reverse topological order, so this is
         just the reversed id sequence — no extra traversal needed.
         """
-        return list(range(len(self.members) - 1, -1, -1))
+        return list(range(len(self.cyclic) - 1, -1, -1))
 
     def is_trivial(self) -> bool:
         """True iff the input graph was already a DAG without self-loops."""
-        return not any(self.cyclic)
+        return not self._cyclic_count
 
 
-def _tarjan(adjacency: list[list[int]], scc_of: list[int], members: list[list[int]]) -> None:
+def predecessor_rows(succ: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The reverse of the adjacency ``succ``: per node, its sources in
+    ascending order."""
+    pred: list[list[int]] = [[] for _ in succ]
+    for source, targets in enumerate(succ):
+        for target in targets:
+            pred[target].append(source)
+    return pred
+
+
+def _tarjan(
+    adjacency: Sequence[Sequence[int]],
+    scc_of: list[int],
+    first_component: int,
+    cycles: dict[int, list[int]],
+) -> list[int]:
     """Iterative Tarjan SCC over the nodes ``scc_of`` does not cover yet.
 
-    Appends to ``scc_of`` and ``members`` in place, numbering components in
-    reverse topological order (a component is numbered only after
-    everything it reaches).  Nodes ``scc_of`` already covers count as
+    Extends ``scc_of`` in place, numbering components from
+    ``first_component`` in reverse topological order (a component is
+    numbered only after everything it reaches), and records the members of
+    each multi-node component in ``cycles``.  Returns the root node of each
+    new component, by id.  Nodes ``scc_of`` already covers count as
     visited and closed, which is exact when none of them reaches an
     uncovered node.
     """
@@ -148,6 +219,7 @@ def _tarjan(adjacency: list[list[int]], scc_of: list[int], members: list[list[in
     low_link = [0] * n
     scc_of.extend([unvisited] * (n - first))
     stack: list[int] = []
+    heads: list[int] = []
     next_index = 0
 
     for start in range(first, n):
@@ -179,29 +251,51 @@ def _tarjan(adjacency: list[list[int]], scc_of: list[int], members: list[list[in
                 pending.pop()
                 low = low_link[node]
                 if low == index_of[node]:
-                    component: list[int] = []
-                    number = len(members)
-                    while True:
-                        member = stack.pop()
-                        index_of[member] = closed
-                        scc_of[member] = number
-                        component.append(member)
-                        if member == node:
-                            break
-                    members.append(component)
+                    number = first_component + len(heads)
+                    heads.append(node)
+                    member = stack.pop()
+                    index_of[member] = closed
+                    scc_of[member] = number
+                    if member != node:
+                        component = [member]
+                        while member != node:
+                            member = stack.pop()
+                            index_of[member] = closed
+                            scc_of[member] = number
+                            component.append(member)
+                        cycles[number] = component
                 if path and low < low_link[path[-1]]:
                     low_link[path[-1]] = low
+    return heads
 
 
 class Dag:
-    """A plain adjacency-list DAG with a fixed topological order."""
+    """A plain adjacency-list DAG with a fixed topological order.
 
-    __slots__ = ("succ", "pred", "order")
+    ``pred`` is derived from ``succ`` at its first read and kept; it is
+    not part of the pickled state.
+    """
 
-    def __init__(self, succ: list[list[int]], pred: list[list[int]], order: list[int]):
+    __slots__ = ("succ", "order", "_pred")
+
+    def __init__(self, succ: Sequence[Sequence[int]], order: list[int]):
         self.succ = succ
-        self.pred = pred
         self.order = order  # sources first
+        self._pred: list[list[int]] | None = None
+
+    def __getstate__(self) -> tuple:
+        return self.succ, self.order
+
+    def __setstate__(self, state: tuple) -> None:
+        self.succ, self.order = state
+        self._pred = None
+
+    @property
+    def pred(self) -> list[list[int]]:
+        """For each node, its predecessors in ascending id order."""
+        if self._pred is None:
+            self._pred = predecessor_rows(self.succ)
+        return self._pred
 
     @property
     def num_nodes(self) -> int:
@@ -214,7 +308,7 @@ class Dag:
     @classmethod
     def from_condensation(cls, condensation: Condensation) -> "Dag":
         """The condensation's own adjacency lists, viewed as a DAG."""
-        return cls(condensation._succ, condensation._pred, condensation.topological_order())
+        return cls(condensation._succ, condensation.topological_order())
 
     @classmethod
     def from_graph(cls, graph: DataGraph) -> "Dag":
@@ -228,9 +322,7 @@ class Dag:
         order = topological_order(graph)
         if any(graph.has_edge(node, node) for node in graph.nodes()):
             raise ValueError("graph has self-loops; condense first")
-        succ = [list(graph.successors(node)) for node in graph.nodes()]
-        pred = [list(graph.predecessors(node)) for node in graph.nodes()]
-        return cls(succ, pred, order)
+        return cls([list(graph.successors(node)) for node in graph.nodes()], order)
 
 
 class GraphStructure:

@@ -12,18 +12,23 @@ the attribute name ``"label"``.
 
 from __future__ import annotations
 
-from typing import Any, Collection, Iterable, Iterator, Mapping
+from typing import Any, Collection, Iterable, Iterator, Mapping, Sequence
 
-from .condensation import Condensation, GraphStructure, component_depths
+from .condensation import NO_EDGES, Condensation, GraphStructure, component_depths
 
 
 class DataGraph:
     """A directed graph whose nodes carry attribute dictionaries.
 
-    Edges are stored as forward and reverse adjacency lists.  Parallel edges
-    are collapsed (the semantics of PC/AD relationships only care about edge
-    existence) and self-loops are permitted (they make a node its own
-    descendant under the paper's nonempty-path AD semantics).
+    Edges are stored as forward and reverse adjacency lists, and a node
+    gets each list at its first edge in that direction: until then the
+    slot holds one shared empty tuple, so a leaf has no successor list and
+    a root no predecessor list (most nodes of a tree-shaped graph are one
+    or the other, and every list is a container the cyclic garbage
+    collector walks).  Parallel edges are collapsed (the semantics of
+    PC/AD relationships only care about edge existence) and self-loops are
+    permitted (they make a node its own descendant under the paper's
+    nonempty-path AD semantics).
 
     The graph owns two lazily derived caches: the label postings behind
     :meth:`nodes_with_label` and the structural snapshot behind
@@ -51,8 +56,8 @@ class DataGraph:
 
     def __init__(self):
         self._attrs: list[dict[str, Any]] = []
-        self._succ: list[list[int]] = []
-        self._pred: list[list[int]] = []
+        self._succ: list[Sequence[int]] = []
+        self._pred: list[Sequence[int]] = []
         self._edge_count = 0
         self._root_count = 0
         self._label_index: dict[Any, tuple[int, ...]] | None = None
@@ -106,8 +111,8 @@ class DataGraph:
                 # label raises here and leaves no half-added node.
                 posting = self._label_index.get(node_label, ()) + (node,)
         self._attrs.append(node_attrs)
-        self._succ.append([])
-        self._pred.append([])
+        self._succ.append(NO_EDGES)
+        self._pred.append(NO_EDGES)
         self._root_count += 1
         self._version += 1
         if posting is not None:
@@ -120,13 +125,19 @@ class DataGraph:
         """Add edge ``source -> target``; returns False if already present."""
         self._check(source)
         self._check(target)
-        if target in self._succ[source]:
+        children = self._succ[source]
+        if target in children:
             return False
-        self._succ[source].append(target)
+        if children:
+            children.append(target)
+        else:
+            self._succ[source] = [target]
         parents = self._pred[target]
-        if not parents:
+        if parents:
+            parents.append(source)
+        else:
+            self._pred[target] = [source]
             self._root_count -= 1
-        parents.append(source)
         self._edge_count += 1
         self._version += 1
         if source < self._structure_nodes:
@@ -219,13 +230,17 @@ class DataGraph:
         self._check(node)
         return self._attrs[node].get("label")
 
-    def successors(self, node: int) -> list[int]:
-        """Children of ``node`` (PC relationship targets)."""
+    def successors(self, node: int) -> Sequence[int]:
+        """Children of ``node`` (PC relationship targets), in the order
+        their edges were added: a read-only sequence; a shared empty tuple
+        until the node's first edge."""
         self._check(node)
         return self._succ[node]
 
-    def predecessors(self, node: int) -> list[int]:
-        """Parents of ``node``."""
+    def predecessors(self, node: int) -> Sequence[int]:
+        """Parents of ``node``, in the order their edges were added: a
+        read-only sequence; a shared empty tuple until the node's first
+        edge."""
         self._check(node)
         return self._pred[node]
 

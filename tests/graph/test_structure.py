@@ -23,10 +23,14 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from repro.datasets import enclave_graph, generate_arxiv, generate_dblp, generate_xmark
 from repro.graph import Condensation, DataGraph, GraphStats, condense, graph_stats
+from repro.graph.condensation import GraphStructure
 from repro.graph.traversal import node_depths, topological_order
 from repro.reachability import build_reachability
 
 FIELDS = ("scc_of", "members", "cyclic", "_succ", "_pred", "_edge_count")
+#: What a snapshot derives on its first read instead of storing.
+DERIVED = ("members", "_pred")
+STORED = tuple(name for name in FIELDS if name not in DERIVED)
 
 
 # ----------------------------------------------------------------------
@@ -170,17 +174,28 @@ def rebuilt_postings(graph):
     return postings
 
 
-def fields_of(condensation):
-    return {name: getattr(condensation, name) for name in FIELDS}
+def as_lists(rows):
+    return [list(row) for row in rows]
+
+
+def fields_of(condensation, names=FIELDS):
+    """``names`` of ``condensation``, successor rows as lists: a component
+    without successors shares one empty tuple."""
+    fields = {name: getattr(condensation, name) for name in names}
+    if "_succ" in fields:
+        fields["_succ"] = as_lists(fields["_succ"])
+    return fields
 
 
 def assert_is_fresh_build(structure, graph):
     reference = ReferenceCondensation(graph)
     assert fields_of(structure.condensation) == fields_of(reference)
+    assert structure.condensation.is_trivial() == (not any(reference.cyclic))
     assert structure.dag.order == reference.order
-    assert structure.dag.succ == reference._succ
+    assert as_lists(structure.dag.succ) == reference._succ
     assert structure.dag.pred == reference._pred
     assert structure.version == graph.version
+    return reference
 
 
 # ----------------------------------------------------------------------
@@ -194,7 +209,7 @@ class SnapshotMachine(RuleBasedStateMachine):
         self.graph = DataGraph()
         self.covered = 0  # nodes the latest snapshot covers
         self.append_only = True
-        self.held = []  # (snapshot, deep copy taken when it was obtained)
+        self.held = []  # (snapshot, its ReferenceCondensation)
         self.expected = dict.fromkeys(
             ("builds", "extensions", "hits", "depth_passes", "label_builds"), 0
         )
@@ -249,8 +264,8 @@ class SnapshotMachine(RuleBasedStateMachine):
         assert not self.graph.add_edge(*edges[self._pick(data, 0, len(edges))])
         assert self.graph.version == version
 
-    @rule(with_stats=st.booleans())
-    def demand_structure(self, with_stats):
+    @rule(with_stats=st.booleans(), derive=st.booleans())
+    def demand_structure(self, with_stats, derive):
         graph = self.graph
         previous = self.held[-1][0] if self.held else None
         if previous is not None and previous.version == graph.version:
@@ -273,19 +288,33 @@ class SnapshotMachine(RuleBasedStateMachine):
             self.expected["depth_passes"] += not self.depths_known
             self.expected["label_builds"] = 1
             self.depths_known = True
-        assert_is_fresh_build(structure, copy.deepcopy(graph))
+        # A copy is checked without deriving anything on the snapshot, so
+        # read_derived may derive its member and predecessor lists first,
+        # after later versions exist.
+        checked = structure if derive else copy.deepcopy(structure)
+        reference = assert_is_fresh_build(checked, copy.deepcopy(graph))
         assert graph.structure_info() == {**self.expected, "version": graph.version}
         if previous is None or previous is not structure:
-            self.held.append((structure, copy.deepcopy(structure.condensation)))
+            self.held.append((structure, reference))
         self.covered = graph.num_nodes
         self.append_only = True
 
+    @precondition(lambda self: self.held)
+    @rule(data=st.data())
+    def read_derived(self, data):
+        """A held snapshot's member and predecessor lists — derived now or
+        kept from an earlier read — at any point of the graph's history."""
+        structure, reference = self.held[self._pick(data, 0, len(self.held))]
+        assert fields_of(structure.condensation, DERIVED) == fields_of(reference, DERIVED)
+        assert structure.dag.pred == reference._pred
+
     @invariant()
     def held_snapshots_never_change(self):
-        for structure, taken in self.held:
-            assert fields_of(structure.condensation) == fields_of(taken)
-            assert structure.dag.succ == taken._succ
-            assert structure.dag.pred == taken._pred
+        # The stored fields only: reading the derived ones here would
+        # derive them at every step, leaving read_derived nothing late.
+        for structure, reference in self.held:
+            assert fields_of(structure.condensation, STORED) == fields_of(reference, STORED)
+            assert as_lists(structure.dag.succ) == reference._succ
 
     @invariant()
     def postings_equal_a_rebuild(self):
@@ -365,14 +394,54 @@ def test_held_service_answers_for_its_own_version():
 
 
 def test_snapshot_pickles_without_bookkeeping():
-    """The pickled layout of a condensation is its six fields, whether it
-    was built or extended."""
+    """The pickled layout of a condensation is its stored fields, whether
+    it was built or extended."""
     graph = DataGraph.from_edges("ab", [(0, 1)])
     graph.structure()
     graph.add_edge(graph.add_node(label="c"), 0)
     extended = graph.structure().condensation
     clone = pickle.loads(pickle.dumps(extended))
     assert fields_of(clone) == fields_of(Condensation(graph))
+
+
+def test_derived_lists_stay_with_their_version():
+    """Member and predecessor lists derived on a snapshot before an append
+    are not the extended snapshot's, and the held snapshot keeps answering
+    for its own version."""
+    graph = DataGraph.from_edges("abc", [(0, 1), (1, 2), (2, 1)])
+    old = graph.structure()
+    old_pred, old_members = old.dag.pred, old.condensation.members
+    reference = ReferenceCondensation(copy.deepcopy(graph))
+    node = graph.add_node(label="d")
+    graph.add_edge(node, 0)
+    graph.add_edge(node, 2)
+    new = graph.structure()
+    assert graph.structure_info()["extensions"] == 1
+    assert new.dag.pred is not old_pred
+    assert new.condensation.members is not old_members
+    assert new.condensation._pred is not old.condensation._pred
+    assert_is_fresh_build(new, graph)
+    assert old.dag.pred is old_pred and old.condensation.members is old_members
+    assert fields_of(old.condensation) == fields_of(reference)
+    assert old.dag.pred == reference._pred
+
+
+@pytest.mark.parametrize(
+    "clone", [copy.deepcopy, lambda snapshot: pickle.loads(pickle.dumps(snapshot))]
+)
+def test_clones_do_not_depend_on_what_was_read(clone):
+    """A copy or pickle of a snapshot whose derived lists were read equals
+    one of a snapshot whose lists never were, and carries none of them."""
+    graph = DataGraph.from_edges("abcd", [(0, 1), (1, 2), (2, 1), (2, 3), (3, 3)])
+    unread = graph.structure()
+    read = GraphStructure(Condensation(graph), graph.version)
+    assert read.dag.pred and read.condensation._pred and read.condensation.members
+    assert pickle.dumps(read) == pickle.dumps(unread)
+    for copied in (clone(read), clone(unread)):
+        assert copied.dag._pred is None
+        assert copied.condensation._pred_rows is None
+        assert copied.condensation._members is None
+        assert_is_fresh_build(copied, graph)
 
 
 # ----------------------------------------------------------------------
