@@ -14,13 +14,14 @@ import time
 from repro.baselines import TwigStackD
 from repro.datasets import generate_arxiv, generate_query_groups
 from repro.engine import GTEA
-from repro.graph import graph_stats
+from repro.graph import depth_stats, graph_stats
 
 arxiv = generate_arxiv(num_papers=1500, num_authors=300, seed=23)
 stats = graph_stats(arxiv.graph)
+max_depth, _ = depth_stats(arxiv.graph)
 print(
     f"arXiv-like graph: {stats.num_nodes} nodes, {stats.num_edges} edges, "
-    f"{stats.num_labels} labels, max depth {stats.max_depth}"
+    f"{stats.num_labels} labels, max depth {max_depth}"
 )
 
 engine = GTEA(arxiv.graph)

@@ -21,7 +21,7 @@ import sys
 
 from ..datasets import fig7_query, generate_xmark
 from ..engine import QuerySession
-from ..graph import graph_stats
+from ..graph import depth_stats, graph_stats
 from ..reachability import select_auto_index
 from .harness import format_table
 
@@ -29,8 +29,13 @@ from .harness import format_table
 def _cmd_stats(args: argparse.Namespace) -> int:
     dataset = generate_xmark(scale=args.scale, seed=args.seed)
     stats = graph_stats(dataset.graph)
-    row = stats.row()
-    row["auto_index"] = select_auto_index(stats)
+    max_depth, avg_depth = depth_stats(dataset.graph)
+    row = {
+        **stats.row(),
+        "max_depth": max_depth,
+        "avg_depth": round(avg_depth, 2),
+        "auto_index": select_auto_index(stats),
+    }
     print(format_table(
         f"XMark-like dataset, scale {args.scale}",
         list(row),

@@ -367,7 +367,7 @@ class QuerySession:
         attribute write
         (``cache_info()["partial"]``: ``kept`` / ``dropped``).  The
         graph's own derived state (:meth:`DataGraph.structure`, label
-        postings, depths) follows the graph by itself.  The warm store
+        postings) follows the graph by itself.  The warm store
         does **not** share the attribute blind spot: its key is the graph
         *content* fingerprint (:func:`~repro.store.graph_fingerprint`),
         so an in-place edit moves :meth:`persist` and rehydration to a

@@ -2,7 +2,7 @@
 
 from .condensation import Condensation, Dag, GraphStructure, condense
 from .digraph import DataGraph
-from .stats import GraphStats, graph_stats
+from .stats import GraphStats, depth_stats, graph_stats
 from .traversal import (
     ancestors,
     bfs_layers,
@@ -22,6 +22,7 @@ __all__ = [
     "ancestors",
     "bfs_layers",
     "condense",
+    "depth_stats",
     "descendants",
     "graph_stats",
     "is_dag",

@@ -3,8 +3,11 @@
 The paper's AD relationship means "nonempty path", so on cyclic graphs every
 node of a non-trivial SCC is a descendant of every other (and of itself).
 All reachability indexes in :mod:`repro.reachability` are built on the
-condensation DAG; this module computes it with an iterative Tarjan SCC so
-deep graphs do not hit Python's recursion limit.
+condensation DAG.  This module computes it acyclic-first: one iterative
+postorder DFS numbers the nodes and builds the successor rows together,
+and only a graph with a cycle is handed, at its first back edge, to an
+iterative Tarjan SCC.  Neither recurses, so deep graphs do not hit
+Python's recursion limit.
 
 A graph version has exactly one condensation: the :class:`GraphStructure`
 snapshot :meth:`DataGraph.structure() <repro.graph.digraph.DataGraph.structure>`
@@ -24,8 +27,6 @@ nearly every component is a single node and most are leaves.
 from __future__ import annotations
 
 import copy
-import heapq
-from itertools import chain
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
@@ -34,6 +35,9 @@ if TYPE_CHECKING:
 #: The adjacency row of every node or component without edges in that
 #: direction: one shared empty tuple instead of a list each.
 NO_EDGES: tuple[int, ...] = ()
+
+#: ``scc_of`` marks of a node not numbered yet (component ids are >= 0).
+_UNVISITED, _ON_PATH = -1, -2
 
 
 class Condensation:
@@ -91,8 +95,8 @@ class Condensation:
         ``graph`` must be the graph this condensation describes plus an
         *append-only* delta: nodes from ``len(self.scc_of)`` on are new and
         no new edge leaves an old node.  Old nodes then cannot reach new
-        ones, so a from-scratch Tarjan would walk the old part first and
-        number it exactly as here; running it over the new nodes alone
+        ones, so a from-scratch condensation would walk the old part first
+        and number it exactly as here; condensing the new nodes alone
         continues that numbering.  The result equals ``Condensation(graph)``
         id for id, in every field.
 
@@ -108,33 +112,133 @@ class Condensation:
         return grown
 
     def _absorb(self, adjacency: Sequence[Sequence[int]]) -> None:
-        """Condense the nodes of ``adjacency`` this object does not cover yet."""
-        scc_of, cycles, cyclic, succ = self.scc_of, self.cycles, self.cyclic, self._succ
-        first = len(cyclic)
-        heads = _tarjan(adjacency, scc_of, first, cycles)
+        """Condense the nodes of ``adjacency`` this object does not cover yet:
+        acyclic-first (:meth:`_postorder`), with a hand-off to
+        :meth:`_tarjan` at the first back edge."""
+        known = len(self._succ)
+        handoff = self._postorder(adjacency)
+        # Every component the postorder walk numbered is one acyclic node.
+        self.cyclic.extend([False] * (len(self._succ) - known))
+        self._edge_count += sum(map(len, self._succ[known:]))
+        if handoff is not None:
+            self._tarjan(adjacency, handoff)
+
+    def _postorder(self, adjacency: Sequence[Sequence[int]]) -> int | None:
+        """Number the uncovered nodes as one-node components in DFS postorder.
+
+        Starts go in id order and successors in adjacency order, Tarjan's
+        visit order.  A node closes after all its successors, so its
+        component and its successor row are made in one step; on a DAG
+        this is Tarjan's numbering, id for id, without its bookkeeping.
+        At the first back edge (a self-loop is one) the nodes on the path
+        are reset to unvisited and the start of that DFS is returned for
+        :meth:`_tarjan` to continue from: every node closed so far reaches
+        only closed nodes, so Tarjan would have numbered it alike.
+        """
+        scc_of, succ = self.scc_of, self._succ
         component_of = scc_of.__getitem__
-        for component, head in enumerate(heads, first):
-            nodes = cycles.get(component)
-            outgoing = adjacency[head]
-            if nodes is None and len(outgoing) < 2:
-                # One node with at most one edge: no set to build.
-                target = component_of(outgoing[0]) if outgoing else None
-                inner = target == component  # a self-loop
-                row = NO_EDGES if target is None or inner else [target]
-            else:
-                targets: set[int] = set()
-                for node in nodes or (head,):
-                    targets.update(map(component_of, adjacency[node]))
-                # An edge inside the component: a self-loop when it has one node.
-                inner = component in targets
-                if inner:
-                    targets.discard(component)
-                inner = inner or nodes is not None
-                row = sorted(targets) if targets else NO_EDGES
-            succ.append(row)
-            cyclic.append(inner)
-            self._edge_count += len(row)
-            self._cyclic_count += inner
+        # A target repeats only through an old multi-node component.
+        merge = (lambda targets: sorted(set(targets))) if self.cycles else sorted
+        first, n = len(scc_of), len(adjacency)
+        scc_of.extend([_UNVISITED] * (n - first))
+        number = len(succ)
+        for start in range(first, n):
+            if scc_of[start] != _UNVISITED:
+                continue
+            scc_of[start] = _ON_PATH
+            # The DFS path and, per node on it, the successors not yet tried.
+            path = [start]
+            pending = [iter(adjacency[start])]
+            while path:
+                for successor in pending[-1]:
+                    seen = scc_of[successor]
+                    if seen == _UNVISITED:
+                        scc_of[successor] = _ON_PATH
+                        path.append(successor)
+                        pending.append(iter(adjacency[successor]))
+                        break
+                    if seen == _ON_PATH:
+                        for node in path:
+                            scc_of[node] = _UNVISITED
+                        return start
+                else:
+                    node = path.pop()
+                    pending.pop()
+                    scc_of[node] = number
+                    number += 1
+                    outgoing = adjacency[node]
+                    if not outgoing:
+                        row = NO_EDGES
+                    elif len(outgoing) == 1:
+                        row = [scc_of[outgoing[0]]]
+                    else:
+                        row = merge(map(component_of, outgoing))
+                    succ.append(row)
+        return None
+
+    def _tarjan(self, adjacency: Sequence[Sequence[int]], first: int) -> None:
+        """Iterative Tarjan SCC over the nodes from ``first`` on that
+        ``scc_of`` marks unvisited, numbering each component — and building
+        its successor row — when it closes.  Nodes already numbered count
+        as closed, which is exact when none of them reaches an unvisited
+        node.  Multi-node components record their members in ``cycles``, in
+        the order they were popped."""
+        scc_of, cycles, cyclic, succ = self.scc_of, self.cycles, self.cyclic, self._succ
+        n = len(adjacency)
+        unvisited, closed = -1, n  # discovery indices lie strictly between
+        index_of = [unvisited if seen == _UNVISITED else closed for seen in scc_of]
+        low_link = [0] * n
+        stack: list[int] = []
+        next_index = 0
+
+        for start in range(first, n):
+            if index_of[start] != unvisited:
+                continue
+            index_of[start] = low_link[start] = next_index
+            next_index += 1
+            stack.append(start)
+            path = [start]
+            pending = [iter(adjacency[start])]
+            while path:
+                node = path[-1]
+                for successor in pending[-1]:
+                    seen = index_of[successor]
+                    if seen == unvisited:
+                        index_of[successor] = low_link[successor] = next_index
+                        next_index += 1
+                        stack.append(successor)
+                        path.append(successor)
+                        pending.append(iter(adjacency[successor]))
+                        break
+                    # A closed node compares greater than any low link.
+                    if seen < low_link[node]:
+                        low_link[node] = seen
+                else:
+                    # Node finished: close its component if it is a root.
+                    path.pop()
+                    pending.pop()
+                    low = low_link[node]
+                    if low == index_of[node]:
+                        number = len(succ)
+                        nodes = [stack.pop()]
+                        while nodes[-1] != node:
+                            nodes.append(stack.pop())
+                        for member in nodes:
+                            index_of[member] = closed
+                            scc_of[member] = number
+                        targets = {scc_of[edge] for member in nodes for edge in adjacency[member]}
+                        # An edge inside the component: a self-loop when it has one node.
+                        inner = number in targets or len(nodes) > 1
+                        targets.discard(number)
+                        if len(nodes) > 1:
+                            cycles[number] = nodes
+                        row = sorted(targets) if targets else NO_EDGES
+                        succ.append(row)
+                        cyclic.append(inner)
+                        self._edge_count += len(row)
+                        self._cyclic_count += inner
+                    if path and low < low_link[path[-1]]:
+                        low_link[path[-1]] = low
 
     # -- derived on read ------------------------------------------------
     @property
@@ -174,13 +278,13 @@ class Condensation:
     def predecessors(self, component: int) -> list[int]:
         return self._pred[component]
 
-    def topological_order(self) -> list[int]:
+    def topological_order(self) -> range:
         """Components in topological order (sources first).
 
-        Tarjan numbers components in reverse topological order, so this is
-        just the reversed id sequence — no extra traversal needed.
+        Components are numbered in reverse topological order, so this is
+        just the reversed id range — no traversal, no list.
         """
-        return list(range(len(self.cyclic) - 1, -1, -1))
+        return range(len(self.cyclic) - 1, -1, -1)
 
     def is_trivial(self) -> bool:
         """True iff the input graph was already a DAG without self-loops."""
@@ -197,78 +301,6 @@ def predecessor_rows(succ: Sequence[Sequence[int]]) -> list[list[int]]:
     return pred
 
 
-def _tarjan(
-    adjacency: Sequence[Sequence[int]],
-    scc_of: list[int],
-    first_component: int,
-    cycles: dict[int, list[int]],
-) -> list[int]:
-    """Iterative Tarjan SCC over the nodes ``scc_of`` does not cover yet.
-
-    Extends ``scc_of`` in place, numbering components from
-    ``first_component`` in reverse topological order (a component is
-    numbered only after everything it reaches), and records the members of
-    each multi-node component in ``cycles``.  Returns the root node of each
-    new component, by id.  Nodes ``scc_of`` already covers count as
-    visited and closed, which is exact when none of them reaches an
-    uncovered node.
-    """
-    first, n = len(scc_of), len(adjacency)
-    unvisited, closed = -1, n  # discovery indices lie strictly between
-    index_of = [closed] * first + [unvisited] * (n - first)
-    low_link = [0] * n
-    scc_of.extend([unvisited] * (n - first))
-    stack: list[int] = []
-    heads: list[int] = []
-    next_index = 0
-
-    for start in range(first, n):
-        if index_of[start] != unvisited:
-            continue
-        index_of[start] = low_link[start] = next_index
-        next_index += 1
-        stack.append(start)
-        # The DFS path and, per node on it, the successors not yet tried.
-        path = [start]
-        pending = [iter(adjacency[start])]
-        while path:
-            node = path[-1]
-            for successor in pending[-1]:
-                seen = index_of[successor]
-                if seen == unvisited:
-                    index_of[successor] = low_link[successor] = next_index
-                    next_index += 1
-                    stack.append(successor)
-                    path.append(successor)
-                    pending.append(iter(adjacency[successor]))
-                    break
-                # A closed node compares greater than any low link.
-                if seen < low_link[node]:
-                    low_link[node] = seen
-            else:
-                # Node finished: close its component if it is a root.
-                path.pop()
-                pending.pop()
-                low = low_link[node]
-                if low == index_of[node]:
-                    number = first_component + len(heads)
-                    heads.append(node)
-                    member = stack.pop()
-                    index_of[member] = closed
-                    scc_of[member] = number
-                    if member != node:
-                        component = [member]
-                        while member != node:
-                            member = stack.pop()
-                            index_of[member] = closed
-                            scc_of[member] = number
-                            component.append(member)
-                        cycles[number] = component
-                if path and low < low_link[path[-1]]:
-                    low_link[path[-1]] = low
-    return heads
-
-
 class Dag:
     """A plain adjacency-list DAG with a fixed topological order.
 
@@ -278,7 +310,7 @@ class Dag:
 
     __slots__ = ("succ", "order", "_pred")
 
-    def __init__(self, succ: Sequence[Sequence[int]], order: list[int]):
+    def __init__(self, succ: Sequence[Sequence[int]], order: Sequence[int]):
         self.succ = succ
         self.order = order  # sources first
         self._pred: list[list[int]] | None = None
@@ -336,55 +368,21 @@ class GraphStructure:
             another by :meth:`extended`.  Along a lineage an old component
             keeps its id and successor list and cannot reach a newer one,
             so what is derived per component from its successors alone (a
-            descendant row, a depth) stays exact.
-        depths: longest-path depth per component; None until
-            :meth:`DataGraph.component_depths` asks, then carried along.
+            descendant row) stays exact.
     """
 
-    __slots__ = ("condensation", "dag", "version", "lineage", "depths")
+    __slots__ = ("condensation", "dag", "version", "lineage")
 
     def __init__(self, condensation: Condensation, version: int, lineage: object = None):
         self.condensation = condensation
         self.dag = Dag.from_condensation(condensation)
         self.version = version
         self.lineage = object() if lineage is None else lineage
-        self.depths: list[int] | None = None
 
     def extended(self, graph: DataGraph) -> "GraphStructure":
         """The snapshot of ``graph`` — this one plus an append-only delta
-        (:meth:`Condensation.extended`) — on the same lineage; known
-        depths are carried over and only the delta is walked."""
-        grown = GraphStructure(self.condensation.extended(graph), graph.version, self.lineage)
-        if self.depths is not None:
-            grown.depths = component_depths(grown.dag.succ, self.depths)
-        return grown
-
-
-def component_depths(successors: list[list[int]], known: list[int]) -> list[int]:
-    """Longest-path depths over ``successors``, grown from ``known``: the
-    depths of components ``0..len(known)-1`` before the newer ones existed
-    (copied, not changed).  Ids are reverse topological, so descending
-    order visits a component after its predecessors: the new components
-    are walked that way, then ``depth + 1`` is pushed down through exactly
-    the old components whose depth grew, highest id first."""
-    first, count = len(known), len(successors)
-    depths = known + [0] * (count - first)
-    grown: set[int] = set()
-    heap: list[int] = []  # the old components of ``grown`` still to walk, negated
-    for component in chain(range(count - 1, first - 1, -1), _pop_descending(heap)):
-        below = depths[component] + 1
-        for successor in successors[component]:
-            if below > depths[successor]:
-                depths[successor] = below
-                if successor < first and successor not in grown:
-                    grown.add(successor)
-                    heapq.heappush(heap, -successor)
-    return depths
-
-
-def _pop_descending(heap: list[int]):
-    while heap:
-        yield -heapq.heappop(heap)
+        (:meth:`Condensation.extended`) — on the same lineage."""
+        return GraphStructure(self.condensation.extended(graph), graph.version, self.lineage)
 
 
 def condense(graph: DataGraph) -> Condensation:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Collection, Iterable, Iterator, Mapping, Sequence
 
-from .condensation import NO_EDGES, Condensation, GraphStructure, component_depths
+from .condensation import NO_EDGES, Condensation, GraphStructure
 
 
 class DataGraph:
@@ -68,7 +68,7 @@ class DataGraph:
         self._structure_nodes = 0
         self._append_only = True
         self._structure_counts = dict.fromkeys(
-            ("builds", "extensions", "hits", "depth_passes", "label_builds"), 0
+            ("builds", "extensions", "hits", "label_builds"), 0
         )
 
     @property
@@ -348,24 +348,12 @@ class DataGraph:
         self._append_only = True
         return snapshot
 
-    def component_depths(self) -> list[int]:
-        """Longest-path depth of every component of :meth:`structure`
-        (the snapshot's list: do not modify).  One whole-graph walk per
-        lineage — ``depth_passes`` of :meth:`structure_info`; an extended
-        snapshot carries its predecessor's depths and walks the delta."""
-        structure = self.structure()
-        if structure.depths is None:
-            structure.depths = component_depths(structure.dag.succ, [])
-            self._structure_counts["depth_passes"] += 1
-        return structure.depths
-
     def structure_info(self) -> dict[str, int | None]:
         """Counters of :meth:`structure` — ``builds`` (from scratch),
         ``extensions`` (append-only deltas absorbed), ``hits``, and the
         ``version`` the held snapshot describes (None before the first
-        demand) — and of the other whole-graph passes an append spares:
-        ``depth_passes`` (:meth:`component_depths`) and ``label_builds``
-        (the label postings)."""
+        demand) — and of the other whole-graph pass an append spares:
+        ``label_builds`` (the label postings)."""
         snapshot = self._structure
         return {**self._structure_counts, "version": snapshot.version if snapshot else None}
 

@@ -9,7 +9,9 @@ users hold them across mutations).  The references below are the
 algorithms as they stood before the snapshot existed, kept here verbatim:
 the per-graph ``Condensation`` and the traversal-based ``graph_stats`` —
 plus the ``graph_stats`` that walked every component at every call, which
-the carried-over depths and the root and label counts must keep equalling.
+the running root and label counts and ``depth_stats`` must keep equalling.
+The condensation is acyclic-first with a hand-off to Tarjan at the first
+back edge; the cases below place that back edge everywhere it can fall.
 """
 
 import copy
@@ -21,10 +23,26 @@ import pytest
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.datasets import enclave_graph, generate_arxiv, generate_dblp, generate_xmark
-from repro.graph import Condensation, DataGraph, GraphStats, condense, graph_stats
+from repro.datasets import (
+    enclave_graph,
+    fig7_query,
+    generate_arxiv,
+    generate_dblp,
+    generate_xmark,
+    random_embedded_query,
+)
+from repro.engine import QuerySession
+from repro.graph import (
+    Condensation,
+    DataGraph,
+    GraphStats,
+    condense,
+    depth_stats,
+    graph_stats,
+)
 from repro.graph.condensation import GraphStructure
 from repro.graph.traversal import node_depths, topological_order
+from repro.query import evaluate_naive
 from repro.reachability import build_reachability
 
 FIELDS = ("scc_of", "members", "cyclic", "_succ", "_pred", "_edge_count")
@@ -113,8 +131,9 @@ def reference_tarjan(graph):
 
 
 def reference_graph_stats(graph):
-    """``graph_stats`` of the parent commit: two Kahn passes, a self-loop
-    scan, and a scratch graph of the condensation when cyclic."""
+    """``graph_stats`` of the commit before the snapshot — two Kahn passes,
+    a self-loop scan, and a scratch graph of the condensation when cyclic —
+    with its depth figures beside the statistics."""
     try:
         topological_order(graph)
         acyclic = all(not graph.has_edge(node, node) for node in graph.nodes())
@@ -131,15 +150,22 @@ def reference_graph_stats(graph):
             for successor in successors:
                 dag.add_edge(component, successor)
         depths = node_depths(dag)
-    return GraphStats(
+    stats = GraphStats(
         num_nodes=graph.num_nodes,
         num_edges=graph.num_edges,
         num_labels=len(graph.distinct_labels()),
         num_roots=len(graph.roots()),
-        max_depth=max(depths) if depths else 0,
-        avg_depth=(sum(depths) / len(depths)) if depths else 0.0,
         is_dag=acyclic,
     )
+    return stats, depth_figures(depths)
+
+
+def depth_figures(depths):
+    return (max(depths), sum(depths) / len(depths)) if depths else (0, 0.0)
+
+
+def stats_and_depths(graph):
+    return graph_stats(graph), depth_stats(graph)
 
 
 def whole_graph_stats(graph):
@@ -155,15 +181,14 @@ def whole_graph_stats(graph):
             if below > depths[successor]:
                 depths[successor] = below
     labels = {attrs["label"] for attrs in graph._attrs if attrs.get("label") is not None}
-    return GraphStats(
+    stats = GraphStats(
         num_nodes=graph.num_nodes,
         num_edges=graph.num_edges,
         num_labels=len(labels),
         num_roots=sum(1 for node in graph.nodes() if not graph._pred[node]),
-        max_depth=max(depths) if depths else 0,
-        avg_depth=(sum(depths) / len(depths)) if depths else 0.0,
         is_dag=condensation.is_trivial(),
     )
+    return stats, depth_figures(depths)
 
 
 def rebuilt_postings(graph):
@@ -191,7 +216,7 @@ def assert_is_fresh_build(structure, graph):
     reference = ReferenceCondensation(graph)
     assert fields_of(structure.condensation) == fields_of(reference)
     assert structure.condensation.is_trivial() == (not any(reference.cyclic))
-    assert structure.dag.order == reference.order
+    assert list(structure.dag.order) == reference.order
     assert as_lists(structure.dag.succ) == reference._succ
     assert structure.dag.pred == reference._pred
     assert structure.version == graph.version
@@ -210,10 +235,7 @@ class SnapshotMachine(RuleBasedStateMachine):
         self.covered = 0  # nodes the latest snapshot covers
         self.append_only = True
         self.held = []  # (snapshot, its ReferenceCondensation)
-        self.expected = dict.fromkeys(
-            ("builds", "extensions", "hits", "depth_passes", "label_builds"), 0
-        )
-        self.depths_known = False  # the held lineage has walked its depths
+        self.expected = dict.fromkeys(("builds", "extensions", "hits", "label_builds"), 0)
 
     def _pick(self, data, low, high):
         return data.draw(st.integers(min_value=low, max_value=high - 1))
@@ -274,20 +296,17 @@ class SnapshotMachine(RuleBasedStateMachine):
             self.expected["extensions"] += 1
         else:
             self.expected["builds"] += 1
-            self.depths_known = False
         rebuilt = self.expected["builds"] - graph.structure_info()["builds"]
         structure = graph.structure()
         # Hits and extensions stay on the lineage; a build starts one.
         if previous is not None:
             assert (structure.lineage is previous.lineage) == (not rebuilt)
         if with_stats:
-            # Append, old→old and cyclic-new-node steps alike: the carried
-            # depths and the running counts equal a whole-graph pass.
-            assert graph_stats(graph) == whole_graph_stats(copy.deepcopy(graph))
-            self.expected["hits"] += 2  # the depths' and the acyclicity's demand
-            self.expected["depth_passes"] += not self.depths_known
+            # Append, old→old and cyclic-new-node steps alike: the running
+            # counts and the depths equal a whole-graph pass.
+            assert stats_and_depths(graph) == whole_graph_stats(copy.deepcopy(graph))
+            self.expected["hits"] += 2  # the acyclicity's and the depths' demand
             self.expected["label_builds"] = 1
-            self.depths_known = True
         # A copy is checked without deriving anything on the snapshot, so
         # read_derived may derive its member and predecessor lists first,
         # after later versions exist.
@@ -346,8 +365,8 @@ def test_seeded_append_deltas_extend_exactly(seed):
     for epoch in range(6):
         structure = graph.structure()
         assert_is_fresh_build(structure, graph)
-        assert graph_stats(graph) == whole_graph_stats(graph)
-        held.append((structure, copy.deepcopy(structure.condensation), list(structure.depths)))
+        assert stats_and_depths(graph) == whole_graph_stats(graph)
+        held.append((structure, copy.deepcopy(structure.condensation)))
         first = graph.num_nodes
         for _ in range(rng.randint(1, 5)):
             graph.add_node(label="y")
@@ -356,10 +375,8 @@ def test_seeded_append_deltas_extend_exactly(seed):
             graph.add_edge(source, rng.randrange(graph.num_nodes))
     assert graph.structure_info()["builds"] == 1
     assert graph.structure_info()["extensions"] == 5
-    assert graph.structure_info()["depth_passes"] == 1
-    for structure, taken, depths in held:
+    for structure, taken in held:
         assert fields_of(structure.condensation) == fields_of(taken)
-        assert structure.depths == depths
 
 
 def test_structure_is_lazy_and_shared():
@@ -368,7 +385,6 @@ def test_structure_is_lazy_and_shared():
         "builds": 0,
         "extensions": 0,
         "hits": 0,
-        "depth_passes": 0,
         "label_builds": 0,
         "version": None,
     }
@@ -469,15 +485,156 @@ def random_digraph(rng, cyclic):
     ],
 )
 def test_graph_stats_match_reference_on_datasets(graph):
-    assert graph_stats(graph) == reference_graph_stats(graph)
+    assert stats_and_depths(graph) == reference_graph_stats(graph)
 
 
 @pytest.mark.parametrize("seed", range(200))
 def test_graph_stats_match_reference_on_random_digraphs(seed):
     rng = random.Random(seed)
     graph = random_digraph(rng, cyclic=seed % 2 == 0)
-    assert graph_stats(graph) == reference_graph_stats(graph)
+    assert stats_and_depths(graph) == reference_graph_stats(graph)
+    assert_is_fresh_build(graph.structure(), graph)
     if graph.num_nodes:  # and again from an extended snapshot
         graph.add_edge(graph.add_node(label="z"), 0)
-        assert graph_stats(graph) == reference_graph_stats(graph)
-        assert graph.structure_info()["depth_passes"] == 1
+        assert stats_and_depths(graph) == reference_graph_stats(graph)
+        assert_is_fresh_build(graph.structure(), graph)
+
+
+def test_query_path_never_walks_depths(monkeypatch):
+    """Depth is a report, not a planner input: a cold first answer and an
+    append-then-query step both answer with the depth walks raising."""
+
+    def refuse(graph):
+        raise AssertionError("depth walked on the query path")
+
+    for module in ("repro.graph", "repro.graph.stats"):
+        monkeypatch.setattr(f"{module}.depth_stats", refuse)
+    for module in ("repro.graph", "repro.graph.traversal"):
+        monkeypatch.setattr(f"{module}.node_depths", refuse)
+
+    graph = generate_xmark(scale=0.02, seed=5).graph
+    query = fig7_query("q1", person_group=2, item_group=4, seller_group=6)
+    with QuerySession(graph) as session:
+        assert session.evaluate(query) == evaluate_naive(query, graph)
+
+    arxiv = generate_arxiv(num_papers=300, num_authors=60, seed=2)
+    graph, rng = arxiv.graph, random.Random(2)
+    patterns = [random_embedded_query(graph, 5, rng) for _ in range(20)]
+    patterns = [query for query in patterns if query is not None][:3]
+    assert patterns
+    with QuerySession(graph) as session:
+        for query in patterns:
+            assert session.evaluate(query) == evaluate_naive(query, graph)
+            paper = graph.add_node({"label": "paper_cat1", "kind": "paper"})
+            for target in {rng.choice(arxiv.authors), rng.choice(arxiv.papers)}:
+                graph.add_edge(paper, target)
+            assert session.evaluate(query) == evaluate_naive(query, graph)
+    assert graph.structure_info()["extensions"] == len(patterns)
+
+
+# ----------------------------------------------------------------------
+# Acyclic-first condensation: the postorder fast path and the hand-off
+# ----------------------------------------------------------------------
+def path_with_subtrees(length, fanout):
+    """A path ``0 -> 1 -> ... -> length-1`` whose every node also carries
+    ``fanout`` leaves, so whole subtrees close before the path's end."""
+    graph = DataGraph()
+    for _ in range(length):
+        graph.add_node(label="p")
+    for node in range(length):
+        for _ in range(fanout):
+            graph.add_edge(node, graph.add_node(label="leaf"))
+        if node + 1 < length:
+            graph.add_edge(node, node + 1)
+    return graph
+
+
+def forest_with_cross_edges():
+    """Three trees visited in id order; the later ones point into the
+    earlier ones, which are closed by then."""
+    graph = DataGraph.from_edges("abcdefghi", [(0, 1), (0, 2), (3, 4), (3, 5), (6, 7), (6, 8)])
+    for source, target in [(4, 1), (5, 0), (7, 2), (8, 4), (6, 3)]:
+        graph.add_edge(source, target)
+    return graph
+
+
+def handoff_cases():
+    deep = path_with_subtrees(8, 2)
+    deep.add_edge(7, 2)  # back to the middle of the path, its last edge
+    cross_then_cycle = forest_with_cross_edges()
+    cross_then_cycle.add_edge(8, 6)  # a cycle after the cross edges
+    cross_into_cycle = forest_with_cross_edges()
+    cross_into_cycle.add_edge(2, 0)  # the first tree is cyclic
+    return {
+        # The very first edge the DFS follows is back: a self-loop on the start.
+        "self-loop-on-first-start": DataGraph.from_edges("ab", [(0, 0), (0, 1)]),
+        # The first back edge before any node has closed.
+        "two-cycle-at-once": DataGraph.from_edges("abc", [(0, 1), (1, 0), (1, 2)]),
+        "back-edge-deep-in-a-path": deep,
+        "self-loop-on-a-leaf": DataGraph.from_edges("abcd", [(0, 1), (0, 2), (2, 2), (3, 2)]),
+        "self-loop-on-a-later-start": DataGraph.from_edges(
+            "abcd", [(0, 1), (2, 0), (3, 3), (3, 1)]
+        ),
+        "cross-edges-then-a-cycle": cross_then_cycle,
+        "cross-edges-into-a-cycle": cross_into_cycle,
+        "acyclic-cross-edges": forest_with_cross_edges(),
+        "acyclic-path-with-subtrees": path_with_subtrees(8, 2),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(handoff_cases()))
+def test_postorder_and_handoff_equal_tarjan(name):
+    graph = handoff_cases()[name]
+    assert_is_fresh_build(GraphStructure(Condensation(graph), graph.version), graph)
+
+
+def test_cycle_among_appended_nodes_only():
+    """An acyclic snapshot extended by new nodes that form a cycle (and
+    cite the old part): the hand-off happens inside ``extended()``."""
+    graph = path_with_subtrees(4, 1)
+    assert graph.structure().condensation.is_trivial()
+    first = graph.num_nodes
+    for _ in range(4):
+        graph.add_node(label="n")
+    for source, target in [
+        (first, 1),
+        (first, first + 1),
+        (first + 1, first + 2),
+        (first + 2, first),
+        (first + 2, 3),
+        (first + 3, first + 3),
+    ]:
+        graph.add_edge(source, target)
+    grown = graph.structure()
+    assert graph.structure_info()["extensions"] == 1
+    assert not grown.condensation.is_trivial()
+    assert_is_fresh_build(grown, graph)
+
+
+def test_appended_node_citing_one_old_cycle_twice():
+    """A new node with edges to two members of one old multi-node
+    component: the fast path's row holds that component once."""
+    graph = DataGraph.from_edges("abcd", [(0, 1), (1, 2), (2, 1), (2, 3)])
+    graph.structure()
+    node = graph.add_node(label="e")
+    for target in (1, 2, 3, 0):
+        graph.add_edge(node, target)
+    assert_is_fresh_build(graph.structure(), graph)
+    assert graph.structure_info()["extensions"] == 1
+
+
+def test_acyclic_graphs_never_enter_tarjan(monkeypatch):
+    def refuse(self, adjacency, first):
+        raise AssertionError("Tarjan entered")
+
+    monkeypatch.setattr(Condensation, "_tarjan", refuse)
+    for graph in (
+        generate_xmark(scale=0.05, seed=12).graph,
+        generate_arxiv(num_papers=1500, num_authors=300, seed=23).graph,
+    ):
+        condensation = Condensation(graph)
+        assert condensation.is_trivial()
+        assert condensation.num_components == graph.num_nodes
+    # A cyclic graph does reach the patched method.
+    with pytest.raises(AssertionError, match="Tarjan entered"):
+        Condensation(DataGraph.from_edges("ab", [(0, 1), (1, 0)]))

@@ -6,6 +6,7 @@ from repro.graph import (
     DataGraph,
     ancestors,
     bfs_layers,
+    depth_stats,
     descendants,
     graph_stats,
     is_dag,
@@ -89,11 +90,11 @@ class TestStats:
         stats = graph_stats(graph)
         assert not stats.is_dag
         assert stats.num_nodes == 3
-        assert stats.max_depth == 1  # condensation: scc{0,1} -> scc{2}
+        assert depth_stats(graph)[0] == 1  # condensation: scc{0,1} -> scc{2}
 
     def test_row_shape(self):
         row = graph_stats(fig2_graph()).row()
-        assert set(row) == {"nodes", "edges", "labels", "roots", "max_depth", "avg_depth"}
+        assert set(row) == {"nodes", "edges", "labels", "roots"}
 
     def test_fig2_reach_matrix_sanity(self):
         graph = fig2_graph()

@@ -2,7 +2,7 @@
 
 The graph owns its structural snapshot and absorbs append-only mutations
 by *extending* it (:meth:`repro.graph.DataGraph.structure`), together
-with its label postings and depth statistics; every other mutation
+with its label postings; every other mutation
 rebuilds the snapshot.  Sessions of every flavour share it and drop their
 caches and full indexes on each version bump; an ``index="auto"`` session
 keeps its descendant closure across appends, whether it reaches it as the
@@ -21,9 +21,9 @@ two *old* nodes every third epoch, and after every step:
   them alike, and a kept row answers like a rebuilt one;
 * **bookkeeping** — the graph reports one extension per append epoch and
   one build per old→old epoch, whatever the number of sessions; an
-  append epoch rebuilds neither the closure, nor the label postings, nor
-  the depths, and an old→old epoch rebuilds the closure and the depths
-  exactly once (the postings never: no edge touches them);
+  append epoch rebuilds neither the closure nor the label postings, and
+  an old→old epoch rebuilds the closure exactly once (the postings
+  never: no edge touches them);
 * **held services** — a service obtained before a mutation keeps
   answering for the version it was built for, full index and closure
   alike.
@@ -93,7 +93,7 @@ def churn(seed, *, partial_arm):
     # Pinned to ``tc`` and emptied before every step: its rows are always
     # rebuilt, the auto session's are kept wherever the lineage allows.
     parity = QuerySession(graph, index="tc")
-    expected = {"builds": 0, "extensions": 0, "depth_passes": 0, "label_builds": 1}
+    expected = {"builds": 0, "extensions": 0, "label_builds": 1}
     closure = {"kept": 0, "dropped": 0}
     created = []  # steps at which the auto session made a closure
 
@@ -127,7 +127,7 @@ def churn(seed, *, partial_arm):
         if held is None or now.index._rows is not held.index._rows:
             created.append(step)
 
-    expected["builds"] = expected["depth_passes"] = 1
+    expected["builds"] = 1
     check("initial")
     rebuilds = ["initial"]
     for epoch in range(1, EPOCHS + 1):
@@ -135,7 +135,6 @@ def churn(seed, *, partial_arm):
         if epoch % REBUILD_EVERY == 0:
             old_to_old_edge(graph, rng)
             expected["builds"] += 1
-            expected["depth_passes"] += 1
             closure["dropped"] += 1
             rebuilds.append(f"epoch {epoch}")
         else:

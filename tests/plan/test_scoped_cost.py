@@ -22,8 +22,6 @@ def stats_for(num_nodes, num_edges, *, is_dag=True):
         num_edges=num_edges,
         num_labels=3,
         num_roots=1,
-        max_depth=5,
-        avg_depth=3.0,
         is_dag=is_dag,
     )
 
