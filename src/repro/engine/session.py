@@ -357,9 +357,11 @@ class QuerySession:
     def invalidate(self) -> None:
         """Drop every cache, every pooled index and the descendant closure.
 
-        For writes the version counter cannot see — a write to the live
-        dict of :meth:`DataGraph.attrs`; prefer :meth:`DataGraph.set_attr`,
-        which the graph tracks and which needs no call here.  A moved
+        This is no remedy for a write to the live dict of
+        :meth:`DataGraph.attrs`: such a write also leaves the graph's
+        label postings wrong for the life of the graph, which nothing
+        here repairs — write through :meth:`DataGraph.set_attr`, which
+        the graph tracks and which needs no call here.  A moved
         :attr:`DataGraph.version` needs no call either: the next use drops
         the same things — plans, candidate, subtree and result sets,
         compiled functions, pooled full indexes — except the closure,
@@ -462,6 +464,36 @@ class QuerySession:
                 continue
             persisted[kind.name] = count
         return persisted
+
+    def replica(self) -> "QuerySession":
+        """A new session over the same graph, starting from this one's caches.
+
+        Same index, flags and cache capacities; each kind of
+        :data:`~repro.engine.artifacts.ARTIFACT_KINDS` gets its own
+        :class:`~repro.engine.cache.LRUCache` holding this session's
+        entries in the same recency order, with fresh counters.  The
+        values are shared, not copied: plans are frozen, candidate
+        entries tuples, results frozensets, and a hit hands out a copy.
+        The store, its fingerprint and :attr:`store_rehydrated` carry
+        over, so a replica costs no fingerprint walk and no store read.
+        Reachability state (the closure, pooled indexes, engines) is not
+        shared; it builds lazily per session.
+        """
+        self._ensure_fresh()
+        twin = QuerySession(
+            self.graph,
+            self.default_index,
+            **{kind.capacity: getattr(self, kind.attr).capacity for kind in ARTIFACT_KINDS},
+            adaptive=self.adaptive,
+            parallel=self.parallel_options,
+            codegen=self.codegen,
+        )
+        for kind in ARTIFACT_KINDS:
+            setattr(twin, kind.attr, getattr(self, kind.attr).copy())
+        twin.store = self.store
+        twin.store_fingerprint = self.store_fingerprint
+        twin.store_rehydrated = dict(self.store_rehydrated)
+        return twin
 
     # ------------------------------------------------------------------
     # Planning

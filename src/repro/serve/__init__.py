@@ -1,10 +1,11 @@
 """The serving tier: N warmed session workers behind one asyncio front.
 
 :class:`QueryServer` owns a pool of :class:`~repro.engine.QuerySession`
-workers over one data graph, all rehydrated from one shared warm store
-(:mod:`repro.store`), and dispatches queries onto them from an asyncio
-event loop — the shape the ROADMAP's "heavy traffic" north star needs:
-pay the index/plan/codegen cost once (in a previous process, even), then
+workers over one data graph — the first worker reads the warm store
+(:mod:`repro.store`), and the rest start from its caches — and
+dispatches queries onto them from an asyncio event loop.  That is the
+shape the ROADMAP's "heavy traffic" north star needs: pay the
+index/plan/codegen cost once (in a previous process, even), then
 amortize it across every concurrent request.
 
 Snapshot consistency: the server pins the graph version it started with

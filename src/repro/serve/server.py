@@ -3,8 +3,9 @@
 See the package docstring for the model.  The implementation is a plain
 asyncio checkout queue over ``N`` independent :class:`QuerySession`
 workers: each worker owns its own caches and engines (no locks on the
-hot path), all warmed from the same :class:`~repro.store.ArtifactStore`,
-and evaluation runs in a thread pool so the event loop stays free to
+hot path); the first worker reads the :class:`~repro.store.ArtifactStore`
+and the rest start from its caches (:meth:`QuerySession.replica`), and
+evaluation runs in a thread pool so the event loop stays free to
 accept requests while Python executes query code.
 """
 
@@ -88,7 +89,8 @@ class QueryServer:
             time; excess requests queue on the checkout).
         store: shared warm store — an :class:`~repro.store.ArtifactStore`,
             a directory path, or ``None`` for purely in-memory workers.
-            Every worker rehydrates from it at :meth:`start`.
+            At :meth:`start` the first worker reads the store, and the
+            rest start from its caches.
         index / codegen / adaptive: forwarded to each worker session.
 
     Usage::
@@ -141,29 +143,35 @@ class QueryServer:
         )
         # Workers build off the event loop so a slow cold start does not
         # freeze an already-accepting front.
-        self._sessions = await loop.run_in_executor(self._executor, self._build_workers)
+        try:
+            self._sessions = await loop.run_in_executor(self._executor, self._build_workers)
+        except BaseException:
+            self._executor.shutdown(wait=True)
+            self._executor = None
+            raise
         self._pool = asyncio.Queue()
         for session in self._sessions:
             self._pool.put_nowait(session)
         self._pinned_version = self.graph.version
 
     def _build_workers(self) -> list[QuerySession]:
-        sessions = []
-        for _ in range(self.workers):
-            session = QuerySession(
-                self.graph,
-                self.index,
-                codegen=self.codegen,
-                adaptive=self.adaptive,
-                store=self.store,
-            )
+        # The first worker reads the store (one content fingerprint, one
+        # load per kind); the rest start from its caches.
+        first = QuerySession(
+            self.graph,
+            self.index,
+            codegen=self.codegen,
+            adaptive=self.adaptive,
+            store=self.store,
+        )
+        sessions = [first] + [first.replica() for _ in range(self.workers - 1)]
+        for session in sessions:
             # Touching the engine resolves the index now, not under the
             # first request: the graph condenses (once, shared by every
             # worker) and a pinned full index is built.  The default
             # (``tc`` under the closure bound) builds nothing more here —
             # the first misses fill the rows they read.
             session.engine()
-            sessions.append(session)
         return sessions
 
     async def submit(self, query, group_nodes: Sequence[str] = ()):

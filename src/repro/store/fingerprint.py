@@ -17,10 +17,12 @@ mutation — including an in-place attribute edit — lands store reads and
 writes in a different key and the stale artifacts are simply never
 found.
 
-The hash is O(nodes + edges) and deliberately **not** memoized: a memo
-invalidated by ``version`` would reintroduce exactly the blindness the
-fingerprint exists to fix.  Store operations (session start-up,
-``persist()``) are rare enough to recompute.
+The hash is O(nodes + edges) and deliberately **not** memoized across
+calls: a memo invalidated by ``version`` would reintroduce exactly the
+blindness the fingerprint exists to fix.  It runs once per store
+interaction — a session's construction with ``store=`` and each
+``persist()``; a :class:`~repro.serve.QueryServer` computes it once per
+start, for its first worker (the others are replicas of that one).
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ from __future__ import annotations
 import hashlib
 
 from ..graph.digraph import DataGraph
+
+#: value types whose equal values always render alike, so one rendering
+#: can stand for all of them (``0.0 == -0.0`` rules floats out).
+_RENDER_BY_VALUE = frozenset({str, int, bool, type(None)})
 
 
 def _canonical_attrs(attrs: dict) -> list[tuple[str, str, str]]:
@@ -47,13 +53,27 @@ def graph_fingerprint(graph: DataGraph) -> str:
     digest = hashlib.sha256()
     digest.update(b"repro-graph-v1\n")
     digest.update(str(graph.num_nodes).encode("ascii") + b"\n")
-    # One repr() over the whole structure: the C-level renderer beats
-    # per-node serialization by a wide margin, and this runs on every
-    # session start-up.  Content is canonical (sorted, type-tagged), so
-    # the rendering choice only has to be deterministic.
-    content = [
-        (_canonical_attrs(graph.attrs(node)), sorted(graph.successors(node)))
-        for node in graph.nodes()
-    ]
-    digest.update(repr(content).encode("utf-8", "backslashreplace"))
+    # The hashed text is repr() of the list of per-node pairs
+    # ``(_canonical_attrs(attrs), sorted(successors))``, assembled here
+    # piece by piece: most nodes carry one attribute from a small set of
+    # values (a label), so each distinct one-attribute content is
+    # rendered once.  The type is part of the memo key (``1``, ``1.0``
+    # and ``True`` hash alike); other value types, non-``str`` keys and
+    # richer dictionaries render in full.
+    rendered: dict[tuple, str] = {}
+    parts = []
+    for attrs, successors in zip(graph._attrs, graph._succ):
+        text = None
+        if len(attrs) == 1:
+            ((key, value),) = attrs.items()
+            kind = type(value)
+            if type(key) is str and kind in _RENDER_BY_VALUE:
+                memo = (key, kind, value)
+                text = rendered.get(memo)
+                if text is None:
+                    text = rendered[memo] = repr(_canonical_attrs(attrs))
+        if text is None:
+            text = repr(_canonical_attrs(attrs))
+        parts.append(f"({text}, {sorted(successors)!r})")
+    digest.update(("[" + ", ".join(parts) + "]").encode("utf-8", "backslashreplace"))
     return digest.hexdigest()

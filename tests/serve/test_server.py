@@ -2,15 +2,20 @@
 
 import asyncio
 import json
+import pickle
+import sys
+import threading
 
 import pytest
 
 from repro.engine import QuerySession
+from repro.engine.artifacts import ARTIFACT_KINDS
 from repro.graph import DataGraph
 from repro.query import (
     AttributePredicate,
     QueryBuilder,
     evaluate_naive,
+    query_fingerprint,
     query_to_dict,
 )
 from repro.serve import (
@@ -21,6 +26,7 @@ from repro.serve import (
     serve_tcp,
 )
 from repro.serve.server import LATENCY_WINDOW, MAX_REQUEST_LINE
+from repro.store import ArtifactStore, graph_fingerprint
 
 
 def serve_graph():
@@ -188,8 +194,171 @@ class TestQueryServer:
         rehydrated, again = asyncio.run(restarted())
         assert again == answer
         assert all(count > 0 for count in rehydrated), (
-            "every worker should rehydrate from the shared store"
+            "every worker should start warm: the first from the store, the rest from its caches"
         )
+
+    def test_failed_start_leaks_no_thread_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("no session today")
+
+        monkeypatch.setattr("repro.serve.server.QuerySession", refuse)
+        server = QueryServer(serve_graph(), workers=2)
+
+        async def run():
+            for _ in range(2):
+                with pytest.raises(RuntimeError, match="no session today"):
+                    await server.start()
+
+        asyncio.run(run())
+        assert not server.started and server._executor is None
+        assert not [t for t in threading.enumerate() if t.name.startswith("repro-serve")]
+
+
+def primed_store(graph, root):
+    """A store primed with ``serve_query("b")`` by one codegen session."""
+    session = QuerySession(graph, store=root, codegen="auto")
+    session.evaluate(serve_query("b"))
+    session.persist()
+    return ArtifactStore(root)
+
+
+def started_sessions(server):
+    """Start ``server``, stop it, and return the workers it built."""
+
+    async def run():
+        await server.start()
+        sessions = list(server._sessions)
+        await server.stop()
+        return sessions
+
+    return asyncio.run(run())
+
+
+def kind_sizes(session):
+    info = session.cache_info()
+    return {kind.info: info[kind.info]["size"] for kind in ARTIFACT_KINDS}
+
+
+class TestWarmOnce:
+    """Worker 0 reads the store; workers 1..N-1 are its replicas."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_one_fingerprint_and_one_read_per_kind_per_start(
+        self, workers, tmp_path, monkeypatch
+    ):
+        graph = serve_graph()
+        store = primed_store(graph, tmp_path / "store")
+        present = store.kinds(graph_fingerprint(graph))
+        assert {"plans", "candidates", "results", "codegen"} <= set(present)
+        walks = []
+
+        def counted(walked):
+            walks.append(walked)
+            return graph_fingerprint(walked)
+
+        monkeypatch.setattr("repro.engine.session.graph_fingerprint", counted)
+        server = QueryServer(graph, workers=workers, store=store, codegen="auto")
+
+        sessions = started_sessions(server)
+        assert store.counters.hits == len(present)
+        assert store.counters.hits + store.counters.misses == len(ARTIFACT_KINDS)
+        assert len(walks) == 1
+        first = sessions[0]
+        for session in sessions:
+            assert sum(session.store_rehydrated.values()) > 0
+            assert session.store_rehydrated == first.store_rehydrated
+            assert session.store is store
+            assert session.store_fingerprint == first.store_fingerprint
+            assert kind_sizes(session) == kind_sizes(first)
+
+    def test_replica_caches_are_private(self, tmp_path):
+        graph = serve_graph()
+        store = primed_store(graph, tmp_path / "store")
+        server = QueryServer(graph, workers=3, store=store, codegen="auto")
+
+        sessions = started_sessions(server)
+        for writer in sessions:
+            for kind in ARTIFACT_KINDS:
+                key = ("written-by", id(writer), kind.name)
+                getattr(writer, kind.attr).put(key, frozenset())
+                for reader in sessions:
+                    cache = getattr(reader, kind.attr)
+                    assert (key in cache) == (reader is writer)
+
+    def test_replicas_share_values_in_the_same_recency_order(self, tmp_path):
+        graph = serve_graph()
+        store = primed_store(graph, tmp_path / "store")
+        first = QuerySession(graph, store=store, codegen="auto")
+        first.evaluate(serve_query("c"))
+        twin = first.replica()
+        assert twin.codegen == first.codegen and twin.default_index == first.default_index
+        for kind in ARTIFACT_KINDS:
+            mine, theirs = getattr(first, kind.attr), getattr(twin, kind.attr)
+            assert theirs is not mine and theirs.capacity == mine.capacity
+            assert [key for key, _ in theirs.items()] == [key for key, _ in mine.items()]
+            assert all(a is b for (_, a), (_, b) in zip(theirs.items(), mine.items()))
+            assert theirs.counters.hits == theirs.counters.misses == 0
+
+    def test_concurrent_hit_and_miss_on_every_worker_match_the_oracle(self, tmp_path):
+        """Four worker threads (more than the cores CI has) run the shared
+        primed plan and a fresh one at once, with thread switches forced
+        often: every answer stays the oracle's."""
+        graph = serve_graph()
+        store = primed_store(graph, tmp_path / "store")
+        hit, miss = serve_query("b"), serve_query("c")
+        server = QueryServer(graph, workers=4, store=store, codegen="auto")
+
+        async def run():
+            await server.start()
+            loop = asyncio.get_running_loop()
+
+            def rounds(session):
+                answers = []
+                for _ in range(20):
+                    answers.append((session.evaluate(hit), session.evaluate(miss)))
+                    session.result_cache.clear()  # the next round executes again
+                return answers
+
+            try:
+                return await asyncio.wait_for(
+                    asyncio.gather(
+                        *[loop.run_in_executor(server._executor, rounds, s) for s in server._sessions]
+                    ),
+                    timeout=60,
+                )
+            finally:
+                await server.stop()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            per_worker = asyncio.run(run())
+        finally:
+            sys.setswitchinterval(interval)
+        expected = (evaluate_naive(hit, graph), evaluate_naive(miss, graph))
+        assert per_worker == [[expected] * 20] * 4
+
+    def test_running_a_shared_plan_leaves_it_byte_identical(self, tmp_path):
+        graph = serve_graph()
+        store = primed_store(graph, tmp_path / "store")
+        query = serve_query("b")
+        server = QueryServer(graph, workers=3, store=store)
+
+        async def run():
+            await server.start()
+            fingerprint = query_fingerprint(query)
+            plans = [session.plan_cache.peek(fingerprint) for session in server._sessions]
+            assert plans[0] is not None and all(plan is plans[0] for plan in plans)
+            before = pickle.dumps(plans[0])
+            loop = asyncio.get_running_loop()
+            for session in server._sessions:
+                session.result_cache.clear()  # make the worker execute the plan
+                answer = await loop.run_in_executor(server._executor, session.evaluate, query)
+                assert answer == evaluate_naive(query, graph)
+                assert pickle.dumps(plans[0]) == before
+            await server.stop()
+
+        asyncio.run(run())
 
 
 class TestTcpFront:

@@ -14,12 +14,14 @@ serve pre-mutation answers.  The content fingerprint must move when the
 version counter does not.
 """
 
+import hashlib
 import os
 import pickle
 import threading
 
 import pytest
 
+from repro.datasets import generate_arxiv, generate_xmark
 from repro.engine import QuerySession
 from repro.engine.artifacts import ARTIFACT_KINDS
 from repro.graph import DataGraph
@@ -284,6 +286,82 @@ class TestFingerprint:
         graph.attrs(0)["price"] = 99  # in-place: invisible to .version
         assert graph.version == before_version
         assert graph_fingerprint(graph) != before_fp
+
+
+def reference_fingerprint(graph):
+    """The fingerprint walk as first written: one ``repr`` over every
+    node's type-tagged attribute triples and sorted successors.  The
+    store key is defined by this text; the library's walk must hash
+    exactly the same bytes."""
+    digest = hashlib.sha256()
+    digest.update(b"repro-graph-v1\n")
+    digest.update(str(graph.num_nodes).encode("ascii") + b"\n")
+    content = [
+        (
+            sorted((str(k), type(v).__name__, repr(v)) for k, v in graph.attrs(node).items()),
+            sorted(graph.successors(node)),
+        )
+        for node in graph.nodes()
+    ]
+    digest.update(repr(content).encode("utf-8", "backslashreplace"))
+    return digest.hexdigest()
+
+
+def graph_of(*attr_dicts, edges=()):
+    graph = DataGraph()
+    for attrs in attr_dicts:
+        graph.add_node(attrs)
+    for source, target in edges:
+        graph.add_edge(source, target)
+    return graph
+
+
+class TestFingerprintByteIdentity:
+    def test_xmark(self):
+        graph = generate_xmark(scale=0.05, seed=42).graph
+        assert graph_fingerprint(graph) == reference_fingerprint(graph)
+
+    def test_arxiv(self):
+        graph = generate_arxiv(seed=7).graph
+        assert graph_fingerprint(graph) == reference_fingerprint(graph)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            # Values that hash alike but render apart, in one graph and
+            # repeated, so a memo keyed without the type would collide.
+            graph_of(*[{"x": v} for v in (1, 1.0, True, "1", None, 1, True, 1.0, None)]),
+            # Equal floats that render apart: ``0.0 == -0.0``.
+            graph_of({"x": 0.0}, {"x": -0.0}, {"x": 0.0}, {"x": float("nan")}),
+            # Unhashable values.
+            graph_of({"x": [1, 2]}, {"x": [1, 2]}, {"x": {"a": 1}}, edges=[(0, 1)]),
+            # Non-str keys, also next to their str spelling.
+            graph_of({1: "a"}, {"1": "a"}, {None: "a"}, {(1, 2): "a"}, {1: "a"}),
+            # Multi-key dicts inserted in different orders.
+            graph_of(
+                {"label": "a", "kind": "paper", "time": 3},
+                {"time": 3, "kind": "paper", "label": "a"},
+                {"kind": "paper", "label": "a"},
+                edges=[(0, 2), (0, 1), (1, 2)],
+            ),
+            # No attributes at all, escapes, a lone surrogate, bytes.
+            graph_of({}, {"x": "quote ' and \" and \\"}, {"x": "\udcff"}, {"x": b"1"}),
+            graph_of({"label": "a"}, {"label": "a"}, {"label": "b"}, edges=[(2, 0), (2, 1)]),
+            DataGraph(),
+        ],
+        ids=["hash-alike", "signed-zero", "unhashable", "non-str-keys", "key-order",
+             "odd-values", "repeated-labels", "empty"],
+    )
+    def test_hand_built(self, graph):
+        assert graph_fingerprint(graph) == reference_fingerprint(graph)
+
+    def test_subclass_values_render_apart_from_their_base(self):
+        class Code(str):
+            def __repr__(self):
+                return f"Code({str.__repr__(self)})"
+
+        coded = graph_of({"x": Code("a")}, {"x": "a"}, {"x": Code("a")})
+        assert graph_fingerprint(coded) == reference_fingerprint(coded)
 
 
 class TestSessionStoreKey:
