@@ -216,6 +216,8 @@ class GTEA:
         stats: EvaluationStats | None = None,
         adaptive: bool | None = None,
         codegen=None,
+        *,
+        subtree_cache=None,
     ) -> tuple[ResultSet | dict[int, ResultSet], EvaluationStats]:
         """Run a compiled plan; see :meth:`evaluate_with_stats` for args.
 
@@ -235,6 +237,13 @@ class GTEA:
         engine knows: no output structures, and an index match — so
         passing one is always safe; anything else falls back to the
         interpreted operator pipeline.
+
+        ``subtree_cache`` optionally carries an
+        :class:`~repro.engine.cache.LRUCache` of downward-pruned sets by
+        subtree fingerprint, valid for the graph's current version (the
+        session owns it and drops it on a version bump): the interpreted
+        pipeline's :class:`~repro.engine.operators.DownwardPrune` visits
+        read and fill it.
         """
         if stats is None:
             stats = EvaluationStats()
@@ -261,6 +270,7 @@ class GTEA:
             group_nodes=tuple(group_nodes),
             output_structures=output_structures,
             candidate_provider=candidate_provider,
+            subtree_cache=subtree_cache,
         )
         run_pipeline(state, operators, adaptive=adaptive)
         return state.answer, stats

@@ -8,7 +8,7 @@ operators, each exposing ``run(state) -> state`` over a shared
 
 * :class:`CandidateScan` — fetch ``mat(u)`` for every query node;
 * :class:`DownwardPrune` — one Procedure-6 node visit (one per query
-  node, children before parents);
+  node, children before parents), or a subtree-cache hit;
 * :class:`UpwardPrune` — Procedure 7 over the prime subtree;
 * :class:`BuildMatchingGraph` — shrink + assemble the matching graph;
 * :class:`CollectResults` — Algorithm CollectResults (incl. group
@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 from ..query.gtpq import GTPQ
 from ..query.naive import candidate_nodes
+from ..query.serialize import subtree_fingerprints
 from .matching_graph import build_matching_graph
 from .prime import compute_prime_subtree, shrink_prime_subtree
 from .prune import (
@@ -91,6 +92,7 @@ class ExecutionState:
         group_nodes: tuple[str, ...] = (),
         output_structures: list[list[str]] | None = None,
         candidate_provider=None,
+        subtree_cache=None,
     ):
         self.engine = engine
         self.graph = engine.graph
@@ -99,6 +101,10 @@ class ExecutionState:
         self.group_nodes = group_nodes
         self.output_structures = output_structures
         self.candidate_provider = candidate_provider
+        #: optional LRU of downward-pruned sets keyed by subtree
+        #: fingerprint (the session's, one graph version's worth).
+        self.subtree_cache = subtree_cache
+        self._subtree_fingerprints: dict[str, str] | None = None
         #: initial candidate sets, filled by :class:`CandidateScan`.
         self.mats: MatSets = {}
         #: downward-pruned (and later upward-pruned) survivor sets.
@@ -129,6 +135,13 @@ class ExecutionState:
             self._counter_baseline = self._context.reach.counters.snapshot()
         return self._context
 
+    def subtree_fingerprint(self, node_id: str) -> str:
+        """Subtree-cache key of ``node_id`` in the query this execution
+        runs; the fingerprints are derived once per execution."""
+        if self._subtree_fingerprints is None:
+            self._subtree_fingerprints = subtree_fingerprints(self.query)
+        return self._subtree_fingerprints[node_id]
+
     def index_snapshot(self) -> dict[str, int] | None:
         """Reachability counters, or None while no index exists yet."""
         if self._context is None:
@@ -155,6 +168,8 @@ class Operator:
 
     #: query node this operator targets (per-node operators only).
     target: str | None = None
+    #: annotation a run leaves on its record (``"subtree-cache"``).
+    note: str = ""
 
     @property
     def name(self) -> str:
@@ -187,7 +202,14 @@ class CandidateScan(Operator):
 
 
 class DownwardPrune(Operator):
-    """One node visit of Procedure 6, fed with refined child sets."""
+    """One node visit of Procedure 6, fed with refined child sets.
+
+    The downward set of a node depends only on the subtree rooted at it,
+    so with a subtree cache the visit first looks up the subtree's
+    fingerprint: a hit is the set an earlier execution pruned at this
+    graph version — no prune op, no index probe — and a miss stores
+    what the visit prunes.
+    """
 
     def __init__(self, target: str):
         self.target = target
@@ -195,13 +217,26 @@ class DownwardPrune(Operator):
     def run(self, state: ExecutionState) -> ExecutionState:
         context = state.context
         node_id = self.target
-        with state.stats.time_phase("prune_downward"):
-            refined = downward_step(context, node_id, state.mats[node_id], state.down)
+        stats, cache = state.stats, state.subtree_cache
+        with stats.time_phase("prune_downward"):
+            cached = None
+            if cache is not None:
+                fingerprint = state.subtree_fingerprint(node_id)
+                cached = cache.get(fingerprint)
+            if cached is not None:
+                refined = list(cached)
+                stats.subtree_cache_hits += 1
+                self.note = "subtree-cache"
+            else:
+                refined = downward_step(context, node_id, state.mats[node_id], state.down)
+                stats.downward_prune_ops += 1
+                if cache is not None:
+                    stats.subtree_cache_misses += 1
+                    cache.put(fingerprint, tuple(refined))
             state.down[node_id] = refined
             if needs_pred_contour(context, node_id):
                 context.pred_contours[node_id] = build_pred_contour(context, refined)
-        state.stats.candidates_after_downward[node_id] = len(refined)
-        state.stats.downward_prune_ops += 1
+        stats.candidates_after_downward[node_id] = len(refined)
         return state
 
 
@@ -391,7 +426,7 @@ def _run_operator(state: ExecutionState, operator: Operator, note: str = "") -> 
             seconds=elapsed,
             index_lookups=lookups,
             index_entries=entries,
-            note=note,
+            note=" ".join(filter(None, (note, operator.note))),
         )
     )
 
@@ -443,7 +478,7 @@ def _run_downward_adaptive(state: ExecutionState, pending: list[Operator]) -> No
             # Every match embeds every backbone node; an empty downward
             # set anywhere on the backbone empties the answer.  The
             # skipped operators are the adaptive pipeline's saving.
-            state.stats.operator_stats[-1].note = "adaptive early-exit"
+            state.stats.operator_stats[-1].note += " early-exit"
             state.finish_empty()
             return
 

@@ -19,18 +19,21 @@ indexes, and reuses four kinds of evaluation artifacts across queries:
   *different* queries whose nodes carry overlapping predicates;
 * a **subtree cache** — downward-pruned candidate sets keyed by the
   canonical *subtree* fingerprint of
-  :func:`repro.query.serialize.subtree_fingerprints`, filled by the
-  shared batch path of :meth:`QuerySession.evaluate_many` and reused
-  across batches;
+  :func:`repro.query.serialize.subtree_fingerprints`, read and filled by
+  every interpreted execution (each
+  :class:`~repro.engine.operators.DownwardPrune` visit) and by the
+  shared batch path, so a subtree is pruned once per graph version
+  whichever path meets it first;
 * a **result cache** — full answer sets per ``(fingerprint, group
   nodes)``, invalidated when the graph mutates.
 
-Batch workloads additionally share *prune work*:
+Batch workloads additionally share *prune work within one call*:
 :meth:`QuerySession.evaluate_many` compiles the batch's cold queries
 into a :class:`~repro.plan.shared.SharedPlanDAG` (one sub-plan per
 distinct rooted subtree) and executes it through
 :class:`~repro.engine.shared.SharedExecutor`, so a subtree appearing in
-five queries is pruned once, not five times.
+five queries is pruned once, not five times, even with the subtree
+cache off.
 
 Staleness is detected through :attr:`repro.graph.digraph.DataGraph.version`:
 any ``add_node``/``add_edge``/``set_attr`` after session creation drops
@@ -171,10 +174,12 @@ class QuerySession:
         result_cache_size: LRU capacity of the full-result cache.  Pass
             ``0`` to disable result caching (candidate and plan reuse
             still apply) — useful for cold-path measurements.
-        subtree_cache_size: LRU capacity of the shared subtree-result
-            cache (downward-pruned candidate sets keyed by canonical
-            subtree fingerprint).  Pass ``0`` to disable cross-batch
-            subtree reuse; within-batch sharing still applies.
+        subtree_cache_size: LRU capacity of the subtree-result cache
+            (downward-pruned candidate sets keyed by canonical subtree
+            fingerprint), which single-query and batch evaluation both
+            read and fill.  Pass ``0`` to disable subtree reuse across
+            executions; a shared batch still prunes each of its distinct
+            subtrees once.
         adaptive: run the engines with adaptive prune reordering — the
             remaining downward obligations are re-sorted by actual
             post-prune candidate-set sizes mid-flight (see
@@ -706,6 +711,7 @@ class QuerySession:
                     candidate_provider=provider,
                     stats=stats,
                     codegen=codegen_fn,
+                    subtree_cache=self.subtree_cache,
                 )
         stats.result_cache_misses = 1
         self.result_cache.put((plan.fingerprint, group_nodes), frozenset(results))
@@ -849,21 +855,23 @@ class QuerySession:
         :class:`~repro.plan.shared.SharedPlanDAG` and run by
         :class:`~repro.engine.shared.SharedExecutor`: every *distinct
         rooted subtree* across the batch is downward-pruned exactly once
-        (or zero times, on a subtree-cache hit from an earlier batch) and
-        its post-prune candidate set feeds every consuming query.
+        (or zero times, on a subtree-cache hit from an earlier execution)
+        and its post-prune candidate set feeds every consuming query.
 
         ``share`` accepts three values: ``"auto"`` (the default) shares
         unless the tiny-batch guard of
         :func:`repro.plan.shared.should_share` finds nothing worthwhile —
-        no subtree consumed by ≥ 2 queries, negligible estimated
-        savings, and no subtree-cache entry to reuse — in which case the
-        batch runs the isolated per-query path and the
+        no subtree consumed by ≥ 2 queries, or negligible estimated
+        savings — in which case the batch runs the isolated per-query
+        path and the
         ``batch_share_skipped`` counter records the fallback;
         ``share=True`` forces the DAG path; ``share=False`` always runs
-        the isolated path — useful as a baseline when measuring the
-        sharing win.  Batches with group nodes always use the per-query
-        path (group evaluation runs the original, pre-rewrite queries,
-        which the DAG does not describe).
+        the isolated path.  The isolated path reads and fills the
+        subtree cache as well, so it too prunes each distinct subtree
+        once; with ``subtree_cache_size=0`` it is the cold baseline for
+        measuring the sharing win.  Batches with group nodes always use
+        the per-query path (group evaluation runs the original,
+        pre-rewrite queries, which the DAG does not describe).
 
         Candidate fetching is shared across the whole batch via the
         predicate-keyed cache in either mode, and the answers are fanned
@@ -963,12 +971,11 @@ class QuerySession:
             by_index.setdefault(route.index_name, []).append(position)
 
         skipped = 0
-        cached = lambda fingerprint: self.subtree_cache.peek(fingerprint) is not None
         for index_name, positions in by_index.items():
             compiled = [plans[p].compiled for p in positions]
             # The guard reads the plans' memoised fingerprints, so a
             # skipped group never pays the DAG compilation either.
-            if not force_share and not should_share(compiled, cached_fingerprints=cached):
+            if not force_share and not should_share(compiled):
                 skipped += 1
                 for position in positions:
                     outcomes[position] = self._execute_plan(plans[position], ())

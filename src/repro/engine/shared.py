@@ -12,9 +12,13 @@ prune → matching graph → CollectResults) from those sets via
 
 An optional **subtree-result cache** (an
 :class:`~repro.engine.cache.LRUCache` keyed by subtree fingerprint)
-carries the materialized sets *across* batches; the session layer owns
-it next to its plan/candidate/result caches and invalidates it on graph
-version bumps.
+carries the materialized sets *across* executions; the session layer
+owns it next to its plan/candidate/result caches, invalidates it on
+graph version bumps, and hands the same cache to the single-query
+pipeline (:class:`~repro.engine.operators.DownwardPrune`), so a batch
+reuses what earlier single queries pruned and the other way round.
+What the DAG adds on top is sharing within one batch that needs no
+cache at all.
 
 Stats attribution: the work of a shared sub-plan (candidate fetch,
 prune op, index I/O, subtree-cache probe) is charged to the query that
@@ -49,7 +53,7 @@ class SharedExecutor:
             source (the session layer injects its predicate-keyed
             candidate cache); defaults to a fresh scan.
         subtree_cache: optional LRU holding downward-pruned candidate
-            tuples keyed by subtree fingerprint, reused across batches.
+            tuples keyed by subtree fingerprint, reused across executions.
         candidate_counters: counters of the cache backing
             ``candidate_provider``; when given, per-fetch deltas are
             attributed to the consuming query's stats.

@@ -34,9 +34,10 @@ class EvaluationStats:
     #: tuple-shaped intermediates (path solutions, join results) — used by
     #: the baseline algorithms; GTEA keeps this at zero.
     intermediate_tuples: int = 0
-    #: node-level downward refinements executed (Procedure-6 node visits;
-    #: the shared batch path counts one per distinct subtree evaluated, so
-    #: sharing shows up directly as a drop in this counter).
+    #: node-level downward refinements executed (Procedure-6 node visits).
+    #: A visit served from the subtree cache counts as no op on either
+    #: path, and the shared batch path prunes each distinct subtree of the
+    #: batch once, so reuse shows up directly as a drop in this counter.
     downward_prune_ops: int = 0
     result_count: int = 0
     #: one :class:`repro.engine.operators.OperatorStats` per executed
@@ -61,8 +62,10 @@ class EvaluationStats:
     candidate_cache_misses: int = 0
     result_cache_hits: int = 0
     result_cache_misses: int = 0
-    #: shared subtree-result cache (downward-pruned candidate sets keyed
-    #: by canonical subtree fingerprint, per graph version).
+    #: subtree-result cache (downward-pruned candidate sets keyed by
+    #: canonical subtree fingerprint, per graph version), probed once per
+    #: downward visit on the interpreted path and once per DAG subtree on
+    #: the shared batch path.
     subtree_cache_hits: int = 0
     subtree_cache_misses: int = 0
     #: batch accounting of :meth:`QuerySession.evaluate_many`.

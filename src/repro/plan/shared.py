@@ -1,9 +1,10 @@
 """Batch compilation: a DAG of shared sub-plans over a query workload.
 
 Real workloads share subtrees heavily — families of tree queries mined
-from a graph differ in a node or two and repeat whole branches.  The
-per-query pipeline prunes each query in isolation, re-discharging the
-same downward obligations for every copy of a shared branch.
+from a graph differ in a node or two and repeat whole branches.  Without
+the session's subtree cache, the per-query pipeline prunes each query in
+isolation, re-discharging the same downward obligations for every copy
+of a shared branch.
 
 The key observation (the same one behind the bottom-up sweep of the
 paper's Procedure 6) is that the *downward match set* of a rooted
@@ -138,14 +139,15 @@ class BatchPlan:
 SHARE_MIN_SAVINGS = 1
 
 
-def _subtree_occurrences(
-    plans: Sequence[CompiledPlan],
-) -> tuple[dict[str, int], dict[str, int]]:
-    """Occurrence count and exemplar candidate estimate per fingerprint.
+def estimated_sharing_savings(plans: Sequence[CompiledPlan]) -> int:
+    """Estimated candidate elements whose downward prune sharing avoids.
 
-    Computed straight from the plans' memoised subtree fingerprints —
-    no :class:`SharedPlanDAG` is built, so the tiny-batch guard can
-    decide *before* paying any batch-compilation bookkeeping.
+    Every occurrence of a subtree beyond the first skips one downward
+    refinement over that node's candidate set; the saving is priced with
+    the first-occurrence plan's compile-time candidate estimate.  Read
+    straight from the plans' memoised subtree fingerprints — no
+    :class:`SharedPlanDAG` is built, so the tiny-batch guard can decide
+    *before* paying any batch-compilation bookkeeping.
     """
     counts: dict[str, int] = {}
     exemplar_estimate: dict[str, int] = {}
@@ -156,56 +158,26 @@ def _subtree_occurrences(
         for node_id, fingerprint in plan.subtree_fingerprints.items():
             counts[fingerprint] = counts.get(fingerprint, 0) + 1
             exemplar_estimate.setdefault(fingerprint, estimates.get(node_id, 0))
-    return counts, exemplar_estimate
-
-
-def _savings(counts: dict[str, int], estimate: dict[str, int]) -> int:
     return sum(
-        (count - 1) * estimate[fingerprint]
+        (count - 1) * exemplar_estimate[fingerprint]
         for fingerprint, count in counts.items()
         if count > 1
     )
 
 
-def estimated_sharing_savings(plans: Sequence[CompiledPlan]) -> int:
-    """Estimated candidate elements whose downward prune sharing avoids.
-
-    Every occurrence of a subtree beyond the first skips one downward
-    refinement over that node's candidate set; the saving is priced with
-    the first-occurrence plan's compile-time candidate estimate.
-    """
-    counts, estimate = _subtree_occurrences(plans)
-    return _savings(counts, estimate)
-
-
-def should_share(
-    plans: Sequence[CompiledPlan],
-    *,
-    min_savings: int = SHARE_MIN_SAVINGS,
-    cached_fingerprints=None,
-) -> bool:
+def should_share(plans: Sequence[CompiledPlan], *, min_savings: int = SHARE_MIN_SAVINGS) -> bool:
     """Is the shared DAG worth its bookkeeping for this batch of plans?
 
     Tiny batches of disjoint queries pay the DAG's per-subtree
     bookkeeping (batch compilation, contexts, contour maps, cache
     probes, tuple materialization) without sharing anything — the guard
-    routes them to the isolated per-query path instead, and is itself
-    cheap: it reads the plans' memoised subtree fingerprints without
-    building the DAG.  Sharing stays on when
-
-    * some subtree is consumed by ≥ 2 query nodes *and* the estimated
-      saved candidate volume reaches ``min_savings``, or
-    * ``cached_fingerprints`` (a ``fingerprint -> bool`` membership
-      test, typically the session's subtree cache) already holds one of
-      the batch's subtrees — cross-batch reuse pays even without
-      within-batch sharing.
+    routes them to the isolated per-query path instead.  Sharing stays
+    on when some subtree is consumed by ≥ 2 query nodes *and* the
+    estimated saved candidate volume reaches ``min_savings``.  A subtree
+    an earlier execution pruned needs no DAG: the isolated path reads
+    the session's subtree cache too.
     """
-    counts, estimate = _subtree_occurrences(plans)
-    if len(plans) > 1 and _savings(counts, estimate) >= min_savings:
-        return True
-    if cached_fingerprints is not None:
-        return any(cached_fingerprints(fingerprint) for fingerprint in counts)
-    return False
+    return len(plans) > 1 and estimated_sharing_savings(plans) >= min_savings
 
 
 def _participates(plan: CompiledPlan) -> bool:

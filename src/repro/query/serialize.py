@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from ..logic import parse_formula
@@ -170,8 +171,9 @@ def _subtree_fingerprints(query: GTPQ) -> dict[str, str]:
             child_id: f"{query.edge_type(child_id).value}:{fingerprints[child_id]}"
             for child_id in query.children[node_id]
         }
-        # The JSON text of ``[canonical atoms, canonical fext]``.
-        formula = json.dumps(_canonical_formula(query.fext(node_id), rename))
+        # The JSON text of ``[canonical atoms, canonical fext]``; the
+        # string encoder is what ``json.dumps`` of a ``str`` calls.
+        formula = encode_basestring_ascii(_canonical_formula(query.fext(node_id), rename))
         payload = f"[{predicate_key(query.attribute(node_id))},{formula}]"
         fingerprints[node_id] = hashlib.sha256(payload.encode("utf-8")).hexdigest()
     return fingerprints

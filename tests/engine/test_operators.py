@@ -4,7 +4,8 @@ Covers each operator in isolation (empty inputs, constant-fext leaves,
 the baseline delegate, the constant-empty route), the adaptive downward
 scheduler (runtime order differs from the compile-time order with
 identical results, backbone-empty early exit, node-id tie-breaking), and
-the estimated-vs-observed ``explain()`` rendering."""
+the estimated-vs-observed ``explain()`` rendering, subtree-cache hits
+included."""
 
 import pytest
 
@@ -308,3 +309,29 @@ class TestExplainObserved:
         session.evaluate(query)
         text = session.explain(query)
         assert "(not executed)" in text
+
+    def test_explain_marks_subtrees_served_from_the_cache(self):
+        session = QuerySession(skewed_graph())
+        session.evaluate(skewed_nonempty_query())
+        # a and b are the earlier query's subtrees; c and the root are new.
+        query = (
+            QueryBuilder()
+            .backbone("root", predicate=AttributePredicate.label("r"))
+            .backbone("a", parent="root", predicate=AttributePredicate([("kind", "=", 1)]))
+            .backbone("b", parent="root", predicate=AttributePredicate.label("m"))
+            .backbone("c", parent="root", predicate=AttributePredicate.label("h"))
+            .outputs("root")
+            .build()
+        )
+        _, stats = session.evaluate_with_stats(query)
+        assert stats.subtree_cache_hits == 2 and stats.downward_prune_ops == 2
+        rows = {
+            line.split()[1]: line
+            for line in session.explain(query).splitlines()
+            if "DownwardPrune(" in line
+        }
+        assert set(rows) == {f"DownwardPrune({node})" for node in ("a", "b", "c", "root")}
+        for node in ("a", "b"):
+            assert rows[f"DownwardPrune({node})"].endswith("probes=0 [subtree-cache]")
+        for node in ("c", "root"):
+            assert "[subtree-cache]" not in rows[f"DownwardPrune({node})"]

@@ -66,7 +66,9 @@ class TestSharedBatchCounters:
 
         shared_session = QuerySession(graph, result_cache_size=0)
         shared = shared_session.evaluate_many(batch)
-        isolated_session = QuerySession(graph, result_cache_size=0)
+        # The cold isolated path: without a subtree cache every query
+        # prunes every one of its nodes.
+        isolated_session = QuerySession(graph, result_cache_size=0, subtree_cache_size=0)
         isolated = isolated_session.evaluate_many(batch, share=False)
 
         assert shared.results == isolated.results
@@ -87,7 +89,9 @@ class TestSharedBatchCounters:
         assert cold.stats.subtree_cache_misses == 3
         warm = session.evaluate_many([query_ab_extended()])
         # u/v/w reproduce r/x/p exactly (u's subtree is a -> b[c], the
-        # same pattern as r's), so only the fresh root t is pruned anew.
+        # same pattern as r's), so only the fresh root t is pruned anew
+        # — on the isolated path, which reads what the DAG stored.
+        assert warm.stats.batch_share_skipped == 1
         assert warm.stats.subtree_cache_hits == 3
         assert warm.stats.subtree_cache_misses == 1
         assert warm.stats.downward_prune_ops == 1
@@ -177,16 +181,33 @@ class TestTinyBatchGuard:
         session = QuerySession(graph, result_cache_size=0)
         batch = session.evaluate_many([query_ab(), query_de_disjoint()])
         assert batch.stats.batch_share_skipped == 1
-        assert batch.stats.subtree_cache_misses == 0  # DAG never probed
         assert batch.stats.batch_shared_subtrees == 0
+        # The isolated path probes the subtree cache once per downward
+        # visit; nothing is shared, so every probe misses and fills.
+        assert batch.stats.subtree_cache_hits == 0
+        assert batch.stats.subtree_cache_misses == batch.stats.downward_prune_ops == 5
         assert batch.results[0] == evaluate_naive(query_ab(), graph)
         assert batch.results[1] == evaluate_naive(query_de_disjoint(), graph)
+        # A later query over query_ab's subtrees is served from them.
+        answer, stats = session.evaluate_with_stats(query_ab_extended())
+        assert stats.subtree_cache_hits == 3
+        assert stats.downward_prune_ops == 1
+        assert answer == evaluate_naive(query_ab_extended(), graph)
 
     def test_singleton_batch_is_skipped(self):
-        session = QuerySession(small_graph(), result_cache_size=0)
+        graph = small_graph()
+        session = QuerySession(graph, result_cache_size=0)
         batch = session.evaluate_many([query_ab()])
         assert batch.stats.batch_share_skipped == 1
-        assert len(session.subtree_cache) == 0
+        # The skipped batch still seeds reuse: one entry per subtree.
+        assert len(session.subtree_cache) == 3
+        # A warm cache needs no DAG: the next singleton is skipped too and
+        # served on the isolated path.
+        warm = session.evaluate_many([query_ab_extended()])
+        assert warm.stats.batch_share_skipped == 1
+        assert warm.stats.subtree_cache_hits == 3
+        assert warm.stats.downward_prune_ops == 1
+        assert warm.results[0] == evaluate_naive(query_ab_extended(), graph)
 
     def test_overlapping_batch_still_shares(self):
         session = QuerySession(small_graph(), result_cache_size=0)
@@ -199,16 +220,6 @@ class TestTinyBatchGuard:
         batch = session.evaluate_many([query_ab()], share=True)
         assert batch.stats.batch_share_skipped == 0
         assert batch.stats.subtree_cache_misses == 3
-
-    def test_cached_subtrees_reenable_sharing_for_disjoint_batches(self):
-        # A warm subtree cache makes the DAG path worthwhile even for a
-        # singleton batch: the downward sets are already materialized.
-        graph = small_graph()
-        session = QuerySession(graph, result_cache_size=0)
-        session.evaluate_many([query_ab()], share=True)
-        warm = session.evaluate_many([query_ab_extended()])
-        assert warm.stats.batch_share_skipped == 0
-        assert warm.stats.subtree_cache_hits == 3
 
     def test_guard_agrees_with_forced_sharing(self):
         graph = small_graph()
@@ -242,8 +253,13 @@ class TestSharedRouting:
         grouped = session.evaluate_many([query_ab()], group_nodes=("x",))
         ungrouped = QuerySession(graph).evaluate_many([query_ab()])
         assert grouped.stats.batch_shared_subtrees == 0
-        assert grouped.stats.subtree_cache_misses == 0
+        # The per-query path keys the subtree cache on the original
+        # query group evaluation runs: three cold probes, then hits.
+        assert grouped.stats.subtree_cache_misses == 3
         assert len(grouped.results[0]) <= len(ungrouped.results[0])
+        again = session.evaluate_many([query_ab_extended()], group_nodes=("v",))
+        assert again.stats.subtree_cache_hits == 3
+        assert again.stats.downward_prune_ops == 1
 
     def test_shared_executor_standalone_over_compiled_batch(self):
         graph = small_graph()

@@ -32,7 +32,7 @@ DEFAULT_CHUNKS = [(start, 20) for start in range(600, 680, 20)]
 
 
 def codegen_session(graph):
-    return QuerySession(graph, result_cache_size=0, codegen="auto")
+    return QuerySession(graph, result_cache_size=0, subtree_cache_size=0, codegen="auto")
 
 
 def assert_matches_interpreted(stats, base_stats, expected, where):
@@ -70,7 +70,8 @@ def run_codegen_differential_cases(seeds, *, node_range=(8, 16)) -> dict:
         rng = random.Random(seed)
         graph = random_labeled_graph(rng.randint(*node_range), rng)
         batch = random_query_batch(graph, rng, batch_size=rng.randint(3, 6), overlap=0.6)
-        interpreted = QuerySession(graph, result_cache_size=0)
+        # Parity compares cold work: no subtree reuse on either side.
+        interpreted = QuerySession(graph, result_cache_size=0, subtree_cache_size=0)
         compiled = codegen_session(graph)
         for position, query in enumerate(batch):
             expected = evaluate_naive(query, graph)

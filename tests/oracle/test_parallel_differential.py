@@ -38,7 +38,7 @@ DEFAULT_CHUNKS = [(start, 20) for start in range(400, 480, 20)]
 
 def parallel_session(graph, workers, backend="serial"):
     options = ParallelOptions(workers=workers, backend=backend, min_shard_size=1)
-    return QuerySession(graph, result_cache_size=0, parallel=options)
+    return QuerySession(graph, result_cache_size=0, subtree_cache_size=0, parallel=options)
 
 
 def run_parallel_differential_cases(seeds, *, backend="serial") -> dict:
@@ -48,7 +48,8 @@ def run_parallel_differential_cases(seeds, *, backend="serial") -> dict:
         rng = random.Random(seed)
         graph = random_labeled_graph(rng.randint(8, 16), rng)
         batch = random_query_batch(graph, rng, batch_size=rng.randint(3, 6), overlap=0.6)
-        serial = QuerySession(graph, result_cache_size=0)
+        # Parity compares cold work: no subtree reuse on any side.
+        serial = QuerySession(graph, result_cache_size=0, subtree_cache_size=0)
         single = parallel_session(graph, workers=1, backend=backend)
         sharded = parallel_session(graph, workers=3, backend=backend)
 

@@ -1,0 +1,190 @@
+"""Differential testing of subtree reuse on the single-query path.
+
+Every :class:`~repro.engine.operators.DownwardPrune` visit of a session
+looks up its subtree fingerprint in the session's subtree cache before it
+prunes.  Two sessions over one graph answer the same stream: one with
+reuse, one with ``subtree_cache_size=0``.  After every query:
+
+* **oracle** — both answers equal ``evaluate_naive`` (flattened back from
+  the group operator where the query groups);
+* **cold parity** — the per-node downward set sizes
+  (``candidates_after_downward``) are identical, so a hit hands out
+  exactly the set a cold visit would have pruned;
+* **hit model** — a visit hits iff an earlier visit *at the same graph
+  version* met its fingerprint (earlier in the stream or earlier in the
+  same query), its operator record then carries ``note="subtree-cache"``,
+  and the cold session never hits.  A version bump — an append, an
+  attribute write — empties the model, so no hit may cross a version.
+"""
+
+import random
+
+from repro.datasets import (
+    TABLE3_OUTPUTS,
+    TABLE4_PREDICATES,
+    exp1_query,
+    exp2_query,
+    fig7_query,
+    generate_arxiv,
+    generate_xmark,
+    random_embedded_query,
+)
+from repro.engine import QuerySession
+from repro.query import QueryBuilder, candidate_nodes, evaluate_naive, subtree_fingerprints
+
+#: group labels of the XMark stream: the second and third triples share
+#: person / seller labels with the first, so their subtrees recur.
+GROUPS = [(4, 5, 6), (7, 8, 9), (4, 8, 6)]
+
+
+class ReuseHarness:
+    """A reuse session, a cold session and the hit model over one graph."""
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.reuse = QuerySession(graph, result_cache_size=0)
+        self.cold = QuerySession(graph, result_cache_size=0, subtree_cache_size=0)
+        self.version = graph.version
+        self.seen: set[str] = set()
+        self.hits = 0
+
+    def check(self, query, group_nodes=(), where=""):
+        if self.graph.version != self.version:
+            self.version, self.seen = self.graph.version, set()
+        expected = evaluate_naive(query, self.graph)
+        answer, stats = self.reuse.evaluate_with_stats(query, group_nodes)
+        cold_answer, cold_stats = self.cold.evaluate_with_stats(query, group_nodes)
+        assert ungroup(answer, query, group_nodes) == expected, f"{where}: reuse != naive"
+        assert ungroup(cold_answer, query, group_nodes) == expected, f"{where}: cold != naive"
+        assert stats.candidates_after_downward == cold_stats.candidates_after_downward, where
+        assert cold_stats.subtree_cache_hits == 0, where
+
+        # Group evaluation runs the original query, every other the rewrite.
+        compiled = self.reuse.plan(query).compiled
+        fingerprints = subtree_fingerprints(compiled.original if group_nodes else compiled.query)
+        predicted = 0
+        for record in stats.operator_stats:
+            if record.op != "DownwardPrune":
+                continue
+            fingerprint = fingerprints[record.target]
+            hit = fingerprint in self.seen
+            self.seen.add(fingerprint)
+            predicted += hit
+            assert (record.note == "subtree-cache") == hit, f"{where}: {record.target}"
+            if hit:
+                assert record.index_lookups == 0, f"{where}: {record.target} probed on a hit"
+        assert stats.subtree_cache_hits == predicted, where
+        assert stats.downward_prune_ops + predicted == cold_stats.downward_prune_ops, where
+        self.hits += predicted
+        return stats
+
+
+def ungroup(rows, query, group_nodes):
+    """Expand each grouped column back into one row per grouped image."""
+    for node in group_nodes:
+        column = query.outputs.index(node)
+        rows = {
+            row[:column] + (dict(item)[node],) + row[column + 1 :]
+            for row in rows
+            for item in row[column]
+        }
+    return rows
+
+
+def xmark_stream():
+    queries = []
+    for person, item, seller in GROUPS:
+        groups = {"person_group": person, "item_group": item, "seller_group": seller}
+        queries += [fig7_query(variant, **groups) for variant in ("q1", "q2", "q3")]
+        queries += [exp1_query(name, **groups) for name in TABLE3_OUTPUTS]
+        queries += [exp2_query(name, **groups) for name in TABLE4_PREDICATES]
+    return queries
+
+
+def test_xmark_paper_stream_reuses_subtrees_with_cold_parity():
+    harness = ReuseHarness(generate_xmark(scale=0.05, seed=97).graph)
+    for position, query in enumerate(xmark_stream()):
+        harness.check(query, where=f"query {position}")
+    # Shared rooted sub-patterns are what this family consists of.
+    assert harness.hits > 0
+    reuse = harness.reuse.cache_info()["subtree"]
+    assert reuse["hits"] == harness.hits and reuse["size"] > 0
+
+
+def test_arxiv_appends_never_serve_a_hit_across_versions():
+    rng = random.Random(41)
+    graph = generate_arxiv(num_papers=300, num_authors=60, seed=5).graph
+    patterns = []
+    while len(patterns) < 6:
+        query = random_embedded_query(graph, rng.choice((4, 5, 6)), rng)
+        if query is not None:
+            patterns.append(query)
+    harness = ReuseHarness(graph)
+    for epoch in range(4):
+        if epoch:
+            # Clone a root candidate of one pattern, out-edges included:
+            # the new node matches where its twin does, so a stale hit
+            # would miss it.
+            query = patterns[epoch]
+            twin = candidate_nodes(graph, query, query.root)[0]
+            clone = graph.add_node(dict(graph.attrs(twin)))
+            for target in graph.successors(twin):
+                graph.add_edge(clone, target)
+        for round_ in range(2):
+            for position, query in enumerate(patterns):
+                stats = harness.check(query, where=f"epoch {epoch} round {round_} query {position}")
+                if round_ == 1:
+                    # Asked before at this version: every visit is served.
+                    assert stats.downward_prune_ops == 0
+    # Each append emptied the cache before the next query read it.
+    assert harness.reuse.subtree_cache.counters.invalidations == 3
+
+
+def test_attribute_write_between_two_queries_drops_reuse():
+    graph = generate_xmark(scale=0.05, seed=97).graph
+    harness = ReuseHarness(graph)
+    first = fig7_query("q1", person_group=7)
+    second = fig7_query("q2", person_group=7, item_group=8)
+    harness.check(first, where="before")
+    served = harness.check(second, where="warm")
+    assert served.subtree_cache_hits > 0
+    # Relabel a bidder that the bidder subtree kept: its cached set now
+    # holds a node that no longer matches.
+    bidder = next(
+        node
+        for node in candidate_nodes(graph, second, "bidder")
+        if any(row[1] == node for row in evaluate_naive(first, graph))
+    )
+    graph.set_attr(bidder, "label", "seller")
+    after = harness.check(second, where="after write")
+    assert after.subtree_cache_hits == 0
+    harness.check(first, where="after write, warm again")
+
+
+def test_identical_sibling_subtrees_hit_within_one_query():
+    graph = generate_xmark(scale=0.05, seed=97).graph
+    query = (
+        QueryBuilder()
+        .backbone("open_auction", label="open_auction")
+        .backbone("bidder", parent="open_auction", edge="pc", label="bidder")
+        .backbone("personref", parent="bidder", edge="pc", label="personref")
+        .backbone("bidder2", parent="open_auction", edge="pc", label="bidder")
+        .backbone("personref2", parent="bidder2", edge="pc", label="personref")
+        .outputs("open_auction", "bidder", "bidder2")
+        .build()
+    )
+    harness = ReuseHarness(graph)
+    stats = harness.check(query, where="fresh session")
+    # One sibling prunes bidder -> personref; the other is served by it.
+    assert stats.subtree_cache_hits == 2
+    assert len(harness.reuse.subtree_cache) == 3
+
+
+def test_group_nodes_evaluation_reuses_the_original_query_subtrees():
+    graph = generate_xmark(scale=0.05, seed=97).graph
+    harness = ReuseHarness(graph)
+    queries = [fig7_query(variant, person_group=4, item_group=5) for variant in ("q1", "q2")]
+    for position, query in enumerate(queries):
+        harness.check(query, group_nodes=("city",), where=f"grouped {position}")
+        harness.check(query, where=f"ungrouped {position}")
+    assert harness.hits > 0

@@ -1,5 +1,14 @@
 """Serialization round trips and canonical fingerprints."""
 
+import hashlib
+
+from repro.datasets import (
+    TABLE3_OUTPUTS,
+    TABLE4_PREDICATES,
+    exp1_query,
+    exp2_query,
+    fig7_query,
+)
 from repro.query import (
     AttributePredicate,
     QueryBuilder,
@@ -190,3 +199,43 @@ class TestSubtreeFingerprints:
         fps = subtree_fingerprints(query)
         for node_id in query.nodes:
             assert subtree_fingerprint(query, node_id) == fps[node_id]
+
+
+#: sha256 of ``"<node id> <subtree fingerprint>\n"`` lines, sorted by node
+#: id, for the paper's queries at person/item/seller groups 1/2/3.  The
+#: fingerprints key the subtree cache and the warm store's ``subtrees``
+#: kind, so a change here silently turns every persisted entry cold.
+#: Q4-Q8 differ only in their outputs, which no subtree reads.
+SUBTREE_FINGERPRINT_GOLDEN = {
+    "q1": "7c809f6ae6252a93a41d50ffe08dcaf8613b7320ae6c191796c0244fdbf941fa",
+    "q2": "4d040205fa9639440387f2e681755806ecd1ec4b67f9b019ac3aa68460fa6344",
+    "q3": "75169c9e4fd83d5639535cb464c02e46dd7d31f60ce4e4e5c6061b6d390fcc67",
+    "Q4": "38d81e6944e5e80ed0b40f85ef6b5ed59971b458effcedc98e486290b36bf0cc",
+    "Q5": "38d81e6944e5e80ed0b40f85ef6b5ed59971b458effcedc98e486290b36bf0cc",
+    "Q6": "38d81e6944e5e80ed0b40f85ef6b5ed59971b458effcedc98e486290b36bf0cc",
+    "Q7": "38d81e6944e5e80ed0b40f85ef6b5ed59971b458effcedc98e486290b36bf0cc",
+    "Q8": "38d81e6944e5e80ed0b40f85ef6b5ed59971b458effcedc98e486290b36bf0cc",
+    "DIS1": "ff2bfb637bc0b438d3a91a9d6950964ad70da19f6bc3c609f5bddd8bd4c1363c",
+    "DIS2": "0a1868eee49bba0fbb1d538823cebefbfd86eceabb502125f16d43876a8e3dda",
+    "DIS3": "3e88c1e220c44cdf5a3c656aad840d856fd5a6114b8f0b8019c59ab97be16f30",
+    "NEG1": "5b3ee1b3b1808d55e24176018644f8c4715ee504747cfd325ef5e7c655854880",
+    "NEG2": "0865b4be93e4d4228d189f3c5cff997b79498f9427e8846fbe874b578745da5c",
+    "NEG3": "ca0af6eff857f2bc8763be274e74218d67ff39cb5fe2b40530e31919c6b3c4f6",
+    "DIS_NEG1": "20d3e25591be17e9df41b516f4f9085d2d817c5a647f4059adc0f19fbc47666f",
+    "DIS_NEG2": "f2b8aa63406070b5719d5da9a262280fafdfab7375053f897810b4998816f8a0",
+    "DIS_NEG3": "d6e933e366436c37bf477ffdcd279a70e849f736b4e6e76baaec9ad7a84efa0b",
+    "DIS_NEG4": "40497f2db203348ba50fa55b9a2c7cb6337e58442f2672b091e7b68002e11482",
+}
+
+
+def test_subtree_fingerprints_of_the_paper_queries_are_pinned():
+    groups = {"person_group": 1, "item_group": 2, "seller_group": 3}
+    queries = {variant: fig7_query(variant, **groups) for variant in ("q1", "q2", "q3")}
+    queries.update({name: exp1_query(name, **groups) for name in TABLE3_OUTPUTS})
+    queries.update({name: exp2_query(name, **groups) for name in TABLE4_PREDICATES})
+    digests = {}
+    for name, query in queries.items():
+        pairs = sorted(subtree_fingerprints(query).items())
+        lines = "".join(f"{node} {fp}\n" for node, fp in pairs)
+        digests[name] = hashlib.sha256(lines.encode("utf-8")).hexdigest()
+    assert digests == SUBTREE_FINGERPRINT_GOLDEN

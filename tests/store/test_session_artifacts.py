@@ -185,6 +185,24 @@ def test_no_session_persists_an_index_kind(workload, populated):
     assert store.kinds(session.store_fingerprint) == sorted(KIND_IDS)
 
 
+def test_single_query_traffic_seeds_subtree_reuse_after_a_restart(tmp_path):
+    """Plain ``evaluate`` calls fill the subtrees kind; a fresh session
+    over that store prunes a new query's shared subtrees zero times."""
+    graph = generate_xmark(scale=0.02, seed=7).graph
+    writer = QuerySession(graph, store=tmp_path)
+    for group in range(3):
+        writer.evaluate(fig7_query("q1", person_group=group))
+    assert writer.persist()["subtrees"] > 0
+
+    session = QuerySession(generate_xmark(scale=0.02, seed=7).graph, store=tmp_path)
+    assert session.store_rehydrated["subtrees"] > 0
+    fresh = fig7_query("q2", person_group=1, item_group=4)  # q1's bidder branch, and more
+    answer, stats = session.evaluate_with_stats(fresh)
+    assert stats.result_cache_misses == 1
+    assert stats.subtree_cache_hits > 0 and stats.subtree_cache_misses > 0
+    assert answer == evaluate_naive(fresh, session.graph)
+
+
 def test_restart_condenses_once_and_fills_rows_as_misses_read_them(tmp_path):
     queries = [fig7_query("q1", person_group=group) for group in range(4)]
     writer = QuerySession(generate_xmark(scale=0.02, seed=7).graph, store=tmp_path)
