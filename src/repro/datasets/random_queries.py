@@ -195,7 +195,7 @@ def random_query_batch(
     root with a previously generated subtree grafted underneath (plus
     optional fresh filler children).  Derived queries reproduce the
     grafted subtree exactly, so its canonical subtree fingerprints
-    coincide across the batch and the shared-plan DAG can dedup them.
+    coincide across the batch and the subtree cache can reuse them.
 
     Labels are drawn from the graph's own label set — whole label values,
     so multi-character labels (e.g. XMark's ``"open_auction"``) survive

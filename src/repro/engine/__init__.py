@@ -47,7 +47,6 @@ from .prime import compute_prime_subtree, shrink_prime_subtree
 from .prune import PruningContext, prune_downward, prune_upward
 from .results import collect_results
 from .session import BatchResult, QueryPlan, QuerySession
-from .shared import SharedExecutor
 from .stats import EvaluationStats
 
 __all__ = [
@@ -71,7 +70,6 @@ __all__ = [
     "PruningContext",
     "QueryPlan",
     "QuerySession",
-    "SharedExecutor",
     "UpwardPrune",
     "build_gtea_operators",
     "build_matching_graph",

@@ -19,8 +19,7 @@ Evaluation runs in four explicit phases (see :mod:`repro.plan`):
 :class:`repro.engine.parallel.ParallelExecutor` replaces one phase of
 this driver with sharded pool execution — the downward prune, where the
 time goes; CandidateScan, UpwardPrune, BuildMatchingGraph and
-CollectResults (and the batch path's whole plan suffix) always run as
-the serial operators here.
+CollectResults always run as the serial operators here.
 
 Usage::
 
@@ -43,16 +42,12 @@ from ..query.gtpq import GTPQ
 from ..reachability.base import GraphReachability
 from ..reachability.factory import build_reachability
 from .operators import (
-    BuildMatchingGraph,
-    CollectResults,
     ExecutionState,
     Operator,
-    UpwardPrune,
     build_gtea_operators,
     instantiate_operators,
     run_pipeline,
 )
-from .prune import MatSets
 from .results import ResultSet
 from .stats import EvaluationStats
 
@@ -300,32 +295,6 @@ class GTEA:
         if plan.physical.executor == "gtea" and not plan.physical.covers_query(query):
             return query, build_gtea_operators(query.bottom_up())
         return query, instantiate_operators(plan.physical.operators)
-
-    def execute_from_downward(
-        self,
-        plan: CompiledPlan,
-        mats: MatSets,
-        stats: EvaluationStats | None = None,
-    ) -> tuple[ResultSet, EvaluationStats]:
-        """Resume a compiled plan *after* the downward prune phase.
-
-        The shared batch executor (:mod:`repro.engine.shared`) computes
-        downward-pruned candidate sets once per distinct subtree across a
-        batch and hands each query its per-node slices here; this method
-        runs the remaining operator suffix (UpwardPrune →
-        BuildMatchingGraph → CollectResults) against the plan's rewritten
-        query.  ``mats`` must hold the downward match set of every node
-        of ``plan.query``.
-        """
-        if stats is None:
-            stats = EvaluationStats()
-        state = ExecutionState(self, plan.query, stats)
-        state.down = dict(mats)
-        stats.candidates_after_downward = {
-            node_id: len(nodes) for node_id, nodes in mats.items()
-        }
-        run_pipeline(state, [UpwardPrune(), BuildMatchingGraph(), CollectResults()])
-        return state.answer, stats
 
 
 def evaluate_gtea(graph: DataGraph, query: GTPQ, index: str = "3hop") -> ResultSet:

@@ -43,16 +43,10 @@ workers are single-threaded).  Downward probe *counts* legitimately
 differ from the serial executor — each slice scans its chains on its own
 — while results and survivor sets do not.
 
-Batch workloads go through :meth:`ParallelExecutor.materialize_dag`: the
-subtrees of a :class:`~repro.plan.shared.SharedPlanDAG` run through the
-same frontier (a subtree dispatches once its child fingerprints are
-materialized, across queries), with the cache and stats bookkeeping of
-the serial :class:`~repro.engine.shared.SharedExecutor`.
-
 Wire-up: ``QuerySession(parallel=...)`` accepts a worker count or a
-:class:`ParallelOptions` and routes GTEA-executor plans here, both for
-:meth:`~repro.engine.session.QuerySession.evaluate` and for the shared
-batch path of :meth:`~repro.engine.session.QuerySession.evaluate_many`.
+:class:`ParallelOptions` and routes GTEA-executor plans here, from
+:meth:`~repro.engine.session.QuerySession.evaluate` and
+:meth:`~repro.engine.session.QuerySession.evaluate_many` alike.
 """
 
 from __future__ import annotations
@@ -64,12 +58,9 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 
 from ..plan.compile import CompiledPlan
-from ..plan.shared import BatchPlan
 from ..query.gtpq import EdgeType
-from ..query.naive import candidate_nodes
 from ..query.serialize import query_from_json, query_to_json
 from ..reachability.contour import Contour
-from .cache import CacheCounters, LRUCache
 from .operators import (
     BuildMatchingGraph,
     CandidateScan,
@@ -324,11 +315,10 @@ class ParallelExecutor:
                 node_id,
                 state.mats[node_id],
                 {child: state.down[child] for child in query.children[node_id]},
-                lambda child: build_pred_contour(context, state.down[child]).data,
             )
 
         def finish(node_id, run: _NodeRun) -> None:
-            survivors, record = self._collect_node(run, stats, "parallel")
+            survivors, record = self._collect_node(run, stats)
             state.down[node_id] = survivors
             stats.candidates_after_downward[node_id] = len(survivors)
             if node_id in backbone and not survivors:
@@ -341,103 +331,9 @@ class ParallelExecutor:
             self._frontier(query.children, state.down, start, finish, lambda: state.finished)
 
     # ------------------------------------------------------------------
-    # Batch-wide frontier over a shared-plan DAG
+    # The frontier and the "refine a node" path under it
     # ------------------------------------------------------------------
-    def materialize_dag(
-        self,
-        batch: BatchPlan,
-        stats_by_plan: list[EvaluationStats],
-        *,
-        candidate_provider=None,
-        subtree_cache: LRUCache | None = None,
-        candidate_counters: CacheCounters | None = None,
-    ) -> dict[str, tuple[int, ...]]:
-        """Concurrent counterpart of ``SharedExecutor._materialize_dag``.
-
-        The DAG's subtrees run through the same frontier as one query's
-        nodes, keyed by fingerprint: subtrees whose child fingerprints
-        are materialized dispatch concurrently, across queries.  Cache
-        probes, candidate fetches and stats attribution mirror the
-        serial path — work is charged to each subtree's exemplar query.
-        """
-        self._check_fresh()
-        down: dict[str, tuple[int, ...]] = {}
-        pending = {}
-        for subtree in batch.dag.subtrees:
-            stats = stats_by_plan[subtree.exemplar[0]]
-            if subtree_cache is not None:
-                cached = subtree_cache.get(subtree.fingerprint)
-                if cached is not None:
-                    stats.subtree_cache_hits += 1
-                    down[subtree.fingerprint] = cached
-                    continue
-                stats.subtree_cache_misses += 1
-            pending[subtree.fingerprint] = subtree
-        if not pending:
-            return down
-
-        engine = self.engine
-        contexts: dict[int, PruningContext] = {}
-        contours: dict[str, dict] = {}  # child fingerprint -> contour data
-        query_jsons: dict[int, str] = {}
-
-        def start(fingerprint, pool) -> _NodeRun:
-            position, node_id = pending[fingerprint].exemplar
-            stats = stats_by_plan[position]
-            stats.parallel_workers = max(stats.parallel_workers, self.workers)
-            query = batch.plans[position].query
-            context = contexts.get(position)
-            if context is None:
-                context = PruningContext(engine.graph, query, engine.reachability)
-                contexts[position] = context
-                if self.backend == "process":
-                    query_jsons[position] = query_to_json(query)
-            with stats.record_candidate_cache(candidate_counters):
-                with stats.time_phase("candidates"):
-                    if candidate_provider is not None:
-                        candidates = list(candidate_provider(query, node_id))
-                    else:
-                        candidates = candidate_nodes(engine.graph, query, node_id)
-            fingerprints = batch.dag.node_fingerprints[position]
-
-            def contour_of(child_id):
-                # A contour depends only on the child's survivor set,
-                # which the fingerprint identifies across the whole batch.
-                child_fp = fingerprints[child_id]
-                if child_fp not in contours:
-                    contours[child_fp] = build_pred_contour(context, list(down[child_fp])).data
-                return contours[child_fp]
-
-            return self._submit_node(
-                pool,
-                context,
-                query_jsons.get(position),
-                node_id,
-                candidates,
-                {child: list(down[fingerprints[child]]) for child in query.children[node_id]},
-                contour_of,
-            )
-
-        def finish(fingerprint, run: _NodeRun) -> None:
-            stats = stats_by_plan[pending[fingerprint].exemplar[0]]
-            stats.candidates_initial[run.node_id] = run.input_size
-            stats.input_nodes += run.input_size
-            survivors, record = self._collect_node(run, stats, "shared-parallel")
-            down[fingerprint] = tuple(survivors)
-            if subtree_cache is not None:
-                subtree_cache.put(fingerprint, down[fingerprint])
-            stats.phase_seconds["prune_downward"] = (
-                stats.phase_seconds.get("prune_downward", 0.0) + record.seconds
-            )
-
-        children_of = {fingerprint: subtree.children for fingerprint, subtree in pending.items()}
-        self._frontier(children_of, down, start, finish)
-        return down
-
-    # ------------------------------------------------------------------
-    # The frontier and the one "refine a node" path under it
-    # ------------------------------------------------------------------
-    def _frontier(self, children_of, done, start, finish, stop=lambda: False) -> None:
+    def _frontier(self, children_of, done, start, finish, stop) -> None:
         """Refine every key of ``children_of`` (key -> the keys it reads).
 
         A key is started (``start(key, pool) -> _NodeRun``) once all its
@@ -492,13 +388,12 @@ class ParallelExecutor:
                     future.cancel()
 
     def _submit_node(
-        self, pool, context, query_json, node_id, candidates, refined_children, contour_of
+        self, pool, context, query_json, node_id, candidates, refined_children
     ) -> _NodeRun:
         """Start refining one node; ``pool`` is None for inline futures.
 
-        ``contour_of(child_id)`` supplies the raw predecessor-contour map
-        of an AD child (3-hop index only) — built here, driver-side, and
-        shipped with every slice.
+        The raw predecessor-contour map of each AD child (3-hop index
+        only) is built here, driver-side, and shipped with every slice.
         """
         query = context.query
         run = _NodeRun(node_id, time.perf_counter(), len(candidates))
@@ -512,7 +407,7 @@ class ParallelExecutor:
             contour_data = {}
             if context.index is not None:
                 contour_data = {
-                    child: contour_of(child)
+                    child: build_pred_contour(context, refined_children[child]).data
                     for child in query.children[node_id]
                     if query.edge_type(child) is EdgeType.DESCENDANT
                 }
@@ -530,7 +425,7 @@ class ParallelExecutor:
         return run
 
     def _collect_node(
-        self, run: _NodeRun, stats: EvaluationStats, note: str
+        self, run: _NodeRun, stats: EvaluationStats
     ) -> tuple[list[int], OperatorStats]:
         """Fold one finished node into ``stats``: the survivor list (slice
         results concatenated in slice order) and its operator record."""
@@ -552,7 +447,7 @@ class ParallelExecutor:
             seconds=time.perf_counter() - run.started,
             index_lookups=run.lookups,
             index_entries=run.entries,
-            note=note + (f" x{len(parts)}" if parts else " inline"),
+            note=f"parallel x{len(parts)}" if parts else "parallel inline",
         )
         stats.operator_stats.append(record)
         return survivors, record

@@ -63,9 +63,7 @@ class PruningContext:
         )
         self.pred_contours: dict[str, Contour] = {}
         #: node-level downward refinements executed through this context
-        #: (one per Procedure-6 node visit; the shared batch executor
-        #: counts its per-subtree evaluations the same way, so the two
-        #: paths are directly comparable in ``EvaluationStats``).
+        #: (one per Procedure-6 node visit).
         self.downward_ops = 0
 
     def dag_images(self, nodes: list[int]) -> list[int]:
@@ -127,12 +125,11 @@ def downward_step(
 ) -> list[int]:
     """One node of Procedure 6, fed with already-refined child sets.
 
-    The shared batch executor (:mod:`repro.engine.shared`) discharges one
-    downward obligation per *distinct* subtree; the refined child sets it
-    passes come from shared sub-plans rather than the same query's sweep.
-    For AD children the caller must have installed predecessor contours
-    via :func:`build_pred_contour` (3-hop index only; other indexes use
-    the generic fallback, which needs no contours).
+    The refined child sets may come from the session's subtree cache or
+    a parallel frontier rather than the same sweep.  For AD children the
+    caller must have installed predecessor contours via
+    :func:`build_pred_contour` (3-hop index only; other indexes use the
+    generic fallback, which needs no contours).
     """
     context.downward_ops += 1
     fext = context.query.fext(node_id)

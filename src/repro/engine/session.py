@@ -21,19 +21,15 @@ indexes, and reuses four kinds of evaluation artifacts across queries:
   canonical *subtree* fingerprint of
   :func:`repro.query.serialize.subtree_fingerprints`, read and filled by
   every interpreted execution (each
-  :class:`~repro.engine.operators.DownwardPrune` visit) and by the
-  shared batch path, so a subtree is pruned once per graph version
-  whichever path meets it first;
+  :class:`~repro.engine.operators.DownwardPrune` visit), so a subtree
+  is pruned once per graph version, however many queries contain it;
 * a **result cache** — full answer sets per ``(fingerprint, group
   nodes)``, invalidated when the graph mutates.
 
-Batch workloads additionally share *prune work within one call*:
-:meth:`QuerySession.evaluate_many` compiles the batch's cold queries
-into a :class:`~repro.plan.shared.SharedPlanDAG` (one sub-plan per
-distinct rooted subtree) and executes it through
-:class:`~repro.engine.shared.SharedExecutor`, so a subtree appearing in
-five queries is pruned once, not five times, even with the subtree
-cache off.
+:meth:`QuerySession.evaluate_many` runs a workload through the same
+per-query path after deduplicating its fingerprints, so on the
+interpreted route a subtree that five queries of a batch share is pruned
+once, by the first of them.
 
 Staleness is detected through :attr:`repro.graph.digraph.DataGraph.version`:
 any ``add_node``/``add_edge``/``set_attr`` after session creation drops
@@ -76,11 +72,9 @@ from ..plan import (
     CompiledPlan,
     ExecutionRoute,
     choose_index,
-    compile_batch,
     compile_plan,
     compile_query,
     decide_route,
-    should_share,
 )
 from ..query.gtpq import GTPQ
 from ..query.naive import candidate_nodes
@@ -100,7 +94,6 @@ from .gtea import GTEA
 from .operators import OperatorStats
 from .parallel import ParallelExecutor, ParallelOptions
 from .results import ResultSet
-from .shared import SharedExecutor
 from .stats import EvaluationStats
 
 #: anything :meth:`QuerySession.evaluate` accepts as a query.
@@ -141,9 +134,9 @@ class BatchResult:
         per_query: one :class:`~repro.engine.stats.EvaluationStats` per
             input query, in input order, so cache activity (including
             subtree-cache hits) is attributable to individual queries.
-            Shared prune work is charged to the query that first demanded
-            the subtree; other consumers record ``batch_shared_subtrees``
-            credits.  A duplicate of an earlier input carries only its
+            Prune work on a shared subtree is charged to the first query
+            that runs it; later ones count a subtree-cache hit.  A
+            duplicate of an earlier input carries only its
             plan-cache probe and the result count (the batch dedup served
             it without evaluation).
     """
@@ -178,8 +171,7 @@ class QuerySession:
             (downward-pruned candidate sets keyed by canonical subtree
             fingerprint), which single-query and batch evaluation both
             read and fill.  Pass ``0`` to disable subtree reuse across
-            executions; a shared batch still prunes each of its distinct
-            subtrees once.
+            executions.
         adaptive: run the engines with adaptive prune reordering — the
             remaining downward obligations are re-sorted by actual
             post-prune candidate-set sizes mid-flight (see
@@ -191,8 +183,8 @@ class QuerySession:
             :class:`~repro.engine.parallel.ParallelOptions`; ``None``
             (default), ``False`` and ``0`` keep execution serial, any
             other value raises ``ValueError``.  Applies to
-            GTEA-routed, non-group evaluations and to the shared batch
-            path of :meth:`evaluate_many`; answers, survivor sets and
+            GTEA-routed, non-group evaluations, batched or not; answers,
+            survivor sets and
             prune-op counts are identical to serial execution.  Call
             :meth:`close` (or use the session as a context manager) to
             release the worker pools.
@@ -547,9 +539,7 @@ class QuerySession:
         )
         return "\n".join([rendered, *route.notes(entry)])
 
-    def _route(
-        self, plan: QueryPlan, *, grouped: bool = False, shared: bool = False
-    ) -> ExecutionRoute:
+    def _route(self, plan: QueryPlan, *, grouped: bool = False) -> ExecutionRoute:
         """The execution route of one run of ``plan`` under this
         session's flags (:func:`repro.plan.route.decide_route`)."""
         return decide_route(
@@ -558,7 +548,6 @@ class QuerySession:
             parallel=self.parallel_options,
             adaptive=self.adaptive,
             grouped=grouped,
-            shared=shared,
         )
 
     def _plan_for(self, query: QueryLike) -> QueryPlan:
@@ -817,14 +806,13 @@ class QuerySession:
         if stats.operator_stats:
             self._observed_ops.put(plan.fingerprint, list(stats.operator_stats))
 
-    def _candidate_provider(self, plan: QueryPlan | None = None):
+    def _candidate_provider(self, plan: QueryPlan):
         """A ``(query, node_id) -> mat(u)`` source backed by the cache.
 
         Predicate keys come from ``plan`` when it has the node, and are
-        computed on the fly otherwise — so one plan-less provider serves
-        every plan of a shared batch.
+        computed on the fly otherwise.
         """
-        known = plan.predicate_keys if plan is not None else {}
+        known = plan.predicate_keys
 
         def provider(query: GTPQ, node_id: str) -> list[int]:
             key = known.get(node_id) or predicate_key(query.attribute(node_id))
@@ -840,41 +828,19 @@ class QuerySession:
     # Batch evaluation
     # ------------------------------------------------------------------
     def evaluate_many(
-        self,
-        queries: Iterable[QueryLike],
-        group_nodes: Sequence[str] = (),
-        *,
-        share: bool | str = "auto",
+        self, queries: Iterable[QueryLike], group_nodes: Sequence[str] = ()
     ) -> BatchResult:
-        """Evaluate a workload, sharing plans *and* prune work.
+        """Evaluate a workload, planning and running each distinct query once.
 
-        Queries are planned first (one plan per distinct fingerprint) and
-        each *unique* fingerprint is evaluated once — through the result
-        cache, so a warm session may evaluate nothing at all.  With
-        sharing on, the remaining cold plans are batch compiled into a
-        :class:`~repro.plan.shared.SharedPlanDAG` and run by
-        :class:`~repro.engine.shared.SharedExecutor`: every *distinct
-        rooted subtree* across the batch is downward-pruned exactly once
-        (or zero times, on a subtree-cache hit from an earlier execution)
-        and its post-prune candidate set feeds every consuming query.
-
-        ``share`` accepts three values: ``"auto"`` (the default) shares
-        unless the tiny-batch guard of
-        :func:`repro.plan.shared.should_share` finds nothing worthwhile —
-        no subtree consumed by ≥ 2 queries, or negligible estimated
-        savings — in which case the batch runs the isolated per-query
-        path and the
-        ``batch_share_skipped`` counter records the fallback;
-        ``share=True`` forces the DAG path; ``share=False`` always runs
-        the isolated path.  The isolated path reads and fills the
-        subtree cache as well, so it too prunes each distinct subtree
-        once; with ``subtree_cache_size=0`` it is the cold baseline for
-        measuring the sharing win.  Batches with group nodes always use
-        the per-query path (group evaluation runs the original,
-        pre-rewrite queries, which the DAG does not describe).
-
-        Candidate fetching is shared across the whole batch via the
-        predicate-keyed cache in either mode, and the answers are fanned
+        Queries are planned first (one plan per distinct fingerprint);
+        each *unique* fingerprint is then served by the result cache — so
+        a warm session may evaluate nothing at all — or run along the
+        same route as :meth:`evaluate`.  On the interpreted route, prune
+        work is shared through the subtree cache: a rooted subtree that
+        several queries of the batch contain is downward-pruned by the
+        first of them and read back by the others
+        (``subtree_cache_hits``).  Candidate fetching is shared
+        through the predicate-keyed cache, and the answers are fanned
         back out to input order.
         """
         self._ensure_fresh()
@@ -890,36 +856,18 @@ class QuerySession:
                 (plan_counters.hits - hits, plan_counters.misses - misses)
             )
 
-        unique: dict[str, QueryPlan] = {}
-        for plan in plans:
-            unique.setdefault(plan.fingerprint, plan)
-
         answers: dict[str, ResultSet] = {}
         stats_by_fingerprint: dict[str, EvaluationStats] = {}
-        pending: list[QueryPlan] = []
-        for fingerprint, plan in unique.items():
-            probed = self._probe_result_cache(plan, group_key)
-            if probed is not None:
-                answers[fingerprint], stats_by_fingerprint[fingerprint] = probed
-            else:
-                pending.append(plan)
-
-        share_skipped = 0
-        if pending:
-            if share and not group_key:
-                evaluated, share_skipped = self._execute_shared(
-                    pending, force_share=share is True
+        for plan in plans:
+            if plan.fingerprint not in answers:
+                answers[plan.fingerprint], stats_by_fingerprint[plan.fingerprint] = (
+                    self._probe_result_cache(plan, group_key)
+                    or self._execute_plan(plan, group_key)
                 )
-            else:
-                evaluated = [self._execute_plan(plan, group_key) for plan in pending]
-            for plan, (results, stats) in zip(pending, evaluated):
-                answers[plan.fingerprint] = results
-                stats_by_fingerprint[plan.fingerprint] = stats
 
         aggregate = EvaluationStats.aggregate(list(stats_by_fingerprint.values()))
         aggregate.batch_queries = len(plans)
-        aggregate.batch_unique_queries = len(unique)
-        aggregate.batch_share_skipped = share_skipped
+        aggregate.batch_unique_queries = len(answers)
 
         per_query: list[EvaluationStats] = []
         seen: set[str] = set()
@@ -944,70 +892,6 @@ class QuerySession:
             fingerprints=[plan.fingerprint for plan in plans],
             per_query=per_query,
         )
-
-    def _execute_shared(
-        self, plans: list[QueryPlan], *, force_share: bool = False
-    ) -> tuple[list[tuple[ResultSet, EvaluationStats]], int]:
-        """Run cold plans through the shared-plan DAG, grouped by index.
-
-        Plans are grouped by their physical index choice (one engine per
-        group — normally a single group); each group is batch compiled
-        and executed with the session's subtree and candidate caches.
-        Unless ``force_share`` is set, a group whose DAG shares nothing
-        worth its bookkeeping (:func:`repro.plan.shared.should_share`)
-        falls back to the isolated per-query path; the second return
-        value counts those skipped groups.
-        """
-        by_index: dict[str | None, list[int]] = {}
-        outcomes: list[tuple[ResultSet, EvaluationStats] | None] = [None] * len(plans)
-        routes = [self._route(plan, shared=True) for plan in plans]
-        for position, route in enumerate(routes):
-            if route.partial:
-                # Partial-scope plans bind to the closure; the shared
-                # DAG prunes every subtree on one full-scope engine, so
-                # they run the isolated path instead.
-                outcomes[position] = self._execute_plan(plans[position], ())
-                continue
-            by_index.setdefault(route.index_name, []).append(position)
-
-        skipped = 0
-        for index_name, positions in by_index.items():
-            compiled = [plans[p].compiled for p in positions]
-            # The guard reads the plans' memoised fingerprints, so a
-            # skipped group never pays the DAG compilation either.
-            if not force_share and not should_share(compiled):
-                skipped += 1
-                for position in positions:
-                    outcomes[position] = self._execute_plan(plans[position], ())
-                continue
-            batch = compile_batch(self.graph, plans=compiled)
-            executor = SharedExecutor(
-                self.engine(index_name),
-                candidate_provider=self._candidate_provider(),
-                subtree_cache=self.subtree_cache,
-                candidate_counters=self.candidate_cache.counters,
-                parallel=self.parallel_executor(index_name),
-            )
-            for position, outcome in zip(positions, executor.execute(batch)):
-                results, stats = outcome
-                plan = plans[position]
-                stats.result_cache_misses += 1
-                self.result_cache.put((plan.fingerprint, ()), frozenset(results))
-                self._record_observed(plan, stats)
-                outcomes[position] = (results, stats)
-        return outcomes, skipped
-
-    def explain_batch(self, queries: Iterable[QueryLike]) -> str:
-        """The shared-plan DAG of a workload, rendered.
-
-        Plans each query (through the plan cache), batch compiles them
-        and renders the sharing structure: distinct sub-plans, their
-        consumers, and per-query executor routing.
-        """
-        self._ensure_fresh()
-        plans = [self._plan_for(query) for query in queries]
-        batch = compile_batch(self.graph, plans=[plan.compiled for plan in plans])
-        return batch.explain()
 
     # ------------------------------------------------------------------
     # Introspection

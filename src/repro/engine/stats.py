@@ -35,9 +35,8 @@ class EvaluationStats:
     #: the baseline algorithms; GTEA keeps this at zero.
     intermediate_tuples: int = 0
     #: node-level downward refinements executed (Procedure-6 node visits).
-    #: A visit served from the subtree cache counts as no op on either
-    #: path, and the shared batch path prunes each distinct subtree of the
-    #: batch once, so reuse shows up directly as a drop in this counter.
+    #: A visit served from the subtree cache counts as no op, so reuse
+    #: shows up directly as a drop in this counter.
     downward_prune_ops: int = 0
     result_count: int = 0
     #: one :class:`repro.engine.operators.OperatorStats` per executed
@@ -64,20 +63,12 @@ class EvaluationStats:
     result_cache_misses: int = 0
     #: subtree-result cache (downward-pruned candidate sets keyed by
     #: canonical subtree fingerprint, per graph version), probed once per
-    #: downward visit on the interpreted path and once per DAG subtree on
-    #: the shared batch path.
+    #: downward visit on the interpreted path.
     subtree_cache_hits: int = 0
     subtree_cache_misses: int = 0
     #: batch accounting of :meth:`QuerySession.evaluate_many`.
     batch_queries: int = 0
     batch_unique_queries: int = 0
-    #: subtree occurrences served by another query's prune work within
-    #: one shared batch execution (DAG dedup, not a cache).
-    batch_shared_subtrees: int = 0
-    #: shared-DAG executions skipped by the tiny-batch guard of
-    #: :meth:`QuerySession.evaluate_many` (``share="auto"`` fell back to
-    #: the isolated per-query path because nothing worthwhile is shared).
-    batch_share_skipped: int = 0
     # ------------------------------------------------------------------
     # Plan-codegen counters (repro.plan.codegen, behind
     # ``QuerySession(codegen=...)``).  All zero when codegen is off.
@@ -152,11 +143,9 @@ class EvaluationStats:
 
     def record_candidate_cache(self, counters):
         """Context manager folding the hit/miss delta of ``counters`` (a
-        :class:`~repro.engine.cache.CacheCounters`, or None for a no-op)
-        into the candidate-cache fields.  Used wherever candidate fetches
-        run behind a shared cache whose activity must be attributed to
-        one evaluation — the session's per-query path and both fetch
-        sites of the shared batch executor."""
+        :class:`~repro.engine.cache.CacheCounters`) into the
+        candidate-cache fields, so the activity of the session's shared
+        candidate cache is attributed to the one evaluation it served."""
         return _CandidateCacheDelta(self, counters)
 
     def merge(self, other: "EvaluationStats") -> None:
@@ -203,7 +192,6 @@ class EvaluationStats:
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "prune_ops": self.downward_prune_ops,
-            "shared_subtrees": self.batch_shared_subtrees,
             "workers": self.parallel_workers,
             "shard_tasks": self.parallel_shard_tasks,
             "codegen_hits": self.codegen_hits,
@@ -228,15 +216,13 @@ class _CandidateCacheDelta:
         self._misses = 0
 
     def __enter__(self):
-        if self._counters is not None:
-            self._hits = self._counters.hits
-            self._misses = self._counters.misses
+        self._hits = self._counters.hits
+        self._misses = self._counters.misses
         return self
 
     def __exit__(self, *exc):
-        if self._counters is not None:
-            self._stats.candidate_cache_hits += self._counters.hits - self._hits
-            self._stats.candidate_cache_misses += self._counters.misses - self._misses
+        self._stats.candidate_cache_hits += self._counters.hits - self._hits
+        self._stats.candidate_cache_misses += self._counters.misses - self._misses
         return False
 
 

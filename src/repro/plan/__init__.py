@@ -19,15 +19,6 @@ from .codegen import (
 )
 from .compile import CompiledPlan, compile_query
 from .route import ExecutionRoute, codegen_refusal, decide_route
-from .shared import (
-    BatchPlan,
-    SharedPlanDAG,
-    SharedSubtree,
-    build_shared_dag,
-    compile_batch,
-    estimated_sharing_savings,
-    should_share,
-)
 from .cost import (
     AUTO_CLOSURE_MAX_BYTES,
     AUTO_NEAR_TREE_RATIO,
@@ -56,7 +47,6 @@ from .physical import (
 __all__ = [
     "AUTO_CLOSURE_MAX_BYTES",
     "AUTO_NEAR_TREE_RATIO",
-    "BatchPlan",
     "CandidateSource",
     "CodegenError",
     "CompiledPlan",
@@ -71,28 +61,22 @@ __all__ = [
     "PhysicalOperator",
     "PhysicalPlan",
     "PruneObligation",
-    "SharedPlanDAG",
-    "SharedSubtree",
     "analyze_plan",
     "build_logical_plan",
     "build_operator_pipeline",
     "build_physical_plan",
-    "build_shared_dag",
     "choose_index",
     "choose_index_detail",
     "choose_scoped_index",
     "closure_fill_units",
     "codegen_refusal",
-    "compile_batch",
     "compile_plan",
     "compile_query",
     "decide_route",
     "estimate_candidates",
     "estimate_executor",
-    "estimated_sharing_savings",
     "index_build_units",
     "normalize",
     "scoped_index_key",
     "rehydrate_plan_function",
-    "should_share",
 ]

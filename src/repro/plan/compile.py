@@ -41,11 +41,6 @@ class CompiledPlan:
     def unsatisfiable(self) -> bool:
         return not self.normalized.satisfiable
 
-    @property
-    def subtree_fingerprints(self) -> dict[str, str]:
-        """Per rewritten-query node, its canonical subtree fingerprint."""
-        return self.logical.subtree_fingerprints
-
     def explain(self, observed=None, closure_rows=None) -> str:
         """Render every compilation stage, one section per phase.
 

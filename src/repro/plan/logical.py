@@ -62,9 +62,9 @@ class LogicalPlan:
         outputs: output node ids of the rewritten query.
         total_candidate_estimate: sum of the per-node estimates.
 
-    Execution reads the fields above.  What only ``explain`` and the batch
-    compiler read is derived from ``query`` when asked for: the prune
-    :attr:`obligations` and the :attr:`subtree_fingerprints`.
+    Execution reads the fields above.  What only ``explain`` reads is
+    derived from ``query`` when asked for: the prune :attr:`obligations`
+    and the :attr:`subtree_fingerprints`.
     """
 
     query: GTPQ
@@ -76,8 +76,8 @@ class LogicalPlan:
     @property
     def subtree_fingerprints(self) -> dict[str, str]:
         """Per query node, the canonical fingerprint of its rooted subtree
-        (:func:`repro.query.serialize.subtree_fingerprints`) — the sharing
-        key of the batch compiler in :mod:`repro.plan.shared`."""
+        (:func:`repro.query.serialize.subtree_fingerprints`) — the key of
+        the session's subtree cache."""
         return subtree_fingerprints(self.query)
 
     @property

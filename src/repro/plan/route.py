@@ -2,7 +2,7 @@
 
 A :class:`~repro.plan.physical.PhysicalPlan` fixes index and operator
 pipeline; the session adds three flags (codegen, parallel, adaptive)
-and the call two facts (group nodes, a shared batch).  These exclude
+and the call one fact (group nodes).  These exclude
 each other in places, and :func:`decide_route` is the one function that
 resolves them: execution and ``explain()`` both consume its
 :class:`ExecutionRoute`, and nothing downstream re-decides.
@@ -70,8 +70,8 @@ class ExecutionRoute:
     sharded: bool  #: the sharded executor drives the full-scope engine.
     adaptive: bool  #: engines reorder the downward prune at run time.
     compiled: bool  #: a compiled plan function may drive the run.
-    #: the static reason none may; ``None`` when ``compiled``, with
-    #: codegen off, and in shared batches (which never count one).
+    #: the static reason none may; ``None`` when ``compiled`` and with
+    #: codegen off.
     codegen_fallback: str | None
     parallel: "ParallelOptions | None" = None
 
@@ -102,11 +102,10 @@ def decide_route(
     parallel: "ParallelOptions | None" = None,
     adaptive: bool = False,
     grouped: bool = False,
-    shared: bool = False,
 ) -> ExecutionRoute:
     """Resolve the session's ``codegen`` / ``parallel`` / ``adaptive``
-    flags against one plan, for a call that carries group nodes
-    (``grouped``) or runs inside a shared batch DAG (``shared``)."""
+    flags against one plan, for a call that may carry group nodes
+    (``grouped``)."""
     gtea = physical.executor == "gtea"
     partial_scope = gtea and physical.index_scope == "partial"
     # Group evaluation runs the original, pre-rewrite query, whose
@@ -114,7 +113,7 @@ def decide_route(
     # would only hand it (like any non-GTEA plan) back to the engine.
     sharded = parallel is not None and gtea and not grouped
     refusal, compiled = None, False
-    if codegen and not shared:
+    if codegen:
         refusal = codegen_refusal(physical, adaptive=adaptive, sharded=sharded, grouped=grouped)
         compiled = refusal is None
     return ExecutionRoute(

@@ -153,8 +153,8 @@ def subtree_fingerprints(query: GTPQ) -> dict[str, str]:
     Equal fingerprints imply equal *downward match sets* over any data
     graph (the valuation of a child variable depends only on its edge
     type and the child's downward match set), which is what lets the
-    batch compiler of :mod:`repro.plan.shared` execute one shared prune
-    per distinct subtree.  The converse does not hold — semantically
+    session's subtree cache prune each distinct subtree once per graph
+    version.  The converse does not hold — semantically
     equivalent but structurally different subtrees may hash apart, which
     costs sharing but never correctness.
 

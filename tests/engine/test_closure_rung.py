@@ -64,7 +64,7 @@ class TestNeverBuildsThreeHop:
         for query, answer, groups in zip(queries, expected, grouped):
             assert session.evaluate(query) == answer
             assert session.evaluate(query, group_nodes=query.outputs[-1:]) == groups
-        assert session.evaluate_many(queries, share=True).results == expected
+        assert session.evaluate_many(queries).results == expected
         sharded = ParallelOptions(workers=2, backend="serial", min_shard_size=1)
         with QuerySession(xmark, parallel=sharded) as parallel:
             assert [parallel.evaluate(query) for query in queries] == expected

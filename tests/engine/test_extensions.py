@@ -119,7 +119,6 @@ class TestStatsShape:
             codegen_fallbacks=1,
             parallel_workers=4,
             parallel_shard_tasks=9,
-            batch_shared_subtrees=2,
             partial_builds=1,
             partial_hits=2,
         )
@@ -130,7 +129,6 @@ class TestStatsShape:
             "codegen_fallbacks",
             "workers",
             "shard_tasks",
-            "shared_subtrees",
             "cache_hits",
             "cache_misses",
             "prune_ops",

@@ -365,7 +365,8 @@ class TestBrokenPool:
         rng = random.Random(21)
         graph = random_labeled_graph(50, rng)
         batch = random_query_batch(graph, rng, batch_size=5, overlap=0.7)
-        expected = QuerySession(graph, result_cache_size=0).evaluate_many(batch)
+        serial = QuerySession(graph, result_cache_size=0, subtree_cache_size=0)
+        expected = serial.evaluate_many(batch)
         options = ParallelOptions(workers=2, backend="process", min_shard_size=1)
         with QuerySession(
             graph, result_cache_size=0, subtree_cache_size=0, parallel=options
@@ -476,7 +477,8 @@ class TestSessionIntegration:
         rng = random.Random(21)
         graph = random_labeled_graph(50, rng)
         batch = random_query_batch(graph, rng, batch_size=5, overlap=0.7)
-        serial = QuerySession(graph, result_cache_size=0)
+        # The sharded route keeps no subtree cache; compare cold work.
+        serial = QuerySession(graph, result_cache_size=0, subtree_cache_size=0)
         sharded = QuerySession(
             graph,
             result_cache_size=0,

@@ -120,10 +120,6 @@ class TestDecideRoute:
         assert not (route.partial or route.sharded or route.compiled or route.adaptive)
         assert route.notes() == []
 
-    def test_shared_batches_never_compile_and_count_no_fallback(self, physical):
-        route = decide_route(physical, codegen="auto", shared=True)
-        assert (route.compiled, route.codegen_fallback) == (False, None)
-
     def test_refusal_reasons_in_precedence_order(self, physical):
         flags = {"adaptive": True, "sharded": True, "grouped": True}
         for flag, fragment in (
@@ -147,7 +143,7 @@ class TestDecideRoute:
 
 
 class TestRunTimeFallbacks:
-    """The two outcomes the route cannot know, and the shared batch."""
+    """The two outcomes the route cannot know, and batches."""
 
     def test_footprint_blow_out_runs_on_the_sharded_engine(self, low_closure_bound):
         graph, query = chain_with_wide_apex(), apex_query()
@@ -169,12 +165,16 @@ class TestRunTimeFallbacks:
         assert " obs in=" in session.explain(query)
         assert session.explain(query).endswith("[codegen] interpreted fallback (forced rejection)")
 
-    def test_shared_batch_never_compiles(self, cases):
+    def test_batch_counts_codegen_like_single_queries(self, cases):
         graph, query, expected = cases["full"]
-        other = pair_query("a", "c", edge="pc")
-        session = QuerySession(graph, codegen="auto", result_cache_size=0)
-        batch = session.evaluate_many([query, other], share=True)
+        queries = [query, pair_query("a", "c", edge="pc")]
+        batched = QuerySession(graph, codegen="auto", result_cache_size=0)
+        batch = batched.evaluate_many(queries)
         assert batch.results[0] == expected
-        assert batch.stats.codegen_fallbacks == batch.stats.codegen_hits == 0
-        assert batch.stats.codegen_misses == 0
-        assert " obs in=" in session.explain(query)
+        one_by_one = QuerySession(graph, codegen="auto", result_cache_size=0)
+        singles = [one_by_one.evaluate_with_stats(q)[1] for q in queries]
+        for counter in ("codegen_hits", "codegen_misses", "codegen_fallbacks"):
+            assert getattr(batch.stats, counter) == sum(getattr(s, counter) for s in singles)
+        assert batch.stats.codegen_misses == 2
+        # A second batch runs the cached functions.
+        assert batched.evaluate_many(queries).stats.codegen_hits == 2

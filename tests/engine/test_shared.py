@@ -1,13 +1,12 @@
-"""Shared batch execution: DAG dedup, subtree cache, per-query stats."""
+"""Batch evaluation: fingerprint dedup, subtree reuse, per-query stats."""
 
 import random
 
 import pytest
 
 from repro.datasets import random_labeled_graph, random_query_batch
-from repro.engine import GTEA, QuerySession, SharedExecutor
+from repro.engine import QuerySession
 from repro.graph import DataGraph
-from repro.plan import compile_batch
 from repro.query import AttributePredicate, QueryBuilder, evaluate_naive
 
 
@@ -56,7 +55,7 @@ class TestSharedBatchCounters:
         session = QuerySession(small_graph())
         batch = session.evaluate_many([query_ab(), query_ab_extended()])
         # r/x/p of query_ab reappear as u/v/w of the extended query.
-        assert batch.stats.batch_shared_subtrees == 3
+        assert batch.stats.subtree_cache_hits == 3
         assert batch.stats.downward_prune_ops == 4  # 7 occurrences, 4 distinct
 
     def test_shared_path_does_measurably_fewer_prune_ops(self):
@@ -66,32 +65,32 @@ class TestSharedBatchCounters:
 
         shared_session = QuerySession(graph, result_cache_size=0)
         shared = shared_session.evaluate_many(batch)
-        # The cold isolated path: without a subtree cache every query
-        # prunes every one of its nodes.
+        # The cold path: without a subtree cache every query prunes every
+        # one of its nodes.
         isolated_session = QuerySession(graph, result_cache_size=0, subtree_cache_size=0)
-        isolated = isolated_session.evaluate_many(batch, share=False)
+        isolated = isolated_session.evaluate_many(batch)
 
         assert shared.results == isolated.results
         for query, answer in zip(batch, shared.results):
             assert answer == evaluate_naive(query, graph)
-        # At least half the subtree occurrences must be served by sharing,
+        # At least half the subtree occurrences must be served by reuse,
         # and the op counter must drop accordingly.
-        assert shared.stats.batch_shared_subtrees * 2 >= shared.stats.downward_prune_ops
+        assert shared.stats.subtree_cache_hits * 2 >= shared.stats.downward_prune_ops
         assert shared.stats.downward_prune_ops < isolated.stats.downward_prune_ops
+        assert (
+            shared.stats.downward_prune_ops + shared.stats.subtree_cache_hits
+            == isolated.stats.downward_prune_ops
+        )
 
     def test_subtree_cache_serves_across_batches(self):
-        # share=True forces the DAG path even for singleton batches,
-        # which the "auto" tiny-batch guard would route isolated.
         graph = small_graph()
         session = QuerySession(graph, result_cache_size=0)
-        cold = session.evaluate_many([query_ab()], share=True)
+        cold = session.evaluate_many([query_ab()])
         assert cold.stats.subtree_cache_hits == 0
         assert cold.stats.subtree_cache_misses == 3
         warm = session.evaluate_many([query_ab_extended()])
         # u/v/w reproduce r/x/p exactly (u's subtree is a -> b[c], the
-        # same pattern as r's), so only the fresh root t is pruned anew
-        # — on the isolated path, which reads what the DAG stored.
-        assert warm.stats.batch_share_skipped == 1
+        # same pattern as r's), so only the fresh root t is pruned anew.
         assert warm.stats.subtree_cache_hits == 3
         assert warm.stats.subtree_cache_misses == 1
         assert warm.stats.downward_prune_ops == 1
@@ -103,15 +102,15 @@ class TestSharedBatchCounters:
         session.evaluate_many([query_ab()])
         warm = session.evaluate_many([query_ab_extended()])
         assert warm.stats.subtree_cache_hits == 0
-        # Within-batch DAG sharing still applies.
-        both = QuerySession(
-            graph, result_cache_size=0, subtree_cache_size=0
-        ).evaluate_many([query_ab(), query_ab_extended()])
-        assert both.stats.batch_shared_subtrees == 3
+        # Within one batch there is no reuse either: every node is pruned.
+        cold = QuerySession(graph, result_cache_size=0, subtree_cache_size=0)
+        both = cold.evaluate_many([query_ab(), query_ab_extended()])
+        assert both.stats.subtree_cache_hits == 0
+        assert both.stats.downward_prune_ops == 7
 
     def test_cache_info_reports_subtree_cache(self):
         session = QuerySession(small_graph())
-        session.evaluate_many([query_ab()], share=True)
+        session.evaluate_many([query_ab()])
         info = session.cache_info()
         assert info["subtree"]["size"] == 3
 
@@ -126,13 +125,13 @@ class TestPerQueryStats:
         assert len(batch.per_query) == 3
 
         first, second, duplicate = batch.per_query
-        # Shared prune work is charged to the first demanding query; the
-        # second query records the sharing credits instead.
+        # Prune work on a shared subtree is charged to the first query
+        # that runs it; the second query reads it from the subtree cache.
         assert first.downward_prune_ops == 3
         assert first.subtree_cache_misses == 3
-        assert first.batch_shared_subtrees == 0
+        assert first.subtree_cache_hits == 0
         assert second.downward_prune_ops == 1
-        assert second.batch_shared_subtrees == 3
+        assert second.subtree_cache_hits == 3
         # The duplicate input did no evaluation: only its plan-cache probe
         # and the fanned-out result count.
         assert duplicate.plan_cache_hits == 1
@@ -154,82 +153,11 @@ class TestPerQueryStats:
             "downward_prune_ops",
             "subtree_cache_hits",
             "subtree_cache_misses",
-            "batch_shared_subtrees",
             "plan_cache_misses",
             "input_nodes",
         ):
             total = sum(getattr(stats, counter) for stats in outcome.per_query)
             assert getattr(outcome.stats, counter) == total, counter
-
-
-def query_de_disjoint():
-    """No subtree in common with ``query_ab`` (labels d only)."""
-    return (
-        QueryBuilder()
-        .backbone("r", predicate=AttributePredicate.label("d"))
-        .predicate("p", parent="r", predicate=AttributePredicate.label("d"))
-        .outputs("r")
-        .build()
-    )
-
-
-class TestTinyBatchGuard:
-    """``share="auto"`` skips DAG bookkeeping when nothing is shared."""
-
-    def test_disjoint_batch_falls_back_to_isolated_path(self):
-        graph = small_graph()
-        session = QuerySession(graph, result_cache_size=0)
-        batch = session.evaluate_many([query_ab(), query_de_disjoint()])
-        assert batch.stats.batch_share_skipped == 1
-        assert batch.stats.batch_shared_subtrees == 0
-        # The isolated path probes the subtree cache once per downward
-        # visit; nothing is shared, so every probe misses and fills.
-        assert batch.stats.subtree_cache_hits == 0
-        assert batch.stats.subtree_cache_misses == batch.stats.downward_prune_ops == 5
-        assert batch.results[0] == evaluate_naive(query_ab(), graph)
-        assert batch.results[1] == evaluate_naive(query_de_disjoint(), graph)
-        # A later query over query_ab's subtrees is served from them.
-        answer, stats = session.evaluate_with_stats(query_ab_extended())
-        assert stats.subtree_cache_hits == 3
-        assert stats.downward_prune_ops == 1
-        assert answer == evaluate_naive(query_ab_extended(), graph)
-
-    def test_singleton_batch_is_skipped(self):
-        graph = small_graph()
-        session = QuerySession(graph, result_cache_size=0)
-        batch = session.evaluate_many([query_ab()])
-        assert batch.stats.batch_share_skipped == 1
-        # The skipped batch still seeds reuse: one entry per subtree.
-        assert len(session.subtree_cache) == 3
-        # A warm cache needs no DAG: the next singleton is skipped too and
-        # served on the isolated path.
-        warm = session.evaluate_many([query_ab_extended()])
-        assert warm.stats.batch_share_skipped == 1
-        assert warm.stats.subtree_cache_hits == 3
-        assert warm.stats.downward_prune_ops == 1
-        assert warm.results[0] == evaluate_naive(query_ab_extended(), graph)
-
-    def test_overlapping_batch_still_shares(self):
-        session = QuerySession(small_graph(), result_cache_size=0)
-        batch = session.evaluate_many([query_ab(), query_ab_extended()])
-        assert batch.stats.batch_share_skipped == 0
-        assert batch.stats.batch_shared_subtrees == 3
-
-    def test_share_true_forces_the_dag_path(self):
-        session = QuerySession(small_graph(), result_cache_size=0)
-        batch = session.evaluate_many([query_ab()], share=True)
-        assert batch.stats.batch_share_skipped == 0
-        assert batch.stats.subtree_cache_misses == 3
-
-    def test_guard_agrees_with_forced_sharing(self):
-        graph = small_graph()
-        auto = QuerySession(graph, result_cache_size=0).evaluate_many(
-            [query_ab(), query_de_disjoint()]
-        )
-        forced = QuerySession(graph, result_cache_size=0).evaluate_many(
-            [query_ab(), query_de_disjoint()], share=True
-        )
-        assert auto.results == forced.results
 
 
 class TestSharedRouting:
@@ -252,7 +180,6 @@ class TestSharedRouting:
         session = QuerySession(graph)
         grouped = session.evaluate_many([query_ab()], group_nodes=("x",))
         ungrouped = QuerySession(graph).evaluate_many([query_ab()])
-        assert grouped.stats.batch_shared_subtrees == 0
         # The per-query path keys the subtree cache on the original
         # query group evaluation runs: three cold probes, then hits.
         assert grouped.stats.subtree_cache_misses == 3
@@ -260,29 +187,6 @@ class TestSharedRouting:
         again = session.evaluate_many([query_ab_extended()], group_nodes=("v",))
         assert again.stats.subtree_cache_hits == 3
         assert again.stats.downward_prune_ops == 1
-
-    def test_shared_executor_standalone_over_compiled_batch(self):
-        graph = small_graph()
-        engine = GTEA(graph)
-        batch = compile_batch(graph, [query_ab(), query_ab_extended()])
-        outcomes = SharedExecutor(engine).execute(batch)
-        assert outcomes[0][0] == evaluate_naive(query_ab(), graph)
-        assert outcomes[1][0] == evaluate_naive(query_ab_extended(), graph)
-        assert outcomes[1][1].batch_shared_subtrees == 3
-
-
-class TestExplainBatch:
-    def test_explain_batch_shows_shared_subplans(self):
-        session = QuerySession(small_graph())
-        text = session.explain_batch([query_ab(), query_ab_extended()])
-        assert "shared plan DAG" in text
-        assert "7 rooted subtrees, 4 distinct" in text
-        assert "x2" in text  # each shared sub-plan lists its consumers
-
-    def test_explain_batch_without_sharing(self):
-        session = QuerySession(small_graph())
-        text = session.explain_batch([query_ab()])
-        assert "no shared subtrees" in text
 
 
 @pytest.mark.parametrize("index", ["3hop", "tc", "tree-cover", "chain-cover"])

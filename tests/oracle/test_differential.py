@@ -1,10 +1,10 @@
-"""Randomized differential testing of the shared batch path.
+"""Randomized differential testing of batch evaluation.
 
 Seeded random (graph, batch) cases — batches with deliberately
 overlapping subtrees — cross-check four evaluators for *exact*
 answer-set agreement:
 
-* ``QuerySession.evaluate_many`` (the shared-plan DAG path),
+* ``QuerySession.evaluate_many`` (fingerprint dedup, subtree reuse),
 * per-query ``GTEA.evaluate`` (compile → execute, no sharing),
 * per-query ``GTEA(adaptive=True).evaluate`` (the operator pipeline
   with runtime prune reordering and the backbone-empty early exit),
@@ -56,7 +56,7 @@ def run_differential_cases(
         for position, (query, answer) in enumerate(zip(batch, outcome.results)):
             expected = evaluate_naive(query, graph)
             assert answer == expected, (
-                f"seed {seed} query {position}: shared batch path disagrees "
+                f"seed {seed} query {position}: batch evaluation disagrees "
                 f"with evaluate_naive"
             )
             assert engine.evaluate(query) == expected, (
@@ -68,7 +68,7 @@ def run_differential_cases(
             )
             coverage["queries"] += 1
             coverage["nonempty"] += bool(expected)
-        coverage["shared"] += outcome.stats.batch_shared_subtrees
+        coverage["shared"] += outcome.stats.subtree_cache_hits
         coverage["cases"] += 1
     return coverage
 
@@ -81,18 +81,6 @@ def test_differential_agreement(start, count):
     # nonempty answers and genuine subtree sharing.
     assert coverage["nonempty"] > 0
     assert coverage["shared"] > 0
-
-
-def test_differential_agreement_share_disabled_matches_shared():
-    """The per-query path and the shared path agree case by case."""
-    for seed in range(20):
-        rng = random.Random(seed)
-        graph = random_labeled_graph(rng.randint(8, 14), rng)
-        batch = random_query_batch(graph, rng, batch_size=5, overlap=0.7)
-        shared = QuerySession(graph).evaluate_many(batch)
-        isolated = QuerySession(graph).evaluate_many(batch, share=False)
-        assert shared.results == isolated.results
-        assert shared.fingerprints == isolated.fingerprints
 
 
 @pytest.mark.slow

@@ -9,8 +9,8 @@ of :mod:`repro.engine.parallel` three ways:
   node) must be *byte-identical* to a single-slice run: same answers,
   same per-node survivor sets, same prune-op counts.  Concatenating the
   slice results in slice order is what guarantees it;
-* **batch frontier** — ``evaluate_many`` through the parallel DAG
-  frontier must match the serial shared path query by query.
+* **batch path** — ``evaluate_many`` on a sharded session must match
+  the serial session query by query.
 
 The default sweep uses the ``"serial"`` backend — the same dispatch,
 split and fold machinery with inline futures — because it is
@@ -95,12 +95,12 @@ def run_parallel_differential_cases(seeds, *, backend="serial") -> dict:
                         f"from the serial engine's"
                     )
 
-        # Batch path: the DAG frontier vs the serial shared executor.
+        # Batch path: sharded sessions vs the serial session.
         serial_batch = serial.evaluate_many(batch)
         single_batch = single.evaluate_many(batch)
         sharded_batch = sharded.evaluate_many(batch)
         assert sharded_batch.results == serial_batch.results, (
-            f"seed {seed}: parallel batch frontier disagrees with the serial shared path"
+            f"seed {seed}: sharded batch disagrees with the serial session"
         )
         assert sharded_batch.results == single_batch.results
         pairs = zip(sharded_batch.per_query, single_batch.per_query)

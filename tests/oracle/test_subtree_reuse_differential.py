@@ -1,4 +1,4 @@
-"""Differential testing of subtree reuse on the single-query path.
+"""Differential testing of subtree reuse, query by query and in batches.
 
 Every :class:`~repro.engine.operators.DownwardPrune` visit of a session
 looks up its subtree fingerprint in the session's subtree cache before it
@@ -15,6 +15,11 @@ reuse, one with ``subtree_cache_size=0``.  After every query:
   same query), its operator record then carries ``note="subtree-cache"``,
   and the cold session never hits.  A version bump — an append, an
   attribute write — empties the model, so no hit may cross a version.
+
+``evaluate_many`` runs the same path after deduplicating fingerprints:
+over seeded overlapping batches no subtree is pruned twice within one
+graph version, so prune ops plus subtree-cache hits equal the cold
+session's rooted-subtree visits.
 """
 
 import random
@@ -28,6 +33,8 @@ from repro.datasets import (
     generate_arxiv,
     generate_xmark,
     random_embedded_query,
+    random_labeled_graph,
+    random_query_batch,
 )
 from repro.engine import QuerySession
 from repro.query import QueryBuilder, candidate_nodes, evaluate_naive, subtree_fingerprints
@@ -188,3 +195,62 @@ def test_group_nodes_evaluation_reuses_the_original_query_subtrees():
         harness.check(query, group_nodes=("city",), where=f"grouped {position}")
         harness.check(query, where=f"ungrouped {position}")
     assert harness.hits > 0
+
+
+def unsat_rider(label):
+    """A query the normalize phase proves empty: it never prunes."""
+    return (
+        QueryBuilder()
+        .backbone("r", label=label)
+        .predicate("p", parent="r", label=label)
+        .structural("r", "p & !p")
+        .outputs("r")
+        .build()
+    )
+
+
+def test_overlapping_batches_prune_each_subtree_once_per_version():
+    hits = 0
+    for seed in range(12):
+        rng = random.Random(seed)
+        graph = random_labeled_graph(rng.randint(10, 16), rng)
+        session = QuerySession(graph, result_cache_size=0)
+        cold = QuerySession(graph, result_cache_size=0, subtree_cache_size=0)
+        pruned: set[str] = set()  # fingerprints pruned at the current version
+        for round_ in range(3):
+            where = f"seed {seed} batch {round_}"
+            if round_ == 2:
+                # An append: the clone of a node, out-edges included.
+                twin = rng.randrange(graph.num_nodes)
+                clone = graph.add_node(dict(graph.attrs(twin)))
+                for target in graph.successors(twin):
+                    graph.add_edge(clone, target)
+                pruned = set()
+            batch = random_query_batch(graph, rng, batch_size=5, overlap=0.7)
+            batch += [batch[0], unsat_rider(graph.label(0)), batch[-1]]
+            rng.shuffle(batch)
+            outcome = session.evaluate_many(batch)
+            reference = cold.evaluate_many(batch)
+            for position, (query, answer) in enumerate(zip(batch, outcome.results)):
+                assert answer == evaluate_naive(query, graph), f"{where} query {position}"
+            assert outcome.results == reference.results, where
+            assert outcome.stats.batch_unique_queries < len(batch), where
+
+            visits = 0
+            for query, stats in zip(batch, outcome.per_query):
+                fingerprints = subtree_fingerprints(session.plan(query).compiled.query)
+                for record in stats.operator_stats:
+                    if record.op != "DownwardPrune":
+                        continue
+                    visits += 1
+                    fingerprint = fingerprints[record.target]
+                    if record.note == "subtree-cache":
+                        assert fingerprint in pruned, f"{where}: {record.target} hit unseen"
+                    else:
+                        assert fingerprint not in pruned, f"{where}: {record.target} re-pruned"
+                        pruned.add(fingerprint)
+            stats = outcome.stats
+            assert stats.downward_prune_ops + stats.subtree_cache_hits == visits, where
+            assert visits == reference.stats.downward_prune_ops, where
+            hits += stats.subtree_cache_hits
+    assert hits > 0

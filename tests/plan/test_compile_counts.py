@@ -2,9 +2,9 @@
 
 Compiling Fig. 7 ``q3`` (already minimal, so one query object goes through
 parse, satisfiability, Algorithm 1 and the planner) builds every node's
-``fext`` once and every predicate's satisfiability verdict once; a single
-``evaluate()`` never computes a subtree fingerprint, and the batch path
-that needs them gets the DAG the eager fingerprints describe.
+``fext`` once and every predicate's satisfiability verdict once; neither
+``evaluate()`` nor ``evaluate_many()`` asks the logical plan for its
+subtree fingerprints, and a batch prunes each distinct subtree once.
 """
 
 import pytest
@@ -14,8 +14,7 @@ import repro.query.attribute as attribute
 import repro.query.gtpq as gtpq
 from repro.datasets import fig7_query, generate_xmark
 from repro.engine.session import QuerySession
-from repro.plan import compile_batch
-from repro.query import subtree_fingerprints
+from repro.query import evaluate_naive, subtree_fingerprints
 
 
 @pytest.fixture
@@ -61,9 +60,16 @@ def test_single_evaluate_never_fingerprints_subtrees(graph, counted):
     assert calls == []
 
     session.invalidate()
-    batch = session.evaluate_many(queries, share=True)
-    assert calls and batch.stats.batch_shared_subtrees == 17
-    plans = [session.plan(query).compiled for query in queries]
-    dag = compile_batch(graph, plans=plans).dag
-    assert list(dag.node_fingerprints) == [subtree_fingerprints(query) for query in queries]
-    assert (dag.total_occurrences, dag.distinct_subtrees) == (33, 16)
+    session.evaluate_many(queries)
+    assert calls == []
+
+
+def test_fig7_batch_prunes_each_distinct_subtree_once(graph):
+    queries = [fig7_query(variant) for variant in ("q1", "q2", "q3")]
+    fingerprints = [fp for query in queries for fp in subtree_fingerprints(query).values()]
+    assert (len(fingerprints), len(set(fingerprints))) == (33, 16)
+    batch = QuerySession(graph).evaluate_many(queries)
+    # The first visit of each distinct subtree prunes it; every other
+    # visit reads the subtree cache.
+    assert (batch.stats.downward_prune_ops, batch.stats.subtree_cache_hits) == (16, 17)
+    assert batch.results == [evaluate_naive(query, graph) for query in queries]

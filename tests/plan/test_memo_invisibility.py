@@ -5,7 +5,7 @@ depths, class verdicts, satisfiability verdicts, canonical renderings,
 prune obligations and subtree fingerprints when first asked.  That must
 change no text and no stored byte:
 
-* ``explain()`` / ``explain_batch()`` on Fig. 7 q1–q3 and the ten Table 4
+* ``explain()`` on Fig. 7 q1–q3 and the ten Table 4
   GTPQs equal ``explain_golden.json``, written **at the commit before the
   memos landed**.  Regenerate it only from a commit whose ``explain`` is
   the reference::
@@ -43,12 +43,7 @@ def make_session(**kwargs) -> QuerySession:
 
 
 def render(session: QuerySession) -> dict[str, str]:
-    queries = cases()
-    texts = {f"explain/{name}": session.explain(query) for name, query in queries.items()}
-    for family in ("fig7", "table4"):
-        batch = [query for name, query in queries.items() if name.startswith(family)]
-        texts[f"explain_batch/{family}"] = session.explain_batch(batch)
-    return texts
+    return {f"explain/{name}": session.explain(query) for name, query in cases().items()}
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +52,7 @@ def golden():
 
 
 def test_explain_text_matches_the_parent_commit(golden):
-    assert len(golden) == 3 + 10 + 2
+    assert len(golden) == 3 + 10
     assert render(make_session()) == golden
 
 
@@ -73,7 +68,7 @@ def test_pickled_plan_is_the_same_bytes_after_explain_and_execution():
         before = pickle.dumps(plan)
         session.explain(query)
         session.evaluate(query)
-        session.evaluate_many([query], share=True)
+        session.evaluate_many([query])
         assert "fext" in plan.query._facts and plan.compiled.query._facts  # the memos did fill
         assert pickle.dumps(plan) == before, name
         restored = pickle.loads(before)

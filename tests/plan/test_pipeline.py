@@ -239,6 +239,19 @@ class TestExplainSurface:
         assert "== physical plan ==" in text
         assert "minimized" in text
 
+    def test_explain_mentions_distinct_subtrees(self):
+        graph = DataGraph.from_edges("aabbcc", [(i, i + 1) for i in range(5)])
+        query = (
+            QueryBuilder()
+            .backbone("r", label="a")
+            .backbone("x", parent="r", label="b")
+            .predicate("p", parent="x", label="c")
+            .outputs("r", "x")
+            .build()
+        )
+        text = GTEA(graph).compile(query).explain()
+        assert "subtrees: 3 rooted, 3 distinct fingerprints" in text
+
     def test_explain_reuses_the_plan_cache(self):
         session = QuerySession(fig2_graph())
         query = fig2_query()

@@ -58,8 +58,10 @@ def populated(workload, tmp_path_factory):
     session = QuerySession(graph, store=store, codegen="auto")
     for query in queries[: -len(shared) - 1]:
         session.evaluate(query)
-    session.evaluate_many(shared, share=True)  # the DAG path fills subtrees
-    session.evaluate(queries[-1])  # the isolated path compiles
+    session.evaluate_many(shared)
+    for query in shared:  # group evaluation runs interpreted: it fills subtrees
+        session.evaluate(query, group_nodes=query.outputs)
+    session.evaluate(queries[-1])
     assert session.cache_info()["indexes"]["pooled"] == 0  # all of it on the closure
     session.reachability("3hop")  # pooled, like the closure's rows: never persisted
     persisted = session.persist()
