@@ -5,18 +5,16 @@ invalidation, rehydration, ``persist()``, ``replica()`` and
 ``cache_info()`` of a :class:`~repro.engine.session.QuerySession` walk:
 adding a kind is one
 entry here, and the session never names a kind itself.  The table lists
-what the warm store holds; the reachability state a session keeps in
-memory only — its index pool and the one :class:`ClosureSlot` — is not
-in it.
+what the warm store holds; what a session keeps in memory only — its
+index pool, the one :class:`ClosureSlot` and its compiled codegen
+functions — is not in it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from ..graph.digraph import DataGraph
-from ..plan import CompiledPlanFunction, rehydrate_plan_function
 from ..reachability.partial import PartialReachability
 from .cache import LRUCache
 
@@ -31,14 +29,9 @@ class ArtifactKind:
     attr: str  #: session attribute holding the live entries (an LRUCache).
     capacity: str  #: the ``QuerySession`` size parameter bounding it.
     info: str  #: ``cache_info()`` label.
-    requires: str | None = None  #: session flag that must be on to load.
     #: payload type: a dict or a list of pairs, oldest entry first either
     #: way, so a reloaded LRU evicts what the saved one would.
     container: type = dict
-    encode: Callable | None = None  #: live entry value → picklable value.
-    #: stored value → live value; an exception skips the entry, which
-    #: then cold-builds on first use.
-    decode: Callable | None = None
 
     def new_holder(self, sizes: dict[str, int]) -> LRUCache:
         return LRUCache(sizes[self.capacity])
@@ -50,8 +43,6 @@ class ArtifactKind:
     def dump(self, session) -> tuple[object, int] | None:
         """``(payload, entry count)`` to persist, or None when empty."""
         entries = list(getattr(session, self.attr).items())
-        if self.encode is not None:
-            entries = [(key, self.encode(value)) for key, value in entries]
         return (self.container(entries), len(entries)) if entries else None
 
     def load(self, session, payload) -> int:
@@ -60,16 +51,10 @@ class ArtifactKind:
         if not isinstance(payload, self.container):
             return 0
         holder = getattr(session, self.attr)
-        loaded = 0
-        for key, value in dict(payload).items():
-            if self.decode is not None:
-                try:
-                    value = self.decode(value)
-                except Exception:
-                    continue
+        entries = dict(payload)
+        for key, value in entries.items():
             holder.put(key, value)
-            loaded += 1
-        return loaded
+        return len(entries)
 
 
 class ClosureSlot:
@@ -126,22 +111,6 @@ class ClosureSlot:
         }
 
 
-def _encode_codegen(entry):
-    if isinstance(entry, CompiledPlanFunction):
-        # The exec'd function object cannot pickle; its analysis and
-        # emitted source can, and rebuild it exactly.
-        return {"source": entry.source, "analysis": entry.analysis}
-    return entry
-
-
-def _decode_codegen(payload):
-    # A persisted fallback reason (a string) is as reusable as a
-    # persisted function: the analysis never re-runs.
-    if isinstance(payload, str):
-        return payload
-    return rehydrate_plan_function(payload["analysis"], payload.get("source"))
-
-
 #: every persisted artifact kind of a session, in persist order.
 ARTIFACT_KINDS: tuple[ArtifactKind, ...] = (
     ArtifactKind("plans", "plan_cache", "plan_cache_size", "plan", container=list),
@@ -151,16 +120,4 @@ ARTIFACT_KINDS: tuple[ArtifactKind, ...] = (
     # key guarantees the graph content is identical, and the cache key
     # carries the query fingerprint + group nodes.
     ArtifactKind("results", "result_cache", "result_cache_size", "result"),
-    # Specialized plan functions per fingerprint; non-specializable
-    # plans cache their fallback reason so the analysis never re-runs.
-    # Same key space and lifetime as the plan cache.
-    ArtifactKind(
-        "codegen",
-        "codegen_cache",
-        "plan_cache_size",
-        "codegen",
-        requires="codegen",
-        encode=_encode_codegen,
-        decode=_decode_codegen,
-    ),
 )

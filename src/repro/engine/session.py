@@ -191,7 +191,8 @@ class QuerySession:
         codegen: compile GTEA-routed plans to specialized Python
             (:mod:`repro.plan.codegen`) and execute through the compiled
             function, cached per plan fingerprint next to the plan cache
-            and invalidated with the graph version.  ``"auto"`` (or
+            and invalidated with the graph version (in memory only: the
+            warm store never holds compiled functions).  ``"auto"`` (or
             ``True``) tries codegen and falls back silently to the
             interpreted operator pipeline wherever
             :func:`repro.plan.route.codegen_refusal` says it does not
@@ -246,7 +247,7 @@ class QuerySession:
             parallel = None if parallel in (None, False, 0) else ParallelOptions(workers=parallel)
         self.parallel_options = parallel
         # One holder per persisted artifact kind — self.plan_cache
-        # through self.codegen_cache are declared in ARTIFACT_KINDS, not
+        # through self.result_cache are declared in ARTIFACT_KINDS, not
         # here.
         sizes = {
             "plan_cache_size": plan_cache_size,
@@ -256,6 +257,9 @@ class QuerySession:
         }
         for kind in ARTIFACT_KINDS:
             setattr(self, kind.attr, kind.new_holder(sizes))
+        # Compiled plan functions (or fallback reasons) per fingerprint:
+        # same key space and lifetime as the plan cache, memory only.
+        self.codegen_cache = LRUCache(plan_cache_size)
         # Reachability state lives in memory only: the pooled full
         # indexes by name, and the one descendant closure.
         self._reach_pool: dict[str, GraphReachability] = {}
@@ -380,6 +384,7 @@ class QuerySession:
         alone: it asks the graph's lineage at its next use."""
         for kind in ARTIFACT_KINDS:
             getattr(self, kind.attr).clear()
+        self.codegen_cache.clear()
         self._reach_pool.clear()
         self._observed_ops.clear()
         self._closure_refused.clear()
@@ -425,8 +430,6 @@ class QuerySession:
         leaves that kind cold.
         """
         for kind in ARTIFACT_KINDS:
-            if kind.requires is not None and not getattr(self, kind.requires):
-                continue
             payload = self.store.load(self.store_fingerprint, kind.name)
             try:
                 loaded = kind.load(self, payload)
@@ -911,6 +914,8 @@ class QuerySession:
         info = {"indexes": {"pooled": len(self._reach_pool)}, "partial": self._closure.info()}
         for kind in ARTIFACT_KINDS:
             info[kind.info] = kind.describe(getattr(self, kind.attr))
+        codegen = self.codegen_cache
+        info["codegen"] = {**codegen.counters.snapshot(), "size": len(codegen)}
         info["structure"] = self.graph.structure_info()
         if self.store is not None:
             info["store"] = {

@@ -15,7 +15,6 @@ from .codegen import (
     CompiledPlanFunction,
     analyze_plan,
     compile_plan,
-    rehydrate_plan_function,
 )
 from .compile import CompiledPlan, compile_query
 from .route import ExecutionRoute, codegen_refusal, decide_route
@@ -78,5 +77,4 @@ __all__ = [
     "index_build_units",
     "normalize",
     "scoped_index_key",
-    "rehydrate_plan_function",
 ]

@@ -23,7 +23,7 @@ plan fingerprint:
 One analysis (:func:`analyze_plan`) feeds one backend: Python source
 for the whole scan + downward phase is emitted and run through
 :func:`compile`; the source is kept on the artifact
-(``CompiledPlanFunction.source``) for inspection and persistence.
+(``CompiledPlanFunction.source``) for inspection.
 
 The suffix of the pipeline (UpwardPrune → BuildMatchingGraph →
 CollectResults) is *not* specialized: the generated function hands the
@@ -466,24 +466,8 @@ class CompiledPlanFunction:
 
 def compile_plan(plan: CompiledPlan) -> CompiledPlanFunction:
     """Specialize ``plan``; raises :class:`CodegenError` if it can't be."""
-    return rehydrate_plan_function(analyze_plan(plan))
-
-
-def rehydrate_plan_function(
-    analysis: PlanAnalysis, source: str | None = None
-) -> CompiledPlanFunction:
-    """Build a specialized function from its (possibly persisted) pieces.
-
-    The warm store (:mod:`repro.store`) can only serialize the pure-data
-    half of a :class:`CompiledPlanFunction` — its :class:`PlanAnalysis`
-    and emitted source text; the executable half (an ``exec``'d function
-    object) does not pickle.  Rehydration skips :func:`analyze_plan` and
-    goes straight to ``compile``/``exec`` over the stored source.  When
-    the source text is absent it is re-emitted from the analysis, which
-    is deterministic.
-    """
-    if source is None:
-        source = emit_plan_source(analysis)
+    analysis = analyze_plan(plan)
+    source = emit_plan_source(analysis)
     namespace = _runtime_namespace(analysis)
     exec(compile(source, "<repro.plan.codegen>", "exec"), namespace)
     return CompiledPlanFunction(namespace["_specialized"], source, analysis)

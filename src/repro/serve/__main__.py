@@ -2,9 +2,10 @@
 
 Demo/ops entry point: builds the deterministic XMark graph for
 ``--scale``/``--seed`` (the same generator the benchmarks use, so a
-warm store produced by ``python -m repro.store.restart`` matches by
-content fingerprint), starts a :class:`~repro.serve.QueryServer` and
-serves until interrupted.
+warm store written by a session over that graph matches by content
+fingerprint), starts a :class:`~repro.serve.QueryServer` and serves
+until interrupted; with ``--store`` it persists the warmest worker's
+artifacts on the way out.
 """
 
 from __future__ import annotations
@@ -27,18 +28,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scale", type=float, default=0.05, help="XMark scale factor")
     parser.add_argument("--seed", type=int, default=42, help="XMark generator seed")
     parser.add_argument("--store", default=None, help="warm-store directory to share")
-    parser.add_argument("--codegen", action="store_true", help="specialize plans")
     return parser
 
 
 async def _run(args) -> None:
     graph = generate_xmark(scale=args.scale, seed=args.seed).graph
-    server = QueryServer(
-        graph,
-        workers=args.workers,
-        store=args.store,
-        codegen="auto" if args.codegen else False,
-    )
+    server = QueryServer(graph, workers=args.workers, store=args.store)
     await server.start()
     # Graph, rehydrated caches and condensation stay for the life of the
     # process: keep the collector from walking them under the first

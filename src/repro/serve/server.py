@@ -91,7 +91,9 @@ class QueryServer:
             a directory path, or ``None`` for purely in-memory workers.
             At :meth:`start` the first worker reads the store, and the
             rest start from its caches.
-        index / codegen / adaptive: forwarded to each worker session.
+
+    Every worker is a default session: ``index="auto"``, interpreted,
+    serial.
 
     Usage::
 
@@ -107,9 +109,6 @@ class QueryServer:
         *,
         workers: int = 4,
         store: ArtifactStore | str | os.PathLike | None = None,
-        index: str = "auto",
-        codegen: bool | str = False,
-        adaptive: bool = False,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -119,9 +118,6 @@ class QueryServer:
             self.store = store
         else:
             self.store = ArtifactStore(store)
-        self.index = index
-        self.codegen = codegen
-        self.adaptive = adaptive
         self.stats = ServerStats()
         self._sessions: list[QuerySession] = []
         self._pool: asyncio.Queue[QuerySession] | None = None
@@ -157,13 +153,7 @@ class QueryServer:
     def _build_workers(self) -> list[QuerySession]:
         # The first worker reads the store (one content fingerprint, one
         # load per kind); the rest start from its caches.
-        first = QuerySession(
-            self.graph,
-            self.index,
-            codegen=self.codegen,
-            adaptive=self.adaptive,
-            store=self.store,
-        )
+        first = QuerySession(self.graph, store=self.store)
         sessions = [first] + [first.replica() for _ in range(self.workers - 1)]
         for session in sessions:
             # Touching the engine resolves the index now, not under the
@@ -302,9 +292,12 @@ async def _handle_connection(server: QueryServer, reader, writer) -> None:
             break
         if not line:
             break
+        submitted = False
         try:
             payload = json.loads(line)
-            results = await server.submit(payload["query"], payload.get("group_nodes", ()))
+            query, group_nodes = payload["query"], payload.get("group_nodes", ())
+            submitted = True
+            results = await server.submit(query, group_nodes)
             response = {
                 "ok": True,
                 "count": len(results),
@@ -313,6 +306,10 @@ async def _handle_connection(server: QueryServer, reader, writer) -> None:
         except StaleSnapshotError as error:
             response = {"ok": False, "stale": True, "error": str(error)}
         except Exception as error:
+            # submit() counts the errors of the requests it receives; a
+            # line that is no request never gets there.
+            if not submitted:
+                server.stats.errors += 1
             response = {"ok": False, "error": f"{type(error).__name__}: {error}"}
         writer.write(json.dumps(response).encode("utf-8") + b"\n")
         await writer.drain()

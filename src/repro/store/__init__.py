@@ -2,12 +2,12 @@
 
 The warm store serializes the artifacts a :class:`repro.engine.QuerySession`
 accumulates — compiled plans, candidate sets, downward-pruned subtree
-sets, answer sets, and emitted codegen source and analyses
-(:data:`repro.engine.artifacts.ARTIFACT_KINDS`) — under a **graph content
-fingerprint** so a fresh process rehydrates them instead of rebuilding
-(``QuerySession(store=...)``).  Reachability state is not stored: the
-graph condenses once per process and closure rows fill as misses read
-them.
+sets and answer sets (:data:`repro.engine.artifacts.ARTIFACT_KINDS`) —
+under a **graph content fingerprint** so a fresh process rehydrates them
+instead of rebuilding (``QuerySession(store=...)``).  Reachability state
+is not stored: the graph condenses once per process and closure rows
+fill as misses read them.  Nor are the functions of ``codegen=``
+sessions: a fresh process compiles them again.
 
 Two pieces:
 
@@ -18,8 +18,7 @@ Two pieces:
   artifact files; every failure mode degrades to a cold build.
 
 :mod:`repro.serve` builds the multi-worker serving tier on top of this
-package; ``python -m repro.store.restart`` is the warm-restart driver
-(one fresh-process leg per invocation; ``tests/store/test_warm_restart.py``).
+package.
 """
 
 from .fingerprint import graph_fingerprint

@@ -1,8 +1,8 @@
 """The warm store: durable evaluation artifacts keyed by graph content.
 
 What the engine learns per query — compiled plans, candidate sets,
-downward-pruned subtree sets, answer sets, emitted codegen source — is
-content-addressed, so it can outlive the process that paid for it.  An
+downward-pruned subtree sets, answer sets — is content-addressed, so it
+can outlive the process that paid for it.  An
 :class:`ArtifactStore` is a directory of self-describing artifact
 files::
 
@@ -21,6 +21,8 @@ Writes are atomic: the payload lands in a uniquely named temp file in
 the same directory and is published with :func:`os.replace`, so
 concurrent writers racing on one key leave exactly one complete artifact
 (the last rename wins) and readers never observe a half-written file.
+A :meth:`~ArtifactStore.prune` or :meth:`~ArtifactStore.clear` that
+removes the directory under a writer makes the writer create it again.
 
 The payload is :mod:`pickle` — the store directory must be trusted
 exactly like the code itself (pickle executes on load).  This mirrors
@@ -45,6 +47,10 @@ STORE_FORMAT_VERSION = 3
 
 _MAGIC = b"repro-store\n"
 _SUFFIX = ".artifact"
+
+#: writes :meth:`ArtifactStore.save` tries before it gives up on a
+#: fingerprint directory that concurrent evictions keep removing.
+_SAVE_ATTEMPTS = 5
 
 
 class StoreCounters:
@@ -101,10 +107,12 @@ class ArtifactStore:
         """Atomically publish ``payload`` under ``(fingerprint, kind)``.
 
         Serialization errors propagate (callers decide whether a kind is
-        best-effort); partial writes never become visible.
+        best-effort); partial writes never become visible.  When a
+        concurrent :meth:`prune` or :meth:`clear` removes the fingerprint
+        directory (or the temp file) mid-write, the write starts over in
+        a re-created directory, up to ``_SAVE_ATTEMPTS`` times.
         """
         target = self.path(fingerprint, kind)
-        target.parent.mkdir(parents=True, exist_ok=True)
         header = {
             "format": STORE_FORMAT_VERSION,
             "fingerprint": fingerprint,
@@ -116,13 +124,20 @@ class ArtifactStore:
             + b"\n"
             + pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         )
-        temp = target.parent / f".{kind}.{os.getpid()}.{uuid.uuid4().hex}.tmp"
-        try:
-            temp.write_bytes(blob)
-            os.replace(temp, target)
-        except BaseException:
-            temp.unlink(missing_ok=True)
-            raise
+        for attempt in range(1, _SAVE_ATTEMPTS + 1):
+            target.parent.mkdir(parents=True, exist_ok=True)
+            temp = target.parent / f".{kind}.{os.getpid()}.{uuid.uuid4().hex}.tmp"
+            try:
+                temp.write_bytes(blob)
+                os.replace(temp, target)
+                break
+            except FileNotFoundError:
+                temp.unlink(missing_ok=True)
+                if attempt == _SAVE_ATTEMPTS:
+                    raise
+            except BaseException:
+                temp.unlink(missing_ok=True)
+                raise
         self.counters.writes += 1
         return target
 
@@ -211,7 +226,7 @@ class ArtifactStore:
             try:
                 # A writer killed between write and rename leaves its temp
                 # file behind; a live writer's save() fails its rename and
-                # raises, publishing nothing.
+                # writes again.
                 for orphan in directory.glob(".*.tmp"):
                     orphan.unlink(missing_ok=True)
                 directory.rmdir()

@@ -12,9 +12,10 @@ three ways:
   silently fall back to a cold build and still match the oracle (the
   store can cost time, never correctness).
 
-The cases run with codegen enabled so the persisted plan, result and
-specialized-function artifacts all round-trip through pickle and the
-rehydration path, not just the easy ones.
+The cases run with codegen enabled: compiled functions are not
+persisted, so every rehydrated plan is specialized again by the codegen
+backend, and a plan that round-tripped through pickle must compile to
+the same answers as a fresh one.
 """
 
 import random

@@ -1,4 +1,6 @@
-"""``python -m repro.serve`` end to end: start, answer, SIGINT, persist."""
+"""``python -m repro.serve`` end to end: start, answer, SIGINT, persist,
+and a session in this process — not the writer — starting warm from the
+persisted store."""
 
 import json
 import os
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import repro
 from repro.datasets import generate_xmark
+from repro.engine import QuerySession
 from repro.query import QueryBuilder, evaluate_naive, query_to_dict
 from repro.store import ArtifactStore, graph_fingerprint
 
@@ -68,3 +71,11 @@ def test_serves_one_query_and_persists_on_sigint(tmp_path):
     assert {tuple(row) for row in reply["results"]} == expected
     kinds = ArtifactStore(store).kinds(graph_fingerprint(graph))
     assert {"plans", "results"} <= set(kinds)
+
+    session = QuerySession(graph, store=store)
+    assert session.store_rehydrated["plans"] > 0
+    assert session.store_rehydrated["results"] > 0
+    answer, stats = session.evaluate_with_stats(query)
+    assert (stats.result_cache_hits, stats.result_cache_misses) == (1, 0)
+    assert answer == expected
+    session.close()

@@ -1,6 +1,7 @@
 """The serving tier: worker pool, snapshot pinning, and the TCP front."""
 
 import asyncio
+import inspect
 import json
 import pickle
 import sys
@@ -147,6 +148,9 @@ class TestQueryServer:
         assert errors == 1
         assert answer == evaluate_naive(serve_query(), graph)
 
+    def test_workers_are_default_sessions(self):
+        assert list(inspect.signature(QueryServer).parameters) == ["graph", "workers", "store"]
+
     def test_submit_before_start_raises(self):
         async def run():
             await QueryServer(serve_graph()).submit(serve_query())
@@ -215,8 +219,8 @@ class TestQueryServer:
 
 
 def primed_store(graph, root):
-    """A store primed with ``serve_query("b")`` by one codegen session."""
-    session = QuerySession(graph, store=root, codegen="auto")
+    """A store primed with ``serve_query("b")`` by one session."""
+    session = QuerySession(graph, store=root)
     session.evaluate(serve_query("b"))
     session.persist()
     return ArtifactStore(root)
@@ -249,7 +253,7 @@ class TestWarmOnce:
         graph = serve_graph()
         store = primed_store(graph, tmp_path / "store")
         present = store.kinds(graph_fingerprint(graph))
-        assert {"plans", "candidates", "results", "codegen"} <= set(present)
+        assert {"plans", "candidates", "results"} <= set(present)
         walks = []
 
         def counted(walked):
@@ -257,7 +261,7 @@ class TestWarmOnce:
             return graph_fingerprint(walked)
 
         monkeypatch.setattr("repro.engine.session.graph_fingerprint", counted)
-        server = QueryServer(graph, workers=workers, store=store, codegen="auto")
+        server = QueryServer(graph, workers=workers, store=store)
 
         sessions = started_sessions(server)
         assert store.counters.hits == len(present)
@@ -274,7 +278,7 @@ class TestWarmOnce:
     def test_replica_caches_are_private(self, tmp_path):
         graph = serve_graph()
         store = primed_store(graph, tmp_path / "store")
-        server = QueryServer(graph, workers=3, store=store, codegen="auto")
+        server = QueryServer(graph, workers=3, store=store)
 
         sessions = started_sessions(server)
         for writer in sessions:
@@ -298,6 +302,8 @@ class TestWarmOnce:
             assert [key for key, _ in theirs.items()] == [key for key, _ in mine.items()]
             assert all(a is b for (_, a), (_, b) in zip(theirs.items(), mine.items()))
             assert theirs.counters.hits == theirs.counters.misses == 0
+        # Compiled functions are no artifact kind: a replica compiles its own.
+        assert len(first.codegen_cache) == 1 and len(twin.codegen_cache) == 0
 
     def test_concurrent_hit_and_miss_on_every_worker_match_the_oracle(self, tmp_path):
         """Four worker threads (more than the cores CI has) run the shared
@@ -306,7 +312,7 @@ class TestWarmOnce:
         graph = serve_graph()
         store = primed_store(graph, tmp_path / "store")
         hit, miss = serve_query("b"), serve_query("c")
-        server = QueryServer(graph, workers=4, store=store, codegen="auto")
+        server = QueryServer(graph, workers=4, store=store)
 
         async def run():
             await server.start()
@@ -384,12 +390,41 @@ class TestTcpFront:
             tcp.close()
             await tcp.wait_closed()
             await server.stop()
-            return responses
+            return responses, server.stats.errors
 
-        first, second, bad = asyncio.run(run())
+        (first, second, bad), errors = asyncio.run(run())
         assert first["ok"] and first["count"] == len(expected)
         assert first == second, "identical answers must render byte-identically"
         assert not bad["ok"] and "error" in bad
+        assert errors == 1, "an evaluation error is counted once"
+
+    def test_malformed_request_lines_are_counted_once_each(self):
+        graph = serve_graph()
+        query = serve_query()
+        lines = [b"not json\n", b'{"group_nodes": []}\n', b'[{"query": 1}]\n']
+
+        async def run():
+            server = QueryServer(graph, workers=1)
+            tcp = await serve_tcp(server, host="127.0.0.1", port=0)
+            port = tcp.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            responses = []
+            for line in [*lines, (json.dumps({"query": query_to_dict(query)}) + "\n").encode()]:
+                writer.write(line)
+                await writer.drain()
+                responses.append(json.loads(await asyncio.wait_for(reader.readline(), 10)))
+            writer.close()
+            await writer.wait_closed()
+            tcp.close()
+            await tcp.wait_closed()
+            await server.stop()
+            return responses, server.stats.summary()
+
+        responses, summary = asyncio.run(run())
+        *bad, good = responses
+        assert [(reply["ok"], "error" in reply) for reply in bad] == [(False, True)] * 3
+        assert good["ok"] and good["count"] == len(evaluate_naive(query, graph))
+        assert (summary["errors"], summary["requests"], summary["stale_rejections"]) == (3, 1, 0)
 
     def test_oversized_request_line_gets_a_reply_and_only_its_connection_closes(self):
         graph = serve_graph()

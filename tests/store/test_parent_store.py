@@ -1,6 +1,7 @@
-"""A store written when reachability indexes and the cost profile were
-persisted still loads: those files are ignored — never opened, counted
-neither corrupt nor stale — and leave with ``clear()``."""
+"""A store written when reachability indexes, the cost profile and
+emitted codegen source were persisted still loads: those files are
+ignored — never opened, counted neither corrupt nor stale — and leave
+with ``clear()``."""
 
 import json
 import zipfile
@@ -9,7 +10,7 @@ from repro.engine import QuerySession
 from repro.query import evaluate_naive
 from tests.store.parent_store import DIGESTS, STORE_ZIP, build_graph, digest, queries
 
-RETIRED = ["indexes", "partial-indexes", "profile"]
+RETIRED = ["codegen", "indexes", "partial-indexes", "profile"]
 
 
 def test_parent_written_store_rehydrates_with_equal_digests(tmp_path):
@@ -18,13 +19,17 @@ def test_parent_written_store_rehydrates_with_equal_digests(tmp_path):
     graph = build_graph()
     session = QuerySession(graph, store=tmp_path)
     store, fingerprint = session.store, session.store_fingerprint
-    # The fixture holds the two index kinds; the profile kind is added raw.
-    assert store.kinds(fingerprint) == RETIRED[:2]
+    # The fixture holds the two index kinds; profile and codegen are added raw.
+    assert store.kinds(fingerprint) == ["indexes", "partial-indexes"]
     store.save(fingerprint, "profile", {"keys": []})
+    store.save(fingerprint, "codegen", {"fingerprint": {"source": "", "analysis": None}})
     untouched = {kind: store.path(fingerprint, kind).read_bytes() for kind in RETIRED}
 
-    session = QuerySession(graph, store=tmp_path)
-    assert not {"indexes", "partial_indexes", "profile_executions"} & set(session.store_rehydrated)
+    # Even a codegen session never opens the codegen file.
+    session = QuerySession(graph, store=tmp_path, codegen="auto")
+    retired_keys = {"indexes", "partial_indexes", "profile_executions", "codegen"}
+    assert not retired_keys & set(session.store_rehydrated)
+    assert session.cache_info()["codegen"]["size"] == 0
     assert sum(session.store_rehydrated.values()) == 0
     assert store.kinds(fingerprint) == RETIRED
 

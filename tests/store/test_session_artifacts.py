@@ -10,7 +10,9 @@ cold" when its file is damaged or holds the wrong type.
 The table lists what is persisted and nothing else: reachability state —
 the pooled indexes and the one descendant closure — lives in memory
 only, so a warm restart condenses the graph once per process and fills
-closure rows as misses read them, exactly like a cold session.
+closure rows as misses read them, exactly like a cold session.  So do
+the compiled functions of a ``codegen=`` session: a restarted one
+compiles each plan again on its first run.
 """
 
 import shutil
@@ -100,8 +102,8 @@ def assert_answers(session, workload):
         assert session.evaluate(query) == answer
 
 
-def test_the_table_is_the_five_persisted_kinds():
-    assert KIND_IDS == ["plans", "candidates", "subtrees", "results", "codegen"]
+def test_the_table_is_the_four_persisted_kinds():
+    assert KIND_IDS == ["plans", "candidates", "subtrees", "results"]
 
 
 def test_every_kind_persists_under_its_own_name(populated):
@@ -149,21 +151,30 @@ def test_unpicklable_entry_skips_only_its_kind(workload, populated, tmp_path):
     assert set(persisted) == set(KIND_IDS) - {"results"}
 
 
-def test_codegen_kind_is_skipped_with_codegen_off(workload, populated):
-    session = QuerySession(workload[0], store=populated[0].root)
-    assert session.store_rehydrated["codegen"] == 0
+def test_codegen_functions_stay_in_memory(workload, populated):
+    """A ``codegen="auto"`` session persists the four kinds; a fresh one
+    over that store compiles its first plan again."""
+    store, writer, persisted = populated
+    assert writer.cache_info()["codegen"]["size"] > 0
+    assert sorted(persisted) == sorted(KIND_IDS)
+    assert store.kinds(writer.store_fingerprint) == sorted(KIND_IDS)
+    session = reopen(workload, store.root, result_cache_size=0)
+    assert "codegen" not in session.store_rehydrated
     assert session.cache_info()["codegen"]["size"] == 0
+    _, stats = session.evaluate_with_stats(workload[1][-1])
+    assert stats.codegen_misses == 1
+    assert session.cache_info()["codegen"]["size"] == 1
 
 
 def test_rehydrated_artifacts_are_used(workload, populated):
     graph, queries, shared, _ = workload
     session = reopen(workload, populated[0].root, result_cache_size=0)
-    # The plan and its compiled function are hits; the closure is not
-    # stored and fills under the execution that reads it.
+    # The plan is a hit; the compiled function and the closure are not
+    # stored and build under the execution that needs them.
     assert session.cache_info()["partial"]["rows"] == 0
     _, stats = session.evaluate_with_stats(queries[-1])
     assert (stats.plan_cache_hits, stats.plan_cache_misses) == (1, 0)
-    assert (stats.codegen_hits, stats.codegen_misses) == (1, 0)
+    assert (stats.codegen_hits, stats.codegen_misses) == (0, 1)
     assert session.cache_info()["partial"]["rows"] > 0
     assert session.cache_info()["indexes"]["pooled"] == 0
 

@@ -18,6 +18,7 @@ import hashlib
 import os
 import pickle
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -247,6 +248,70 @@ class TestFailureModes:
         session.evaluate(simple_query())
         assert session.persist() == {}
         assert store.fingerprints() == []
+
+
+class TestSaveRacesEviction:
+    """``prune()`` and ``clear()`` remove a fingerprint directory once
+    they have emptied it; a ``save()`` in flight there writes again."""
+
+    def test_prune_between_mkdir_and_write_is_survived(self, store, monkeypatch):
+        saved(store, kind="results")  # the directory's only artifact
+        mkdir = Path.mkdir
+        pruned = []
+
+        def mkdir_then_prune(path, *args, **kwargs):
+            mkdir(path, *args, **kwargs)
+            if not pruned:
+                pruned.append(path)
+                store.prune(0)  # evicts "results" and removes the directory
+
+        monkeypatch.setattr(Path, "mkdir", mkdir_then_prune)
+        store.save(FP, "plans", {"answer": 42})
+        assert pruned == [store.root / FP]
+        assert (store.counters.evictions, store.counters.writes) == (1, 2)
+        assert store.kinds(FP) == ["plans"]
+        assert store.load(FP, "plans") == {"answer": 42}
+
+    def test_writers_racing_prune_load_complete_payloads_or_the_default(self, store):
+        payloads = {f"k{n}": list(range(n * 100, n * 100 + 200)) for n in range(4)}
+        fingerprints = [letter * 64 for letter in "abc"]
+        barrier = threading.Barrier(len(payloads) + 2, timeout=60)
+        writing = threading.Event()
+        writing.set()
+        errors, loads = [], []
+
+        def write(kind):
+            barrier.wait()
+            try:
+                for round_ in range(30):
+                    store.save(fingerprints[round_ % 3], kind, payloads[kind])
+            except Exception as error:
+                errors.append(error)
+
+        def evict():
+            barrier.wait()
+            while writing.is_set():
+                store.prune(2000)
+
+        def read():
+            barrier.wait()
+            while not loads or writing.is_set():
+                for fingerprint in fingerprints:
+                    for kind in payloads:
+                        loads.append((kind, store.load(fingerprint, kind, default="cold")))
+
+        writers = [threading.Thread(target=write, args=(kind,)) for kind in payloads]
+        others = [threading.Thread(target=evict), threading.Thread(target=read)]
+        for thread in writers + others:
+            thread.start()
+        for thread in writers:
+            thread.join()
+        writing.clear()
+        for thread in others:
+            thread.join()
+        assert errors == []
+        assert loads and all(value in ("cold", payloads[kind]) for kind, value in loads)
+        assert (store.counters.corrupt, store.counters.stale) == (0, 0)
 
 
 def two_label_graph():
