@@ -31,9 +31,6 @@ class BaselineEvaluator(ABC):
     def __init__(self, graph: DataGraph):
         self.graph = graph
         self.stats = EvaluationStats()
-        #: optional ``(query, node_id) -> mat(u)`` override; the plan
-        #: executor injects the session's shared candidate cache here.
-        self.candidate_provider = None
 
     @abstractmethod
     def evaluate(self, query: GTPQ) -> ResultSet:
@@ -48,12 +45,7 @@ class BaselineEvaluator(ABC):
     # ------------------------------------------------------------------
     def candidates(self, query: GTPQ) -> dict[str, list[int]]:
         """``mat(u)`` per query node, counted as #input."""
-        if self.candidate_provider is not None:
-            mats = {
-                u: list(self.candidate_provider(query, u)) for u in query.nodes
-            }
-        else:
-            mats = {u: candidate_nodes(self.graph, query, u) for u in query.nodes}
+        mats = {u: candidate_nodes(self.graph, query, u) for u in query.nodes}
         self.stats.input_nodes += sum(len(nodes) for nodes in mats.values())
         return mats
 

@@ -22,7 +22,7 @@ import sys
 from ..datasets import fig7_query, generate_xmark
 from ..engine import QuerySession
 from ..graph import depth_stats, graph_stats
-from ..reachability import select_auto_index
+from ..reachability import available_indexes, select_auto_index
 from .harness import format_table
 
 
@@ -92,6 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--variant", default="q3", choices=["q1", "q2", "q3"],
                          help="Fig. 7 query variant (default: q3)")
     explain.add_argument("--index", default="auto",
+                         choices=["auto", *available_indexes()],
                          help="reachability index name (default: auto)")
     explain.add_argument("--query-json", metavar="FILE",
                          help="explain a serialized GTPQ (JSON file) instead")

@@ -9,9 +9,9 @@ points:
   compiled plans; accepts any registered reachability index, including
   ``index="auto"`` (the cost model's choice).  The 3-hop index gets the
   paper's chain/contour pruning fast path, every other index the
-  generic fallback; unsatisfiable queries short-circuit to O(1), and
-  low-selectivity conjunctive queries on DAGs run on the TwigStackD
-  baseline when the cost model prefers it.
+  generic fallback; unsatisfiable queries short-circuit to O(1).  GTEA
+  is the one executor: the TwigStackD baseline lives in
+  :mod:`repro.baselines` for the paper's comparisons only.
 * :class:`QuerySession` — a serving layer above :class:`GTEA`: a pool of
   lazily built indexes plus compiled-plan/candidate/result caches keyed
   by canonical query fingerprints, with batch evaluation
@@ -28,7 +28,6 @@ from .cache import CacheCounters, LRUCache
 from .gtea import GTEA, evaluate_gtea
 from .matching_graph import MatchingGraph, build_matching_graph
 from .operators import (
-    BaselineDelegate,
     BuildMatchingGraph,
     CandidateScan,
     CollectResults,
@@ -50,7 +49,6 @@ from .session import BatchResult, QueryPlan, QuerySession
 from .stats import EvaluationStats
 
 __all__ = [
-    "BaselineDelegate",
     "BatchResult",
     "BuildMatchingGraph",
     "CacheCounters",

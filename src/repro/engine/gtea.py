@@ -8,8 +8,7 @@ Evaluation runs in four explicit phases (see :mod:`repro.plan`):
 3. **physical plan** — reachability index, and an explicit ordered
    *operator list* (:mod:`repro.engine.operators`): CandidateScan →
    DownwardPrune per node → UpwardPrune → BuildMatchingGraph →
-   CollectResults, or BaselineDelegate / ConstantEmpty for plans routed
-   away from GTEA;
+   CollectResults, or ConstantEmpty for unsatisfiable plans;
 4. **execute** — this module: a thin driver that instantiates the
    plan's operators and runs them through
    :func:`repro.engine.operators.run_pipeline`, optionally with
@@ -58,9 +57,12 @@ CandidateProvider = Callable[[GTPQ, str], list[int]]
 class GTEA:
     """The GTPQ evaluation engine.
 
-    The reachability index is built once per graph and shared across
-    queries (indexes are query-independent, unlike the R-join index the
-    paper criticizes in Section 4.1).
+    The reachability index is built once per graph version and shared
+    across queries (indexes are query-independent, unlike the R-join
+    index the paper criticizes in Section 4.1).  An index the engine
+    built itself is dropped, with its resolved ``"auto"`` name, at the
+    first use after the graph's version moved; a service passed in as
+    ``reachability=`` is the caller's to keep current.
     """
 
     def __init__(
@@ -97,9 +99,10 @@ class GTEA:
         self._resolved_index: str | None = (
             reachability.index.name if reachability is not None else None
         )
+        #: graph version of the self-built index; None for a passed-in one.
+        self._index_version: int | None = graph.version if reachability is None else None
         self.optimize = optimize
         self.adaptive = adaptive
-        self._baseline = None
         self._stats_cache: tuple[int, GraphStats] | None = None
 
     @property
@@ -107,9 +110,9 @@ class GTEA:
         """The reachability service, built lazily on first use.
 
         Laziness keeps plans that never probe an index — unsatisfiable
-        queries, baseline-routed queries — from paying index
-        construction.
+        queries — from paying index construction.
         """
+        self._drop_stale_index()
         if self._reachability is None:
             self._reachability = build_reachability(
                 self.graph, self._index_request
@@ -119,6 +122,7 @@ class GTEA:
 
     def resolved_index(self) -> str:
         """The concrete index name, resolved without building the index."""
+        self._drop_stale_index()
         if self._resolved_index is None:
             if self._index_request == "auto":
                 from ..plan.cost import choose_index
@@ -128,13 +132,14 @@ class GTEA:
                 self._resolved_index = self._index_request
         return self._resolved_index
 
-    def baseline(self):
-        """The lazily built TwigStackD delegate of the baseline route."""
-        if self._baseline is None:
-            from ..baselines.twigstackd import TwigStackD
-
-            self._baseline = TwigStackD(self.graph)
-        return self._baseline
+    def _drop_stale_index(self) -> None:
+        """Forget a self-built index (and the ``"auto"`` pick) made for
+        an older graph version."""
+        version = self.graph.version
+        if self._index_version is not None and self._index_version != version:
+            self._reachability = None
+            self._resolved_index = None
+            self._index_version = version
 
     # ------------------------------------------------------------------
     # Compilation

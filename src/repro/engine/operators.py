@@ -13,7 +13,6 @@ operators, each exposing ``run(state) -> state`` over a shared
 * :class:`BuildMatchingGraph` — shrink + assemble the matching graph;
 * :class:`CollectResults` — Algorithm CollectResults (incl. group
   nodes and alternative output structures);
-* :class:`BaselineDelegate` — the TwigStackD route of the cost model;
 * :class:`ConstantEmpty` — the O(1) answer for unsatisfiable plans.
 
 :func:`run_pipeline` drives an operator list and records one
@@ -128,7 +127,7 @@ class ExecutionState:
         """The pruning context, built lazily (first index-touching op).
 
         Laziness keeps plans that never probe an index — unsatisfiable
-        or baseline-routed — from paying index construction.
+        ones — from paying index construction.
         """
         if self._context is None:
             self._context = PruningContext(self.graph, self.query, self.engine.reachability)
@@ -307,28 +306,6 @@ class CollectResults(Operator):
         return state.finish(results)
 
 
-class BaselineDelegate(Operator):
-    """Run the TwigStackD baseline the cost model routed to."""
-
-    def run(self, state: ExecutionState) -> ExecutionState:
-        stats = state.stats
-        baseline = state.engine.baseline()
-        baseline.candidate_provider = state.candidate_provider
-        try:
-            with stats.time_phase("baseline"):
-                results, baseline_stats = baseline.evaluate_with_stats(state.query)
-        finally:
-            baseline.candidate_provider = None
-        stats.input_nodes += baseline_stats.input_nodes
-        stats.index_lookups += baseline_stats.index_lookups
-        stats.index_entries += baseline_stats.index_entries
-        stats.intermediate_tuples += baseline_stats.intermediate_tuples
-        stats.result_count = len(results)
-        for name, seconds in baseline_stats.phase_seconds.items():
-            stats.phase_seconds[name] = stats.phase_seconds.get(name, 0.0) + seconds
-        return state.finish(results)
-
-
 class ConstantEmpty(Operator):
     """The constant-empty answer (unsatisfiable plans): no I/O at all."""
 
@@ -352,7 +329,6 @@ OPERATOR_CLASSES = {
     "UpwardPrune": UpwardPrune,
     "BuildMatchingGraph": BuildMatchingGraph,
     "CollectResults": CollectResults,
-    "BaselineDelegate": BaselineDelegate,
     "ConstantEmpty": ConstantEmpty,
 }
 
@@ -438,8 +414,6 @@ def _operator_input_size(state: ExecutionState, operator: Operator) -> int:
         return len(state.mats.get(operator.target, ()))
     if isinstance(operator, (UpwardPrune, BuildMatchingGraph, CollectResults)):
         return sum(len(nodes) for nodes in state.down.values())
-    if isinstance(operator, BaselineDelegate):
-        return state.graph.num_nodes + state.graph.num_edges
     return 0
 
 

@@ -277,9 +277,9 @@ class ParallelExecutor:
     ) -> tuple[ResultSet, EvaluationStats]:
         """Run a compiled plan with a sharded downward phase.
 
-        Plans routed away from GTEA (unsatisfiable, baseline) and group
-        evaluations (which run the original query) delegate to the
-        engine's serial pipeline unchanged.
+        Unsatisfiable (constant-empty) plans and group evaluations
+        (which run the original query) delegate to the engine's serial
+        pipeline unchanged.
         """
         if stats is None:
             stats = EvaluationStats()

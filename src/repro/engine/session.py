@@ -112,7 +112,7 @@ class QueryPlan:
         compiled: the full :class:`~repro.plan.CompiledPlan` — normalize
             rewrites, logical IR and physical decisions; what
             :meth:`QuerySession.explain` renders and what the executor
-            runs (baseline routing lives in ``compiled.physical``).
+            runs.
     """
 
     query: GTPQ
@@ -196,7 +196,7 @@ class QuerySession:
             ``True``) tries codegen and falls back silently to the
             interpreted operator pipeline wherever
             :func:`repro.plan.route.codegen_refusal` says it does not
-            apply — baseline-routed or partial-scope plans, sharded,
+            apply — unsatisfiable or partial-scope plans, sharded,
             group or adaptive runs — recording the
             ``codegen_hits`` / ``codegen_misses`` /
             ``codegen_fallbacks`` counters; ``False`` (default) never

@@ -78,7 +78,7 @@ class EvaluationStats:
     #: executions that compiled a specialized function first.
     codegen_misses: int = 0
     #: codegen-enabled executions that ran the interpreted pipeline
-    #: anyway (baseline-routed, parallel-sharded, group evaluation, or a
+    #: anyway (unsatisfiable, parallel-sharded, group evaluation, or a
     #: plan the backend cannot specialize).
     codegen_fallbacks: int = 0
     # ------------------------------------------------------------------

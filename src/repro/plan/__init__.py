@@ -5,8 +5,8 @@ The optimizer layer between :mod:`repro.query` and :mod:`repro.engine`.
 inspectable artifact whose ``explain()`` shows the rewrites of the
 normalize phase (simplification, Theorem-1 satisfiability, Algorithm-1
 minimization), the logical IR (candidate sources, prune obligations,
-prune order) and the physical decisions (reachability index, executor,
-cost estimates).  :class:`repro.engine.GTEA` executes compiled plans;
+prune order) and the physical decisions (reachability index, operator
+pipeline).  :class:`repro.engine.GTEA` executes compiled plans;
 :class:`repro.engine.QuerySession` caches them per query fingerprint.
 """
 
@@ -23,14 +23,12 @@ from .cost import (
     AUTO_NEAR_TREE_RATIO,
     PARTIAL_CONE_EXPANSION,
     PARTIAL_FOOTPRINT_FRACTION,
-    CostEstimate,
     IndexChoice,
     choose_index,
     choose_index_detail,
     choose_scoped_index,
     closure_fill_units,
     estimate_candidates,
-    estimate_executor,
     index_build_units,
     scoped_index_key,
 )
@@ -50,7 +48,6 @@ __all__ = [
     "CodegenError",
     "CompiledPlan",
     "CompiledPlanFunction",
-    "CostEstimate",
     "ExecutionRoute",
     "IndexChoice",
     "LogicalPlan",
@@ -73,7 +70,6 @@ __all__ = [
     "compile_query",
     "decide_route",
     "estimate_candidates",
-    "estimate_executor",
     "index_build_units",
     "normalize",
     "scoped_index_key",

@@ -30,9 +30,9 @@ CollectResults) is *not* specialized: the generated function hands the
 execution state to the existing operators, bypassing the per-operator
 stats wrapper.
 
-A plan qualifies when it routes to the GTEA executor and its downward
-order covers the rewritten query (``PhysicalPlan.covers_query``);
-baseline-routed, constant-empty and partially-ordered plans raise
+A plan qualifies when it runs the GTEA pipeline and its downward order
+covers the rewritten query (``PhysicalPlan.covers_query``);
+constant-empty and partially-ordered plans raise
 :class:`CodegenError` — callers (``GTEA.execute`` behind
 ``QuerySession(codegen=...)``) fall back to the interpreted pipeline.
 """

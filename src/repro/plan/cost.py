@@ -1,20 +1,14 @@
 """The physical planner's cost model.
 
-Two decisions are made here, both from statistics only (no index is
-built and no candidate list is materialized at costing time):
-
-* **index choice** — the ladder of :func:`choose_index`: the lazily
-  filled descendant closure (``tc``) while its worst case fits a memory
-  bound, graph shape above it
-  (:func:`repro.reachability.factory.select_auto_index` delegates here,
-  so the cost model is the single owner of the decision);
-* **executor choice** — GTEA versus the TwigStackD baseline.  GTEA's
-  per-query work scales with the candidate sets it prunes and joins,
-  while TwigStackD's pre-filter performs two whole-graph sweeps
-  regardless of selectivity (paper Section 5.2, Fig. 10).  When the
-  estimated candidate volume exceeds the cost of those sweeps — a
-  conjunctive low-selectivity query on a DAG — the sweeps are the
-  cheaper plan.
+One decision is made here, from statistics only (no index is built and
+no candidate list is materialized at costing time): the **index
+choice** — the ladder of :func:`choose_index`: the lazily filled
+descendant closure (``tc``) while its worst case fits a memory bound,
+graph shape above it (:func:`repro.reachability.factory.select_auto_index`
+delegates here, so the cost model is the single owner of the decision),
+and per query the partial scope of :func:`choose_scoped_index`.  There
+is no executor choice: every satisfiable plan runs on GTEA, which beats
+TwigStackD even on conjunctive tree patterns (paper Figs. 8–10).
 
 Candidate-set sizes are *estimated* from the graph's label index
 (:func:`estimate_candidates`): a predicate that pins ``label`` costs one
@@ -42,14 +36,6 @@ AUTO_CLOSURE_MAX_BYTES = 64 * 2**20
 
 #: edge/node ratio under which a DAG counts as "near-tree".
 AUTO_NEAR_TREE_RATIO = 1.1
-
-#: cost units of one whole-graph pre-filter sweep, per graph element.
-#: TwigStackD sweeps twice (forward + backward DP over the DAG).
-BASELINE_SWEEPS = 2
-
-#: GTEA touches each candidate roughly thrice: the initial fetch, the
-#: bottom-up re-read of Procedure 6, and the matching-graph assembly.
-GTEA_CANDIDATE_PASSES = 3
 
 #: the partial scope only pays while a query's footprint stays under
 #: this fraction of the graph — at costing time the estimated cone, at
@@ -140,9 +126,8 @@ def index_build_units(index_name: str, num_nodes: int, num_edges: int) -> float:
     """Rough build cost of one index, in graph-element units.
 
     Only the *relative* order across (index, scope) arms matters:
-    interval labels and the tree cover are one traversal, and the
-    chain/contour/hop family pays a few passes plus its chain
-    decomposition.  (``tc`` builds nothing up front and is never priced
+    interval labels and the tree cover are one traversal, and 3-hop
+    (and SSPI) pays a few passes plus its chain decomposition.  (``tc`` builds nothing up front and is never priced
     here: under its bound it is the ladder's pick outright, above it the
     ladder never names it — :func:`closure_fill_units` prices its rows.)
     """
@@ -220,7 +205,8 @@ def estimate_candidates(graph: DataGraph, query: GTPQ) -> dict[str, int]:
     A predicate pinning ``label`` is bounded by the posting-list length;
     any other predicate conservatively by the node count.  Extra atoms
     beyond the label pin can only shrink the set, so these are upper
-    bounds — exactly what the executor-choice inequality needs.
+    bounds — what the logical plan's prune order and the partial-scope
+    footprint estimate need.
     """
     estimates: dict[str, int] = {}
     for node_id in query.nodes:
@@ -238,67 +224,3 @@ def estimate_candidates(graph: DataGraph, query: GTPQ) -> dict[str, int]:
         else:
             estimates[node_id] = graph.num_nodes
     return estimates
-
-
-@dataclass(frozen=True)
-class CostEstimate:
-    """The two executor costs and the resulting pick.
-
-    Costs are in abstract "elements touched" units; only their relative
-    order matters.
-    """
-
-    total_candidates: int
-    gtea_cost: float
-    baseline_cost: float
-    executor: str
-    reason: str
-
-
-def estimate_executor(
-    stats: GraphStats,
-    query: GTPQ,
-    candidate_estimates: dict[str, int],
-) -> CostEstimate:
-    """Pick the executor for one query: ``"gtea"`` or ``"twigstackd"``.
-
-    TwigStackD is only admissible for conjunctive queries on acyclic
-    data (its pre-filter DP assumes both); within that class it wins when
-    its two fixed whole-graph sweeps undercut GTEA's candidate-volume
-    work.
-    """
-    total = sum(candidate_estimates.values())
-    gtea_cost = GTEA_CANDIDATE_PASSES * total
-    baseline_cost = BASELINE_SWEEPS * (stats.num_nodes + stats.num_edges) + total
-    if not query.is_conjunctive():
-        return CostEstimate(
-            total,
-            gtea_cost,
-            baseline_cost,
-            "gtea",
-            "query uses OR/NOT: GTEA evaluates logical operators natively",
-        )
-    if not stats.is_dag:
-        return CostEstimate(
-            total,
-            gtea_cost,
-            baseline_cost,
-            "gtea",
-            "cyclic data: the baseline pre-filter assumes a DAG",
-        )
-    if baseline_cost < gtea_cost:
-        return CostEstimate(
-            total,
-            gtea_cost,
-            baseline_cost,
-            "twigstackd",
-            f"low selectivity (~{total} candidates): two whole-graph "
-            "sweeps undercut candidate-volume pruning",
-        )
-    return CostEstimate(
-        total,
-        gtea_cost,
-        baseline_cost,
-        "gtea",
-        f"selective candidates (~{total}): pruning beats graph sweeps",
-    )

@@ -1,7 +1,7 @@
 """Phase 2 of query compilation: the logical plan.
 
 An inspectable IR describing *what* evaluation has to do for one
-(already normalized) query, independent of index or executor choice:
+(already normalized) query, independent of the index choice:
 
 * one :class:`CandidateSource` per query node — where its ``mat(u)``
   comes from (label posting list vs. full scan) and how large it is

@@ -10,9 +10,9 @@ decisions using the cost model of :mod:`repro.plan.cost`:
   :mod:`repro.engine.operators` instantiates and runs: CandidateScan →
   one DownwardPrune per query node (in the logical plan's selectivity
   order) → UpwardPrune → BuildMatchingGraph → CollectResults for GTEA,
-  a single BaselineDelegate for TwigStackD-routed plans, or a single
-  ConstantEmpty for plans the normalize phase proved unsatisfiable;
-* the executor cost comparison itself.
+  or a single ConstantEmpty for plans the normalize phase proved
+  unsatisfiable.  GTEA is the one executor: no cost comparison routes a
+  plan anywhere else.
 
 ``explain()`` renders the operator rows with their compile-time
 estimates; pass the observed
@@ -27,18 +27,12 @@ from typing import Iterable, Sequence
 
 from ..graph.digraph import DataGraph
 from ..graph.stats import GraphStats, graph_stats
-from .cost import (
-    CostEstimate,
-    choose_index,
-    choose_scoped_index,
-    estimate_executor,
-    scoped_index_key,
-)
+from .cost import choose_scoped_index, scoped_index_key
 from .logical import LogicalPlan
 from .normalize import NormalizedQuery
 
 #: executor names a physical plan may carry.
-EXECUTORS = ("gtea", "twigstackd", "constant-empty")
+EXECUTORS = ("gtea", "constant-empty")
 
 
 @dataclass(frozen=True)
@@ -70,7 +64,6 @@ class PhysicalPlan:
         downward_order: node order for Procedure 6 (valid for the
             *rewritten* query only; executors fall back to the default
             bottom-up order when running the original query).
-        cost: the executor cost comparison, or None for constant-empty.
         index_reason: why this index was picked.
         operators: the ordered operator pipeline the executor drives
             (see :class:`PhysicalOperator`).
@@ -84,7 +77,6 @@ class PhysicalPlan:
     index_name: str
     executor: str
     downward_order: tuple[str, ...]
-    cost: CostEstimate | None
     index_reason: str
     operators: tuple[PhysicalOperator, ...] = ()
     index_scope: str = "full"
@@ -130,15 +122,7 @@ class PhysicalPlan:
                 f"index: [index {self.index_name}/{self.index_scope} · "
                 f"{footprint}] ({self.index_reason})"
             ]
-        if self.cost is not None:
-            lines.append(f"executor: {self.executor} ({self.cost.reason})")
-            lines.append(
-                f"  cost estimate: gtea={_fmt(self.cost.gtea_cost)} "
-                f"baseline={_fmt(self.cost.baseline_cost)} "
-                f"candidates~{self.cost.total_candidates}"
-            )
-        else:
-            lines.append(f"executor: {self.executor}")
+        lines.append(f"executor: {self.executor}")
         lines.append("operator pipeline:")
         observed_by_key: dict[tuple[str, str | None], object] = {}
         for record in observed or ():
@@ -168,22 +152,16 @@ class PhysicalPlan:
         return lines
 
 
-def _fmt(cost: float) -> str:
-    return f"{cost:.3e}" if isinstance(cost, float) and cost != int(cost) else str(int(cost))
-
-
 def build_operator_pipeline(
     executor: str,
     logical: LogicalPlan,
     downward_order: tuple[str, ...],
 ) -> tuple[PhysicalOperator, ...]:
-    """The explicit operator list for one executor routing decision."""
+    """The explicit operator list for one executor."""
     if executor == "constant-empty":
         return (PhysicalOperator(op="ConstantEmpty"),)
     estimates = {source.node_id: source.estimate for source in logical.sources}
     total = sum(estimates.values())
-    if executor == "twigstackd":
-        return (PhysicalOperator(op="BaselineDelegate", estimate=total),)
     pipeline = [PhysicalOperator(op="CandidateScan", estimate=total)]
     pipeline.extend(
         PhysicalOperator(op="DownwardPrune", target=node_id, estimate=estimates[node_id])
@@ -247,36 +225,13 @@ def build_physical_plan(
         index_name = index
         index_reason = "pinned by caller"
 
-    if not normalized.satisfiable:
-        return PhysicalPlan(
-            index_name=index_name,
-            executor="constant-empty",
-            downward_order=logical.downward_order,
-            cost=None,
-            index_reason=index_reason,
-            operators=build_operator_pipeline("constant-empty", logical, logical.downward_order),
-            index_scope=index_scope,
-            footprint_estimate=footprint_estimate,
-        )
-
-    estimates = {source.node_id: source.estimate for source in logical.sources}
-    cost = estimate_executor(stats, logical.query, estimates)
-    if cost.executor != "gtea" and index_scope != "full":
-        # Partial indexes serve the GTEA pipeline only; a baseline-routed
-        # plan performs whole-graph sweeps, so fall back to the full arm —
-        # the ladder pick, not the partial inner (a small-footprint inner
-        # like tc must never become a whole-graph build).
-        index_name = choose_index(stats)
-        index_scope = "full"
-        footprint_estimate = None
-        index_reason += " [full scope: baseline executor]"
+    executor = "gtea" if normalized.satisfiable else "constant-empty"
     return PhysicalPlan(
         index_name=index_name,
-        executor=cost.executor,
+        executor=executor,
         downward_order=logical.downward_order,
-        cost=cost,
         index_reason=index_reason,
-        operators=build_operator_pipeline(cost.executor, logical, logical.downward_order),
+        operators=build_operator_pipeline(executor, logical, logical.downward_order),
         index_scope=index_scope,
         footprint_estimate=footprint_estimate,
     )

@@ -110,7 +110,7 @@ def decide_route(
     partial_scope = gtea and physical.index_scope == "partial"
     # Group evaluation runs the original, pre-rewrite query, whose
     # candidates the costing never bounded, and the sharded executor
-    # would only hand it (like any non-GTEA plan) back to the engine.
+    # would only hand it (like a constant-empty plan) back to the engine.
     sharded = parallel is not None and gtea and not grouped
     refusal, compiled = None, False
     if codegen:

@@ -1,17 +1,21 @@
 """Reachability indexes (substrate S3 in DESIGN.md).
 
 The paper's evaluation framework is index-agnostic ("flexible for our
-framework to use other labeling schemes", Section 4.1); the default is
-3-hop, with transitive closure as an oracle, SSPI for TwigStackD and the
-Agrawal tree cover for HGJoin.  :func:`build_reachability` accepts
-``index="auto"`` to pick an index from the graph's shape.
+framework to use other labeling schemes", Section 4.1).  Five index
+families are registered, each reached by the paper, a baseline or the
+planner's ladder: 3-hop (the paper's default), the lazily filled
+descendant closure ``tc`` (the ladder's first rung), interval labels and
+the Agrawal tree cover (forest and near-tree rungs; the tree cover also
+serves HGJoin) and SSPI (TwigStackD's index).  :func:`build_reachability`
+accepts ``index="auto"`` to pick an index from the graph's shape.  The
+chain decomposition and the contour merges behind 3-hop and GTEA's set
+pruning live in :mod:`.chain_cover` and :mod:`.contour`.
 """
 
 from .base import Dag, DagIndex, GraphReachability, IndexCounters
-from .chain_cover import ChainCover, ChainCoverIndex, chain_decomposition
+from .chain_cover import ChainCover, chain_decomposition
 from .contour import (
     Contour,
-    ContourIndex,
     contour_reaches_node,
     merge_pred_lists,
     merge_succ_lists,
@@ -39,9 +43,7 @@ from .tree_cover import TreeCoverIndex
 
 __all__ = [
     "ChainCover",
-    "ChainCoverIndex",
     "Contour",
-    "ContourIndex",
     "Dag",
     "DagIndex",
     "DescendantClosure",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .base import Dag, DagIndex
+from .base import Dag
 
 _INF = float("inf")
 
@@ -49,52 +49,6 @@ class ChainCover:
     def same_chain_reaches(self, source: int, target: int) -> bool:
         """Chain-order reachability: both on one chain and source above."""
         return self.cid[source] == self.cid[target] and self.sid[source] < self.sid[target]
-
-
-class ChainCoverIndex(DagIndex):
-    """Chain cover with *full* per-node successor tables.
-
-    The un-delta-encoded ancestor of 3-hop: every node stores, per chain,
-    the minimum sequence number it reaches (inclusively).  Queries are a
-    single dictionary probe — strictly faster than the 3-hop chain walk —
-    at the price of O(#nodes × #chains) worst-case space.  Useful as a
-    speed/space trade-off point and as a cross-check for the 3-hop delta
-    encoding, which must answer identically.
-    """
-
-    name = "chain-cover"
-
-    __slots__ = ("cover", "_tables")
-
-    def __init__(self, dag: Dag, cover: ChainCover | None = None):
-        super().__init__(dag)
-        self.cover = cover if cover is not None else chain_decomposition(dag)
-        cid, sid = self.cover.cid, self.cover.sid
-        # Reverse-topological DP: min reachable sequence number per chain.
-        tables: list[dict[int, int]] = [{} for _ in range(dag.num_nodes)]
-        for node in reversed(dag.order):
-            table: dict[int, int] = {}
-            for successor in dag.succ[node]:
-                for chain, seq in tables[successor].items():
-                    if seq < table.get(chain, seq + 1):
-                        table[chain] = seq
-            table[cid[node]] = sid[node]
-            tables[node] = table
-        self._tables = tables
-
-    def reaches(self, source: int, target: int) -> bool:
-        self.counters.lookups += 1
-        if source == target:
-            return False
-        cid, sid = self.cover.cid, self.cover.sid
-        if cid[source] == cid[target]:
-            return sid[source] < sid[target]
-        self.counters.entries_scanned += 1
-        lowest = self._tables[source].get(cid[target])
-        return lowest is not None and lowest <= sid[target]
-
-    def index_size(self) -> int:
-        return sum(len(table) for table in self._tables)
 
 
 def chain_decomposition(dag: Dag) -> ChainCover:

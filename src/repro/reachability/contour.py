@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .base import Dag, DagIndex
 from .three_hop import ThreeHopIndex
 
 
@@ -140,35 +139,3 @@ def contour_reaches_node(index: ThreeHopIndex, node: int, contour: Contour) -> b
         if lower is not None and lower <= seq:
             return True
     return False
-
-
-class ContourIndex(DagIndex):
-    """Point-query adapter over contour merging (Proposition 7).
-
-    Stores a 3-hop index and answers ``reaches(u, v)`` by merging the
-    singleton predecessor contour of ``{v}`` and streaming ``X_u`` against
-    it — exercising exactly the set-reachability machinery GTEA's pruning
-    uses, one element at a time.  Registered mainly so the contour code
-    path gets standalone oracle coverage; as a point index it does strictly
-    more work per query than :class:`~repro.reachability.three_hop.ThreeHopIndex`.
-    """
-
-    name = "contour"
-
-    __slots__ = ("three_hop",)
-
-    def __init__(self, dag: Dag):
-        super().__init__(dag)
-        self.three_hop = ThreeHopIndex(dag)
-        # Share the inner counters so entry scans during contour merges are
-        # attributed to this index.
-        self.counters = self.three_hop.counters
-
-    def reaches(self, source: int, target: int) -> bool:
-        if source == target:
-            return False
-        contour = merge_pred_lists(self.three_hop, [target])
-        return node_reaches_contour(self.three_hop, source, contour)
-
-    def index_size(self) -> int:
-        return self.three_hop.index_size()

@@ -1,6 +1,8 @@
 """Index factory: build a reachability service by name, or pick one.
 
-Besides the explicit names, ``index="auto"`` selects an index from the
+The registry names the five index families something reaches —
+``3hop``, ``tc``, ``interval``, ``tree-cover`` and ``sspi`` (see
+:func:`available_indexes`).  Besides the explicit names, ``index="auto"`` selects an index from the
 shape of the data graph (see :func:`select_auto_index`): the lazily
 filled descendant closure (``tc``) while its worst case fits a memory
 bound, then interval labels on forests, the tree-cover on near-tree DAGs,
@@ -15,8 +17,6 @@ from ..graph.digraph import DataGraph
 from ..graph.stats import GraphStats, graph_stats
 from ..plan.cost import AUTO_CLOSURE_MAX_BYTES, AUTO_NEAR_TREE_RATIO, choose_index
 from .base import Dag, DagIndex, GraphReachability
-from .chain_cover import ChainCoverIndex
-from .contour import ContourIndex
 from .interval import IntervalIndex
 from .partial import DescendantClosure
 from .sspi import SSPIIndex
@@ -29,8 +29,6 @@ _REGISTRY: dict[str, Callable[[Dag], DagIndex]] = {
     "sspi": SSPIIndex,
     "tree-cover": TreeCoverIndex,
     "interval": IntervalIndex,
-    "chain-cover": ChainCoverIndex,
-    "contour": ContourIndex,
 }
 
 __all__ = [

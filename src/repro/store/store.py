@@ -42,8 +42,9 @@ from pathlib import Path
 #: (2: PhysicalPlan grew index_scope/footprint_estimate fields, so
 #: format-1 plan pickles no longer describe the live schema.  3:
 #: LogicalPlan stopped storing obligations and subtree fingerprints, GTPQ
-#: grew its unpickled memo slots.)
-STORE_FORMAT_VERSION = 3
+#: grew its unpickled memo slots.  4: PhysicalPlan lost its executor
+#: cost field, and the baseline operator a plan could name is gone.)
+STORE_FORMAT_VERSION = 4
 
 _MAGIC = b"repro-store\n"
 _SUFFIX = ".artifact"
@@ -145,7 +146,8 @@ class ArtifactStore:
         """The payload under ``(fingerprint, kind)``, or ``default``.
 
         Every failure mode — missing file, truncated or bit-flipped
-        content, a format-version mismatch, an artifact whose header
+        content, a header that is not a JSON object, a format-version
+        mismatch, an artifact whose header
         names a different fingerprint or kind — returns ``default`` so
         callers cold-build instead of crashing; damaged and stale files
         are deleted best-effort so the next write starts clean.
@@ -162,6 +164,8 @@ class ArtifactStore:
             header_line, _, payload = blob[len(_MAGIC) :].partition(b"\n")
             header = json.loads(header_line.decode("utf-8"))
         except (ValueError, UnicodeDecodeError):
+            return self._reject(target, "corrupt", default)
+        if not isinstance(header, dict):
             return self._reject(target, "corrupt", default)
         if (
             header.get("format") != STORE_FORMAT_VERSION

@@ -2,13 +2,16 @@
 
 Random graphs (DAGs and cyclic digraphs) x random GTPQs covering AD/PC
 edges, conjunction, disjunction and negation — the decisive correctness
-check of the whole engine.
+check of the whole engine — plus a stand-alone engine over a graph that
+mutates under it.
 """
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.engine import GTEA
+from repro.graph import DataGraph
 from repro.query import QueryBuilder, evaluate_naive
 from tests.reachability.test_indexes import random_dags, random_digraphs
 
@@ -108,3 +111,27 @@ def test_gtea_pc_only_queries(graph, data):
     )
     expected = evaluate_naive(query, graph)
     assert GTEA(graph).evaluate(query) == expected
+
+
+@pytest.mark.parametrize("index", ["3hop", "tc", "auto", "interval", "tree-cover", "sspi"])
+def test_stand_alone_engine_follows_graph_mutations(index):
+    """An engine that built its own index rebuilds it after the graph's
+    version moves: an old→old edge changes the answer, an append adds
+    nodes the old index has no slot for."""
+    graph = DataGraph()
+    a, b, c = (graph.add_node(label=label) for label in "abc")
+    graph.add_edge(a, b)
+    query = (
+        QueryBuilder()
+        .backbone("x", label="a")
+        .backbone("y", parent="x", label="c")
+        .outputs("x", "y")
+        .build()
+    )
+    engine = GTEA(graph, index=index)
+    assert engine.evaluate(query) == evaluate_naive(query, graph) == set()
+    graph.add_edge(b, c)
+    assert engine.evaluate(query) == evaluate_naive(query, graph) == {(a, c)}
+    d = graph.add_node(label="c")
+    graph.add_edge(c, d)
+    assert engine.evaluate(query) == evaluate_naive(query, graph) == {(a, c), (a, d)}

@@ -1,7 +1,7 @@
 """Unit tests for the physical-operator pipeline (repro.engine.operators).
 
 Covers each operator in isolation (empty inputs, constant-fext leaves,
-the baseline delegate, the constant-empty route), the adaptive downward
+the constant-empty route), the adaptive downward
 scheduler (runtime order differs from the compile-time order with
 identical results, backbone-empty early exit, node-id tie-breaking), and
 the estimated-vs-observed ``explain()`` rendering, subtree-cache hits
@@ -120,32 +120,6 @@ class TestOperatorUnits:
         state.down = {node_id: [] for node_id in plan.query.nodes}
         run_pipeline(state, [UpwardPrune()])
         assert state.finished and state.answer == set()
-
-    def test_baseline_delegate_routes_and_records(self):
-        # A sparse DAG with fat posting lists makes the candidate volume
-        # exceed the two whole-graph sweeps, routing to TwigStackD.
-        # optimize=False keeps the duplicate y-children (minimization
-        # would merge them and shrink the estimate below the threshold).
-        labels = "x" * 10 + "y" * 10
-        graph = DataGraph.from_edges(labels, [(i, 10 + i) for i in range(5)])
-        query = (
-            QueryBuilder()
-            .backbone("q_root", predicate=AttributePredicate.label("x"))
-            .backbone("kid_a", parent="q_root", predicate=AttributePredicate.label("y"))
-            .backbone("kid_b", parent="q_root", predicate=AttributePredicate.label("y"))
-            .outputs("q_root")
-            .build()
-        )
-        engine = GTEA(graph, optimize=False)
-        plan = engine.compile(query)
-        assert plan.physical.executor == "twigstackd"
-        assert [op.op for op in plan.physical.operators] == ["BaselineDelegate"]
-        results, stats = engine.execute(plan)
-        assert results == evaluate_naive(query, graph)
-        (record,) = stats.operator_stats
-        assert record.op == "BaselineDelegate"
-        assert record.input_size == graph.num_nodes + graph.num_edges
-        assert record.output_size == len(results)
 
     def test_constant_empty_operator_for_unsat_plans(self):
         graph = DataGraph.from_edges("rm", [(0, 1)])

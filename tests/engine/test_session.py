@@ -190,7 +190,7 @@ class TestIndexPooling:
         assert session.engine("tc").reachability is session._closure.service
         assert session.cache_info()["indexes"]["pooled"] == 1
 
-    @pytest.mark.parametrize("index", ["3hop", "tc", "tree-cover", "chain-cover"])
+    @pytest.mark.parametrize("index", ["3hop", "tc", "tree-cover"])
     def test_all_pooled_indexes_agree(self, index):
         graph = small_graph()
         query = query_ab()

@@ -189,7 +189,7 @@ class TestSharedRouting:
         assert again.stats.downward_prune_ops == 1
 
 
-@pytest.mark.parametrize("index", ["3hop", "tc", "tree-cover", "chain-cover"])
+@pytest.mark.parametrize("index", ["3hop", "tc", "tree-cover"])
 def test_shared_path_agrees_on_every_pooled_index(index):
     graph, batch = overlap_workload(seed=3, batch_size=6)
     session = QuerySession(graph, index=index)

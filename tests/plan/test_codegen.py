@@ -107,14 +107,15 @@ class TestAnalyzePlan:
         assert set(analysis.node_ids) == set(plan.query.nodes)
         assert any(step.kind == "filter" for step in analysis.steps)
 
-    def test_baseline_routed_plan_is_rejected(self):
+    def test_non_gtea_executor_is_rejected(self):
+        # The refusal keys on the executor, not on the operator rows.
         graph = chain_graph()
         plan = compile_query(graph, simple_query(), index="3hop")
-        routed = dataclasses.replace(
-            plan, physical=dataclasses.replace(plan.physical, executor="twigstackd")
+        relabelled = dataclasses.replace(
+            plan, physical=dataclasses.replace(plan.physical, executor="constant-empty")
         )
-        with pytest.raises(CodegenError, match="executor 'twigstackd'"):
-            analyze_plan(routed)
+        with pytest.raises(CodegenError, match="executor 'constant-empty'"):
+            analyze_plan(relabelled)
 
     def test_constant_empty_plan_is_rejected(self):
         graph = chain_graph()

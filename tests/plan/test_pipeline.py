@@ -3,8 +3,8 @@
 Satellite + acceptance coverage: unsatisfiable queries short-circuit to
 O(1) with zero index I/O, minimized queries answer exactly like the
 unoptimized path (paper fixtures and generated workloads, cross-checked
-against the naive oracle), the cost model's baseline routing stays
-correct and independent of what the session has executed, and
+against the naive oracle), low-selectivity conjunctive queries run on
+GTEA, plans are independent of what the session has executed, and
 ``explain()`` is surfaced through the session and CLI.
 """
 
@@ -149,10 +149,12 @@ class TestMinimizedEquivalence:
         assert session.evaluate(query) == evaluate_naive(query, graph)
 
 
-class TestBaselineRouting:
-    def routed_case(self):
-        rng = random.Random(11)
-        graph = layered_graph(rng, nodes=30)
+class TestGteaIsTheOneExecutor:
+    """Low-selectivity conjunctive queries on DAGs plan to GTEA and
+    answer like the oracle."""
+
+    def test_wildcard_chain_runs_on_gtea_through_the_session(self):
+        graph = layered_graph(random.Random(11), nodes=30)
         query = (
             QueryBuilder()
             .backbone("r")
@@ -161,35 +163,32 @@ class TestBaselineRouting:
             .outputs("r", "x", "y")
             .build()
         )
-        return graph, query
-
-    def test_routed_query_matches_oracle(self):
-        graph, query = self.routed_case()
-        engine = GTEA(graph)
-        plan = engine.compile(query)
-        assert plan.physical.executor == "twigstackd"
-        results, stats = engine.evaluate_with_stats(query)
-        assert results == evaluate_naive(query, graph)
-        assert "baseline" in stats.phase_seconds
-
-    def test_routed_query_through_session_uses_candidate_cache(self):
-        graph, query = self.routed_case()
+        expected = evaluate_naive(query, graph)
         session = QuerySession(graph, result_cache_size=0)
-        _, cold = session.evaluate_with_stats(query)
+        assert session.plan(query).compiled.physical.executor == "gtea"
+        answer, cold = session.evaluate_with_stats(query)
+        assert answer == expected
         assert cold.candidate_cache_misses == 1  # one wildcard predicate key
         assert cold.candidate_cache_hits == 2   # shared by the other nodes
+        assert "baseline" not in cold.phase_seconds
         _, warm = session.evaluate_with_stats(query)
         assert warm.candidate_cache_hits == 3
-        assert session.evaluate(query) == evaluate_naive(query, graph)
+        grouped, _ = GTEA(graph).evaluate_with_stats(query, group_nodes=("y",))
+        raw, _ = GTEA(graph, optimize=False).evaluate_with_stats(query, group_nodes=("y",))
+        assert grouped == raw
 
-    def test_group_nodes_fall_back_to_gtea(self):
-        graph, query = self.routed_case()
-        engine = GTEA(graph)
-        grouped, stats = engine.evaluate_with_stats(query, group_nodes=("y",))
-        assert "baseline" not in stats.phase_seconds
-        raw = GTEA(graph, optimize=False)
-        expected, _ = raw.evaluate_with_stats(query, group_nodes=("y",))
-        assert grouped == expected
+    def test_arxiv_recent_chain_runs_on_gtea(self):
+        graph = generate_arxiv(seed=7).graph
+        recent = AttributePredicate([("time", ">=", 7500)])
+        chain = QueryBuilder().backbone("n0", predicate=recent)
+        for depth in range(1, 5):
+            chain.backbone(f"n{depth}", parent=f"n{depth - 1}", predicate=recent)
+        query = chain.outputs("n0", "n4").build()
+        session = QuerySession(graph)
+        assert session.plan(query).compiled.physical.executor == "gtea"
+        answer = session.evaluate(query)
+        assert len(answer) == 44
+        assert answer == evaluate_naive(query, graph)
 
 
 class TestPlannerIsPure:
@@ -209,8 +208,7 @@ class TestPlannerIsPure:
                 if pattern is not None:
                     queries.append(pattern)
                     drawn += 1
-        # No label is pinned, so every node is costed at the node count:
-        # the static inequality sends the chain to the two sweeps.
+        # No label is pinned, so every node is costed at the node count.
         recent = AttributePredicate([("time", ">=", 7900)])
         chain = QueryBuilder().backbone("n0", predicate=recent)
         for depth in range(1, 5):
@@ -219,7 +217,7 @@ class TestPlannerIsPure:
 
         session = QuerySession(graph, result_cache_size=0)
         before = [session.plan(query).compiled for query in queries]
-        assert {plan.physical.executor for plan in before} == {"gtea", "twigstackd"}
+        assert {plan.physical.executor for plan in before} == {"gtea"}
         assert session.evaluate(queries[-1]) == evaluate_naive(queries[-1], graph)
         for query in queries:
             for _ in range(5):
@@ -268,12 +266,13 @@ class TestExplainSurface:
         assert "downward prune order" in out
 
     def test_cli_explain_rejects_unknown_index(self, capsys):
-        code = bench_main(
-            ["--scale", "0.02", "explain", "--index", "nosuchindex"]
-        )
+        # --index takes its choices from the registry: argparse refuses
+        # an unknown name before a dataset is generated.
+        with pytest.raises(SystemExit) as exit_info:
+            bench_main(["--scale", "0.02", "explain", "--index", "nosuchindex"])
         err = capsys.readouterr().err
-        assert code == 2
-        assert "unknown index" in err
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'nosuchindex'" in err
 
     def test_cli_stats_subcommand(self, capsys):
         code = bench_main(["--scale", "0.02", "stats"])

@@ -42,12 +42,10 @@ def dense_dag(num_nodes: int, fanout: int = 6) -> DataGraph:
 
 
 class TestRegistry:
-    def test_all_seven_indexes_registered(self):
-        assert available_indexes() == sorted(
-            ["3hop", "tc", "sspi", "tree-cover", "interval", "chain-cover", "contour"]
-        )
+    def test_all_five_indexes_registered(self):
+        assert available_indexes() == ["3hop", "interval", "sspi", "tc", "tree-cover"]
 
-    @pytest.mark.parametrize("name", ["interval", "chain-cover", "contour"])
+    @pytest.mark.parametrize("name", ["interval"])
     def test_previously_unregistered_indexes_build(self, name):
         graph = balanced_tree(3)
         service = build_reachability(graph, name)

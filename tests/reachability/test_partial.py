@@ -63,7 +63,7 @@ class TestFootprint:
         assert a.fingerprint == b.fingerprint
 
 
-@pytest.mark.parametrize("inner", ["tc", "3hop", "contour"])
+@pytest.mark.parametrize("inner", ["tc", "3hop"])
 class TestPartialDifferential:
     def test_matches_oracle_everywhere(self, inner):
         """Probes inside the footprint, across its boundary and from

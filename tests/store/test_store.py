@@ -15,6 +15,7 @@ version counter does not.
 """
 
 import hashlib
+import json
 import os
 import pickle
 import threading
@@ -167,6 +168,13 @@ class TestFailureModes:
     def test_unparseable_header_is_corrupt(self, store):
         target = saved(store)
         target.write_bytes(b"repro-store\n{oops\n")
+        self.assert_rejected(store, target, reason="corrupt")
+
+    @pytest.mark.parametrize("header", [b"[]", b"17", b'"x"', b"null"])
+    def test_header_that_is_not_an_object_is_corrupt(self, store, header):
+        target = saved(store)
+        payload = target.read_bytes().split(b"\n", 2)[2]
+        target.write_bytes(b"repro-store\n" + header + b"\n" + payload)
         self.assert_rejected(store, target, reason="corrupt")
 
     def test_format_version_mismatch_is_stale(self, store):
@@ -453,6 +461,47 @@ class TestSessionStoreKey:
         assert restarted.evaluate(query) == evaluate_naive(query, graph)
         assert restarted.evaluate(query) != baseline
         restarted.close()
+
+    def test_non_object_header_degrades_the_session_to_a_cold_build(self, tmp_path):
+        graph = two_label_graph()
+        query = simple_query()
+        warm = QuerySession(graph, store=tmp_path / "store")
+        warm.evaluate(query)
+        warm.persist()
+        warm.close()
+        target = warm.store.path(warm.store_fingerprint, "plans")
+        payload = target.read_bytes().split(b"\n", 2)[2]
+        target.write_bytes(b"repro-store\n[]\n" + payload)
+
+        restarted = QuerySession(graph, store=tmp_path / "store")
+        assert restarted.store.counters.corrupt == 1
+        assert restarted.store_rehydrated["plans"] == 0
+        assert restarted.evaluate(query) == evaluate_naive(query, graph)
+        restarted.close()
+
+    def test_format_3_plans_artifact_is_stale(self, tmp_path):
+        """A format-3 plan may name an operator class that no longer
+        exists: the header alone rejects it, so the payload is never
+        unpickled."""
+        graph = two_label_graph()
+        query = simple_query()
+        store = ArtifactStore(tmp_path / "store")
+        target = store.path(graph_fingerprint(graph), "plans")
+        target.parent.mkdir(parents=True)
+        header = json.dumps(
+            {"fingerprint": graph_fingerprint(graph), "format": 3, "kind": "plans"},
+            sort_keys=True,
+        )
+        # Unpickling this payload would raise: the class is gone.
+        payload = b"crepro.engine.operators\nBaselineDelegate\n."
+        target.write_bytes(b"repro-store\n" + header.encode() + b"\n" + payload)
+
+        session = QuerySession(graph, store=store)
+        assert store.counters.stale == 1 and store.counters.corrupt == 0
+        assert session.store_rehydrated["plans"] == 0
+        assert not target.exists()
+        assert session.evaluate(query) == evaluate_naive(query, graph)
+        session.close()
 
     def test_unmutated_graph_rehydrates_and_answers_identically(self, tmp_path):
         graph = two_label_graph()

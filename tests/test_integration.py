@@ -59,7 +59,7 @@ class TestFailureInjection:
         )
         reference = GTEA(graph, index="3hop").evaluate(query)
         assert reference == {(0,)}
-        for index in ("tc", "tree-cover", "interval", "chain-cover", "contour", "sspi"):
+        for index in ("tc", "tree-cover", "interval", "sspi"):
             assert GTEA(graph, index=index).evaluate(query) == reference
 
     def test_empty_graph(self):
