@@ -149,12 +149,14 @@ class TestMinimizedEquivalence:
         assert session.evaluate(query) == evaluate_naive(query, graph)
 
 
-class TestGteaIsTheOneExecutor:
-    """Low-selectivity conjunctive queries on DAGs plan to GTEA and
-    answer like the oracle."""
+class TestBaselineRouting:
+    """The wildcard chain the cost model once sent to TwigStackD: it now
+    plans to GTEA and must still answer like the oracle, share its
+    candidate cache and honour group nodes."""
 
-    def test_wildcard_chain_runs_on_gtea_through_the_session(self):
-        graph = layered_graph(random.Random(11), nodes=30)
+    def routed_case(self):
+        rng = random.Random(11)
+        graph = layered_graph(rng, nodes=30)
         query = (
             QueryBuilder()
             .backbone("r")
@@ -163,19 +165,41 @@ class TestGteaIsTheOneExecutor:
             .outputs("r", "x", "y")
             .build()
         )
-        expected = evaluate_naive(query, graph)
+        return graph, query
+
+    def test_routed_query_matches_oracle(self):
+        graph, query = self.routed_case()
+        engine = GTEA(graph)
+        plan = engine.compile(query)
+        assert plan.physical.executor == "gtea"
+        results, stats = engine.evaluate_with_stats(query)
+        assert results == evaluate_naive(query, graph)
+        assert "baseline" not in stats.phase_seconds
+
+    def test_routed_query_through_session_uses_candidate_cache(self):
+        graph, query = self.routed_case()
         session = QuerySession(graph, result_cache_size=0)
         assert session.plan(query).compiled.physical.executor == "gtea"
-        answer, cold = session.evaluate_with_stats(query)
-        assert answer == expected
+        _, cold = session.evaluate_with_stats(query)
         assert cold.candidate_cache_misses == 1  # one wildcard predicate key
         assert cold.candidate_cache_hits == 2   # shared by the other nodes
-        assert "baseline" not in cold.phase_seconds
         _, warm = session.evaluate_with_stats(query)
         assert warm.candidate_cache_hits == 3
-        grouped, _ = GTEA(graph).evaluate_with_stats(query, group_nodes=("y",))
-        raw, _ = GTEA(graph, optimize=False).evaluate_with_stats(query, group_nodes=("y",))
-        assert grouped == raw
+        assert session.evaluate(query) == evaluate_naive(query, graph)
+
+    def test_group_nodes_fall_back_to_gtea(self):
+        graph, query = self.routed_case()
+        engine = GTEA(graph)
+        grouped, stats = engine.evaluate_with_stats(query, group_nodes=("y",))
+        assert "baseline" not in stats.phase_seconds
+        raw = GTEA(graph, optimize=False)
+        expected, _ = raw.evaluate_with_stats(query, group_nodes=("y",))
+        assert grouped == expected
+
+
+class TestGteaIsTheOneExecutor:
+    """Low-selectivity conjunctive queries on DAGs plan to GTEA and
+    answer like the oracle."""
 
     def test_arxiv_recent_chain_runs_on_gtea(self):
         graph = generate_arxiv(seed=7).graph
