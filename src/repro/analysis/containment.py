@@ -45,6 +45,15 @@ def find_homomorphism(
 
     # Output correspondence is positional: result tuples must align.
     pinned = dict(zip(source.outputs, target.outputs))
+    # Copies of one query (the compiler's only case) share its predicate
+    # relation; two unrelated queries compare their predicates directly.
+    relation = source.relation()
+    if target.relation() is relation:
+        subsumes = relation.subsumes
+    else:
+        def subsumes(specific: str, general: str) -> bool:
+            return target.attribute(specific).subsumes(source.attribute(general))
+
     target_nodes = list(target.nodes)
     target_descendants = {
         node_id: set(target.subtree_nodes(node_id)) - {node_id} for node_id in target.nodes
@@ -58,7 +67,7 @@ def find_homomorphism(
         parent_id = source.parent.get(node_id)
         out = []
         for candidate in pool:
-            if not target.attribute(candidate).subsumes(source.attribute(node_id)):
+            if not subsumes(candidate, node_id):
                 continue
             if parent_id is not None and parent_id in image_of:
                 parent_image = image_of[parent_id]

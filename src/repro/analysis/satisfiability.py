@@ -32,12 +32,13 @@ def normalize_query(query: GTPQ, context: AnalysisContext | None = None) -> GTPQ
 
 def _normalize_fixpoint(query: GTPQ, context: AnalysisContext) -> GTPQ:
     current = query
+    satisfiable = query.relation().satisfiable  # every copy below shares it
     while True:
         drop: set[str] = set()
         for node_id in current.nodes:
             if node_id == current.root:
                 continue
-            if not current.attribute(node_id).is_satisfiable():
+            if not satisfiable[node_id]:
                 drop.add(node_id)
         analysis = context.analysis(current)
         for node_id in current.nodes:
@@ -63,7 +64,7 @@ def _normalize_fixpoint(query: GTPQ, context: AnalysisContext) -> GTPQ:
 
 def is_query_satisfiable(query: GTPQ, context: AnalysisContext | None = None) -> bool:
     """Theorem 1 decision procedure."""
-    if not query.attribute(query.root).is_satisfiable():
+    if not query.relation().satisfiable[query.root]:
         return False
     # Fast path (Theorem 2.1): monotone predicates, linear check.
     if query.is_union_conjunctive():
@@ -82,8 +83,9 @@ def _union_conjunctive_satisfiable(query: GTPQ) -> bool:
     child valuation (child variable true iff the child is matchable).
     """
     matchable: dict[str, bool] = {}
+    satisfiable = query.relation().satisfiable
     for node_id in query.bottom_up():
-        if not query.attribute(node_id).is_satisfiable():
+        if not satisfiable[node_id]:
             matchable[node_id] = False
             continue
         # fext(u) mentions children of u only, and bottom-up has decided them.

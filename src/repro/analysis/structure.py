@@ -10,6 +10,10 @@ Implements the derived predicates the decision procedures are built from:
 * **complete structural predicate** ``fcs(u)`` — ``ftr(u)`` adjusted for
   unsatisfiable attribute predicates and cross-subtree subsumption.
 
+Attribute predicates are read only through the query's
+:class:`~repro.query.gtpq.PredicateRelation` (satisfiability of
+``fa(u)`` and ``fa(v) ⊢ fa(u)``), asked once per query.
+
 Two readings documented in DESIGN.md:
 
 * the independence XOR test is evaluated on ``fext(parent)`` (the paper
@@ -143,7 +147,7 @@ class QueryAnalysis:
 
     def _similar_uncached(self, u1: str, u2: str) -> bool:
         query = self.query
-        if not query.attribute(u2).subsumes(query.attribute(u1)):
+        if not query.relation().subsumes(u2, u1):
             return False
         independent = self.independent_nodes
         u2_descendants = [n for n in query.subtree_nodes(u2) if n != u2]
@@ -237,11 +241,14 @@ class QueryAnalysis:
         if self._pairs is not None:
             return self._pairs
         query = self.query
+        relation = query.relation()
+        subsumers, bit = relation.subsumers, relation.bit
         pairs: list[tuple[str, str]] = []
-        attributes = [(n, query.attribute(n)) for n in query.nodes if n != query.root]
-        for a, fa_a in attributes:
-            for b, fa_b in attributes:
-                if a == b or not fa_b.subsumes(fa_a):
+        others = [n for n in query.nodes if n != query.root]
+        for a in others:
+            above = subsumers[a]
+            for b in others:
+                if a == b or not above & bit[b]:
                     continue
                 if self.lowest_common_ancestor(a, b) in (a, b):
                     continue  # same path, not distinct subtrees
@@ -266,9 +273,8 @@ class QueryAnalysis:
         query = self.query
         result = self.ftr(node_id)
         subtree = set(query.subtree_nodes(node_id))
-        unsat = {
-            d: False for d in subtree if d != node_id and not query.attribute(d).is_satisfiable()
-        }
+        satisfiable = query.relation().satisfiable
+        unsat = {d: False for d in subtree if d != node_id and not satisfiable[d]}
         if unsat:
             result = substitute(result, unsat)
         # "Two distinct subtrees of u": the pair diverges exactly at u (its

@@ -26,6 +26,14 @@ indexes, and reuses four kinds of evaluation artifacts across queries:
 * a **result cache** — full answer sets per ``(fingerprint, group
   nodes)``, invalidated when the graph mutates.
 
+Beside them, a **normalize memo** maps
+:func:`repro.plan.normalize_key` — a query's shape and predicate
+relation, everything Theorem 1 and Algorithm 1 read — to what they
+decided, so a plan-cache miss whose shape was met before (a template
+instance with other label constants) skips both.  Normalize never reads
+the graph: the memo outlives every mutation and :meth:`invalidate`, and
+it is never persisted.
+
 :meth:`QuerySession.evaluate_many` runs a workload through the same
 per-query path after deduplicating its fingerprints, so on the
 interpreted route a subtree that five queries of a batch share is pruned
@@ -59,7 +67,6 @@ Usage::
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -71,10 +78,14 @@ from ..plan import (
     CodegenError,
     CompiledPlan,
     ExecutionRoute,
+    NormalizedQuery,
+    NormalizeOutcome,
     choose_index,
+    compile_normalized,
     compile_plan,
-    compile_query,
     decide_route,
+    normalize,
+    normalize_key,
 )
 from ..query.gtpq import GTPQ
 from ..query.naive import candidate_nodes
@@ -260,6 +271,11 @@ class QuerySession:
         # Compiled plan functions (or fallback reasons) per fingerprint:
         # same key space and lifetime as the plan cache, memory only.
         self.codegen_cache = LRUCache(plan_cache_size)
+        # Normalize outcomes per normalize_key(): what Theorem 1 and
+        # Algorithm 1 decided for a query shape and predicate relation.
+        # Normalize never reads the graph, so no mutation or invalidate()
+        # drops it; memory only, never persisted.
+        self.normalize_cache = LRUCache(plan_cache_size)
         # Reachability state lives in memory only: the pooled full
         # indexes by name, and the one descendant closure.
         self._reach_pool: dict[str, GraphReachability] = {}
@@ -474,8 +490,10 @@ class QuerySession:
         entries in the same recency order, with fresh counters.  The
         values are shared, not copied: plans are frozen, candidate
         entries tuples, results frozensets, and a hit hands out a copy.
-        The store, its fingerprint and :attr:`store_rehydrated` carry
-        over, so a replica costs no fingerprint walk and no store read.
+        The normalize memo is copied the same way (it is no artifact
+        kind: never persisted).  The store, its fingerprint and
+        :attr:`store_rehydrated` carry over, so a replica costs no
+        fingerprint walk and no store read.
         Reachability state (the closure, pooled indexes, engines) is not
         shared; it builds lazily per session.
         """
@@ -490,6 +508,7 @@ class QuerySession:
         )
         for kind in ARTIFACT_KINDS:
             setattr(twin, kind.attr, getattr(self, kind.attr).copy())
+        twin.normalize_cache = self.normalize_cache.copy()
         twin.store = self.store
         twin.store_fingerprint = self.store_fingerprint
         twin.store_rehydrated = dict(self.store_rehydrated)
@@ -510,8 +529,8 @@ class QuerySession:
 
         Accepts a :class:`~repro.query.gtpq.GTPQ`, a dictionary in the
         :func:`~repro.query.serialize.query_to_dict` format, or its JSON
-        text.  Serialized inputs are additionally keyed by their raw
-        content hash, so a repeated JSON query skips parsing entirely.
+        text.  JSON text is additionally keyed by its raw content hash,
+        so a repeated JSON query skips parsing entirely.
         The cached artifact includes the full compiled plan (normalize
         rewrites, logical IR, physical decisions), so repeated queries
         skip the optimizer as well as the parser.
@@ -555,9 +574,10 @@ class QuerySession:
 
     def _plan_for(self, query: QueryLike) -> QueryPlan:
         # One planning operation counts exactly one plan-cache hit or miss,
-        # even though serialized inputs probe two keys (raw-content alias
-        # first, canonical fingerprint second) — hence peek() + manual
-        # accounting instead of get().
+        # even though JSON text probes two keys (raw-content alias first,
+        # canonical fingerprint second) — hence peek() + manual accounting
+        # instead of get().  A dict has no alias: its constants keep their
+        # types only once parsed, so it is always parsed and fingerprinted.
         counters = self.plan_cache.counters
         alias: str | None = None
         if isinstance(query, GTPQ):
@@ -570,12 +590,6 @@ class QuerySession:
                 return cached
             parsed = query_from_json(query)
         elif isinstance(query, dict):
-            payload = json.dumps(query, sort_keys=True, default=str)
-            alias = "dict:" + hashlib.sha256(payload.encode("utf-8")).hexdigest()
-            cached = self.plan_cache.peek(alias)
-            if cached is not None:
-                counters.hits += 1
-                return cached
             parsed = query_from_dict(query)
         else:
             raise TypeError(
@@ -592,9 +606,9 @@ class QuerySession:
                     node_id: predicate_key(parsed.attribute(node_id))
                     for node_id in parsed.nodes
                 },
-                compiled=compile_query(
+                compiled=compile_normalized(
                     self.graph,
-                    parsed,
+                    self._normalize(parsed),
                     index=self.default_index,
                     stats=self.graph_statistics(),
                     pooled=tuple(self._reach_pool),
@@ -606,6 +620,18 @@ class QuerySession:
         if alias is not None:
             self.plan_cache.put(alias, plan)
         return plan
+
+    def _normalize(self, query: GTPQ) -> NormalizedQuery:
+        """:func:`~repro.plan.normalize` through the session's memo: a
+        query whose :func:`~repro.plan.normalize_key` was met before
+        replays that outcome and runs neither Theorem 1 nor Algorithm 1."""
+        key = normalize_key(query)
+        outcome = self.normalize_cache.get(key)
+        if outcome is not None:
+            return outcome.replay(query)
+        normalized = normalize(query)
+        self.normalize_cache.put(key, NormalizeOutcome.of(normalized))
+        return normalized
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -910,12 +936,12 @@ class QuerySession:
         across, closures ``dropped`` — whichever route filled it: the
         ``tc`` rung under the closure bound, the partial scope above it,
         or a pinned ``index="tc"``.  ``"indexes"`` counts the other,
-        pooled indexes."""
+        pooled indexes.  ``"normalize"`` is the normalize memo's row."""
         info = {"indexes": {"pooled": len(self._reach_pool)}, "partial": self._closure.info()}
         for kind in ARTIFACT_KINDS:
             info[kind.info] = kind.describe(getattr(self, kind.attr))
-        codegen = self.codegen_cache
-        info["codegen"] = {**codegen.counters.snapshot(), "size": len(codegen)}
+        for name, cache in (("codegen", self.codegen_cache), ("normalize", self.normalize_cache)):
+            info[name] = {**cache.counters.snapshot(), "size": len(cache)}
         info["structure"] = self.graph.structure_info()
         if self.store is not None:
             info["store"] = {

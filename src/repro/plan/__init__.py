@@ -16,7 +16,7 @@ from .codegen import (
     analyze_plan,
     compile_plan,
 )
-from .compile import CompiledPlan, compile_query
+from .compile import CompiledPlan, compile_normalized, compile_query
 from .route import ExecutionRoute, codegen_refusal, decide_route
 from .cost import (
     AUTO_CLOSURE_MAX_BYTES,
@@ -33,7 +33,7 @@ from .cost import (
     scoped_index_key,
 )
 from .logical import CandidateSource, LogicalPlan, PruneObligation, build_logical_plan
-from .normalize import NormalizedQuery, normalize
+from .normalize import NormalizedQuery, NormalizeOutcome, normalize, normalize_key
 from .physical import (
     PhysicalOperator,
     PhysicalPlan,
@@ -51,6 +51,7 @@ __all__ = [
     "ExecutionRoute",
     "IndexChoice",
     "LogicalPlan",
+    "NormalizeOutcome",
     "NormalizedQuery",
     "PARTIAL_CONE_EXPANSION",
     "PARTIAL_FOOTPRINT_FRACTION",
@@ -66,11 +67,13 @@ __all__ = [
     "choose_scoped_index",
     "closure_fill_units",
     "codegen_refusal",
+    "compile_normalized",
     "compile_plan",
     "compile_query",
     "decide_route",
     "estimate_candidates",
     "index_build_units",
     "normalize",
+    "normalize_key",
     "scoped_index_key",
 ]

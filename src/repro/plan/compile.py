@@ -89,7 +89,22 @@ def compile_query(
             session's reachability pool); per-query costing treats those
             as free and never picks a partial index against them.
     """
-    normalized = normalize(query, minimize=minimize)
+    return compile_normalized(
+        graph, normalize(query, minimize=minimize), index=index, stats=stats, pooled=pooled
+    )
+
+
+def compile_normalized(
+    graph: DataGraph,
+    normalized: NormalizedQuery,
+    *,
+    index: str = "auto",
+    stats: GraphStats | None = None,
+    pooled=(),
+) -> CompiledPlan:
+    """The logical and physical stages of :func:`compile_query`, for a
+    query already through the normalize phase (a session replays it from
+    its memo)."""
     logical = build_logical_plan(graph, normalized)
     physical = build_physical_plan(
         graph, normalized, logical, index=index, stats=stats, pooled=pooled

@@ -14,6 +14,15 @@ fetched:
 * satisfiable queries are shrunk with
   :func:`repro.analysis.minimization.minimize_query` (Algorithm 1).
 
+The outcome is a function of what :func:`normalize_key` collects — the
+tree, the ``fs`` formulas, the outputs and the query's
+:class:`~repro.query.gtpq.PredicateRelation` — and nothing else: the
+analysis reads attribute predicates only through that relation, and
+never the graph.  A session therefore keeps a memo from that key to a
+:class:`NormalizeOutcome` and replays it onto a query whose key it has
+met (template instances that differ only in their label constants);
+:func:`normalize` itself remembers nothing between calls.
+
 Minimization may *relocate* output nodes into isomorphic counterparts
 (Algorithm 1 lines 12–15); :attr:`NormalizedQuery.output_mapping`
 records original-output → rewritten-node so downstream consumers can
@@ -25,13 +34,15 @@ are already aligned with the original outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 
 from ..analysis.minimization import minimize_query
 from ..analysis.satisfiability import is_query_satisfiable
 from ..analysis.structure import AnalysisContext
 from ..logic import Formula
 from ..logic.transform import simplify
-from ..query.gtpq import GTPQ
+from ..query.gtpq import GTPQ, EdgeType
 
 
 @dataclass(frozen=True)
@@ -132,10 +143,9 @@ def normalize(query: GTPQ, *, minimize: bool = True) -> NormalizedQuery:
     # below finds the last fixpoint round's.  Dropped on return.
     context = AnalysisContext()
 
+    attribute_satisfiable = simplified.relation().satisfiable
     unsat_backbone = [
-        node_id
-        for node_id in simplified.backbone_nodes()
-        if not simplified.attribute(node_id).is_satisfiable()
+        node_id for node_id in simplified.backbone_nodes() if not attribute_satisfiable[node_id]
     ]
     if unsat_backbone:
         notes.append(
@@ -194,3 +204,117 @@ def normalize(query: GTPQ, *, minimize: bool = True) -> NormalizedQuery:
         simplified_predicates=simplified_ids,
         notes=tuple(notes),
     )
+
+
+# Edge types enter the key as their codes: a str hashes in C, an Enum
+# member through a Python ``__hash__`` on every probe of the memo.
+_EDGE_CODES = {edge: edge.value for edge in EdgeType}
+_IS_BACKBONE = attrgetter("is_backbone")
+
+
+def normalize_key(query: GTPQ) -> tuple:
+    """Everything :func:`normalize` reads of ``query``, as a hashable key.
+
+    One flat tuple: the node count, then over the nodes in insertion order
+    their ids, parents, edge types, backbone flags, ``fs``, satisfiability
+    bits and subsumer rows; then their child lists, concatenated in that
+    order (with the parents, this fixes every child list) and the outputs.
+    Insertion and sibling order are in the key because Algorithm 1 scans
+    ``query.nodes`` and relocates an output to the first similar
+    counterpart in pre-order; predicates are not, beyond the relation.
+    Equal keys normalize alike (with ``minimize=True``).
+    """
+    relation = query.relation()
+    nodes = query.nodes
+    return (
+        len(nodes),
+        *nodes,
+        *map(query.parent.get, nodes),
+        *map(_EDGE_CODES.get, map(query.edge_types.get, nodes)),
+        *map(_IS_BACKBONE, nodes.values()),
+        *map(query.structural.__getitem__, nodes),
+        *map(relation.satisfiable.__getitem__, nodes),
+        *map(relation.subsumers.__getitem__, nodes),
+        *chain.from_iterable(map(query.children.__getitem__, nodes)),
+        *query.outputs,
+    )
+
+
+@dataclass(frozen=True, slots=True)
+class NormalizeOutcome:
+    """What :func:`normalize` decided, detached from the query it ran on.
+
+    Attributes:
+        satisfiable: the verdict.
+        rewrites: whether the rewritten query is a new object.
+        dropped: roots of the subtrees the rewrite removed.
+        structural: the rewritten ``fs`` of each kept node whose formula
+            is not the original's object.
+        outputs: the rewritten query's outputs — the output mapping's
+            values, in original output order.
+        removed_nodes, simplified_predicates, notes: as in
+            :class:`NormalizedQuery`.
+    """
+
+    satisfiable: bool
+    rewrites: bool
+    dropped: tuple[str, ...]
+    structural: dict[str, Formula]
+    outputs: tuple[str, ...]
+    removed_nodes: tuple[str, ...]
+    simplified_predicates: tuple[str, ...]
+    notes: tuple[str, ...]
+
+    @classmethod
+    def of(cls, normalized: NormalizedQuery) -> "NormalizeOutcome":
+        original, rewritten = normalized.original, normalized.rewritten
+        rewrites = rewritten is not original
+        dropped: tuple[str, ...] = ()
+        structural: dict[str, Formula] = {}
+        if rewrites:
+            kept = rewritten.nodes
+            dropped = tuple(
+                node_id
+                for node_id in original.nodes
+                if node_id not in kept and original.parent[node_id] in kept
+            )
+            structural = {
+                node_id: fs
+                for node_id, fs in rewritten.structural.items()
+                if fs is not original.structural[node_id]
+            }
+        return cls(
+            satisfiable=normalized.satisfiable,
+            rewrites=rewrites,
+            dropped=dropped,
+            structural=structural,
+            outputs=tuple(rewritten.outputs),
+            removed_nodes=normalized.removed_nodes,
+            simplified_predicates=normalized.simplified_predicates,
+            notes=normalized.notes,
+        )
+
+    def replay(self, query: GTPQ) -> NormalizedQuery:
+        """The :class:`NormalizedQuery` of ``query``, whose
+        :func:`normalize_key` is the one this outcome was recorded under:
+        one :meth:`GTPQ.copy` when the query was rewritten, no analysis."""
+        # Ids are handed out as ``query``'s own strings, as normalize()
+        # would: a replayed plan pickles like a cold one.
+        own = {node_id: node_id for node_id in query.nodes}
+        outputs = [own[o] for o in self.outputs]
+        rewritten = query
+        if self.rewrites:
+            rewritten = query.copy(
+                drop=self.dropped,
+                structural_override=self.structural,
+                outputs_override=outputs,
+            )
+        return NormalizedQuery(
+            original=query,
+            rewritten=rewritten,
+            satisfiable=self.satisfiable,
+            output_mapping=dict(zip(query.outputs, outputs)),
+            removed_nodes=tuple(own[n] for n in self.removed_nodes),
+            simplified_predicates=tuple(own[n] for n in self.simplified_predicates),
+            notes=self.notes,
+        )

@@ -8,15 +8,20 @@ analysis algorithms need:
 * :meth:`AttributePredicate.is_satisfiable` — per-attribute interval
   consistency (Theorem 2's proof assumes this linear-time check);
 * :meth:`AttributePredicate.subsumes` — the paper's syntactic condition
-  ``u2 ⊢ u1`` used by node similarity (Section 3.1).
+  ``u2 ⊢ u1`` used by node similarity (Section 3.1); :func:`subsumer_rows`
+  asks it of every ordered pair of a query's predicates at once.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable, Mapping
+from operator import eq, ge, le
+from typing import Any, Iterable, Mapping, Sequence
 
 _OPS = ("<", "<=", "=", "!=", ">", ">=")
+# The constant condition of ``u2 ⊢ u1`` per operator: the specific constant
+# is at most, at least or equal to the general one.
+_COMPATIBLE = {"<": le, "<=": le, ">": ge, ">=": ge, "=": eq, "!=": eq}
 _COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
@@ -191,13 +196,42 @@ class AttributePredicate:
 
 def _subsumption_compatible(op: str, specific: Any, general: Any) -> bool:
     try:
-        if op in ("<", "<="):
-            return specific <= general
-        if op in (">", ">="):
-            return specific >= general
-        return specific == general  # =, !=
+        return _COMPATIBLE[op](specific, general)
     except TypeError:
         return False
+
+
+def subsumer_rows(predicates: Sequence[AttributePredicate]) -> list[int]:
+    """``fa(v) ⊢ fa(u)`` for every ordered pair of ``predicates``: per
+    ``u``, the bit mask of the ``v`` (bit ``i`` is ``predicates[i]``).
+
+    The condition of :meth:`AttributePredicate.subsumes`, asked per atom
+    instead of per pair: the predicates covering an atom ``A op a1`` of
+    ``fa(u)`` are those holding an atom ``A op a2`` with a compatible
+    constant, and ``fa(u)`` is subsumed by the predicates covering all of
+    its atoms.  Each atom is compared with the atoms of its attribute and
+    operator only, not with every atom of every other predicate.
+    """
+    held: dict[tuple[str, str], list[tuple[Any, int]]] = {}
+    for position, fa in enumerate(predicates):
+        for attribute, op, constant in fa.atoms:
+            held.setdefault((attribute, op), []).append((constant, 1 << position))
+    everyone = (1 << len(predicates)) - 1
+    rows = []
+    for fa in predicates:
+        row = everyone
+        for attribute, op, general in fa.atoms:
+            compatible = _COMPATIBLE[op]
+            covering = 0
+            for specific, bit in held[attribute, op]:
+                try:
+                    if compatible(specific, general):
+                        covering |= bit
+                except TypeError:
+                    pass  # incomparable constants never subsume
+            row &= covering
+        rows.append(row)
+    return rows
 
 
 def _atoms_satisfiable(atoms: list[tuple[str, Any]]) -> bool:

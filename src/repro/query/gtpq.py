@@ -29,7 +29,7 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from ..logic import TRUE, And, Const, Formula, Not, Var, land
-from .attribute import AttributePredicate
+from .attribute import AttributePredicate, subsumer_rows
 
 
 class EdgeType(Enum):
@@ -80,7 +80,9 @@ class GTPQ:
     Because the structure is fixed, every fact derived from it — ``fext``,
     the depth map, the class verdicts, the subtree fingerprints — is
     computed when first read and kept in ``_facts`` (:meth:`derived`),
-    which is never pickled and which a :meth:`copy` starts empty.
+    which is never pickled and which a :meth:`copy` starts empty, but for
+    the :class:`PredicateRelation`: a copy keeps its nodes' predicates, so
+    it inherits the relation instead of asking them again.
     """
 
     def __init__(
@@ -205,6 +207,11 @@ class GTPQ:
         """``fs(u)``, the structural predicate over predicate children."""
         return self.structural[node_id]
 
+    def relation(self) -> "PredicateRelation":
+        """How the attribute predicates of the nodes relate; see
+        :class:`PredicateRelation`."""
+        return self.derived("relation", _relation)
+
     def fext(self, node_id: str) -> Formula:
         """``fext(u)``: backbone-children conjunction AND ``fs(u)``."""
         return self.derived("fext", _fext)[node_id]
@@ -277,41 +284,94 @@ class GTPQ:
 
         Dropping a node drops its whole subtree.  The caller is responsible
         for having already substituted the dropped variables out of the
-        remaining structural predicates.
+        remaining structural predicates.  Node insertion order and sibling
+        order are kept, so a copy's traversals visit the survivors in the
+        order this query does.
         """
         dropped: set[str] = set()
         for node_id in drop:
             dropped.update(self.subtree_nodes(node_id))
-        keep = {node_id for node_id in self.nodes if node_id not in dropped}
         if self.root in dropped:
             raise QueryValidationError("cannot drop the root subtree")
         structural = dict(self.structural)
         if structural_override:
             structural.update(structural_override)
         outputs = outputs_override if outputs_override is not None else self.outputs
-        return GTPQ(
+        nodes = {node_id: node for node_id, node in self.nodes.items() if node_id not in dropped}
+        twin = GTPQ(
             root=self.root,
-            nodes={node_id: self.nodes[node_id] for node_id in keep},
+            nodes=nodes,
             parent={
                 node_id: parent_id
                 for node_id, parent_id in self.parent.items()
-                if node_id in keep
+                if node_id not in dropped
             },
             children={
-                node_id: [c for c in self.children[node_id] if c in keep]
-                for node_id in keep
+                node_id: [c for c in self.children[node_id] if c not in dropped]
+                for node_id in nodes
             },
             edge_types={
                 node_id: edge
                 for node_id, edge in self.edge_types.items()
-                if node_id in keep
+                if node_id not in dropped
             },
-            structural={node_id: structural[node_id] for node_id in keep},
-            outputs=[node_id for node_id in outputs if node_id in keep],
+            structural={node_id: structural[node_id] for node_id in nodes},
+            outputs=[node_id for node_id in outputs if node_id not in dropped],
         )
+        relation = self._facts.get("relation")
+        if relation is not None:
+            twin._facts["relation"] = relation
+        return twin
 
     def __repr__(self) -> str:
         return f"GTPQ(root={self.root!r}, nodes={len(self.nodes)}, outputs={self.outputs!r})"
+
+
+class PredicateRelation:
+    """How a query's attribute predicates relate: per node ``u``, whether
+    ``fa(u)`` is satisfiable, and the nodes ``v`` with ``fa(v) ⊢ fa(u)``.
+
+    These are the only two questions the decision procedures of Section 3
+    (Theorems 1, 3 and 6) ask of an attribute predicate.  Each is asked
+    once per node and per ordered pair, here — the pairs all at once, by
+    :func:`~repro.query.attribute.subsumer_rows` on the first read of
+    :attr:`subsumers`, so a caller that needs only the satisfiability
+    bits stays linear.  The analysis reads predicates through this
+    relation and nothing else, so what it decides is a function of the
+    tree, the ``fs`` formulas and the relation.  Node ids key it, so it
+    holds for every :meth:`GTPQ.copy` too.  A subsumer row is a bit mask
+    over the nodes in insertion order (:attr:`bit`), not a container: a
+    relation lives as long as the cached plan of its query, so it is three
+    dicts of strings and integers whatever the query's size.
+    """
+
+    __slots__ = ("_nodes", "bit", "satisfiable", "_subsumers")
+
+    def __init__(self, nodes: dict[str, QueryNode]):
+        self._nodes = nodes
+        #: node id → its bit in a :attr:`subsumers` row.
+        self.bit = {node_id: 1 << position for position, node_id in enumerate(nodes)}
+        #: node id → ``fa(u)`` satisfiable.
+        self.satisfiable = {
+            node_id: node.predicate.is_satisfiable() for node_id, node in nodes.items()
+        }
+        self._subsumers: dict[str, int] | None = None
+
+    @property
+    def subsumers(self) -> dict[str, int]:
+        """Node id ``u`` → the bits of the ``v`` with ``fa(v) ⊢ fa(u)``."""
+        if self._subsumers is None:
+            predicates = [node.predicate for node in self._nodes.values()]
+            self._subsumers = dict(zip(self._nodes, subsumer_rows(predicates)))
+        return self._subsumers
+
+    def subsumes(self, specific: str, general: str) -> bool:
+        """``fa(specific) ⊢ fa(general)``."""
+        return bool(self.subsumers[general] & self.bit[specific])
+
+
+def _relation(query: GTPQ) -> PredicateRelation:
+    return PredicateRelation(query.nodes)
 
 
 def _fext(query: GTPQ) -> dict[str, Formula]:

@@ -1,5 +1,7 @@
 """QuerySession: caching, invalidation, batching, index pooling."""
 
+from datetime import date
+
 import pytest
 
 from repro.engine import GTEA, QuerySession
@@ -112,6 +114,23 @@ class TestPlanCache:
         hits_before = session.plan_cache.counters.hits
         assert session.plan(text) is plan
         assert session.plan_cache.counters.hits == hits_before + 1
+
+    def test_dict_constants_that_print_alike_get_their_own_plans(self):
+        """A date and its ISO string render alike under ``str``; a dict
+        query is fingerprinted after parsing, so each keeps its type."""
+        graph = DataGraph()
+        graph.add_node({"day": date(2020, 1, 1)}, label="a")
+        graph.add_node({"day": "2020-01-01"}, label="a")
+
+        def day_query(day):
+            atoms = [["label", "=", "a"], ["day", "=", day]]
+            return {"nodes": [{"id": "r", "kind": "backbone", "atoms": atoms}], "outputs": ["r"]}
+
+        session = QuerySession(graph)
+        for day, expected in ((date(2020, 1, 1), {(0,)}), ("2020-01-01", {(1,)})):
+            query = day_query(day)
+            answer = session.evaluate(query)
+            assert answer == evaluate_naive(session.plan(query).query, graph) == expected
 
     def test_rejects_unplannable_input(self):
         session = QuerySession(small_graph())

@@ -26,7 +26,10 @@ two *old* nodes every third epoch, and after every step:
   never: no edge touches them);
 * **held services** — a service obtained before a mutation keeps
   answering for the version it was built for, full index and closure
-  alike.
+  alike;
+* **normalize memo** — kept across appends, old→old edges and
+  ``invalidate()``: the three queries share one shape and relation, so
+  every session normalizes once and replays every later compile.
 """
 
 import random
@@ -120,6 +123,10 @@ def churn(seed, *, partial_arm):
         info = graph.structure_info()
         assert {name: info[name] for name in expected} == expected, f"seed {seed} {step}"
         assert info["version"] == graph.version
+        for session in (*sessions.values(), parity):
+            memo, plans = (session.cache_info()[name] for name in ("normalize", "plan"))
+            assert (memo["misses"], memo["size"], memo["invalidations"]) == (1, 1, 0)
+            assert memo["hits"] + memo["misses"] == plans["misses"], f"seed {seed} {step}"
         row = sessions["auto"].cache_info()["partial"]
         assert {name: row[name] for name in closure} == closure, f"seed {seed} {step}"
         assert row["rows"] > 0 and row["fills"] >= row["rows"]

@@ -134,9 +134,11 @@ def all_cases():
     yield from _class_queries()
 
 
-def snapshot(query) -> dict:
-    """What ``normalize`` decided, in JSON-comparable form."""
-    normalized = normalize(query)
+def snapshot(query, normalized=None) -> dict:
+    """What ``normalize`` decided (or ``normalized``, a result for
+    ``query`` obtained another way), in JSON-comparable form."""
+    if normalized is None:
+        normalized = normalize(query)
     rewritten_json = query_to_json(normalized.rewritten)
     return {
         "input": query_fingerprint(query),

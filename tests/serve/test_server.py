@@ -304,6 +304,13 @@ class TestWarmOnce:
             assert theirs.counters.hits == theirs.counters.misses == 0
         # Compiled functions are no artifact kind: a replica compiles its own.
         assert len(first.codegen_cache) == 1 and len(twin.codegen_cache) == 0
+        # The normalize memo is no artifact kind either, but a replica
+        # starts from a copy of it: same entries, its own cache.
+        mine, theirs = first.normalize_cache, twin.normalize_cache
+        assert theirs is not mine and len(mine) == 1
+        assert theirs.items() == mine.items() and theirs.counters.misses == 0
+        theirs.put("replica-only", None)
+        assert "replica-only" not in mine
 
     def test_concurrent_hit_and_miss_on_every_worker_match_the_oracle(self, tmp_path):
         """Four worker threads (more than the cores CI has) run the shared
