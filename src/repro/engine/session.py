@@ -59,6 +59,7 @@ Usage::
     session = QuerySession(graph)             # index="auto"
     answer = session.evaluate(query)          # cold: compiles + caches
     answer = session.evaluate(query)          # warm: result-cache hit
+    answer = session.lookup(json_text)        # that hit alone, or None
     batch = session.evaluate_many(queries)    # deduplicates fingerprints
     batch.stats.result_cache_hits             # aggregate counters
     print(session.explain(query))             # compiled-plan stages
@@ -156,6 +157,28 @@ class BatchResult:
     stats: EvaluationStats
     fingerprints: list[str]
     per_query: list[EvaluationStats] = field(default_factory=list)
+
+
+def _json_alias(text: str) -> str:
+    """The plan-cache alias of JSON query text: its raw content hash."""
+    return "json:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _check_group_nodes(plan: QueryPlan, group_nodes: tuple[str, ...]) -> None:
+    """Reject group nodes that are not outputs of the planned query."""
+    stray = [node_id for node_id in group_nodes if node_id not in plan.query.outputs]
+    if stray:
+        raise ValueError(
+            f"group nodes {stray!r} are not outputs of the query {plan.query.outputs!r}"
+        )
+
+
+def _hit_stats(answer) -> EvaluationStats:
+    """The counters of one answer served from the result cache."""
+    stats = EvaluationStats()
+    stats.result_cache_hits = 1
+    stats.result_count = len(answer)
+    return stats
 
 
 class QuerySession:
@@ -572,18 +595,19 @@ class QuerySession:
             grouped=grouped,
         )
 
-    def _plan_for(self, query: QueryLike) -> QueryPlan:
+    def _plan_for(self, query: QueryLike, alias: str | None = None) -> QueryPlan:
         # One planning operation counts exactly one plan-cache hit or miss,
         # even though JSON text probes two keys (raw-content alias first,
         # canonical fingerprint second) — hence peek() + manual accounting
         # instead of get().  A dict has no alias: its constants keep their
         # types only once parsed, so it is always parsed and fingerprinted.
+        # ``alias`` is the text's :func:`_json_alias` when the caller has
+        # already hashed it.
         counters = self.plan_cache.counters
-        alias: str | None = None
         if isinstance(query, GTPQ):
             parsed = query
         elif isinstance(query, str):
-            alias = "json:" + hashlib.sha256(query.encode("utf-8")).hexdigest()
+            alias = alias or _json_alias(query)
             cached = self.plan_cache.peek(alias)
             if cached is not None:
                 counters.hits += 1
@@ -639,25 +663,72 @@ class QuerySession:
     def evaluate(
         self, query: QueryLike, group_nodes: Sequence[str] = ()
     ) -> ResultSet:
-        """Evaluate ``query``, reusing every applicable cache."""
+        """Evaluate ``query``, reusing every applicable cache.
+
+        ``group_nodes`` must be outputs of ``query`` (``ValueError``
+        otherwise); their subtree matches are grouped per answer row."""
         results, _ = self.evaluate_with_stats(query, group_nodes)
         return results
 
     def evaluate_with_stats(
         self, query: QueryLike, group_nodes: Sequence[str] = ()
     ) -> tuple[ResultSet, EvaluationStats]:
-        """Evaluate with counters; cache activity lands in the stats."""
+        """Evaluate with counters; cache activity lands in the stats.
+
+        Raises ``ValueError`` when a group node is not an output of the
+        query."""
+        group_key = tuple(group_nodes)
+        alias = _json_alias(query) if isinstance(query, str) else None
+        if alias is not None:
+            hit = self._lookup(alias, group_key)
+            if hit is not None:
+                stats = _hit_stats(hit)
+                stats.plan_cache_hits = 1
+                return hit, stats
         self._ensure_fresh()
         plan_hits = self.plan_cache.counters.hits
         plan_misses = self.plan_cache.counters.misses
-        plan = self._plan_for(query)
-        group_key = tuple(group_nodes)
+        plan = self._plan_for(query, alias)
+        _check_group_nodes(plan, group_key)
         results, stats = self._probe_result_cache(plan, group_key) or self._execute_plan(
             plan, group_key
         )
         stats.plan_cache_hits += self.plan_cache.counters.hits - plan_hits
         stats.plan_cache_misses += self.plan_cache.counters.misses - plan_misses
         return results, stats
+
+    def lookup(self, query: QueryLike, group_nodes: Sequence[str] = ()) -> ResultSet | None:
+        """The answer :meth:`evaluate` would serve from the result cache,
+        or ``None`` — without parsing, compiling, invalidating or executing.
+
+        A hit needs JSON text whose plan alias and ``(fingerprint,
+        group_nodes)`` answer are both cached, in a session at the
+        graph's current version.  It counts and refreshes exactly what
+        that :meth:`evaluate` call would: one plan-cache hit and one
+        result-cache hit.  Anything else — a ``GTPQ`` or dict query (they
+        need a parse and a fingerprint), a cold alias or answer, a
+        mutated graph — returns ``None`` and counts nothing; the caller
+        then evaluates.  :meth:`evaluate` itself starts here, so this is
+        its one hit path.
+        """
+        if not isinstance(query, str):
+            return None
+        return self._lookup(_json_alias(query), tuple(group_nodes))
+
+    def _lookup(self, alias: str, group_key: tuple[str, ...]) -> ResultSet | None:
+        if self.graph.version != self._graph_version:
+            return None  # the pool's evaluate drops the stale caches
+        plan = self.plan_cache.peek(alias)
+        if plan is None:
+            return None
+        cached = self.result_cache.peek((plan.fingerprint, group_key))
+        if cached is None:
+            return None
+        if group_key and not set(group_key).issubset(plan.query.outputs):
+            return None  # a store written before group nodes were checked
+        self.plan_cache.counters.hits += 1
+        self.result_cache.counters.hits += 1
+        return set(cached)
 
     def _probe_result_cache(
         self, plan: QueryPlan, group_nodes: tuple[str, ...]
@@ -666,10 +737,7 @@ class QuerySession:
         result_key = (plan.fingerprint, group_nodes)
         cached = self.result_cache.get(result_key)
         if cached is not None:
-            stats = EvaluationStats()
-            stats.result_cache_hits = 1
-            stats.result_count = len(cached)
-            return set(cached), stats
+            return set(cached), _hit_stats(cached)
 
         if plan.compiled.unsatisfiable:
             # Constant-empty plan: answer without materializing an index
@@ -881,6 +949,7 @@ class QuerySession:
         for query in queries:
             hits, misses = plan_counters.hits, plan_counters.misses
             plans.append(self._plan_for(query))
+            _check_group_nodes(plans[-1], group_key)
             plan_deltas.append(
                 (plan_counters.hits - hits, plan_counters.misses - misses)
             )

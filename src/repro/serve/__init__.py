@@ -3,7 +3,8 @@
 :class:`QueryServer` owns a pool of :class:`~repro.engine.QuerySession`
 workers over one data graph — the first worker reads the warm store
 (:mod:`repro.store`), and the rest start from its caches — and
-dispatches queries onto them from an asyncio event loop.  That is the
+dispatches queries onto them from an asyncio event loop: a result-cache
+hit is answered on the loop itself, every miss in a thread pool.  That is the
 shape the ROADMAP's "heavy traffic" north star needs: pay the plan,
 candidate and answer cost once (in a previous process, even), then
 amortize it across every concurrent request.  Every worker is a default

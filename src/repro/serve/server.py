@@ -4,9 +4,11 @@ See the package docstring for the model.  The implementation is a plain
 asyncio checkout queue over ``N`` independent :class:`QuerySession`
 workers: each worker owns its own caches and engines (no locks on the
 hot path); the first worker reads the :class:`~repro.store.ArtifactStore`
-and the rest start from its caches (:meth:`QuerySession.replica`), and
-evaluation runs in a thread pool so the event loop stays free to
-accept requests while Python executes query code.
+and the rest start from its caches (:meth:`QuerySession.replica`).  A
+result-cache hit is answered on the event loop, inside the request's
+checkout (:meth:`QuerySession.lookup`: a hash of the text and two dict
+probes, no parse); every miss runs in a thread pool, so a slow query
+never blocks the loop from accepting requests.
 """
 
 from __future__ import annotations
@@ -59,10 +61,13 @@ def percentile(samples: Sequence[float], q: float) -> float:
 class ServerStats:
     """Request accounting of one :class:`QueryServer`."""
 
-    __slots__ = ("requests", "errors", "stale_rejections", "latencies")
+    __slots__ = ("requests", "loop_hits", "errors", "stale_rejections", "latencies")
 
     def __init__(self):
         self.requests = 0
+        #: requests answered on the event loop (result-cache hits); the
+        #: rest of ``requests`` ran in the thread pool.
+        self.loop_hits = 0
         self.errors = 0
         self.stale_rejections = 0
         #: wall seconds (checkout wait + evaluation) of the most recent
@@ -73,6 +78,7 @@ class ServerStats:
     def summary(self) -> dict[str, float]:
         return {
             "requests": self.requests,
+            "loop_hits": self.loop_hits,
             "errors": self.errors,
             "stale_rejections": self.stale_rejections,
             "p50_ms": round(percentile(self.latencies, 50) * 1000, 3),
@@ -167,6 +173,12 @@ class QueryServer:
     async def submit(self, query, group_nodes: Sequence[str] = ()):
         """Evaluate ``query`` on the next free worker; returns its answer.
 
+        The checked-out worker first tries :meth:`QuerySession.lookup`
+        right here on the event loop — the worker belongs to this request
+        alone, so no other thread is inside it — and only a miss goes to
+        the thread pool (so does the first request on a worker after a
+        re-pin: its stale caches are dropped there, never on the loop).
+
         Raises :class:`StaleSnapshotError` when the graph has mutated
         since the pinned snapshot, and re-raises evaluation errors after
         returning the worker to the pool.
@@ -183,9 +195,13 @@ class QueryServer:
         started = time.perf_counter()
         session = await self._pool.get()
         try:
-            results = await loop.run_in_executor(
-                self._executor, session.evaluate, query, tuple(group_nodes)
-            )
+            results = session.lookup(query, group_nodes)
+            if results is None:
+                results = await loop.run_in_executor(
+                    self._executor, session.evaluate, query, tuple(group_nodes)
+                )
+            else:
+                self.stats.loop_hits += 1
         except Exception:
             self.stats.errors += 1
             raise
@@ -278,44 +294,51 @@ def _render_results(results) -> list:
 
 
 async def _handle_connection(server: QueryServer, reader, writer) -> None:
-    while True:
-        try:
-            line = await reader.readline()
-        except ValueError:
-            # The line outgrew the reader's limit and its buffered part
-            # is already discarded; whatever follows on this connection
-            # cannot be framed any more, so answer once and hang up.
-            server.stats.errors += 1
-            response = {"ok": False, "error": f"request line exceeds {MAX_REQUEST_LINE} bytes"}
+    try:
+        while True:
+            try:
+                line = await reader.readline()
+            except ValueError:
+                # The line outgrew the reader's limit and its buffered part
+                # is already discarded; whatever follows on this connection
+                # cannot be framed any more, so answer once and hang up.
+                server.stats.errors += 1
+                response = {"ok": False, "error": f"request line exceeds {MAX_REQUEST_LINE} bytes"}
+                writer.write(json.dumps(response).encode("utf-8") + b"\n")
+                await writer.drain()
+                break
+            if not line:
+                break
+            submitted = False
+            try:
+                payload = json.loads(line)
+                query, group_nodes = payload["query"], payload.get("group_nodes", [])
+                if not isinstance(group_nodes, list):
+                    kind = type(group_nodes).__name__
+                    raise ValueError(f"group_nodes must be a list of output ids, not {kind}")
+                submitted = True
+                results = await server.submit(query, group_nodes)
+                response = {
+                    "ok": True,
+                    "count": len(results),
+                    "results": _render_results(results),
+                }
+            except StaleSnapshotError as error:
+                response = {"ok": False, "stale": True, "error": str(error)}
+            except Exception as error:
+                # submit() counts the errors of the requests it receives; a
+                # line that is no request never gets there.
+                if not submitted:
+                    server.stats.errors += 1
+                response = {"ok": False, "error": f"{type(error).__name__}: {error}"}
             writer.write(json.dumps(response).encode("utf-8") + b"\n")
             await writer.drain()
-            break
-        if not line:
-            break
-        submitted = False
-        try:
-            payload = json.loads(line)
-            query, group_nodes = payload["query"], payload.get("group_nodes", ())
-            submitted = True
-            results = await server.submit(query, group_nodes)
-            response = {
-                "ok": True,
-                "count": len(results),
-                "results": _render_results(results),
-            }
-        except StaleSnapshotError as error:
-            response = {"ok": False, "stale": True, "error": str(error)}
-        except Exception as error:
-            # submit() counts the errors of the requests it receives; a
-            # line that is no request never gets there.
-            if not submitted:
-                server.stats.errors += 1
-            response = {"ok": False, "error": f"{type(error).__name__}: {error}"}
-        writer.write(json.dumps(response).encode("utf-8") + b"\n")
-        await writer.drain()
-    # No wait_closed(): the transport flushes on close, and awaiting it
-    # races server shutdown cancelling this handler task.
-    writer.close()
+    finally:
+        # Also when the handler is cancelled at server shutdown or drain()
+        # raises because the client left mid-reply.  No wait_closed(): the
+        # transport flushes on close, and awaiting it races server
+        # shutdown cancelling this handler task.
+        writer.close()
 
 
 async def serve_tcp(server: QueryServer, host: str = "127.0.0.1", port: int = 8765):

@@ -99,6 +99,96 @@ class TestCacheAccounting:
         assert stats.result_cache_misses == 1
 
 
+class TestLookup:
+    """``lookup`` is evaluate's hit path, runnable on its own."""
+
+    def test_a_cold_or_half_warm_lookup_returns_none_and_counts_nothing(self):
+        session = QuerySession(small_graph())
+        text = query_to_json(query_ab())
+        assert session.lookup(text) is None
+        session.evaluate(text)
+        # Same plan, other result key: the alias is cached, the answer not.
+        assert session.lookup(text, ("x",)) is None
+        info = session.cache_info()
+        assert (info["plan"]["hits"], info["result"]["hits"]) == (0, 0)
+        assert (info["plan"]["misses"], info["result"]["misses"]) == (1, 1)
+
+    def test_a_hit_counts_and_refreshes_like_evaluate(self):
+        graph = small_graph()
+        texts = [query_to_json(query_ab()), query_to_json(query_abd())]
+        looked, evaluated = QuerySession(graph), QuerySession(graph)
+        for session in (looked, evaluated):
+            for text in texts:
+                session.evaluate(text)
+        answer = looked.lookup(texts[0])
+        assert answer == evaluated.evaluate(texts[0]) == evaluate_naive(query_ab(), graph)
+        assert looked.cache_info() == evaluated.cache_info()
+        info = looked.cache_info()
+        assert (info["plan"]["hits"], info["plan"]["misses"]) == (1, 2)
+        assert (info["result"]["hits"], info["result"]["misses"]) == (1, 2)
+        for cache in ("plan_cache", "result_cache"):
+            keys = [[key for key, _ in getattr(s, cache).items()] for s in (looked, evaluated)]
+            assert keys[0] == keys[1]
+        answer.clear()  # a copy, not the cached set
+        assert looked.lookup(texts[0]) == evaluated.evaluate(texts[0])
+
+    def test_evaluate_serves_its_hit_through_lookup(self, monkeypatch):
+        session = QuerySession(small_graph())
+        text = query_to_json(query_ab())
+        session.evaluate(text)
+        monkeypatch.setattr(session, "_plan_for", None)  # a hit never plans
+        answer, stats = session.evaluate_with_stats(text)
+        assert answer == evaluate_naive(query_ab(), small_graph())
+        assert (stats.plan_cache_hits, stats.plan_cache_misses) == (1, 0)
+        assert (stats.result_cache_hits, stats.result_cache_misses) == (1, 0)
+        assert stats.result_count == len(answer)
+
+    def test_dict_and_gtpq_queries_never_hit(self):
+        session = QuerySession(small_graph())
+        query = query_ab()
+        for form in (query, query_to_dict(query), query_to_json(query)):
+            session.evaluate(form)
+        assert session.lookup(query) is None
+        assert session.lookup(query_to_dict(query)) is None
+        assert session.cache_info()["plan"]["hits"] == 2  # the two evaluations
+
+    def test_a_stale_session_returns_none_and_leaves_the_drop_to_evaluate(self):
+        graph = small_graph()
+        session = QuerySession(graph)
+        text = query_to_json(query_ab())
+        session.evaluate(text)
+        graph.add_node(label="a")
+        assert session.lookup(text) is None
+        assert len(session.result_cache) == 1, "lookup drops nothing"
+        assert session.evaluate(text) == evaluate_naive(query_ab(), graph)
+        assert session.cache_info()["result"]["invalidations"] == 1
+
+
+class TestGroupNodes:
+    def test_a_group_node_must_be_an_output(self):
+        session = QuerySession(small_graph())
+        query = query_ab()
+        for form in (query, query_to_dict(query), query_to_json(query)):
+            with pytest.raises(ValueError, match="not outputs"):
+                session.evaluate(form, ("nope",))
+            with pytest.raises(ValueError, match="not outputs"):
+                session.evaluate(form, "x1")  # a string is a sequence of ids
+            with pytest.raises(ValueError, match="not outputs"):
+                session.evaluate_many([query_abd(), form], ("x",))
+        # Nothing was answered under a stray key.
+        assert len(session.result_cache) == 0
+        assert session.evaluate(query, ("x",)) == session.evaluate(query_to_json(query), ["x"])
+
+    def test_a_stray_key_from_an_older_store_is_not_served(self):
+        session = QuerySession(small_graph())
+        text = query_to_json(query_ab())
+        plan = session.plan(text)
+        session.result_cache.put((plan.fingerprint, ("nope",)), frozenset())
+        assert session.lookup(text, ("nope",)) is None
+        with pytest.raises(ValueError, match="not outputs"):
+            session.evaluate(text, ("nope",))
+
+
 class TestPlanCache:
     def test_equivalent_serialized_forms_share_a_plan(self):
         session = QuerySession(small_graph())

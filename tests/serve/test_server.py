@@ -1,6 +1,7 @@
 """The serving tier: worker pool, snapshot pinning, and the TCP front."""
 
 import asyncio
+import functools
 import inspect
 import json
 import pickle
@@ -18,6 +19,7 @@ from repro.query import (
     evaluate_naive,
     query_fingerprint,
     query_to_dict,
+    query_to_json,
 )
 from repro.serve import (
     QueryServer,
@@ -147,6 +149,28 @@ class TestQueryServer:
         answer, errors = asyncio.run(run())
         assert errors == 1
         assert answer == evaluate_naive(serve_query(), graph)
+
+    def test_errors_are_counted_on_the_loop_hit_path_too(self):
+        graph = serve_graph()
+        text = query_to_json(serve_query())
+
+        async def run():
+            server = QueryServer(graph, workers=1)
+            await server.start()
+            await server.submit(text)
+            await server.submit(text)  # a hit, answered on the loop
+            with pytest.raises(TypeError):
+                await server.submit(text, [["kid"]])  # unhashable group key
+            with pytest.raises(ValueError, match="not outputs"):
+                await server.submit(text, ["nope"])
+            answer = await server.submit(text)
+            summary = server.stats.summary()
+            await server.stop()
+            return answer, summary
+
+        answer, summary = asyncio.run(run())
+        assert answer == evaluate_naive(serve_query(), graph)
+        assert (summary["requests"], summary["loop_hits"], summary["errors"]) == (3, 2, 2)
 
     def test_workers_are_default_sessions(self):
         assert list(inspect.signature(QueryServer).parameters) == ["graph", "workers", "store"]
@@ -433,6 +457,42 @@ class TestTcpFront:
         assert good["ok"] and good["count"] == len(evaluate_naive(query, graph))
         assert (summary["errors"], summary["requests"], summary["stale_rejections"]) == (3, 1, 0)
 
+    def test_group_nodes_must_be_a_list_of_output_ids(self):
+        graph = serve_graph()
+        query = query_to_dict(serve_query())
+        requests = [
+            {"query": query, "group_nodes": "kid"},  # not a list
+            {"query": query, "group_nodes": {"kid": 1}},
+            {"query": query, "group_nodes": ["nope"]},  # not an output
+            {"query": query, "group_nodes": ["kid"]},
+        ]
+
+        async def run():
+            server = QueryServer(graph, workers=1)
+            tcp = await serve_tcp(server, host="127.0.0.1", port=0)
+            port = tcp.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            responses = []
+            for request in requests:
+                writer.write((json.dumps(request) + "\n").encode())
+                await writer.drain()
+                responses.append(json.loads(await asyncio.wait_for(reader.readline(), 10)))
+            writer.close()
+            await writer.wait_closed()
+            tcp.close()
+            await tcp.wait_closed()
+            await server.stop()
+            return responses, server.stats.summary()
+
+        responses, summary = asyncio.run(run())
+        *bad, good = responses
+        assert [reply["ok"] for reply in bad] == [False] * 3
+        assert "must be a list" in bad[0]["error"] and "must be a list" in bad[1]["error"]
+        assert "not outputs" in bad[2]["error"]
+        roots = {root for root, _ in evaluate_naive(serve_query(), graph)}
+        assert good["ok"] and good["count"] == len(roots)  # one row per grouped root
+        assert (summary["errors"], summary["requests"]) == (3, 1)
+
     def test_oversized_request_line_gets_a_reply_and_only_its_connection_closes(self):
         graph = serve_graph()
         query = serve_query()
@@ -475,6 +535,163 @@ class TestTcpFront:
         assert errors == 1
         expected = len(evaluate_naive(query, graph))
         assert [(a["ok"], a["count"]) for a in answers] == [(True, expected)] * 2
+
+
+def grouped_rows(rows):
+    """Flatten ``group_nodes=("kid",)`` rows back to ``(root, kid)`` tuples."""
+    return {(root, dict(item)["kid"]) for root, group in rows for item in group}
+
+
+class TestLoopHits:
+    """A result-cache hit is answered on the event loop; the rest runs in
+    the thread pool, with the same bookkeeping as ``evaluate``."""
+
+    def test_one_hit_path_keeps_evaluates_bookkeeping(self, monkeypatch):
+        graph = serve_graph()
+        unsat = (
+            QueryBuilder()
+            .backbone("root", predicate=AttributePredicate.label("a"))
+            .predicate("p", parent="root", predicate=AttributePredicate.label("b"))
+            .structural("root", "p & !p")
+            .outputs("root")
+            .build()
+        )
+        queries = {"a": serve_query("a"), "b": serve_query("b"), "c": serve_query("c")}
+        queries["unsat"] = unsat
+        texts = {name: query_to_json(query) for name, query in queries.items()}
+        # Hits, misses, a constant-empty answer, a grouped request and
+        # repeats of answers the three-entry result cache evicted.
+        stream = [
+            ("b", ()), ("c", ()), ("unsat", ()), ("b", ()), ("unsat", ()),
+            ("b", ("kid",)), ("b", ("kid",)), ("c", ()), ("a", ()), ("b", ()),
+            ("b", ()), ("c", ()), ("b", ("kid",)), ("a", ()),
+        ]  # fmt: skip
+        sizes = {"plan_cache_size": 6, "result_cache_size": 3}
+        monkeypatch.setattr(
+            "repro.serve.server.QuerySession", functools.partial(QuerySession, **sizes)
+        )
+        server = QueryServer(graph, workers=1)
+
+        async def run():
+            await server.start()
+            answers = [await server.submit(texts[name], group) for name, group in stream]
+            (worker,) = server._sessions
+            await server.stop()
+            return worker, answers
+
+        worker, answers = asyncio.run(run())
+        replay = QuerySession(graph, **sizes)
+        replayed = [replay.evaluate(texts[name], group) for name, group in stream]
+        assert answers == replayed
+        for (name, group), answer in zip(stream, answers):
+            expected = evaluate_naive(queries[name], graph)
+            assert (grouped_rows(answer) if group else answer) == expected
+        assert worker.cache_info() == replay.cache_info()
+        for cache in ("plan_cache", "result_cache"):
+            assert [key for key, _ in getattr(worker, cache).items()] == [
+                key for key, _ in getattr(replay, cache).items()
+            ]
+        info = worker.cache_info()
+        assert info["plan"]["evictions"] > 0 and info["result"]["evictions"] > 0
+        # Every request here is JSON text, so every result hit was a loop hit.
+        assert server.stats.loop_hits == info["result"]["hits"] > 0
+        assert server.stats.requests == len(stream)
+
+    def test_hits_run_on_the_loop_and_the_rest_in_the_pool(self, tmp_path, monkeypatch):
+        graph = serve_graph()
+        hot, cold = serve_query("b"), serve_query("c")
+        hot_text, cold_text = query_to_json(hot), query_to_json(cold)
+        primer = QuerySession(graph, store=tmp_path / "store")
+        primer.evaluate(hot_text)
+        primer.persist()
+        threads = {"_execute_plan": [], "_drop_versioned": []}
+        for name, idents in threads.items():
+            original = getattr(QuerySession, name)
+
+            def recorded(self, *args, _original=original, _idents=idents):
+                _idents.append(threading.get_ident())
+                return _original(self, *args)
+
+            monkeypatch.setattr(QuerySession, name, recorded)
+        server = QueryServer(graph, workers=2, store=tmp_path / "store")
+
+        async def run():
+            await server.start()
+            loop_thread = threading.get_ident()
+            submitted = []
+            submit = server._executor.submit
+
+            def counted(fn, *args, **kwargs):
+                submitted.append(fn)
+                return submit(fn, *args, **kwargs)
+
+            server._executor.submit = counted
+            try:
+                # The primed text on both workers: answered on the loop.
+                for _ in range(4):
+                    assert await server.submit(hot_text) == evaluate_naive(hot, graph)
+                assert (submitted, server.stats.loop_hits) == ([], 4)
+                assert threads["_execute_plan"] == []
+                # A miss, then the cached query as a dict and a GTPQ: pool.
+                assert await server.submit(cold_text) == evaluate_naive(cold, graph)
+                assert await server.submit(query_to_dict(hot)) == evaluate_naive(hot, graph)
+                assert await server.submit(hot) == evaluate_naive(hot, graph)
+                assert len(submitted) == 3 and server.stats.loop_hits == 4
+                # After a mutation and a re-pin, each worker's first
+                # request drops its stale caches in the pool.
+                graph.add_edge(graph.add_node(label="a"), 2)  # a new root over a 'b'
+                await server.refresh()
+                before = len(submitted)
+                for _ in range(2):
+                    assert await server.submit(hot_text) == evaluate_naive(hot, graph)
+                assert len(submitted) == before + 2 and server.stats.loop_hits == 4
+                for _ in range(2):
+                    assert await server.submit(hot_text) == evaluate_naive(hot, graph)
+                assert len(submitted) == before + 2 and server.stats.loop_hits == 6
+            finally:
+                await server.stop()
+            return loop_thread
+
+        loop_thread = asyncio.run(run())
+        assert threads["_execute_plan"] and threads["_drop_versioned"]
+        for idents in threads.values():
+            assert loop_thread not in idents
+
+
+    def test_a_concurrent_burst_keeps_every_count(self):
+        """More workers than cores, thread switches forced often: hits on
+        the loop and misses in the pool keep the counts consistent."""
+        graph = serve_graph()
+        queries = [serve_query(label) for label in "abc"]
+        requests = [
+            (query_to_json(queries[i % 3]), ("kid",) if i % 4 == 0 else ()) for i in range(120)
+        ]
+        server = QueryServer(graph, workers=4)
+
+        async def run():
+            await server.start()
+            try:
+                answers = await asyncio.wait_for(
+                    asyncio.gather(*[server.submit(text, group) for text, group in requests]),
+                    timeout=60,
+                )
+                infos = [session.cache_info()["result"] for session in server._sessions]
+            finally:
+                await server.stop()
+            return answers, infos
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            answers, infos = asyncio.run(run())
+        finally:
+            sys.setswitchinterval(interval)
+        for i, ((_, group), answer) in enumerate(zip(requests, answers)):
+            expected = evaluate_naive(queries[i % 3], graph)
+            assert (grouped_rows(answer) if group else answer) == expected
+        assert server.stats.requests == len(requests) and server.stats.errors == 0
+        assert server.stats.loop_hits == sum(info["hits"] for info in infos) > 0
+        assert sum(info["misses"] for info in infos) == len(requests) - server.stats.loop_hits
 
 
 class TestRefreshCheckpoint:
