@@ -40,7 +40,7 @@ from .analysis import (
     is_query_satisfiable,
     minimize_query,
 )
-from .engine import GTEA, QuerySession, evaluate_gtea
+from .engine import GTEA, QuerySession
 from .graph import DataGraph
 from .plan import CompiledPlan, compile_query
 from .query import (
@@ -66,7 +66,6 @@ __all__ = [
     "are_equivalent",
     "build_reachability",
     "compile_query",
-    "evaluate_gtea",
     "evaluate_naive",
     "is_contained",
     "is_query_satisfiable",

@@ -22,7 +22,8 @@ import sys
 from ..datasets import fig7_query, generate_xmark
 from ..engine import QuerySession
 from ..graph import depth_stats, graph_stats
-from ..reachability import available_indexes, select_auto_index
+from ..plan import choose_index
+from ..reachability import available_indexes
 from .harness import format_table
 
 
@@ -34,7 +35,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         **stats.row(),
         "max_depth": max_depth,
         "avg_depth": round(avg_depth, 2),
-        "auto_index": select_auto_index(stats),
+        "auto_index": choose_index(stats),
     }
     print(format_table(
         f"XMark-like dataset, scale {args.scale}",

@@ -10,7 +10,7 @@ measured.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..baselines import (
@@ -65,11 +65,10 @@ class AlgorithmSuite:
         self.graph = graph
         # Paper fidelity: the experiment figures measure the raw GTEA
         # pipeline; Algorithm-1 minimization is a separate contribution,
-        # so the suite compiles without it.  Graph statistics and the
-        # (lazily built) index are query-independent planner inputs —
-        # forced here, outside the measured region.
+        # so the suite compiles without it.  The (lazily built) index is
+        # a query-independent planner input — forced here, outside the
+        # measured region.
         self.gtea = GTEA(graph, optimize=False)
-        self.gtea.graph_statistics()
         self.gtea.reachability
         self.twigstackd = TwigStackD(graph)
         self.hgjoin_plus = HGJoinPlus(graph)
@@ -98,14 +97,8 @@ class AlgorithmSuite:
         conjunctive = query.is_conjunctive()
         if algorithm == "GTEA":
             # Compile outside the timed region (the session layer caches
-            # plans, so serving never recompiles a repeated query), and
-            # pin the executor: this row must measure GTEA itself even on
-            # workloads the cost model would hand to the baseline.
+            # plans, so serving never recompiles a repeated query).
             plan = self.gtea.compile(query)
-            if plan.physical.executor != "gtea":
-                plan = replace(
-                    plan, physical=replace(plan.physical, executor="gtea")
-                )
             runner = lambda: self.gtea.evaluate_with_stats(query, plan=plan)
         elif algorithm in ("TwigStackD", "HGJoin+", "HGJoin*"):
             evaluator = {

@@ -25,7 +25,7 @@ execution — and is wired in with ``QuerySession(parallel=...)``.
 """
 
 from .cache import CacheCounters, LRUCache
-from .gtea import GTEA, evaluate_gtea
+from .gtea import GTEA
 from .matching_graph import MatchingGraph, build_matching_graph
 from .operators import (
     BuildMatchingGraph,
@@ -73,7 +73,6 @@ __all__ = [
     "build_matching_graph",
     "collect_results",
     "compute_prime_subtree",
-    "evaluate_gtea",
     "executed_downward_order",
     "prune_downward",
     "prune_upward",

@@ -24,11 +24,6 @@ class CacheCounters:
         self.evictions = 0
         self.invalidations = 0
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def snapshot(self) -> dict[str, int]:
         return {
             "hits": self.hits,

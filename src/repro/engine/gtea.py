@@ -35,11 +35,10 @@ from __future__ import annotations
 from typing import Callable
 
 from ..graph.digraph import DataGraph
-from ..graph.stats import GraphStats, graph_stats
 from ..plan import CompiledPlan, codegen_refusal, compile_query
 from ..query.gtpq import GTPQ
 from ..reachability.base import GraphReachability
-from ..reachability.factory import build_reachability
+from ..reachability.factory import build_reachability, resolve_index
 from .operators import (
     ExecutionState,
     Operator,
@@ -60,9 +59,9 @@ class GTEA:
     The reachability index is built once per graph version and shared
     across queries (indexes are query-independent, unlike the R-join
     index the paper criticizes in Section 4.1).  An index the engine
-    built itself is dropped, with its resolved ``"auto"`` name, at the
-    first use after the graph's version moved; a service passed in as
-    ``reachability=`` is the caller's to keep current.
+    built itself is dropped at the first use after the graph's version
+    moved; a service passed in as ``reachability=`` is the caller's to
+    keep current.
     """
 
     def __init__(
@@ -96,14 +95,10 @@ class GTEA:
         self.graph = graph
         self._reachability = reachability
         self._index_request = index
-        self._resolved_index: str | None = (
-            reachability.index.name if reachability is not None else None
-        )
         #: graph version of the self-built index; None for a passed-in one.
         self._index_version: int | None = graph.version if reachability is None else None
         self.optimize = optimize
         self.adaptive = adaptive
-        self._stats_cache: tuple[int, GraphStats] | None = None
 
     @property
     def reachability(self) -> GraphReachability:
@@ -117,40 +112,27 @@ class GTEA:
             self._reachability = build_reachability(
                 self.graph, self._index_request
             )
-            self._resolved_index = self._reachability.index.name
         return self._reachability
 
     def resolved_index(self) -> str:
-        """The concrete index name, resolved without building the index."""
+        """The concrete index name, resolved without building the index:
+        the held service's, or else ``"auto"`` resolved against the
+        graph as it is now."""
         self._drop_stale_index()
-        if self._resolved_index is None:
-            if self._index_request == "auto":
-                from ..plan.cost import choose_index
-
-                self._resolved_index = choose_index(self.graph_statistics())
-            else:
-                self._resolved_index = self._index_request
-        return self._resolved_index
+        if self._reachability is not None:
+            return self._reachability.index.name
+        return resolve_index(self.graph, self._index_request)
 
     def _drop_stale_index(self) -> None:
-        """Forget a self-built index (and the ``"auto"`` pick) made for
-        an older graph version."""
+        """Forget a self-built index made for an older graph version."""
         version = self.graph.version
         if self._index_version is not None and self._index_version != version:
             self._reachability = None
-            self._resolved_index = None
             self._index_version = version
 
     # ------------------------------------------------------------------
     # Compilation
     # ------------------------------------------------------------------
-    def graph_statistics(self) -> GraphStats:
-        """Graph statistics for the planner, cached per graph version."""
-        version = self.graph.version
-        if self._stats_cache is None or self._stats_cache[0] != version:
-            self._stats_cache = (version, graph_stats(self.graph))
-        return self._stats_cache[1]
-
     def compile(self, query: GTPQ) -> CompiledPlan:
         """Compile ``query`` against this engine's index and graph."""
         return compile_query(
@@ -158,7 +140,6 @@ class GTEA:
             query,
             index=self.resolved_index(),
             minimize=self.optimize,
-            stats=self.graph_statistics(),
         )
 
     # ------------------------------------------------------------------
@@ -214,7 +195,6 @@ class GTEA:
         output_structures: list[list[str]] | None = None,
         candidate_provider: CandidateProvider | None = None,
         stats: EvaluationStats | None = None,
-        adaptive: bool | None = None,
         codegen=None,
         *,
         subtree_cache=None,
@@ -225,8 +205,7 @@ class GTEA:
         the reachability index (zero candidate fetches, zero lookups).
         Group nodes and alternative output structures are evaluated
         against the *original* query — their node ids may reference
-        nodes the rewrite dropped or relocated.  ``adaptive`` overrides
-        the engine-level flag for this execution.
+        nodes the rewrite dropped or relocated.
 
         ``codegen`` optionally carries a specialized
         :class:`~repro.plan.codegen.CompiledPlanFunction` for this plan
@@ -247,14 +226,15 @@ class GTEA:
         """
         if stats is None:
             stats = EvaluationStats()
-        if adaptive is None:
-            adaptive = self.adaptive
 
         if (
             codegen is not None
             and output_structures is None
             and codegen.index_name == self.resolved_index()
-            and codegen_refusal(plan.physical, adaptive=adaptive, grouped=bool(group_nodes)) is None
+            and codegen_refusal(
+                plan.physical, adaptive=self.adaptive, grouped=bool(group_nodes)
+            )
+            is None
         ):
             state = ExecutionState(
                 self, plan.query, stats, candidate_provider=candidate_provider
@@ -272,7 +252,7 @@ class GTEA:
             candidate_provider=candidate_provider,
             subtree_cache=subtree_cache,
         )
-        run_pipeline(state, operators, adaptive=adaptive)
+        run_pipeline(state, operators, adaptive=self.adaptive)
         return state.answer, stats
 
     def _instantiate(
@@ -301,7 +281,3 @@ class GTEA:
             return query, build_gtea_operators(query.bottom_up())
         return query, instantiate_operators(plan.physical.operators)
 
-
-def evaluate_gtea(graph: DataGraph, query: GTPQ, index: str = "3hop") -> ResultSet:
-    """One-shot convenience wrapper: build the engine and evaluate."""
-    return GTEA(graph, index=index).evaluate(query)

@@ -74,14 +74,13 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from ..graph.digraph import DataGraph
-from ..graph.stats import GraphStats, graph_stats
+from ..graph.stats import graph_stats
 from ..plan import (
     CodegenError,
     CompiledPlan,
     ExecutionRoute,
     NormalizedQuery,
     NormalizeOutcome,
-    choose_index,
     compile_normalized,
     compile_plan,
     decide_route,
@@ -310,10 +309,7 @@ class QuerySession:
         # Partial-scope plans whose rows blew the fill budget: they run
         # on the full index until the next version.
         self._closure_refused: set[str] = set()
-        self._engines: dict[str, GTEA] = {}
         self._parallel_pool: dict[str, ParallelExecutor] = {}
-        self._resolved_auto: str | None = None
-        self._graph_stats: GraphStats | None = None
         self._graph_version = graph.version
         if store is None or isinstance(store, ArtifactStore):
             self.store = store
@@ -333,18 +329,9 @@ class QuerySession:
     # ------------------------------------------------------------------
     @property
     def resolved_index(self) -> str:
-        """The concrete index name the default engine uses."""
+        """The concrete index name the default route uses."""
         self._ensure_fresh()
-        return self._resolve(self.default_index)
-
-    def _resolve(self, index: str) -> str:
-        if index != "auto":
-            return resolve_index(self.graph, index)
-        if self._resolved_auto is None:
-            # Same ladder as resolve_index(graph, "auto"), but fed from
-            # the session's cached statistics (one graph walk, not two).
-            self._resolved_auto = choose_index(self.graph_statistics())
-        return self._resolved_auto
+        return resolve_index(self.graph, self.default_index)
 
     def reachability(self, index: str | None = None) -> GraphReachability:
         """The reachability service for ``index``: the session's one
@@ -352,7 +339,7 @@ class QuerySession:
         lineage after a version bump), the pooled service otherwise
         (built lazily)."""
         self._ensure_fresh()
-        name = self._resolve(index or self.default_index)
+        name = resolve_index(self.graph, index or self.default_index)
         if name == "tc":
             # One holder: ``tc`` is the slot's closure, whoever asks.
             return self._closure.current(self.graph) or self._closure.create(self.graph)
@@ -362,32 +349,17 @@ class QuerySession:
             self._reach_pool[name] = service
         return service
 
-    def engine(self, index: str | None = None) -> GTEA:
-        """The pooled :class:`~repro.engine.gtea.GTEA` for ``index``."""
-        self._ensure_fresh()
-        name = self._resolve(index or self.default_index)
-        engine = self._engines.get(name)
-        if engine is None:
-            engine = GTEA(
-                self.graph,
-                reachability=self.reachability(name),
-                adaptive=self.adaptive,
-            )
-            self._engines[name] = engine
-        return engine
-
     def parallel_executor(self, index: str | None = None) -> ParallelExecutor | None:
         """The pooled sharded executor for ``index``, or None when the
         session was created without ``parallel=``."""
         if self.parallel_options is None:
             return None
         self._ensure_fresh()
-        name = self._resolve(index or self.default_index)
+        name = resolve_index(self.graph, index or self.default_index)
         executor = self._parallel_pool.get(name)
         if executor is None:
-            executor = ParallelExecutor.from_options(
-                self.engine(name), self.parallel_options
-            )
+            engine = GTEA(self.graph, reachability=self.reachability(name), adaptive=self.adaptive)
+            executor = ParallelExecutor.from_options(engine, self.parallel_options)
             self._parallel_pool[name] = executor
         return executor
 
@@ -427,12 +399,9 @@ class QuerySession:
         self._reach_pool.clear()
         self._observed_ops.clear()
         self._closure_refused.clear()
-        self._engines.clear()
         # Parallel executors are pinned to the graph version their
         # process workers forked with; a fresh pool is rebuilt lazily.
         self.close()
-        self._resolved_auto = None
-        self._graph_stats = None
         self._graph_version = self.graph.version
 
     def close(self) -> None:
@@ -517,8 +486,8 @@ class QuerySession:
         kind: never persisted).  The store, its fingerprint and
         :attr:`store_rehydrated` carry over, so a replica costs no
         fingerprint walk and no store read.
-        Reachability state (the closure, pooled indexes, engines) is not
-        shared; it builds lazily per session.
+        Reachability state (the closure, pooled indexes) is not shared;
+        it builds lazily per session.
         """
         self._ensure_fresh()
         twin = QuerySession(
@@ -540,13 +509,6 @@ class QuerySession:
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-    def graph_statistics(self) -> GraphStats:
-        """Graph statistics for the planner, cached per graph version."""
-        self._ensure_fresh()
-        if self._graph_stats is None:
-            self._graph_stats = graph_stats(self.graph)
-        return self._graph_stats
-
     def plan(self, query: QueryLike) -> QueryPlan:
         """Parse and *compile* ``query`` through the plan cache.
 
@@ -634,7 +596,7 @@ class QuerySession:
                     self.graph,
                     self._normalize(parsed),
                     index=self.default_index,
-                    stats=self.graph_statistics(),
+                    stats=graph_stats(self.graph),
                     pooled=tuple(self._reach_pool),
                 ),
             )
@@ -755,22 +717,19 @@ class QuerySession:
         stats = EvaluationStats()
         self._book_structure(stats)
         route = self._route(plan, grouped=bool(group_nodes))
-        partial_service = self._partial_service(plan, stats) if route.partial else None
+        service = self._partial_service(plan, stats) if route.partial else None
         sharded = None
-        if partial_service is not None:
-            # An engine over the closure: construction is trivial (the
-            # service exists); sharded execution is skipped — its pools
-            # pin full-scope engines by index name.
-            engine = GTEA(
-                self.graph, reachability=partial_service, adaptive=route.adaptive
-            )
-        else:
-            engine = self.engine(route.index_name)
+        if service is None:
+            service = self.reachability(route.index_name)
+            # Sharded execution skips the closure's partial scope: its
+            # pools pin full-scope engines by index name.
             if route.sharded:
                 sharded = self.parallel_executor(route.index_name)
             if route.partial or route.partial_refused:
                 # Fill blow-out, or a statically refused partial scope.
                 stats.partial_fallbacks = 1
+        # Construction is trivial: the service exists.
+        engine = GTEA(self.graph, reachability=service, adaptive=route.adaptive)
         codegen_fn = None
         if route.compiled:
             entry, was_cached = self._codegen_entry(plan)
@@ -872,7 +831,6 @@ class QuerySession:
         budget = max(1, int(PARTIAL_FOOTPRINT_FRACTION * self.graph.num_nodes))
         if not service.index.fill(sources, budget):
             self._closure.drop()
-            self._engines.pop("tc", None)  # a pinned-tc engine held the dropped rows
             self._closure_refused.add(plan.fingerprint)
             return None
         stats.partial_builds, stats.partial_hits = int(created), int(not created)

@@ -117,26 +117,6 @@ class EvaluationStats:
             self.intermediate_tuples
         )
 
-    @property
-    def cache_hits(self) -> int:
-        """Total hits across the plan/candidate/result/subtree caches."""
-        return (
-            self.plan_cache_hits
-            + self.candidate_cache_hits
-            + self.result_cache_hits
-            + self.subtree_cache_hits
-        )
-
-    @property
-    def cache_misses(self) -> int:
-        """Total misses across the plan/candidate/result/subtree caches."""
-        return (
-            self.plan_cache_misses
-            + self.candidate_cache_misses
-            + self.result_cache_misses
-            + self.subtree_cache_misses
-        )
-
     def time_phase(self, name: str):
         """Context manager accumulating wall time into ``phase_seconds``."""
         return _PhaseTimer(self, name)
@@ -171,36 +151,6 @@ class EvaluationStats:
         for stats in many:
             total.merge(stats)
         return total
-
-    def row(self) -> dict[str, float]:
-        """This evaluation as a flat report row, with a *fixed* schema.
-
-        Every counter column is always present (zeros included): report
-        rows are diffed and tabulated across configurations, and a
-        schema that depends on which features fired (codegen on/off,
-        sharded or serial, warm or cold caches) breaks that tooling.
-        Only the ``t_<phase>`` timing columns vary — they are keyed by
-        the phases that actually ran, which legitimately differ between
-        executors.
-        """
-        return {
-            "#input": self.input_nodes,
-            "#index": self.index_entries,
-            "#intermediate": self.intermediate_cost,
-            "results": self.result_count,
-            **{f"t_{k}": round(v, 6) for k, v in self.phase_seconds.items()},
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "prune_ops": self.downward_prune_ops,
-            "workers": self.parallel_workers,
-            "shard_tasks": self.parallel_shard_tasks,
-            "codegen_hits": self.codegen_hits,
-            "codegen_misses": self.codegen_misses,
-            "codegen_fallbacks": self.codegen_fallbacks,
-            "partial_builds": self.partial_builds,
-            "partial_hits": self.partial_hits,
-            "partial_fallbacks": self.partial_fallbacks,
-        }
 
 
 #: every int counter of the dataclass — what :meth:`EvaluationStats.merge`

@@ -10,7 +10,6 @@ from .assignment import (
     all_assignments,
     brute_force_satisfiable,
     brute_force_tautology,
-    count_models,
     evaluate,
     models,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "brute_force_satisfiable",
     "brute_force_tautology",
     "cnf_clauses",
-    "count_models",
     "disjoint",
     "dnf_terms",
     "entails",

@@ -64,11 +64,6 @@ def models(formula: Formula) -> Iterator[dict[str, bool]]:
             yield assignment
 
 
-def count_models(formula: Formula) -> int:
-    """Number of satisfying assignments over the formula's own variables."""
-    return sum(1 for _ in models(formula))
-
-
 def brute_force_satisfiable(formula: Formula) -> bool:
     """Exhaustive satisfiability check; test oracle for the DPLL solver."""
     return next(models(formula), None) is not None

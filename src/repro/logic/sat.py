@@ -273,11 +273,6 @@ def _propagate(clauses: list[Clause], assignment: dict[int, bool]) -> list[Claus
     return clauses
 
 
-def implication_holds(antecedents: list[Formula], consequent: Formula) -> bool:
-    """Convenience: does the conjunction of ``antecedents`` entail ``consequent``?"""
-    return entails(land(*antecedents), consequent)
-
-
 def disjoint(left: Formula, right: Formula) -> bool:
     """True iff ``left & right`` is unsatisfiable (no shared model)."""
     return not is_satisfiable(land(left, right))

@@ -83,8 +83,8 @@ def compile_query(
         minimize: run Algorithm-1 minimization during the normalize
             phase (simplification and the satisfiability short circuit
             always run).
-        stats: precomputed graph statistics, to skip the per-compile
-            :func:`~repro.graph.stats.graph_stats` walk.
+        stats: :func:`~repro.graph.stats.graph_stats` already in hand;
+            computed on demand when omitted.
         pooled: full-scope index names already built by the caller (the
             session's reachability pool); per-query costing treats those
             as free and never picks a partial index against them.

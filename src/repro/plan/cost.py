@@ -4,9 +4,9 @@ One decision is made here, from statistics only (no index is built and
 no candidate list is materialized at costing time): the **index
 choice** — the ladder of :func:`choose_index`: the lazily filled
 descendant closure (``tc``) while its worst case fits a memory bound,
-graph shape above it (:func:`repro.reachability.factory.select_auto_index`
-delegates here, so the cost model is the single owner of the decision),
-and per query the partial scope of :func:`choose_scoped_index`.  There
+graph shape above it (:func:`repro.reachability.factory.resolve_index`
+calls it, so the cost model is the single owner of the decision), and
+per query the partial scope of :func:`choose_scoped_index`.  There
 is no executor choice: every satisfiable plan runs on GTEA, which beats
 TwigStackD even on conjunctive tree patterns (paper Figs. 8–10).
 

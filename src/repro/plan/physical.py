@@ -3,8 +3,8 @@
 Turns a :class:`~repro.plan.logical.LogicalPlan` into concrete execution
 decisions using the cost model of :mod:`repro.plan.cost`:
 
-* which reachability index the executor should probe (the ladder that
-  used to be hardwired in ``reachability.factory.select_auto_index``);
+* which reachability index the executor should probe (the ladder of
+  :func:`repro.plan.cost.choose_index`, scoped per query);
 * the **operator pipeline** — an explicit ordered list of
   :class:`PhysicalOperator` rows that
   :mod:`repro.engine.operators` instantiates and runs: CandidateScan →
@@ -195,9 +195,8 @@ def build_physical_plan(
         logical: the logical plan to realize.
         index: an explicit index name pins the choice; ``"auto"`` lets
             the cost model decide from the graph statistics.
-        stats: precomputed :func:`~repro.graph.stats.graph_stats` (the
-            session layer caches them per graph version); computed on
-            demand when omitted.
+        stats: :func:`~repro.graph.stats.graph_stats` already in hand;
+            computed on demand when omitted.
         pooled: names of full-scope indexes the session has already
             built; an already-built index makes the full arm free, so
             per-query costing never picks partial against it.
@@ -215,14 +214,9 @@ def build_physical_plan(
             footprint_estimate = choice.footprint_estimate
     else:
         # Deferred import: the factory imports this package's cost model.
-        from ..reachability.factory import available_indexes
+        from ..reachability.factory import resolve_index
 
-        if index not in available_indexes():
-            raise ValueError(
-                f"unknown index {index!r}; available: "
-                f"{', '.join(available_indexes())} (or 'auto')"
-            )
-        index_name = index
+        index_name = resolve_index(graph, index)
         index_reason = "pinned by caller"
 
     executor = "gtea" if normalized.satisfiable else "constant-empty"

@@ -25,7 +25,6 @@ from .factory import (
     available_indexes,
     build_reachability,
     resolve_index,
-    select_auto_index,
 )
 from .interval import IntervalIndex, IntervalLabeling
 from .partial import (
@@ -68,5 +67,4 @@ __all__ = [
     "merge_succ_lists",
     "node_reaches_contour",
     "resolve_index",
-    "select_auto_index",
 ]

@@ -3,7 +3,7 @@
 The registry names the five index families something reaches —
 ``3hop``, ``tc``, ``interval``, ``tree-cover`` and ``sspi`` (see
 :func:`available_indexes`).  Besides the explicit names, ``index="auto"`` selects an index from the
-shape of the data graph (see :func:`select_auto_index`): the lazily
+shape of the data graph (see :func:`resolve_index`): the lazily
 filled descendant closure (``tc``) while its worst case fits a memory
 bound, then interval labels on forests, the tree-cover on near-tree DAGs,
 and 3-hop — the paper's default — everywhere else.
@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Callable
 
 from ..graph.digraph import DataGraph
-from ..graph.stats import GraphStats, graph_stats
+from ..graph.stats import graph_stats
 from ..plan.cost import AUTO_CLOSURE_MAX_BYTES, AUTO_NEAR_TREE_RATIO, choose_index
 from .base import Dag, DagIndex, GraphReachability
 from .interval import IntervalIndex
@@ -37,7 +37,6 @@ __all__ = [
     "available_indexes",
     "build_reachability",
     "resolve_index",
-    "select_auto_index",
 ]
 
 
@@ -46,21 +45,12 @@ def available_indexes() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def select_auto_index(stats: GraphStats) -> str:
-    """Cost-based index choice from graph statistics alone.
-
-    The decision lives in the physical planner's cost model; this alias
-    (plus the re-exported ``AUTO_*`` thresholds) keeps the historical
-    factory API working.  See :func:`repro.plan.cost.choose_index` for
-    the heuristic ladder.
-    """
-    return choose_index(stats)
-
-
 def resolve_index(graph: DataGraph, index: str) -> str:
-    """Resolve ``"auto"`` against ``graph``; pass explicit names through."""
+    """Resolve ``"auto"`` against ``graph`` — the ladder of
+    :func:`repro.plan.cost.choose_index` over its current statistics —
+    and pass explicit names through (``ValueError`` for unknown ones)."""
     if index == "auto":
-        return select_auto_index(graph_stats(graph))
+        return choose_index(graph_stats(graph))
     if index not in _REGISTRY:
         raise ValueError(
             f"unknown index {index!r}; available: "
@@ -75,7 +65,7 @@ def build_reachability(graph: DataGraph, index: str = "3hop") -> GraphReachabili
     Args:
         graph: the data graph (cyclic graphs are condensed automatically).
         index: one of :func:`available_indexes` (default the paper's
-            3-hop), or ``"auto"`` for the :func:`select_auto_index`
+            3-hop), or ``"auto"`` for the :func:`resolve_index`
             heuristic.
     """
     factory = _REGISTRY[resolve_index(graph, index)]

@@ -162,12 +162,12 @@ class QueryServer:
         first = QuerySession(self.graph, store=self.store)
         sessions = [first] + [first.replica() for _ in range(self.workers - 1)]
         for session in sessions:
-            # Touching the engine resolves the index now, not under the
-            # first request: the graph condenses (once, shared by every
-            # worker) and a pinned full index is built.  The default
-            # (``tc`` under the closure bound) builds nothing more here —
-            # the first misses fill the rows they read.
-            session.engine()
+            # Touching the reachability service resolves the index now,
+            # not under the first request: the graph condenses (once,
+            # shared by every worker) and a pinned full index is built.
+            # The default (``tc`` under the closure bound) builds nothing
+            # more here — the first misses fill the rows they read.
+            session.reachability()
         return sessions
 
     async def submit(self, query, group_nodes: Sequence[str] = ()):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.bench import AlgorithmSuite, format_table, mean
 from repro.datasets import exp2_query, fig7_query, generate_xmark
+from repro.query import AttributePredicate, QueryBuilder
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +69,20 @@ class TestAlgorithmSuite:
         assert stats.phase_seconds["best_plan"] <= stats.phase_seconds["all_plans"]
         # Reported time charges the best plan only (paper convention).
         assert measurement.seconds <= stats.phase_seconds["all_plans"] + 1.0
+
+    def test_unsatisfiable_gtpq_runs_the_constant_empty_plan(self, suite):
+        query = (
+            QueryBuilder()
+            .backbone("person", predicate=AttributePredicate.label("person"))
+            .predicate("name", parent="person", predicate=AttributePredicate.label("name"))
+            .structural("person", "name & !name")
+            .outputs("person")
+            .build()
+        )
+        measurement = suite.run("GTEA", query)
+        assert measurement.answer == set()
+        assert measurement.stats.input_nodes == 0
+        assert [record.op for record in measurement.stats.operator_stats] == ["ConstantEmpty"]
 
     def test_measurement_millis(self, suite):
         measurement = suite.run("GTEA", fig7_query("q1", person_group=1))

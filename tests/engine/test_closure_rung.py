@@ -100,8 +100,8 @@ class TestNeverBuildsThreeHop:
 class TestOneHolder:
     def test_nothing_is_filled_before_a_query_reads_it(self, xmark):
         session = QuerySession(xmark)
-        engine = session.engine()  # what the server's warm-up does
-        assert engine.reachability is session.reachability() is session._closure.service
+        service = session.reachability()  # what the server's warm-up does
+        assert service is session.reachability() is session._closure.service
         assert not any(session.cache_info()["partial"].values())  # no row, no fill
         query = fig7_query("q1", person_group=1)
         _, stats = session.evaluate_with_stats(query)

@@ -92,12 +92,6 @@ class TestMultipleOutputStructures:
 
 
 class TestStatsShape:
-    def test_row_format(self):
-        graph = fig2_graph()
-        __, stats = GTEA(graph).evaluate_with_stats(fig2_query())
-        row = stats.row()
-        assert {"#input", "#index", "#intermediate", "results"} <= set(row)
-
     def test_intermediate_cost_formula(self):
         graph = fig2_graph()
         __, stats = GTEA(graph).evaluate_with_stats(fig2_query())
@@ -106,14 +100,11 @@ class TestStatsShape:
         ) + stats.intermediate_tuples
         assert stats.intermediate_tuples == 0  # GTEA never builds tuples
 
-    def test_row_schema_is_fixed_regardless_of_which_features_fired(self):
-        """Regression: ``codegen_*`` (and other feature counters) used to
-        vanish from the row when all-zero, so report rows from a
-        codegen-off run could not be diffed column-wise against a
-        codegen-on run."""
+    def test_feature_counters_merge_per_field(self):
+        """Every feature counter folds into an aggregate: tallies add,
+        ``parallel_workers`` (a pool size) keeps the maximum."""
         from repro.engine.stats import EvaluationStats
 
-        zeros = EvaluationStats()
         fired = EvaluationStats(
             codegen_hits=3,
             codegen_fallbacks=1,
@@ -122,25 +113,14 @@ class TestStatsShape:
             partial_builds=1,
             partial_hits=2,
         )
-        assert set(zeros.row()) == set(fired.row())
-        for column in (
-            "codegen_hits",
-            "codegen_misses",
-            "codegen_fallbacks",
-            "workers",
-            "shard_tasks",
-            "cache_hits",
-            "cache_misses",
-            "prune_ops",
-            "partial_builds",
-            "partial_hits",
-            "partial_fallbacks",
-        ):
-            assert zeros.row()[column] == 0
-        assert fired.row()["codegen_hits"] == 3
-        assert fired.row()["workers"] == 4
-        assert fired.row()["partial_builds"] == 1
-        assert fired.row()["partial_hits"] == 2
+        total = EvaluationStats.aggregate([EvaluationStats(parallel_workers=2), fired, fired])
+        assert total.codegen_hits == 6
+        assert total.codegen_fallbacks == 2
+        assert total.codegen_misses == 0
+        assert total.parallel_workers == 4
+        assert total.parallel_shard_tasks == 18
+        assert (total.partial_builds, total.partial_hits, total.partial_fallbacks) == (2, 4, 0)
+        assert total.downward_prune_ops == 0
 
     def test_phase_timer_accumulates(self):
         from repro.engine.stats import EvaluationStats

@@ -135,3 +135,29 @@ def test_stand_alone_engine_follows_graph_mutations(index):
     d = graph.add_node(label="c")
     graph.add_edge(c, d)
     assert engine.evaluate(query) == evaluate_naive(query, graph) == {(a, c), (a, d)}
+
+
+def test_stand_alone_auto_pick_follows_the_graph_over_the_closure_bound(low_closure_bound):
+    """``"auto"`` is resolved against the graph as it is now: appends that
+    push a star over the (patched) closure bound move the pick from
+    ``tc`` to the ladder's forest rung, and the rebuilt index answers."""
+    graph = DataGraph()
+    root = graph.add_node(label="a")
+    for _ in range(499):
+        graph.add_edge(root, graph.add_node(label="b"))
+    query = (
+        QueryBuilder()
+        .backbone("x", label="a")
+        .backbone("y", parent="x", label="b")
+        .outputs("x", "y")
+        .build()
+    )
+    engine = GTEA(graph, index="auto")
+    assert engine.resolved_index() == "tc"
+    assert engine.evaluate(query) == evaluate_naive(query, graph)
+    assert engine.resolved_index() == "tc"
+    for _ in range(100):
+        graph.add_edge(root, graph.add_node(label="b"))
+    assert engine.resolved_index() == "interval"
+    assert engine.evaluate(query) == evaluate_naive(query, graph)
+    assert engine.reachability.index.name == "interval"

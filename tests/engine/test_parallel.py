@@ -277,13 +277,12 @@ class TestSingleQueryExecution:
                 assert len(ours) == 1 and ours == theirs
             assert stats.input_nodes == expected.input_nodes
 
-    def test_stats_row_surfaces_parallel_counters(self):
+    def test_stats_surface_parallel_counters(self):
         engine = GTEA(small_graph())
         with serial_executor(engine) as executor:
             _, stats = executor.execute(engine.compile(query_abc()))
-        row = stats.row()
-        assert row["workers"] == 3
-        assert row["shard_tasks"] == stats.parallel_shard_tasks > 0
+        assert stats.parallel_workers == 3
+        assert stats.parallel_shard_tasks > 0
 
     def test_operator_stats_carry_parallel_notes(self):
         engine = GTEA(small_graph())

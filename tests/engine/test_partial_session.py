@@ -13,7 +13,7 @@ does under the bound is ``tests/engine/test_closure_rung.py``."""
 import pytest
 
 from repro.datasets import index_choice_workload
-from repro.engine import QuerySession
+from repro.engine import GTEA, QuerySession
 from repro.graph import DataGraph
 from repro.query import AttributePredicate, QueryBuilder, evaluate_naive
 
@@ -178,6 +178,7 @@ class TestPartialFallbacks:
         session = QuerySession(graph)
         plan = session._plan_for(query)
         assert plan.compiled.physical.index_scope == "partial"
+        held = session.reachability("tc")  # handed out before the blow-out
         results, stats = session.evaluate_with_stats(query)
         assert stats.partial_fallbacks == 1
         assert stats.partial_builds == 0
@@ -192,6 +193,12 @@ class TestPartialFallbacks:
         __, again = session.evaluate_with_stats(query)
         assert again.partial_fallbacks == 1
         assert session.cache_info()["partial"] == row
+        # Whoever asks for ``tc`` next gets a fresh, empty closure, never
+        # the one the blow-out dropped.
+        fresh = session.reachability("tc")
+        assert fresh is not held
+        assert fresh.index.rows == 0
+        assert GTEA(graph, reachability=fresh).evaluate(query) == evaluate_naive(query, graph)
 
     def test_batch_evaluation_routes_partial_plans(self):
         graph, queries = workload()

@@ -286,17 +286,15 @@ class TestIndexPooling:
     def test_auto_resolves_to_tc_on_tiny_graph(self):
         session = QuerySession(small_graph())
         assert session.resolved_index == "tc"
-        assert session.engine().reachability.index.name == "tc"
+        assert session.reachability().index.name == "tc"
 
     def test_pool_reuses_services_per_name(self):
         session = QuerySession(small_graph())
         assert session.reachability("3hop") is session.reachability("3hop")
-        assert session.engine("3hop") is session.engine("3hop")
-        assert session.engine("3hop") is not session.engine("tc")
+        assert session.reachability("3hop") is not session.reachability("tc")
         # One holder: ``tc`` is the closure slot's service, not a pool entry.
         assert session.reachability("tc") is session.reachability("tc")
         assert session.reachability("tc") is session._closure.service
-        assert session.engine("tc").reachability is session._closure.service
         assert session.cache_info()["indexes"]["pooled"] == 1
 
     @pytest.mark.parametrize("index", ["3hop", "tc", "tree-cover"])

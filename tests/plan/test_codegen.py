@@ -183,13 +183,15 @@ class TestCompilePlan:
         grouped, _ = engine.execute(plan, group_nodes=group)
         for kwargs in (
             {"group_nodes": group},
-            {"adaptive": True},
             {"output_structures": [list(plan.original.outputs)]},
         ):
             answer, stats = engine.execute(plan, codegen=compiled, **kwargs)
             assert stats.operator_stats, f"{kwargs} ran the compiled function"
             if "group_nodes" in kwargs:
                 assert answer == grouped
+        answer, stats = GTEA(graph, adaptive=True).execute(plan, codegen=compiled)
+        assert stats.operator_stats, "an adaptive engine ran the compiled function"
+        assert answer == evaluate_naive(query, graph)
         other_index = GTEA(graph, index="interval")
         answer, stats = other_index.execute(plan, codegen=compiled)
         assert stats.operator_stats
@@ -292,10 +294,9 @@ class TestSessionCodegen:
         session = QuerySession(graph)
         assert "[codegen]" not in session.explain(simple_query())
 
-    def test_stats_row_exposes_codegen_counters(self):
+    def test_stats_expose_codegen_counters(self):
         graph = chain_graph()
         session = QuerySession(graph, result_cache_size=0, codegen="auto")
         _, stats = session.evaluate_with_stats(simple_query())
-        row = stats.row()
-        assert row["codegen_misses"] == 1
-        assert row["codegen_hits"] == 0
+        assert stats.codegen_misses == 1
+        assert stats.codegen_hits == 0

@@ -5,12 +5,8 @@ from dataclasses import replace
 import pytest
 
 from repro.graph import DataGraph, graph_stats
-from repro.reachability import (
-    available_indexes,
-    build_reachability,
-    resolve_index,
-    select_auto_index,
-)
+from repro.plan import choose_index
+from repro.reachability import available_indexes, build_reachability, resolve_index
 from repro.reachability.factory import AUTO_CLOSURE_MAX_BYTES
 
 
@@ -64,7 +60,7 @@ class TestAutoSelection:
     down, and once at the real bound on a graph too large for it."""
 
     def test_tiny_graph_selects_transitive_closure(self):
-        assert select_auto_index(graph_stats(balanced_tree(3))) == "tc"
+        assert choose_index(graph_stats(balanced_tree(3))) == "tc"
 
     def test_the_bound_is_the_worst_case_closure(self):
         assert AUTO_CLOSURE_MAX_BYTES == 64 * 2**20
@@ -72,15 +68,15 @@ class TestAutoSelection:
         cyclic = balanced_tree(9)
         cyclic.add_edge(cyclic.num_nodes - 1, 0)
         for graph in (balanced_tree(9), dense_dag(712), cyclic):
-            assert select_auto_index(graph_stats(graph)) == "tc"
+            assert choose_index(graph_stats(graph)) == "tc"
         stats = graph_stats(dense_dag(20))
-        assert select_auto_index(replace(stats, num_nodes=32768)) == "tc"  # n² / 16 == the bound
-        assert select_auto_index(replace(stats, num_nodes=32769, num_edges=99999)) == "3hop"
+        assert choose_index(replace(stats, num_nodes=32768)) == "tc"  # n² / 16 == the bound
+        assert choose_index(replace(stats, num_nodes=32769, num_edges=99999)) == "3hop"
 
     def test_large_forest_selects_interval(self):
         tree = balanced_tree(15)  # 65 535 nodes: 268 MB worst case, over the real bound
         assert tree.num_nodes**2 // 16 > AUTO_CLOSURE_MAX_BYTES
-        assert select_auto_index(graph_stats(tree)) == "interval"
+        assert choose_index(graph_stats(tree)) == "interval"
         assert resolve_index(tree, "auto") == "interval"
 
     def test_near_tree_dag_selects_tree_cover(self, low_closure_bound):
@@ -88,16 +84,16 @@ class TestAutoSelection:
         # A handful of cross edges: no longer a forest, still near-tree.
         for node in range(0, 40, 4):
             graph.add_edge(node, graph.num_nodes - 1 - node)
-        assert select_auto_index(graph_stats(graph)) == "tree-cover"
+        assert choose_index(graph_stats(graph)) == "tree-cover"
 
     def test_dense_dag_selects_three_hop(self, low_closure_bound):
         graph = dense_dag(712)
-        assert select_auto_index(graph_stats(graph)) == "3hop"
+        assert choose_index(graph_stats(graph)) == "3hop"
 
     def test_large_cyclic_graph_selects_three_hop(self, low_closure_bound):
         graph = balanced_tree(9)
         graph.add_edge(graph.num_nodes - 1, 0)  # one giant back edge
-        assert select_auto_index(graph_stats(graph)) == "3hop"
+        assert choose_index(graph_stats(graph)) == "3hop"
 
     def test_resolve_index_passes_explicit_names_through(self):
         graph = balanced_tree(2)
