@@ -66,27 +66,29 @@ class ClosureSlot:
 
     def __init__(self):
         self.service: PartialReachability | None = None
-        self.kept = 0  #: version bumps survived (append-only deltas).
+        self.kept = 0  #: version bumps survived (the lineage held).
         self.dropped = 0  #: closures discarded: lineage break, blow-out, invalidate().
         self._dropped_fills = 0
+        self._version: int | None = None  #: the graph version last served.
 
     def current(self, graph: DataGraph) -> PartialReachability | None:
-        """The held closure re-pointed at the graph's current version, or
+        """The held closure when the graph is still on its lineage, or
         None (the slot emptied) when there is none to keep."""
         held = self.service
         if held is None:
             return None
-        service = held.following(graph)
-        if service is None:
+        if held.following(graph) is None:
             self.drop()
-        elif service is not held:
+            return None
+        if self._version != graph.version:
             self.kept += 1
-            self.service = service
-        return service
+            self._version = graph.version
+        return held
 
     def create(self, graph: DataGraph) -> PartialReachability:
         """Fill the (empty) slot with a closure over ``graph``, no row filled."""
         self.service = PartialReachability(graph)
+        self._version = graph.version
         return self.service
 
     def drop(self) -> None:

@@ -106,8 +106,8 @@ def _ad_edges(
         return
     cover = index.cover
     by_component: dict[int, list[int]] = {}
-    for candidate in mats[child_id]:
-        by_component.setdefault(reach.component_of(candidate), []).append(candidate)
+    for candidate, component in zip(mats[child_id], reach.components(mats[child_id])):
+        by_component.setdefault(component, []).append(candidate)
     by_chain: dict[int, list[int]] = {}
     for component in by_component:
         by_chain.setdefault(cover.cid[component], []).append(component)
@@ -116,8 +116,7 @@ def _ad_edges(
 
     from ..reachability.contour import contour_reaches_node
 
-    for source in mats[parent_id]:
-        source_component = reach.component_of(source)
+    for source, source_component in zip(mats[parent_id], reach.components(mats[parent_id])):
         contour = merge_succ_lists(index, [source_component])
         targets: list[int] = []
         for members in by_chain.values():
@@ -153,15 +152,15 @@ def _ad_edges_generic(
     reach = context.reach
     dag_index = reach.index
     by_component: dict[int, list[int]] = {}
-    for candidate in mats[child_id]:
-        by_component.setdefault(reach.component_of(candidate), []).append(candidate)
-    rows = dag_index.rows_for({reach.component_of(source) for source in mats[parent_id]})
+    for candidate, component in zip(mats[child_id], reach.components(mats[child_id])):
+        by_component.setdefault(component, []).append(candidate)
+    source_components = reach.components(mats[parent_id])
+    rows = dag_index.rows_for(set(source_components))
     if rows is not None:
         child_mask = mask(by_component)
         rank = {component: position for position, component in enumerate(by_component)}
     targets_of: dict[int, list[int]] = {}
-    for source in mats[parent_id]:
-        source_component = reach.component_of(source)
+    for source, source_component in zip(mats[parent_id], source_components):
         targets = targets_of.get(source_component)
         if targets is None:
             targets = []

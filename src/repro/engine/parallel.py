@@ -235,7 +235,10 @@ class ParallelExecutor:
             return None
         if self._pool is None:
             # Force the index before forking so workers inherit it
-            # built — tasks must never rebuild it per process.
+            # built — tasks must never rebuild it per process.  A closure
+            # is not completed: no component id crosses to a worker
+            # (slices and survivors are data nodes, contours are 3-hop's,
+            # which completes), so each numbers its own copy on demand.
             reach = self.engine.reachability
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,

@@ -68,8 +68,7 @@ class PruningContext:
 
     def dag_images(self, nodes: list[int]) -> list[int]:
         """Distinct DAG components of a set of data nodes."""
-        scc_of = self.reach.condensation.scc_of
-        return sorted({scc_of[node] for node in nodes})
+        return sorted(set(self.reach.components(nodes)))
 
     def component_reaches_any(self, component: int, target_components: list[int]) -> bool:
         """Generic strict set-reachability: ``component`` to any target.
@@ -207,10 +206,10 @@ def _filter_downward(
             )
         # An AD child holds for the candidates of the components whose
         # valuation has its bit set.
-        scc_of = context.reach.condensation.scc_of
+        components = context.reach.components(candidates)
         for c in ad_children:
             holds = {comp for comp, bits in ad_valuations.items() if bits[c]}
-            child_sets[c] = {x for x in candidates if scc_of[x] in holds}
+            child_sets[c] = {x for x, comp in zip(candidates, components) if comp in holds}
 
     def satisfying(formula) -> set[int]:
         """Candidates satisfying ``formula``; operand sets are never mutated."""
@@ -251,8 +250,7 @@ def _ad_valuations_generic(
         child_id: context.dag_images(nodes)
         for child_id, nodes in child_mats.items()
     }
-    condensation = context.reach.condensation
-    components = set(map(condensation.scc_of.__getitem__, candidates))
+    components = set(context.reach.components(candidates))
     rows = context.reach.index.rows_for(components)
     if rows is None:
         return {
@@ -265,7 +263,7 @@ def _ad_valuations_generic(
     # Row kernel: "component has a descendant in S_child" is one AND of
     # its row against the child's mask.  A row is strict, so the cyclic
     # same-component hit is read off the mask itself.
-    cyclic = condensation.cyclic
+    cyclic = context.reach.condensation.cyclic
     masks = {child_id: mask(targets) for child_id, targets in child_components.items()}
     context.reach.counters.lookups += len(components) * len(masks)
     result: dict[int, dict[str, bool]] = {}
@@ -293,7 +291,7 @@ def _ad_valuations_by_component(
     """
     index, reach = context.index, context.reach
     cover = index.cover
-    components = sorted({reach.component_of(candidate) for candidate in candidates})
+    components = sorted(set(reach.components(candidates)))
     # Cyclic same-component hits: candidate's component contains a child
     # match and is cyclic -> the candidate strictly reaches that match.
     child_component_sets = {
@@ -413,8 +411,7 @@ def _filter_upward_ad_generic(
         cyclic_parents = set(filter(reach.is_cyclic_component, parent_components))
     reached: dict[int, bool] = {}
     survivors: list[int] = []
-    for candidate in candidates:
-        component = reach.component_of(candidate)
+    for candidate, component in zip(candidates, reach.components(candidates)):
         hit = reached.get(component)
         if hit is None:
             if rows is not None:
@@ -442,9 +439,10 @@ def _filter_upward_ad(
     """Keep candidates the parent set strictly reaches (Proposition 7)."""
     index, reach = context.index, context.reach
     cover = index.cover
+    components = reach.components(candidates)
     by_component: dict[int, list[int]] = {}
-    for candidate in candidates:
-        by_component.setdefault(reach.component_of(candidate), []).append(candidate)
+    for candidate, component in zip(candidates, components):
+        by_component.setdefault(component, []).append(candidate)
     by_chain: dict[int, list[int]] = {}
     for component in by_component:
         by_chain.setdefault(cover.cid[component], []).append(component)
@@ -465,8 +463,8 @@ def _filter_upward_ad(
                 reachable_components.add(component)
     return [
         candidate
-        for candidate in candidates
-        if reach.component_of(candidate) in reachable_components
+        for candidate, component in zip(candidates, components)
+        if component in reachable_components
     ]
 
 

@@ -43,13 +43,13 @@ Staleness is detected through :attr:`repro.graph.digraph.DataGraph.version`:
 any ``add_node``/``add_edge``/``set_attr`` after session creation drops
 every cache and every pooled index on the next use.  Only the descendant
 closure (:mod:`repro.reachability.partial`; one per session, whichever
-route reads it) outlives an *append* — a new node with edges out of new
-nodes only — and an attribute write: its rows stay exact along the
-graph's structural lineage.  An edge between old nodes, or
-:meth:`QuerySession.invalidate`, drops it too.  (The graph
-absorbs an append below the session: condensation, label postings and
-statistics are extended, not rebuilt.)  Cache activity is surfaced
-through :meth:`QuerySession.cache_info` and the
+route reads it) outlives a mutation that leaves the numbered cones
+alone — new nodes, an edge out of a node no query has numbered yet, an
+attribute write: its rows stay exact along the graph's lineage.  An
+edge out of a numbered node, or :meth:`QuerySession.invalidate`, drops
+it too.  (The graph absorbs a mutation below the session: its
+component numbering and label postings grow, and nothing is rebuilt.)
+Cache activity is surfaced through :meth:`QuerySession.cache_info` and the
 ``*_cache_hits``/``*_cache_misses`` counters of
 :class:`~repro.engine.stats.EvaluationStats`, next to the paper's I/O
 metrics.
@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -102,7 +101,6 @@ from ..store import ArtifactStore, graph_fingerprint
 from .artifacts import ARTIFACT_KINDS, ClosureSlot
 from .cache import LRUCache
 from .gtea import GTEA
-from .operators import OperatorStats
 from .parallel import ParallelExecutor, ParallelOptions
 from .results import ResultSet
 from .stats import EvaluationStats
@@ -369,23 +367,15 @@ class QuerySession:
     def invalidate(self) -> None:
         """Drop every cache, every pooled index and the descendant closure.
 
-        This is no remedy for a write to the live dict of
-        :meth:`DataGraph.attrs`: such a write also leaves the graph's
-        label postings wrong for the life of the graph, which nothing
-        here repairs — write through :meth:`DataGraph.set_attr`, which
-        the graph tracks and which needs no call here.  A moved
-        :attr:`DataGraph.version` needs no call either: the next use drops
-        the same things — plans, candidate, subtree and result sets,
-        compiled functions, pooled full indexes — except the closure,
-        which is kept when every mutation since was an append or an
-        attribute write
+        A moved :attr:`DataGraph.version` needs no call: the next use
+        drops the same things — plans, candidate, subtree and result
+        sets, compiled functions, pooled full indexes — except the
+        closure, which is kept while the graph's lineage holds
         (``cache_info()["partial"]``: ``kept`` / ``dropped``).  The
         graph's own derived state (:meth:`DataGraph.structure`, label
-        postings) follows the graph by itself.  The warm store
-        does **not** share the attribute blind spot: its key is the graph
-        *content* fingerprint (:func:`~repro.store.graph_fingerprint`),
-        so an in-place edit moves :meth:`persist` and rehydration to a
-        different key without any explicit call.
+        postings) follows the graph by itself, and attribute writes go
+        through :meth:`DataGraph.set_attr`, which bumps the version
+        (:meth:`DataGraph.attrs` is read-only).
         """
         self._closure.drop()
         self._drop_versioned()
@@ -432,8 +422,7 @@ class QuerySession:
 
         The store key is :func:`~repro.store.graph_fingerprint` — full
         graph *content*, not the version counter — so artifacts written
-        before any mutation (including an in-place attribute edit the
-        counter cannot see) are simply never found.  Each kind loads
+        before any mutation are simply never found.  Each kind loads
         independently; a missing, stale, corrupt or mistyped artifact
         leaves that kind cold.
         """
@@ -449,8 +438,8 @@ class QuerySession:
         """Publish this session's warm artifacts to the store.
 
         The content fingerprint is recomputed here — not reused from
-        construction — so artifacts learned after an in-place attribute
-        mutation land under the *mutated* content's key.  Each kind is
+        construction — so artifacts learned after a mutation land under
+        the *mutated* content's key.  Each kind is
         best-effort: an unpicklable entry (possible for exotic attribute
         values) skips that kind rather than failing the call.  Returns
         the per-kind entry counts actually persisted.
@@ -715,7 +704,6 @@ class QuerySession:
     ) -> tuple[ResultSet, EvaluationStats]:
         """Run one cold plan along its route (no result-cache probe)."""
         stats = EvaluationStats()
-        self._book_structure(stats)
         route = self._route(plan, grouped=bool(group_nodes))
         service = self._partial_service(plan, stats) if route.partial else None
         sharded = None
@@ -767,36 +755,6 @@ class QuerySession:
             self._record_observed(plan, stats)
         return results, stats
 
-    def _book_structure(self, stats: EvaluationStats) -> None:
-        """Force the graph's structural snapshot before any index build
-        is timed, and book it when this call is what built or extended it.
-
-        Every index reads the one snapshot (:meth:`DataGraph.structure`),
-        so its cost belongs to none of them: it files under its own
-        ``"structure"`` phase and a synthetic ``StructureBuild`` operator
-        record, instead of inflating whichever build happened to come
-        first in a version.  Planning normally demands it first (through
-        the statistics), so this books only when the plan came from the
-        cache or the store.
-        """
-        if self.graph.structure_info()["version"] == self.graph.version:
-            return
-        started = time.perf_counter()
-        condensation = self.graph.structure().condensation
-        elapsed = time.perf_counter() - started
-        stats.phase_seconds["structure"] = elapsed
-        stats.operator_stats.append(
-            OperatorStats(
-                op="StructureBuild",
-                target=None,
-                input_size=self.graph.num_nodes,
-                output_size=condensation.num_components,
-                seconds=elapsed,
-                index_lookups=0,
-                index_entries=0,
-            )
-        )
-
     def _partial_service(self, plan: QueryPlan, stats: EvaluationStats):
         """The descendant closure with this plan's rows filled, or None.
 
@@ -821,13 +779,13 @@ class QuerySession:
             service = self._closure.create(self.graph)
         query = plan.compiled.query
         provider = self._candidate_provider(plan)
-        scc_of = service.condensation.scc_of
-        sources = {
-            scc_of[node]
+        parents = [
+            node
             for node_id in query.nodes
             if query.children[node_id]
             for node in provider(query, node_id)
-        }
+        ]
+        sources = set(service.components(parents))
         budget = max(1, int(PARTIAL_FOOTPRINT_FRACTION * self.graph.num_nodes))
         if not service.index.fill(sources, budget):
             self._closure.drop()
@@ -954,9 +912,10 @@ class QuerySession:
     # ------------------------------------------------------------------
     def cache_info(self) -> dict[str, dict[str, int]]:
         """Counter snapshots and sizes of every session cache, plus the
-        ``"structure"`` row of the graph's own snapshot
+        ``"structure"`` row of the graph's component numbering
         (:meth:`DataGraph.structure_info`): extensions are mutations
-        absorbed, builds are mutations that forced a whole-graph pass.
+        absorbed, builds are lineages started, ``covered`` is the nodes
+        numbered so far.
 
         ``"partial"`` is *the* descendant closure's row — ``rows`` /
         ``bytes`` held, ``fills`` ever computed, version bumps ``kept``

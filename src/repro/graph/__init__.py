@@ -1,6 +1,6 @@
 """Attributed digraph substrate (S2 in DESIGN.md)."""
 
-from .condensation import Condensation, Dag, GraphStructure, condense
+from .condensation import Condensation, Dag, GraphStructure, StaleLineageError, condense
 from .digraph import DataGraph
 from .stats import GraphStats, depth_stats, graph_stats
 from .traversal import (
@@ -19,6 +19,7 @@ __all__ = [
     "DataGraph",
     "GraphStats",
     "GraphStructure",
+    "StaleLineageError",
     "ancestors",
     "bfs_layers",
     "condense",

@@ -1,33 +1,46 @@
-"""Strongly connected components, DAG condensation, structural snapshots.
+"""Strongly connected components and the condensation DAG, numbered on demand.
 
 The paper's AD relationship means "nonempty path", so on cyclic graphs every
 node of a non-trivial SCC is a descendant of every other (and of itself).
 All reachability indexes in :mod:`repro.reachability` are built on the
 condensation DAG.  This module computes it acyclic-first: one iterative
 postorder DFS numbers the nodes and builds the successor rows together,
-and only a graph with a cycle is handed, at its first back edge, to an
-iterative Tarjan SCC.  Neither recurses, so deep graphs do not hit
+and only a walk that meets a cycle is handed, at its first back edge, to
+an iterative Tarjan SCC.  Neither recurses, so deep graphs do not hit
 Python's recursion limit.
 
-A graph version has exactly one condensation: the :class:`GraphStructure`
-snapshot :meth:`DataGraph.structure() <repro.graph.digraph.DataGraph.structure>`
-hands out.  Graph statistics, full and partial index builds all read that
-one object, and an append-only mutation *extends* it
-(:meth:`Condensation.extended`) instead of condensing the graph again.
+**Numbering on demand.**  A graph *lineage* has exactly one
+:class:`Condensation`, and it numbers a node only when something asks
+for its component (:meth:`Condensation.cover`), together with the
+node's not yet numbered descendant cone.  Postorder from any start set
+is reverse topological, and a numbered node's cone is already numbered,
+so a later walk only points *at* numbered nodes: ids, successor rows and
+``cyclic`` flags never change once given.  Full index builds, acyclicity
+and depth complete the numbering (:meth:`GraphStructure.complete`); a
+query answered through the lazily filled closure numbers only the cones
+it reads.  Completed from nothing, the numbering equals the
+whole-graph condensation id for id.
 
-A snapshot stores what the descendant closure reads — the component of
-each node and each component's successors — and allocates per cycle and
-per edge, not per node: a one-node component has no member list and a
-component without successors shares one empty tuple.  Member lists and
-predecessor lists are derived on first read and kept.  Every list is a
-container the cyclic garbage collector walks, and on tree-shaped graphs
-nearly every component is a single node and most are leaves.
+**The lineage rule.**  An edge out of a *numbered* node breaks the
+lineage: the graph starts a new numbering, and the old one refuses to
+number more nodes (:class:`StaleLineageError`) rather than read the
+changed adjacency.  Any other mutation — new nodes, edges out of
+nodes not numbered yet, attribute writes — keeps it, and a version's
+:class:`GraphStructure` is a view of the one growing numbering, so an
+append copies nothing.
+
+A numbering allocates per cycle and per edge, not per node: a one-node
+component has no member list and a component without successors shares
+one empty tuple.  Member lists and predecessor lists are derived on
+first read.  Every list is a container the cyclic garbage collector
+walks, and on tree-shaped graphs nearly every component is a single
+node and most are leaves.
 """
 
 from __future__ import annotations
 
-import copy
-from typing import TYPE_CHECKING, Sequence
+import threading
+from typing import TYPE_CHECKING, Collection, Sequence
 
 if TYPE_CHECKING:
     from .digraph import DataGraph
@@ -40,46 +53,60 @@ NO_EDGES: tuple[int, ...] = ()
 _UNVISITED, _ON_PATH = -1, -2
 
 
-class Condensation:
-    """The condensation DAG of a :class:`~repro.graph.digraph.DataGraph`.
+class StaleLineageError(RuntimeError):
+    """A numbering was asked for a node after its lineage broke: an edge
+    out of a numbered node changed the adjacency it would have to read."""
 
-    Instances are immutable once built: services, pickles and user code
-    may hold one across graph mutations.
+
+class Condensation:
+    """The condensation DAG of one graph lineage, numbered on demand.
+
+    Numbering is serialized by a lock; a reader needs none, because a
+    component's row and flag are stored before its nodes' ids are.
 
     Attributes:
-        scc_of: for each data node, the id of its component (``0..k-1``),
-            numbered in *reverse topological* order of the condensation
-            (Tarjan's output order), i.e. if component ``a`` reaches ``b``
-            then ``a > b``.
+        scc_of: for each data node, the id of its component, or ``-1``
+            while it is not numbered (the list may be shorter than the
+            graph: a new node is marked when a walk first needs it).
+            Ids are *reverse topological* — if component ``a`` reaches
+            ``b`` then ``a > b`` — and never change once given.
         cycles: the members of each multi-node component, by component
             id, in the order Tarjan popped them.
         cyclic: for each component, True iff it contains a cycle (size > 1
             or a self-loop) — exactly when its nodes are their own
             descendants under nonempty-path semantics.
+        covered: data nodes numbered.
+        covers: calls that numbered something.
+        broken: set by the graph when an edge leaves a numbered node.
     """
 
-    __slots__ = (
+    #: The state: what is derived on read, and the lock, are not part of it.
+    _STORED = (
         "scc_of",
         "cycles",
         "cyclic",
+        "covered",
+        "covers",
+        "broken",
         "_succ",
+        "_adjacency",
         "_edge_count",
         "_cyclic_count",
-        "_members",
-        "_pred_rows",
     )
+    __slots__ = (*_STORED, "_members", "_pred_rows", "_lock")
 
     def __init__(self, graph: DataGraph):
+        """An empty numbering of ``graph``'s lineage: nothing is walked
+        until :meth:`cover` or :meth:`complete` asks."""
         self.scc_of: list[int] = []
         self.cycles: dict[int, list[int]] = {}
         self.cyclic: list[bool] = []
         self._succ: list[Sequence[int]] = []
-        self._edge_count = self._cyclic_count = 0
+        self._adjacency = graph._succ  # the live rows: appends grow them
+        self.covered = self.covers = self._edge_count = self._cyclic_count = 0
+        self.broken = False
         self._members = self._pred_rows = None
-        self._absorb(graph._succ)
-
-    #: The state: what is derived on read is not part of it.
-    _STORED = ("scc_of", "cycles", "cyclic", "_succ", "_edge_count", "_cyclic_count")
+        self._lock = threading.Lock()
 
     def __getstate__(self) -> dict:
         return {name: getattr(self, name) for name in self._STORED}
@@ -88,61 +115,60 @@ class Condensation:
         for name, value in state.items():
             setattr(self, name, value)
         self._members = self._pred_rows = None
+        self._lock = threading.Lock()
 
-    def extended(self, graph: DataGraph) -> "Condensation":
-        """The condensation of ``graph``, grown from this one.
+    def cover(self, nodes: Collection[int]) -> None:
+        """Number every node of ``nodes`` not numbered yet, with its cone.
 
-        ``graph`` must be the graph this condensation describes plus an
-        *append-only* delta: nodes from ``len(self.scc_of)`` on are new and
-        no new edge leaves an old node.  Old nodes then cannot reach new
-        ones, so a from-scratch condensation would walk the old part first
-        and number it exactly as here; condensing the new nodes alone
-        continues that numbering.  The result equals ``Condensation(graph)``
-        id for id, in every field.
-
-        The stored containers are copied and only appended to, so ``self``
-        never changes.  Nothing derived on read is carried over: an old
-        component gains predecessors, and the grown condensation derives
-        its own member and predecessor lists when they are first read.
+        Raises :class:`StaleLineageError` when that is needed after the
+        lineage broke (an IndexError for a node the graph does not have).
         """
-        grown = copy.copy(self)  # the stored fields only
-        grown.scc_of, grown.cycles = list(self.scc_of), dict(self.cycles)
-        grown.cyclic, grown._succ = list(self.cyclic), list(self._succ)
-        grown._absorb(graph._succ)
-        return grown
+        with self._lock:
+            scc_of, adjacency = self.scc_of, self._adjacency
+            if len(scc_of) < len(adjacency):
+                scc_of.extend([_UNVISITED] * (len(adjacency) - len(scc_of)))
+            starts = [node for node in nodes if scc_of[node] < 0]
+            if not starts:
+                return
+            if self.broken:
+                raise StaleLineageError(
+                    "the graph gained an edge out of a numbered node; "
+                    "this structure describes an older version"
+                )
+            self.covers += 1
+            known = len(self._succ)
+            handoff = self._postorder(starts)
+            self.covered += len(self._succ) - known
+            self._edge_count += sum(map(len, self._succ[known:]))
+            if handoff is not None:
+                self._tarjan(starts[handoff:])
 
-    def _absorb(self, adjacency: Sequence[Sequence[int]]) -> None:
-        """Condense the nodes of ``adjacency`` this object does not cover yet:
-        acyclic-first (:meth:`_postorder`), with a hand-off to
-        :meth:`_tarjan` at the first back edge."""
-        known = len(self._succ)
-        handoff = self._postorder(adjacency)
-        # Every component the postorder walk numbered is one acyclic node.
-        self.cyclic.extend([False] * (len(self._succ) - known))
-        self._edge_count += sum(map(len, self._succ[known:]))
-        if handoff is not None:
-            self._tarjan(adjacency, handoff)
+    def complete(self) -> "Condensation":
+        """Number every node the graph has; returns ``self``."""
+        if self.covered < len(self._adjacency):
+            self.cover(range(len(self._adjacency)))
+        return self
 
-    def _postorder(self, adjacency: Sequence[Sequence[int]]) -> int | None:
-        """Number the uncovered nodes as one-node components in DFS postorder.
+    def _postorder(self, starts: list[int]) -> int | None:
+        """Number the cones of ``starts`` as one-node components in DFS
+        postorder.
 
-        Starts go in id order and successors in adjacency order, Tarjan's
-        visit order.  A node closes after all its successors, so its
-        component and its successor row are made in one step; on a DAG
-        this is Tarjan's numbering, id for id, without its bookkeeping.
-        At the first back edge (a self-loop is one) the nodes on the path
-        are reset to unvisited and the start of that DFS is returned for
-        :meth:`_tarjan` to continue from: every node closed so far reaches
-        only closed nodes, so Tarjan would have numbered it alike.
+        Starts go in the given order and successors in adjacency order,
+        Tarjan's visit order.  A node closes after all its successors, so
+        its component and its successor row are made in one step; on a
+        DAG this is Tarjan's numbering, id for id, without its
+        bookkeeping.  At the first back edge (a self-loop is one) the
+        nodes on the path are reset to unvisited and the position of that
+        DFS's start is returned for :meth:`_tarjan` to continue from:
+        every node closed so far reaches only closed nodes, so Tarjan
+        would have numbered it alike.
         """
-        scc_of, succ = self.scc_of, self._succ
+        scc_of, succ, cyclic, adjacency = self.scc_of, self._succ, self.cyclic, self._adjacency
         component_of = scc_of.__getitem__
-        # A target repeats only through an old multi-node component.
+        # A target repeats only through a multi-node component.
         merge = (lambda targets: sorted(set(targets))) if self.cycles else sorted
-        first, n = len(scc_of), len(adjacency)
-        scc_of.extend([_UNVISITED] * (n - first))
         number = len(succ)
-        for start in range(first, n):
+        for position, start in enumerate(starts):
             if scc_of[start] != _UNVISITED:
                 continue
             scc_of[start] = _ON_PATH
@@ -160,12 +186,10 @@ class Condensation:
                     if seen == _ON_PATH:
                         for node in path:
                             scc_of[node] = _UNVISITED
-                        return start
+                        return position
                 else:
                     node = path.pop()
                     pending.pop()
-                    scc_of[node] = number
-                    number += 1
                     outgoing = adjacency[node]
                     if not outgoing:
                         row = NO_EDGES
@@ -174,25 +198,28 @@ class Condensation:
                     else:
                         row = merge(map(component_of, outgoing))
                     succ.append(row)
+                    cyclic.append(False)
+                    scc_of[node] = number  # published last
+                    number += 1
         return None
 
-    def _tarjan(self, adjacency: Sequence[Sequence[int]], first: int) -> None:
-        """Iterative Tarjan SCC over the nodes from ``first`` on that
-        ``scc_of`` marks unvisited, numbering each component — and building
-        its successor row — when it closes.  Nodes already numbered count
-        as closed, which is exact when none of them reaches an unvisited
-        node.  Multi-node components record their members in ``cycles``, in
-        the order they were popped."""
-        scc_of, cycles, cyclic, succ = self.scc_of, self.cycles, self.cyclic, self._succ
-        n = len(adjacency)
-        unvisited, closed = -1, n  # discovery indices lie strictly between
-        index_of = [unvisited if seen == _UNVISITED else closed for seen in scc_of]
-        low_link = [0] * n
+    def _tarjan(self, starts: list[int]) -> None:
+        """Iterative Tarjan SCC over the unnumbered cones of ``starts``,
+        numbering each component — and building its successor row — when
+        it closes.  Numbered nodes count as closed, which is exact because
+        none of them reaches an unnumbered node; discovery indices and low
+        links are kept for the nodes of this walk only.  Multi-node
+        components record their members in ``cycles``, in the order they
+        were popped."""
+        scc_of, cycles, cyclic = self.scc_of, self.cycles, self.cyclic
+        succ, adjacency = self._succ, self._adjacency
+        index_of: dict[int, int] = {}
+        low_link: dict[int, int] = {}
         stack: list[int] = []
         next_index = 0
 
-        for start in range(first, n):
-            if index_of[start] != unvisited:
+        for start in starts:
+            if scc_of[start] >= 0:
                 continue
             index_of[start] = low_link[start] = next_index
             next_index += 1
@@ -202,15 +229,16 @@ class Condensation:
             while path:
                 node = path[-1]
                 for successor in pending[-1]:
-                    seen = index_of[successor]
-                    if seen == unvisited:
+                    if scc_of[successor] >= 0:
+                        continue  # closed: its index exceeds any low link
+                    seen = index_of.get(successor)
+                    if seen is None:
                         index_of[successor] = low_link[successor] = next_index
                         next_index += 1
                         stack.append(successor)
                         path.append(successor)
                         pending.append(iter(adjacency[successor]))
                         break
-                    # A closed node compares greater than any low link.
                     if seen < low_link[node]:
                         low_link[node] = seen
                 else:
@@ -223,13 +251,11 @@ class Condensation:
                         nodes = [stack.pop()]
                         while nodes[-1] != node:
                             nodes.append(stack.pop())
-                        for member in nodes:
-                            index_of[member] = closed
-                            scc_of[member] = number
+                        # Every edge leaves for a closed component or
+                        # stays inside, at a member not numbered yet.
                         targets = {scc_of[edge] for member in nodes for edge in adjacency[member]}
-                        # An edge inside the component: a self-loop when it has one node.
-                        inner = number in targets or len(nodes) > 1
-                        targets.discard(number)
+                        inner = _UNVISITED in targets or len(nodes) > 1
+                        targets.discard(_UNVISITED)
                         if len(nodes) > 1:
                             cycles[number] = nodes
                         row = sorted(targets) if targets else NO_EDGES
@@ -237,14 +263,18 @@ class Condensation:
                         cyclic.append(inner)
                         self._edge_count += len(row)
                         self._cyclic_count += inner
+                        self.covered += len(nodes)
+                        for member in nodes:  # published last
+                            scc_of[member] = number
                     if path and low < low_link[path[-1]]:
                         low_link[path[-1]] = low
 
-    # -- derived on read ------------------------------------------------
+    # -- derived on read: these complete the numbering ------------------
     @property
     def members(self) -> list[list[int]]:
-        """For each component, the data nodes inside it (derived once)."""
-        if self._members is None:
+        """For each component, the data nodes inside it."""
+        self.complete()
+        if self._members is None or len(self._members) != len(self.cyclic):
             members: list = [None] * len(self.cyclic)  # every slot is filled below
             cycles = self.cycles
             for node, component in enumerate(self.scc_of):
@@ -257,13 +287,13 @@ class Condensation:
 
     @property
     def _pred(self) -> list[list[int]]:
-        """For each component, its predecessors in ascending id order
-        (derived once)."""
-        if self._pred_rows is None:
+        """For each component, its predecessors in ascending id order."""
+        self.complete()
+        if self._pred_rows is None or len(self._pred_rows) != len(self._succ):
             self._pred_rows = predecessor_rows(self._succ)
         return self._pred_rows
 
-    # -- DAG view -------------------------------------------------------
+    # -- DAG view of the components numbered so far ---------------------
     @property
     def num_components(self) -> int:
         return len(self.cyclic)
@@ -287,7 +317,8 @@ class Condensation:
         return range(len(self.cyclic) - 1, -1, -1)
 
     def is_trivial(self) -> bool:
-        """True iff the input graph was already a DAG without self-loops."""
+        """True iff no component numbered so far has a cycle — once
+        complete, iff the graph is a DAG without self-loops."""
         return not self._cyclic_count
 
 
@@ -339,7 +370,9 @@ class Dag:
 
     @classmethod
     def from_condensation(cls, condensation: Condensation) -> "Dag":
-        """The condensation's own adjacency lists, viewed as a DAG."""
+        """The condensation's own adjacency lists, viewed as a DAG of the
+        components numbered so far (:meth:`GraphStructure.dag` completes
+        the numbering first)."""
         return cls(condensation._succ, condensation.topological_order())
 
     @classmethod
@@ -358,33 +391,47 @@ class Dag:
 
 
 class GraphStructure:
-    """The structural snapshot of one graph version.
+    """One graph version's view of its lineage's numbering.
+
+    A view copies nothing: every view along a lineage shares its one
+    :class:`Condensation`, which only grows.
 
     Attributes:
-        condensation: the version's :class:`Condensation`.
-        dag: its :class:`Dag` view — what every DAG index is built over.
-        version: the :attr:`DataGraph.version` the snapshot describes.
-        lineage: a token shared by exactly the snapshots grown out of one
-            another by :meth:`extended`.  Along a lineage an old component
-            keeps its id and successor list and cannot reach a newer one,
-            so what is derived per component from its successors alone (a
-            descendant row) stays exact.
+        condensation: the lineage's numbering; it is also the lineage
+            token (:attr:`lineage`).  Along a lineage a numbered component
+            keeps its id and successor row and cannot reach a component
+            numbered later, so what is derived per component from its
+            successors alone (a descendant row) stays exact.
+        version: the :attr:`DataGraph.version` the view describes.
+        num_nodes: that version's node count, which bounds
+            :meth:`complete`.
     """
 
-    __slots__ = ("condensation", "dag", "version", "lineage")
+    __slots__ = ("condensation", "version", "num_nodes")
 
-    def __init__(self, condensation: Condensation, version: int, lineage: object = None):
+    def __init__(self, condensation: Condensation, version: int, num_nodes: int):
         self.condensation = condensation
-        self.dag = Dag.from_condensation(condensation)
         self.version = version
-        self.lineage = object() if lineage is None else lineage
+        self.num_nodes = num_nodes
 
-    def extended(self, graph: DataGraph) -> "GraphStructure":
-        """The snapshot of ``graph`` — this one plus an append-only delta
-        (:meth:`Condensation.extended`) — on the same lineage."""
-        return GraphStructure(self.condensation.extended(graph), graph.version, self.lineage)
+    @property
+    def lineage(self) -> Condensation:
+        return self.condensation
+
+    def complete(self) -> Condensation:
+        """Number every node of this version; returns the condensation."""
+        condensation = self.condensation
+        if condensation.covered < len(condensation._adjacency):
+            condensation.cover(range(self.num_nodes))
+        return condensation
+
+    @property
+    def dag(self) -> Dag:
+        """The version's condensation DAG, completed first — what every
+        full index is built over."""
+        return Dag.from_condensation(self.complete())
 
 
 def condense(graph: DataGraph) -> Condensation:
-    """The condensation of ``graph`` (its shared structural snapshot's)."""
-    return graph.structure().condensation
+    """The condensation of ``graph``, complete (its lineage's numbering)."""
+    return graph.structure().complete()

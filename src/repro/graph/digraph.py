@@ -12,6 +12,7 @@ the attribute name ``"label"``.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Any, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .condensation import NO_EDGES, Condensation, GraphStructure
@@ -31,13 +32,15 @@ class DataGraph:
     nonempty-path AD semantics).
 
     The graph owns two lazily derived caches: the label postings behind
-    :meth:`nodes_with_label` and the structural snapshot behind
+    :meth:`nodes_with_label` and the component numbering behind
     :meth:`structure`.  Once built they follow the graph: :meth:`add_node`
     appends to the postings, :meth:`set_attr` moves a node between them,
-    and an append-only delta extends the snapshot.  Neither is
-    synchronised: threads that demand one at the same moment may each
-    derive an equal copy, and mutating a graph while another thread
-    queries it is not supported.
+    and the numbering grows as it is asked for, until an edge leaves a
+    node it has numbered.  Numbering is serialized by a lock, so threads
+    may query one graph together; the postings are not synchronised
+    (threads that demand them at the same moment may each derive an
+    equal copy), and mutating a graph while another thread queries it
+    is not supported.
     """
 
     __slots__ = (
@@ -49,8 +52,7 @@ class DataGraph:
         "_label_index",
         "_version",
         "_structure",
-        "_structure_nodes",
-        "_append_only",
+        "_lineage",
         "_structure_counts",
     )
 
@@ -63,10 +65,9 @@ class DataGraph:
         self._label_index: dict[Any, tuple[int, ...]] | None = None
         self._version = 0
         self._structure: GraphStructure | None = None
-        #: nodes the snapshot covers, and whether every edge added since
-        #: leaves a node it does not cover (an *append-only* delta).
-        self._structure_nodes = 0
-        self._append_only = True
+        #: the numbering of the current lineage (None before the first
+        #: demand and after a break).
+        self._lineage: Condensation | None = None
         self._structure_counts = dict.fromkeys(
             ("builds", "extensions", "hits", "label_builds"), 0
         )
@@ -78,13 +79,11 @@ class DataGraph:
         Incremented by every :meth:`add_node` / :meth:`add_edge` /
         :meth:`set_attr`, so derived structures (reachability indexes, the
         session caches of :mod:`repro.engine.session`) can detect
-        staleness cheaply.  Direct mutation of an attribute dictionary
-        obtained from :meth:`attrs` is *not* tracked.
+        staleness cheaply.
 
-        A version bump does no structural work: the :meth:`structure`
-        snapshot goes stale and is brought up to date at its next demand —
-        extended when everything added since is append-only, rebuilt
-        otherwise.
+        A version bump does no structural work: the next :meth:`structure`
+        demand hands out a view of the same growing numbering, or of a
+        new one when an edge left a numbered node.
         """
         return self._version
 
@@ -140,8 +139,11 @@ class DataGraph:
             self._root_count -= 1
         self._edge_count += 1
         self._version += 1
-        if source < self._structure_nodes:
-            self._append_only = False
+        lineage = self._lineage
+        if lineage is not None and source < len(lineage.scc_of) and lineage.scc_of[source] >= 0:
+            # The edge changes a numbered cone: the numbering is retired.
+            lineage.broken = True
+            self._lineage = None
         return True
 
     def set_attr(self, node: int, key: str, value: Any) -> None:
@@ -151,7 +153,7 @@ class DataGraph:
         Bumps :attr:`version`, so sessions drop their versioned caches,
         and a ``"label"`` write moves the node between label postings
         (a tuple handed out earlier is never modified; a ``None`` label
-        is no label).  The structure did not change: the snapshot's
+        is no label).  The structure did not change: the numbering's
         lineage — and with it every descendant closure — is kept.
         """
         self._check(node)
@@ -216,14 +218,13 @@ class DataGraph:
             for target in targets:
                 yield (source, target)
 
-    def attrs(self, node: int) -> dict[str, Any]:
-        """The attribute dictionary ``f(v)`` of ``node`` — the live dict,
-        for reading.  Write through :meth:`set_attr`: a write to this
-        dict is invisible to :attr:`version` and leaves the label
-        postings, which are appended to and never rebuilt, wrong for the
-        life of the graph."""
+    def attrs(self, node: int) -> Mapping[str, Any]:
+        """The attribute mapping ``f(v)`` of ``node``: a read-only view
+        of the live dict (a write raises ``TypeError``).  Write through
+        :meth:`set_attr`, which bumps :attr:`version` and keeps the label
+        postings current."""
         self._check(node)
-        return self._attrs[node]
+        return MappingProxyType(self._attrs[node])
 
     def label(self, node: int) -> Any:
         """The ``"label"`` attribute, or None when absent."""
@@ -314,48 +315,50 @@ class DataGraph:
         return postings
 
     # ------------------------------------------------------------------
-    # Structural snapshot
+    # Component numbering
     # ------------------------------------------------------------------
     def structure(self) -> GraphStructure:
-        """The condensation and condensation DAG of the current version.
+        """The current version's view of the component numbering.
 
-        The one structural snapshot every consumer shares — graph
-        statistics, full and partial reachability builds — computed on
-        first demand, never at construction or inside a mutation.  A stale
-        snapshot is *extended* when the delta since it is append-only
-        (every new edge leaves a node the snapshot does not cover): old
-        nodes then cannot reach new ones, so condensing the new nodes alone
-        continues the old numbering and the result equals a from-scratch
-        build id for id (:meth:`Condensation.extended`).  Any other delta
-        rebuilds.  Snapshots are never modified once handed out, so one
-        held across a mutation keeps describing its own version.
+        The one numbering every consumer shares — graph statistics, full
+        and partial reachability builds — grows on demand and is never
+        made at construction or inside a mutation: handing out a view
+        walks nothing (:mod:`repro.graph.condensation`).  Mutations keep
+        it unless an edge leaves a node it has numbered; then the next
+        demand starts a new lineage, and the old views refuse to number
+        further (:class:`~repro.graph.condensation.StaleLineageError`).
+        Numbered ids never change, so a view held across a mutation
+        keeps answering for what it has numbered.
         """
-        snapshot = self._structure
-        if snapshot is not None and snapshot.version == self._version:
-            self._structure_counts["hits"] += 1
-            return snapshot
-        if snapshot is not None and self._append_only:
-            self._structure_counts["extensions"] += 1
-            return self._install(snapshot.extended(self))
-        self._structure_counts["builds"] += 1
-        return self._install(GraphStructure(Condensation(self), self._version))
-
-    def _install(self, snapshot: GraphStructure) -> GraphStructure:
-        # Published first: a concurrent reader sees the old snapshot with
-        # its own bookkeeping or the new one, never a mix.
-        self._structure = snapshot
-        self._structure_nodes = len(self._attrs)
-        self._append_only = True
-        return snapshot
+        counts, view = self._structure_counts, self._structure
+        if view is not None and view.version == self._version:
+            counts["hits"] += 1
+            return view
+        lineage = self._lineage
+        if lineage is None:
+            counts["builds"] += 1
+            lineage = self._lineage = Condensation(self)
+        else:
+            counts["extensions"] += 1
+        view = self._structure = GraphStructure(lineage, self._version, len(self._attrs))
+        return view
 
     def structure_info(self) -> dict[str, int | None]:
-        """Counters of :meth:`structure` — ``builds`` (from scratch),
-        ``extensions`` (append-only deltas absorbed), ``hits``, and the
-        ``version`` the held snapshot describes (None before the first
-        demand) — and of the other whole-graph pass an append spares:
-        ``label_builds`` (the label postings)."""
-        snapshot = self._structure
-        return {**self._structure_counts, "version": snapshot.version if snapshot else None}
+        """Counters of :meth:`structure` — ``builds`` (lineages started:
+        the first demand, and the first after a break), ``extensions``
+        (views handed out along a held lineage after a version bump),
+        ``hits`` (the current view again), the current lineage's
+        ``covered`` (nodes numbered) and ``covers`` (calls that numbered
+        something), and the ``version`` the held view describes (None
+        before the first demand) — and of the other whole-graph pass an
+        append spares: ``label_builds`` (the label postings)."""
+        lineage, view = self._lineage, self._structure
+        return {
+            **self._structure_counts,
+            "covered": lineage.covered if lineage else 0,
+            "covers": lineage.covers if lineage else 0,
+            "version": view.version if view else None,
+        }
 
     def distinct_labels(self) -> set[Any]:
         """The set of distinct ``"label"`` values present in the graph."""

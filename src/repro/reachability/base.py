@@ -15,6 +15,7 @@ instance so the I/O experiment (paper Appendix C.1, Fig. 10) can report the
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Collection
 
 from ..graph.condensation import Dag
 from ..graph.digraph import DataGraph
@@ -77,13 +78,16 @@ class GraphReachability:
     This is the object the query engine works with.  It exposes both the
     plain ``reaches`` test and the mapping between data nodes and DAG
     (component) nodes, which the pruning machinery needs in order to batch
-    candidates by chain.
+    candidates by chain.  Mapping a node numbers its component on demand
+    (:mod:`repro.graph.condensation`): batch sites call
+    :meth:`components` once per candidate set.
     """
 
     def __init__(self, graph: DataGraph, index_factory):
         """Args:
             graph: the data graph.
-            index_factory: callable ``Dag -> DagIndex``.
+            index_factory: callable ``Dag -> DagIndex``; it is handed the
+                completed condensation DAG.
         """
         self.graph = graph
         structure = graph.structure()
@@ -95,16 +99,31 @@ class GraphReachability:
     def counters(self) -> IndexCounters:
         return self.index.counters
 
+    def components(self, nodes: Collection[int]) -> list[int]:
+        """The component ids of ``nodes``, in order, numbering first
+        whatever is not numbered yet."""
+        scc_of = self.condensation.scc_of
+        try:
+            mapped = list(map(scc_of.__getitem__, nodes))
+            if not mapped or min(mapped) >= 0:
+                return mapped
+        except IndexError:  # a node the numbering has not marked yet
+            pass
+        self.condensation.cover(nodes)
+        return list(map(scc_of.__getitem__, nodes))
+
     def component_of(self, data_node: int) -> int:
-        return self.condensation.scc_of[data_node]
+        scc_of = self.condensation.scc_of
+        if data_node < len(scc_of) and scc_of[data_node] >= 0:
+            return scc_of[data_node]
+        return self.components((data_node,))[0]
 
     def is_cyclic_component(self, component: int) -> bool:
         return self.condensation.cyclic[component]
 
     def reaches(self, source: int, target: int) -> bool:
         """Is ``target`` a strict descendant of ``source`` (nonempty path)?"""
-        cs = self.condensation.scc_of[source]
-        ct = self.condensation.scc_of[target]
+        cs, ct = self.component_of(source), self.component_of(target)
         if cs == ct:
             return self.condensation.cyclic[cs]
         return self.index.reaches(cs, ct)

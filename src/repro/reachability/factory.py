@@ -18,7 +18,7 @@ from ..graph.stats import graph_stats
 from ..plan.cost import AUTO_CLOSURE_MAX_BYTES, AUTO_NEAR_TREE_RATIO, choose_index
 from .base import Dag, DagIndex, GraphReachability
 from .interval import IntervalIndex
-from .partial import DescendantClosure
+from .partial import DescendantClosure, PartialReachability
 from .sspi import SSPIIndex
 from .three_hop import ThreeHopIndex
 from .tree_cover import TreeCoverIndex
@@ -67,6 +67,11 @@ def build_reachability(graph: DataGraph, index: str = "3hop") -> GraphReachabili
         index: one of :func:`available_indexes` (default the paper's
             3-hop), or ``"auto"`` for the :func:`resolve_index`
             heuristic.
+
+    Every index but ``tc`` completes the graph's component numbering
+    first; ``tc`` numbers only the cones its queries map.
     """
-    factory = _REGISTRY[resolve_index(graph, index)]
-    return GraphReachability(graph, factory)
+    name = resolve_index(graph, index)
+    if name == "tc":
+        return PartialReachability(graph)
+    return GraphReachability(graph, _REGISTRY[name])

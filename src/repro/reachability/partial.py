@@ -18,19 +18,22 @@ and test a component against a *set* with one AND against a
 (:data:`repro.plan.cost.AUTO_CLOSURE_MAX_BYTES`); above it the planner's
 partial scope bounds each ``fill``.
 
-**The lineage rule.**  A row depends only on the successor lists of the
-components below it.  Along a lineage of structural snapshots
-(:class:`~repro.graph.condensation.GraphStructure`, each grown from the
-last by an append-only delta) an old component keeps its id and
-successor list and cannot reach a new one, so every stored row is still
-exact for the extended DAG: :meth:`PartialReachability.following`
-re-points the rows instead of rebuilding them.  A snapshot of another
-lineage (an edge between old nodes) gets a new closure.
+**The lineage rule.**  A row depends only on the successor rows of the
+components below it.  A graph lineage has one component numbering,
+which grows on demand (:mod:`repro.graph.condensation`): a numbered
+component keeps its id and successor row and cannot reach a component
+numbered later, so every stored row stays exact while the lineage
+holds, and the closure — built over the numbering's own growing rows —
+serves every version along it (:meth:`PartialReachability.following`).
+An edge out of a *numbered* node breaks the lineage; an edge out of a
+node not numbered yet (new nodes, and old ones no query has read) keeps
+it.  After a break the graph gets a new closure, and a held one still
+answers what it has numbered but refuses to number more
+(:class:`~repro.graph.condensation.StaleLineageError`).
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import sys
 from typing import Iterable
@@ -133,15 +136,6 @@ class DescendantClosure(DagIndex):
         self._rows: dict[int, int] = {}
         self.fills = 0  #: rows computed into this memo so far.
 
-    def extended(self, dag: Dag) -> "DescendantClosure":
-        """This closure over ``dag`` — the DAG it was filled over plus an
-        append-only delta — *sharing* the memo: every row is exact in
-        both, whichever object fills it (the lineage rule).  The receiver
-        keeps answering for its own DAG."""
-        grown = copy.copy(self)
-        grown.dag = dag
-        return grown
-
     def fill(self, components: Iterable[int], budget: int | None = None) -> bool:
         """Make sure every component of ``components`` has its row.
 
@@ -193,30 +187,27 @@ class DescendantClosure(DagIndex):
 
 
 class PartialReachability(GraphReachability):
-    """The reachability service over a :class:`DescendantClosure` that a
-    session keeps across versions.
+    """The reachability service over a :class:`DescendantClosure` — what
+    ``tc`` builds, and what a session keeps across versions.
 
-    Drop-in for the engine's service: condensation and component mapping
-    are the graph's shared structural snapshot.  ``lineage`` is that
-    snapshot's token, which decides whether the rows outlive a version
+    Drop-in for the engine's service, but nothing is completed: the
+    closure reads the lineage's successor rows as they grow (its DAG's
+    ``order`` is never read), so only the cones the queries map are
+    numbered.  ``lineage`` decides whether the rows outlive a version
     bump (:meth:`following`).
     """
 
-    def __init__(self, graph: DataGraph, index_factory=DescendantClosure):
-        super().__init__(graph, index_factory)
-        self.lineage = graph.structure().lineage
+    def __init__(self, graph: DataGraph):
+        self.graph = graph
+        self.condensation = self.lineage = graph.structure().condensation
+        self.dag = Dag.from_condensation(self.condensation)
+        self.index = DescendantClosure(self.dag)
 
     def following(self, graph: DataGraph) -> "PartialReachability | None":
-        """This service for the graph's *current* version: itself when
-        nothing changed, a service over the extended DAG sharing the rows
-        when every version bump since was an append, and None when the
-        lineage broke and the rows describe another graph."""
-        structure = graph.structure()
-        if structure.lineage is not self.lineage:
-            return None
-        if structure.dag is self.dag:
-            return self
-        return PartialReachability(graph, self.index.extended)
+        """This service, when the graph is still on its lineage (every
+        mutation since left the numbered cones alone), else None: the
+        rows describe another graph."""
+        return self if graph.structure().lineage is self.lineage else None
 
 
 def build_partial_reachability(
@@ -230,6 +221,5 @@ def build_partial_reachability(
     if inner != "tc":
         raise ValueError(f"the partial scope is a descendant closure (tc), not {inner!r}")
     service = PartialReachability(graph)
-    scc_of = service.condensation.scc_of
-    service.index.fill({scc_of[node] for node in footprint.nodes})
+    service.index.fill(set(service.components(footprint.nodes)))
     return service

@@ -12,8 +12,8 @@ sessions: a fresh process compiles them again.
 Two pieces:
 
 - :func:`graph_fingerprint` — the store key: a SHA-256 over node
-  attributes and adjacency, immune to the in-place-mutation blindness of
-  ``DataGraph.version``.
+  attributes and adjacency, equal across processes for equal content,
+  which ``DataGraph.version`` is not.
 - :class:`ArtifactStore` — atomic, self-describing, corruption-tolerant
   artifact files; every failure mode degrades to a cold build.
 

@@ -1,25 +1,22 @@
 """Graph content fingerprints — the persistence layer's store key.
 
-:attr:`repro.graph.digraph.DataGraph.version` is a *mutation counter*:
-it moves on ``add_node``/``add_edge`` but is blind to in-place edits of
-an attribute dictionary obtained from ``graph.attrs(v)`` (the gap the
-``QuerySession.invalidate`` docstring admits).  A persisted store keyed
-by version would therefore happily serve answers computed against the
-*pre-mutation* attributes — a silent wrong-answer bug once artifacts
-outlive the process.
+:attr:`repro.graph.digraph.DataGraph.version` is a *mutation counter*
+of one process's graph object: two processes that build the same
+content may count differently, and equal counts say nothing about equal
+content.  A persisted store keyed by version could therefore serve
+answers computed against another graph — a silent wrong-answer bug once
+artifacts outlive the process.
 
-:func:`graph_fingerprint` closes that gap for the store: a SHA-256 over
-the full graph *content* — every node's attribute dictionary (keys and
-type-tagged values, so ``5`` and ``"5"`` hash apart, mirroring
+:func:`graph_fingerprint` keys the store by content instead: a SHA-256
+over every node's attribute dictionary (keys and type-tagged values, so
+``5`` and ``"5"`` hash apart, mirroring
 :func:`repro.query.serialize.predicate_key`) and the adjacency lists.
 Two graphs share a fingerprint iff they are content-identical, so any
-mutation — including an in-place attribute edit — lands store reads and
-writes in a different key and the stale artifacts are simply never
+mutation — ``add_node``, ``add_edge``, ``set_attr`` — lands store reads
+and writes in a different key and the stale artifacts are simply never
 found.
 
-The hash is O(nodes + edges) and deliberately **not** memoized across
-calls: a memo invalidated by ``version`` would reintroduce exactly the
-blindness the fingerprint exists to fix.  It runs once per store
+The hash is O(nodes + edges) and not memoized.  It runs once per store
 interaction — a session's construction with ``store=`` and each
 ``persist()``; a :class:`~repro.serve.QueryServer` computes it once per
 start, for its first worker (the others are replicas of that one).

@@ -125,7 +125,7 @@ class TestBasicContainment:
 def test_containment_is_sound_on_random_graphs(graph, data):
     """If Q1 ⊑ Q2 is decided, answers must actually be contained."""
     for node in graph.nodes():
-        graph.attrs(node)["label"] = data.draw(st.sampled_from("xy"))
+        graph.set_attr(node, "label", data.draw(st.sampled_from("xy")))
     loose = QueryBuilder().backbone("a", label="x").outputs("a").build()
     tight = (
         QueryBuilder()

@@ -144,7 +144,7 @@ class TestProposition5:
 def test_minimization_preserves_answers(graph, data):
     """The minimized query returns identical answers on random graphs."""
     for node in graph.nodes():
-        graph.attrs(node)["label"] = data.draw(st.sampled_from("xyz"))
+        graph.set_attr(node, "label", data.draw(st.sampled_from("xyz")))
     query = (
         QueryBuilder()
         .backbone("a", label="x")

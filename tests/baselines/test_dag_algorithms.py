@@ -18,7 +18,7 @@ ALGORITHMS = [TwigStackD, HGJoinPlus, HGJoinStar]
 
 def _labeled(graph, data):
     for node in graph.nodes():
-        graph.attrs(node)["label"] = data.draw(st.sampled_from(_LABELS))
+        graph.set_attr(node, "label", data.draw(st.sampled_from(_LABELS)))
     return graph
 
 

@@ -116,7 +116,7 @@ class TestAgainstOracle:
 @given(random_dags(max_nodes=10), random_queries(), st.data())
 def test_decomposition_matches_oracle(graph, query, data):
     for node in graph.nodes():
-        graph.attrs(node)["label"] = data.draw(st.sampled_from(_LABELS))
+        graph.set_attr(node, "label", data.draw(st.sampled_from(_LABELS)))
     expected = evaluate_naive(query, graph)
     wrapper = DecomposingEvaluator(TwigStackD(graph))
     assert wrapper.evaluate(query) == expected

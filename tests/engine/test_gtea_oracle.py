@@ -20,8 +20,8 @@ _LABELS = "abcx"
 
 def labeled(graph, data):
     for node in graph.nodes():
-        graph.attrs(node)["label"] = data.draw(
-            st.sampled_from(_LABELS), label=f"label_{node}"
+        graph.set_attr(
+            node, "label", data.draw(st.sampled_from(_LABELS), label=f"label_{node}")
         )
     return graph
 

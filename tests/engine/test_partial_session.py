@@ -150,11 +150,12 @@ class TestPartialPool:
         assert (stats.partial_builds, stats.partial_hits) == (0, 1)
         row = session.cache_info()["partial"]
         assert (row["kept"], row["dropped"]) == (1, 0)
-        kept = session._closure.service
-        assert kept is not held and kept.index._rows is held.index._rows
-        assert {c: kept.index._rows[c] for c in rows} == rows
-        assert held.dag is not kept.dag  # the held service still reads its version
-        assert any(graph.add_edge(0, target) for target in range(5, 30))  # one old→old edge
+        # One service along the lineage: its rows and numbering only grew.
+        assert session._closure.service is held
+        assert {c: held.index._rows[c] for c in rows} == rows
+        # An edge out of a numbered node breaks the lineage.
+        assert held.condensation.scc_of[0] >= 0
+        assert any(graph.add_edge(0, target) for target in range(5, 30))
         answer, stats = session.evaluate_with_stats(queries[0])
         assert answer == evaluate_naive(queries[0], graph)
         assert (stats.partial_builds, stats.partial_hits) == (1, 0)
@@ -210,7 +211,8 @@ class TestPartialFallbacks:
 
 
 class TestStructureAttribution:
-    """The graph's structural snapshot is neither index arm's cost."""
+    """No whole-graph structure pass is left to book: a run numbers the
+    components it maps, inside the phases that map them."""
 
     def test_planning_pays_for_the_snapshot_before_any_build_is_timed(self):
         graph, queries = workload()
@@ -221,6 +223,9 @@ class TestStructureAttribution:
         assert all(op.op != "StructureBuild" for op in stats.operator_stats)
         row = session.cache_info()["structure"]
         assert (row["builds"], row["extensions"], row["version"]) == (1, 0, graph.version)
+        # Above the closure bound the ladder reads ``is_dag``, which
+        # completes the numbering.
+        assert row["covered"] == graph.num_nodes
 
     def test_mutations_show_up_as_extensions_or_builds(self):
         graph, queries = workload()
@@ -229,25 +234,9 @@ class TestStructureAttribution:
         graph.add_edge(graph.add_node(label="q"), graph.num_nodes - 2)
         session.evaluate(queries[0])
         assert session.cache_info()["structure"]["extensions"] == 1
-        assert any(graph.add_edge(0, target) for target in range(5, 30))  # one old→old edge
+        # One edge out of a numbered node: a new lineage.
+        assert graph.structure().condensation.scc_of[0] >= 0
+        assert any(graph.add_edge(0, target) for target in range(5, 30))
         assert session.evaluate(queries[0]) == evaluate_naive(queries[0], graph)
         row = session.cache_info()["structure"]
         assert (row["builds"], row["extensions"]) == (2, 1)
-
-    def test_first_demand_under_execution_is_booked_apart(self, tmp_path):
-        # Plans rehydrate from the store, indexes do not: the execution,
-        # not the planner, is then the first to need the snapshot.
-        graph, queries = workload()
-        writer = QuerySession(graph, store=tmp_path)
-        writer.evaluate(queries[0])
-        writer.persist()
-        writer.store.path(writer.store_fingerprint, "results").unlink()
-
-        graph, queries = workload()  # equal content, no snapshot yet
-        session = QuerySession(graph, store=tmp_path)
-        results, stats = session.evaluate_with_stats(queries[0])
-        assert results == evaluate_naive(queries[0], graph)
-        assert stats.plan_cache_hits == 1
-        ops = [record.op for record in stats.operator_stats]
-        assert ops[0] == "StructureBuild" and stats.partial_builds == 1
-        assert stats.phase_seconds["structure"] > 0.0

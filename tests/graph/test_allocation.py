@@ -45,8 +45,9 @@ def xmark_graph() -> DataGraph:
     return generate_xmark(scale=0.05, seed=97).graph
 
 
-def with_successors(structure) -> int:
-    return sum(1 for row in structure.dag.succ if row)
+def with_successors(condensation) -> int:
+    """Components numbered so far that have successors."""
+    return sum(1 for row in condensation._succ if row)
 
 
 def test_nodes_without_edges_hold_no_lists():
@@ -63,10 +64,10 @@ def test_nodes_without_edges_hold_no_lists():
 def test_structure_allocates_per_component_with_successors():
     graph = xmark_graph()
     with lists_added() as added:
-        structure = graph.structure()
+        condensation = graph.structure().complete()
     # Most components are leaves, so one list per component breaks the bound.
-    assert with_successors(structure) + SLACK < structure.condensation.num_components
-    assert added[0] <= with_successors(structure) + SLACK
+    assert with_successors(condensation) + SLACK < condensation.num_components
+    assert added[0] <= with_successors(condensation) + SLACK
 
 
 def test_first_answer_allocates_per_component_with_successors():
@@ -76,4 +77,7 @@ def test_first_answer_allocates_per_component_with_successors():
     with lists_added() as added:
         answers = session.evaluate(query)
     assert answers
-    assert added[0] <= with_successors(graph.structure()) + SLACK
+    # Only the cones the answer read are numbered, and paid for.
+    numbered = graph.structure().condensation
+    assert numbered.covered < graph.num_nodes
+    assert added[0] <= with_successors(numbered) + SLACK

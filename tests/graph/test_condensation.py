@@ -94,7 +94,7 @@ class TestBasicSCC:
 @settings(max_examples=100, deadline=None)
 @given(random_digraphs())
 def test_condensation_components_are_mutually_reachable(graph):
-    cond = Condensation(graph)
+    cond = Condensation(graph).complete()
     for members in cond.members:
         if len(members) > 1:
             first = members[0]
@@ -106,7 +106,7 @@ def test_condensation_components_are_mutually_reachable(graph):
 @settings(max_examples=100, deadline=None)
 @given(random_digraphs())
 def test_condensation_edges_match_cross_component_reachability(graph):
-    cond = Condensation(graph)
+    cond = Condensation(graph).complete()
     # Every DAG edge corresponds to an actual data edge between components.
     cross_pairs = {
         (cond.scc_of[s], cond.scc_of[t])
@@ -124,6 +124,6 @@ def test_condensation_edges_match_cross_component_reachability(graph):
 @settings(max_examples=100, deadline=None)
 @given(random_digraphs())
 def test_cyclic_flag_matches_self_reachability(graph):
-    cond = Condensation(graph)
+    cond = Condensation(graph).complete()
     for node in graph.nodes():
         assert cond.cyclic[cond.scc_of[node]] == reaches(graph, node, node)

@@ -199,6 +199,18 @@ class TestSetAttr:
         assert graph.nodes_with_label("b") == (0, 1)
         assert graph.attrs(0) == {"label": "b"}
 
+    def test_attrs_is_a_read_only_view(self):
+        """A write through ``attrs()`` raises and leaves postings and
+        version alone; ``set_attr`` is the write the graph sees."""
+        graph = DataGraph.from_edges("ab", [])
+        assert graph.nodes_with_label("a") == (0,)
+        with pytest.raises(TypeError):
+            graph.attrs(0)["label"] = "b"
+        assert graph.nodes_with_label("a") == (0,) and graph.version == 2
+        graph.set_attr(0, "label", "b")
+        assert graph.attrs(0) == {"label": "b"}
+        assert graph.nodes_with_label("b") == (0, 1) and graph.version == 3
+
     def test_an_attribute_write_keeps_the_structural_lineage(self):
         graph = DataGraph.from_edges("abc", [(0, 1), (1, 2)])
         lineage = graph.structure().lineage

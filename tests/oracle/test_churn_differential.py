@@ -73,9 +73,11 @@ def append_epoch(graph, rng):
     graph.add_edge(new[-1], rng.choice(old))  # mostly a duplicate
 
 
-def old_to_old_edge(graph, rng):
+def old_to_old_edge(graph, rng, sources=None):
+    """A new edge between enclave nodes, out of one of ``sources`` (nodes
+    the caller has had numbered) when given."""
     enclave = range(BULK, graph.num_nodes)
-    while not graph.add_edge(rng.choice(enclave), rng.choice(enclave)):
+    while not graph.add_edge(rng.choice(sources or enclave), rng.choice(enclave)):
         pass
 
 
@@ -177,19 +179,19 @@ def test_closure_held_across_mutations_answers_for_its_version():
 
     append_epoch(graph, rng)
     assert session.evaluate(query) == evaluate_naive(query, graph)
-    kept = session._closure.service
-    assert kept is not held and kept.index._rows is held.index._rows
-    # Both answer, each for its own version, out of the one memo.
+    # One service along the lineage: its numbering and rows only grow.
+    assert session._closure.service is held
     assert [held.reaches(source, target) for source, target in pairs] == before
-    assert held.condensation.num_components == BULK + len(nodes)
     everything = range(BULK, graph.num_nodes)
     later = [(rng.choice(everything), rng.choice(everything)) for _ in range(200)]
-    assert [kept.reaches(s, t) for s, t in later] == [reaches(graph, s, t) for s, t in later]
+    assert [held.reaches(s, t) for s, t in later] == [reaches(graph, s, t) for s, t in later]
 
-    old_to_old_edge(graph, rng)
+    # An edge out of a numbered node: a new lineage, a new closure.
+    old_to_old_edge(graph, rng, [source for source, _ in pairs])
     assert session.evaluate(query) == evaluate_naive(query, graph)
     fresh = session._closure.service
-    assert fresh.index._rows is not held.index._rows
+    assert fresh.index._rows is not held.index._rows and held.condensation.broken
+    # The held service still answers every pair it numbered.
     assert [held.reaches(source, target) for source, target in pairs] == before
     assert [fresh.reaches(s, t) for s, t in later] == [reaches(graph, s, t) for s, t in later]
     session.close()
@@ -207,12 +209,13 @@ def test_service_held_across_mutations_answers_for_its_version(index):
     assert [held.reaches(source, target) for source, target in pairs] == before
 
     append_epoch(graph, rng)
-    fresh = session.reachability()  # extended snapshot, rebuilt index
-    old_to_old_edge(graph, rng)
-    # The held service still reads the snapshot it was built over.
+    # The same lineage: tc keeps its closure, 3hop is rebuilt over it.
+    fresh = session.reachability()
+    assert (fresh is held) == (index == "tc") and fresh.condensation is held.condensation
+    old_to_old_edge(graph, rng, [source for source, _ in pairs])
+    # The held service still answers every pair it numbered.
     assert [held.reaches(source, target) for source, target in pairs] == before
-    assert fresh is not held and fresh.condensation is not held.condensation
-    assert held.condensation.num_components == BULK + len(nodes)
+    assert held.condensation.broken
     rebuilt = session.reachability()
     assert [rebuilt.reaches(s, t) for s, t in pairs] == [reaches(graph, s, t) for s, t in pairs]
     session.close()

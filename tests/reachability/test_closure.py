@@ -72,28 +72,24 @@ def test_reaches_equals_tc_and_dfs_for_all_pairs_in_any_order(data):
 @settings(max_examples=120, deadline=None)
 def test_memo_survives_append_only_extensions(data):
     graph = data.draw(digraphs())
-    first = service = PartialReachability(graph)
-    nodes = graph.num_nodes
+    service = PartialReachability(graph)
     probes = [(s, t, reaches(graph, s, t)) for s, t in all_pairs(data.draw, graph)[:30]]
     for source, target, expected in probes:
         assert service.reaches(source, target) == expected
+    given = {node: id_ for node, id_ in enumerate(service.condensation.scc_of) if id_ >= 0}
     for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
         append_delta(data.draw, graph)
         rows_before = dict(service.index._rows)
-        follower = service.following(graph)
-        assert follower is not None and follower is not service
-        assert follower.index._rows is service.index._rows  # kept, not copied
-        assert follower.dag is graph.structure().dag
+        # One service along the lineage: rows and numbering are kept, not copied.
+        assert service.following(graph) is service
+        assert service.dag.succ is graph.structure().condensation._succ
         for source, target in all_pairs(data.draw, graph):
-            assert follower.reaches(source, target) == reaches(graph, source, target)
+            assert service.reaches(source, target) == reaches(graph, source, target)
         # Old rows were exact already: none was recomputed or changed.
-        assert {c: follower.index._rows[c] for c in rows_before} == rows_before
-        assert_rows_equal_bfs(graph, follower.index)
-        service = follower
-    # A service held from an old version keeps answering for it.
-    assert first.condensation.scc_of == graph.structure().condensation.scc_of[:nodes]
-    for source, target, expected in probes:
-        assert first.reaches(source, target) == expected
+        assert {c: service.index._rows[c] for c in rows_before} == rows_before
+        assert_rows_equal_bfs(graph, service.index)
+    # Ids given before the appends never changed.
+    assert {node: service.condensation.scc_of[node] for node in given} == given
 
 
 @given(st.data())
@@ -101,7 +97,7 @@ def test_memo_survives_append_only_extensions(data):
 def test_an_old_to_old_edge_changes_the_lineage(data):
     graph = data.draw(digraphs(min_nodes=2))
     service = PartialReachability(graph)
-    service.index.fill(range(service.dag.num_nodes))
+    service.index.fill(range(service.condensation.complete().num_components))
     assert service.following(graph) is service
     node = st.integers(min_value=0, max_value=graph.num_nodes - 1)
     source, target = data.draw(node), data.draw(node)

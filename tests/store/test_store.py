@@ -346,18 +346,20 @@ class TestFingerprint:
 
     def test_attribute_values_are_type_tagged(self):
         five = DataGraph.from_edges("a", [])
-        five.attrs(0)["x"] = 5
+        five.set_attr(0, "x", 5)
         text = DataGraph.from_edges("a", [])
-        text.attrs(0)["x"] = "5"
+        text.set_attr(0, "x", "5")
         assert graph_fingerprint(five) != graph_fingerprint(text)
 
     def test_in_place_attribute_mutation_moves_the_fingerprint(self):
-        """The version counter misses this exact mutation; the key must not."""
+        """An in-place edit of ``attrs()`` raises and changes nothing; the
+        write that replaces it, ``set_attr``, moves the content key."""
         graph = two_label_graph()
         before_fp = graph_fingerprint(graph)
-        before_version = graph.version
-        graph.attrs(0)["price"] = 99  # in-place: invisible to .version
-        assert graph.version == before_version
+        with pytest.raises(TypeError):
+            graph.attrs(0)["price"] = 99
+        assert graph_fingerprint(graph) == before_fp
+        graph.set_attr(0, "price", 99)
         assert graph_fingerprint(graph) != before_fp
 
 
@@ -441,8 +443,8 @@ class TestSessionStoreKey:
     def test_mutated_graph_never_hits_the_old_artifacts(self, tmp_path):
         """Regression for the version-counter blindness bug.
 
-        A fresh process over a graph whose attributes were edited
-        in-place must MISS every persisted artifact (different content
+        A fresh process over a graph whose attributes were edited since
+        must MISS every persisted artifact (different content
         fingerprint) and recompute the now-different answer, instead of
         rehydrating pre-mutation caches.
         """
@@ -454,8 +456,8 @@ class TestSessionStoreKey:
         warm.persist()
         warm.close()
 
-        # Same store, but node 0's label flips under the version counter.
-        graph.attrs(0)["label"] = "z"
+        # Same store, but node 0's label flips: the content key moves.
+        graph.set_attr(0, "label", "z")
         restarted = QuerySession(graph, store=tmp_path / "store")
         assert sum(restarted.store_rehydrated.values()) == 0
         assert restarted.evaluate(query) == evaluate_naive(query, graph)
