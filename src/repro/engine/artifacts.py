@@ -116,6 +116,11 @@ class ClosureSlot:
 #: every persisted artifact kind of a session, in persist order.
 ARTIFACT_KINDS: tuple[ArtifactKind, ...] = (
     ArtifactKind("plans", "plan_cache", "plan_cache_size", "plan", container=list),
+    # JSON text's raw content hash -> the fingerprint of its plan and
+    # answers (strings only, never a plan): bounded like the answers, so
+    # a cached answer stays reachable from its text whatever its plan's
+    # recency.
+    ArtifactKind("aliases", "alias_cache", "result_cache_size", "alias"),
     ArtifactKind("candidates", "candidate_cache", "candidate_cache_size", "candidate"),
     ArtifactKind("subtrees", "subtree_cache", "subtree_cache_size", "subtree"),
     # Full answer sets are safe to serve across processes: the store

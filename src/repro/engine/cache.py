@@ -78,9 +78,10 @@ class LRUCache:
     def peek(self, key: Hashable, default: Any = None) -> Any:
         """Like :meth:`get` but without touching the hit/miss counters.
 
-        Recency is still refreshed.  For callers that probe several keys
-        for one logical operation and do their own accounting (the
-        session's plan lookup probes an alias key and a fingerprint key).
+        Recency is still refreshed.  For callers that probe several
+        caches for one logical operation and do their own accounting (the
+        session's ``lookup`` counts a hit only once both the text's alias
+        and its answer are found).
         """
         value = self._data.get(key, _MISSING)
         if value is _MISSING:

@@ -7,13 +7,19 @@ data graph, one lazily *filled* descendant closure (``tc`` — what
 ``index="auto"`` resolves to while the closure's worst case fits
 :data:`~repro.plan.cost.AUTO_CLOSURE_MAX_BYTES`; nothing is built before
 a query reads a row) plus a lazily built pool of the other reachability
-indexes, and reuses four kinds of evaluation artifacts across queries:
+indexes, and reuses five kinds of evaluation artifacts across queries:
 
 * a **plan cache** — parsed and *compiled* queries (the full
   normalize → logical → physical artifact of :mod:`repro.plan`) keyed by
   the canonical fingerprint of
-  :func:`repro.query.serialize.query_fingerprint`, so JSON workloads and
-  repeated query objects skip re-parsing, re-analysis and the optimizer;
+  :func:`repro.query.serialize.query_fingerprint`, so a query met
+  before — as a ``GTPQ``, a dict or JSON text — skips re-analysis and
+  the optimizer;
+* an **alias cache** — JSON query text's raw content hash mapped to that
+  fingerprint (a string, never a plan), bounded like the result cache, so
+  repeated text skips parsing and fingerprinting, and a cached answer is
+  found from its text alone (:meth:`QuerySession.lookup`) however long
+  ago its plan was last used;
 * a **candidate cache** — ``mat(u)`` sets keyed by the node's attribute
   predicate (:func:`repro.query.serialize.predicate_key`), shared across
   *different* queries whose nodes carry overlapping predicates;
@@ -157,7 +163,7 @@ class BatchResult:
 
 
 def _json_alias(text: str) -> str:
-    """The plan-cache alias of JSON query text: its raw content hash."""
+    """The alias-cache key of JSON query text: its raw content hash."""
     return "json:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -192,12 +198,20 @@ class QuerySession:
             session never builds another index; above the bound the
             graph-shape ladder (interval / tree-cover / 3-hop) with the
             budgeted per-query partial scope.
-        plan_cache_size: LRU capacity of the plan cache.
+        plan_cache_size: LRU capacity of the plan cache, one entry per
+            distinct query fingerprint.  Plans are the session's largest
+            entries (tens of kB each), and a cached answer does not need
+            its plan to be found (the alias cache leads to it), hence a
+            smaller default than the result cache's.  Also bounds the
+            normalize memo, the compiled functions and the observed
+            operator records.
         candidate_cache_size: LRU capacity of the shared ``mat(u)`` cache
             (entries are predicates, not queries).
-        result_cache_size: LRU capacity of the full-result cache.  Pass
-            ``0`` to disable result caching (candidate and plan reuse
-            still apply) — useful for cold-path measurements.
+        result_cache_size: LRU capacity of the full-result cache, and of
+            the alias cache that maps JSON text to its fingerprint.  Pass
+            ``0`` to disable both (candidate and plan reuse still apply,
+            but JSON text is parsed on every call) — useful for cold-path
+            measurements.
         subtree_cache_size: LRU capacity of the subtree-result cache
             (downward-pruned candidate sets keyed by canonical subtree
             fingerprint), which single-query and batch evaluation both
@@ -255,7 +269,7 @@ class QuerySession:
         graph: DataGraph,
         index: str = "auto",
         *,
-        plan_cache_size: int = 256,
+        plan_cache_size: int = 128,
         candidate_cache_size: int = 4096,
         result_cache_size: int = 1024,
         subtree_cache_size: int = 4096,
@@ -277,9 +291,9 @@ class QuerySession:
             # negative counts and anything that is not an int.
             parallel = None if parallel in (None, False, 0) else ParallelOptions(workers=parallel)
         self.parallel_options = parallel
-        # One holder per persisted artifact kind — self.plan_cache
-        # through self.result_cache are declared in ARTIFACT_KINDS, not
-        # here.
+        # One holder per persisted artifact kind — self.plan_cache,
+        # self.alias_cache through self.result_cache are declared in
+        # ARTIFACT_KINDS, not here.
         sizes = {
             "plan_cache_size": plan_cache_size,
             "candidate_cache_size": candidate_cache_size,
@@ -368,8 +382,8 @@ class QuerySession:
         """Drop every cache, every pooled index and the descendant closure.
 
         A moved :attr:`DataGraph.version` needs no call: the next use
-        drops the same things — plans, candidate, subtree and result
-        sets, compiled functions, pooled full indexes — except the
+        drops the same things — plans, aliases, candidate, subtree and
+        result sets, compiled functions, pooled full indexes — except the
         closure, which is kept while the graph's lineage holds
         (``cache_info()["partial"]``: ``kept`` / ``dropped``).  The
         graph's own derived state (:meth:`DataGraph.structure`, label
@@ -469,8 +483,9 @@ class QuerySession:
         :data:`~repro.engine.artifacts.ARTIFACT_KINDS` gets its own
         :class:`~repro.engine.cache.LRUCache` holding this session's
         entries in the same recency order, with fresh counters.  The
-        values are shared, not copied: plans are frozen, candidate
-        entries tuples, results frozensets, and a hit hands out a copy.
+        values are shared, not copied: plans are frozen, aliases
+        strings, candidate entries tuples, results frozensets, and a hit
+        hands out a copy.
         The normalize memo is copied the same way (it is no artifact
         kind: never persisted).  The store, its fingerprint and
         :attr:`store_rehydrated` carry over, so a replica costs no
@@ -503,8 +518,9 @@ class QuerySession:
 
         Accepts a :class:`~repro.query.gtpq.GTPQ`, a dictionary in the
         :func:`~repro.query.serialize.query_to_dict` format, or its JSON
-        text.  JSON text is additionally keyed by its raw content hash,
-        so a repeated JSON query skips parsing entirely.
+        text.  The alias cache maps JSON text's raw content hash to the
+        plan's fingerprint, so repeated text whose plan is cached skips
+        parsing and fingerprinting entirely.
         The cached artifact includes the full compiled plan (normalize
         rewrites, logical IR, physical decisions), so repeated queries
         skip the optimizer as well as the parser.
@@ -547,22 +563,28 @@ class QuerySession:
         )
 
     def _plan_for(self, query: QueryLike, alias: str | None = None) -> QueryPlan:
-        # One planning operation counts exactly one plan-cache hit or miss,
-        # even though JSON text probes two keys (raw-content alias first,
-        # canonical fingerprint second) — hence peek() + manual accounting
-        # instead of get().  A dict has no alias: its constants keep their
-        # types only once parsed, so it is always parsed and fingerprinted.
-        # ``alias`` is the text's :func:`_json_alias` when the caller has
-        # already hashed it.
-        counters = self.plan_cache.counters
+        """The cached or freshly compiled plan of ``query``.
+
+        JSON text goes alias → fingerprint → plan: the alias cache
+        (one hit or miss) names the fingerprint, and a plan cached under
+        it is returned unparsed.  Otherwise the query is parsed and
+        fingerprinted, the plan cache probed by fingerprint, and the
+        text's alias (re)written.  Either way one planning operation
+        counts exactly one plan-cache hit or miss.  A dict has no alias:
+        its constants keep their types only once parsed, so it is always
+        parsed and fingerprinted.  ``alias`` is the text's
+        :func:`_json_alias` when the caller has already hashed it.
+        """
         if isinstance(query, GTPQ):
             parsed = query
         elif isinstance(query, str):
             alias = alias or _json_alias(query)
-            cached = self.plan_cache.peek(alias)
-            if cached is not None:
-                counters.hits += 1
-                return cached
+            fingerprint = self.alias_cache.get(alias)
+            if isinstance(fingerprint, str):
+                cached = self.plan_cache.peek(fingerprint)
+                if cached is not None:
+                    self.plan_cache.counters.hits += 1
+                    return cached
             parsed = query_from_json(query)
         elif isinstance(query, dict):
             parsed = query_from_dict(query)
@@ -571,9 +593,8 @@ class QuerySession:
                 f"cannot plan a {type(query).__name__}; expected GTPQ, dict, or JSON str"
             )
         fingerprint = query_fingerprint(parsed)
-        plan = self.plan_cache.peek(fingerprint)
+        plan = self.plan_cache.get(fingerprint)
         if plan is None:
-            counters.misses += 1
             plan = QueryPlan(
                 query=parsed,
                 fingerprint=fingerprint,
@@ -590,10 +611,8 @@ class QuerySession:
                 ),
             )
             self.plan_cache.put(fingerprint, plan)
-        else:
-            counters.hits += 1
         if alias is not None:
-            self.plan_cache.put(alias, plan)
+            self.alias_cache.put(alias, fingerprint)
         return plan
 
     def _normalize(self, query: GTPQ) -> NormalizedQuery:
@@ -633,9 +652,7 @@ class QuerySession:
         if alias is not None:
             hit = self._lookup(alias, group_key)
             if hit is not None:
-                stats = _hit_stats(hit)
-                stats.plan_cache_hits = 1
-                return hit, stats
+                return hit, _hit_stats(hit)
         self._ensure_fresh()
         plan_hits = self.plan_cache.counters.hits
         plan_misses = self.plan_cache.counters.misses
@@ -652,15 +669,18 @@ class QuerySession:
         """The answer :meth:`evaluate` would serve from the result cache,
         or ``None`` — without parsing, compiling, invalidating or executing.
 
-        A hit needs JSON text whose plan alias and ``(fingerprint,
-        group_nodes)`` answer are both cached, in a session at the
-        graph's current version.  It counts and refreshes exactly what
-        that :meth:`evaluate` call would: one plan-cache hit and one
-        result-cache hit.  Anything else — a ``GTPQ`` or dict query (they
-        need a parse and a fingerprint), a cold alias or answer, a
-        mutated graph — returns ``None`` and counts nothing; the caller
-        then evaluates.  :meth:`evaluate` itself starts here, so this is
-        its one hit path.
+        A hit needs JSON text whose alias (text → fingerprint) and
+        ``(fingerprint, group_nodes)`` answer are both cached, in a
+        session at the graph's current version — the plan itself is not
+        read, so an answer stays a hit however long ago its plan was
+        evicted.  Only non-empty ``group_nodes`` also need the plan,
+        whose outputs they must belong to.  A hit counts and refreshes
+        exactly what that :meth:`evaluate` call would: one alias-cache
+        hit and one result-cache hit.  Anything else — a ``GTPQ`` or dict
+        query (they need a parse and a fingerprint), a cold or malformed
+        alias, a cold answer, a mutated graph — returns ``None`` and
+        counts nothing; the caller then evaluates.  :meth:`evaluate`
+        itself starts here, so this is its one hit path.
         """
         if not isinstance(query, str):
             return None
@@ -669,15 +689,17 @@ class QuerySession:
     def _lookup(self, alias: str, group_key: tuple[str, ...]) -> ResultSet | None:
         if self.graph.version != self._graph_version:
             return None  # the pool's evaluate drops the stale caches
-        plan = self.plan_cache.peek(alias)
-        if plan is None:
+        fingerprint = self.alias_cache.peek(alias)
+        if not isinstance(fingerprint, str):
             return None
-        cached = self.result_cache.peek((plan.fingerprint, group_key))
+        cached = self.result_cache.peek((fingerprint, group_key))
         if cached is None:
             return None
-        if group_key and not set(group_key).issubset(plan.query.outputs):
-            return None  # a store written before group nodes were checked
-        self.plan_cache.counters.hits += 1
+        if group_key:
+            plan = self.plan_cache.peek(fingerprint)
+            if plan is None or not set(group_key).issubset(plan.query.outputs):
+                return None  # no outputs to check, or a stray stored key
+        self.alias_cache.counters.hits += 1
         self.result_cache.counters.hits += 1
         return set(cached)
 

@@ -7,8 +7,12 @@ hot path); the first worker reads the :class:`~repro.store.ArtifactStore`
 and the rest start from its caches (:meth:`QuerySession.replica`).  A
 result-cache hit is answered on the event loop, inside the request's
 checkout (:meth:`QuerySession.lookup`: a hash of the text and two dict
-probes, no parse); every miss runs in a thread pool, so a slow query
-never blocks the loop from accepting requests.
+probes — text → fingerprint in the alias cache, then the answer in the
+result cache — no parse, and no plan read unless group nodes are
+asked); every miss runs in a thread pool, so a slow query never blocks
+the loop from accepting requests.  The aliases are bounded and persisted
+like the answers, so after a restart every answer the store brought back
+is a loop hit.
 """
 
 from __future__ import annotations

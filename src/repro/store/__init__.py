@@ -1,8 +1,9 @@
 """Cross-process persistence for what the engine learns per query (S13).
 
 The warm store serializes the artifacts a :class:`repro.engine.QuerySession`
-accumulates — compiled plans, candidate sets, downward-pruned subtree
-sets and answer sets (:data:`repro.engine.artifacts.ARTIFACT_KINDS`) —
+accumulates — compiled plans, JSON-text aliases, candidate sets,
+downward-pruned subtree sets and answer sets
+(:data:`repro.engine.artifacts.ARTIFACT_KINDS`) —
 under a **graph content fingerprint** so a fresh process rehydrates them
 instead of rebuilding (``QuerySession(store=...)``).  Reachability state
 is not stored: the graph condenses once per process and closure rows

@@ -1,8 +1,8 @@
 """The warm store: durable evaluation artifacts keyed by graph content.
 
-What the engine learns per query — compiled plans, candidate sets,
-downward-pruned subtree sets, answer sets — is content-addressed, so it
-can outlive the process that paid for it.  An
+What the engine learns per query — compiled plans, JSON-text aliases,
+candidate sets, downward-pruned subtree sets, answer sets — is
+content-addressed, so it can outlive the process that paid for it.  An
 :class:`ArtifactStore` is a directory of self-describing artifact
 files::
 
@@ -43,8 +43,10 @@ from pathlib import Path
 #: format-1 plan pickles no longer describe the live schema.  3:
 #: LogicalPlan stopped storing obligations and subtree fingerprints, GTPQ
 #: grew its unpickled memo slots.  4: PhysicalPlan lost its executor
-#: cost field, and the baseline operator a plan could name is gone.)
-STORE_FORMAT_VERSION = 4
+#: cost field, and the baseline operator a plan could name is gone.  5:
+#: JSON-text aliases left the ``plans`` payload for their own
+#: ``aliases`` kind.)
+STORE_FORMAT_VERSION = 5
 
 _MAGIC = b"repro-store\n"
 _SUFFIX = ".artifact"

@@ -110,8 +110,8 @@ class TestLookup:
         # Same plan, other result key: the alias is cached, the answer not.
         assert session.lookup(text, ("x",)) is None
         info = session.cache_info()
-        assert (info["plan"]["hits"], info["result"]["hits"]) == (0, 0)
-        assert (info["plan"]["misses"], info["result"]["misses"]) == (1, 1)
+        assert [info[row]["hits"] for row in ("plan", "alias", "result")] == [0, 0, 0]
+        assert [info[row]["misses"] for row in ("plan", "alias", "result")] == [1, 1, 1]
 
     def test_a_hit_counts_and_refreshes_like_evaluate(self):
         graph = small_graph()
@@ -124,9 +124,10 @@ class TestLookup:
         assert answer == evaluated.evaluate(texts[0]) == evaluate_naive(query_ab(), graph)
         assert looked.cache_info() == evaluated.cache_info()
         info = looked.cache_info()
-        assert (info["plan"]["hits"], info["plan"]["misses"]) == (1, 2)
+        assert (info["alias"]["hits"], info["alias"]["misses"]) == (1, 2)
+        assert (info["plan"]["hits"], info["plan"]["misses"]) == (0, 2)  # not read
         assert (info["result"]["hits"], info["result"]["misses"]) == (1, 2)
-        for cache in ("plan_cache", "result_cache"):
+        for cache in ("plan_cache", "alias_cache", "result_cache"):
             keys = [[key for key, _ in getattr(s, cache).items()] for s in (looked, evaluated)]
             assert keys[0] == keys[1]
         answer.clear()  # a copy, not the cached set
@@ -139,7 +140,7 @@ class TestLookup:
         monkeypatch.setattr(session, "_plan_for", None)  # a hit never plans
         answer, stats = session.evaluate_with_stats(text)
         assert answer == evaluate_naive(query_ab(), small_graph())
-        assert (stats.plan_cache_hits, stats.plan_cache_misses) == (1, 0)
+        assert (stats.plan_cache_hits, stats.plan_cache_misses) == (0, 0)
         assert (stats.result_cache_hits, stats.result_cache_misses) == (1, 0)
         assert stats.result_count == len(answer)
 

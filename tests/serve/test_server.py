@@ -566,7 +566,7 @@ class TestLoopHits:
             ("b", ("kid",)), ("b", ("kid",)), ("c", ()), ("a", ()), ("b", ()),
             ("b", ()), ("c", ()), ("b", ("kid",)), ("a", ()),
         ]  # fmt: skip
-        sizes = {"plan_cache_size": 6, "result_cache_size": 3}
+        sizes = {"plan_cache_size": 2, "result_cache_size": 3}
         monkeypatch.setattr(
             "repro.serve.server.QuerySession", functools.partial(QuerySession, **sizes)
         )
@@ -587,12 +587,12 @@ class TestLoopHits:
             expected = evaluate_naive(queries[name], graph)
             assert (grouped_rows(answer) if group else answer) == expected
         assert worker.cache_info() == replay.cache_info()
-        for cache in ("plan_cache", "result_cache"):
+        for cache in ("plan_cache", "alias_cache", "result_cache"):
             assert [key for key, _ in getattr(worker, cache).items()] == [
                 key for key, _ in getattr(replay, cache).items()
             ]
         info = worker.cache_info()
-        assert info["plan"]["evictions"] > 0 and info["result"]["evictions"] > 0
+        assert all(info[row]["evictions"] > 0 for row in ("plan", "alias", "result"))
         # Every request here is JSON text, so every result hit was a loop hit.
         assert server.stats.loop_hits == info["result"]["hits"] > 0
         assert server.stats.requests == len(stream)
@@ -657,6 +657,27 @@ class TestLoopHits:
         for idents in threads.values():
             assert loop_thread not in idents
 
+    def test_a_restarted_server_answers_every_primed_text_on_the_loop(self, tmp_path):
+        """The aliases persist with the answers: the first request for each
+        primed text is a loop hit on either worker, whatever the plans."""
+        graph = serve_graph()
+        queries = [serve_query(label) for label in "abc"]
+        texts = [query_to_json(query) for query in queries]
+        primer = QuerySession(graph, store=tmp_path / "store", plan_cache_size=1)
+        for text in texts:
+            primer.evaluate(text)
+        assert primer.persist()["aliases"] == len(texts)
+        server = QueryServer(graph, workers=2, store=tmp_path / "store")
+
+        async def run():
+            await server.start()
+            try:
+                return [await server.submit(text) for text in texts]
+            finally:
+                await server.stop()
+
+        assert asyncio.run(run()) == [evaluate_naive(query, graph) for query in queries]
+        assert server.stats.loop_hits == server.stats.requests == len(texts)
 
     def test_a_concurrent_burst_keeps_every_count(self):
         """More workers than cores, thread switches forced often: hits on

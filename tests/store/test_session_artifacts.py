@@ -22,7 +22,7 @@ import pytest
 from repro.datasets import fig7_query, generate_xmark, index_choice_workload
 from repro.engine import QuerySession
 from repro.engine.artifacts import ARTIFACT_KINDS
-from repro.query import AttributePredicate, QueryBuilder, evaluate_naive
+from repro.query import AttributePredicate, QueryBuilder, evaluate_naive, query_to_json
 from repro.store import ArtifactStore
 
 KIND_IDS = [kind.name for kind in ARTIFACT_KINDS]
@@ -63,7 +63,7 @@ def populated(workload, tmp_path_factory):
     session.evaluate_many(shared)
     for query in shared:  # group evaluation runs interpreted: it fills subtrees
         session.evaluate(query, group_nodes=query.outputs)
-    session.evaluate(queries[-1])
+    session.evaluate(query_to_json(queries[-1]))  # JSON text: fills the aliases
     assert session.cache_info()["indexes"]["pooled"] == 0  # all of it on the closure
     session.reachability("3hop")  # pooled, like the closure's rows: never persisted
     persisted = session.persist()
@@ -102,8 +102,8 @@ def assert_answers(session, workload):
         assert session.evaluate(query) == answer
 
 
-def test_the_table_is_the_four_persisted_kinds():
-    assert KIND_IDS == ["plans", "candidates", "subtrees", "results"]
+def test_the_table_is_the_five_persisted_kinds():
+    assert KIND_IDS == ["plans", "aliases", "candidates", "subtrees", "results"]
 
 
 def test_every_kind_persists_under_its_own_name(populated):
@@ -152,7 +152,7 @@ def test_unpicklable_entry_skips_only_its_kind(workload, populated, tmp_path):
 
 
 def test_codegen_functions_stay_in_memory(workload, populated):
-    """A ``codegen="auto"`` session persists the four kinds; a fresh one
+    """A ``codegen="auto"`` session persists the five kinds; a fresh one
     over that store compiles its first plan again."""
     store, writer, persisted = populated
     assert writer.cache_info()["codegen"]["size"] > 0
@@ -222,8 +222,7 @@ def test_restart_condenses_once_and_fills_rows_as_misses_read_them(tmp_path):
     for query in queries[:3]:
         writer.evaluate(query)
     writer.persist()
-    caches = ("plan", "candidate", "subtree", "result")
-    sizes = sum(writer.cache_info()[row]["size"] for row in caches)
+    sizes = sum(writer.cache_info()[kind.info]["size"] for kind in ARTIFACT_KINDS)
 
     graph = generate_xmark(scale=0.02, seed=7).graph  # equal content, no snapshot yet
     fresh = queries[3]  # not in the stored result cache
