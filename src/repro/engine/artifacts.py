@@ -1,8 +1,8 @@
 """The session's persisted artifact kinds, declared once.
 
 :data:`ARTIFACT_KINDS` is the single list that construction,
-invalidation, rehydration, ``persist()``, ``replica()`` and
-``cache_info()`` of a :class:`~repro.engine.session.QuerySession` walk:
+invalidation, rehydration, ``persist()`` and ``cache_info()`` of a
+:class:`~repro.engine.session.QuerySession` walk:
 adding a kind is one
 entry here, and the session never names a kind itself.  The table lists
 what the warm store holds; what a session keeps in memory only — its

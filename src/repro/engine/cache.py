@@ -110,13 +110,6 @@ class LRUCache:
         """
         return list(self._data.items())
 
-    def copy(self) -> "LRUCache":
-        """A cache of the same capacity holding the same entries in the
-        same recency order, with fresh counters; values are shared."""
-        twin = LRUCache(self.capacity)
-        twin._data = dict(self._data)
-        return twin
-
     def clear(self) -> int:
         """Drop every entry; returns how many were dropped."""
         dropped = len(self._data)

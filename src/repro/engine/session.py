@@ -476,40 +476,6 @@ class QuerySession:
             persisted[kind.name] = count
         return persisted
 
-    def replica(self) -> "QuerySession":
-        """A new session over the same graph, starting from this one's caches.
-
-        Same index, flags and cache capacities; each kind of
-        :data:`~repro.engine.artifacts.ARTIFACT_KINDS` gets its own
-        :class:`~repro.engine.cache.LRUCache` holding this session's
-        entries in the same recency order, with fresh counters.  The
-        values are shared, not copied: plans are frozen, aliases
-        strings, candidate entries tuples, results frozensets, and a hit
-        hands out a copy.
-        The normalize memo is copied the same way (it is no artifact
-        kind: never persisted).  The store, its fingerprint and
-        :attr:`store_rehydrated` carry over, so a replica costs no
-        fingerprint walk and no store read.
-        Reachability state (the closure, pooled indexes) is not shared;
-        it builds lazily per session.
-        """
-        self._ensure_fresh()
-        twin = QuerySession(
-            self.graph,
-            self.default_index,
-            **{kind.capacity: getattr(self, kind.attr).capacity for kind in ARTIFACT_KINDS},
-            adaptive=self.adaptive,
-            parallel=self.parallel_options,
-            codegen=self.codegen,
-        )
-        for kind in ARTIFACT_KINDS:
-            setattr(twin, kind.attr, getattr(self, kind.attr).copy())
-        twin.normalize_cache = self.normalize_cache.copy()
-        twin.store = self.store
-        twin.store_fingerprint = self.store_fingerprint
-        twin.store_rehydrated = dict(self.store_rehydrated)
-        return twin
-
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------

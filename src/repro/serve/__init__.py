@@ -1,20 +1,19 @@
-"""The serving tier: N warmed session workers behind one asyncio front.
+"""The serving tier: one warmed session behind an asyncio front.
 
-:class:`QueryServer` owns a pool of :class:`~repro.engine.QuerySession`
-workers over one data graph — the first worker reads the warm store
-(:mod:`repro.store`), and the rest start from its caches — and
-dispatches queries onto them from an asyncio event loop: a result-cache
-hit is answered on the loop itself, every miss in a thread pool.  That is the
-shape the ROADMAP's "heavy traffic" north star needs: pay the plan,
-candidate and answer cost once (in a previous process, even), then
-amortize it across every concurrent request.  Every worker is a default
-session; the server has no execution modes of its own.
+:class:`QueryServer` owns one :class:`~repro.engine.QuerySession` over
+one data graph, warmed from the store (:mod:`repro.store`) at start, and
+serves concurrent requests from an asyncio event loop, one at a time
+behind an :class:`asyncio.Lock`: a result-cache hit is answered on the
+loop itself, a miss in the server's one thread.  Evaluation is pure
+Python, so more threads would add copies of the caches and the closure,
+not parallelism.  That is the shape the ROADMAP's "heavy traffic" north
+star needs: pay the plan, candidate and answer cost once (in a previous
+process, even), then amortize it across every concurrent request.
 
 Snapshot consistency: the server pins the graph version it started with
 and refuses requests after the graph mutates
-(:class:`StaleSnapshotError`) until :meth:`QueryServer.refresh`
-quiesces the workers and re-pins — a request never sees half-invalidated
-caches.
+(:class:`StaleSnapshotError`) until :meth:`QueryServer.refresh` re-pins;
+like :meth:`QueryServer.stop`, it waits for the requests ahead of it.
 
 ``python -m repro.serve`` starts the TCP JSON-lines front.
 """

@@ -1,18 +1,13 @@
-"""Multi-worker query serving over one warmed store.
+"""Query serving: one warmed session behind an asyncio front.
 
-See the package docstring for the model.  The implementation is a plain
-asyncio checkout queue over ``N`` independent :class:`QuerySession`
-workers: each worker owns its own caches and engines (no locks on the
-hot path); the first worker reads the :class:`~repro.store.ArtifactStore`
-and the rest start from its caches (:meth:`QuerySession.replica`).  A
-result-cache hit is answered on the event loop, inside the request's
-checkout (:meth:`QuerySession.lookup`: a hash of the text and two dict
-probes — text → fingerprint in the alias cache, then the answer in the
-result cache — no parse, and no plan read unless group nodes are
-asked); every miss runs in a thread pool, so a slow query never blocks
-the loop from accepting requests.  The aliases are bounded and persisted
-like the answers, so after a restart every answer the store brought back
-is a loop hit.
+See the package docstring for the model.  A request holds the server's
+:class:`asyncio.Lock` from its cache probe to its answer, so the one
+:class:`QuerySession` needs no locks of its own.  A result-cache hit is
+answered on the event loop (:meth:`QuerySession.lookup`: a hash of the
+text and two dict probes — text → fingerprint in the alias cache, then
+the answer in the result cache — no parse, and no plan read unless group
+nodes are asked); a miss runs in the server's one thread, so a slow
+query never blocks the loop from accepting requests.
 """
 
 from __future__ import annotations
@@ -42,10 +37,9 @@ MAX_REQUEST_LINE = 2**16
 class StaleSnapshotError(RuntimeError):
     """The graph mutated after the server pinned its snapshot.
 
-    Raised by :meth:`QueryServer.submit` instead of letting a request
-    race worker-by-worker cache invalidation (half the workers answering
-    from the old caches, half rebuilding).  Call
-    :meth:`QueryServer.refresh` to quiesce and re-pin.
+    Raised by :meth:`QueryServer.submit` instead of answering from a
+    version the server never pinned.  Call :meth:`QueryServer.refresh`
+    to quiesce and re-pin.
     """
 
 
@@ -70,11 +64,11 @@ class ServerStats:
     def __init__(self):
         self.requests = 0
         #: requests answered on the event loop (result-cache hits); the
-        #: rest of ``requests`` ran in the thread pool.
+        #: rest of ``requests`` ran in the server's thread.
         self.loop_hits = 0
         self.errors = 0
         self.stale_rejections = 0
-        #: wall seconds (checkout wait + evaluation) of the most recent
+        #: wall seconds (lock wait + evaluation) of the most recent
         #: :data:`LATENCY_WINDOW` requests; the percentiles of
         #: :meth:`summary` describe this window.
         self.latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
@@ -91,23 +85,23 @@ class ServerStats:
 
 
 class QueryServer:
-    """``N`` warmed :class:`QuerySession` workers behind an asyncio front.
+    """One warmed :class:`QuerySession` behind an asyncio front.
 
     Args:
         graph: the data graph to serve.
-        workers: session-worker count (one request runs per worker at a
-            time; excess requests queue on the checkout).
-        store: shared warm store — an :class:`~repro.store.ArtifactStore`,
-            a directory path, or ``None`` for purely in-memory workers.
-            At :meth:`start` the first worker reads the store, and the
-            rest start from its caches.
+        workers: accepted and ignored (one session serves every
+            request); removed with ROADMAP item 1.
+        store: warm store — an :class:`~repro.store.ArtifactStore`, a
+            directory path, or ``None`` for a purely in-memory session.
+            The session reads it at :meth:`start`.
 
-    Every worker is a default session: ``index="auto"``, interpreted,
-    serial.
+    The session is a default one: ``index="auto"``, interpreted, serial.
+    Requests, :meth:`refresh` and :meth:`stop` take turns on it through
+    one :class:`asyncio.Lock`, first come first served.
 
     Usage::
 
-        server = QueryServer(graph, workers=4, store="warm/")
+        server = QueryServer(graph, store="warm/")
         await server.start()
         results = await server.submit(query)
         await server.stop()
@@ -117,161 +111,147 @@ class QueryServer:
         self,
         graph: DataGraph,
         *,
-        workers: int = 4,
+        workers: int = 1,
         store: ArtifactStore | str | os.PathLike | None = None,
     ):
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         self.graph = graph
-        self.workers = workers
         if store is None or isinstance(store, ArtifactStore):
             self.store = store
         else:
             self.store = ArtifactStore(store)
         self.stats = ServerStats()
-        self._sessions: list[QuerySession] = []
-        self._pool: asyncio.Queue[QuerySession] | None = None
+        #: the served session; after :meth:`stop`, the one that served.
+        self.session: QuerySession | None = None
+        self._lock: asyncio.Lock | None = None
         self._executor: ThreadPoolExecutor | None = None
         self._pinned_version: int | None = None
 
     # ------------------------------------------------------------------
     @property
     def started(self) -> bool:
-        return self._pool is not None
+        return self._lock is not None
 
     async def start(self) -> None:
-        """Build and warm the worker pool; pins the graph snapshot."""
+        """Build and warm the session; pins the graph snapshot."""
         if self.started:
             return
         loop = asyncio.get_running_loop()
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-serve"
-        )
-        # Workers build off the event loop so a slow cold start does not
-        # freeze an already-accepting front.
+        executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-serve")
+        # The session builds off the event loop so a slow cold start does
+        # not freeze an already-accepting front.
         try:
-            self._sessions = await loop.run_in_executor(self._executor, self._build_workers)
+            self.session = await loop.run_in_executor(executor, self._open_session)
         except BaseException:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+            executor.shutdown(wait=True)
             raise
-        self._pool = asyncio.Queue()
-        for session in self._sessions:
-            self._pool.put_nowait(session)
+        self._executor = executor
+        self._lock = asyncio.Lock()
         self._pinned_version = self.graph.version
 
-    def _build_workers(self) -> list[QuerySession]:
-        # The first worker reads the store (one content fingerprint, one
-        # load per kind); the rest start from its caches.
-        first = QuerySession(self.graph, store=self.store)
-        sessions = [first] + [first.replica() for _ in range(self.workers - 1)]
-        for session in sessions:
-            # Touching the reachability service resolves the index now,
-            # not under the first request: the graph condenses (once,
-            # shared by every worker) and a pinned full index is built.
-            # The default (``tc`` under the closure bound) builds nothing
-            # more here — the first misses fill the rows they read.
-            session.reachability()
-        return sessions
+    def _open_session(self) -> QuerySession:
+        session = QuerySession(self.graph, store=self.store)
+        # Touching the reachability service resolves the index now, not
+        # under the first request: a pinned full index is built here.  The
+        # default (``tc`` under the closure bound) builds nothing more —
+        # the first misses fill the rows they read.
+        session.reachability()
+        return session
+
+    def _ensure_serving(self, lock: asyncio.Lock | None) -> None:
+        """Raise unless ``lock`` — taken before waiting — is still the
+        server's: :meth:`stop` may have run meanwhile."""
+        if lock is None or lock is not self._lock:
+            raise RuntimeError("QueryServer is not started (or stop() ran first)")
 
     async def submit(self, query, group_nodes: Sequence[str] = ()):
-        """Evaluate ``query`` on the next free worker; returns its answer.
+        """Evaluate ``query`` once the session is free; returns its answer.
 
-        The checked-out worker first tries :meth:`QuerySession.lookup`
-        right here on the event loop — the worker belongs to this request
-        alone, so no other thread is inside it — and only a miss goes to
-        the thread pool (so does the first request on a worker after a
-        re-pin: its stale caches are dropped there, never on the loop).
-
-        Raises :class:`StaleSnapshotError` when the graph has mutated
-        since the pinned snapshot, and re-raises evaluation errors after
-        returning the worker to the pool.
+        Holding the lock, the request tries :meth:`QuerySession.lookup`
+        on the event loop, and only a miss goes to the server's thread (so
+        does the first request after a re-pin: the stale caches are
+        dropped there, never on the loop).  Raises
+        :class:`StaleSnapshotError` when the graph has mutated since the
+        pinned snapshot and :class:`RuntimeError` when the server is not
+        started or :meth:`stop` got the lock first.
         """
-        if not self.started:
-            raise RuntimeError("QueryServer.start() has not run")
-        if self.graph.version != self._pinned_version:
-            self.stats.stale_rejections += 1
-            raise StaleSnapshotError(
-                f"graph version {self.graph.version} != pinned {self._pinned_version}; "
-                "call refresh() to re-pin the snapshot"
-            )
+        lock = self._lock
+        self._ensure_serving(lock)
         loop = asyncio.get_running_loop()
         started = time.perf_counter()
-        session = await self._pool.get()
-        try:
-            results = session.lookup(query, group_nodes)
-            if results is None:
-                results = await loop.run_in_executor(
-                    self._executor, session.evaluate, query, tuple(group_nodes)
+        async with lock:
+            self._ensure_serving(lock)
+            if self.graph.version != self._pinned_version:
+                self.stats.stale_rejections += 1
+                raise StaleSnapshotError(
+                    f"graph version {self.graph.version} != pinned {self._pinned_version}; "
+                    "call refresh() to re-pin the snapshot"
                 )
-            else:
-                self.stats.loop_hits += 1
-        except Exception:
-            self.stats.errors += 1
-            raise
-        finally:
-            self._pool.put_nowait(session)
+            try:
+                results = self.session.lookup(query, group_nodes)
+                if results is None:
+                    results = await loop.run_in_executor(
+                        self._executor, self.session.evaluate, query, tuple(group_nodes)
+                    )
+                else:
+                    self.stats.loop_hits += 1
+            except Exception:
+                self.stats.errors += 1
+                raise
         self.stats.requests += 1
         self.stats.latencies.append(time.perf_counter() - started)
         return results
 
     async def refresh(self) -> None:
-        """Quiesce every worker, then re-pin the current graph version.
+        """Wait for the requests ahead, then re-pin the current graph version.
 
-        Checking out all workers waits for in-flight requests to drain,
-        so no request ever straddles two snapshots; each worker's next
-        evaluation then detects the version change and rebuilds its own
-        caches lazily.
-
-        With a store attached, the drained state is re-persisted first
-        (the warmest worker, exactly like :meth:`persist`): a refresh
-        without a mutation acts as a checkpoint of everything learned
-        since the last publish.  After a mutation, ``persist()`` detects
-        the version change, drops the stale caches and keys by the *new*
-        graph content — stale artifacts are never published under the
-        fresh key.  Best-effort — a failing store never blocks the
-        re-pin.
+        No request ever straddles two snapshots; the session's next
+        evaluation detects a version change and rebuilds its caches
+        lazily.  With a store attached, the session is persisted first,
+        under the lock: a refresh without a mutation is a checkpoint;
+        after a mutation, ``persist()`` drops the stale caches and keys
+        by the *new* content.  Best-effort — a failing store never blocks
+        the re-pin.
         """
-        if not self.started:
-            raise RuntimeError("QueryServer.start() has not run")
-        drained = [await self._pool.get() for _ in range(self.workers)]
-        try:
-            if self.store is not None and self._sessions:
-                warmest = max(self._sessions, key=lambda s: len(s.plan_cache))
+        lock = self._lock
+        self._ensure_serving(lock)
+        async with lock:
+            self._ensure_serving(lock)
+            if self.store is not None:
                 loop = asyncio.get_running_loop()
                 try:
-                    await loop.run_in_executor(self._executor, warmest.persist)
+                    await loop.run_in_executor(self._executor, self.session.persist)
                 except Exception:
                     pass
             self._pinned_version = self.graph.version
-        finally:
-            for session in drained:
-                self._pool.put_nowait(session)
 
     def persist(self) -> dict[str, int]:
-        """Publish the warmest worker's artifacts to the shared store.
+        """Publish the session's artifacts to the store.
 
-        Workers see identical traffic-shaped warm state only by accident,
-        so the one with the most plan-cache entries is chosen; artifacts
-        are content-keyed, making any worker's state safe to publish.
+        Not under the lock: call it when no request runs — e.g. after
+        :meth:`stop` — or persist through :meth:`refresh`.
         """
         if self.store is None:
             raise ValueError("server was created without store=; nothing to persist to")
-        if not self._sessions:
+        if self.session is None:
             raise RuntimeError("QueryServer.start() has not run")
-        warmest = max(self._sessions, key=lambda s: len(s.plan_cache))
-        return warmest.persist()
+        return self.session.persist()
 
     async def stop(self) -> None:
-        """Release workers and the thread pool (idempotent)."""
-        for session in self._sessions:
-            session.close()
-        self._sessions = []
-        self._pool = None
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        self._pinned_version = None
+        """Answer every request that reached the lock first, refuse the
+        rest, then release the thread (idempotent)."""
+        lock = self._lock
+        if lock is None:
+            return
+        async with lock:
+            if lock is not self._lock:
+                return  # a concurrent stop() got here first
+            self._lock = None
+            self._pinned_version = None
+            self.session.close()
+            executor, self._executor = self._executor, None
+        # Outside the lock, so the loop keeps running; every request that
+        # held it has its answer, so the thread is idle.
+        executor.shutdown(wait=True)
 
 
 # ----------------------------------------------------------------------

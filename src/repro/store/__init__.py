@@ -18,8 +18,8 @@ Two pieces:
 - :class:`ArtifactStore` — atomic, self-describing, corruption-tolerant
   artifact files; every failure mode degrades to a cold build.
 
-:mod:`repro.serve` builds the multi-worker serving tier on top of this
-package.
+:mod:`repro.serve` builds the serving tier — one warmed session behind
+an asyncio front — on top of this package.
 """
 
 from .fingerprint import graph_fingerprint

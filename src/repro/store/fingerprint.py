@@ -19,7 +19,7 @@ found.
 The hash is O(nodes + edges) and not memoized.  It runs once per store
 interaction — a session's construction with ``store=`` and each
 ``persist()``; a :class:`~repro.serve.QueryServer` computes it once per
-start, for its first worker (the others are replicas of that one).
+start, for its one session.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Threads numbering one graph together.
 
-``QueryServer`` replicas share one graph, so two threads may ask for the
-components of overlapping node sets at once.  Numbering is serialized by
+Sessions in different threads may share one graph, so two threads may
+ask for the components of overlapping node sets at once.  Numbering is serialized by
 the lineage's lock and a reader takes none: every id a thread reads must
 be final, and the numbering the threads leave must equal a
 from-scratch condensation up to relabelling.  CI runs this module under

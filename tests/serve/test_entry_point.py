@@ -15,6 +15,7 @@ import repro
 from repro.datasets import generate_xmark
 from repro.engine import QuerySession
 from repro.query import QueryBuilder, evaluate_naive, query_to_dict
+from repro.serve.__main__ import build_parser
 from repro.store import ArtifactStore, graph_fingerprint
 
 SCALE = 0.01
@@ -79,3 +80,10 @@ def test_serves_one_query_and_persists_on_sigint(tmp_path):
     assert (stats.result_cache_hits, stats.result_cache_misses) == (1, 0)
     assert answer == expected
     session.close()
+
+
+def test_workers_is_accepted_but_not_advertised():
+    # The server holds one session; the flag stays only for callers that
+    # still pass it (the test above does).
+    assert "--workers" not in build_parser().format_help()
+    assert build_parser().parse_args(["--workers", "2"]).port == 8765

@@ -1,4 +1,4 @@
-"""The serving tier: worker pool, snapshot pinning, and the TCP front."""
+"""The serving tier: one session behind a lock, snapshot pinning, and the TCP front."""
 
 import asyncio
 import functools
@@ -7,6 +7,7 @@ import json
 import pickle
 import sys
 import threading
+import time
 
 import pytest
 
@@ -44,6 +45,16 @@ def serve_query(child_label="b"):
         .outputs("root", "kid")
         .build()
     )
+
+
+def run_switching_often(main):
+    """``asyncio.run(main())`` with thread switches forced every microsecond."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        return asyncio.run(main())
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class TestPercentile:
@@ -84,7 +95,7 @@ class TestQueryServer:
         assert expected == evaluate_naive(query, graph)
 
         async def run():
-            server = QueryServer(graph, workers=2)
+            server = QueryServer(graph)
             await server.start()
             try:
                 return await server.submit(query)
@@ -98,7 +109,7 @@ class TestQueryServer:
         queries = [serve_query("b"), serve_query("c")]
 
         async def run():
-            server = QueryServer(graph, workers=3)
+            server = QueryServer(graph)
             await server.start()
             answers = await asyncio.gather(*[server.submit(queries[i % 2]) for i in range(12)])
             summary = server.stats.summary()
@@ -115,7 +126,7 @@ class TestQueryServer:
         query = serve_query()
 
         async def run():
-            server = QueryServer(graph, workers=2)
+            server = QueryServer(graph)
             await server.start()
             before = await server.submit(query)
             graph.add_node(label="a")  # bumps graph.version under the server
@@ -136,11 +147,11 @@ class TestQueryServer:
         graph = serve_graph()
 
         async def run():
-            server = QueryServer(graph, workers=1)
+            server = QueryServer(graph)
             await server.start()
             with pytest.raises((TypeError, ValueError, KeyError)):
                 await server.submit(object())  # not a query in any accepted form
-            # The worker went back to the pool: the server still serves.
+            # The lock was released: the server still serves.
             answer = await server.submit(serve_query())
             errors = server.stats.errors
             await server.stop()
@@ -155,7 +166,7 @@ class TestQueryServer:
         text = query_to_json(serve_query())
 
         async def run():
-            server = QueryServer(graph, workers=1)
+            server = QueryServer(graph)
             await server.start()
             await server.submit(text)
             await server.submit(text)  # a hit, answered on the loop
@@ -174,6 +185,54 @@ class TestQueryServer:
 
     def test_workers_are_default_sessions(self):
         assert list(inspect.signature(QueryServer).parameters) == ["graph", "workers", "store"]
+
+    def test_stop_answers_or_refuses_every_request_in_flight(self, monkeypatch):
+        """Two slow misses are queued, then stop(), then a third request:
+        the two get their answers, the third a RuntimeError, and the
+        event loop keeps running while stop() waits."""
+        graph = serve_graph()
+        queries = [serve_query("b"), serve_query("c"), serve_query("a")]
+        evaluate = QuerySession.evaluate
+
+        def slow(self, *args):
+            time.sleep(0.3)
+            return evaluate(self, *args)
+
+        monkeypatch.setattr(QuerySession, "evaluate", slow)
+        ticks = 0
+
+        async def tick():
+            nonlocal ticks
+            while True:
+                await asyncio.sleep(0.005)
+                ticks += 1
+
+        async def run():
+            server = QueryServer(graph)
+            await server.start()
+            ticker = asyncio.create_task(tick())
+            try:
+                queued = [asyncio.create_task(server.submit(q)) for q in queries[:2]]
+                await asyncio.sleep(0)  # both reach the lock first
+                stopping = asyncio.create_task(server.stop())
+                await asyncio.sleep(0)
+                late = asyncio.create_task(server.submit(queries[2]))
+                before = ticks
+                answers = await asyncio.wait_for(asyncio.gather(*queued), 10)
+                await asyncio.wait_for(stopping, 10)
+                during = ticks - before
+                with pytest.raises(RuntimeError):
+                    await asyncio.wait_for(late, 10)
+                with pytest.raises(RuntimeError):
+                    await server.submit(queries[0])
+            finally:
+                ticker.cancel()
+            return answers, during, server.stats.summary()
+
+        answers, during, summary = asyncio.run(run())
+        assert answers == [evaluate_naive(q, graph) for q in queries[:2]]
+        assert during >= 10, f"the event loop ticked {during} times while stop() waited"
+        assert (summary["requests"], summary["errors"]) == (2, 0)
 
     def test_submit_before_start_raises(self):
         async def run():
@@ -199,7 +258,7 @@ class TestQueryServer:
         query = serve_query()
 
         async def warm():
-            server = QueryServer(graph, workers=2, store=tmp_path / "store")
+            server = QueryServer(graph, store=tmp_path / "store")
             await server.start()
             answer = await server.submit(query)
             server.persist()
@@ -209,28 +268,23 @@ class TestQueryServer:
         answer = asyncio.run(warm())
 
         async def restarted():
-            server = QueryServer(graph, workers=2, store=tmp_path / "store")
+            server = QueryServer(graph, store=tmp_path / "store")
             await server.start()
-            rehydrated = [
-                sum(session.store_rehydrated.values())
-                for session in server._sessions
-            ]
+            rehydrated = sum(server.session.store_rehydrated.values())
             again = await server.submit(query)
             await server.stop()
             return rehydrated, again
 
         rehydrated, again = asyncio.run(restarted())
         assert again == answer
-        assert all(count > 0 for count in rehydrated), (
-            "every worker should start warm: the first from the store, the rest from its caches"
-        )
+        assert rehydrated > 0, "the session should start warm from the store"
 
     def test_failed_start_leaks_no_thread_pool(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise RuntimeError("no session today")
 
         monkeypatch.setattr("repro.serve.server.QuerySession", refuse)
-        server = QueryServer(serve_graph(), workers=2)
+        server = QueryServer(serve_graph())
 
         async def run():
             for _ in range(2):
@@ -250,25 +304,19 @@ def primed_store(graph, root):
     return ArtifactStore(root)
 
 
-def started_sessions(server):
-    """Start ``server``, stop it, and return the workers it built."""
+def started_session(server):
+    """Start ``server``, stop it, and return the session it served with."""
 
     async def run():
         await server.start()
-        sessions = list(server._sessions)
         await server.stop()
-        return sessions
+        return server.session
 
     return asyncio.run(run())
 
 
-def kind_sizes(session):
-    info = session.cache_info()
-    return {kind.info: info[kind.info]["size"] for kind in ARTIFACT_KINDS}
-
-
 class TestWarmOnce:
-    """Worker 0 reads the store; workers 1..N-1 are its replicas."""
+    """The session reads the store once per start, whatever ``workers`` says."""
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_one_fingerprint_and_one_read_per_kind_per_start(
@@ -287,115 +335,78 @@ class TestWarmOnce:
         monkeypatch.setattr("repro.engine.session.graph_fingerprint", counted)
         server = QueryServer(graph, workers=workers, store=store)
 
-        sessions = started_sessions(server)
+        session = started_session(server)
         assert store.counters.hits == len(present)
         assert store.counters.hits + store.counters.misses == len(ARTIFACT_KINDS)
         assert len(walks) == 1
-        first = sessions[0]
-        for session in sessions:
-            assert sum(session.store_rehydrated.values()) > 0
-            assert session.store_rehydrated == first.store_rehydrated
-            assert session.store is store
-            assert session.store_fingerprint == first.store_fingerprint
-            assert kind_sizes(session) == kind_sizes(first)
+        assert session.store is store
+        assert session.store_fingerprint == graph_fingerprint(graph)
+        assert sum(session.store_rehydrated.values()) > 0
 
-    def test_replica_caches_are_private(self, tmp_path):
-        graph = serve_graph()
-        store = primed_store(graph, tmp_path / "store")
-        server = QueryServer(graph, workers=3, store=store)
-
-        sessions = started_sessions(server)
-        for writer in sessions:
-            for kind in ARTIFACT_KINDS:
-                key = ("written-by", id(writer), kind.name)
-                getattr(writer, kind.attr).put(key, frozenset())
-                for reader in sessions:
-                    cache = getattr(reader, kind.attr)
-                    assert (key in cache) == (reader is writer)
-
-    def test_replicas_share_values_in_the_same_recency_order(self, tmp_path):
-        graph = serve_graph()
-        store = primed_store(graph, tmp_path / "store")
-        first = QuerySession(graph, store=store, codegen="auto")
-        first.evaluate(serve_query("c"))
-        twin = first.replica()
-        assert twin.codegen == first.codegen and twin.default_index == first.default_index
-        for kind in ARTIFACT_KINDS:
-            mine, theirs = getattr(first, kind.attr), getattr(twin, kind.attr)
-            assert theirs is not mine and theirs.capacity == mine.capacity
-            assert [key for key, _ in theirs.items()] == [key for key, _ in mine.items()]
-            assert all(a is b for (_, a), (_, b) in zip(theirs.items(), mine.items()))
-            assert theirs.counters.hits == theirs.counters.misses == 0
-        # Compiled functions are no artifact kind: a replica compiles its own.
-        assert len(first.codegen_cache) == 1 and len(twin.codegen_cache) == 0
-        # The normalize memo is no artifact kind either, but a replica
-        # starts from a copy of it: same entries, its own cache.
-        mine, theirs = first.normalize_cache, twin.normalize_cache
-        assert theirs is not mine and len(mine) == 1
-        assert theirs.items() == mine.items() and theirs.counters.misses == 0
-        theirs.put("replica-only", None)
-        assert "replica-only" not in mine
-
-    def test_concurrent_hit_and_miss_on_every_worker_match_the_oracle(self, tmp_path):
-        """Four worker threads (more than the cores CI has) run the shared
-        primed plan and a fresh one at once, with thread switches forced
-        often: every answer stays the oracle's."""
+    def test_concurrent_hit_and_miss_on_every_worker_match_the_oracle(self, tmp_path, monkeypatch):
+        """Four clients (more than the cores CI has) send the store-primed
+        query and a fresh one at once, with thread switches forced often
+        and no result cache, so every request executes a plan: every
+        answer stays the oracle's."""
         graph = serve_graph()
         store = primed_store(graph, tmp_path / "store")
         hit, miss = serve_query("b"), serve_query("c")
-        server = QueryServer(graph, workers=4, store=store)
+        monkeypatch.setattr(
+            "repro.serve.server.QuerySession",
+            functools.partial(QuerySession, result_cache_size=0),
+        )
+        server = QueryServer(graph, store=store)
+
+        async def client():
+            return [(await server.submit(hit), await server.submit(miss)) for _ in range(20)]
 
         async def run():
             await server.start()
-            loop = asyncio.get_running_loop()
-
-            def rounds(session):
-                answers = []
-                for _ in range(20):
-                    answers.append((session.evaluate(hit), session.evaluate(miss)))
-                    session.result_cache.clear()  # the next round executes again
-                return answers
-
             try:
                 return await asyncio.wait_for(
-                    asyncio.gather(
-                        *[loop.run_in_executor(server._executor, rounds, s) for s in server._sessions]
-                    ),
-                    timeout=60,
+                    asyncio.gather(*[client() for _ in range(4)]), timeout=60
                 )
             finally:
                 await server.stop()
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            per_worker = asyncio.run(run())
-        finally:
-            sys.setswitchinterval(interval)
+        per_client = run_switching_often(run)
         expected = (evaluate_naive(hit, graph), evaluate_naive(miss, graph))
-        assert per_worker == [[expected] * 20] * 4
+        assert per_client == [[expected] * 20] * 4
+        assert server.stats.requests == 160 and server.stats.loop_hits == 0
+        assert server.session.cache_info()["plan"]["hits"] >= 80
 
-    def test_running_a_shared_plan_leaves_it_byte_identical(self, tmp_path):
+    def test_running_a_shared_plan_leaves_it_byte_identical(self, tmp_path, monkeypatch):
+        """Concurrent requests execute the store-primed plan over and over
+        (no result cache), thread switches forced often: the plan in the
+        cache stays the same object, byte for byte."""
         graph = serve_graph()
         store = primed_store(graph, tmp_path / "store")
         query = serve_query("b")
-        server = QueryServer(graph, workers=3, store=store)
+        monkeypatch.setattr(
+            "repro.serve.server.QuerySession",
+            functools.partial(QuerySession, result_cache_size=0),
+        )
+        server = QueryServer(graph, store=store)
+        fingerprint = query_fingerprint(query)
 
         async def run():
             await server.start()
-            fingerprint = query_fingerprint(query)
-            plans = [session.plan_cache.peek(fingerprint) for session in server._sessions]
-            assert plans[0] is not None and all(plan is plans[0] for plan in plans)
-            before = pickle.dumps(plans[0])
-            loop = asyncio.get_running_loop()
-            for session in server._sessions:
-                session.result_cache.clear()  # make the worker execute the plan
-                answer = await loop.run_in_executor(server._executor, session.evaluate, query)
-                assert answer == evaluate_naive(query, graph)
-                assert pickle.dumps(plans[0]) == before
-            await server.stop()
+            try:
+                plan = server.session.plan_cache.peek(fingerprint)
+                assert plan is not None
+                before = pickle.dumps(plan)
+                answers = await asyncio.wait_for(
+                    asyncio.gather(*[server.submit(query_to_dict(query)) for _ in range(24)]),
+                    timeout=60,
+                )
+                assert server.session.plan_cache.peek(fingerprint) is plan
+                return answers, before, pickle.dumps(plan)
+            finally:
+                await server.stop()
 
-        asyncio.run(run())
+        answers, before, after = run_switching_often(run)
+        assert answers == [evaluate_naive(query, graph)] * 24
+        assert after == before
 
 
 class TestTcpFront:
@@ -405,7 +416,7 @@ class TestTcpFront:
         expected = evaluate_naive(query, graph)
 
         async def run():
-            server = QueryServer(graph, workers=2)
+            server = QueryServer(graph)
             tcp = await serve_tcp(server, host="127.0.0.1", port=0)
             port = tcp.sockets[0].getsockname()[1]
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
@@ -435,7 +446,7 @@ class TestTcpFront:
         lines = [b"not json\n", b'{"group_nodes": []}\n', b'[{"query": 1}]\n']
 
         async def run():
-            server = QueryServer(graph, workers=1)
+            server = QueryServer(graph)
             tcp = await serve_tcp(server, host="127.0.0.1", port=0)
             port = tcp.sockets[0].getsockname()[1]
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
@@ -468,7 +479,7 @@ class TestTcpFront:
         ]
 
         async def run():
-            server = QueryServer(graph, workers=1)
+            server = QueryServer(graph)
             tcp = await serve_tcp(server, host="127.0.0.1", port=0)
             port = tcp.sockets[0].getsockname()[1]
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
@@ -499,7 +510,7 @@ class TestTcpFront:
         request = (json.dumps({"query": query_to_dict(query)}) + "\n").encode()
 
         async def run():
-            server = QueryServer(graph, workers=1)
+            server = QueryServer(graph)
             tcp = await serve_tcp(server, host="127.0.0.1", port=0)
             port = tcp.sockets[0].getsockname()[1]
             bystander_reader, bystander = await asyncio.open_connection("127.0.0.1", port)
@@ -570,12 +581,12 @@ class TestLoopHits:
         monkeypatch.setattr(
             "repro.serve.server.QuerySession", functools.partial(QuerySession, **sizes)
         )
-        server = QueryServer(graph, workers=1)
+        server = QueryServer(graph)
 
         async def run():
             await server.start()
             answers = [await server.submit(texts[name], group) for name, group in stream]
-            (worker,) = server._sessions
+            worker = server.session
             await server.stop()
             return worker, answers
 
@@ -613,7 +624,7 @@ class TestLoopHits:
                 return _original(self, *args)
 
             monkeypatch.setattr(QuerySession, name, recorded)
-        server = QueryServer(graph, workers=2, store=tmp_path / "store")
+        server = QueryServer(graph, store=tmp_path / "store")
 
         async def run():
             await server.start()
@@ -627,7 +638,7 @@ class TestLoopHits:
 
             server._executor.submit = counted
             try:
-                # The primed text on both workers: answered on the loop.
+                # The primed text, again and again: answered on the loop.
                 for _ in range(4):
                     assert await server.submit(hot_text) == evaluate_naive(hot, graph)
                 assert (submitted, server.stats.loop_hits) == ([], 4)
@@ -637,17 +648,17 @@ class TestLoopHits:
                 assert await server.submit(query_to_dict(hot)) == evaluate_naive(hot, graph)
                 assert await server.submit(hot) == evaluate_naive(hot, graph)
                 assert len(submitted) == 3 and server.stats.loop_hits == 4
-                # After a mutation and a re-pin, each worker's first
-                # request drops its stale caches in the pool.
+                # After a mutation and a re-pin, the first request drops
+                # the stale caches in the pool; the next one is a hit.
                 graph.add_edge(graph.add_node(label="a"), 2)  # a new root over a 'b'
                 await server.refresh()
                 before = len(submitted)
                 for _ in range(2):
                     assert await server.submit(hot_text) == evaluate_naive(hot, graph)
-                assert len(submitted) == before + 2 and server.stats.loop_hits == 4
+                assert len(submitted) == before + 1 and server.stats.loop_hits == 5
                 for _ in range(2):
                     assert await server.submit(hot_text) == evaluate_naive(hot, graph)
-                assert len(submitted) == before + 2 and server.stats.loop_hits == 6
+                assert len(submitted) == before + 1 and server.stats.loop_hits == 7
             finally:
                 await server.stop()
             return loop_thread
@@ -659,7 +670,7 @@ class TestLoopHits:
 
     def test_a_restarted_server_answers_every_primed_text_on_the_loop(self, tmp_path):
         """The aliases persist with the answers: the first request for each
-        primed text is a loop hit on either worker, whatever the plans."""
+        primed text is a loop hit, whatever the plans."""
         graph = serve_graph()
         queries = [serve_query(label) for label in "abc"]
         texts = [query_to_json(query) for query in queries]
@@ -667,7 +678,7 @@ class TestLoopHits:
         for text in texts:
             primer.evaluate(text)
         assert primer.persist()["aliases"] == len(texts)
-        server = QueryServer(graph, workers=2, store=tmp_path / "store")
+        server = QueryServer(graph, store=tmp_path / "store")
 
         async def run():
             await server.start()
@@ -680,52 +691,46 @@ class TestLoopHits:
         assert server.stats.loop_hits == server.stats.requests == len(texts)
 
     def test_a_concurrent_burst_keeps_every_count(self):
-        """More workers than cores, thread switches forced often: hits on
+        """120 concurrent requests, thread switches forced often: hits on
         the loop and misses in the pool keep the counts consistent."""
         graph = serve_graph()
         queries = [serve_query(label) for label in "abc"]
         requests = [
             (query_to_json(queries[i % 3]), ("kid",) if i % 4 == 0 else ()) for i in range(120)
         ]
-        server = QueryServer(graph, workers=4)
+        server = QueryServer(graph)
 
         async def run():
             await server.start()
             try:
-                answers = await asyncio.wait_for(
+                return await asyncio.wait_for(
                     asyncio.gather(*[server.submit(text, group) for text, group in requests]),
                     timeout=60,
                 )
-                infos = [session.cache_info()["result"] for session in server._sessions]
             finally:
                 await server.stop()
-            return answers, infos
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            answers, infos = asyncio.run(run())
-        finally:
-            sys.setswitchinterval(interval)
+        answers = run_switching_often(run)
         for i, ((_, group), answer) in enumerate(zip(requests, answers)):
             expected = evaluate_naive(queries[i % 3], graph)
             assert (grouped_rows(answer) if group else answer) == expected
+        info = server.session.cache_info()["result"]
         assert server.stats.requests == len(requests) and server.stats.errors == 0
-        assert server.stats.loop_hits == sum(info["hits"] for info in infos) > 0
-        assert sum(info["misses"] for info in infos) == len(requests) - server.stats.loop_hits
+        assert server.stats.loop_hits == info["hits"] > 0
+        assert info["misses"] == len(requests) - server.stats.loop_hits
 
 
 class TestRefreshCheckpoint:
     def test_refresh_persists_drained_state_to_the_store(self, tmp_path):
-        """A quiescent refresh checkpoints the warmest worker's learned
-        state — a later cold server starts warm without anyone ever
-        calling persist() explicitly."""
+        """A quiescent refresh checkpoints the session's learned state — a
+        later cold server starts warm without anyone ever calling
+        persist() explicitly."""
         graph = serve_graph()
         query = serve_query()
         store = tmp_path / "store"
 
         async def serve_and_refresh():
-            server = QueryServer(graph, workers=2, store=store)
+            server = QueryServer(graph, store=store)
             await server.start()
             answer = await server.submit(query)
             await server.refresh()  # no mutation: acts as a checkpoint
@@ -735,9 +740,9 @@ class TestRefreshCheckpoint:
         answer = asyncio.run(serve_and_refresh())
 
         async def restarted():
-            server = QueryServer(graph, workers=1, store=store)
+            server = QueryServer(graph, store=store)
             await server.start()
-            rehydrated = sum(server._sessions[0].store_rehydrated.values())
+            rehydrated = sum(server.session.store_rehydrated.values())
             again = await server.submit(query)
             await server.stop()
             return rehydrated, again
@@ -750,7 +755,7 @@ class TestRefreshCheckpoint:
         graph = serve_graph()
 
         async def run():
-            server = QueryServer(graph, workers=1)
+            server = QueryServer(graph)
             await server.start()
             graph.add_node(label="a")
             await server.refresh()
@@ -770,7 +775,7 @@ class TestRefreshCheckpoint:
         store = ArtifactStore(tmp_path / "store")
 
         async def run():
-            server = QueryServer(graph, workers=1, store=store)
+            server = QueryServer(graph, store=store)
             await server.start()
             await server.submit(query)
             stale_fingerprint = graph_fingerprint(graph)
