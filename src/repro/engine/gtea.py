@@ -168,7 +168,7 @@ class GTEA:
                 mapping the structure's position to its answer set.
             candidate_provider: optional ``(query, node_id) -> mat(u)``
                 source for candidate sets; defaults to a fresh
-                :func:`~repro.query.naive.candidate_nodes` scan.  The
+                :func:`~repro.engine.operators.scan_candidates` scan.  The
                 session layer injects its shared candidate cache here.
             plan: a pre-compiled plan for ``query`` (the session layer
                 caches these); compiled inline when omitted.

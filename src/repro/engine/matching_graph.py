@@ -67,9 +67,7 @@ def build_matching_graph(
         fragment_set = set(fragment)
         result.roots.append(fragment[0])
         for node_id in fragment:
-            child_ids = [
-                c for c in query.children[node_id] if c in fragment_set
-            ]
+            child_ids = [c for c in query.children[node_id] if c in fragment_set]
             result.children[node_id] = child_ids
             result.vertices.setdefault(node_id, list(mats[node_id]))
             if not child_ids:
@@ -84,15 +82,14 @@ def build_matching_graph(
 
 
 def _pc_edges(graph, result: MatchingGraph, parent_id, child_id, mats) -> None:
-    child_set = set(mats[child_id])
-    for source in mats[parent_id]:
-        targets = [t for t in graph.successors(source) if t in child_set]
+    is_child = set(mats[child_id]).__contains__
+    sources = mats[parent_id]
+    for source, successors in zip(sources, map(graph.successors, sources)):
+        targets = list(filter(is_child, successors))
         result.branches.setdefault((parent_id, source), {})[child_id] = targets
 
 
-def _ad_edges(
-    context: PruningContext, result: MatchingGraph, parent_id, child_id, mats
-) -> None:
+def _ad_edges(context: PruningContext, result: MatchingGraph, parent_id, child_id, mats) -> None:
     """AD edge matches via per-source successor contours.
 
     For each source the candidates of the child are grouped by chain in

@@ -6,7 +6,8 @@ CollectResults.  This module breaks that sequence into small stateful
 operators, each exposing ``run(state) -> state`` over a shared
 :class:`ExecutionState`:
 
-* :class:`CandidateScan` — fetch ``mat(u)`` for every query node;
+* :class:`CandidateScan` — fetch ``mat(u)`` for every query node
+  (:func:`scan_candidates`);
 * :class:`DownwardPrune` — one Procedure-6 node visit (one per query
   node, children before parents), or a subtree-cache hit;
 * :class:`UpwardPrune` — Procedure 7 over the prime subtree;
@@ -37,9 +38,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import compress
 
+from ..graph.digraph import DataGraph
+from ..query.attribute import AttributePredicate
 from ..query.gtpq import GTPQ
-from ..query.naive import candidate_nodes
 from ..query.serialize import subtree_fingerprints
 from .matching_graph import build_matching_graph
 from .prime import compute_prime_subtree, shrink_prime_subtree
@@ -156,9 +159,7 @@ class ExecutionState:
         """Terminate with the empty answer (per output structure)."""
         self.stats.result_count = 0
         if self.output_structures is not None:
-            return self.finish(
-                {position: set() for position in range(len(self.output_structures))}
-            )
+            return self.finish({position: set() for position in range(len(self.output_structures))})
         return self.finish(set())
 
 
@@ -182,18 +183,59 @@ class Operator:
         return f"{self.name}{suffix}"
 
 
+def pinned_label_atom(predicate: AttributePredicate) -> int | None:
+    """Position of the first ``label = c`` atom whose label posting is
+    exactly its match set, or None.
+
+    ``c`` must not be None (a None label has no posting) and must equal
+    itself: NaN keys a posting by identity yet equals no label, not even
+    its own.
+    """
+    for position, (attribute, op, constant) in enumerate(predicate.atoms):
+        if attribute == "label" and op == "=" and constant is not None and constant == constant:
+            return position
+    return None
+
+
+def scan_candidates(graph: DataGraph, predicate: AttributePredicate) -> tuple[int, ...]:
+    """``mat(u)``: the nodes satisfying ``predicate``, ascending.
+
+    A pinned label (:func:`pinned_label_atom`) reads the graph's label
+    posting: alone, it *is* the answer — the stored tuple, not a copy;
+    with other atoms, only those are checked, against the live attribute
+    dicts (:meth:`~repro.graph.digraph.DataGraph.attrs_of`).  Without a
+    pinned label every node is checked.  The oracle's
+    :func:`~repro.query.naive.candidate_nodes` keeps its own per-node
+    check of every atom, so it checks this scan independently.
+    """
+    atoms = predicate.atoms
+    position = pinned_label_atom(predicate)
+    if position is None:
+        pool, rest = graph.nodes(), predicate
+    else:
+        pool = graph.nodes_with_label(atoms[position][2])
+        if len(atoms) == 1:
+            return pool
+        rest = AttributePredicate(atoms[:position] + atoms[position + 1 :])
+    if not rest.atoms:
+        return tuple(pool)
+    return tuple(compress(pool, map(rest.matches, graph.attrs_of(pool))))
+
+
 class CandidateScan(Operator):
     """Fetch the initial ``mat(u)`` of every query node."""
 
     def run(self, state: ExecutionState) -> ExecutionState:
-        stats, query = state.stats, state.query
+        stats, query, provider = state.stats, state.query, state.candidate_provider
         with stats.time_phase("candidates"):
             for node_id in query.nodes:
-                if state.candidate_provider is not None:
-                    state.mats[node_id] = list(state.candidate_provider(query, node_id))
+                if provider is not None:
+                    nodes = provider(query, node_id)
                 else:
-                    state.mats[node_id] = candidate_nodes(state.graph, query, node_id)
-                stats.candidates_initial[node_id] = len(state.mats[node_id])
+                    nodes = scan_candidates(state.graph, query.attribute(node_id))
+                # The one copy per scan: pruning gets a list of its own.
+                state.mats[node_id] = list(nodes)
+                stats.candidates_initial[node_id] = len(nodes)
             stats.input_nodes = sum(stats.candidates_initial.values())
         if not state.mats[query.root]:
             return state.finish_empty()

@@ -26,6 +26,8 @@ and pruning"):
 
 from __future__ import annotations
 
+from itertools import compress
+
 from ..graph.digraph import DataGraph
 from ..logic import And, Const, Not, Or, Var
 from ..query.gtpq import GTPQ, EdgeType
@@ -209,7 +211,7 @@ def _filter_downward(
         components = context.reach.components(candidates)
         for c in ad_children:
             holds = {comp for comp, bits in ad_valuations.items() if bits[c]}
-            child_sets[c] = {x for x, comp in zip(candidates, components) if comp in holds}
+            child_sets[c] = set(compress(candidates, map(holds.__contains__, components)))
 
     def satisfying(formula) -> set[int]:
         """Candidates satisfying ``formula``; operand sets are never mutated."""
@@ -232,7 +234,7 @@ def _filter_downward(
         raise TypeError(f"not a formula: {formula!r}")
 
     keep = satisfying(fext)
-    return [candidate for candidate in candidates if candidate in keep]
+    return list(filter(keep.__contains__, candidates))
 
 
 def _ad_valuations_generic(
@@ -247,8 +249,7 @@ def _ad_valuations_generic(
     rows, else a ``reaches`` probe per target of the child's component set.
     """
     child_components = {
-        child_id: context.dag_images(nodes)
-        for child_id, nodes in child_mats.items()
+        child_id: context.dag_images(nodes) for child_id, nodes in child_mats.items()
     }
     components = set(context.reach.components(candidates))
     rows = context.reach.index.rows_for(components)
@@ -295,8 +296,7 @@ def _ad_valuations_by_component(
     # Cyclic same-component hits: candidate's component contains a child
     # match and is cyclic -> the candidate strictly reaches that match.
     child_component_sets = {
-        child_id: set(context.dag_images(nodes))
-        for child_id, nodes in child_mats.items()
+        child_id: set(context.dag_images(nodes)) for child_id, nodes in child_mats.items()
     }
 
     by_chain: dict[int, list[int]] = {}
@@ -345,11 +345,10 @@ def prune_upward(context: PruningContext, mats: MatSets, prime: list[str]) -> Ma
 
     Traverses the prime subtree top-down.  AD edges use successor contours
     with the ascending-chain early exit ("once a node is confirmed, all
-    larger nodes on the chain satisfy the condition"); PC edges use exact
-    parent-set membership.
+    larger nodes on the chain satisfy the condition"); a PC edge keeps the
+    candidates among the children of the refined parents.
     """
     query, index, reach = context.query, context.index, context.reach
-    parents = context.graph.predecessors
     prime_set = set(prime)
     refined = {node_id: list(nodes) for node_id, nodes in mats.items()}
     succ_contours: dict[str, Contour] = {}
@@ -366,14 +365,15 @@ def prune_upward(context: PruningContext, mats: MatSets, prime: list[str]) -> Ma
             if contour is None:
                 contour = merge_succ_lists(index, parent_components)
                 succ_contours[node_id] = contour
-        parent_data_set = set(parent_nodes)
+        kids: set[int] | None = None
         for child_id in children:
             if query.edge_type(child_id) is EdgeType.CHILD:
-                refined[child_id] = [
-                    candidate
-                    for candidate in refined[child_id]
-                    if not parent_data_set.isdisjoint(parents(candidate))
-                ]
+                # Read from the parent side: in a mostly tree-shaped
+                # graph the refined parents have far fewer children than
+                # there are candidates to ask for their parents.
+                if kids is None:
+                    kids = context.graph.children_of(parent_nodes)
+                refined[child_id] = list(filter(kids.__contains__, refined[child_id]))
             elif index is not None:
                 refined[child_id] = _filter_upward_ad(
                     context, refined[child_id], contour, parent_component_set
@@ -403,31 +403,29 @@ def _filter_upward_ad_generic(
     reach = context.reach
     dag_index = reach.index
     rows = dag_index.rows_for(parent_components)
+    components = reach.components(candidates)
+    # Decided once per distinct component, in order of first appearance.
+    distinct = dict.fromkeys(components)
     if rows is not None:
         # Row kernel: everything strictly below some parent, in one int.
         below = 0
         for parent in parent_components:
             below |= rows[parent]
         cyclic_parents = set(filter(reach.is_cyclic_component, parent_components))
-    reached: dict[int, bool] = {}
-    survivors: list[int] = []
-    for candidate, component in zip(candidates, reach.components(candidates)):
-        hit = reached.get(component)
-        if hit is None:
-            if rows is not None:
-                dag_index.counters.lookups += 1
-                hit = bool(below >> component & 1) or component in cyclic_parents
-            else:
-                hit = any(
-                    dag_index.reaches(parent, component)
-                    if parent != component
-                    else reach.is_cyclic_component(component)
-                    for parent in parent_components
-                )
-            reached[component] = hit
-        if hit:
-            survivors.append(candidate)
-    return survivors
+        dag_index.counters.lookups += len(distinct)
+        reached = {c for c in distinct if below >> c & 1 or c in cyclic_parents}
+    else:
+        reached = {
+            component
+            for component in distinct
+            if any(
+                dag_index.reaches(parent, component)
+                if parent != component
+                else reach.is_cyclic_component(component)
+                for parent in parent_components
+            )
+        }
+    return list(compress(candidates, map(reached.__contains__, components)))
 
 
 def _filter_upward_ad(

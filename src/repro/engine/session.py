@@ -93,7 +93,6 @@ from ..plan import (
     normalize_key,
 )
 from ..query.gtpq import GTPQ
-from ..query.naive import candidate_nodes
 from ..query.serialize import (
     predicate_key,
     query_fingerprint,
@@ -107,6 +106,7 @@ from ..store import ArtifactStore, graph_fingerprint
 from .artifacts import ARTIFACT_KINDS, ClosureSlot
 from .cache import LRUCache
 from .gtea import GTEA
+from .operators import scan_candidates
 from .parallel import ParallelExecutor, ParallelOptions
 from .results import ResultSet
 from .stats import EvaluationStats
@@ -282,9 +282,7 @@ class QuerySession:
         self.default_index = index
         self.adaptive = adaptive
         if codegen not in (False, True, "auto"):
-            raise ValueError(
-                f"unknown codegen setting {codegen!r}; expected False, True or 'auto'"
-            )
+            raise ValueError(f"unknown codegen setting {codegen!r}; expected False, True or 'auto'")
         self.codegen = codegen
         if not isinstance(parallel, ParallelOptions):
             # None, False and 0 mean serial; ParallelOptions rejects True,
@@ -565,8 +563,7 @@ class QuerySession:
                 query=parsed,
                 fingerprint=fingerprint,
                 predicate_keys={
-                    node_id: predicate_key(parsed.attribute(node_id))
-                    for node_id in parsed.nodes
+                    node_id: predicate_key(parsed.attribute(node_id)) for node_id in parsed.nodes
                 },
                 compiled=compile_normalized(
                     self.graph,
@@ -596,9 +593,7 @@ class QuerySession:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def evaluate(
-        self, query: QueryLike, group_nodes: Sequence[str] = ()
-    ) -> ResultSet:
+    def evaluate(self, query: QueryLike, group_nodes: Sequence[str] = ()) -> ResultSet:
         """Evaluate ``query``, reusing every applicable cache.
 
         ``group_nodes`` must be outputs of ``query`` (``ValueError``
@@ -811,17 +806,18 @@ class QuerySession:
         """A ``(query, node_id) -> mat(u)`` source backed by the cache.
 
         Predicate keys come from ``plan`` when it has the node, and are
-        computed on the fly otherwise.
+        computed on the fly otherwise.  A hit hands out the cached tuple
+        itself; the caller copies it if it needs a list.
         """
         known = plan.predicate_keys
 
-        def provider(query: GTPQ, node_id: str) -> list[int]:
+        def provider(query: GTPQ, node_id: str) -> tuple[int, ...]:
             key = known.get(node_id) or predicate_key(query.attribute(node_id))
             nodes = self.candidate_cache.get(key)
             if nodes is None:
-                nodes = tuple(candidate_nodes(self.graph, query, node_id))
+                nodes = scan_candidates(self.graph, query.attribute(node_id))
                 self.candidate_cache.put(key, nodes)
-            return list(nodes)
+            return nodes
 
         return provider
 
@@ -854,17 +850,14 @@ class QuerySession:
             hits, misses = plan_counters.hits, plan_counters.misses
             plans.append(self._plan_for(query))
             _check_group_nodes(plans[-1], group_key)
-            plan_deltas.append(
-                (plan_counters.hits - hits, plan_counters.misses - misses)
-            )
+            plan_deltas.append((plan_counters.hits - hits, plan_counters.misses - misses))
 
         answers: dict[str, ResultSet] = {}
         stats_by_fingerprint: dict[str, EvaluationStats] = {}
         for plan in plans:
             if plan.fingerprint not in answers:
                 answers[plan.fingerprint], stats_by_fingerprint[plan.fingerprint] = (
-                    self._probe_result_cache(plan, group_key)
-                    or self._execute_plan(plan, group_key)
+                    self._probe_result_cache(plan, group_key) or self._execute_plan(plan, group_key)
                 )
 
         aggregate = EvaluationStats.aggregate(list(stats_by_fingerprint.values()))

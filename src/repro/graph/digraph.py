@@ -12,6 +12,7 @@ the attribute name ``"label"``.
 
 from __future__ import annotations
 
+from itertools import chain
 from types import MappingProxyType
 from typing import Any, Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -68,9 +69,7 @@ class DataGraph:
         #: the numbering of the current lineage (None before the first
         #: demand and after a break).
         self._lineage: Condensation | None = None
-        self._structure_counts = dict.fromkeys(
-            ("builds", "extensions", "hits", "label_builds"), 0
-        )
+        self._structure_counts = dict.fromkeys(("builds", "extensions", "hits", "label_builds"), 0)
 
     @property
     def version(self) -> int:
@@ -245,6 +244,20 @@ class DataGraph:
         self._check(node)
         return self._pred[node]
 
+    def attrs_of(self, nodes: Collection[int]) -> Iterator[Mapping[str, Any]]:
+        """The live attribute mappings of ``nodes``, in order.
+
+        The bulk read of :meth:`attrs` for the candidate scan: one
+        iterator over the stored dicts instead of one read-only view per
+        node.  The mappings are for reading only — write through
+        :meth:`set_attr`.  The ids are bounds-checked once, on their
+        extremes.
+        """
+        if nodes:
+            self._check(min(nodes))
+            self._check(max(nodes))
+        return map(self._attrs.__getitem__, nodes)
+
     def parents_of(self, nodes: Collection[int]) -> set[int]:
         """The merged parent set of ``nodes``: every node with an edge into one.
 
@@ -252,12 +265,20 @@ class DataGraph:
         (``P_{u'}`` of the paper's Section 4.4): the ids are bounds-checked
         once, on their extremes, instead of once per node.
         """
+        return self._merged(self._pred, nodes)
+
+    def children_of(self, nodes: Collection[int]) -> set[int]:
+        """The merged child set of ``nodes``: every node with an edge out
+        of one — the bulk form of :meth:`successors`, checked like
+        :meth:`parents_of`."""
+        return self._merged(self._succ, nodes)
+
+    def _merged(self, adjacency: list[Sequence[int]], nodes: Collection[int]) -> set[int]:
         if not nodes:
             return set()
         self._check(min(nodes))
         self._check(max(nodes))
-        pred = self._pred
-        return {parent for node in nodes for parent in pred[node]}
+        return set(chain.from_iterable(map(adjacency.__getitem__, nodes)))
 
     def out_degree(self, node: int) -> int:
         self._check(node)

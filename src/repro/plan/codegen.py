@@ -161,14 +161,17 @@ def analyze_plan(plan: CompiledPlan) -> PlanAnalysis:
 
 
 def _label_only_scan(predicate) -> str | None:
-    """The pinned label when the predicate is exactly ``label = x``.
+    """The pinned label when the predicate is exactly ``label = x``
+    (and ``x`` keys its posting: :func:`~repro.engine.operators.pinned_label_atom`).
 
     The graph's label index then *is* ``mat(u)`` — the generic scan's
     per-node ``predicate.matches`` pass over the posting is a no-op the
     specialized scan skips.
     """
+    from ..engine.operators import pinned_label_atom
+
     atoms = predicate.atoms
-    if len(atoms) == 1 and atoms[0][0] == "label" and atoms[0][1] == "=":
+    if len(atoms) == 1 and pinned_label_atom(predicate) == 0:
         return atoms[0][2]
     return None
 
@@ -199,8 +202,7 @@ def _ad_bits_chain(context, candidates, specs):
     )
     order = tuple(spec[0] for spec in specs)
     return {
-        component: tuple(v[child_id] for child_id in order)
-        for component, v in valuations.items()
+        component: tuple(v[child_id] for child_id in order) for component, v in valuations.items()
     }
 
 
@@ -221,8 +223,7 @@ def _ad_bits_generic(context, candidates, specs):
     )
     order = tuple(spec[0] for spec in specs)
     return {
-        component: tuple(v[child_id] for child_id in order)
-        for component, v in valuations.items()
+        component: tuple(v[child_id] for child_id in order) for component, v in valuations.items()
     }
 
 
@@ -296,7 +297,8 @@ def emit_plan_source(analysis: PlanAnalysis) -> str:
         if step.label_scan is not None:
             emit(f"        mats[{step.node_id!r}] = list(_lbl({step.label_scan!r}))")
         else:
-            emit(f"        mats[{step.node_id!r}] = _cand(_g, query, {step.node_id!r})")
+            scan = f"_cand(_g, query.attribute({step.node_id!r}))"
+            emit(f"        mats[{step.node_id!r}] = list({scan})")
     emit("    else:")
     emit("        for _nid in _NODES:")
     emit("            mats[_nid] = list(_prov(query, _nid))")
@@ -409,13 +411,13 @@ def _ad_call(step: NodeStep, position_of: dict[str, int], candidates: str, three
 def _runtime_namespace(analysis: PlanAnalysis) -> dict:
     """The exec namespace of a generated function — every helper the
     emitted source references, nothing else (builtins restricted)."""
-    from ..query.naive import candidate_nodes
+    from ..engine.operators import scan_candidates
     from ..reachability.contour import merge_pred_lists
 
     return {
         "__builtins__": {"len": len, "list": list},
         "_perf": perf_counter,
-        "_cand": candidate_nodes,
+        "_cand": scan_candidates,
         "_NODES": analysis.node_ids,
         "_mpred": merge_pred_lists,
         "_ad1": _ad_bit_chain,

@@ -172,11 +172,12 @@ class QueryServer:
         dropped there, never on the loop).  Raises
         :class:`StaleSnapshotError` when the graph has mutated since the
         pinned snapshot and :class:`RuntimeError` when the server is not
-        started or :meth:`stop` got the lock first.
+        started or :meth:`stop` got the lock first.  A request cancelled
+        while its miss runs keeps the lock until the thread returns, then
+        raises :class:`asyncio.CancelledError`.
         """
         lock = self._lock
         self._ensure_serving(lock)
-        loop = asyncio.get_running_loop()
         started = time.perf_counter()
         async with lock:
             self._ensure_serving(lock)
@@ -189,8 +190,8 @@ class QueryServer:
             try:
                 results = self.session.lookup(query, group_nodes)
                 if results is None:
-                    results = await loop.run_in_executor(
-                        self._executor, self.session.evaluate, query, tuple(group_nodes)
+                    results = await self._in_thread(
+                        self.session.evaluate, query, tuple(group_nodes)
                     )
                 else:
                     self.stats.loop_hits += 1
@@ -217,12 +218,31 @@ class QueryServer:
         async with lock:
             self._ensure_serving(lock)
             if self.store is not None:
-                loop = asyncio.get_running_loop()
                 try:
-                    await loop.run_in_executor(self._executor, self.session.persist)
+                    await self._in_thread(self.session.persist)
                 except Exception:
                     pass
             self._pinned_version = self.graph.version
+
+    async def _in_thread(self, function, *args):
+        """``function(*args)`` in the server's thread; the caller holds
+        the lock.
+
+        A thread cannot be interrupted, so a caller cancelled meanwhile
+        still waits for it to return — keeping the lock, so no other
+        request touches the session while the orphaned call runs — and
+        only then lets the cancellation through.
+        """
+        future = asyncio.get_running_loop().run_in_executor(self._executor, function, *args)
+        try:
+            return await asyncio.shield(future)
+        except asyncio.CancelledError:
+            while not future.done():
+                try:
+                    await asyncio.wait((future,))
+                except asyncio.CancelledError:
+                    pass  # cancelled again: still nothing to do but wait
+            raise
 
     def persist(self) -> dict[str, int]:
         """Publish the session's artifacts to the store.
@@ -271,8 +291,7 @@ def _render_results(results) -> list:
         return element
 
     rendered = [
-        [render_element(e) for e in row] if isinstance(row, tuple) else row
-        for row in results
+        [render_element(e) for e in row] if isinstance(row, tuple) else row for row in results
     ]
     return sorted(rendered, key=repr)
 

@@ -234,6 +234,73 @@ class TestQueryServer:
         assert during >= 10, f"the event loop ticked {during} times while stop() waited"
         assert (summary["requests"], summary["errors"]) == (2, 0)
 
+    def test_a_cancelled_miss_keeps_the_lock_until_its_thread_returns(self, monkeypatch):
+        """A request timed out while its 0.3 s miss runs in the thread: the
+        next request's lookup() starts only after that miss returns, and
+        a stop() behind a cancelled miss waits without blocking the loop."""
+        graph = serve_graph()
+        queries = [serve_query("b"), serve_query("c"), serve_query("a")]
+        evaluate, lookup = QuerySession.evaluate, QuerySession.lookup
+        stamps: list[tuple[str, float]] = []
+
+        def slow(self, *args):
+            stamps.append(("enter", time.perf_counter()))
+            time.sleep(0.3)
+            try:
+                return evaluate(self, *args)
+            finally:
+                stamps.append(("exit", time.perf_counter()))
+
+        def stamped_lookup(self, *args):
+            stamps.append(("lookup", time.perf_counter()))
+            return lookup(self, *args)
+
+        monkeypatch.setattr(QuerySession, "evaluate", slow)
+        monkeypatch.setattr(QuerySession, "lookup", stamped_lookup)
+        ticks = 0
+
+        async def tick():
+            nonlocal ticks
+            while True:
+                await asyncio.sleep(0.005)
+                ticks += 1
+
+        async def entered(count):
+            while sum(kind == "enter" for kind, _ in stamps) < count:
+                await asyncio.sleep(0.001)
+
+        async def run():
+            server = QueryServer(graph)
+            await server.start()
+            ticker = asyncio.create_task(tick())
+            try:
+                timed_out = asyncio.create_task(asyncio.wait_for(server.submit(queries[0]), 0.05))
+                await entered(1)
+                follower = asyncio.create_task(server.submit(queries[1]))
+                with pytest.raises(asyncio.TimeoutError):
+                    await timed_out
+                answer = await asyncio.wait_for(follower, 10)
+                cancelled = asyncio.create_task(server.submit(queries[2]))
+                await entered(3)
+                cancelled.cancel()
+                await asyncio.sleep(0)
+                before = ticks
+                await asyncio.wait_for(server.stop(), 10)
+                during = ticks - before
+                with pytest.raises(asyncio.CancelledError):
+                    await cancelled
+            finally:
+                ticker.cancel()
+            return answer, during
+
+        answer, during = asyncio.run(run())
+        assert answer == evaluate_naive(queries[1], graph)
+        kinds = [kind for kind, _ in stamps]
+        assert kinds == ["lookup", "enter", "exit"] * 3
+        orphan_exit, follower_lookup = stamps[2][1], stamps[3][1]
+        assert follower_lookup >= orphan_exit, "a request read the session while a miss ran"
+        assert during >= 10, f"the event loop ticked {during} times while stop() waited"
+
     def test_submit_before_start_raises(self):
         async def run():
             await QueryServer(serve_graph()).submit(serve_query())
@@ -319,9 +386,7 @@ class TestWarmOnce:
     """The session reads the store once per start, whatever ``workers`` says."""
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_one_fingerprint_and_one_read_per_kind_per_start(
-        self, workers, tmp_path, monkeypatch
-    ):
+    def test_one_fingerprint_and_one_read_per_kind_per_start(self, workers, tmp_path, monkeypatch):
         graph = serve_graph()
         store = primed_store(graph, tmp_path / "store")
         present = store.kinds(graph_fingerprint(graph))
