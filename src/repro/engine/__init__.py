@@ -19,9 +19,10 @@ points:
   queries and :meth:`QuerySession.explain` for plan inspection.  Use it
   whenever more than one query hits the same graph.
 
-:class:`ParallelExecutor` (:mod:`repro.engine.parallel`) shards the
-downward prune phase across a worker pool — byte-identical to serial
-execution — and is wired in with ``QuerySession(parallel=...)``.
+Every query runs one pipeline (:func:`run_pipeline`): CandidateScan →
+DownwardPrune per node → UpwardPrune → BuildMatchingGraph →
+CollectResults, in the plan's order; a backbone node whose downward set
+comes out empty ends it with the empty answer.
 """
 
 from .cache import CacheCounters, LRUCache
@@ -41,7 +42,6 @@ from .operators import (
     executed_downward_order,
     run_pipeline,
 )
-from .parallel import ParallelExecutor, ParallelOptions
 from .prime import compute_prime_subtree, shrink_prime_subtree
 from .prune import PruningContext, prune_downward, prune_upward
 from .results import collect_results
@@ -63,8 +63,6 @@ __all__ = [
     "MatchingGraph",
     "Operator",
     "OperatorStats",
-    "ParallelExecutor",
-    "ParallelOptions",
     "PruningContext",
     "QueryPlan",
     "QuerySession",

@@ -6,8 +6,8 @@ invalidation, rehydration, ``persist()`` and ``cache_info()`` of a
 adding a kind is one
 entry here, and the session never names a kind itself.  The table lists
 what the warm store holds; what a session keeps in memory only — its
-index pool, the one :class:`ClosureSlot` and its compiled codegen
-functions — is not in it.
+index pool, the one :class:`ClosureSlot`, the normalize memo and the
+observed operator records — is not in it.
 """
 
 from __future__ import annotations

@@ -11,14 +11,7 @@ Evaluation runs in four explicit phases (see :mod:`repro.plan`):
    CollectResults, or ConstantEmpty for unsatisfiable plans;
 4. **execute** — this module: a thin driver that instantiates the
    plan's operators and runs them through
-   :func:`repro.engine.operators.run_pipeline`, optionally with
-   adaptive prune reordering (re-sorting the remaining downward
-   obligations by actual post-prune set sizes mid-flight).
-
-:class:`repro.engine.parallel.ParallelExecutor` replaces one phase of
-this driver with sharded pool execution — the downward prune, where the
-time goes; CandidateScan, UpwardPrune, BuildMatchingGraph and
-CollectResults always run as the serial operators here.
+   :func:`repro.engine.operators.run_pipeline`.
 
 Usage::
 
@@ -27,7 +20,6 @@ Usage::
     answer, stats = engine.evaluate_with_stats(query)
     plan = engine.compile(query)          # inspect: plan.explain()
     answer, stats = engine.execute(plan)  # repeated execution
-    adaptive = GTEA(graph, adaptive=True) # runtime prune reordering
 """
 
 from __future__ import annotations
@@ -35,7 +27,7 @@ from __future__ import annotations
 from typing import Callable
 
 from ..graph.digraph import DataGraph
-from ..plan import CompiledPlan, codegen_refusal, compile_query
+from ..plan import CompiledPlan, compile_query
 from ..query.gtpq import GTPQ
 from ..reachability.base import GraphReachability
 from ..reachability.factory import build_reachability, resolve_index
@@ -70,7 +62,6 @@ class GTEA:
         index: str = "3hop",
         reachability: GraphReachability | None = None,
         optimize: bool = True,
-        adaptive: bool = False,
     ):
         """Args:
             graph: the data graph.
@@ -84,13 +75,6 @@ class GTEA:
             optimize: run Algorithm-1 minimization when compiling
                 queries inline; the simplification and satisfiability
                 phases always run.
-            adaptive: re-sort the remaining downward prune obligations
-                by actual post-prune candidate-set sizes after every
-                :class:`~repro.engine.operators.DownwardPrune` step
-                (with the backbone-empty early exit), instead of the
-                compile-time estimate order.  Answers are identical;
-                only the executed operator order (and count, on empty
-                answers) changes.
         """
         self.graph = graph
         self._reachability = reachability
@@ -98,7 +82,6 @@ class GTEA:
         #: graph version of the self-built index; None for a passed-in one.
         self._index_version: int | None = graph.version if reachability is None else None
         self.optimize = optimize
-        self.adaptive = adaptive
 
     @property
     def reachability(self) -> GraphReachability:
@@ -195,7 +178,6 @@ class GTEA:
         output_structures: list[list[str]] | None = None,
         candidate_provider: CandidateProvider | None = None,
         stats: EvaluationStats | None = None,
-        codegen=None,
         *,
         subtree_cache=None,
     ) -> tuple[ResultSet | dict[int, ResultSet], EvaluationStats]:
@@ -207,41 +189,15 @@ class GTEA:
         against the *original* query — their node ids may reference
         nodes the rewrite dropped or relocated.
 
-        ``codegen`` optionally carries a specialized
-        :class:`~repro.plan.codegen.CompiledPlanFunction` for this plan
-        (the session layer caches them per fingerprint).  It is used
-        only when it actually applies — the shared applicability test
-        (:func:`repro.plan.route.codegen_refusal`: plain GTEA routing,
-        no group nodes, no adaptive reordering) plus what only the
-        engine knows: no output structures, and an index match — so
-        passing one is always safe; anything else falls back to the
-        interpreted operator pipeline.
-
         ``subtree_cache`` optionally carries an
         :class:`~repro.engine.cache.LRUCache` of downward-pruned sets by
         subtree fingerprint, valid for the graph's current version (the
-        session owns it and drops it on a version bump): the interpreted
+        session owns it and drops it on a version bump): the
         pipeline's :class:`~repro.engine.operators.DownwardPrune` visits
         read and fill it.
         """
         if stats is None:
             stats = EvaluationStats()
-
-        if (
-            codegen is not None
-            and output_structures is None
-            and codegen.index_name == self.resolved_index()
-            and codegen_refusal(
-                plan.physical, adaptive=self.adaptive, grouped=bool(group_nodes)
-            )
-            is None
-        ):
-            state = ExecutionState(
-                self, plan.query, stats, candidate_provider=candidate_provider
-            )
-            codegen(state)
-            return state.answer, stats
-
         query, operators = self._instantiate(plan, group_nodes, output_structures)
         state = ExecutionState(
             self,
@@ -252,7 +208,7 @@ class GTEA:
             candidate_provider=candidate_provider,
             subtree_cache=subtree_cache,
         )
-        run_pipeline(state, operators, adaptive=self.adaptive)
+        run_pipeline(state, operators)
         return state.answer, stats
 
     def _instantiate(

@@ -21,17 +21,9 @@ operators, each exposing ``run(state) -> state`` over a shared
 wall time, index probes) into ``EvaluationStats.operator_stats`` — the
 observed columns of ``explain()``.
 
-**Adaptive prune reordering** (``adaptive=True``): any
-children-before-parents permutation of the :class:`DownwardPrune`
-operators is valid (each visit only reads refined child sets), so the
-driver may re-plan mid-flight.  After every downward step it re-sorts
-the remaining obligations by *actual* candidate-set sizes — the node's
-fetched candidate count plus its children's post-prune survivor counts
-— instead of the compile-time estimates, tie-breaking on node id for
-determinism.  Because every backbone node must have an image in every
-match, the adaptive driver also short-circuits to the empty answer as
-soon as any backbone node's downward set becomes empty, skipping the
-remaining downward operators entirely.
+Every backbone node has an image in every match, so the driver ends
+the run with the empty answer as soon as a :class:`DownwardPrune` leaves
+a backbone node's set empty, and the operators after it never run.
 """
 
 from __future__ import annotations
@@ -81,8 +73,8 @@ class ExecutionState:
 
     Operators read and write these fields; the driver owns timing and
     index-probe attribution.  ``finished`` short-circuits the rest of
-    the pipeline (empty intermediate sets, unsatisfiable plans, the
-    adaptive early exit).
+    the pipeline (empty intermediate sets, unsatisfiable plans, an empty
+    backbone node).
     """
 
     def __init__(
@@ -391,34 +383,29 @@ def instantiate_operators(specs) -> list[Operator]:
     return operators
 
 
-def run_pipeline(
-    state: ExecutionState,
-    operators: list[Operator],
-    *,
-    adaptive: bool = False,
-) -> ExecutionState:
-    """Drive ``operators`` over ``state``, recording per-operator stats.
-
-    With ``adaptive=True`` the contiguous run of :class:`DownwardPrune`
-    operators is re-scheduled mid-flight (see module docstring); every
-    other operator executes in list order.
-    """
-    position = 0
-    while position < len(operators) and not state.finished:
-        operator = operators[position]
-        if adaptive and isinstance(operator, DownwardPrune):
-            end = position
-            while end < len(operators) and isinstance(operators[end], DownwardPrune):
-                end += 1
-            _run_downward_adaptive(state, operators[position:end])
-            position = end
-            continue
+def run_pipeline(state: ExecutionState, operators: list[Operator]) -> ExecutionState:
+    """Drive ``operators`` over ``state`` in list order, recording
+    per-operator stats; stop at the first operator that finishes it, or
+    after a :class:`DownwardPrune` that empties a backbone node (its
+    record is tagged ``early-exit``)."""
+    query = state.query
+    for operator in operators:
         _run_operator(state, operator)
-        position += 1
+        if state.finished:
+            break
+        if (
+            isinstance(operator, DownwardPrune)
+            and not state.down[operator.target]
+            and query.nodes[operator.target].is_backbone
+        ):
+            record = state.stats.operator_stats[-1]
+            record.note = f"{record.note} early-exit".lstrip()
+            state.finish_empty()
+            break
     return state
 
 
-def _run_operator(state: ExecutionState, operator: Operator, note: str = "") -> None:
+def _run_operator(state: ExecutionState, operator: Operator) -> None:
     """Execute one operator; attribute time, sizes and index probes."""
     before = state.index_snapshot()
     input_size = _operator_input_size(state, operator)
@@ -444,7 +431,7 @@ def _run_operator(state: ExecutionState, operator: Operator, note: str = "") -> 
             seconds=elapsed,
             index_lookups=lookups,
             index_entries=entries,
-            note=" ".join(filter(None, (note, operator.note))),
+            note=operator.note,
         )
     )
 
@@ -467,44 +454,6 @@ def _operator_output_size(state: ExecutionState, operator: Operator) -> int:
     if isinstance(operator, (UpwardPrune, BuildMatchingGraph)):
         return sum(len(nodes) for nodes in state.down.values())
     return state.stats.result_count
-
-
-def _run_downward_adaptive(state: ExecutionState, pending: list[Operator]) -> None:
-    """Adaptive schedule over the remaining :class:`DownwardPrune` ops.
-
-    Greedy: among nodes whose children are all refined, run the one
-    with the smallest *actual* cost — its fetched candidate count plus
-    its children's survivor counts — tie-breaking on node id.  This is
-    always a valid children-before-parents order, so results are
-    identical to the static schedule; only the visit order (and, via
-    the backbone early exit, the number of executed operators) changes.
-    """
-    query = state.query
-    remaining = {op.target: op for op in pending}
-    backbone = {node_id for node_id in remaining if query.nodes[node_id].is_backbone}
-    while remaining and not state.finished:
-        eligible = [
-            node_id
-            for node_id in remaining
-            if all(child in state.down for child in query.children[node_id])
-        ]
-        node_id = min(eligible, key=lambda n: (_actual_cost(state, n), n))
-        _run_operator(state, remaining.pop(node_id), note="adaptive")
-        if node_id in backbone and not state.down[node_id]:
-            # Every match embeds every backbone node; an empty downward
-            # set anywhere on the backbone empties the answer.  The
-            # skipped operators are the adaptive pipeline's saving.
-            state.stats.operator_stats[-1].note += " early-exit"
-            state.finish_empty()
-            return
-
-
-def _actual_cost(state: ExecutionState, node_id: str) -> int:
-    """Observed cost of refining ``node_id`` now: own candidates plus
-    the survivor sets its refinement reads."""
-    return len(state.mats[node_id]) + sum(
-        len(state.down[child]) for child in state.query.children[node_id]
-    )
 
 
 def executed_downward_order(stats: EvaluationStats) -> tuple[str, ...]:

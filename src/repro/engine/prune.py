@@ -126,8 +126,8 @@ def downward_step(
 ) -> list[int]:
     """One node of Procedure 6, fed with already-refined child sets.
 
-    The refined child sets may come from the session's subtree cache or
-    a parallel frontier rather than the same sweep.  For AD children the
+    The refined child sets may come from the session's subtree cache
+    rather than the same sweep.  For AD children the
     caller must have installed predecessor contours via
     :func:`build_pred_contour` (3-hop index only; other indexes use the
     generic fallback, which needs no contours).

@@ -26,7 +26,7 @@ indexes, and reuses five kinds of evaluation artifacts across queries:
 * a **subtree cache** — downward-pruned candidate sets keyed by the
   canonical *subtree* fingerprint of
   :func:`repro.query.serialize.subtree_fingerprints`, read and filled by
-  every interpreted execution (each
+  every execution (each
   :class:`~repro.engine.operators.DownwardPrune` visit), so a subtree
   is pruned once per graph version, however many queries contain it;
 * a **result cache** — full answer sets per ``(fingerprint, group
@@ -41,15 +41,14 @@ the graph: the memo outlives every mutation and :meth:`invalidate`, and
 it is never persisted.
 
 :meth:`QuerySession.evaluate_many` runs a workload through the same
-per-query path after deduplicating its fingerprints, so on the
-interpreted route a subtree that five queries of a batch share is pruned
-once, by the first of them.
+per-query path after deduplicating its fingerprints, so a subtree that
+five queries of a batch share is pruned once, by the first of them.
 
 Staleness is detected through :attr:`repro.graph.digraph.DataGraph.version`:
 any ``add_node``/``add_edge``/``set_attr`` after session creation drops
 every cache and every pooled index on the next use.  Only the descendant
 closure (:mod:`repro.reachability.partial`; one per session, whichever
-route reads it) outlives a mutation that leaves the numbered cones
+scope reads it) outlives a mutation that leaves the numbered cones
 alone — new nodes, an edge out of a node no query has numbered yet, an
 attribute write: its rows stay exact along the graph's lineage.  An
 edge out of a numbered node, or :meth:`QuerySession.invalidate`, drops
@@ -81,14 +80,10 @@ from typing import Iterable, Sequence
 from ..graph.digraph import DataGraph
 from ..graph.stats import graph_stats
 from ..plan import (
-    CodegenError,
     CompiledPlan,
-    ExecutionRoute,
     NormalizedQuery,
     NormalizeOutcome,
     compile_normalized,
-    compile_plan,
-    decide_route,
     normalize,
     normalize_key,
 )
@@ -107,12 +102,16 @@ from .artifacts import ARTIFACT_KINDS, ClosureSlot
 from .cache import LRUCache
 from .gtea import GTEA
 from .operators import scan_candidates
-from .parallel import ParallelExecutor, ParallelOptions
 from .results import ResultSet
 from .stats import EvaluationStats
 
 #: anything :meth:`QuerySession.evaluate` accepts as a query.
 QueryLike = GTPQ | dict | str
+
+#: keywords of the removed ``codegen``, ``parallel`` and ``adaptive``
+#: modes: accepted and ignored, because the e2e tracer
+#: (``benchmarks/e2e/layers.py``) still passes them (ROADMAP item 1).
+RETIRED_KEYWORDS = frozenset({"codegen", "parallel", "adaptive"})
 
 
 @dataclass(frozen=True)
@@ -203,8 +202,7 @@ class QuerySession:
             entries (tens of kB each), and a cached answer does not need
             its plan to be found (the alias cache leads to it), hence a
             smaller default than the result cache's.  Also bounds the
-            normalize memo, the compiled functions and the observed
-            operator records.
+            normalize memo and the observed operator records.
         candidate_cache_size: LRU capacity of the shared ``mat(u)`` cache
             (entries are predicates, not queries).
         result_cache_size: LRU capacity of the full-result cache, and of
@@ -217,35 +215,6 @@ class QuerySession:
             fingerprint), which single-query and batch evaluation both
             read and fill.  Pass ``0`` to disable subtree reuse across
             executions.
-        adaptive: run the engines with adaptive prune reordering — the
-            remaining downward obligations are re-sorted by actual
-            post-prune candidate-set sizes mid-flight (see
-            :mod:`repro.engine.operators`).  Answers are identical to
-            the static order.
-        parallel: shard the downward prune phase across a worker pool
-            (see :mod:`repro.engine.parallel`; the scan and every later
-            phase stay serial).  Accepts a worker count >= 1 or a
-            :class:`~repro.engine.parallel.ParallelOptions`; ``None``
-            (default), ``False`` and ``0`` keep execution serial, any
-            other value raises ``ValueError``.  Applies to
-            GTEA-routed, non-group evaluations, batched or not; answers,
-            survivor sets and
-            prune-op counts are identical to serial execution.  Call
-            :meth:`close` (or use the session as a context manager) to
-            release the worker pools.
-        codegen: compile GTEA-routed plans to specialized Python
-            (:mod:`repro.plan.codegen`) and execute through the compiled
-            function, cached per plan fingerprint next to the plan cache
-            and invalidated with the graph version (in memory only: the
-            warm store never holds compiled functions).  ``"auto"`` (or
-            ``True``) tries codegen and falls back silently to the
-            interpreted operator pipeline wherever
-            :func:`repro.plan.route.codegen_refusal` says it does not
-            apply — unsatisfiable or partial-scope plans, sharded,
-            group or adaptive runs — recording the
-            ``codegen_hits`` / ``codegen_misses`` /
-            ``codegen_fallbacks`` counters; ``False`` (default) never
-            specializes.  Answers are identical either way.
         store: a warm store to rehydrate from and persist to — an
             :class:`~repro.store.ArtifactStore` or a directory path
             (``None``, the default, keeps the session purely in-memory).
@@ -257,6 +226,9 @@ class QuerySession:
             session's current artifacts back.  A corrupt, stale or
             missing store is never an error: affected kinds simply
             cold-build.
+        **retired: ``codegen``, ``parallel`` and ``adaptive``
+            (:data:`RETIRED_KEYWORDS`), whose values are ignored; any
+            other keyword raises ``TypeError``.
 
     Planning is a function of the query, the graph statistics and the
     pooled indexes alone; an execution's observed per-operator stats are
@@ -273,22 +245,14 @@ class QuerySession:
         candidate_cache_size: int = 4096,
         result_cache_size: int = 1024,
         subtree_cache_size: int = 4096,
-        adaptive: bool = False,
-        parallel: int | ParallelOptions | None = None,
-        codegen: bool | str = False,
         store: ArtifactStore | str | os.PathLike | None = None,
+        **retired,
     ):
+        unknown = sorted(set(retired) - RETIRED_KEYWORDS)
+        if unknown:
+            raise TypeError(f"QuerySession() got an unexpected keyword argument {unknown[0]!r}")
         self.graph = graph
         self.default_index = index
-        self.adaptive = adaptive
-        if codegen not in (False, True, "auto"):
-            raise ValueError(f"unknown codegen setting {codegen!r}; expected False, True or 'auto'")
-        self.codegen = codegen
-        if not isinstance(parallel, ParallelOptions):
-            # None, False and 0 mean serial; ParallelOptions rejects True,
-            # negative counts and anything that is not an int.
-            parallel = None if parallel in (None, False, 0) else ParallelOptions(workers=parallel)
-        self.parallel_options = parallel
         # One holder per persisted artifact kind — self.plan_cache,
         # self.alias_cache through self.result_cache are declared in
         # ARTIFACT_KINDS, not here.
@@ -300,9 +264,6 @@ class QuerySession:
         }
         for kind in ARTIFACT_KINDS:
             setattr(self, kind.attr, kind.new_holder(sizes))
-        # Compiled plan functions (or fallback reasons) per fingerprint:
-        # same key space and lifetime as the plan cache, memory only.
-        self.codegen_cache = LRUCache(plan_cache_size)
         # Normalize outcomes per normalize_key(): what Theorem 1 and
         # Algorithm 1 decided for a query shape and predicate relation.
         # Normalize never reads the graph, so no mutation or invalidate()
@@ -319,7 +280,6 @@ class QuerySession:
         # Partial-scope plans whose rows blew the fill budget: they run
         # on the full index until the next version.
         self._closure_refused: set[str] = set()
-        self._parallel_pool: dict[str, ParallelExecutor] = {}
         self._graph_version = graph.version
         if store is None or isinstance(store, ArtifactStore):
             self.store = store
@@ -339,7 +299,7 @@ class QuerySession:
     # ------------------------------------------------------------------
     @property
     def resolved_index(self) -> str:
-        """The concrete index name the default route uses."""
+        """The concrete index name the session's default index resolves to."""
         self._ensure_fresh()
         return resolve_index(self.graph, self.default_index)
 
@@ -359,20 +319,6 @@ class QuerySession:
             self._reach_pool[name] = service
         return service
 
-    def parallel_executor(self, index: str | None = None) -> ParallelExecutor | None:
-        """The pooled sharded executor for ``index``, or None when the
-        session was created without ``parallel=``."""
-        if self.parallel_options is None:
-            return None
-        self._ensure_fresh()
-        name = resolve_index(self.graph, index or self.default_index)
-        executor = self._parallel_pool.get(name)
-        if executor is None:
-            engine = GTEA(self.graph, reachability=self.reachability(name), adaptive=self.adaptive)
-            executor = ParallelExecutor.from_options(engine, self.parallel_options)
-            self._parallel_pool[name] = executor
-        return executor
-
     # ------------------------------------------------------------------
     # Invalidation
     # ------------------------------------------------------------------
@@ -381,7 +327,7 @@ class QuerySession:
 
         A moved :attr:`DataGraph.version` needs no call: the next use
         drops the same things — plans, aliases, candidate, subtree and
-        result sets, compiled functions, pooled full indexes — except the
+        result sets, pooled full indexes — except the
         closure, which is kept while the graph's lineage holds
         (``cache_info()["partial"]``: ``kept`` / ``dropped``).  The
         graph's own derived state (:meth:`DataGraph.structure`, label
@@ -397,24 +343,14 @@ class QuerySession:
         alone: it asks the graph's lineage at its next use."""
         for kind in ARTIFACT_KINDS:
             getattr(self, kind.attr).clear()
-        self.codegen_cache.clear()
         self._reach_pool.clear()
         self._observed_ops.clear()
         self._closure_refused.clear()
-        # Parallel executors are pinned to the graph version their
-        # process workers forked with; a fresh pool is rebuilt lazily.
-        self.close()
         self._graph_version = self.graph.version
 
     def close(self) -> None:
-        """Release the worker pools of ``parallel=`` execution.
-
-        Idempotent; the session remains usable (pools rebuild lazily).
-        Serial sessions have nothing to release.
-        """
-        for executor in self._parallel_pool.values():
-            executor.close()
-        self._parallel_pool.clear()
+        """Nothing to release: a session holds no worker or open file.
+        Kept, with the context manager, for callers that close it."""
 
     def __enter__(self) -> "QuerySession":
         return self
@@ -498,32 +434,13 @@ class QuerySession:
         When the session has already executed the query, the physical
         section shows each operator's compile-time estimate next to its
         latest observed runtime stats (set sizes, wall time, index
-        probes), including any adaptive reordering.  The trailing
-        ``[codegen]`` / ``[parallel]`` notes are the execution route
-        that will run (:meth:`repro.plan.route.ExecutionRoute.notes`):
-        the specialized function (node count, const-folded steps) or
-        why the plan falls back to the interpreted pipeline, and how
-        the prune phases shard.
+        probes), including an early exit and the operators it skipped.
         """
         self._ensure_fresh()
         plan = self._plan_for(query)
-        route = self._route(plan)
-        entry = self._codegen_entry(plan)[0] if route.compiled else None
-        rendered = plan.compiled.explain(
+        return plan.compiled.explain(
             observed=self._observed_ops.peek(plan.fingerprint),
             closure_rows=self._closure.rows,
-        )
-        return "\n".join([rendered, *route.notes(entry)])
-
-    def _route(self, plan: QueryPlan, *, grouped: bool = False) -> ExecutionRoute:
-        """The execution route of one run of ``plan`` under this
-        session's flags (:func:`repro.plan.route.decide_route`)."""
-        return decide_route(
-            plan.compiled.physical,
-            codegen=self.codegen,
-            parallel=self.parallel_options,
-            adaptive=self.adaptive,
-            grouped=grouped,
         )
 
     def _plan_for(self, query: QueryLike, alias: str | None = None) -> QueryPlan:
@@ -685,55 +602,37 @@ class QuerySession:
     def _execute_plan(
         self, plan: QueryPlan, group_nodes: tuple[str, ...]
     ) -> tuple[ResultSet, EvaluationStats]:
-        """Run one cold plan along its route (no result-cache probe)."""
+        """Run one cold plan (no result-cache probe).
+
+        A partial-scope plan runs on the descendant closure with its rows
+        filled; group evaluation (the original query, whose candidates
+        the costing never bounded) and a fill blow-out run it on the
+        session's default index instead — never on a whole-graph build
+        of the plan's inner ``tc``.
+        """
         stats = EvaluationStats()
-        route = self._route(plan, grouped=bool(group_nodes))
-        service = self._partial_service(plan, stats) if route.partial else None
-        sharded = None
-        if service is None:
-            service = self.reachability(route.index_name)
-            # Sharded execution skips the closure's partial scope: its
-            # pools pin full-scope engines by index name.
-            if route.sharded:
-                sharded = self.parallel_executor(route.index_name)
-            if route.partial or route.partial_refused:
-                # Fill blow-out, or a statically refused partial scope.
+        physical = plan.compiled.physical
+        if physical.index_scope != "partial":
+            service = self.reachability(physical.index_name)
+        else:
+            service = None if group_nodes else self._partial_service(plan, stats)
+            if service is None:
                 stats.partial_fallbacks = 1
+                service = self.reachability()
         # Construction is trivial: the service exists.
-        engine = GTEA(self.graph, reachability=service, adaptive=route.adaptive)
-        codegen_fn = None
-        if route.compiled:
-            entry, was_cached = self._codegen_entry(plan)
-            if isinstance(entry, str):
-                stats.codegen_fallbacks = 1
-            else:
-                codegen_fn = entry
-                if was_cached:
-                    stats.codegen_hits = 1
-                else:
-                    stats.codegen_misses = 1
-        elif route.codegen_fallback is not None:
-            stats.codegen_fallbacks = 1
-        provider = self._candidate_provider(plan)
+        engine = GTEA(self.graph, reachability=service)
         with stats.record_candidate_cache(self.candidate_cache.counters):
-            if sharded is not None:
-                results, stats = sharded.execute(
-                    plan.compiled, candidate_provider=provider, stats=stats
-                )
-            else:
-                results, stats = engine.execute(
-                    plan.compiled,
-                    group_nodes=group_nodes,
-                    candidate_provider=provider,
-                    stats=stats,
-                    codegen=codegen_fn,
-                    subtree_cache=self.subtree_cache,
-                )
+            results, stats = engine.execute(
+                plan.compiled,
+                group_nodes=group_nodes,
+                candidate_provider=self._candidate_provider(plan),
+                stats=stats,
+                subtree_cache=self.subtree_cache,
+            )
         stats.result_cache_misses = 1
         self.result_cache.put((plan.fingerprint, group_nodes), frozenset(results))
-        if codegen_fn is None and not group_nodes:
-            # Compiled runs skip per-operator instrumentation, and group
-            # evaluation runs the original, pre-rewrite query, whose
+        if not group_nodes:
+            # Group evaluation runs the original, pre-rewrite query, whose
             # records do not line up with this plan's estimates.
             self._record_observed(plan, stats)
         return results, stats
@@ -777,25 +676,6 @@ class QuerySession:
         stats.partial_builds, stats.partial_hits = int(created), int(not created)
         return service
 
-    def _codegen_entry(self, plan: QueryPlan) -> tuple[object, bool]:
-        """The codegen-cache entry for ``plan``, compiling on a miss.
-
-        Returns ``(entry, was_cached)`` where ``entry`` is a
-        :class:`~repro.plan.codegen.CompiledPlanFunction`, or the
-        fallback reason (a string) when the backend cannot specialize
-        the plan — negative outcomes are cached too, so the analysis
-        runs once per fingerprint.
-        """
-        cached = self.codegen_cache.get(plan.fingerprint)
-        if cached is not None:
-            return cached, True
-        try:
-            entry: object = compile_plan(plan.compiled)
-        except CodegenError as error:
-            entry = str(error)
-        self.codegen_cache.put(plan.fingerprint, entry)
-        return entry, False
-
     def _record_observed(self, plan: QueryPlan, stats: EvaluationStats) -> None:
         """Keep one execution's operator records for :meth:`explain`'s
         estimated-vs-observed view."""
@@ -831,12 +711,11 @@ class QuerySession:
 
         Queries are planned first (one plan per distinct fingerprint);
         each *unique* fingerprint is then served by the result cache — so
-        a warm session may evaluate nothing at all — or run along the
-        same route as :meth:`evaluate`.  On the interpreted route, prune
-        work is shared through the subtree cache: a rooted subtree that
-        several queries of the batch contain is downward-pruned by the
-        first of them and read back by the others
-        (``subtree_cache_hits``).  Candidate fetching is shared
+        a warm session may evaluate nothing at all — or run like
+        :meth:`evaluate`.  Prune work is shared through the subtree
+        cache: a rooted subtree that several queries of the batch contain
+        is downward-pruned by the first of them and read back by the
+        others (``subtree_cache_hits``).  Candidate fetching is shared
         through the predicate-keyed cache, and the answers are fanned
         back out to input order.
         """
@@ -900,15 +779,17 @@ class QuerySession:
 
         ``"partial"`` is *the* descendant closure's row — ``rows`` /
         ``bytes`` held, ``fills`` ever computed, version bumps ``kept``
-        across, closures ``dropped`` — whichever route filled it: the
+        across, closures ``dropped`` — whichever plan filled it: the
         ``tc`` rung under the closure bound, the partial scope above it,
         or a pinned ``index="tc"``.  ``"indexes"`` counts the other,
         pooled indexes.  ``"normalize"`` is the normalize memo's row."""
         info = {"indexes": {"pooled": len(self._reach_pool)}, "partial": self._closure.info()}
         for kind in ARTIFACT_KINDS:
             info[kind.info] = kind.describe(getattr(self, kind.attr))
-        for name, cache in (("codegen", self.codegen_cache), ("normalize", self.normalize_cache)):
-            info[name] = {**cache.counters.snapshot(), "size": len(cache)}
+        info["normalize"] = {
+            **self.normalize_cache.counters.snapshot(),
+            "size": len(self.normalize_cache),
+        }
         info["structure"] = self.graph.structure_info()
         if self.store is not None:
             info["store"] = {

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field, fields
 
 #: the int counters :meth:`EvaluationStats.merge` does not simply add.
 _MERGE_EXCEPTIONS = {
-    # the configured pool size, not a tally.
-    "parallel_workers": max,
     # a single evaluation leaves it at 0 and reads as one.
     "evaluations": lambda mine, theirs: mine + max(theirs, 1),
 }
@@ -63,24 +61,12 @@ class EvaluationStats:
     result_cache_misses: int = 0
     #: subtree-result cache (downward-pruned candidate sets keyed by
     #: canonical subtree fingerprint, per graph version), probed once per
-    #: downward visit on the interpreted path.
+    #: downward visit.
     subtree_cache_hits: int = 0
     subtree_cache_misses: int = 0
     #: batch accounting of :meth:`QuerySession.evaluate_many`.
     batch_queries: int = 0
     batch_unique_queries: int = 0
-    # ------------------------------------------------------------------
-    # Plan-codegen counters (repro.plan.codegen, behind
-    # ``QuerySession(codegen=...)``).  All zero when codegen is off.
-    # ------------------------------------------------------------------
-    #: executions served by a cached specialized function.
-    codegen_hits: int = 0
-    #: executions that compiled a specialized function first.
-    codegen_misses: int = 0
-    #: codegen-enabled executions that ran the interpreted pipeline
-    #: anyway (unsatisfiable, parallel-sharded, group evaluation, or a
-    #: plan the backend cannot specialize).
-    codegen_fallbacks: int = 0
     # ------------------------------------------------------------------
     # Partial-scope counters (repro.reachability.partial, behind the
     # per-query costing of repro.plan.cost).  All zero for full-scope
@@ -94,16 +80,6 @@ class EvaluationStats:
     #: partial-scope plans that ran on a full index anyway (their rows
     #: blew the fill budget, or group evaluation).
     partial_fallbacks: int = 0
-    # ------------------------------------------------------------------
-    # Sharded-execution counters (repro.engine.parallel).  All zero when
-    # the downward prune ran serially.
-    # ------------------------------------------------------------------
-    #: configured worker count of the parallel executor that ran
-    #: (aggregation keeps the maximum, not the sum).
-    parallel_workers: int = 0
-    #: downward-prune shard tasks dispatched to the worker pool (inline
-    #: leaf/empty refinements in the driver are not counted).
-    parallel_shard_tasks: int = 0
 
     @property
     def intermediate_cost(self) -> int:

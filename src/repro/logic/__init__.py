@@ -13,7 +13,6 @@ from .assignment import (
     evaluate,
     models,
 )
-from .codegen import LoweringError, lower_formula
 from .formula import (
     FALSE,
     TRUE,
@@ -62,7 +61,6 @@ __all__ = [
     "Const",
     "Formula",
     "FormulaParseError",
-    "LoweringError",
     "Not",
     "Or",
     "Var",
@@ -83,7 +81,6 @@ __all__ = [
     "land",
     "lnot",
     "lor",
-    "lower_formula",
     "lxor",
     "models",
     "parse_formula",

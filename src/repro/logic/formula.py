@@ -95,7 +95,7 @@ class Formula:
         """Return the set of variable names occurring in the formula.
 
         Computed once and cached on the instance; callers on hot paths
-        (the pruning loops, the codegen backend) may call this freely.
+        (the pruning loops) may call this freely.
         """
         try:
             return self._vars

@@ -10,14 +10,7 @@ pipeline).  :class:`repro.engine.GTEA` executes compiled plans;
 :class:`repro.engine.QuerySession` caches them per query fingerprint.
 """
 
-from .codegen import (
-    CodegenError,
-    CompiledPlanFunction,
-    analyze_plan,
-    compile_plan,
-)
 from .compile import CompiledPlan, compile_normalized, compile_query
-from .route import ExecutionRoute, codegen_refusal, decide_route
 from .cost import (
     AUTO_CLOSURE_MAX_BYTES,
     AUTO_NEAR_TREE_RATIO,
@@ -45,10 +38,7 @@ __all__ = [
     "AUTO_CLOSURE_MAX_BYTES",
     "AUTO_NEAR_TREE_RATIO",
     "CandidateSource",
-    "CodegenError",
     "CompiledPlan",
-    "CompiledPlanFunction",
-    "ExecutionRoute",
     "IndexChoice",
     "LogicalPlan",
     "NormalizeOutcome",
@@ -58,7 +48,6 @@ __all__ = [
     "PhysicalOperator",
     "PhysicalPlan",
     "PruneObligation",
-    "analyze_plan",
     "build_logical_plan",
     "build_operator_pipeline",
     "build_physical_plan",
@@ -66,11 +55,8 @@ __all__ = [
     "choose_index_detail",
     "choose_scoped_index",
     "closure_fill_units",
-    "codegen_refusal",
     "compile_normalized",
-    "compile_plan",
     "compile_query",
-    "decide_route",
     "estimate_candidates",
     "index_build_units",
     "normalize",

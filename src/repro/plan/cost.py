@@ -170,9 +170,7 @@ def choose_scoped_index(
     full_name, full_reason = choose_index_detail(stats)
     full = IndexChoice(full_name, "full", full_reason)
     if full_name in pooled:
-        return IndexChoice(
-            full_name, "full", f"pooled: {full_name} already built", None
-        )
+        return IndexChoice(full_name, "full", f"pooled: {full_name} already built", None)
     if closure_fits(stats.num_nodes):
         # Under the bound the ladder's pick *is* the closure: there is
         # no cheaper scope to race it against.

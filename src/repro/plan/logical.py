@@ -155,9 +155,7 @@ def build_logical_plan(
     sources = []
     for node_id in query.depth_first():
         predicate = query.attribute(node_id)
-        pins_label = any(
-            attribute == "label" and op == "=" for attribute, op, _ in predicate.atoms
-        )
+        pins_label = any(attribute == "label" and op == "=" for attribute, op, _ in predicate.atoms)
         sources.append(
             CandidateSource(
                 node_id=node_id,

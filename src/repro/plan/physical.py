@@ -91,10 +91,8 @@ class PhysicalPlan:
     def covers_query(self, query) -> bool:
         """Does the downward order cover every node of ``query``?
 
-        Executors key off this: :meth:`repro.engine.gtea.GTEA._instantiate`
-        falls back to the default bottom-up order when it is False, and
-        the codegen backend (:mod:`repro.plan.codegen`) refuses to
-        specialize the plan.
+        :meth:`repro.engine.gtea.GTEA._instantiate` falls back to the
+        default bottom-up order when it is False.
         """
         return set(self.downward_order) == set(query.nodes)
 
@@ -103,8 +101,8 @@ class PhysicalPlan:
     ) -> list[str]:
         """Render the plan; with ``observed`` operator stats (an
         execution's ``EvaluationStats.operator_stats``), each pipeline
-        row also shows what actually happened — including runtime
-        reorderings, early exits and skipped operators.  A session passes
+        row also shows what actually happened — including an early exit
+        and the operators it skipped.  A session passes
         ``closure_rows``, the rows its descendant closure holds, which a
         full-scope ``tc`` line reports as ``rows filled R``."""
         if self.index_scope == "full":
@@ -144,11 +142,6 @@ class PhysicalPlan:
             elif observed:
                 row += " obs (not executed)"
             lines.append(row.rstrip())
-        if observed:
-            executed = [r.label for r in observed if r.op == "DownwardPrune"]
-            planned = [o.label for o in self.operators if o.op == "DownwardPrune"]
-            if executed and executed != planned[: len(executed)]:
-                lines.append("  executed downward order (adaptive): " + " -> ".join(executed))
         return lines
 
 

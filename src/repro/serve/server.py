@@ -95,7 +95,7 @@ class QueryServer:
             directory path, or ``None`` for a purely in-memory session.
             The session reads it at :meth:`start`.
 
-    The session is a default one: ``index="auto"``, interpreted, serial.
+    The session is a default one: ``index="auto"``.
     Requests, :meth:`refresh` and :meth:`stop` take turns on it through
     one :class:`asyncio.Lock`, first come first served.
 

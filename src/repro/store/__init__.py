@@ -7,8 +7,7 @@ downward-pruned subtree sets and answer sets
 under a **graph content fingerprint** so a fresh process rehydrates them
 instead of rebuilding (``QuerySession(store=...)``).  Reachability state
 is not stored: the graph condenses once per process and closure rows
-fill as misses read them.  Nor are the functions of ``codegen=``
-sessions: a fresh process compiles them again.
+fill as misses read them.
 
 Two pieces:
 

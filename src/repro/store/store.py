@@ -202,11 +202,7 @@ class ArtifactStore:
             entries = sorted(directory.iterdir())
         except OSError:
             return []
-        return [
-            entry.name[: -len(_SUFFIX)]
-            for entry in entries
-            if entry.name.endswith(_SUFFIX)
-        ]
+        return [entry.name[: -len(_SUFFIX)] for entry in entries if entry.name.endswith(_SUFFIX)]
 
     def fingerprints(self) -> list[str]:
         """Graph fingerprints with at least one artifact in the store."""

@@ -1,5 +1,5 @@
 """The ladder's first rung in a session: under the closure bound
-(``AUTO_CLOSURE_MAX_BYTES``) an ``index="auto"`` session runs every route
+(``AUTO_CLOSURE_MAX_BYTES``) an ``index="auto"`` session runs every query
 on its one lazily filled descendant closure — nothing is built up front,
 3-hop is never constructed, the rows outlive appends *and* attribute
 writes, and memory stays inside the stated ``n² / 16`` bytes.
@@ -20,7 +20,7 @@ from repro.datasets import (
     fig7_query,
     generate_xmark,
 )
-from repro.engine import GTEA, ParallelOptions, QuerySession
+from repro.engine import GTEA, QuerySession
 from repro.plan.cost import AUTO_CLOSURE_MAX_BYTES
 from repro.query import AttributePredicate, QueryBuilder, evaluate_naive
 from repro.reachability import ThreeHopIndex
@@ -65,10 +65,6 @@ class TestNeverBuildsThreeHop:
             assert session.evaluate(query) == answer
             assert session.evaluate(query, group_nodes=query.outputs[-1:]) == groups
         assert session.evaluate_many(queries).results == expected
-        sharded = ParallelOptions(workers=2, backend="serial", min_shard_size=1)
-        with QuerySession(xmark, parallel=sharded) as parallel:
-            assert [parallel.evaluate(query) for query in queries] == expected
-            assert parallel.cache_info()["indexes"]["pooled"] == 0
 
         async def serve():
             server = QueryServer(xmark)

@@ -212,9 +212,8 @@ def test_named_cases(edges, refined, fext, expected, index):
 
 @pytest.mark.parametrize("index", ["3hop", "tc"])
 def test_candidate_shard_complements_within_the_shard(index):
-    """``Not`` is relative to the list the kernel was handed: a shard of
-    ``mat(u)`` (what ``ParallelExecutor`` passes) keeps its own order and
-    never gains a node of another shard."""
+    """``Not`` is relative to the list the kernel was handed: a slice of
+    ``mat(u)`` keeps its own order and never gains a node outside it."""
     shard = [5, 3, 1]  # not ascending on purpose: order is the caller's
     case = (cyclic_graph(), ("pc", "ad"), {"c0": [1, 4], "c1": [3]}, shard)
     neither = Not(And([Var("c0"), Var("c1")]))

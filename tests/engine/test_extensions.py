@@ -101,25 +101,19 @@ class TestStatsShape:
         assert stats.intermediate_tuples == 0  # GTEA never builds tuples
 
     def test_feature_counters_merge_per_field(self):
-        """Every feature counter folds into an aggregate: tallies add,
-        ``parallel_workers`` (a pool size) keeps the maximum."""
+        """Every feature counter folds into an aggregate by adding up."""
         from repro.engine.stats import EvaluationStats
 
         fired = EvaluationStats(
-            codegen_hits=3,
-            codegen_fallbacks=1,
-            parallel_workers=4,
-            parallel_shard_tasks=9,
+            subtree_cache_hits=3,
             partial_builds=1,
             partial_hits=2,
+            partial_fallbacks=1,
         )
-        total = EvaluationStats.aggregate([EvaluationStats(parallel_workers=2), fired, fired])
-        assert total.codegen_hits == 6
-        assert total.codegen_fallbacks == 2
-        assert total.codegen_misses == 0
-        assert total.parallel_workers == 4
-        assert total.parallel_shard_tasks == 18
-        assert (total.partial_builds, total.partial_hits, total.partial_fallbacks) == (2, 4, 0)
+        total = EvaluationStats.aggregate([EvaluationStats(), fired, fired])
+        assert total.subtree_cache_hits == 6
+        assert total.subtree_cache_misses == 0
+        assert (total.partial_builds, total.partial_hits, total.partial_fallbacks) == (2, 4, 2)
         assert total.downward_prune_ops == 0
 
     def test_phase_timer_accumulates(self):

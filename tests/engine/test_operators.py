@@ -1,13 +1,10 @@
 """Unit tests for the physical-operator pipeline (repro.engine.operators).
 
 Covers each operator in isolation (empty inputs, constant-fext leaves,
-the constant-empty route), the adaptive downward
-scheduler (runtime order differs from the compile-time order with
-identical results, backbone-empty early exit, node-id tie-breaking), and
-the estimated-vs-observed ``explain()`` rendering, subtree-cache hits
+the constant-empty plan), the driver's backbone-empty early exit, the
+compile-time downward order (node-id tie-breaking), and the
+estimated-vs-observed ``explain()`` rendering, subtree-cache hits
 included."""
-
-import pytest
 
 from repro.engine import (
     GTEA,
@@ -168,54 +165,59 @@ class TestOperatorUnits:
         assert scan.output_size == sum(stats.candidates_initial.values())
 
 
-class TestAdaptiveReordering:
-    def test_runtime_order_differs_with_identical_results(self):
+class TestEarlyExit:
+    def test_empty_backbone_leaf_skips_its_siblings(self):
+        # The plan visits ``a`` (estimated 5) before its sibling ``b``
+        # (estimated 10); ``a`` prunes to the empty set, and every match
+        # embeds every backbone node, so nothing after it runs.
         graph = skewed_graph()
-        query = skewed_nonempty_query()
-        static_engine = GTEA(graph)
-        adaptive_engine = GTEA(graph, adaptive=True)
-        static_results, static_stats = static_engine.evaluate_with_stats(query)
-        adaptive_results, adaptive_stats = adaptive_engine.evaluate_with_stats(query)
-
-        assert adaptive_results == static_results == evaluate_naive(query, graph)
-        assert static_results  # the workload is nonempty
-        static_order = executed_downward_order(static_stats)
-        adaptive_order = executed_downward_order(adaptive_stats)
-        assert set(static_order) == set(adaptive_order)
-        assert static_order != adaptive_order
-        # Estimates rank b (5) below a (graph size); actual sizes rank
-        # a (1 node) below b (5 nodes).
-        assert static_order.index("b") < static_order.index("a")
-        assert adaptive_order.index("a") < adaptive_order.index("b")
+        query = (
+            QueryBuilder()
+            .backbone("root", predicate=AttributePredicate.label("r"))
+            .backbone(
+                "a",
+                parent="root",
+                predicate=AttributePredicate([("label", "=", "m"), ("kind", "=", 7)]),
+            )
+            .backbone("b", parent="root", predicate=AttributePredicate.label("h"))
+            .outputs("root")
+            .build()
+        )
+        engine = GTEA(graph)
+        plan = engine.compile(query)
+        assert plan.physical.downward_order == ("a", "b", "root")
+        answer, stats = engine.execute(plan)
+        assert answer == evaluate_naive(query, graph) == set()
+        downward = [record for record in stats.operator_stats if record.op == "DownwardPrune"]
+        assert len(downward) < len(query.nodes)
+        assert stats.downward_prune_ops < len(query.nodes)
+        assert [(record.target, record.output_size, record.note) for record in downward] == [
+            ("a", 0, "early-exit")
+        ]
+        assert stats.result_count == 0
 
     def test_backbone_empty_early_exit_skips_remaining_prunes(self):
         graph = skewed_graph()
         query = skewed_empty_query()
-        static_results, static_stats = GTEA(graph).evaluate_with_stats(query)
-        adaptive_results, adaptive_stats = GTEA(graph, adaptive=True).evaluate_with_stats(query)
+        results, stats = GTEA(graph).evaluate_with_stats(query)
 
-        assert adaptive_results == static_results == set()
-        assert static_stats.downward_prune_ops == len(query.nodes)
-        assert adaptive_stats.downward_prune_ops < static_stats.downward_prune_ops
-        last = [r for r in adaptive_stats.operator_stats if r.op == "DownwardPrune"][-1]
-        assert last.note == "adaptive early-exit"
+        assert results == evaluate_naive(query, graph) == set()
+        assert executed_downward_order(stats) == ("b", "a")
+        assert stats.downward_prune_ops == len(query.nodes) - 1
+        last = [r for r in stats.operator_stats if r.op == "DownwardPrune"][-1]
+        assert last.note == "early-exit"
         assert last.target == "a" and last.output_size == 0
 
-    def test_adaptive_ties_break_on_node_id(self):
-        # Two children with equal-sized actual candidate sets (distinct
-        # labels, same posting length, so minimization keeps both): the
-        # adaptive schedule must order them by node id.
-        graph = DataGraph.from_edges("rmmnn", [(0, 1), (0, 2), (0, 3), (0, 4)])
-        query = (
-            QueryBuilder()
-            .backbone("q_root", predicate=AttributePredicate.label("r"))
-            .backbone("kid_b", parent="q_root", predicate=AttributePredicate.label("m"))
-            .backbone("kid_a", parent="q_root", predicate=AttributePredicate.label("n"))
-            .outputs("q_root")
-            .build()
-        )
-        _, stats = GTEA(graph, adaptive=True).evaluate_with_stats(query)
-        assert executed_downward_order(stats) == ("kid_a", "kid_b", "q_root")
+    def test_subtree_cache_hit_can_end_the_run(self):
+        graph = skewed_graph()
+        session = QuerySession(graph, result_cache_size=0)
+        query = skewed_empty_query()
+        session.evaluate(query)
+        answer, stats = session.evaluate_with_stats(query)
+        assert answer == set()
+        assert stats.downward_prune_ops == 0
+        last = [r for r in stats.operator_stats if r.op == "DownwardPrune"][-1]
+        assert last.note == "subtree-cache early-exit"
 
     def test_compile_time_ties_break_on_node_id(self):
         # The same query compiles to the same downward order every time,
@@ -234,20 +236,8 @@ class TestAdaptiveReordering:
         assert first.physical.downward_order == ("kid_a", "kid_b", "q_root")
         assert first.physical.downward_order == second.physical.downward_order
         assert first.explain() == second.explain()
-
-    def test_adaptive_session_matches_naive(self):
-        graph = skewed_graph()
-        session = QuerySession(graph, adaptive=True)
-        for query in (skewed_nonempty_query(), skewed_empty_query()):
-            assert session.evaluate(query) == evaluate_naive(query, graph)
-
-    @pytest.mark.parametrize("group_nodes", [(), ("b",)])
-    def test_adaptive_group_evaluation_agrees_with_static(self, group_nodes):
-        graph = skewed_graph()
-        query = skewed_nonempty_query()
-        static = GTEA(graph).evaluate(query, group_nodes=group_nodes)
-        adaptive = GTEA(graph, adaptive=True).evaluate(query, group_nodes=group_nodes)
-        assert static == adaptive
+        _, stats = GTEA(graph).execute(first)
+        assert executed_downward_order(stats) == first.physical.downward_order
 
 
 class TestExplainObserved:
@@ -268,21 +258,14 @@ class TestExplainObserved:
         assert "est~" in text and "obs in=" in text
         assert "probes=" in text
 
-    def test_explain_marks_adaptive_reordering(self):
-        graph = skewed_graph()
-        session = QuerySession(graph, adaptive=True)
-        query = skewed_nonempty_query()
-        session.evaluate(query)
-        text = session.explain(query)
-        assert "executed downward order (adaptive):" in text
-
     def test_explain_marks_skipped_operators_after_early_exit(self):
         graph = skewed_graph()
-        session = QuerySession(graph, adaptive=True)
+        session = QuerySession(graph)
         query = skewed_empty_query()
         session.evaluate(query)
         text = session.explain(query)
-        assert "(not executed)" in text
+        assert "[early-exit]" in text
+        assert "DownwardPrune(root)" in text and "(not executed)" in text
 
     def test_explain_marks_subtrees_served_from_the_cache(self):
         session = QuerySession(skewed_graph())

@@ -1,5 +1,6 @@
 """QuerySession: caching, invalidation, batching, index pooling."""
 
+import re
 from datetime import date
 
 import pytest
@@ -305,3 +306,36 @@ class TestIndexPooling:
         expected = evaluate_naive(query, graph)
         session = QuerySession(graph, index=index)
         assert session.evaluate(query) == expected
+
+
+class TestRetiredKeywords:
+    """``codegen``, ``parallel`` and ``adaptive`` name removed modes: a
+    session accepts them, ignores their values and runs as a plain one."""
+
+    @staticmethod
+    def drive(session):
+        from repro.datasets import fig7_query
+
+        groups = {"person_group": 1, "item_group": 2, "seller_group": 1}
+        queries = [fig7_query(variant, **groups) for variant in ("q1", "q2", "q3")]
+        before = [session.explain(query) for query in queries]
+        answers = [session.evaluate(query_to_json(query)) for query in queries]
+        answers.append(session.evaluate(queries[0], group_nodes=queries[0].outputs[-1:]))
+        answers.extend(session.evaluate_many(queries).results)
+        after = [re.sub(r"[0-9.]+ms", "ms", session.explain(query)) for query in queries]
+        return answers, before, after, session.cache_info()
+
+    def test_a_retired_session_runs_like_a_plain_one(self):
+        from repro.datasets import generate_xmark
+
+        plain = self.drive(QuerySession(generate_xmark(scale=0.02, seed=97).graph))
+        with QuerySession(
+            generate_xmark(scale=0.02, seed=97).graph, codegen="auto", parallel=2, adaptive=True
+        ) as retired:
+            assert self.drive(retired) == plain
+        retired.close()  # a no-op, however often
+        assert any(plain[0]) and "codegen" not in plain[3]
+
+    def test_an_unknown_keyword_raises(self):
+        with pytest.raises(TypeError, match="codegen_typo"):
+            QuerySession(small_graph(), codegen_typo=1)

@@ -12,8 +12,7 @@ driven through append epochs — new rare-label nodes citing old ones and
 each other, cycles among the new nodes included — with an edge between
 two *old* nodes every third epoch, and after every step:
 
-* **oracle** — auto, 3-hop, ``codegen=True`` and ``adaptive=True``
-  sessions all agree with ``evaluate_naive``;
+* **oracle** — auto and 3-hop sessions agree with ``evaluate_naive``;
 * **probe parity** — the auto session probes its closure exactly as
   often as a session pinned to ``tc`` whose rows are thrown away before
   every step, as in ``test_partial_index_differential.py``: an extended
@@ -92,8 +91,6 @@ def churn(seed, *, partial_arm):
     sessions = {
         "auto": QuerySession(graph),
         "full": QuerySession(graph, index="3hop"),
-        "codegen": QuerySession(graph, codegen=True),
-        "adaptive": QuerySession(graph, adaptive=True),
     }
     # Pinned to ``tc`` and emptied before every step: its rows are always
     # rebuilt, the auto session's are kept wherever the lineage allows.

@@ -1,13 +1,12 @@
 """Randomized differential testing of batch evaluation.
 
 Seeded random (graph, batch) cases — batches with deliberately
-overlapping subtrees — cross-check four evaluators for *exact*
+overlapping subtrees — cross-check three evaluators for *exact*
 answer-set agreement:
 
 * ``QuerySession.evaluate_many`` (fingerprint dedup, subtree reuse),
-* per-query ``GTEA.evaluate`` (compile → execute, no sharing),
-* per-query ``GTEA(adaptive=True).evaluate`` (the operator pipeline
-  with runtime prune reordering and the backbone-empty early exit),
+* per-query ``GTEA.evaluate`` (compile → execute, no sharing; the
+  backbone-empty early exit included),
 * ``evaluate_naive`` (the Section-2 semantics oracle).
 
 The default run covers 200 cases (~1000 query evaluations) on small
@@ -52,7 +51,6 @@ def run_differential_cases(
         session = QuerySession(graph)
         outcome = session.evaluate_many(batch)
         engine = GTEA(graph)
-        adaptive = GTEA(graph, adaptive=True)
         for position, (query, answer) in enumerate(zip(batch, outcome.results)):
             expected = evaluate_naive(query, graph)
             assert answer == expected, (
@@ -61,10 +59,6 @@ def run_differential_cases(
             )
             assert engine.evaluate(query) == expected, (
                 f"seed {seed} query {position}: GTEA disagrees with evaluate_naive"
-            )
-            assert adaptive.evaluate(query) == expected, (
-                f"seed {seed} query {position}: adaptive executor disagrees "
-                f"with evaluate_naive"
             )
             coverage["queries"] += 1
             coverage["nonempty"] += bool(expected)

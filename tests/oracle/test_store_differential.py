@@ -11,11 +11,6 @@ three ways:
 * **damaged** — after every artifact is truncated, a third session must
   silently fall back to a cold build and still match the oracle (the
   store can cost time, never correctness).
-
-The cases run with codegen enabled: compiled functions are not
-persisted, so every rehydrated plan is specialized again by the codegen
-backend, and a plan that round-tripped through pickle must compile to
-the same answers as a fresh one.
 """
 
 import random
@@ -39,7 +34,7 @@ def run_store_differential_cases(seeds, tmp_root, *, node_range=(8, 16)) -> dict
         batch = random_query_batch(graph, rng, batch_size=rng.randint(2, 4), overlap=0.6)
         store_dir = tmp_root / f"seed-{seed}"
 
-        cold = QuerySession(graph, store=store_dir, codegen="auto")
+        cold = QuerySession(graph, store=store_dir)
         expected = []
         for position, query in enumerate(batch):
             oracle = evaluate_naive(query, graph)
@@ -51,9 +46,8 @@ def run_store_differential_cases(seeds, tmp_root, *, node_range=(8, 16)) -> dict
             expected.append(oracle)
             coverage["nonempty"] += bool(oracle)
         cold.persist()
-        cold.close()
 
-        warm = QuerySession(graph, store=store_dir, codegen="auto")
+        warm = QuerySession(graph, store=store_dir)
         rehydrated = sum(warm.store_rehydrated.values())
         assert rehydrated > 0, (
             f"seed {seed}: warm session rehydrated nothing from a store the "
@@ -65,7 +59,6 @@ def run_store_differential_cases(seeds, tmp_root, *, node_range=(8, 16)) -> dict
                 f"seed {seed} query {position}: rehydrated session disagrees "
                 f"with the cold session"
             )
-        warm.close()
 
         # Truncate every artifact: rehydration must degrade to cold-build.
         artifacts = sorted(store_dir.rglob("*.artifact"))
@@ -73,7 +66,7 @@ def run_store_differential_cases(seeds, tmp_root, *, node_range=(8, 16)) -> dict
         for artifact in artifacts:
             blob = artifact.read_bytes()
             artifact.write_bytes(blob[: len(blob) // 2])
-        damaged = QuerySession(graph, store=store_dir, codegen="auto")
+        damaged = QuerySession(graph, store=store_dir)
         assert sum(damaged.store_rehydrated.values()) == 0, (
             f"seed {seed}: a truncated artifact rehydrated"
         )
@@ -83,7 +76,6 @@ def run_store_differential_cases(seeds, tmp_root, *, node_range=(8, 16)) -> dict
                 f"seed {seed} query {position}: damaged-store session "
                 f"disagrees with evaluate_naive"
             )
-        damaged.close()
 
         coverage["cases"] += 1
         coverage["queries"] += len(batch)

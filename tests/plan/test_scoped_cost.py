@@ -176,15 +176,6 @@ class TestPhysicalSurface:
         assert physical.index_scope == "full"
         assert "pooled" in physical.index_reason
 
-    def test_codegen_rejects_partial_scope(self, workload):
-        graph, queries = workload
-        from repro.plan.codegen import CodegenError, analyze_plan
-
-        compiled = compile_query(graph, queries[0])
-        assert compiled.physical.index_scope == "partial"
-        with pytest.raises(CodegenError, match="partial"):
-            analyze_plan(compiled)
-
 
 @pytest.mark.usefixtures("low_closure_bound")
 class TestLiveGraphAgreement:

@@ -156,9 +156,7 @@ def test_partial_matches_oracle_on_random_digraphs(data):
     )
     for source, target in pairs:
         graph.add_edge(source, target)
-    seeds = data.draw(
-        st.sets(st.integers(min_value=0, max_value=n - 1), max_size=3)
-    )
+    seeds = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=3))
     footprint = Footprint.from_seeds(graph, seeds)
     service = build_partial_reachability(graph, footprint)
     assert isinstance(service, PartialReachability)

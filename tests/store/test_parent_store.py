@@ -25,11 +25,11 @@ def test_parent_written_store_rehydrates_with_equal_digests(tmp_path):
     store.save(fingerprint, "codegen", {"fingerprint": {"source": "", "analysis": None}})
     untouched = {kind: store.path(fingerprint, kind).read_bytes() for kind in RETIRED}
 
-    # Even a codegen session never opens the codegen file.
-    session = QuerySession(graph, store=tmp_path, codegen="auto")
+    # A session never opens a retired file, nor keeps a codegen row.
+    session = QuerySession(graph, store=tmp_path)
     retired_keys = {"indexes", "partial_indexes", "profile_executions", "codegen"}
     assert not retired_keys & set(session.store_rehydrated)
-    assert session.cache_info()["codegen"]["size"] == 0
+    assert "codegen" not in session.cache_info()
     assert sum(session.store_rehydrated.values()) == 0
     assert store.kinds(fingerprint) == RETIRED
 

@@ -10,9 +10,7 @@ cold" when its file is damaged or holds the wrong type.
 The table lists what is persisted and nothing else: reachability state —
 the pooled indexes and the one descendant closure — lives in memory
 only, so a warm restart condenses the graph once per process and fills
-closure rows as misses read them, exactly like a cold session.  So do
-the compiled functions of a ``codegen=`` session: a restarted one
-compiles each plan again on its first run.
+closure rows as misses read them, exactly like a cold session.
 """
 
 import shutil
@@ -57,11 +55,11 @@ def populated(workload, tmp_path_factory):
     """A store holding every kind, and the session that wrote it."""
     graph, queries, shared, _ = workload
     store = ArtifactStore(tmp_path_factory.mktemp("warm"))
-    session = QuerySession(graph, store=store, codegen="auto")
+    session = QuerySession(graph, store=store)
     for query in queries[: -len(shared) - 1]:
         session.evaluate(query)
     session.evaluate_many(shared)
-    for query in shared:  # group evaluation runs interpreted: it fills subtrees
+    for query in shared:  # group evaluation runs the original query: more subtrees
         session.evaluate(query, group_nodes=query.outputs)
     session.evaluate(query_to_json(queries[-1]))  # JSON text: fills the aliases
     assert session.cache_info()["indexes"]["pooled"] == 0  # all of it on the closure
@@ -72,7 +70,7 @@ def populated(workload, tmp_path_factory):
 
 def reopen(workload, root, **flags):
     """A fresh session over ``root``."""
-    return QuerySession(workload[0], store=root, codegen="auto", **flags)
+    return QuerySession(workload[0], store=root, **flags)
 
 
 def entries(session, kind):
@@ -151,30 +149,15 @@ def test_unpicklable_entry_skips_only_its_kind(workload, populated, tmp_path):
     assert set(persisted) == set(KIND_IDS) - {"results"}
 
 
-def test_codegen_functions_stay_in_memory(workload, populated):
-    """A ``codegen="auto"`` session persists the five kinds; a fresh one
-    over that store compiles its first plan again."""
-    store, writer, persisted = populated
-    assert writer.cache_info()["codegen"]["size"] > 0
-    assert sorted(persisted) == sorted(KIND_IDS)
-    assert store.kinds(writer.store_fingerprint) == sorted(KIND_IDS)
-    session = reopen(workload, store.root, result_cache_size=0)
-    assert "codegen" not in session.store_rehydrated
-    assert session.cache_info()["codegen"]["size"] == 0
-    _, stats = session.evaluate_with_stats(workload[1][-1])
-    assert stats.codegen_misses == 1
-    assert session.cache_info()["codegen"]["size"] == 1
-
-
 def test_rehydrated_artifacts_are_used(workload, populated):
     graph, queries, shared, _ = workload
-    session = reopen(workload, populated[0].root, result_cache_size=0)
-    # The plan is a hit; the compiled function and the closure are not
-    # stored and build under the execution that needs them.
+    # Without results and subtrees to answer from, the run prunes.
+    session = reopen(workload, populated[0].root, result_cache_size=0, subtree_cache_size=0)
+    # The plan is a hit; the closure is not stored and fills under the
+    # execution that needs it.
     assert session.cache_info()["partial"]["rows"] == 0
     _, stats = session.evaluate_with_stats(queries[-1])
     assert (stats.plan_cache_hits, stats.plan_cache_misses) == (1, 0)
-    assert (stats.codegen_hits, stats.codegen_misses) == (0, 1)
     assert session.cache_info()["partial"]["rows"] > 0
     assert session.cache_info()["indexes"]["pooled"] == 0
 
