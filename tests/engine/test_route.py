@@ -7,14 +7,22 @@ group nodes or the fill blows its budget — then it runs on the
 session's default index.  Everything else runs on the index its plan
 names.
 
-The matrix walks ``grouped × scope``, where the scope is ``full`` /
+The matrix walks the retired flags ``codegen × parallel × adaptive``
+crossed with ``grouped × scope``, where the scope is ``full`` /
 ``full-ad`` (the closure rung, under the bound; a PC and an AD query),
 or one of the two arms above it (the bound patched down): ``partial``
-and ``ladder`` (the full-scope 3-hop pick).  Every cell is held to three
-things: the answer equals ``evaluate_naive``, ``explain()`` prints the
-plan's index and scope, and the run's operator records reach
-``explain()``'s observed columns exactly when it was ungrouped.
+and ``ladder`` (the full-scope 3-hop pick).  The session accepts the
+retired flags and ignores them, so every flag cell follows the same
+route as the flag-free one.  Every cell is held to three things: the
+answer equals ``evaluate_naive``, ``explain()`` prints the plan's index
+and scope (and the same text as a session built without the flags),
+and the run's operator records reach ``explain()``'s observed columns
+exactly when it was ungrouped.
 """
+
+import itertools
+import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -51,6 +59,18 @@ def ungrouped(rows):
     return {(a, dict(item)["b"]) for a, group in rows for item in group}
 
 
+def untimed(text):
+    return re.sub(r"[0-9.]+ms", "ms", text)
+
+
+#: The shape of the retired ``ParallelOptions``, as older callers pass it.
+LEGACY_PARALLEL = SimpleNamespace(workers=2, backend="serial", min_shard_size=1)
+
+FLAGS = list(
+    itertools.product((False, "auto"), (None, LEGACY_PARALLEL), (False, True), (False, True))
+)
+
+
 #: matrix scope -> (case, index_name, index_scope) the plan must carry.
 SCOPES = {
     "full": ("full", "tc", "full"),
@@ -61,32 +81,45 @@ SCOPES = {
 
 
 @pytest.mark.parametrize("scope", list(SCOPES))
-@pytest.mark.parametrize("grouped", [False, True])
-def test_every_cell_runs_on_its_plans_index(request, cases, scope, grouped):
+@pytest.mark.parametrize("codegen,parallel,adaptive,grouped", FLAGS)
+def test_every_flag_combination_follows_its_route(
+    request, cases, scope, codegen, parallel, adaptive, grouped
+):
     if scope in ("partial", "ladder"):
         request.getfixturevalue("low_closure_bound")
     case, *index_choice = SCOPES[scope]
     graph, query, expected = cases[case]
-    session = QuerySession(graph, result_cache_size=0)
-    physical = session.plan(query).compiled.physical
-    assert physical.executor == "gtea"
-    name, index_scope = index_choice
-    assert [physical.index_name, physical.index_scope] == index_choice
+    flags = {"codegen": codegen, "parallel": parallel, "adaptive": adaptive}
+    with QuerySession(graph, result_cache_size=0, **flags) as session:
+        physical = session.plan(query).compiled.physical
+        assert physical.executor == "gtea"
+        name, index_scope = index_choice
+        assert [physical.index_name, physical.index_scope] == index_choice
 
-    group_nodes = ("b",) if grouped else ()
-    answer, stats = session.evaluate_with_stats(query, group_nodes)
-    assert (ungrouped(answer) if grouped else answer) == expected
+        group_nodes = ("b",) if grouped else ()
+        answer, stats = session.evaluate_with_stats(query, group_nodes)
+        assert (ungrouped(answer) if grouped else answer) == expected
 
-    explained = session.explain(query)
-    if index_scope == "full":
-        assert f"index: {name} (" in explained
-    else:
-        assert f"index: [index {name}/{index_scope} · footprint" in explained
-    assert (" obs in=" in explained) == (not grouped)
+        # explain() takes no group nodes: it prints the ungrouped run.
+        explained = session.explain(query)
+        if index_scope == "full":
+            assert f"index: {name} (" in explained
+        else:
+            assert f"index: [index {name}/{index_scope} · footprint" in explained
+        assert not [
+            line for line in explained.splitlines() if line.startswith(("[codegen]", "[parallel]"))
+        ]
+        assert (" obs in=" in explained) == (not grouped)
 
-    on_closure = index_scope == "partial" and not grouped
-    assert stats.partial_builds + stats.partial_hits == on_closure
-    assert stats.partial_fallbacks == (index_scope == "partial" and grouped)
+        on_closure = index_scope == "partial" and not grouped
+        assert stats.partial_builds + stats.partial_hits == on_closure
+        assert stats.partial_fallbacks == (index_scope == "partial" and grouped)
+
+    # The flags change nothing: a flag-free session run the same way
+    # answers and explains alike, up to the timings.
+    plain = QuerySession(graph, result_cache_size=0)
+    assert plain.evaluate(query, group_nodes) == answer
+    assert untimed(plain.explain(query)) == untimed(explained)
 
 
 def test_footprint_blow_out_runs_on_the_default_index(low_closure_bound):
