@@ -75,6 +75,8 @@ def _eliminate_subsumed(query: GTPQ, context: AnalysisContext) -> GTPQ:
     """One round of Algorithm 1 lines 8–19; returns ``query`` if no change."""
     analysis = context.analysis(query)
     pairs = analysis.subsumption_pairs()
+    if not pairs:
+        return query  # no subsumed peer to drop: skip the truth table
     # fcs(root) -> ±p_u for every u: one truth table, two mask tests each.
     forced = forced_literals(analysis.fcs(query.root), query.nodes)
     for node_id in query.nodes:

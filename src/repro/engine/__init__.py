@@ -13,7 +13,7 @@ points:
   is the one executor: the TwigStackD baseline lives in
   :mod:`repro.baselines` for the paper's comparisons only.
 * :class:`QuerySession` — a serving layer above :class:`GTEA`: a pool of
-  lazily built indexes plus compiled-plan/candidate/result caches keyed
+  lazily built indexes plus compiled-plan/subtree/result caches keyed
   by canonical query fingerprints, with batch evaluation
   (:meth:`QuerySession.evaluate_many`) that deduplicates repeated
   queries and :meth:`QuerySession.explain` for plan inspection.  Use it

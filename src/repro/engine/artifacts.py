@@ -121,7 +121,6 @@ ARTIFACT_KINDS: tuple[ArtifactKind, ...] = (
     # a cached answer stays reachable from its text whatever its plan's
     # recency.
     ArtifactKind("aliases", "alias_cache", "result_cache_size", "alias"),
-    ArtifactKind("candidates", "candidate_cache", "candidate_cache_size", "candidate"),
     ArtifactKind("subtrees", "subtree_cache", "subtree_cache_size", "subtree"),
     # Full answer sets are safe to serve across processes: the store
     # key guarantees the graph content is identical, and the cache key

@@ -24,8 +24,6 @@ Usage::
 
 from __future__ import annotations
 
-from typing import Callable
-
 from ..graph.digraph import DataGraph
 from ..plan import CompiledPlan, compile_query
 from ..query.gtpq import GTPQ
@@ -40,9 +38,6 @@ from .operators import (
 )
 from .results import ResultSet
 from .stats import EvaluationStats
-
-#: type of the optional ``mat(u)`` source the session layer injects.
-CandidateProvider = Callable[[GTPQ, str], list[int]]
 
 
 class GTEA:
@@ -138,7 +133,6 @@ class GTEA:
         query: GTPQ,
         group_nodes: tuple[str, ...] = (),
         output_structures: list[list[str]] | None = None,
-        candidate_provider: CandidateProvider | None = None,
         plan: CompiledPlan | None = None,
     ) -> tuple[ResultSet | dict[int, ResultSet], EvaluationStats]:
         """Compile (unless given a plan) and execute, with counters.
@@ -149,10 +143,6 @@ class GTEA:
             output_structures: optional list of alternative output-node
                 lists (Appendix D); when given, the result is a dict
                 mapping the structure's position to its answer set.
-            candidate_provider: optional ``(query, node_id) -> mat(u)``
-                source for candidate sets; defaults to a fresh
-                :func:`~repro.engine.operators.scan_candidates` scan.  The
-                session layer injects its shared candidate cache here.
             plan: a pre-compiled plan for ``query`` (the session layer
                 caches these); compiled inline when omitted.
         """
@@ -164,7 +154,6 @@ class GTEA:
             plan,
             group_nodes=group_nodes,
             output_structures=output_structures,
-            candidate_provider=candidate_provider,
             stats=stats,
         )
 
@@ -176,9 +165,9 @@ class GTEA:
         plan: CompiledPlan,
         group_nodes: tuple[str, ...] = (),
         output_structures: list[list[str]] | None = None,
-        candidate_provider: CandidateProvider | None = None,
         stats: EvaluationStats | None = None,
         *,
+        scan_memo=None,
         subtree_cache=None,
     ) -> tuple[ResultSet | dict[int, ResultSet], EvaluationStats]:
         """Run a compiled plan; see :meth:`evaluate_with_stats` for args.
@@ -192,9 +181,12 @@ class GTEA:
         ``subtree_cache`` optionally carries an
         :class:`~repro.engine.cache.LRUCache` of downward-pruned sets by
         subtree fingerprint, valid for the graph's current version (the
-        session owns it and drops it on a version bump): the
-        pipeline's :class:`~repro.engine.operators.DownwardPrune` visits
-        read and fill it.
+        session owns it and drops it on a version bump): the pipeline
+        probes it top-down before its first
+        :class:`~repro.engine.operators.DownwardPrune`, and the visits
+        fill it.  ``scan_memo``, an LRU valid for the same version, keeps
+        the candidate scans of predicates without a pinned label
+        (:func:`~repro.engine.operators.scan_candidates`).
         """
         if stats is None:
             stats = EvaluationStats()
@@ -205,7 +197,7 @@ class GTEA:
             stats,
             group_nodes=tuple(group_nodes),
             output_structures=output_structures,
-            candidate_provider=candidate_provider,
+            scan_memo=scan_memo,
             subtree_cache=subtree_cache,
         )
         run_pipeline(state, operators)

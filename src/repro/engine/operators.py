@@ -24,13 +24,24 @@ observed columns of ``explain()``.
 Every backbone node has an image in every match, so the driver ends
 the run with the empty answer as soon as a :class:`DownwardPrune` leaves
 a backbone node's set empty, and the operators after it never run.
+
+With a subtree cache, :func:`run_pipeline` probes it once from the root
+before the first :class:`DownwardPrune`
+(:meth:`ExecutionState.probe_subtrees`): a
+node whose subtree is cached takes that set, and the visits of its
+descendants do not run at all — Procedure 6 decides a node's downward
+set from its own subtree alone.  Candidate and survivor sets are
+read-only sequences, shared rather than copied: a label posting is the
+graph's own tuple, and a cached subtree set is installed as stored.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
+from typing import Sequence
 
 from ..graph.digraph import DataGraph
 from ..query.attribute import AttributePredicate
@@ -62,6 +73,8 @@ class OperatorStats:
     index_lookups: int  #: reachability-index probes issued.
     index_entries: int  #: index-list elements scanned.
     note: str = ""  #: free-form annotation (``"early-exit"``, ...).
+    #: query nodes whose visits a subtree-cache hit here made unneeded.
+    covers: tuple[str, ...] = ()
 
     @property
     def label(self) -> str:
@@ -86,6 +99,7 @@ class ExecutionState:
         group_nodes: tuple[str, ...] = (),
         output_structures: list[list[str]] | None = None,
         candidate_provider=None,
+        scan_memo=None,
         subtree_cache=None,
     ):
         self.engine = engine
@@ -95,10 +109,19 @@ class ExecutionState:
         self.group_nodes = group_nodes
         self.output_structures = output_structures
         self.candidate_provider = candidate_provider
+        #: optional memo of scans without a pinned label, for
+        #: :func:`scan_candidates` (the session's, one graph version's worth).
+        self.scan_memo = scan_memo
         #: optional LRU of downward-pruned sets keyed by subtree
         #: fingerprint (the session's, one graph version's worth).
         self.subtree_cache = subtree_cache
         self._subtree_fingerprints: dict[str, str] | None = None
+        #: outcome of :meth:`probe_subtrees` per node it probed: the
+        #: cached set on a hit, None on a miss.
+        self.probed: dict[str, Sequence[int] | None] = {}
+        #: node -> the node whose subtree-cache hit covers it; None until
+        #: :meth:`probe_subtrees` has run.
+        self.covered: dict[str, str] | None = None
         #: initial candidate sets, filled by :class:`CandidateScan`.
         self.mats: MatSets = {}
         #: downward-pruned (and later upward-pruned) survivor sets.
@@ -136,6 +159,92 @@ class ExecutionState:
             self._subtree_fingerprints = subtree_fingerprints(self.query)
         return self._subtree_fingerprints[node_id]
 
+    def probe_subtree(self, node_id: str) -> Sequence[int] | None:
+        """One subtree-cache probe for ``node_id``: the cached downward
+        set, or None (also without a cache); counted in the stats."""
+        cache = self.subtree_cache
+        if cache is None:
+            return None
+        cached = cache.get(self.subtree_fingerprint(node_id))
+        if cached is None:
+            self.stats.subtree_cache_misses += 1
+        else:
+            self.stats.subtree_cache_hits += 1
+        return cached
+
+    def probe_subtrees(self) -> dict[str, str]:
+        """Probe the subtree cache once, top-down from the root, and
+        return :attr:`covered`.
+
+        A hit ends the walk below it: its descendants are covered, and
+        their visits do not run.  A miss walks on into the children.
+        Nodes whose fingerprint recurs in the query are not probed here:
+        they keep the per-visit probe, so one twin subtree pruned earlier
+        in the same execution serves the other.  Group evaluation and
+        alternative output structures also keep it (nothing is covered).
+        """
+        self.covered = covered = {}
+        if self.subtree_cache is None or self.group_nodes or self.output_structures:
+            return covered
+        query, fingerprint = self.query, self.subtree_fingerprint
+        children = query.children
+        counts = Counter(map(fingerprint, query.nodes))
+        repeated = {key for key, count in counts.items() if count > 1}
+        stack = [query.root]
+        while stack:
+            node_id = stack.pop()
+            if fingerprint(node_id) not in repeated:
+                cached = self.probed[node_id] = self.probe_subtree(node_id)
+                if cached is not None:
+                    below = list(children[node_id])
+                    while below:
+                        descendant = below.pop()
+                        covered[descendant] = node_id
+                        below.extend(children[descendant])
+                    continue
+            stack.extend(children[node_id])
+        return covered
+
+    def empty_backbone_hit(self) -> str | None:
+        """A backbone node :meth:`probe_subtrees` found cached with an
+        empty set, if any."""
+        nodes = self.query.nodes
+        for node_id, cached in self.probed.items():
+            if cached is not None and not cached and nodes[node_id].is_backbone:
+                return node_id
+        return None
+
+    def prune(self, node_id: str) -> Sequence[int]:
+        """Procedure 6 at ``node_id`` over the refined child sets; the
+        set is stored in the subtree cache when there is one."""
+        refined = downward_step(self.context, node_id, self.mats[node_id], self.down)
+        self.down[node_id] = refined
+        self.stats.downward_prune_ops += 1
+        if self.subtree_cache is not None:
+            self.subtree_cache.put(self.subtree_fingerprint(node_id), refined)
+        return refined
+
+    def restore_covered(self) -> None:
+        """Give every covered node its downward set back, children first:
+        a ``peek`` of the subtree cache, or — evicted since the probe —
+        a prune through :meth:`prune` (predecessor contours of the
+        children it reads are built first, as their visits would have)."""
+        cache, covered = self.subtree_cache, self.covered
+        for node_id in self.query.bottom_up():
+            if node_id not in covered:
+                continue
+            cached = cache.peek(self.subtree_fingerprint(node_id))
+            if cached is not None:
+                self.down[node_id] = cached
+                continue
+            context = self.context
+            for child_id in self.query.children[node_id]:
+                if child_id not in context.pred_contours and needs_pred_contour(context, child_id):
+                    context.pred_contours[child_id] = build_pred_contour(
+                        context, self.down[child_id]
+                    )
+            self.prune(node_id)
+
     def index_snapshot(self) -> dict[str, int] | None:
         """Reachability counters, or None while no index exists yet."""
         if self._context is None:
@@ -162,6 +271,8 @@ class Operator:
     target: str | None = None
     #: annotation a run leaves on its record (``"subtree-cache"``).
     note: str = ""
+    #: nodes a run's subtree-cache hit covers (:class:`DownwardPrune`).
+    covers: tuple[str, ...] = ()
 
     @property
     def name(self) -> str:
@@ -189,26 +300,38 @@ def pinned_label_atom(predicate: AttributePredicate) -> int | None:
     return None
 
 
-def scan_candidates(graph: DataGraph, predicate: AttributePredicate) -> tuple[int, ...]:
+def scan_candidates(graph: DataGraph, predicate: AttributePredicate, memo=None) -> Sequence[int]:
     """``mat(u)``: the nodes satisfying ``predicate``, ascending.
 
     A pinned label (:func:`pinned_label_atom`) reads the graph's label
     posting: alone, it *is* the answer — the stored tuple, not a copy;
     with other atoms, only those are checked, against the live attribute
     dicts (:meth:`~repro.graph.digraph.DataGraph.attrs_of`).  Without a
-    pinned label every node is checked.  The oracle's
-    :func:`~repro.query.naive.candidate_nodes` keeps its own per-node
-    check of every atom, so it checks this scan independently.
+    pinned label every node is checked, so ``memo`` — an optional
+    :class:`~repro.engine.cache.LRUCache` valid for the graph's current
+    version — keeps those scans by the predicate's canonical text.  The
+    oracle's :func:`~repro.query.naive.candidate_nodes` keeps its own
+    per-node check of every atom, so it checks this scan independently.
     """
     atoms = predicate.atoms
     position = pinned_label_atom(predicate)
     if position is None:
-        pool, rest = graph.nodes(), predicate
-    else:
-        pool = graph.nodes_with_label(atoms[position][2])
-        if len(atoms) == 1:
-            return pool
-        rest = AttributePredicate(atoms[:position] + atoms[position + 1 :])
+        if memo is None:
+            return _checked(graph, graph.nodes(), predicate)
+        key = predicate.canonical()[1]
+        nodes = memo.get(key)
+        if nodes is None:
+            nodes = _checked(graph, graph.nodes(), predicate)
+            memo.put(key, nodes)
+        return nodes
+    pool = graph.nodes_with_label(atoms[position][2])
+    if len(atoms) == 1:
+        return pool
+    return _checked(graph, pool, AttributePredicate(atoms[:position] + atoms[position + 1 :]))
+
+
+def _checked(graph: DataGraph, pool: Sequence[int], rest: AttributePredicate) -> tuple[int, ...]:
+    """The members of ``pool`` whose attributes satisfy ``rest``."""
     if not rest.atoms:
         return tuple(pool)
     return tuple(compress(pool, map(rest.matches, graph.attrs_of(pool))))
@@ -224,9 +347,9 @@ class CandidateScan(Operator):
                 if provider is not None:
                     nodes = provider(query, node_id)
                 else:
-                    nodes = scan_candidates(state.graph, query.attribute(node_id))
-                # The one copy per scan: pruning gets a list of its own.
-                state.mats[node_id] = list(nodes)
+                    nodes = scan_candidates(state.graph, query.attribute(node_id), state.scan_memo)
+                # Read-only from here on: a posting is kept, not copied.
+                state.mats[node_id] = nodes
                 stats.candidates_initial[node_id] = len(nodes)
             stats.input_nodes = sum(stats.candidates_initial.values())
         if not state.mats[query.root]:
@@ -238,35 +361,32 @@ class DownwardPrune(Operator):
     """One node visit of Procedure 6, fed with refined child sets.
 
     The downward set of a node depends only on the subtree rooted at it,
-    so with a subtree cache the visit first looks up the subtree's
-    fingerprint: a hit is the set an earlier execution pruned at this
-    graph version — no prune op, no index probe — and a miss stores
-    what the visit prunes.
+    so with a subtree cache the visit takes the set an earlier execution
+    pruned at this graph version when the subtree is cached — no prune
+    op, no index probe — and stores what it prunes otherwise.  The probe
+    was made by :meth:`ExecutionState.probe_subtrees` when
+    :func:`run_pipeline` ran it, and is made here otherwise.
     """
 
     def __init__(self, target: str):
         self.target = target
 
     def run(self, state: ExecutionState) -> ExecutionState:
-        context = state.context
         node_id = self.target
-        stats, cache = state.stats, state.subtree_cache
+        stats = state.stats
         with stats.time_phase("prune_downward"):
-            cached = None
-            if cache is not None:
-                fingerprint = state.subtree_fingerprint(node_id)
-                cached = cache.get(fingerprint)
-            if cached is not None:
-                refined = list(cached)
-                stats.subtree_cache_hits += 1
-                self.note = "subtree-cache"
+            if node_id in state.probed:
+                cached = state.probed[node_id]
             else:
-                refined = downward_step(context, node_id, state.mats[node_id], state.down)
-                stats.downward_prune_ops += 1
-                if cache is not None:
-                    stats.subtree_cache_misses += 1
-                    cache.put(fingerprint, tuple(refined))
-            state.down[node_id] = refined
+                cached = state.probe_subtree(node_id)
+            if cached is None:
+                refined = state.prune(node_id)
+            else:
+                refined = state.down[node_id] = cached
+                self.note = "subtree-cache"
+                covered = state.covered or {}
+                self.covers = tuple(node for node, hit in covered.items() if hit == node_id)
+            context = state.context
             if needs_pred_contour(context, node_id):
                 context.pred_contours[node_id] = build_pred_contour(context, refined)
         stats.candidates_after_downward[node_id] = len(refined)
@@ -387,9 +507,28 @@ def run_pipeline(state: ExecutionState, operators: list[Operator]) -> ExecutionS
     """Drive ``operators`` over ``state`` in list order, recording
     per-operator stats; stop at the first operator that finishes it, or
     after a :class:`DownwardPrune` that empties a backbone node (its
-    record is tagged ``early-exit``)."""
+    record is tagged ``early-exit``).  Before the first
+    :class:`DownwardPrune` the subtree cache is probed top-down, and the
+    visits it covers are skipped: no record, no count; their sets are
+    read back before :class:`UpwardPrune`.  A backbone node the probe
+    finds empty is visited first, and so ends the run before anything is
+    pruned."""
     query = state.query
     for operator in operators:
+        if isinstance(operator, DownwardPrune):
+            covered = state.covered
+            if covered is None:
+                covered = state.probe_subtrees()
+                # A backbone node whose cached set is empty decides the
+                # (empty) answer now: its visit runs first and ends the run.
+                empty = state.empty_backbone_hit()
+                if empty is not None:
+                    operator = DownwardPrune(empty)
+            if operator.target in covered:
+                continue
+        elif state.covered and isinstance(operator, UpwardPrune):
+            with state.stats.time_phase("prune_downward"):
+                state.restore_covered()
         _run_operator(state, operator)
         if state.finished:
             break
@@ -432,6 +571,7 @@ def _run_operator(state: ExecutionState, operator: Operator) -> None:
             index_lookups=lookups,
             index_entries=entries,
             note=operator.note,
+            covers=operator.covers,
         )
     )
 
@@ -457,7 +597,8 @@ def _operator_output_size(state: ExecutionState, operator: Operator) -> int:
 
 
 def executed_downward_order(stats: EvaluationStats) -> tuple[str, ...]:
-    """The downward prune order actually executed, from operator stats."""
+    """The downward prune order actually executed, from operator stats
+    (the visits a subtree-cache hit covered have no record)."""
     return tuple(
         record.target
         for record in stats.operator_stats

@@ -27,6 +27,7 @@ and pruning"):
 from __future__ import annotations
 
 from itertools import compress
+from typing import Sequence
 
 from ..graph.digraph import DataGraph
 from ..logic import And, Const, Not, Or, Var
@@ -36,8 +37,9 @@ from ..reachability.contour import Contour, merge_pred_lists, merge_succ_lists
 from ..reachability.partial import mask
 from ..reachability.three_hop import ThreeHopIndex
 
-#: Candidate sets per query node (data-node ids).
-MatSets = dict[str, list[int]]
+#: Candidate sets per query node (data-node ids), read-only: a set is
+#: shared — a label posting, a cached subtree set — and never mutated.
+MatSets = dict[str, Sequence[int]]
 
 
 class PruningContext:
@@ -68,7 +70,7 @@ class PruningContext:
         #: (one per Procedure-6 node visit).
         self.downward_ops = 0
 
-    def dag_images(self, nodes: list[int]) -> list[int]:
+    def dag_images(self, nodes: Sequence[int]) -> list[int]:
         """Distinct DAG components of a set of data nodes."""
         return sorted(set(self.reach.components(nodes)))
 
@@ -121,13 +123,16 @@ def prune_downward(
 def downward_step(
     context: PruningContext,
     node_id: str,
-    candidates: list[int],
+    candidates: Sequence[int],
     refined_children: MatSets,
-) -> list[int]:
+) -> Sequence[int]:
     """One node of Procedure 6, fed with already-refined child sets.
 
-    The refined child sets may come from the session's subtree cache
-    rather than the same sweep.  For AD children the
+    Returns the surviving candidates in input order: ``candidates``
+    itself when ``fext`` is constant TRUE, else a new tuple — the input
+    is filtered, never copied or mutated.  The refined child sets may
+    come from the session's subtree cache rather than the same sweep.
+    For AD children the
     caller must have installed predecessor contours via
     :func:`build_pred_contour` (3-hop index only; other indexes use the
     generic fallback, which needs no contours).
@@ -140,8 +145,8 @@ def downward_step(
         # behind — a dropped subtree substituted to 0), and any internal
         # node whose obligations folded away.  Hoisting the check here
         # skips building the child sets entirely.
-        return list(candidates) if fext.value else []
-    return _filter_downward(context, node_id, list(candidates), refined_children, fext)
+        return candidates if fext.value else ()
+    return _filter_downward(context, node_id, candidates, refined_children, fext)
 
 
 def needs_pred_contour(context: PruningContext, node_id: str) -> bool:
@@ -160,20 +165,20 @@ def needs_pred_contour(context: PruningContext, node_id: str) -> bool:
     )
 
 
-def build_pred_contour(context: PruningContext, nodes: list[int]) -> Contour | None:
+def build_pred_contour(context: PruningContext, nodes: Sequence[int]) -> Contour | None:
     """Predecessor contour of a refined candidate set (3-hop index only)."""
     if context.index is None:
         return None
-    return merge_pred_lists(context.index, context.dag_images(list(nodes)))
+    return merge_pred_lists(context.index, context.dag_images(nodes))
 
 
 def _filter_downward(
     context: PruningContext,
     node_id: str,
-    candidates: list[int],
+    candidates: Sequence[int],
     refined: MatSets,
     fext,
-) -> list[int]:
+) -> tuple[int, ...]:
     """Keep the candidates that satisfy ``fext(node_id)``, in input order.
 
     ``fext`` is evaluated once, in the Boolean algebra of candidate sets
@@ -234,7 +239,7 @@ def _filter_downward(
         raise TypeError(f"not a formula: {formula!r}")
 
     keep = satisfying(fext)
-    return list(filter(keep.__contains__, candidates))
+    return tuple(filter(keep.__contains__, candidates))
 
 
 def _ad_valuations_generic(
@@ -350,7 +355,7 @@ def prune_upward(context: PruningContext, mats: MatSets, prime: list[str]) -> Ma
     """
     query, index, reach = context.query, context.index, context.reach
     prime_set = set(prime)
-    refined = {node_id: list(nodes) for node_id, nodes in mats.items()}
+    refined = dict(mats)  # sets are replaced, never mutated
     succ_contours: dict[str, Contour] = {}
     for node_id in prime:  # pre-order: parents first
         children = [c for c in query.children[node_id] if c in prime_set]

@@ -7,7 +7,7 @@ data graph, one lazily *filled* descendant closure (``tc`` — what
 ``index="auto"`` resolves to while the closure's worst case fits
 :data:`~repro.plan.cost.AUTO_CLOSURE_MAX_BYTES`; nothing is built before
 a query reads a row) plus a lazily built pool of the other reachability
-indexes, and reuses five kinds of evaluation artifacts across queries:
+indexes, and reuses four kinds of evaluation artifacts across queries:
 
 * a **plan cache** — parsed and *compiled* queries (the full
   normalize → logical → physical artifact of :mod:`repro.plan`) keyed by
@@ -20,17 +20,20 @@ indexes, and reuses five kinds of evaluation artifacts across queries:
   repeated text skips parsing and fingerprinting, and a cached answer is
   found from its text alone (:meth:`QuerySession.lookup`) however long
   ago its plan was last used;
-* a **candidate cache** — ``mat(u)`` sets keyed by the node's attribute
-  predicate (:func:`repro.query.serialize.predicate_key`), shared across
-  *different* queries whose nodes carry overlapping predicates;
 * a **subtree cache** — downward-pruned candidate sets keyed by the
   canonical *subtree* fingerprint of
-  :func:`repro.query.serialize.subtree_fingerprints`, read and filled by
-  every execution (each
-  :class:`~repro.engine.operators.DownwardPrune` visit), so a subtree
-  is pruned once per graph version, however many queries contain it;
+  :func:`repro.query.serialize.subtree_fingerprints`, probed top-down
+  from the root by every execution and filled by its
+  :class:`~repro.engine.operators.DownwardPrune` visits, so a subtree
+  is pruned once per graph version, however many queries contain it,
+  and a hit answers its whole subtree: the visits below it never run;
 * a **result cache** — full answer sets per ``(fingerprint, group
   nodes)``, invalidated when the graph mutates.
+
+A label-pinned ``mat(u)`` is the graph's own posting and needs no
+cache; the scans of predicates without a pinned label, which check
+every node, are kept per graph version in a **scan memo**
+(``cache_info()["candidate"]``, never persisted).
 
 Beside them, a **normalize memo** maps
 :func:`repro.plan.normalize_key` — a query's shape and predicate
@@ -88,12 +91,7 @@ from ..plan import (
     normalize_key,
 )
 from ..query.gtpq import GTPQ
-from ..query.serialize import (
-    predicate_key,
-    query_fingerprint,
-    query_from_dict,
-    query_from_json,
-)
+from ..query.serialize import query_fingerprint, query_from_dict, query_from_json
 from ..plan.cost import PARTIAL_FOOTPRINT_FRACTION
 from ..reachability.base import GraphReachability
 from ..reachability.factory import build_reachability, resolve_index
@@ -121,8 +119,6 @@ class QueryPlan:
     Attributes:
         query: the parsed :class:`~repro.query.gtpq.GTPQ`.
         fingerprint: canonical content hash (the plan-cache key).
-        predicate_keys: per query node, the candidate-cache key of its
-            attribute predicate.
         compiled: the full :class:`~repro.plan.CompiledPlan` — normalize
             rewrites, logical IR and physical decisions; what
             :meth:`QuerySession.explain` renders and what the executor
@@ -131,7 +127,6 @@ class QueryPlan:
 
     query: GTPQ
     fingerprint: str
-    predicate_keys: dict[str, str]
     compiled: CompiledPlan
 
 
@@ -203,17 +198,16 @@ class QuerySession:
             its plan to be found (the alias cache leads to it), hence a
             smaller default than the result cache's.  Also bounds the
             normalize memo and the observed operator records.
-        candidate_cache_size: LRU capacity of the shared ``mat(u)`` cache
-            (entries are predicates, not queries).
         result_cache_size: LRU capacity of the full-result cache, and of
             the alias cache that maps JSON text to its fingerprint.  Pass
-            ``0`` to disable both (candidate and plan reuse still apply,
+            ``0`` to disable both (plan and subtree reuse still apply,
             but JSON text is parsed on every call) — useful for cold-path
             measurements.
         subtree_cache_size: LRU capacity of the subtree-result cache
             (downward-pruned candidate sets keyed by canonical subtree
             fingerprint), which single-query and batch evaluation both
-            read and fill.  Pass ``0`` to disable subtree reuse across
+            read and fill, and of the scan memo of predicates without a
+            pinned label.  Pass ``0`` to disable subtree reuse across
             executions.
         store: a warm store to rehydrate from and persist to — an
             :class:`~repro.store.ArtifactStore` or a directory path
@@ -242,7 +236,6 @@ class QuerySession:
         index: str = "auto",
         *,
         plan_cache_size: int = 128,
-        candidate_cache_size: int = 4096,
         result_cache_size: int = 1024,
         subtree_cache_size: int = 4096,
         store: ArtifactStore | str | os.PathLike | None = None,
@@ -258,7 +251,6 @@ class QuerySession:
         # ARTIFACT_KINDS, not here.
         sizes = {
             "plan_cache_size": plan_cache_size,
-            "candidate_cache_size": candidate_cache_size,
             "result_cache_size": result_cache_size,
             "subtree_cache_size": subtree_cache_size,
         }
@@ -269,6 +261,10 @@ class QuerySession:
         # Normalize never reads the graph, so no mutation or invalidate()
         # drops it; memory only, never persisted.
         self.normalize_cache = LRUCache(plan_cache_size)
+        # Scans of predicates without a pinned label, which check every
+        # node: per graph version, memory only (a pinned label reads the
+        # graph's own posting instead).
+        self.scan_memo = LRUCache(subtree_cache_size)
         # Reachability state lives in memory only: the pooled full
         # indexes by name, and the one descendant closure.
         self._reach_pool: dict[str, GraphReachability] = {}
@@ -326,8 +322,8 @@ class QuerySession:
         """Drop every cache, every pooled index and the descendant closure.
 
         A moved :attr:`DataGraph.version` needs no call: the next use
-        drops the same things — plans, aliases, candidate, subtree and
-        result sets, pooled full indexes — except the
+        drops the same things — plans, aliases, subtree and result sets,
+        the scan memo, pooled full indexes — except the
         closure, which is kept while the graph's lineage holds
         (``cache_info()["partial"]``: ``kept`` / ``dropped``).  The
         graph's own derived state (:meth:`DataGraph.structure`, label
@@ -343,6 +339,7 @@ class QuerySession:
         alone: it asks the graph's lineage at its next use."""
         for kind in ARTIFACT_KINDS:
             getattr(self, kind.attr).clear()
+        self.scan_memo.clear()
         self._reach_pool.clear()
         self._observed_ops.clear()
         self._closure_refused.clear()
@@ -479,9 +476,6 @@ class QuerySession:
             plan = QueryPlan(
                 query=parsed,
                 fingerprint=fingerprint,
-                predicate_keys={
-                    node_id: predicate_key(parsed.attribute(node_id)) for node_id in parsed.nodes
-                },
                 compiled=compile_normalized(
                     self.graph,
                     self._normalize(parsed),
@@ -621,14 +615,13 @@ class QuerySession:
                 service = self.reachability()
         # Construction is trivial: the service exists.
         engine = GTEA(self.graph, reachability=service)
-        with stats.record_candidate_cache(self.candidate_cache.counters):
-            results, stats = engine.execute(
-                plan.compiled,
-                group_nodes=group_nodes,
-                candidate_provider=self._candidate_provider(plan),
-                stats=stats,
-                subtree_cache=self.subtree_cache,
-            )
+        results, stats = engine.execute(
+            plan.compiled,
+            group_nodes=group_nodes,
+            stats=stats,
+            scan_memo=self.scan_memo,
+            subtree_cache=self.subtree_cache,
+        )
         stats.result_cache_misses = 1
         self.result_cache.put((plan.fingerprint, group_nodes), frozenset(results))
         if not group_nodes:
@@ -646,8 +639,7 @@ class QuerySession:
         empty creates it (``partial_builds``), later ones — across
         appends too — reuse it (``partial_hits``).  Probes leave the
         candidates of non-leaf query nodes, so their components' rows are
-        filled before the engine starts, through the candidate cache the
-        execution reads.  A plan needing more *new* rows than
+        filled before the engine starts.  A plan needing more *new* rows than
         :data:`~repro.plan.cost.PARTIAL_FOOTPRINT_FRACTION` of the graph
         (costing bounded its seeds, not their cone) gets None: the
         closure is dropped, the plan runs on the full index and is not
@@ -660,12 +652,11 @@ class QuerySession:
         if created:
             service = self._closure.create(self.graph)
         query = plan.compiled.query
-        provider = self._candidate_provider(plan)
         parents = [
             node
             for node_id in query.nodes
             if query.children[node_id]
-            for node in provider(query, node_id)
+            for node in scan_candidates(self.graph, query.attribute(node_id), self.scan_memo)
         ]
         sources = set(service.components(parents))
         budget = max(1, int(PARTIAL_FOOTPRINT_FRACTION * self.graph.num_nodes))
@@ -682,25 +673,6 @@ class QuerySession:
         if stats.operator_stats:
             self._observed_ops.put(plan.fingerprint, list(stats.operator_stats))
 
-    def _candidate_provider(self, plan: QueryPlan):
-        """A ``(query, node_id) -> mat(u)`` source backed by the cache.
-
-        Predicate keys come from ``plan`` when it has the node, and are
-        computed on the fly otherwise.  A hit hands out the cached tuple
-        itself; the caller copies it if it needs a list.
-        """
-        known = plan.predicate_keys
-
-        def provider(query: GTPQ, node_id: str) -> tuple[int, ...]:
-            key = known.get(node_id) or predicate_key(query.attribute(node_id))
-            nodes = self.candidate_cache.get(key)
-            if nodes is None:
-                nodes = scan_candidates(self.graph, query.attribute(node_id))
-                self.candidate_cache.put(key, nodes)
-            return nodes
-
-        return provider
-
     # ------------------------------------------------------------------
     # Batch evaluation
     # ------------------------------------------------------------------
@@ -715,9 +687,8 @@ class QuerySession:
         :meth:`evaluate`.  Prune work is shared through the subtree
         cache: a rooted subtree that several queries of the batch contain
         is downward-pruned by the first of them and read back by the
-        others (``subtree_cache_hits``).  Candidate fetching is shared
-        through the predicate-keyed cache, and the answers are fanned
-        back out to input order.
+        others (``subtree_cache_hits``), and the answers are fanned back
+        out to input order.
         """
         self._ensure_fresh()
         group_key = tuple(group_nodes)
@@ -782,10 +753,15 @@ class QuerySession:
         across, closures ``dropped`` — whichever plan filled it: the
         ``tc`` rung under the closure bound, the partial scope above it,
         or a pinned ``index="tc"``.  ``"indexes"`` counts the other,
-        pooled indexes.  ``"normalize"`` is the normalize memo's row."""
+        pooled indexes.  ``"normalize"`` is the normalize memo's row, and
+        ``"candidate"`` the scan memo's — all zero while every predicate
+        pins a label (it was the candidate cache's row, and keeps its
+        name until the e2e tracer stops reading it, ROADMAP item 1 step
+        B)."""
         info = {"indexes": {"pooled": len(self._reach_pool)}, "partial": self._closure.info()}
         for kind in ARTIFACT_KINDS:
             info[kind.info] = kind.describe(getattr(self, kind.attr))
+        info["candidate"] = {**self.scan_memo.counters.snapshot(), "size": len(self.scan_memo)}
         info["normalize"] = {
             **self.normalize_cache.counters.snapshot(),
             "size": len(self.normalize_cache),

@@ -33,8 +33,9 @@ class EvaluationStats:
     #: the baseline algorithms; GTEA keeps this at zero.
     intermediate_tuples: int = 0
     #: node-level downward refinements executed (Procedure-6 node visits).
-    #: A visit served from the subtree cache counts as no op, so reuse
-    #: shows up directly as a drop in this counter.
+    #: A visit served from the subtree cache counts as no op, and the
+    #: visits under it do not run, so reuse shows up directly as a drop
+    #: in this counter.
     downward_prune_ops: int = 0
     result_count: int = 0
     #: one :class:`repro.engine.operators.OperatorStats` per executed
@@ -55,13 +56,12 @@ class EvaluationStats:
     evaluations: int = 0
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
-    candidate_cache_hits: int = 0
-    candidate_cache_misses: int = 0
     result_cache_hits: int = 0
     result_cache_misses: int = 0
     #: subtree-result cache (downward-pruned candidate sets keyed by
-    #: canonical subtree fingerprint, per graph version), probed once per
-    #: downward visit.
+    #: canonical subtree fingerprint, per graph version): one probe per
+    #: node the top-down walk reaches (a hit's descendants are never
+    #: probed), or per visit where the walk does not run.
     subtree_cache_hits: int = 0
     subtree_cache_misses: int = 0
     #: batch accounting of :meth:`QuerySession.evaluate_many`.
@@ -97,13 +97,6 @@ class EvaluationStats:
         """Context manager accumulating wall time into ``phase_seconds``."""
         return _PhaseTimer(self, name)
 
-    def record_candidate_cache(self, counters):
-        """Context manager folding the hit/miss delta of ``counters`` (a
-        :class:`~repro.engine.cache.CacheCounters`) into the
-        candidate-cache fields, so the activity of the session's shared
-        candidate cache is attributed to the one evaluation it served."""
-        return _CandidateCacheDelta(self, counters)
-
     def merge(self, other: "EvaluationStats") -> None:
         """Fold ``other`` into this object (used by batch aggregation).
 
@@ -132,24 +125,6 @@ class EvaluationStats:
 #: every int counter of the dataclass — what :meth:`EvaluationStats.merge`
 #: folds (annotations are strings under ``from __future__ import annotations``).
 _INT_COUNTERS = tuple(spec.name for spec in fields(EvaluationStats) if spec.type == "int")
-
-
-class _CandidateCacheDelta:
-    def __init__(self, stats: EvaluationStats, counters):
-        self._stats = stats
-        self._counters = counters
-        self._hits = 0
-        self._misses = 0
-
-    def __enter__(self):
-        self._hits = self._counters.hits
-        self._misses = self._counters.misses
-        return self
-
-    def __exit__(self, *exc):
-        self._stats.candidate_cache_hits += self._counters.hits - self._hits
-        self._stats.candidate_cache_misses += self._counters.misses - self._misses
-        return False
 
 
 class _PhaseTimer:

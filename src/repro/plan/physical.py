@@ -102,7 +102,8 @@ class PhysicalPlan:
         """Render the plan; with ``observed`` operator stats (an
         execution's ``EvaluationStats.operator_stats``), each pipeline
         row also shows what actually happened — including an early exit
-        and the operators it skipped.  A session passes
+        and the operators it skipped, and the visits a subtree-cache hit
+        covered (``covered by subtree-cache hit at <node>``).  A session passes
         ``closure_rows``, the rows its descendant closure holds, which a
         full-scope ``tc`` line reports as ``rows filled R``."""
         if self.index_scope == "full":
@@ -123,8 +124,10 @@ class PhysicalPlan:
         lines.append(f"executor: {self.executor}")
         lines.append("operator pipeline:")
         observed_by_key: dict[tuple[str, str | None], object] = {}
+        covered_by: dict[str, str] = {}
         for record in observed or ():
             observed_by_key.setdefault((record.op, record.target), record)
+            covered_by.update(dict.fromkeys(record.covers, record.target))
         for step, operator in enumerate(self.operators):
             row = f"  {step:>2}. {operator.label:<28}"
             if operator.estimate is not None:
@@ -139,6 +142,8 @@ class PhysicalPlan:
                 )
                 if record.note:
                     row += f" [{record.note}]"
+            elif operator.target in covered_by:
+                row += f" obs (covered by subtree-cache hit at {covered_by[operator.target]})"
             elif observed:
                 row += " obs (not executed)"
             lines.append(row.rstrip())

@@ -3,8 +3,9 @@
 Workload files in :mod:`repro.datasets` and the examples use this format;
 formulas round-trip through the text parser.
 
-Fingerprints (:func:`query_fingerprint`, :func:`predicate_key`) are stable
-content hashes used as cache keys by :class:`repro.engine.session.QuerySession`:
+Fingerprints (:func:`query_fingerprint`, :func:`subtree_fingerprints`) are
+stable content hashes used as cache keys by
+:class:`repro.engine.session.QuerySession`:
 two queries that serialize to the same canonical form — regardless of node
 insertion order or a round trip through :func:`query_to_dict` /
 :func:`query_from_dict` — share one fingerprint.  Output order is part of
@@ -104,11 +105,11 @@ def _canonical_formula(formula: Formula, rename: dict[str, str] | None = None) -
 
 
 def predicate_key(predicate: AttributePredicate) -> str:
-    """Stable cache key of an attribute predicate.
+    """Stable key of an attribute predicate: the JSON text of its
+    canonical atoms.
 
-    Two query nodes with the same atom set (in any order) share the key —
-    the property the session's candidate-set cache relies on to reuse
-    ``mat(u)`` across queries with overlapping node predicates.
+    Two query nodes with the same atom set (in any order) share the key;
+    the subtree fingerprints and :func:`query_fingerprint` embed it.
     """
     return predicate.canonical()[1]
 
@@ -118,7 +119,9 @@ def canonical_query_dict(query: GTPQ) -> dict[str, Any]:
 
     Like :func:`query_to_dict`, but nodes are sorted by id and atoms are
     sorted and type-tagged, so structurally identical queries built with
-    different sibling insertion orders canonicalize identically.
+    different sibling insertion orders canonicalize identically.  The
+    reference definition of :func:`query_fingerprint`, which hashes its
+    ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` text.
     """
     nodes = []
     for node_id in sorted(query.nodes):
@@ -132,10 +135,15 @@ def canonical_query_dict(query: GTPQ) -> dict[str, Any]:
             entry["parent"] = query.parent[node_id]
             entry["edge"] = query.edge_type(node_id).value
         fs = query.fs(node_id)
-        if fs.variables() or fs.is_constant() and not fs.value:  # non-trivial
+        if _nontrivial(fs):
             entry["fs"] = _canonical_formula(fs)
         nodes.append(entry)
     return {"nodes": nodes, "outputs": list(query.outputs)}
+
+
+def _nontrivial(fs: Formula) -> bool:
+    """Does a canonical form carry ``fs``?  Only a constant TRUE is left out."""
+    return bool(fs.variables()) or fs.is_constant() and not fs.value
 
 
 def subtree_fingerprints(query: GTPQ) -> dict[str, str]:
@@ -189,7 +197,36 @@ def query_fingerprint(query: GTPQ) -> str:
 
     The session layer keys its plan and result caches on this value; it is
     stable across processes and across :func:`query_to_dict` /
-    :func:`query_from_dict` round trips.
+    :func:`query_from_dict` round trips.  The hashed text is exactly
+    ``json.dumps(canonical_query_dict(query), sort_keys=True,
+    separators=(",", ":"))``, written directly — keys in sorted order,
+    each node's atoms as the cached :func:`predicate_key` text — instead
+    of through a dict.
     """
-    payload = json.dumps(canonical_query_dict(query), sort_keys=True, separators=(",", ":"))
+    try:
+        payload = _canonical_text(query)
+    except TypeError:  # a non-string id: the reference encoder writes it
+        payload = json.dumps(canonical_query_dict(query), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _canonical_text(query: GTPQ) -> str:
+    """The canonical JSON text of ``query`` (string ids only)."""
+    encode = encode_basestring_ascii
+    root, parent = query.root, query.parent
+    entries = []
+    for node_id in sorted(query.nodes):
+        node = query.nodes[node_id]
+        entry = '{"atoms":' + node.predicate.canonical()[1]
+        if node_id != root:
+            entry += ',"edge":' + encode(query.edge_type(node_id).value)
+        fs = query.fs(node_id)
+        if _nontrivial(fs):
+            entry += ',"fs":' + encode(_canonical_formula(fs))
+        entry += ',"id":' + encode(node_id)
+        entry += ',"kind":"backbone"' if node.is_backbone else ',"kind":"predicate"'
+        if node_id != root:
+            entry += ',"parent":' + encode(parent[node_id])
+        entries.append(entry + "}")
+    outputs = ",".join(map(encode, query.outputs))
+    return '{"nodes":[' + ",".join(entries) + '],"outputs":[' + outputs + "]}"

@@ -45,8 +45,9 @@ from pathlib import Path
 #: grew its unpickled memo slots.  4: PhysicalPlan lost its executor
 #: cost field, and the baseline operator a plan could name is gone.  5:
 #: JSON-text aliases left the ``plans`` payload for their own
-#: ``aliases`` kind.)
-STORE_FORMAT_VERSION = 5
+#: ``aliases`` kind.  6: the ``candidates`` kind is gone, and a plan no
+#: longer carries per-node predicate keys.)
+STORE_FORMAT_VERSION = 6
 
 _MAGIC = b"repro-store\n"
 _SUFFIX = ".artifact"

@@ -95,7 +95,7 @@ def make_context(graph, edges, refined, index):
 def assert_same_survivors(graph, edges, refined, candidates, fext, index="3hop"):
     context = make_context(graph, edges, refined, index)
     expected = _reference_filter_downward(context, "u", list(candidates), refined, fext)
-    assert _filter_downward(context, "u", list(candidates), refined, fext) == expected
+    assert list(_filter_downward(context, "u", list(candidates), refined, fext)) == expected
     return expected
 
 

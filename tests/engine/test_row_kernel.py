@@ -232,8 +232,14 @@ def test_the_generated_queries_reach_every_site():
     )
     closure = PartialReachability(graph)
     down, up, branches = assert_kernel_equals_kept_loops_and_three_hop(graph, query, closure)
-    assert down == {"n2": [2, 5], "n3": [2, 5], "n1": [1, 4], "n0": [0, 3]}
-    assert up["n1"] == [1, 4] and branches[("n0", 0)]["n1"] == [1, 4]
+    # Survivor sets are read-only sequences: a pruned set is a tuple.
+    assert {node: list(nodes) for node, nodes in down.items()} == {
+        "n2": [2, 5],
+        "n3": [2, 5],
+        "n1": [1, 4],
+        "n0": [0, 3],
+    }
+    assert list(up["n1"]) == [1, 4] and branches[("n0", 0)]["n1"] == [1, 4]
     assert closure.counters.lookups > 0 and closure.index.rows > 0
 
 

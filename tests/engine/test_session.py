@@ -10,7 +10,9 @@ from repro.graph import DataGraph
 from repro.query import (
     QueryBuilder,
     AttributePredicate,
+    candidate_nodes,
     evaluate_naive,
+    query_from_dict,
     query_to_dict,
     query_to_json,
 )
@@ -34,6 +36,23 @@ def query_ab(extra_pred: bool = True):
     return builder.outputs("r", "x").build()
 
 
+def unpinned(query):
+    """``query`` with each ``label = c`` atom written as ``c <= label <= c``:
+    the same answers, with no pinned label to read a posting by."""
+    data = query_to_dict(query)
+    for entry in data["nodes"]:
+        entry["atoms"] = [
+            [name, bound, constant]
+            for name, _, constant in entry["atoms"]
+            for bound in (">=", "<=")
+        ]
+    return query_from_dict(data)
+
+
+#: the keys of a cache_info() row.
+MEMO_ROW = ("hits", "misses", "evictions", "invalidations", "size")
+
+
 def query_abd():
     return (
         QueryBuilder()
@@ -54,8 +73,13 @@ class TestCacheAccounting:
         assert cold.plan_cache_misses == 1
         assert cold.result_cache_hits == 0
         assert cold.result_cache_misses == 1
-        assert cold.candidate_cache_misses == len(query.nodes)
-        assert cold.candidate_cache_hits == 0
+        # Every candidate set is a scan of the live graph (a label pins
+        # each one here, so the scan memo stays empty).
+        graph = session.graph
+        assert cold.candidates_initial == {
+            node: len(candidate_nodes(graph, query, node)) for node in query.nodes
+        }
+        assert session.cache_info()["candidate"] == dict.fromkeys(MEMO_ROW, 0)
 
         _, warm = session.evaluate_with_stats(query)
         assert warm.plan_cache_hits == 1
@@ -63,7 +87,7 @@ class TestCacheAccounting:
         assert warm.result_cache_hits == 1
         assert warm.result_cache_misses == 0
         # Result-cache hits skip candidate fetching entirely.
-        assert warm.candidate_cache_hits == 0
+        assert warm.candidates_initial == {}
         assert warm.input_nodes == 0
 
     def test_results_match_engine_and_oracle(self):
@@ -83,13 +107,27 @@ class TestCacheAccounting:
         assert ("junk",) not in session.evaluate(query)
 
     def test_candidate_cache_shared_across_overlapping_queries(self):
-        session = QuerySession(small_graph(), result_cache_size=0)
-        _, first = session.evaluate_with_stats(query_ab())
-        assert first.candidate_cache_hits == 0
-        _, second = session.evaluate_with_stats(query_abd())
+        # A label-pinned scan is the graph's own posting, so only scans
+        # without a pinned label are shared, through the scan memo (the
+        # "candidate" row), per graph version.
+        graph = small_graph()
+        session = QuerySession(graph, result_cache_size=0)
+        session.evaluate(query_ab())
+        session.evaluate(query_abd())
+        assert session.cache_info()["candidate"] == dict.fromkeys(MEMO_ROW, 0)
+        first = unpinned(query_ab())
+        assert session.evaluate(first) == evaluate_naive(first, graph)
+        memo = session.cache_info()["candidate"]
+        assert (memo["hits"], memo["misses"]) == (0, 3)
+        second = unpinned(query_abd())
+        assert session.evaluate(second) == evaluate_naive(second, graph)
+        memo = session.cache_info()["candidate"]
         # "a" and "b" predicates are shared with the first query.
-        assert second.candidate_cache_hits == 2
-        assert second.candidate_cache_misses == 1  # the "d" predicate
+        assert (memo["hits"], memo["misses"], memo["size"]) == (2, 4, 4)
+        graph.add_node(label="a")
+        session.evaluate(second)
+        memo = session.cache_info()["candidate"]
+        assert (memo["invalidations"], memo["misses"], memo["size"]) == (1, 7, 3)
 
     def test_group_nodes_key_result_cache_separately(self):
         session = QuerySession(small_graph())

@@ -41,6 +41,11 @@ def query_ab_extended():
     )
 
 
+def covered_visits(per_query):
+    """Visits a subtree-cache hit made unneeded: the nodes below it."""
+    return sum(len(record.covers) for stats in per_query for record in stats.operator_stats)
+
+
 def overlap_workload(seed=7, batch_size=24, overlap=0.7):
     rng = random.Random(seed)
     graph = random_labeled_graph(16, rng, edge_prob=0.2)
@@ -54,9 +59,11 @@ class TestSharedBatchCounters:
     def test_within_batch_subtree_sharing_is_counted(self):
         session = QuerySession(small_graph())
         batch = session.evaluate_many([query_ab(), query_ab_extended()])
-        # r/x/p of query_ab reappear as u/v/w of the extended query.
-        assert batch.stats.subtree_cache_hits == 3
+        # r/x/p of query_ab reappear as u/v/w of the extended query: u's
+        # hit answers its whole subtree, so v and w are never visited.
+        assert batch.stats.subtree_cache_hits == 1
         assert batch.stats.downward_prune_ops == 4  # 7 occurrences, 4 distinct
+        assert covered_visits(batch.per_query) == 2
 
     def test_shared_path_does_measurably_fewer_prune_ops(self):
         """Acceptance bar: >= 20 queries, >= 50% overlap, fewer prune ops."""
@@ -78,7 +85,9 @@ class TestSharedBatchCounters:
         assert shared.stats.subtree_cache_hits * 2 >= shared.stats.downward_prune_ops
         assert shared.stats.downward_prune_ops < isolated.stats.downward_prune_ops
         assert (
-            shared.stats.downward_prune_ops + shared.stats.subtree_cache_hits
+            shared.stats.downward_prune_ops
+            + shared.stats.subtree_cache_hits
+            + covered_visits(shared.per_query)
             == isolated.stats.downward_prune_ops
         )
 
@@ -90,10 +99,12 @@ class TestSharedBatchCounters:
         assert cold.stats.subtree_cache_misses == 3
         warm = session.evaluate_many([query_ab_extended()])
         # u/v/w reproduce r/x/p exactly (u's subtree is a -> b[c], the
-        # same pattern as r's), so only the fresh root t is pruned anew.
-        assert warm.stats.subtree_cache_hits == 3
+        # same pattern as r's): u's hit covers v and w, which are never
+        # probed, and only the fresh root t is pruned anew.
+        assert warm.stats.subtree_cache_hits == 1
         assert warm.stats.subtree_cache_misses == 1
         assert warm.stats.downward_prune_ops == 1
+        assert covered_visits(warm.per_query) == 2
         assert warm.results[0] == evaluate_naive(query_ab_extended(), graph)
 
     def test_subtree_cache_size_zero_disables_cross_batch_reuse(self):
@@ -131,7 +142,8 @@ class TestPerQueryStats:
         assert first.subtree_cache_misses == 3
         assert first.subtree_cache_hits == 0
         assert second.downward_prune_ops == 1
-        assert second.subtree_cache_hits == 3
+        assert second.subtree_cache_hits == 1  # u, covering v and w
+        assert covered_visits([second]) == 2
         # The duplicate input did no evaluation: only its plan-cache probe
         # and the fanned-out result count.
         assert duplicate.plan_cache_hits == 1

@@ -1,29 +1,38 @@
 """Differential testing of subtree reuse, query by query and in batches.
 
-Every :class:`~repro.engine.operators.DownwardPrune` visit of a session
-looks up its subtree fingerprint in the session's subtree cache before it
-prunes.  Two sessions over one graph answer the same stream: one with
-reuse, one with ``subtree_cache_size=0``.  After every query:
+Before its first :class:`~repro.engine.operators.DownwardPrune`, a
+session's execution probes its subtree cache top-down from the root: a
+cached subtree takes its set, and the visits of its descendants do not
+run (they are *covered*: no record, no count).  Two sessions over one
+graph answer the same stream: one with reuse, one with
+``subtree_cache_size=0``.  After every query:
 
 * **oracle** — both answers equal ``evaluate_naive`` (flattened back from
   the group operator where the query groups);
-* **cold parity** — the per-node downward set sizes
-  (``candidates_after_downward``) are identical, so a hit hands out
-  exactly the set a cold visit would have pruned;
+* **cold parity** — every node with a ``candidates_after_downward``
+  record has the size a cold visit pruned, and covered nodes have no
+  record; where neither run exits early, the recorded and covered nodes
+  are exactly the cold run's, and the upward-pruned sets are equal, so a
+  hit — and the sets covered nodes read back before the upward pass —
+  hand out exactly what a cold run would have pruned;
 * **hit model** — a visit hits iff an earlier visit *at the same graph
   version* met its fingerprint (earlier in the stream or earlier in the
   same query), its operator record's note then starts ``subtree-cache``
-  (``subtree-cache early-exit`` where it empties a backbone node), and the
-  cold session never hits.  A version bump — an append, an
-  attribute write — empties the model, so no hit may cross a version.
+  (``subtree-cache early-exit`` where it empties a backbone node), a
+  covered node's fingerprint was met before too, and the cold session
+  never hits.  A version bump — an append, an attribute write — empties
+  the model, so no hit may cross a version.
 
 ``evaluate_many`` runs the same path after deduplicating fingerprints:
 over seeded overlapping batches no subtree is pruned twice within one
-graph version, so prune ops plus subtree-cache hits equal the cold
-session's rooted-subtree visits.
+graph version.  A session whose cache is too small to keep a hit's
+descendants prunes them again before the upward pass, under the closure
+and under a pinned 3-hop index.
 """
 
 import random
+
+import pytest
 
 from repro.datasets import (
     TABLE3_OUTPUTS,
@@ -38,6 +47,7 @@ from repro.datasets import (
     random_query_batch,
 )
 from repro.engine import QuerySession
+from repro.graph import DataGraph
 from repro.query import QueryBuilder, candidate_nodes, evaluate_naive, subtree_fingerprints
 
 #: group labels of the XMark stream: the second and third triples share
@@ -64,16 +74,15 @@ class ReuseHarness:
         cold_answer, cold_stats = self.cold.evaluate_with_stats(query, group_nodes)
         assert ungroup(answer, query, group_nodes) == expected, f"{where}: reuse != naive"
         assert ungroup(cold_answer, query, group_nodes) == expected, f"{where}: cold != naive"
-        assert stats.candidates_after_downward == cold_stats.candidates_after_downward, where
         assert cold_stats.subtree_cache_hits == 0, where
 
         # Group evaluation runs the original query, every other the rewrite.
         compiled = self.reuse.plan(query).compiled
         fingerprints = subtree_fingerprints(compiled.original if group_nodes else compiled.query)
+        records = [record for record in stats.operator_stats if record.op == "DownwardPrune"]
+        covered = {node: record.target for record in records for node in record.covers}
         predicted = 0
-        for record in stats.operator_stats:
-            if record.op != "DownwardPrune":
-                continue
+        for record in records:
             fingerprint = fingerprints[record.target]
             hit = fingerprint in self.seen
             self.seen.add(fingerprint)
@@ -82,10 +91,32 @@ class ReuseHarness:
             assert tagged == hit, f"{where}: {record.target}"
             if hit:
                 assert record.index_lookups == 0, f"{where}: {record.target} probed on a hit"
-        assert stats.subtree_cache_hits == predicted, where
-        assert stats.downward_prune_ops + predicted == cold_stats.downward_prune_ops, where
+        for node, hit in covered.items():
+            assert fingerprints[node] in self.seen, f"{where}: {node} covered by {hit} unseen"
+
+        # Cold parity: covered nodes have no record; a recorded set is the
+        # cold one wherever the cold run reached it.
+        down, cold_down = stats.candidates_after_downward, cold_stats.candidates_after_downward
+        assert not covered.keys() & down.keys(), where
+        for node, size in down.items():
+            assert size == cold_down.get(node, size), f"{where}: {node}"
+        if exited(stats) or exited(cold_stats):
+            # The reuse run ends no later than the cold one: it prunes less.
+            assert stats.subtree_cache_hits >= predicted, where
+            assert stats.downward_prune_ops <= cold_stats.downward_prune_ops, where
+        else:
+            assert down.keys() | covered.keys() == cold_down.keys(), where
+            assert stats.candidates_after_upward == cold_stats.candidates_after_upward, where
+            assert stats.subtree_cache_hits == predicted, where
+            visits = stats.downward_prune_ops + predicted + len(covered)
+            assert visits == cold_stats.downward_prune_ops, where
         self.hits += predicted
         return stats
+
+
+def exited(stats):
+    """Did a backbone node's empty downward set end the run?"""
+    return any("early-exit" in record.note for record in stats.operator_stats)
 
 
 def ungroup(rows, query, group_nodes):
@@ -117,7 +148,9 @@ def test_xmark_paper_stream_reuses_subtrees_with_cold_parity():
     # Shared rooted sub-patterns are what this family consists of.
     assert harness.hits > 0
     reuse = harness.reuse.cache_info()["subtree"]
-    assert reuse["hits"] == harness.hits and reuse["size"] > 0
+    # A hit the probe found may go unrecorded when an early exit ends
+    # the run before its visit.
+    assert reuse["hits"] >= harness.hits and reuse["size"] > 0
 
 
 def test_arxiv_appends_never_serve_a_hit_across_versions():
@@ -238,21 +271,82 @@ def test_overlapping_batches_prune_each_subtree_once_per_version():
             assert outcome.results == reference.results, where
             assert outcome.stats.batch_unique_queries < len(batch), where
 
-            visits = 0
-            for query, stats in zip(batch, outcome.per_query):
+            pruned_visits = 0
+            for query, stats, cold_stats in zip(batch, outcome.per_query, reference.per_query):
                 fingerprints = subtree_fingerprints(session.plan(query).compiled.query)
+                tagged = covered = 0
                 for record in stats.operator_stats:
                     if record.op != "DownwardPrune":
                         continue
-                    visits += 1
                     fingerprint = fingerprints[record.target]
+                    covered += len(record.covers)
+                    for node in record.covers:
+                        assert fingerprints[node] in pruned, f"{where}: {node} covered unseen"
                     if record.note.split()[:1] == ["subtree-cache"]:
                         assert fingerprint in pruned, f"{where}: {record.target} hit unseen"
+                        tagged += 1
                     else:
                         assert fingerprint not in pruned, f"{where}: {record.target} re-pruned"
                         pruned.add(fingerprint)
+                        pruned_visits += 1
+                if exited(stats) or exited(cold_stats):
+                    assert stats.downward_prune_ops <= cold_stats.downward_prune_ops, where
+                else:
+                    visits = stats.downward_prune_ops + tagged + covered
+                    assert visits == cold_stats.downward_prune_ops, where
             stats = outcome.stats
-            assert stats.downward_prune_ops + stats.subtree_cache_hits == visits, where
-            assert visits == reference.stats.downward_prune_ops, where
+            assert stats.downward_prune_ops == pruned_visits, where
             hits += stats.subtree_cache_hits
     assert hits > 0
+
+
+def chain(root_label):
+    """``root -> a -> b // c``: a three-node subtree under ``root_label``."""
+    return (
+        QueryBuilder()
+        .backbone("root", label=root_label)
+        .backbone("a", parent="root", edge="pc", label="a")
+        .backbone("b", parent="a", edge="pc", label="b")
+        .backbone("c", parent="b", edge="ad", label="c")
+        .outputs("root", "a", "c")
+        .build()
+    )
+
+
+def pruned_again(stats):
+    """Prunes beyond the recorded visits: covered sets evicted since the
+    probe, pruned again before the upward pass."""
+    visits = sum(
+        1
+        for record in stats.operator_stats
+        if record.op == "DownwardPrune" and not record.note.startswith("subtree-cache")
+    )
+    return stats.downward_prune_ops - visits
+
+
+@pytest.mark.parametrize("index", ["tc", "3hop"])
+def test_evicted_covered_sets_are_pruned_again_before_the_upward_pass(index):
+    # r(0) and s(1) both hold a(2) -> b(3) -> d(4) -> c(5); a second branch
+    # a(6) -> b(7) ends without a c.
+    edges = [(0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (0, 6), (6, 7)]
+    graph = DataGraph.from_edges("rsabdcab", edges)
+    # Two entries: after the first query only a's and root's sets are left.
+    session = QuerySession(graph, index, result_cache_size=0, subtree_cache_size=2)
+    first, second = chain("r"), chain("s")
+    assert session.evaluate(first) == evaluate_naive(first, graph)
+    answer, stats = session.evaluate_with_stats(second)
+    assert answer == evaluate_naive(second, graph) == {(1, 2, 5)}
+    (hit,) = [record for record in stats.operator_stats if record.note == "subtree-cache"]
+    assert (hit.target, sorted(hit.covers)) == ("a", ["b", "c"])
+    assert pruned_again(stats) == 2  # c, then b over c's set
+
+    fallbacks = 0
+    for seed in range(20):
+        rng = random.Random(seed)
+        graph = random_labeled_graph(rng.randint(10, 16), rng)
+        session = QuerySession(graph, index, result_cache_size=0, subtree_cache_size=3)
+        for position, query in enumerate(random_query_batch(graph, rng, batch_size=8, overlap=0.8)):
+            answer, stats = session.evaluate_with_stats(query)
+            assert answer == evaluate_naive(query, graph), f"seed {seed} query {position}"
+            fallbacks += pruned_again(stats) > 0
+    assert fallbacks > 0

@@ -293,6 +293,6 @@ class TestMinimizationExposedUnsatisfiability:
         context = PruningContext(graph, query, GTEA(graph).reachability)
         mats = {"r": [0, 1], "x": [2]}
         refined = prune_downward(context, mats)
-        assert refined["x"] == []
-        assert refined["r"] == []
-        assert downward_step(context, "x", [2], {}) == []
+        assert refined["x"] == ()
+        assert refined["r"] == ()
+        assert downward_step(context, "x", [2], {}) == ()

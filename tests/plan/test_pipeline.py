@@ -52,10 +52,11 @@ class TestUnsatisfiableShortCircuit:
         assert results == set()
         assert stats.index_lookups == 0
         assert stats.index_entries == 0
-        # No candidate set was built: no fetches, no cache traffic.
+        # No candidate set was built: no fetches, no scan-memo traffic.
         assert stats.input_nodes == 0
-        assert stats.candidate_cache_hits == 0
-        assert stats.candidate_cache_misses == 0
+        assert stats.candidates_initial == {}
+        memo = session.cache_info()["candidate"]
+        assert (memo["hits"], memo["misses"]) == (0, 0)
 
     def test_bare_engine_matches_oracle_on_unsat(self):
         graph = fig2_graph()
@@ -152,7 +153,8 @@ class TestMinimizedEquivalence:
 class TestBaselineRouting:
     """The wildcard chain the cost model once sent to TwigStackD: it now
     plans to GTEA and must still answer like the oracle, share its
-    candidate cache and honour group nodes."""
+    label-free candidate scan (the session's scan memo, the "candidate"
+    row) and honour group nodes."""
 
     def routed_case(self):
         rng = random.Random(11)
@@ -180,11 +182,12 @@ class TestBaselineRouting:
         graph, query = self.routed_case()
         session = QuerySession(graph, result_cache_size=0)
         assert session.plan(query).compiled.physical.executor == "gtea"
-        _, cold = session.evaluate_with_stats(query)
-        assert cold.candidate_cache_misses == 1  # one wildcard predicate key
-        assert cold.candidate_cache_hits == 2   # shared by the other nodes
-        _, warm = session.evaluate_with_stats(query)
-        assert warm.candidate_cache_hits == 3
+        session.evaluate(query)
+        memo = session.cache_info()["candidate"]
+        assert memo["misses"] == 1  # one wildcard predicate key
+        assert memo["hits"] == 2  # shared by the other nodes
+        session.evaluate(query)
+        assert session.cache_info()["candidate"]["hits"] == 5
         assert session.evaluate(query) == evaluate_naive(query, graph)
 
     def test_group_nodes_fall_back_to_gtea(self):

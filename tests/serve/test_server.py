@@ -390,7 +390,8 @@ class TestWarmOnce:
         graph = serve_graph()
         store = primed_store(graph, tmp_path / "store")
         present = store.kinds(graph_fingerprint(graph))
-        assert {"plans", "candidates", "results"} <= set(present)
+        assert {"plans", "subtrees", "results"} <= set(present)
+        assert "candidates" not in present  # a label posting needs no cache
         walks = []
 
         def counted(walked):

@@ -27,7 +27,7 @@ KIND_IDS = [kind.name for kind in ARTIFACT_KINDS]
 
 #: what to compare of a stored value whose class defines no equality.
 VIEWS = {
-    "plans": lambda plan: (plan.fingerprint, plan.predicate_keys, plan.compiled.explain()),
+    "plans": lambda plan: (plan.fingerprint, plan.compiled.explain()),
 }
 
 
@@ -100,8 +100,9 @@ def assert_answers(session, workload):
         assert session.evaluate(query) == answer
 
 
-def test_the_table_is_the_five_persisted_kinds():
-    assert KIND_IDS == ["plans", "aliases", "candidates", "subtrees", "results"]
+def test_the_table_is_the_four_persisted_kinds():
+    # No candidates kind: a label-pinned scan is the graph's own posting.
+    assert KIND_IDS == ["plans", "aliases", "subtrees", "results"]
 
 
 def test_every_kind_persists_under_its_own_name(populated):

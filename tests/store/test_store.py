@@ -505,6 +505,27 @@ class TestSessionStoreKey:
         assert session.evaluate(query) == evaluate_naive(query, graph)
         session.close()
 
+    def test_format_5_store_loads_cold_and_never_wrong(self, tmp_path, monkeypatch):
+        """A store written before the candidates kind left (format 5) is
+        stale as a whole: every kind the session reads cold-builds, the
+        retired kind is never opened, and the answers are the oracle's."""
+        graph = two_label_graph()
+        query = simple_query()
+        monkeypatch.setattr("repro.store.store.STORE_FORMAT_VERSION", 5)
+        old = QuerySession(graph, store=tmp_path / "store")
+        old.evaluate(query)
+        written = old.persist()
+        old.store.save(old.store_fingerprint, "candidates", {"key": (0, 1)})
+        monkeypatch.undo()
+
+        session = QuerySession(graph, store=tmp_path / "store")
+        store = session.store
+        assert (store.counters.stale, store.counters.corrupt) == (len(written), 0)
+        assert sum(session.store_rehydrated.values()) == 0
+        assert store.kinds(session.store_fingerprint) == ["candidates"]
+        assert session.evaluate(query) == evaluate_naive(query, graph)
+        session.close()
+
     def test_unmutated_graph_rehydrates_and_answers_identically(self, tmp_path):
         graph = two_label_graph()
         query = simple_query()
