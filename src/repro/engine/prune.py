@@ -218,28 +218,35 @@ def _filter_downward(
             holds = {comp for comp, bits in ad_valuations.items() if bits[c]}
             child_sets[c] = set(compress(candidates, map(holds.__contains__, components)))
 
-    def satisfying(formula) -> set[int]:
-        """Candidates satisfying ``formula``; operand sets are never mutated."""
-        if isinstance(formula, Var):
-            if formula.name not in child_sets:
-                raise KeyError(
-                    f"fext({node_id!r}) reads {formula.name!r}, which has no child valuation"
-                )
-            return child_sets[formula.name]
-        if isinstance(formula, And):
-            smallest, *rest = sorted(map(satisfying, formula.children), key=len)
-            return smallest.intersection(*rest)
-        if isinstance(formula, Or):
-            return set().union(*map(satisfying, formula.children))
-        # Negation and constants are relative to the node's own candidates.
-        if isinstance(formula, Not):
-            return set(candidates) - satisfying(formula.child)
-        if isinstance(formula, Const):
-            return set(candidates) if formula.value else set()
-        raise TypeError(f"not a formula: {formula!r}")
-
-    keep = satisfying(fext)
+    keep = _satisfying(fext, child_sets, candidates, node_id)
     return tuple(filter(keep.__contains__, candidates))
+
+
+def _satisfying(formula, child_sets: dict[str, set[int]], candidates, node_id: str) -> set[int]:
+    """The candidates satisfying ``formula``, given the set each child
+    variable holds for; operand sets are never mutated.  A module-level
+    function and not a closure: a closure that calls itself is a
+    reference cycle, left per prune for the cyclic collector."""
+    if isinstance(formula, Var):
+        if formula.name not in child_sets:
+            raise KeyError(
+                f"fext({node_id!r}) reads {formula.name!r}, which has no child valuation"
+            )
+        return child_sets[formula.name]
+    if isinstance(formula, (And, Or)):
+        operands = [
+            _satisfying(child, child_sets, candidates, node_id) for child in formula.children
+        ]
+        if isinstance(formula, Or):
+            return set().union(*operands)
+        smallest, *rest = sorted(operands, key=len)
+        return smallest.intersection(*rest)
+    # Negation and constants are relative to the node's own candidates.
+    if isinstance(formula, Not):
+        return set(candidates) - _satisfying(formula.child, child_sets, candidates, node_id)
+    if isinstance(formula, Const):
+        return set(candidates) if formula.value else set()
+    raise TypeError(f"not a formula: {formula!r}")
 
 
 def _ad_valuations_generic(

@@ -163,6 +163,9 @@ def _enumerate_fragment(
     all_rows: list[dict[str, object]] = []
     for data_node in matching_graph.vertices.get(root, []):
         all_rows.extend(visit(root, data_node))
+    # ``visit`` reaches itself through its closure: unbinding it breaks
+    # that cycle, so the memo is freed here and not by the collector.
+    del visit
     return _dedup(all_rows)
 
 

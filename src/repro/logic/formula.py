@@ -24,6 +24,10 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 
+#: slots :meth:`Formula.__getstate__` leaves out.
+_UNPICKLED = frozenset({"_hash", "__weakref__"})
+
+
 class Formula:
     """Base class of all propositional formulas.
 
@@ -38,7 +42,9 @@ class Formula:
 
     # ``_vars`` lazily caches the variables() frozenset and ``_hash`` the
     # structural hash; formulas are immutable, so neither can go stale.
-    __slots__ = ("_vars", "_hash")
+    # ``__weakref__`` lets one parse serve every query with the same text
+    # (:func:`repro.logic.parser.shared_formula`).
+    __slots__ = ("_vars", "_hash", "__weakref__")
 
     def __and__(self, other: "Formula") -> "Formula":
         return land(self, other)
@@ -58,12 +64,13 @@ class Formula:
     # process, so a hash pickled by one process would disagree with the
     # hashes another process computes for equal formulas, and set/dict
     # lookups (``land``/``lor`` dedup, the Tseitin cache) would miss.
-    # ``_vars`` is a frozenset of names and re-hashes on load.
+    # ``_vars`` is a frozenset of names and re-hashes on load.  A weak
+    # reference does not pickle, and ``__weakref__`` is not state.
     def __getstate__(self):
         state = {}
         for klass in type(self).__mro__:
             for slot in getattr(klass, "__slots__", ()):
-                if slot == "_hash":
+                if slot in _UNPICKLED:
                     continue
                 try:
                     state[slot] = getattr(self, slot)

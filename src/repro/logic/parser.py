@@ -16,6 +16,7 @@ predicates (e.g. ``"bidder | seller"`` for DIS1).
 from __future__ import annotations
 
 import re
+from weakref import WeakValueDictionary
 
 from .formula import FALSE, TRUE, Formula, Var, land, lnot, lor
 
@@ -124,3 +125,25 @@ def parse_formula(text: str) -> Formula:
     if not tokens:
         raise FormulaParseError("empty formula")
     return _Parser(tokens).parse()
+
+
+#: formula text → the live formula parsed from it (:func:`shared_formula`).
+_SHARED: WeakValueDictionary = WeakValueDictionary()
+
+
+def shared_formula(text: str) -> Formula:
+    """:func:`parse_formula`, shared with every live formula parsed here
+    from the same text.
+
+    Equal texts parse to equal formulas, and formulas are immutable, so
+    one object and its ``variables()`` and hash memos serve every query
+    that carries the text.  The table holds no formula alive.  A text
+    that folds to a constant (``"p | !p"``) is not entered: the constants
+    never die, and its entry would not either.
+    """
+    formula = _SHARED.get(text)
+    if formula is None:
+        formula = parse_formula(text)
+        if not formula.is_constant():
+            _SHARED[text] = formula
+    return formula

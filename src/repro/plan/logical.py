@@ -129,14 +129,18 @@ def _selectivity_order(query: GTPQ, estimates: dict[str, int]) -> tuple[str, ...
         )
 
     order: list[str] = []
-
-    def visit(node_id: str) -> None:
-        for child in sorted(query.children[node_id], key=lambda c: (subtree_cost[c], c)):
-            visit(child)
-        order.append(node_id)
-
-    visit(query.root)
+    _visit_cheapest_first(query, query.root, subtree_cost, order)
     return tuple(order)
+
+
+def _visit_cheapest_first(
+    query: GTPQ, node_id: str, subtree_cost: dict[str, int], order: list[str]
+) -> None:
+    """Append the subtree of ``node_id`` to ``order`` in post-order.  Not a
+    closure: one that calls itself is a cycle left for the collector."""
+    for child in sorted(query.children[node_id], key=lambda c: (subtree_cost[c], c)):
+        _visit_cheapest_first(query, child, subtree_cost, order)
+    order.append(node_id)
 
 
 def build_logical_plan(

@@ -15,8 +15,10 @@ analysis algorithms need:
 from __future__ import annotations
 
 import json
+from itertools import chain
 from operator import eq, ge, le
 from typing import Any, Iterable, Mapping, Sequence
+from weakref import WeakValueDictionary
 
 _OPS = ("<", "<=", "=", "!=", ">", ">=")
 # The constant condition of ``u2 ⊢ u1`` per operator: the specific constant
@@ -53,9 +55,11 @@ class AttributePredicate:
     ``_sat`` and ``_canonical`` lazily cache the satisfiability verdict and
     the canonical rendering (:func:`repro.query.serialize.predicate_key`);
     ``__reduce__`` rebuilds through ``__init__``, so neither is pickled.
+    :func:`shared_predicate` hands out one instance per atom list, so the
+    two memos serve every query that carries it.
     """
 
-    __slots__ = ("atoms", "_sat", "_canonical")
+    __slots__ = ("atoms", "_sat", "_canonical", "__weakref__")
 
     def __init__(self, atoms: Iterable[tuple[str, str, Any]] = ()):
         normalized = []
@@ -192,6 +196,44 @@ class AttributePredicate:
             return "AttributePredicate(*)"
         inner = " & ".join(f"{a} {op} {c!r}" for a, op, c in self.atoms)
         return f"AttributePredicate({inner})"
+
+
+#: atom list key → the live predicate built from it (:func:`shared_predicate`).
+_SHARED: WeakValueDictionary = WeakValueDictionary()
+_STR = frozenset({str})
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def shared_predicate(atoms: Iterable[Sequence[Any]]) -> AttributePredicate:
+    """The predicate of ``atoms``, shared with every live predicate built
+    here from the same atom list.
+
+    Equal keys must mean equal :meth:`~AttributePredicate.canonical`
+    texts, because every fingerprint embeds that text: ``1``, ``True``,
+    ``1.0`` and ``"1"`` compare equal in a tuple, and so do ``0.0`` and
+    ``-0.0``.  A list whose attributes, operators and constants are all
+    ``str`` is its own key; one with other scalars is keyed by each
+    value's type and ``repr``, as ``canonical()`` renders them; anything
+    else is not shared.  The table holds no predicate alive: an entry
+    goes with the last query that holds its predicate.  Two threads that
+    miss one key at once each build a predicate; the later entry wins,
+    and either is correct.
+    """
+    atoms = tuple(map(tuple, atoms))
+    types = {*map(type, chain.from_iterable(atoms))}
+    if types <= _STR:
+        key = atoms
+    elif types <= _SCALARS:
+        key = tuple(tuple((type(value), repr(value)) for value in atom) for atom in atoms)
+    else:
+        return AttributePredicate(atoms)
+    predicate = _SHARED.get(key)
+    if predicate is None:
+        predicate = AttributePredicate(atoms)
+        # Keyed by the predicate's own atoms where they are the key, so
+        # the entry adds no tuples of its own.
+        _SHARED[predicate.atoms if predicate.atoms == key else key] = predicate
+    return predicate
 
 
 def _subsumption_compatible(op: str, specific: Any, general: Any) -> bool:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..logic import Formula, parse_formula
+from ..logic import Formula, Var, land, parse_formula
 from .attribute import AttributePredicate
 from .gtpq import GTPQ, EdgeType, QueryNode, QueryValidationError
 
@@ -76,9 +76,7 @@ class QueryBuilder:
             self._root = node_id
         else:
             if parent not in self._nodes:
-                raise QueryValidationError(
-                    f"parent {parent!r} of {node_id!r} not yet added"
-                )
+                raise QueryValidationError(f"parent {parent!r} of {node_id!r} not yet added")
             self._parent[node_id] = parent
             self._children[parent].append(node_id)
             self._edge_types[node_id] = EdgeType.parse(edge)
@@ -136,28 +134,42 @@ class QueryBuilder:
         """
         if self._root is None:
             raise QueryValidationError("query has no nodes")
-        from ..logic import Var, land
-
-        structural = dict(self._structural)
-        for node_id, child_ids in self._children.items():
-            if node_id in structural:
-                continue
-            predicate_children = [
-                child_id
-                for child_id in child_ids
-                if not self._nodes[child_id].is_backbone
-            ]
-            if predicate_children:
-                structural[node_id] = land(*(Var(c) for c in predicate_children))
-        outputs = self._outputs or [
-            node_id for node_id, node in self._nodes.items() if node.is_backbone
-        ]
-        return GTPQ(
-            root=self._root,
-            nodes=dict(self._nodes),
-            parent=dict(self._parent),
-            children=self._children,
-            edge_types=dict(self._edge_types),
-            structural=structural,
-            outputs=outputs,
+        return assemble(
+            self._root,
+            dict(self._nodes),
+            dict(self._parent),
+            self._children,
+            dict(self._edge_types),
+            dict(self._structural),
+            self._outputs,
         )
+
+
+def assemble(
+    root: str,
+    nodes: dict[str, QueryNode],
+    parent: dict[str, str],
+    children: dict[str, list[str]],
+    edge_types: dict[str, EdgeType],
+    structural: dict[str, Formula],
+    outputs: list[str],
+) -> GTPQ:
+    """The :class:`GTPQ` of these components, with the defaults of
+    :meth:`QueryBuilder.build`: a node with predicate children and no
+    ``fs`` conjoins them, and no outputs means every backbone node.
+    ``structural`` gains the defaulted formulas."""
+    for node_id, child_ids in children.items():
+        if node_id in structural:
+            continue
+        predicate_children = [child_id for child_id in child_ids if not nodes[child_id].is_backbone]
+        if predicate_children:
+            structural[node_id] = land(*map(Var, predicate_children))
+    return GTPQ(
+        root=root,
+        nodes=nodes,
+        parent=parent,
+        children=children,
+        edge_types=edge_types,
+        structural=structural,
+        outputs=outputs or [node_id for node_id, node in nodes.items() if node.is_backbone],
+    )

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from enum import Enum
 from typing import Iterable, Iterator
+from weakref import WeakValueDictionary
 
 from ..logic import TRUE, And, Const, Formula, Not, Var, land
 from .attribute import AttributePredicate, subsumer_rows
@@ -130,47 +131,52 @@ class GTPQ:
     # Validation
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        if self.root not in self.nodes:
-            raise QueryValidationError(f"root {self.root!r} is not a query node")
-        if not self.nodes[self.root].is_backbone:
+        """Raise :class:`QueryValidationError` unless the query is
+        well-formed, in time linear in the size of the query."""
+        root, nodes, parent = self.root, self.nodes, self.parent
+        if root not in nodes:
+            raise QueryValidationError(f"root {root!r} is not a query node")
+        if not nodes[root].is_backbone:
             raise QueryValidationError("the root must be a backbone node")
-        if self.root in self.parent:
+        if root in parent:
             raise QueryValidationError("the root cannot have a parent")
-        for node_id in self.nodes:
-            if node_id != self.root and node_id not in self.parent:
+        for node_id in nodes:
+            if node_id != root and node_id not in parent:
                 raise QueryValidationError(f"node {node_id!r} is disconnected")
         # Tree shape: walking parents from any node must end at the root.
-        for node_id in self.nodes:
-            seen = {node_id}
+        # A walk stops at the first node already known to reach it, so
+        # every edge is walked once.
+        reaches_root = {root}
+        for node_id in nodes:
+            walked = set()
             current = node_id
-            while current != self.root:
-                current = self.parent.get(current)
-                if current is None or current not in self.nodes:
+            while current not in reaches_root:
+                walked.add(current)
+                current = parent.get(current)
+                if current is None or current not in nodes:
                     raise QueryValidationError(f"node {node_id!r} is not connected to the root")
-                if current in seen:
+                if current in walked:
                     raise QueryValidationError("query edges form a cycle")
-                seen.add(current)
+            reaches_root |= walked
         for node_id, child_ids in self.children.items():
             for child_id in child_ids:
-                if self.parent.get(child_id) != node_id:
+                if parent.get(child_id) != node_id:
                     raise QueryValidationError(
                         f"child list of {node_id!r} disagrees with parent map"
                     )
-        for node_id in self.parent:
+        for node_id in parent:
             if node_id not in self.edge_types:
                 raise QueryValidationError(f"edge into {node_id!r} has no type")
         # Paper constraint (3): backbone nodes hang off backbone nodes.
-        for node_id, node in self.nodes.items():
-            if node_id == self.root:
-                continue
-            if node.is_backbone and not self.nodes[self.parent[node_id]].is_backbone:
+        for node_id, node in nodes.items():
+            if node_id != root and node.is_backbone and not nodes[parent[node_id]].is_backbone:
                 raise QueryValidationError(f"backbone node {node_id!r} has a predicate parent")
         # fs(u) ranges over predicate children only.
         for node_id, formula in self.structural.items():
+            if not formula.variables():
+                continue
             allowed = {
-                child_id
-                for child_id in self.children[node_id]
-                if not self.nodes[child_id].is_backbone
+                child_id for child_id in self.children[node_id] if not nodes[child_id].is_backbone
             }
             extra = formula.variables() - allowed
             if extra:
@@ -374,11 +380,28 @@ def _relation(query: GTPQ) -> PredicateRelation:
     return PredicateRelation(query.nodes)
 
 
+#: ``(fs, backbone child ids)`` → the live ``fext`` built from them.
+_SHARED_FEXT: WeakValueDictionary = WeakValueDictionary()
+
+
 def _fext(query: GTPQ) -> dict[str, Formula]:
-    nodes, fext = query.nodes, {}
+    """``fext`` of every node.  A node with backbone children shares its
+    formula with every live query whose node has the same ``fs`` and
+    backbone child ids.  A constant is not entered: it never dies, and
+    its entry would not either."""
+    nodes, children, fext = query.nodes, query.children, {}
     for node_id, fs in query.structural.items():
-        backbone_vars = [Var(c) for c in query.children[node_id] if nodes[c].is_backbone]
-        fext[node_id] = land(*backbone_vars, fs)
+        backbone = tuple(c for c in children[node_id] if nodes[c].is_backbone)
+        if not backbone:
+            fext[node_id] = land(fs)
+            continue
+        key = (fs, backbone)
+        formula = _SHARED_FEXT.get(key)
+        if formula is None:
+            formula = land(*map(Var, backbone), fs)
+            if not formula.is_constant():
+                _SHARED_FEXT[key] = formula
+        fext[node_id] = formula
     return fext
 
 

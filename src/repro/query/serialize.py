@@ -20,11 +20,11 @@ import json
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
-from ..logic import parse_formula
 from ..logic.formula import And, Const, Formula, Not, Or, Var
-from .attribute import AttributePredicate
-from .builder import QueryBuilder
-from .gtpq import GTPQ
+from ..logic.parser import shared_formula
+from .attribute import AttributePredicate, shared_predicate
+from .builder import assemble
+from .gtpq import GTPQ, EdgeType, QueryNode, QueryValidationError
 
 
 def query_to_dict(query: GTPQ) -> dict[str, Any]:
@@ -48,25 +48,51 @@ def query_to_dict(query: GTPQ) -> dict[str, Any]:
 
 
 def query_from_dict(data: dict[str, Any]) -> GTPQ:
-    """Rebuild a query produced by :func:`query_to_dict`."""
-    builder = QueryBuilder()
-    deferred_fs: list[tuple[str, str]] = []
+    """Rebuild a query produced by :func:`query_to_dict`.
+
+    Accepts what :class:`QueryBuilder` accepts, with its errors and
+    defaults: nodes in parent-before-child order, ``kind`` defaulting
+    to ``"backbone"`` and ``edge`` to ``"ad"``.  Predicates and ``fs``
+    formulas come from :func:`shared_predicate` and
+    :func:`shared_formula`, so a value met in an earlier live query is
+    not built or analysed again.
+    """
+    nodes: dict[str, QueryNode] = {}
+    parent: dict[str, str] = {}
+    children: dict[str, list[str]] = {}
+    edge_types: dict[str, EdgeType] = {}
+    texts: list[tuple[str, str]] = []
+    root = None
     for entry in data["nodes"]:
-        predicate = AttributePredicate(tuple(atom) for atom in entry.get("atoms", []))
-        kwargs: dict[str, Any] = {"predicate": predicate}
-        if "parent" in entry:
-            kwargs["parent"] = entry["parent"]
-            kwargs["edge"] = entry.get("edge", "ad")
-        if entry.get("kind", "backbone") == "backbone":
-            builder.backbone(entry["id"], **kwargs)
+        predicate = shared_predicate(entry.get("atoms", ()))
+        is_backbone = entry.get("kind", "backbone") == "backbone"
+        parent_id = entry.get("parent")
+        if parent_id is None and not is_backbone:
+            raise QueryValidationError("a predicate node cannot be the root")
+        node_id = entry["id"]
+        if node_id in nodes:
+            raise QueryValidationError(f"duplicate query node id {node_id!r}")
+        nodes[node_id] = QueryNode(node_id, predicate, is_backbone)
+        children[node_id] = []
+        if parent_id is None:
+            if root is not None:
+                raise QueryValidationError(
+                    f"second root {node_id!r}; pass parent= for non-root nodes"
+                )
+            root = node_id
+        elif parent_id in nodes:
+            parent[node_id] = parent_id
+            children[parent_id].append(node_id)
+            edge_types[node_id] = EdgeType.parse(entry.get("edge", "ad"))
         else:
-            builder.predicate(entry["id"], **kwargs)
+            raise QueryValidationError(f"parent {parent_id!r} of {node_id!r} not yet added")
         if "fs" in entry:
-            deferred_fs.append((entry["id"], entry["fs"]))
-    for node_id, text in deferred_fs:
-        builder.structural(node_id, parse_formula(text))
-    builder.outputs(*data["outputs"])
-    return builder.build()
+            texts.append((node_id, entry["fs"]))
+    structural = {node_id: shared_formula(text) for node_id, text in texts}
+    outputs = list(data["outputs"])
+    if root is None:
+        raise QueryValidationError("query has no nodes")
+    return assemble(root, nodes, parent, children, edge_types, structural, outputs)
 
 
 def query_to_json(query: GTPQ, **dumps_kwargs) -> str:
