@@ -57,8 +57,6 @@ class QueryBuilder:
         paper_label: str | None,
         is_backbone: bool,
     ) -> "QueryBuilder":
-        if node_id in self._nodes:
-            raise QueryValidationError(f"duplicate query node id {node_id!r}")
         if predicate is None:
             if paper_label is not None:
                 predicate = AttributePredicate.tag_rank(paper_label)
@@ -66,20 +64,18 @@ class QueryBuilder:
                 predicate = AttributePredicate.label(label)
             else:
                 predicate = AttributePredicate.wildcard()
-        self._nodes[node_id] = QueryNode(node_id, predicate, is_backbone)
-        self._children[node_id] = []
-        if parent is None:
-            if self._root is not None:
-                raise QueryValidationError(
-                    f"second root {node_id!r}; pass parent= for non-root nodes"
-                )
-            self._root = node_id
-        else:
-            if parent not in self._nodes:
-                raise QueryValidationError(f"parent {parent!r} of {node_id!r} not yet added")
-            self._parent[node_id] = parent
-            self._children[parent].append(node_id)
-            self._edge_types[node_id] = EdgeType.parse(edge)
+        self._root = add_node(
+            self._nodes,
+            self._parent,
+            self._children,
+            self._edge_types,
+            self._root,
+            node_id,
+            parent,
+            edge,
+            predicate,
+            is_backbone,
+        )
         return self
 
     def backbone(
@@ -106,8 +102,6 @@ class QueryBuilder:
         paper_label: str | None = None,
     ) -> "QueryBuilder":
         """Add a predicate (filter) node."""
-        if parent is None:
-            raise QueryValidationError("a predicate node cannot be the root")
         return self._add(node_id, parent, edge, predicate, label, paper_label, False)
 
     def structural(self, node_id: str, formula: Formula | str) -> "QueryBuilder":
@@ -132,8 +126,6 @@ class QueryBuilder:
         reading).  When no outputs were declared, all backbone nodes are
         outputs (the "traditional TPQ" mode of the paper's Section 5).
         """
-        if self._root is None:
-            raise QueryValidationError("query has no nodes")
         return assemble(
             self._root,
             dict(self._nodes),
@@ -145,8 +137,43 @@ class QueryBuilder:
         )
 
 
+def add_node(
+    nodes: dict[str, QueryNode],
+    parent: dict[str, str],
+    children: dict[str, list[str]],
+    edge_types: dict[str, EdgeType],
+    root: str | None,
+    node_id: str,
+    parent_id: str | None,
+    edge: EdgeType | str,
+    predicate: AttributePredicate,
+    is_backbone: bool,
+) -> str | None:
+    """Add ``node_id`` under ``parent_id`` (the root when ``None``) to
+    these components and return the root.  Every node enters here, from
+    :class:`QueryBuilder` and from :func:`~repro.query.query_from_dict`:
+    a predicate node needs a parent, ids are unique, there is one root,
+    and a parent is added before its children."""
+    if parent_id is None and not is_backbone:
+        raise QueryValidationError("a predicate node cannot be the root")
+    if node_id in nodes:
+        raise QueryValidationError(f"duplicate query node id {node_id!r}")
+    nodes[node_id] = QueryNode(node_id, predicate, is_backbone)
+    children[node_id] = []
+    if parent_id is None:
+        if root is not None:
+            raise QueryValidationError(f"second root {node_id!r}; pass parent= for non-root nodes")
+        return node_id
+    if parent_id not in nodes:
+        raise QueryValidationError(f"parent {parent_id!r} of {node_id!r} not yet added")
+    parent[node_id] = parent_id
+    children[parent_id].append(node_id)
+    edge_types[node_id] = EdgeType.parse(edge)
+    return root
+
+
 def assemble(
-    root: str,
+    root: str | None,
     nodes: dict[str, QueryNode],
     parent: dict[str, str],
     children: dict[str, list[str]],
@@ -158,6 +185,8 @@ def assemble(
     :meth:`QueryBuilder.build`: a node with predicate children and no
     ``fs`` conjoins them, and no outputs means every backbone node.
     ``structural`` gains the defaulted formulas."""
+    if root is None:
+        raise QueryValidationError("query has no nodes")
     for node_id, child_ids in children.items():
         if node_id in structural:
             continue

@@ -387,8 +387,10 @@ _SHARED_FEXT: WeakValueDictionary = WeakValueDictionary()
 def _fext(query: GTPQ) -> dict[str, Formula]:
     """``fext`` of every node.  A node with backbone children shares its
     formula with every live query whose node has the same ``fs`` and
-    backbone child ids.  A constant is not entered: it never dies, and
-    its entry would not either."""
+    backbone child ids.  An entry must not outlive its queries, so two
+    kinds stay out: a constant, which never dies, and the ``fext`` of a
+    node without backbone children, which can be ``fs`` itself and so
+    be held alive by its own key."""
     nodes, children, fext = query.nodes, query.children, {}
     for node_id, fs in query.structural.items():
         backbone = tuple(c for c in children[node_id] if nodes[c].is_backbone)

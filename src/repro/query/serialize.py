@@ -23,8 +23,8 @@ from typing import Any
 from ..logic.formula import And, Const, Formula, Not, Or, Var
 from ..logic.parser import shared_formula
 from .attribute import AttributePredicate, shared_predicate
-from .builder import assemble
-from .gtpq import GTPQ, EdgeType, QueryNode, QueryValidationError
+from .builder import add_node, assemble
+from .gtpq import GTPQ, EdgeType, QueryNode
 
 
 def query_to_dict(query: GTPQ) -> dict[str, Any]:
@@ -65,34 +65,23 @@ def query_from_dict(data: dict[str, Any]) -> GTPQ:
     root = None
     for entry in data["nodes"]:
         predicate = shared_predicate(entry.get("atoms", ()))
-        is_backbone = entry.get("kind", "backbone") == "backbone"
-        parent_id = entry.get("parent")
-        if parent_id is None and not is_backbone:
-            raise QueryValidationError("a predicate node cannot be the root")
         node_id = entry["id"]
-        if node_id in nodes:
-            raise QueryValidationError(f"duplicate query node id {node_id!r}")
-        nodes[node_id] = QueryNode(node_id, predicate, is_backbone)
-        children[node_id] = []
-        if parent_id is None:
-            if root is not None:
-                raise QueryValidationError(
-                    f"second root {node_id!r}; pass parent= for non-root nodes"
-                )
-            root = node_id
-        elif parent_id in nodes:
-            parent[node_id] = parent_id
-            children[parent_id].append(node_id)
-            edge_types[node_id] = EdgeType.parse(entry.get("edge", "ad"))
-        else:
-            raise QueryValidationError(f"parent {parent_id!r} of {node_id!r} not yet added")
+        root = add_node(
+            nodes,
+            parent,
+            children,
+            edge_types,
+            root,
+            node_id,
+            entry.get("parent"),
+            entry.get("edge", "ad"),
+            predicate,
+            entry.get("kind", "backbone") == "backbone",
+        )
         if "fs" in entry:
             texts.append((node_id, entry["fs"]))
     structural = {node_id: shared_formula(text) for node_id, text in texts}
-    outputs = list(data["outputs"])
-    if root is None:
-        raise QueryValidationError("query has no nodes")
-    return assemble(root, nodes, parent, children, edge_types, structural, outputs)
+    return assemble(root, nodes, parent, children, edge_types, structural, list(data["outputs"]))
 
 
 def query_to_json(query: GTPQ, **dumps_kwargs) -> str:

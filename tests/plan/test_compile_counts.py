@@ -51,7 +51,8 @@ def graph():
 
 def test_compile_builds_each_fext_and_each_verdict_once(graph, counted, monkeypatch):
     query = fig7_query("q3")
-    # A live query elsewhere in the process may hold a shared fext of q3.
+    # fext is shared with every live query of the process, and one left
+    # by an earlier test may already hold q3's; count from an empty table.
     monkeypatch.setattr(gtpq, "_SHARED_FEXT", WeakValueDictionary())
     fext_builds = counted(gtpq, "land")  # gtpq.py calls land() in fext() only
     verdicts = counted(attribute, "_atoms_satisfiable")  # one attribute per predicate here
