@@ -22,8 +22,7 @@ import sys
 from ..datasets import fig7_query, generate_xmark
 from ..engine import QuerySession
 from ..graph import depth_stats, graph_stats
-from ..plan import choose_index
-from ..reachability import available_indexes
+from ..reachability import available_indexes, resolve_index
 from .harness import format_table
 
 
@@ -35,7 +34,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         **stats.row(),
         "max_depth": max_depth,
         "avg_depth": round(avg_depth, 2),
-        "auto_index": choose_index(stats),
+        "auto_index": resolve_index(dataset.graph, "auto"),
     }
     print(format_table(
         f"XMark-like dataset, scale {args.scale}",

@@ -276,20 +276,20 @@ def generate_query_groups(
 def enclave_graph(scale: int, rng: random.Random, span: int = 20) -> DataGraph:
     """A large DAG with a tiny rare-label *enclave* at its sink end.
 
-    The large-graph/small-footprint shape of per-query index costing:
+    The large-graph/small-footprint shape:
 
     * **bulk** — ``2000 * scale`` nodes over labels ``a``/``b``/``c``
       with ~2.5 local-span edges per node (O(n·span) generation), so
-      the graph clears both the tiny-graph and near-tree rungs of the
-      index ladder and a full build pays real 3-hop money;
+      the graph clears the forest and near-tree rungs of the index
+      ladder and a full build pays real 3-hop money;
     * **enclave** — ``~2%`` of the nodes, labels ``q``/``r``/``s``,
       edges strictly inside the enclave (bulk→enclave bridges exist,
       enclave→bulk edges do not), so the descendant cone of any
       enclave-label candidate set stays inside the enclave.
 
     Queries over the rare labels therefore have a footprint two orders
-    of magnitude below the graph — a transitive closure over just that
-    cone answers them without ever paying the full-graph build.
+    of magnitude below the graph — the closure rows of just that cone
+    answer them without ever paying a full-graph build.
     """
     graph = DataGraph()
     bulk = 2000 * scale
@@ -318,15 +318,16 @@ def enclave_graph(scale: int, rng: random.Random, span: int = 20) -> DataGraph:
 def index_choice_workload(
     scale: int = 2, queries: int = 6, seed: int = 97
 ) -> tuple[DataGraph, list[GTPQ]]:
-    """A (graph, queries) pair where partial indexes beat full builds.
+    """A (graph, queries) pair whose answers need a small cone.
 
     AD chains over the rare enclave labels of :func:`enclave_graph` —
     every candidate source is a short label posting list whose
-    descendant cone stays inside the enclave, so per-query costing
-    (:func:`repro.plan.cost.choose_scoped_index`) picks a partial index
-    and the cold first answer skips the full-graph build entirely.
-    Label rotations keep the copies' fingerprints (and footprints'
-    inner work) distinct while staying inside the enclave.
+    descendant cone stays inside the enclave, so the index line
+    (``tc``, filled on demand, under a byte budget; past it the ladder's
+    pick for the version) fills a few enclave rows and the cold first
+    answer skips any whole-graph build.  Label rotations keep the copies'
+    fingerprints (and the rows they fill) distinct while staying inside
+    the enclave.
     """
     rng = random.Random(seed)
     graph = enclave_graph(scale, rng)

@@ -85,9 +85,10 @@ class ClosureSlot:
             self._version = graph.version
         return held
 
-    def create(self, graph: DataGraph) -> PartialReachability:
-        """Fill the (empty) slot with a closure over ``graph``, no row filled."""
-        self.service = PartialReachability(graph)
+    def create(self, graph: DataGraph, budget_bits: int | None) -> PartialReachability:
+        """Fill the (empty) slot with a closure over ``graph``, no row
+        filled, bounded by ``budget_bits`` filled bits (None: unbounded)."""
+        self.service = PartialReachability(graph, budget_bits)
         self._version = graph.version
         return self.service
 
@@ -97,15 +98,10 @@ class ClosureSlot:
             self.service = None
             self.dropped += 1
 
-    @property
-    def rows(self) -> int:
-        """Rows the held closure has filled (0 for an empty slot)."""
-        return self.service.index.rows if self.service is not None else 0
-
     def info(self) -> dict[str, int]:
         index = self.service.index if self.service is not None else None
         return {
-            "rows": self.rows,
+            "rows": index.rows if index else 0,
             "bytes": index.index_size() if index else 0,
             "fills": self._dropped_fills + (index.fills if index else 0),
             "kept": self.kept,

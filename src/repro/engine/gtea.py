@@ -60,9 +60,9 @@ class GTEA:
     ):
         """Args:
             graph: the data graph.
-            index: reachability index name, or ``"auto"`` for the
-                cost-based choice of the physical planner
-                (:func:`repro.plan.cost.choose_index`).  The 3-hop index
+            index: reachability index name, or ``"auto"`` (``tc``, the
+                descendant closure filled on demand; built by the
+                engine itself, it has no budget).  The 3-hop index
                 enables the paper's chain/contour pruning fast path; any
                 other index runs through the generic set-reachability
                 fallback in :mod:`repro.engine.prune`.

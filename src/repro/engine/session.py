@@ -3,11 +3,13 @@
 The paper's GTEA engine assumes a query-independent reachability index
 built once and amortized over many queries (Section 4.1).  A
 :class:`QuerySession` takes that idea to a serving setting: it owns one
-data graph, one lazily *filled* descendant closure (``tc`` — what
-``index="auto"`` resolves to while the closure's worst case fits
-:data:`~repro.plan.cost.AUTO_CLOSURE_MAX_BYTES`; nothing is built before
-a query reads a row) plus a lazily built pool of the other reachability
-indexes, and reuses four kinds of evaluation artifacts across queries:
+data graph and, for ``index="auto"``, one index line: ``tc``, filled on
+demand, under a byte budget
+(:data:`~repro.plan.cost.AUTO_CLOSURE_MAX_BYTES`, counted in filled
+bits); past it the ladder's pick for the version
+(:func:`~repro.plan.cost.choose_index`).  Nothing is built before a query
+reads a row; pinned indexes are built lazily into a pool.  The session
+reuses four kinds of evaluation artifacts across queries:
 
 * a **plan cache** — parsed and *compiled* queries (the full
   normalize → logical → physical artifact of :mod:`repro.plan`) keyed by
@@ -49,9 +51,9 @@ five queries of a batch share is pruned once, by the first of them.
 
 Staleness is detected through :attr:`repro.graph.digraph.DataGraph.version`:
 any ``add_node``/``add_edge``/``set_attr`` after session creation drops
-every cache and every pooled index on the next use.  Only the descendant
-closure (:mod:`repro.reachability.partial`; one per session, whichever
-scope reads it) outlives a mutation that leaves the numbered cones
+every cache and every pooled index on the next use, and ends a
+fallback.  Only the descendant closure (:mod:`repro.reachability.partial`;
+one per session) outlives a mutation that leaves the numbered cones
 alone — new nodes, an edge out of a node no query has numbered yet, an
 attribute write: its rows stay exact along the graph's lineage.  An
 edge out of a numbered node, or :meth:`QuerySession.invalidate`, drops
@@ -86,20 +88,22 @@ from ..plan import (
     CompiledPlan,
     NormalizedQuery,
     NormalizeOutcome,
+    PhysicalPlan,
+    choose_index,
     compile_normalized,
+    cost,
     normalize,
     normalize_key,
 )
 from ..query.gtpq import GTPQ
 from ..query.serialize import query_fingerprint, query_from_dict, query_from_json
-from ..plan.cost import PARTIAL_FOOTPRINT_FRACTION
 from ..reachability.base import GraphReachability
 from ..reachability.factory import build_reachability, resolve_index
+from ..reachability.partial import ClosureBudgetError
 from ..store import ArtifactStore, graph_fingerprint
 from .artifacts import ARTIFACT_KINDS, ClosureSlot
 from .cache import LRUCache
 from .gtea import GTEA
-from .operators import scan_candidates
 from .results import ResultSet
 from .stats import EvaluationStats
 
@@ -183,15 +187,13 @@ class QuerySession:
 
     Args:
         graph: the data graph to serve queries against.
-        index: default reachability index name, or ``"auto"`` (default)
-            for the cost-based pick of the physical planner
-            (:func:`repro.plan.cost.choose_index`): ``tc``, the session's
-            lazily filled descendant closure, while its worst case
-            (``n² / 16`` bytes) fits
-            :data:`~repro.plan.cost.AUTO_CLOSURE_MAX_BYTES` — such a
-            session never builds another index; above the bound the
-            graph-shape ladder (interval / tree-cover / 3-hop) with the
-            budgeted per-query partial scope.
+        index: default reachability index name, or ``"auto"`` (default):
+            ``tc``, the session's descendant closure, filled on demand
+            under a byte budget
+            (:data:`~repro.plan.cost.AUTO_CLOSURE_MAX_BYTES` of filled
+            bits); past it the ladder's pick for the version
+            (:func:`repro.plan.cost.choose_index`).  A pinned ``tc`` has
+            no budget.
         plan_cache_size: LRU capacity of the plan cache, one entry per
             distinct query fingerprint.  Plans are the session's largest
             entries (tens of kB each), and a cached answer does not need
@@ -224,8 +226,8 @@ class QuerySession:
             (:data:`RETIRED_KEYWORDS`), whose values are ignored; any
             other keyword raises ``TypeError``.
 
-    Planning is a function of the query, the graph statistics and the
-    pooled indexes alone; an execution's observed per-operator stats are
+    Planning is a function of the query and the graph's label postings
+    alone; an execution's observed per-operator stats are
     kept only for :meth:`explain`, which renders the latest ones next to
     the compile-time estimates.
     """
@@ -273,9 +275,9 @@ class QuerySession:
         # explain()'s estimated-vs-observed view), bounded like the plan
         # cache so a stream of distinct queries cannot grow it forever.
         self._observed_ops = LRUCache(plan_cache_size)
-        # Partial-scope plans whose rows blew the fill budget: they run
-        # on the full index until the next version.
-        self._closure_refused: set[str] = set()
+        # The ladder's pick once the closure passed its budget: every
+        # plan runs on it until the next version.
+        self._fallback: str | None = None
         self._graph_version = graph.version
         if store is None or isinstance(store, ArtifactStore):
             self.store = store
@@ -302,13 +304,14 @@ class QuerySession:
     def reachability(self, index: str | None = None) -> GraphReachability:
         """The reachability service for ``index``: the session's one
         descendant closure for ``tc`` (created empty, re-pointed along the
-        lineage after a version bump), the pooled service otherwise
-        (built lazily)."""
+        lineage after a version bump; budgeted when the session's index
+        is ``"auto"``), the pooled service otherwise (built lazily)."""
         self._ensure_fresh()
         name = resolve_index(self.graph, index or self.default_index)
         if name == "tc":
             # One holder: ``tc`` is the slot's closure, whoever asks.
-            return self._closure.current(self.graph) or self._closure.create(self.graph)
+            budget = 8 * cost.AUTO_CLOSURE_MAX_BYTES if self.default_index == "auto" else None
+            return self._closure.current(self.graph) or self._closure.create(self.graph, budget)
         service = self._reach_pool.get(name)
         if service is None:
             service = build_reachability(self.graph, name)
@@ -323,7 +326,7 @@ class QuerySession:
 
         A moved :attr:`DataGraph.version` needs no call: the next use
         drops the same things — plans, aliases, subtree and result sets,
-        the scan memo, pooled full indexes — except the
+        the scan memo, pooled full indexes, a fallback — except the
         closure, which is kept while the graph's lineage holds
         (``cache_info()["partial"]``: ``kept`` / ``dropped``).  The
         graph's own derived state (:meth:`DataGraph.structure`, label
@@ -342,7 +345,7 @@ class QuerySession:
         self.scan_memo.clear()
         self._reach_pool.clear()
         self._observed_ops.clear()
-        self._closure_refused.clear()
+        self._fallback = None
         self._graph_version = self.graph.version
 
     def close(self) -> None:
@@ -432,13 +435,25 @@ class QuerySession:
         section shows each operator's compile-time estimate next to its
         latest observed runtime stats (set sizes, wall time, index
         probes), including an early exit and the operators it skipped.
+        The index line is the one the plan runs on here: ``tc`` with the
+        bytes and rows its closure has filled, or after a blow-out the
+        ladder's pick.
         """
         self._ensure_fresh()
         plan = self._plan_for(query)
         return plan.compiled.explain(
             observed=self._observed_ops.peek(plan.fingerprint),
-            closure_rows=self._closure.rows,
+            index_line=self._index_line(plan.compiled.physical),
         )
+
+    def _index_line(self, physical: PhysicalPlan) -> str:
+        if physical.index_name != "tc":
+            return physical.index_line
+        if self._fallback is not None:
+            return f"index: {self._fallback} (tc passed its budget at this graph version)"
+        index = self._closure.service.index if self._closure.service is not None else None
+        filled, rows = (index.bits // 8, index.rows) if index is not None else (0, 0)
+        return f"index: tc ({physical.index_reason}; filled {filled} bytes in {rows} rows)"
 
     def _plan_for(self, query: QueryLike, alias: str | None = None) -> QueryPlan:
         """The cached or freshly compiled plan of ``query``.
@@ -477,11 +492,7 @@ class QuerySession:
                 query=parsed,
                 fingerprint=fingerprint,
                 compiled=compile_normalized(
-                    self.graph,
-                    self._normalize(parsed),
-                    index=self.default_index,
-                    stats=graph_stats(self.graph),
-                    pooled=tuple(self._reach_pool),
+                    self.graph, self._normalize(parsed), index=self.default_index
                 ),
             )
             self.plan_cache.put(fingerprint, plan)
@@ -598,30 +609,17 @@ class QuerySession:
     ) -> tuple[ResultSet, EvaluationStats]:
         """Run one cold plan (no result-cache probe).
 
-        A partial-scope plan runs on the descendant closure with its rows
-        filled; group evaluation (the original query, whose candidates
-        the costing never bounded) and a fill blow-out run it on the
-        session's default index instead — never on a whole-graph build
-        of the plan's inner ``tc``.
+        A ``tc`` plan runs on the session's closure.  When a fill would
+        take it past its budget, the closure is dropped and the plan
+        reruns on the ladder's pick, which every later plan of this
+        graph version runs on too.
         """
-        stats = EvaluationStats()
-        physical = plan.compiled.physical
-        if physical.index_scope != "partial":
-            service = self.reachability(physical.index_name)
-        else:
-            service = None if group_nodes else self._partial_service(plan, stats)
-            if service is None:
-                stats.partial_fallbacks = 1
-                service = self.reachability()
-        # Construction is trivial: the service exists.
-        engine = GTEA(self.graph, reachability=service)
-        results, stats = engine.execute(
-            plan.compiled,
-            group_nodes=group_nodes,
-            stats=stats,
-            scan_memo=self.scan_memo,
-            subtree_cache=self.subtree_cache,
-        )
+        try:
+            results, stats = self._run(plan, group_nodes)
+        except ClosureBudgetError:
+            self._closure.drop()
+            self._fallback = choose_index(graph_stats(self.graph))
+            results, stats = self._run(plan, group_nodes)
         stats.result_cache_misses = 1
         self.result_cache.put((plan.fingerprint, group_nodes), frozenset(results))
         if not group_nodes:
@@ -630,42 +628,18 @@ class QuerySession:
             self._record_observed(plan, stats)
         return results, stats
 
-    def _partial_service(self, plan: QueryPlan, stats: EvaluationStats):
-        """The descendant closure with this plan's rows filled, or None.
-
-        The partial scope of a graph above the closure bound.  One
-        closure per graph lineage — the one :meth:`reachability` hands
-        out for ``tc``: the first partial-scope plan to find the slot
-        empty creates it (``partial_builds``), later ones — across
-        appends too — reuse it (``partial_hits``).  Probes leave the
-        candidates of non-leaf query nodes, so their components' rows are
-        filled before the engine starts.  A plan needing more *new* rows than
-        :data:`~repro.plan.cost.PARTIAL_FOOTPRINT_FRACTION` of the graph
-        (costing bounded its seeds, not their cone) gets None: the
-        closure is dropped, the plan runs on the full index and is not
-        tried again in this version.
-        """
-        if plan.fingerprint in self._closure_refused:
-            return None
-        service = self._closure.current(self.graph)
-        created = service is None
-        if created:
-            service = self._closure.create(self.graph)
-        query = plan.compiled.query
-        parents = [
-            node
-            for node_id in query.nodes
-            if query.children[node_id]
-            for node in scan_candidates(self.graph, query.attribute(node_id), self.scan_memo)
-        ]
-        sources = set(service.components(parents))
-        budget = max(1, int(PARTIAL_FOOTPRINT_FRACTION * self.graph.num_nodes))
-        if not service.index.fill(sources, budget):
-            self._closure.drop()
-            self._closure_refused.add(plan.fingerprint)
-            return None
-        stats.partial_builds, stats.partial_hits = int(created), int(not created)
-        return service
+    def _run(
+        self, plan: QueryPlan, group_nodes: tuple[str, ...]
+    ) -> tuple[ResultSet, EvaluationStats]:
+        service = self.reachability(self._fallback or plan.compiled.physical.index_name)
+        # Construction is trivial: the service exists.
+        return GTEA(self.graph, reachability=service).execute(
+            plan.compiled,
+            group_nodes=group_nodes,
+            stats=EvaluationStats(),
+            scan_memo=self.scan_memo,
+            subtree_cache=self.subtree_cache,
+        )
 
     def _record_observed(self, plan: QueryPlan, stats: EvaluationStats) -> None:
         """Keep one execution's operator records for :meth:`explain`'s
@@ -750,10 +724,9 @@ class QuerySession:
 
         ``"partial"`` is *the* descendant closure's row — ``rows`` /
         ``bytes`` held, ``fills`` ever computed, version bumps ``kept``
-        across, closures ``dropped`` — whichever plan filled it: the
-        ``tc`` rung under the closure bound, the partial scope above it,
-        or a pinned ``index="tc"``.  ``"indexes"`` counts the other,
-        pooled indexes.  ``"normalize"`` is the normalize memo's row, and
+        across, closures ``dropped`` (a lineage break, ``invalidate()`` or
+        a fill past the budget).  ``"indexes"`` counts the other, pooled
+        indexes, a fallback's among them.  ``"normalize"`` is the normalize memo's row, and
         ``"candidate"`` the scan memo's — all zero while every predicate
         pins a label (it was the candidate cache's row, and keeps its
         name until the e2e tracer stops reading it, ROADMAP item 1 step

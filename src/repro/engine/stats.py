@@ -67,19 +67,6 @@ class EvaluationStats:
     #: batch accounting of :meth:`QuerySession.evaluate_many`.
     batch_queries: int = 0
     batch_unique_queries: int = 0
-    # ------------------------------------------------------------------
-    # Partial-scope counters (repro.reachability.partial, behind the
-    # per-query costing of repro.plan.cost).  All zero for full-scope
-    # plans.
-    # ------------------------------------------------------------------
-    #: executions that created the session's descendant closure first.
-    partial_builds: int = 0
-    #: executions served by the closure the session already held (kept
-    #: across appends, or rehydrated), filling only the rows it lacked.
-    partial_hits: int = 0
-    #: partial-scope plans that ran on a full index anyway (their rows
-    #: blew the fill budget, or group evaluation).
-    partial_fallbacks: int = 0
 
     @property
     def intermediate_cost(self) -> int:

@@ -34,7 +34,10 @@ class GraphStats:
     roots and acyclicity.  Depth is not among them: :func:`depth_stats`
     computes it on request.  :func:`graph_stats` defers ``is_dag`` to its
     first read, because acyclicity completes the component numbering and
-    only the ladder rungs above the closure bound read it."""
+    only the ladder reads it.  The index line is ``tc``, filled on demand,
+    under a byte budget; past it the ladder's pick for the version
+    (:func:`repro.plan.cost.choose_index`), the one reader of these
+    statistics besides Table 1."""
 
     num_nodes: int
     num_edges: int

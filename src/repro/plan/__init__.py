@@ -14,16 +14,9 @@ from .compile import CompiledPlan, compile_normalized, compile_query
 from .cost import (
     AUTO_CLOSURE_MAX_BYTES,
     AUTO_NEAR_TREE_RATIO,
-    PARTIAL_CONE_EXPANSION,
     PARTIAL_FOOTPRINT_FRACTION,
-    IndexChoice,
     choose_index,
-    choose_index_detail,
-    choose_scoped_index,
-    closure_fill_units,
     estimate_candidates,
-    index_build_units,
-    scoped_index_key,
 )
 from .logical import CandidateSource, LogicalPlan, PruneObligation, build_logical_plan
 from .normalize import NormalizedQuery, NormalizeOutcome, normalize, normalize_key
@@ -39,11 +32,9 @@ __all__ = [
     "AUTO_NEAR_TREE_RATIO",
     "CandidateSource",
     "CompiledPlan",
-    "IndexChoice",
     "LogicalPlan",
     "NormalizeOutcome",
     "NormalizedQuery",
-    "PARTIAL_CONE_EXPANSION",
     "PARTIAL_FOOTPRINT_FRACTION",
     "PhysicalOperator",
     "PhysicalPlan",
@@ -52,14 +43,9 @@ __all__ = [
     "build_operator_pipeline",
     "build_physical_plan",
     "choose_index",
-    "choose_index_detail",
-    "choose_scoped_index",
-    "closure_fill_units",
     "compile_normalized",
     "compile_query",
     "estimate_candidates",
-    "index_build_units",
     "normalize",
     "normalize_key",
-    "scoped_index_key",
 ]

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..graph.digraph import DataGraph
-from ..graph.stats import GraphStats
 from ..query.gtpq import GTPQ
 from .logical import LogicalPlan, build_logical_plan
 from .normalize import NormalizedQuery, normalize
@@ -41,7 +40,7 @@ class CompiledPlan:
     def unsatisfiable(self) -> bool:
         return not self.normalized.satisfiable
 
-    def explain(self, observed=None, closure_rows=None) -> str:
+    def explain(self, observed=None, index_line=None) -> str:
         """Render every compilation stage, one section per phase.
 
         Args:
@@ -49,13 +48,14 @@ class CompiledPlan:
                 (``EvaluationStats.operator_stats``); the physical-plan
                 section then shows estimated *and* observed per-operator
                 stats, including runtime reorderings.
-            closure_rows: rows the session's descendant closure holds,
-                printed on a ``tc`` index line.
+            index_line: the index line a session prints instead of the
+                plan's own: the index the plan runs on there, with what
+                its closure has filled.
         """
         sections = [
             ("normalize", self.normalized.explain_lines()),
             ("logical plan", self.logical.explain_lines()),
-            ("physical plan", self.physical.explain_lines(observed, closure_rows)),
+            ("physical plan", self.physical.explain_lines(observed, index_line)),
         ]
         lines: list[str] = []
         for title, body in sections:
@@ -70,28 +70,19 @@ def compile_query(
     *,
     index: str = "auto",
     minimize: bool = True,
-    stats: GraphStats | None = None,
-    pooled=(),
 ) -> CompiledPlan:
     """Compile ``query`` for evaluation over ``graph``.
 
     Args:
         graph: the data graph.
         query: the query to compile.
-        index: reachability index name, or ``"auto"`` for the cost
-            model's choice.
+        index: reachability index name, or ``"auto"`` (``tc``, the
+            closure filled on demand under a byte budget).
         minimize: run Algorithm-1 minimization during the normalize
             phase (simplification and the satisfiability short circuit
             always run).
-        stats: :func:`~repro.graph.stats.graph_stats` already in hand;
-            computed on demand when omitted.
-        pooled: full-scope index names already built by the caller (the
-            session's reachability pool); per-query costing treats those
-            as free and never picks a partial index against them.
     """
-    return compile_normalized(
-        graph, normalize(query, minimize=minimize), index=index, stats=stats, pooled=pooled
-    )
+    return compile_normalized(graph, normalize(query, minimize=minimize), index=index)
 
 
 def compile_normalized(
@@ -99,14 +90,10 @@ def compile_normalized(
     normalized: NormalizedQuery,
     *,
     index: str = "auto",
-    stats: GraphStats | None = None,
-    pooled=(),
 ) -> CompiledPlan:
     """The logical and physical stages of :func:`compile_query`, for a
     query already through the normalize phase (a session replays it from
     its memo)."""
     logical = build_logical_plan(graph, normalized)
-    physical = build_physical_plan(
-        graph, normalized, logical, index=index, stats=stats, pooled=pooled
-    )
+    physical = build_physical_plan(graph, normalized, logical, index=index)
     return CompiledPlan(normalized=normalized, logical=logical, physical=physical)

@@ -3,8 +3,9 @@
 Turns a :class:`~repro.plan.logical.LogicalPlan` into concrete execution
 decisions using the cost model of :mod:`repro.plan.cost`:
 
-* which reachability index the executor should probe (the ladder of
-  :func:`repro.plan.cost.choose_index`, scoped per query);
+* which reachability index the executor should probe: ``"auto"`` is
+  ``tc``, the descendant closure a session fills on demand under a byte
+  budget (:mod:`repro.plan.cost`), and a pinned name is kept;
 * the **operator pipeline** — an explicit ordered list of
   :class:`PhysicalOperator` rows that
   :mod:`repro.engine.operators` instantiates and runs: CandidateScan →
@@ -23,11 +24,10 @@ the estimated-vs-observed comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..graph.digraph import DataGraph
-from ..graph.stats import GraphStats, graph_stats
-from .cost import choose_scoped_index, scoped_index_key
+from . import cost
 from .logical import LogicalPlan
 from .normalize import NormalizedQuery
 
@@ -67,11 +67,6 @@ class PhysicalPlan:
         index_reason: why this index was picked.
         operators: the ordered operator pipeline the executor drives
             (see :class:`PhysicalOperator`).
-        index_scope: ``"full"`` (one index over the whole graph) or
-            ``"partial"`` (the session's lazily filled descendant
-            closure — see :mod:`repro.reachability.partial`).
-        footprint_estimate: the costing-time footprint estimate behind a
-            partial-scope choice; None for full-scope plans.
     """
 
     index_name: str
@@ -79,14 +74,14 @@ class PhysicalPlan:
     downward_order: tuple[str, ...]
     index_reason: str
     operators: tuple[PhysicalOperator, ...] = ()
-    index_scope: str = "full"
-    footprint_estimate: int | None = None
+
+    #: not a field: read by ``benchmarks/e2e/layers.py`` (ROADMAP item 1 step C).
+    index_scope = "full"
 
     @property
-    def scoped_index_name(self) -> str:
-        """This plan's index choice with its scope
-        (``"tc"``, ``"tc@partial"``, ...)."""
-        return scoped_index_key(self.index_name, self.index_scope)
+    def index_line(self) -> str:
+        """``explain()``'s index line as the plan alone knows it."""
+        return f"index: {self.index_name} ({self.index_reason})"
 
     def covers_query(self, query) -> bool:
         """Does the downward order cover every node of ``query``?
@@ -97,32 +92,16 @@ class PhysicalPlan:
         return set(self.downward_order) == set(query.nodes)
 
     def explain_lines(
-        self, observed: "Sequence | None" = None, closure_rows: int | None = None
+        self, observed: "Sequence | None" = None, index_line: str | None = None
     ) -> list[str]:
         """Render the plan; with ``observed`` operator stats (an
         execution's ``EvaluationStats.operator_stats``), each pipeline
         row also shows what actually happened — including an early exit
         and the operators it skipped, and the visits a subtree-cache hit
-        covered (``covered by subtree-cache hit at <node>``).  A session passes
-        ``closure_rows``, the rows its descendant closure holds, which a
-        full-scope ``tc`` line reports as ``rows filled R``."""
-        if self.index_scope == "full":
-            reason = self.index_reason
-            if self.index_name == "tc" and closure_rows is not None:
-                reason += f"; rows filled {closure_rows}"
-            lines = [f"index: {self.index_name} ({reason})"]
-        else:
-            footprint = (
-                f"footprint≈{self.footprint_estimate}"
-                if self.footprint_estimate is not None
-                else "footprint unknown"
-            )
-            lines = [
-                f"index: [index {self.index_name}/{self.index_scope} · "
-                f"{footprint}] ({self.index_reason})"
-            ]
-        lines.append(f"executor: {self.executor}")
-        lines.append("operator pipeline:")
+        covered (``covered by subtree-cache hit at <node>``).  A session
+        passes ``index_line``, the index the plan runs on there with what
+        its closure has filled, in place of :attr:`index_line`."""
+        lines = [index_line or self.index_line, f"executor: {self.executor}", "operator pipeline:"]
         observed_by_key: dict[tuple[str, str | None], object] = {}
         covered_by: dict[str, str] = {}
         for record in observed or ():
@@ -181,35 +160,24 @@ def build_physical_plan(
     logical: LogicalPlan,
     *,
     index: str = "auto",
-    stats: GraphStats | None = None,
-    pooled: Iterable[str] = (),
+    stats=None,
+    pooled=(),
 ) -> PhysicalPlan:
-    """Cost the logical plan and fix index, executor and operator list.
+    """Fix index, executor and operator list of the logical plan.
 
     Args:
         graph: the data graph.
         normalized: the normalize-phase outcome (for the unsatisfiable
             short circuit).
         logical: the logical plan to realize.
-        index: an explicit index name pins the choice; ``"auto"`` lets
-            the cost model decide from the graph statistics.
-        stats: :func:`~repro.graph.stats.graph_stats` already in hand;
-            computed on demand when omitted.
-        pooled: names of full-scope indexes the session has already
-            built; an already-built index makes the full arm free, so
-            per-query costing never picks partial against it.
+        index: an explicit index name pins the choice; ``"auto"`` is
+            ``tc``, the closure filled on demand under a byte budget.
+        stats, pooled: ignored; ``benchmarks/e2e/layers.py`` passes them
+            (ROADMAP item 1 step C).
     """
-    if stats is None:
-        stats = graph_stats(graph)
-    index_scope = "full"
-    footprint_estimate: int | None = None
     if index == "auto":
-        choice = choose_scoped_index(stats, logical.sources, pooled=pooled)
-        index_name = choice.index_name
-        index_reason = choice.reason
-        index_scope = choice.scope
-        if choice.scope != "full":
-            footprint_estimate = choice.footprint_estimate
+        index_name = "tc"
+        index_reason = f"closure filled on demand, budget {cost.AUTO_CLOSURE_MAX_BYTES} bytes"
     else:
         # Deferred import: the factory imports this package's cost model.
         from ..reachability.factory import resolve_index
@@ -224,6 +192,4 @@ def build_physical_plan(
         downward_order=logical.downward_order,
         index_reason=index_reason,
         operators=build_operator_pipeline(executor, logical, logical.downward_order),
-        index_scope=index_scope,
-        footprint_estimate=footprint_estimate,
     )

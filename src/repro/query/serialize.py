@@ -7,8 +7,9 @@ Fingerprints (:func:`query_fingerprint`, :func:`subtree_fingerprints`) are
 stable content hashes used as cache keys by
 :class:`repro.engine.session.QuerySession`:
 two queries that serialize to the same canonical form — regardless of node
-insertion order or a round trip through :func:`query_to_dict` /
-:func:`query_from_dict` — share one fingerprint.  Output order is part of
+insertion order, or of a round trip through :func:`query_to_dict` /
+:func:`query_from_dict` when every ``fs`` is simplified — share one
+fingerprint.  Output order is part of
 the fingerprint (it determines result-tuple column order); sibling order
 is not.
 """
@@ -20,7 +21,7 @@ import json
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
-from ..logic.formula import And, Const, Formula, Not, Or, Var
+from ..logic.formula import TRUE, And, Const, Formula, Not, Or, Var
 from ..logic.parser import shared_formula
 from .attribute import AttributePredicate, shared_predicate
 from .builder import add_node, assemble
@@ -41,7 +42,10 @@ def query_to_dict(query: GTPQ) -> dict[str, Any]:
             entry["parent"] = query.parent[node_id]
             entry["edge"] = query.edge_type(node_id).value
         fs = query.fs(node_id)
-        if fs.variables() or fs.is_constant() and not fs.value:  # non-trivial
+        # Left out only where query_from_dict defaults to it: a TRUE fs
+        # over no predicate child (with some, it would conjoin them).
+        children = query.children[node_id]
+        if fs != TRUE or any(not query.nodes[child].is_backbone for child in children):
             entry["fs"] = str(fs)
         nodes.append(entry)
     return {"nodes": nodes, "outputs": list(query.outputs)}
@@ -211,8 +215,12 @@ def query_fingerprint(query: GTPQ) -> str:
     """SHA-256 hex digest of the canonical form of ``query``.
 
     The session layer keys its plan and result caches on this value; it is
-    stable across processes and across :func:`query_to_dict` /
-    :func:`query_from_dict` round trips.  The hashed text is exactly
+    stable across processes, and across :func:`query_to_dict` /
+    :func:`query_from_dict` round trips of queries whose ``fs`` formulas
+    are simplified, as the builder and the parser leave them.  An
+    unsimplified one (substitution residue such as ``p & 1``) comes back
+    simplified: the round trip answers alike but may fingerprint apart.
+    The hashed text is exactly
     ``json.dumps(canonical_query_dict(query), sort_keys=True,
     separators=(",", ":"))``, written directly — keys in sorted order,
     each node's atoms as the cached :func:`predicate_key` text — instead

@@ -4,10 +4,10 @@ The paper's evaluation framework is index-agnostic ("flexible for our
 framework to use other labeling schemes", Section 4.1).  Five index
 families are registered, each reached by the paper, a baseline or the
 planner's ladder: 3-hop (the paper's default), the lazily filled
-descendant closure ``tc`` (the ladder's first rung), interval labels and
-the Agrawal tree cover (forest and near-tree rungs; the tree cover also
-serves HGJoin) and SSPI (TwigStackD's index).  :func:`build_reachability`
-accepts ``index="auto"`` to pick an index from the graph's shape.  The
+descendant closure ``tc`` (what ``index="auto"`` is), interval labels and
+the Agrawal tree cover (the forest and near-tree rungs of the ladder a
+session falls back to past the closure's budget; the tree cover also
+serves HGJoin) and SSPI (TwigStackD's index).  The
 chain decomposition and the contour merges behind 3-hop and GTEA's set
 pruning live in :mod:`.chain_cover` and :mod:`.contour`.
 """
@@ -28,6 +28,7 @@ from .factory import (
 )
 from .interval import IntervalIndex, IntervalLabeling
 from .partial import (
+    ClosureBudgetError,
     DescendantClosure,
     Footprint,
     PartialReachability,
@@ -42,6 +43,7 @@ from .tree_cover import TreeCoverIndex
 
 __all__ = [
     "ChainCover",
+    "ClosureBudgetError",
     "Contour",
     "Dag",
     "DagIndex",

@@ -1,12 +1,13 @@
-"""Index factory: build a reachability service by name, or pick one.
+"""Index factory: build a reachability service by name.
 
 The registry names the five index families something reaches —
 ``3hop``, ``tc``, ``interval``, ``tree-cover`` and ``sspi`` (see
-:func:`available_indexes`).  Besides the explicit names, ``index="auto"`` selects an index from the
-shape of the data graph (see :func:`resolve_index`): the lazily
-filled descendant closure (``tc``) while its worst case fits a memory
-bound, then interval labels on forests, the tree-cover on near-tree DAGs,
-and 3-hop — the paper's default — everywhere else.
+:func:`available_indexes`).  Besides the explicit names, ``index="auto"``
+is ``tc`` at every graph size: the descendant closure, filled on demand.
+In a session it fills under a byte budget
+(:data:`~repro.plan.cost.AUTO_CLOSURE_MAX_BYTES`), and past it the
+session runs the ladder's pick for the version
+(:func:`~repro.plan.cost.choose_index`); built here, it has no budget.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from __future__ import annotations
 from typing import Callable
 
 from ..graph.digraph import DataGraph
-from ..graph.stats import graph_stats
-from ..plan.cost import AUTO_CLOSURE_MAX_BYTES, AUTO_NEAR_TREE_RATIO, choose_index
+from ..plan.cost import AUTO_CLOSURE_MAX_BYTES, AUTO_NEAR_TREE_RATIO
 from .base import Dag, DagIndex, GraphReachability
 from .interval import IntervalIndex
 from .partial import DescendantClosure, PartialReachability
@@ -46,11 +46,10 @@ def available_indexes() -> list[str]:
 
 
 def resolve_index(graph: DataGraph, index: str) -> str:
-    """Resolve ``"auto"`` against ``graph`` — the ladder of
-    :func:`repro.plan.cost.choose_index` over its current statistics —
-    and pass explicit names through (``ValueError`` for unknown ones)."""
+    """Resolve ``"auto"`` to ``tc``, whatever ``graph``, and pass explicit
+    names through (``ValueError`` for unknown ones)."""
     if index == "auto":
-        return choose_index(graph_stats(graph))
+        return "tc"
     if index not in _REGISTRY:
         raise ValueError(
             f"unknown index {index!r}; available: "
@@ -65,11 +64,11 @@ def build_reachability(graph: DataGraph, index: str = "3hop") -> GraphReachabili
     Args:
         graph: the data graph (cyclic graphs are condensed automatically).
         index: one of :func:`available_indexes` (default the paper's
-            3-hop), or ``"auto"`` for the :func:`resolve_index`
-            heuristic.
+            3-hop), or ``"auto"`` (``tc``, see :func:`resolve_index`).
 
     Every index but ``tc`` completes the graph's component numbering
-    first; ``tc`` numbers only the cones its queries map.
+    first; ``tc`` numbers only the cones its queries map, and has no
+    budget here.
     """
     name = resolve_index(graph, index)
     if name == "tc":

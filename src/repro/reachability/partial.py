@@ -14,9 +14,12 @@ probed) and ``reaches`` is one shift-and-mask that counts one lookup.
 The pruning passes read whole rows (:meth:`DescendantClosure.rows_for`)
 and test a component against a *set* with one AND against a
 :func:`mask`.  Worst case the memo is the lower-triangular closure,
-``n² / 16`` bytes — the bound the index ladder admits ``tc`` under
-(:data:`repro.plan.cost.AUTO_CLOSURE_MAX_BYTES`); above it the planner's
-partial scope bounds each ``fill``.
+n(n−1)/2 bits.  A closure may carry a budget of filled bits (the
+``bit_length()`` of its rows): a fill that would pass it raises
+:class:`ClosureBudgetError` before writing the row.  ``index="auto"`` in
+a session is this closure, filled on demand under the byte budget
+:data:`repro.plan.cost.AUTO_CLOSURE_MAX_BYTES`; past it the ladder's pick
+for the version.  A closure built outside a session has no budget.
 
 **The lineage rule.**  A row depends only on the successor rows of the
 components below it.  A graph lineage has one component numbering,
@@ -42,6 +45,7 @@ from ..graph.digraph import DataGraph
 from .base import Dag, DagIndex, GraphReachability
 
 __all__ = [
+    "ClosureBudgetError",
     "DescendantClosure",
     "Footprint",
     "PartialReachability",
@@ -101,8 +105,13 @@ def candidate_cone(
     return frozenset(seen)
 
 
+class ClosureBudgetError(RuntimeError):
+    """A fill would pass the closure's budget of filled bits."""
+
+
 class Footprint:
-    """A descendant-closed node set with a stable fingerprint."""
+    """A descendant-closed node set with a stable fingerprint.  Only
+    ``benchmarks/e2e/layers.py`` builds one (ROADMAP item 1 step C)."""
 
     __slots__ = ("nodes", "fingerprint")
 
@@ -127,41 +136,51 @@ class DescendantClosure(DagIndex):
 
     ``dag`` must number its nodes in reverse topological order (every
     successor id is smaller than its source's), as condensation DAGs do.
+    ``budget_bits`` bounds :attr:`bits`; None (the default) leaves the
+    closure unbounded.
     """
 
     name = "tc"
 
-    def __init__(self, dag: Dag):
+    def __init__(self, dag: Dag, budget_bits: int | None = None):
         super().__init__(dag)
         self._rows: dict[int, int] = {}
         self.fills = 0  #: rows computed into this memo so far.
+        self.bits = 0  #: the ``bit_length()`` of the stored rows, summed.
+        self.budget_bits = budget_bits
 
-    def fill(self, components: Iterable[int], budget: int | None = None) -> bool:
+    def fill(self, components: Iterable[int]) -> None:
         """Make sure every component of ``components`` has its row.
 
         A row needs the rows of everything below it, so this computes
         the missing part of the cone, smallest id (successors) first.
-        With a ``budget``, a cone with more missing rows than that is
-        left alone: False is returned and the memo is as it was.
+        A row that would take :attr:`bits` past the budget raises
+        :class:`ClosureBudgetError` unwritten; the rows before it stay.
         """
         rows, successors = self._rows, self.dag.succ
-        limit = len(successors) if budget is None else budget  # no cone outgrows the DAG
         missing = {component for component in components if component not in rows}
         stack = list(missing)
-        while stack and len(missing) <= limit:
+        while stack:
             for successor in successors[stack.pop()]:
                 if successor not in rows and successor not in missing:
                     missing.add(successor)
                     stack.append(successor)
-        if len(missing) > limit:
-            return False
-        for component in sorted(missing):
-            row = 0
-            for successor in successors[component]:
-                row |= rows[successor] | 1 << successor
-            rows[component] = row
-        self.fills += len(missing)
-        return True
+        stored, bits, budget = len(rows), self.bits, self.budget_bits
+        try:
+            for component in sorted(missing):
+                row = 0
+                for successor in successors[component]:
+                    row |= rows[successor] | 1 << successor
+                width = row.bit_length()
+                if budget is not None and bits + width > budget:
+                    raise ClosureBudgetError(
+                        f"row {component} would take the closure past {budget} bits"
+                    )
+                bits += width
+                rows[component] = row
+        finally:
+            self.bits = bits
+            self.fills += len(rows) - stored
 
     def reaches(self, source: int, target: int) -> bool:
         self.counters.lookups += 1
@@ -197,11 +216,11 @@ class PartialReachability(GraphReachability):
     bump (:meth:`following`).
     """
 
-    def __init__(self, graph: DataGraph):
+    def __init__(self, graph: DataGraph, budget_bits: int | None = None):
         self.graph = graph
         self.condensation = self.lineage = graph.structure().condensation
         self.dag = Dag.from_condensation(self.condensation)
-        self.index = DescendantClosure(self.dag)
+        self.index = DescendantClosure(self.dag, budget_bits)
 
     def following(self, graph: DataGraph) -> "PartialReachability | None":
         """This service, when the graph is still on its lineage (every
@@ -214,9 +233,10 @@ def build_partial_reachability(
     graph: DataGraph, footprint: Footprint, inner: str = "tc"
 ) -> PartialReachability:
     """A fresh closure with the rows of ``footprint`` already filled.
+    Only ``benchmarks/e2e/layers.py`` calls it (ROADMAP item 1 step C).
 
-    ``inner`` names the index family of the partial scope, which is
-    always the closure's: anything but ``"tc"`` is refused.
+    ``inner`` names the index family, always the closure's: anything
+    but ``"tc"`` is refused.
     """
     if inner != "tc":
         raise ValueError(f"the partial scope is a descendant closure (tc), not {inner!r}")

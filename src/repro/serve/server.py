@@ -152,8 +152,8 @@ class QueryServer:
         session = QuerySession(self.graph, store=self.store)
         # Touching the reachability service resolves the index now, not
         # under the first request: a pinned full index is built here.  The
-        # default (``tc`` under the closure bound) builds nothing more —
-        # the first misses fill the rows they read.
+        # default (``tc``, the closure) builds nothing more — the first
+        # misses fill the rows they read.
         session.reachability()
         return session
 

@@ -39,15 +39,16 @@ from pathlib import Path
 
 #: bumped whenever the artifact layout or any payload schema changes;
 #: readers reject (and discard) artifacts from any other revision.
-#: (2: PhysicalPlan grew index_scope/footprint_estimate fields, so
+#: (2: PhysicalPlan grew its index scope and footprint fields, so
 #: format-1 plan pickles no longer describe the live schema.  3:
 #: LogicalPlan stopped storing obligations and subtree fingerprints, GTPQ
 #: grew its unpickled memo slots.  4: PhysicalPlan lost its executor
 #: cost field, and the baseline operator a plan could name is gone.  5:
 #: JSON-text aliases left the ``plans`` payload for their own
 #: ``aliases`` kind.  6: the ``candidates`` kind is gone, and a plan no
-#: longer carries per-node predicate keys.)
-STORE_FORMAT_VERSION = 6
+#: longer carries per-node predicate keys.  7: PhysicalPlan lost its
+#: index scope and footprint fields with the per-query partial scope.)
+STORE_FORMAT_VERSION = 7
 
 _MAGIC = b"repro-store\n"
 _SUFFIX = ".artifact"
@@ -129,13 +130,15 @@ class ArtifactStore:
             + pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         )
         for attempt in range(1, _SAVE_ATTEMPTS + 1):
-            target.parent.mkdir(parents=True, exist_ok=True)
             temp = target.parent / f".{kind}.{os.getpid()}.{uuid.uuid4().hex}.tmp"
             try:
+                # mkdir raises FileExistsError when a prune removes the
+                # directory between its own attempt and its is_dir check.
+                target.parent.mkdir(parents=True, exist_ok=True)
                 temp.write_bytes(blob)
                 os.replace(temp, target)
                 break
-            except FileNotFoundError:
+            except (FileNotFoundError, FileExistsError):
                 temp.unlink(missing_ok=True)
                 if attempt == _SAVE_ATTEMPTS:
                     raise

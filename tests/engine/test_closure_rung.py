@@ -1,12 +1,14 @@
-"""The ladder's first rung in a session: under the closure bound
-(``AUTO_CLOSURE_MAX_BYTES``) an ``index="auto"`` session runs every query
-on its one lazily filled descendant closure — nothing is built up front,
-3-hop is never constructed, the rows outlive appends *and* attribute
-writes, and memory stays inside the stated ``n² / 16`` bytes.
+"""The closure in a session under its real budget
+(``AUTO_CLOSURE_MAX_BYTES`` of filled bits): an ``index="auto"`` session
+runs every query on its one lazily filled descendant closure — nothing
+is built up front, 3-hop is never constructed, the rows outlive appends
+*and* attribute writes, and the filled bits of every row of a graph this
+size stay far inside the budget.
 
-(The arms above the bound — the shape ladder and the budgeted partial
-scope — are ``tests/engine/test_partial_session.py`` and friends, with
-the bound patched down.)
+(A fill past the budget, and the ladder's pick it falls back to, are
+``tests/engine/test_closure_budget.py`` and
+``tests/oracle/test_closure_budget_differential.py``, with the budget
+patched down.)
 """
 
 import asyncio
@@ -99,38 +101,42 @@ class TestOneHolder:
         service = session.reachability()  # what the server's warm-up does
         assert service is session.reachability() is session._closure.service
         assert not any(session.cache_info()["partial"].values())  # no row, no fill
+        assert service.index.budget_bits == 8 * AUTO_CLOSURE_MAX_BYTES
         query = fig7_query("q1", person_group=1)
-        _, stats = session.evaluate_with_stats(query)
+        session.evaluate(query)
         row = session.cache_info()["partial"]
         assert 0 < row["rows"] == row["fills"] < xmark.num_nodes / 4
-        # The first rung is not the partial scope: no budget, no counters.
-        assert (stats.partial_builds, stats.partial_hits, stats.partial_fallbacks) == (0, 0, 0)
-        assert session.plan(query).compiled.physical.index_scope == "full"
+        assert session.plan(query).compiled.physical.index_name == "tc"
 
-    def test_explain_prints_the_bound_and_the_rows(self, xmark):
+    def test_explain_prints_the_budget_and_the_filled_bytes(self, xmark):
         session = QuerySession(xmark)
         query = fig7_query("q1", person_group=1)
-        worst = xmark.num_nodes**2 // 16
 
         def index_line():
             return next(
                 line for line in session.explain(query).splitlines() if line.startswith("index:")
             )
 
-        bound = f"closure: n²/16 = {worst} bytes ≤ {AUTO_CLOSURE_MAX_BYTES}"
-        assert index_line() == f"index: tc ({bound}; rows filled 0)"
+        budget = f"closure filled on demand, budget {AUTO_CLOSURE_MAX_BYTES} bytes"
+        assert index_line() == f"index: tc ({budget}; filled 0 bytes in 0 rows)"
         session.evaluate(query)
-        rows = session.cache_info()["partial"]["rows"]
-        assert rows > 0 and index_line() == f"index: tc ({bound}; rows filled {rows})"
+        index = session._closure.service.index
+        assert index.rows > 0 and index.bits > 0
+        filled = f"filled {index.bits // 8} bytes in {index.rows} rows"
+        assert index_line() == f"index: tc ({budget}; {filled})"
 
-    def test_every_row_filled_stays_inside_the_stated_bound(self):
+    def test_every_row_filled_stays_inside_the_budget(self):
+        # XMark 0.2 (13,329 nodes), the largest e2e graph: n(n−1)/2 bits
+        # is the most any rows of it can hold, under the budget.
         graph = generate_xmark(scale=0.2, seed=97).graph
         session = QuerySession(graph)
         closure = session.reachability().index
         closure.fill(range(closure.dag.num_nodes))
         row = session.cache_info()["partial"]
         assert row["rows"] == closure.dag.num_nodes
-        assert row["bytes"] <= graph.num_nodes**2 / 16 <= AUTO_CLOSURE_MAX_BYTES
+        n = graph.num_nodes
+        assert closure.bits <= n * (n - 1) // 2 <= 8 * AUTO_CLOSURE_MAX_BYTES
+        assert session.cache_info()["indexes"]["pooled"] == 0
 
 
 class TestAttributeWrites:

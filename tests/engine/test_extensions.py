@@ -106,14 +106,13 @@ class TestStatsShape:
 
         fired = EvaluationStats(
             subtree_cache_hits=3,
-            partial_builds=1,
-            partial_hits=2,
-            partial_fallbacks=1,
+            batch_queries=1,
+            batch_unique_queries=2,
         )
         total = EvaluationStats.aggregate([EvaluationStats(), fired, fired])
         assert total.subtree_cache_hits == 6
         assert total.subtree_cache_misses == 0
-        assert (total.partial_builds, total.partial_hits, total.partial_fallbacks) == (2, 4, 2)
+        assert (total.batch_queries, total.batch_unique_queries) == (2, 4)
         assert total.downward_prune_ops == 0
 
     def test_phase_timer_accumulates(self):

@@ -137,10 +137,10 @@ def test_stand_alone_engine_follows_graph_mutations(index):
     assert engine.evaluate(query) == evaluate_naive(query, graph) == {(a, c), (a, d)}
 
 
-def test_stand_alone_auto_pick_follows_the_graph_over_the_closure_bound(low_closure_bound):
-    """``"auto"`` is resolved against the graph as it is now: appends that
-    push a star over the (patched) closure bound move the pick from
-    ``tc`` to the ladder's forest rung, and the rebuilt index answers."""
+def test_stand_alone_auto_stays_the_closure_over_the_budget(low_closure_bound):
+    """``"auto"`` is ``tc`` at every size: appends that push a star over
+    the (patched) budget keep the pick, and a stand-alone engine's
+    closure, which has no budget, is rebuilt and answers."""
     graph = DataGraph()
     root = graph.add_node(label="a")
     for _ in range(499):
@@ -158,6 +158,7 @@ def test_stand_alone_auto_pick_follows_the_graph_over_the_closure_bound(low_clos
     assert engine.resolved_index() == "tc"
     for _ in range(100):
         graph.add_edge(root, graph.add_node(label="b"))
-    assert engine.resolved_index() == "interval"
+    assert engine.resolved_index() == "tc"
     assert engine.evaluate(query) == evaluate_naive(query, graph)
-    assert engine.reachability.index.name == "interval"
+    assert engine.reachability.index.name == "tc"
+    assert engine.reachability.index.budget_bits is None

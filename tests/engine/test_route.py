@@ -1,23 +1,25 @@
-"""The one execution decision a session makes: the closure's scope.
+"""The one execution decision a session makes: where reachability
+comes from.
 
-A session runs every plan through one pipeline; what it still decides
-per run is where reachability comes from.  A partial-scope plan runs on
-the descendant closure with its rows filled, unless the call carries
-group nodes or the fill blows its budget — then it runs on the
-session's default index.  Everything else runs on the index its plan
-names.
+A session runs every plan through one pipeline.  An ``index="auto"``
+plan names ``tc``, the session's descendant closure, filled on demand
+under a byte budget; a fill past the budget drops the closure, and the
+plan (and every later one of that graph version) runs on the ladder's
+pick.  Group evaluation takes the same route.
 
 The matrix walks the retired flags ``codegen × parallel × adaptive``
-crossed with ``grouped × scope``, where the scope is ``full`` /
-``full-ad`` (the closure rung, under the bound; a PC and an AD query),
-or one of the two arms above it (the bound patched down): ``partial``
-and ``ladder`` (the full-scope 3-hop pick).  The session accepts the
-retired flags and ignores them, so every flag cell follows the same
-route as the flag-free one.  Every cell is held to three things: the
-answer equals ``evaluate_naive``, ``explain()`` prints the plan's index
-and scope (and the same text as a session built without the flags),
-and the run's operator records reach ``explain()``'s observed columns
-exactly when it was ungrouped.
+crossed with ``grouped × scope``.  The scope is under the budget —
+``full`` and ``full-ad`` (the real budget; a PC and an AD query) and
+``partial`` (an enclave query under the budget patched down) — or over
+it: ``ladder`` (the budget patched down, a chain whose apex fills past
+it; the ladder's pick is ``interval``).  The cell ids are the ones the
+retired per-query scope had.  The session accepts the retired flags and
+ignores them, so every flag cell follows the same route as the
+flag-free one.  Every cell is held to three things: the answer equals
+``evaluate_naive``, ``explain()`` prints the index the run took (and
+the same text as a session built without the flags), and the run's
+operator records reach ``explain()``'s observed columns exactly when it
+was ungrouped.
 """
 
 import itertools
@@ -29,7 +31,7 @@ import pytest
 from repro.datasets import index_choice_workload
 from repro.engine import QuerySession
 from repro.query import AttributePredicate, QueryBuilder, evaluate_naive
-from tests.engine.test_partial_session import apex_query, chain_with_wide_apex
+from tests.engine.test_closure_budget import apex_query, chain_with_wide_apex
 
 
 def pair_query(head, tail, edge="ad"):
@@ -44,13 +46,16 @@ def pair_query(head, tail, edge="ad"):
 
 @pytest.fixture(scope="module")
 def cases():
-    """``scope -> (graph, query, naive answer)``: an enclave query the
-    planner costs to a partial index, and a bulk query it does not."""
+    """``case -> (graph, query, naive answer)``: an enclave query with an
+    AD edge, a bulk query with a PC edge, and a chain's apex query whose
+    rows pass the patched budget."""
     graph, enclave = index_choice_workload(scale=1, queries=1)
     full = pair_query("a", "b", edge="pc")
+    chain, apex = chain_with_wide_apex(), apex_query()
     return {
-        "partial": (graph, enclave[0], evaluate_naive(enclave[0], graph)),
+        "enclave": (graph, enclave[0], evaluate_naive(enclave[0], graph)),
         "full": (graph, full, evaluate_naive(full, graph)),
+        "apex": (chain, apex, evaluate_naive(apex, chain)),
     }
 
 
@@ -71,12 +76,12 @@ FLAGS = list(
 )
 
 
-#: matrix scope -> (case, index_name, index_scope) the plan must carry.
+#: matrix scope -> (case, budget patched down, index the run takes).
 SCOPES = {
-    "full": ("full", "tc", "full"),
-    "full-ad": ("partial", "tc", "full"),  # the enclave query's AD edge, on the closure rung
-    "partial": ("partial", "tc", "partial"),
-    "ladder": ("full", "3hop", "full"),
+    "full": ("full", False, "tc"),
+    "full-ad": ("enclave", False, "tc"),
+    "partial": ("enclave", True, "tc"),
+    "ladder": ("apex", True, "interval"),
 }
 
 
@@ -85,51 +90,33 @@ SCOPES = {
 def test_every_flag_combination_follows_its_route(
     request, cases, scope, codegen, parallel, adaptive, grouped
 ):
-    if scope in ("partial", "ladder"):
+    case, patched, ran_on = SCOPES[scope]
+    if patched:
         request.getfixturevalue("low_closure_bound")
-    case, *index_choice = SCOPES[scope]
     graph, query, expected = cases[case]
     flags = {"codegen": codegen, "parallel": parallel, "adaptive": adaptive}
     with QuerySession(graph, result_cache_size=0, **flags) as session:
         physical = session.plan(query).compiled.physical
-        assert physical.executor == "gtea"
-        name, index_scope = index_choice
-        assert [physical.index_name, physical.index_scope] == index_choice
+        assert (physical.executor, physical.index_name) == ("gtea", "tc")
 
         group_nodes = ("b",) if grouped else ()
-        answer, stats = session.evaluate_with_stats(query, group_nodes)
+        answer, __ = session.evaluate_with_stats(query, group_nodes)
         assert (ungrouped(answer) if grouped else answer) == expected
 
         # explain() takes no group nodes: it prints the ungrouped run.
         explained = session.explain(query)
-        if index_scope == "full":
-            assert f"index: {name} (" in explained
-        else:
-            assert f"index: [index {name}/{index_scope} · footprint" in explained
+        assert f"\nindex: {ran_on} (" in explained
         assert not [
             line for line in explained.splitlines() if line.startswith(("[codegen]", "[parallel]"))
         ]
         assert (" obs in=" in explained) == (not grouped)
 
-        on_closure = index_scope == "partial" and not grouped
-        assert stats.partial_builds + stats.partial_hits == on_closure
-        assert stats.partial_fallbacks == (index_scope == "partial" and grouped)
+        over = ran_on != "tc"
+        info = session.cache_info()
+        assert (info["partial"]["dropped"], info["indexes"]["pooled"]) == (over, over)
 
     # The flags change nothing: a flag-free session run the same way
     # answers and explains alike, up to the timings.
     plain = QuerySession(graph, result_cache_size=0)
     assert plain.evaluate(query, group_nodes) == answer
     assert untimed(plain.explain(query)) == untimed(explained)
-
-
-def test_footprint_blow_out_runs_on_the_default_index(low_closure_bound):
-    graph, query = chain_with_wide_apex(), apex_query()
-    session = QuerySession(graph, result_cache_size=0)
-    assert session.plan(query).compiled.physical.index_scope == "partial"
-    answer, stats = session.evaluate_with_stats(query)
-    assert answer == evaluate_naive(query, graph)
-    assert stats.partial_fallbacks == 1 and stats.partial_builds == 0
-    # The default index was pooled; the plan's inner ``tc`` never was.
-    assert session.cache_info()["indexes"]["pooled"] == 1
-    assert session.cache_info()["partial"]["rows"] == 0
-    assert " obs in=" in session.explain(query)

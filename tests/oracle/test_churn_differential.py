@@ -5,9 +5,9 @@ by *extending* it (:meth:`repro.graph.DataGraph.structure`), together
 with its label postings; every other mutation
 rebuilds the snapshot.  Sessions of every flavour share it and drop their
 caches and full indexes on each version bump; an ``index="auto"`` session
-keeps its descendant closure across appends, whether it reaches it as the
-ladder's first rung (under the closure bound) or through the budgeted
-partial scope (above it — the bound is patched down for that half).  A seeded enclave graph is
+keeps its descendant closure across appends, under the real byte budget
+and under one patched down (the enclave's rows stay under both, so
+neither half falls back).  A seeded enclave graph is
 driven through append epochs — new rare-label nodes citing old ones and
 each other, cycles among the new nodes included — with an edge between
 two *old* nodes every third epoch, and after every step:
@@ -80,11 +80,10 @@ def old_to_old_edge(graph, rng, sources=None):
         pass
 
 
-def churn(seed, *, partial_arm):
-    """Drive one seeded graph through the epochs; ``partial_arm`` says
-    which route the ``index="auto"`` session is expected to take — the
-    budgeted partial scope (the closure bound patched down by the
-    caller) or the closure rung itself."""
+def churn(seed):
+    """Drive one seeded graph through the epochs; the ``index="auto"``
+    session must stay on its closure (never pooling a fallback) under
+    whatever budget the caller left in place."""
     rng = random.Random(seed)
     graph = enclave_graph(1, rng)
     queries = [pair_query("q", "r"), pair_query("r", "s"), pair_query("s", "q")]
@@ -110,9 +109,6 @@ def churn(seed, *, partial_arm):
                 answer, stats = session.evaluate_with_stats(query)
                 assert answer == oracle, f"{where}: {name} != naive"
                 probes[name] = stats
-            routed = probes["auto"].partial_builds + probes["auto"].partial_hits
-            assert routed == partial_arm, where
-            assert probes["auto"].partial_fallbacks == 0, where
             assert sessions["auto"].cache_info()["indexes"]["pooled"] == 0, where
             _, parity_stats = parity.evaluate_with_stats(query)
             assert probes["auto"].index_lookups == parity_stats.index_lookups, (
@@ -155,12 +151,12 @@ def churn(seed, *, partial_arm):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_churned_sessions_match_naive_with_probe_parity(seed, low_closure_bound):
-    churn(seed, partial_arm=True)
+    churn(seed)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_churned_sessions_on_the_closure_rung(seed):
-    churn(seed, partial_arm=False)
+    churn(seed)
 
 
 def test_closure_held_across_mutations_answers_for_its_version():

@@ -7,7 +7,6 @@ from repro.plan import (
     CompiledPlan,
     build_logical_plan,
     build_physical_plan,
-    choose_index,
     compile_query,
     estimate_candidates,
     normalize,
@@ -151,14 +150,12 @@ class TestLogicalPhase:
 
 
 class TestPhysicalPhase:
-    def test_auto_index_follows_cost_ladder(self):
+    def test_auto_index_is_the_closure(self):
         graph = chain_graph()
         normalized = normalize(simple_query())
         logical = build_logical_plan(graph, normalized)
         physical = build_physical_plan(graph, normalized, logical)
-        from repro.graph import graph_stats
-
-        assert physical.index_name == choose_index(graph_stats(graph))
+        assert physical.index_name == "tc"
 
     def test_pinned_index_respected(self):
         graph = chain_graph()

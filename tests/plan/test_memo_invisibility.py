@@ -7,8 +7,9 @@ change no text and no stored byte:
 
 * ``explain()`` on Fig. 7 q1–q3 and the ten Table 4
   GTPQs equal ``explain_golden.json``, written **at the commit before the
-  memos landed**.  Regenerate it only from a commit whose ``explain`` is
-  the reference::
+  memos landed** (its ``index:`` lines were rewritten, and nothing else,
+  when the closure's byte budget replaced the n² bound).  Regenerate it
+  only from a commit whose ``explain`` is the reference::
 
       PYTHONPATH=<reference checkout>/src:. python tests/plan/test_memo_invisibility.py
 

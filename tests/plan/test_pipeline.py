@@ -308,6 +308,7 @@ class TestExplainSurface:
         columns = "nodes edges labels roots max_depth avg_depth auto_index"
         assert lines[2].split() == columns.split()
         assert len(lines[3].split()) == 7
+        assert lines[3].split()[-1] == "tc"  # what "auto" resolves to
 
     def test_cli_explain_query_json(self, capsys, tmp_path):
         path = tmp_path / "q1.json"

@@ -15,12 +15,16 @@ import random
 
 import pytest
 
+from repro.graph import DataGraph
 from repro.logic import FormulaParseError, parse_formula
+from repro.logic.formula import TRUE
 from repro.logic.parser import shared_formula
+from repro.logic.sat import equivalent
 from repro.query import (
     AttributePredicate,
     QueryBuilder,
     attribute,
+    evaluate_naive,
     query_fingerprint,
     query_from_dict,
     query_from_json,
@@ -159,6 +163,29 @@ class TestFingerprintsDoNotDependOnHistory:
         # no list is built once per node.
         assert len(predicates) < 2 * len(atom_lists)
         assert len(predicates) < sum(len(query.nodes) for query in queries) // 2
+
+
+class TestRoundTrip:
+    def test_a_round_trip_keeps_every_fs(self):
+        for name, query in all_cases():
+            back = query_from_json(query_to_json(query))
+            assert back.structural.keys() == query.structural.keys(), name
+            for node_id, fs in query.structural.items():
+                assert equivalent(back.fs(node_id), fs), (name, node_id)
+            # Only an unsimplified fs comes back in another form.
+            same = query_fingerprint(back) == query_fingerprint(query)
+            assert same == (name != "class/unsimplified-fs"), name
+
+    def test_a_tautology_fs_answers_alike_after_the_round_trip(self):
+        # Root ``r`` (label ``a``) over predicate children ``p`` and ``q``
+        # with ``fs = p | !p``, which the builder folds to TRUE: its text
+        # must carry that ``fs``, or the parser would conjoin ``p & q``.
+        query = dict(all_cases())["class/fs/p | !p"]
+        graph = DataGraph()
+        graph.add_node(label="a")
+        back = query_from_json(query_to_json(query))
+        assert back.fs("r") == query.fs("r") == TRUE
+        assert evaluate_naive(back, graph) == evaluate_naive(query, graph) == {(0,)}
 
 
 def via_builder(data):

@@ -1,12 +1,14 @@
 """The lazily filled descendant closure: exact for every pair, in any
 probe order, across append-only extensions with the memo kept — and not
-reused across anything else."""
+reused across anything else — and its budget of filled bits."""
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.graph import DataGraph, reaches
 from repro.reachability import (
+    ClosureBudgetError,
     DescendantClosure,
     PartialReachability,
     build_reachability,
@@ -114,19 +116,40 @@ def test_an_old_to_old_edge_changes_the_lineage(data):
 @settings(max_examples=120, deadline=None)
 def test_budget_abort_leaves_every_stored_row_exact(data):
     graph = data.draw(digraphs(min_nodes=2))
-    index = DescendantClosure(graph.structure().dag)
+    budget = data.draw(st.integers(min_value=0, max_value=40))
+    index = DescendantClosure(graph.structure().dag, budget)
     component = st.integers(min_value=0, max_value=index.dag.num_nodes - 1)
     for _ in range(6):
         wanted = data.draw(st.sets(component, max_size=4))
-        budget = data.draw(st.integers(min_value=0, max_value=index.dag.num_nodes))
-        before = dict(index._rows)
-        if index.fill(wanted, budget):
-            assert wanted <= index._rows.keys()
-            assert len(index._rows) - len(before) <= budget
+        try:
+            index.fill(wanted)
+        except ClosureBudgetError:
+            pass
         else:
-            assert index._rows == before
+            assert wanted <= index._rows.keys()
+        assert index.bits == sum(row.bit_length() for row in index._rows.values())
+        assert index.bits <= budget
         assert index.fills == len(index._rows)
         assert_rows_equal_bfs(graph, index)
+
+
+def test_the_budget_counts_filled_bits_and_raises_before_the_row():
+    graph = DataGraph()
+    for _ in range(100):
+        graph.add_node(label="x")
+    for node in range(99):
+        graph.add_edge(node, node + 1)
+    # Row c of a chain holds c bits: 0 + 1 + ... + 9 = 45 bits for the
+    # ten rows under component 10, whose own row would add 10 more.
+    service = PartialReachability(graph, budget_bits=45)
+    head = service.component_of(0)
+    with pytest.raises(ClosureBudgetError):
+        service.index.fill([head])
+    assert (service.index.rows, service.index.bits) == (10, 45)
+    unbounded = build_reachability(graph, "tc")
+    assert unbounded.index.budget_bits is None
+    assert unbounded.reaches(0, 99)
+    assert unbounded.index.bits == 100 * 99 // 2  # n(n−1)/2: the most n rows hold
 
 
 def test_fill_is_iterative_on_a_deep_chain():
@@ -136,7 +159,5 @@ def test_fill_is_iterative_on_a_deep_chain():
     for node in range(4999):
         graph.add_edge(node, node + 1)
     service = PartialReachability(graph)
-    head = service.component_of(0)
-    assert not service.index.fill([head], budget=4999) and service.index.rows == 0
     assert service.reaches(0, 4999) and not service.reaches(4999, 0)
     assert service.index.rows == service.index.fills == 5000

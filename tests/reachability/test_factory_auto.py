@@ -1,4 +1,5 @@
-"""Factory registry completeness and the "auto" index heuristic."""
+"""Factory registry completeness, ``"auto"`` (``tc`` at every size) and
+the shape ladder a session falls back to past the closure's budget."""
 
 from dataclasses import replace
 
@@ -55,42 +56,40 @@ class TestRegistry:
 
 
 class TestAutoSelection:
-    """The first rung is a memory bound (``n² / 16`` bytes for the whole
-    closure); the rungs above it are exercised with the bound patched
-    down, and once at the real bound on a graph too large for it."""
+    """``"auto"`` is ``tc`` whatever the graph; :func:`choose_index` is
+    the ladder a session falls back to, and never names ``tc``."""
 
-    def test_tiny_graph_selects_transitive_closure(self):
-        assert choose_index(graph_stats(balanced_tree(3))) == "tc"
-
-    def test_the_bound_is_the_worst_case_closure(self):
+    def test_auto_is_the_closure_at_every_size(self):
         assert AUTO_CLOSURE_MAX_BYTES == 64 * 2**20
-        # Whatever the shape: forest, dense DAG, cyclic.
         cyclic = balanced_tree(9)
         cyclic.add_edge(cyclic.num_nodes - 1, 0)
-        for graph in (balanced_tree(9), dense_dag(712), cyclic):
-            assert choose_index(graph_stats(graph)) == "tc"
+        tree = balanced_tree(15)  # 65 535 nodes: n(n−1)/2 bits pass the budget
+        assert tree.num_nodes * (tree.num_nodes - 1) // 2 > 8 * AUTO_CLOSURE_MAX_BYTES
+        for graph in (balanced_tree(3), dense_dag(712), cyclic, tree):
+            assert resolve_index(graph, "auto") == "tc"
         stats = graph_stats(dense_dag(20))
-        assert choose_index(replace(stats, num_nodes=32768)) == "tc"  # n² / 16 == the bound
-        assert choose_index(replace(stats, num_nodes=32769, num_edges=99999)) == "3hop"
+        for num_nodes in (20, 32768, 32769):
+            assert choose_index(replace(stats, num_nodes=num_nodes, num_edges=99999)) == "3hop"
 
     def test_large_forest_selects_interval(self):
-        tree = balanced_tree(15)  # 65 535 nodes: 268 MB worst case, over the real bound
-        assert tree.num_nodes**2 // 16 > AUTO_CLOSURE_MAX_BYTES
+        tree = balanced_tree(15)
         assert choose_index(graph_stats(tree)) == "interval"
-        assert resolve_index(tree, "auto") == "interval"
 
-    def test_near_tree_dag_selects_tree_cover(self, low_closure_bound):
+    def test_small_forest_selects_interval(self):
+        assert choose_index(graph_stats(balanced_tree(3))) == "interval"
+
+    def test_near_tree_dag_selects_tree_cover(self):
         graph = balanced_tree(9)
         # A handful of cross edges: no longer a forest, still near-tree.
         for node in range(0, 40, 4):
             graph.add_edge(node, graph.num_nodes - 1 - node)
         assert choose_index(graph_stats(graph)) == "tree-cover"
 
-    def test_dense_dag_selects_three_hop(self, low_closure_bound):
+    def test_dense_dag_selects_three_hop(self):
         graph = dense_dag(712)
         assert choose_index(graph_stats(graph)) == "3hop"
 
-    def test_large_cyclic_graph_selects_three_hop(self, low_closure_bound):
+    def test_large_cyclic_graph_selects_three_hop(self):
         graph = balanced_tree(9)
         graph.add_edge(graph.num_nodes - 1, 0)  # one giant back edge
         assert choose_index(graph_stats(graph)) == "3hop"

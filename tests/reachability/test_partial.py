@@ -1,7 +1,8 @@
-"""The partial scope's public surface: footprints, and the closure that
-``build_partial_reachability`` pre-fills for one (correctness against
-the full indexes, probe parity).  The closure's own
-properties — laziness, lineage, budget — are in ``test_closure.py``."""
+"""Footprints, and the closure that ``build_partial_reachability``
+pre-fills for one (correctness against the full indexes, probe parity).
+Only ``benchmarks/e2e/layers.py`` builds either (ROADMAP item 1 step C).
+The closure's own properties — laziness, lineage, budget — are in
+``test_closure.py``."""
 
 import random
 
@@ -83,13 +84,12 @@ class TestPartialDifferential:
                     assert full.reaches(source, target) == expected, (case, source, target)
 
     def test_scoped_name(self, inner):
-        """The partial scope is one index family, the closure's."""
+        """A pre-filled closure is one index family, the closure's."""
         graph = random_digraph(random.Random(3), 8, 10)
         footprint = Footprint.from_seeds(graph, {0})
         if inner == "tc":
             service = build_partial_reachability(graph, footprint, inner)
-            # The registry's ``tc``; the ``@partial`` tag is the plan's
-            # (``scoped_index_key``), not the index's.
+            # The registry's ``tc``.
             assert service.index.name == "tc"
             assert type(service.index) is type(build_reachability(graph, "tc").index)
         else:

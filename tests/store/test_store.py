@@ -280,6 +280,24 @@ class TestSaveRacesEviction:
         assert store.kinds(FP) == ["plans"]
         assert store.load(FP, "plans") == {"answer": 42}
 
+    def test_prune_inside_mkdir_is_survived(self, store, monkeypatch):
+        # ``mkdir(exist_ok=True)`` raises FileExistsError when the
+        # directory exists at its attempt and a prune removes it before
+        # its ``is_dir`` check; the threaded test below hit it.
+        mkdir = Path.mkdir
+        raced = []
+
+        def mkdir_losing_the_race(path, *args, **kwargs):
+            if not raced:
+                raced.append(path)
+                raise FileExistsError(17, "File exists")
+            mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", mkdir_losing_the_race)
+        store.save(FP, "plans", {"answer": 42})
+        assert raced == [store.root / FP]
+        assert store.load(FP, "plans") == {"answer": 42}
+
     def test_writers_racing_prune_load_complete_payloads_or_the_default(self, store):
         payloads = {f"k{n}": list(range(n * 100, n * 100 + 200)) for n in range(4)}
         fingerprints = [letter * 64 for letter in "abc"]
@@ -523,6 +541,28 @@ class TestSessionStoreKey:
         assert (store.counters.stale, store.counters.corrupt) == (len(written), 0)
         assert sum(session.store_rehydrated.values()) == 0
         assert store.kinds(session.store_fingerprint) == ["candidates"]
+        assert session.evaluate(query) == evaluate_naive(query, graph)
+        session.close()
+
+    def test_format_6_store_loads_cold_and_never_wrong(self, tmp_path, monkeypatch):
+        """A store written while a physical plan carried its index scope
+        and footprint estimate (format 6) is stale as a whole: its plans,
+        which might name the retired partial scope, are never read."""
+        graph = two_label_graph()
+        query = simple_query()
+        monkeypatch.setattr("repro.store.store.STORE_FORMAT_VERSION", 6)
+        old = QuerySession(graph, store=tmp_path / "store")
+        old.evaluate(query)
+        physical = old.plan(query).compiled.physical
+        object.__setattr__(physical, "index_scope", "partial")  # a format-6 field
+        written = old.persist()
+        monkeypatch.undo()
+
+        session = QuerySession(graph, store=tmp_path / "store")
+        store = session.store
+        assert (store.counters.stale, store.counters.corrupt) == (len(written), 0)
+        assert sum(session.store_rehydrated.values()) == 0
+        assert session.plan(query).compiled.physical.index_scope == "full"
         assert session.evaluate(query) == evaluate_naive(query, graph)
         session.close()
 
