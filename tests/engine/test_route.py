@@ -120,3 +120,19 @@ def test_every_flag_combination_follows_its_route(
     plain = QuerySession(graph, result_cache_size=0)
     assert plain.evaluate(query, group_nodes) == answer
     assert untimed(plain.explain(query)) == untimed(explained)
+
+
+def test_footprint_blow_out_runs_on_the_default_index(low_closure_bound):
+    graph, query = chain_with_wide_apex(), apex_query()
+    session = QuerySession(graph, result_cache_size=0)
+    assert session.plan(query).compiled.physical.index_name == "tc"
+    answer, __ = session.evaluate_with_stats(query)
+    assert answer == evaluate_naive(query, graph)
+    # The closure was dropped before its rows passed the budget; the
+    # ladder's pick was pooled and the run's records reach explain().
+    info = session.cache_info()
+    assert (info["partial"]["rows"], info["partial"]["dropped"]) == (0, 1)
+    assert info["indexes"]["pooled"] == 1
+    explained = session.explain(query)
+    assert "\nindex: interval (" in explained
+    assert " obs in=" in explained

@@ -59,6 +59,13 @@ class TestAutoSelection:
     """``"auto"`` is ``tc`` whatever the graph; :func:`choose_index` is
     the ladder a session falls back to, and never names ``tc``."""
 
+    def test_tiny_graph_selects_transitive_closure(self):
+        graph = balanced_tree(3)
+        service = build_reachability(graph, "auto")
+        assert service.index.name == "tc"
+        assert service.reaches(0, graph.num_nodes - 1)
+        assert not service.reaches(graph.num_nodes - 1, 0)
+
     def test_auto_is_the_closure_at_every_size(self):
         assert AUTO_CLOSURE_MAX_BYTES == 64 * 2**20
         cyclic = balanced_tree(9)
