@@ -10,6 +10,7 @@ sweeps the same 1:2:3:4:8 ladder at smaller absolute sizes.
 
 from __future__ import annotations
 
+import gc
 import pathlib
 
 import pytest
@@ -28,6 +29,15 @@ def pytest_collection_modifyitems(items):
     """
     for item in items:
         item.add_marker(pytest.mark.bench)
+
+
+@pytest.fixture(autouse=True)
+def collected_heap():
+    """Start every figure from a collected heap, as the end-to-end rounds
+    do: otherwise a full collection of what earlier modules left behind
+    (≈ 140 ms with the arXiv suite alive) lands inside whichever single
+    measured query crosses the collector's threshold."""
+    gc.collect()
 
 
 def emit_report(name: str, text: str) -> None:

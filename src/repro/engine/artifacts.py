@@ -85,10 +85,10 @@ class ClosureSlot:
             self._version = graph.version
         return held
 
-    def create(self, graph: DataGraph, budget_bits: int | None) -> PartialReachability:
+    def create(self, graph: DataGraph, budget: int | None) -> PartialReachability:
         """Fill the (empty) slot with a closure over ``graph``, no row
-        filled, bounded by ``budget_bits`` filled bits (None: unbounded)."""
-        self.service = PartialReachability(graph, budget_bits)
+        filled, bounded by ``budget`` filled bytes (None: unbounded)."""
+        self.service = PartialReachability(graph, budget)
         self._version = graph.version
         return self.service
 

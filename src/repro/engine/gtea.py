@@ -146,16 +146,9 @@ class GTEA:
             plan: a pre-compiled plan for ``query`` (the session layer
                 caches these); compiled inline when omitted.
         """
-        stats = EvaluationStats()
         if plan is None:
-            with stats.time_phase("compile"):
-                plan = self.compile(query)
-        return self.execute(
-            plan,
-            group_nodes=group_nodes,
-            output_structures=output_structures,
-            stats=stats,
-        )
+            plan = self.compile(query)
+        return self.execute(plan, group_nodes=group_nodes, output_structures=output_structures)
 
     # ------------------------------------------------------------------
     # Plan execution — a thin driver over the plan's operator list
@@ -212,20 +205,16 @@ class GTEA:
         """The query to run and its operator pipeline, from the plan.
 
         The plan's operator list (``plan.physical.operators``, the one
-        ``explain()`` renders) is instantiated directly.  Two documented
-        exceptions rebuild the GTEA pipeline instead: group nodes and
-        alternative output structures run the *original* query (their
-        node ids may reference relocated nodes), and a plan whose
-        downward order no longer covers the query's nodes falls back to
-        the default bottom-up order.
+        ``explain()`` renders) is instantiated directly, its downward
+        order built from ``plan.query``.  Group nodes and alternative
+        output structures rebuild the GTEA pipeline instead: they run the
+        *original* query (their node ids may reference relocated nodes),
+        in the default bottom-up order.
         """
         if group_nodes or output_structures:
             if plan.unsatisfiable:
                 return plan.query, instantiate_operators(plan.physical.operators)
             query = plan.original
             return query, build_gtea_operators(query.bottom_up())
-        query = plan.query
-        if plan.physical.executor == "gtea" and not plan.physical.covers_query(query):
-            return query, build_gtea_operators(query.bottom_up())
-        return query, instantiate_operators(plan.physical.operators)
+        return plan.query, instantiate_operators(plan.physical.operators)
 

@@ -49,14 +49,7 @@ from ..query.gtpq import GTPQ
 from ..query.serialize import subtree_fingerprints
 from .matching_graph import build_matching_graph
 from .prime import compute_prime_subtree, shrink_prime_subtree
-from .prune import (
-    MatSets,
-    PruningContext,
-    build_pred_contour,
-    downward_step,
-    needs_pred_contour,
-    prune_upward,
-)
+from .prune import MatSets, PruningContext, downward_step, prune_upward
 from .results import ResultSet, collect_results
 from .stats import EvaluationStats
 
@@ -133,12 +126,13 @@ class ExecutionState:
         self.answer: ResultSet | dict[int, ResultSet] | None = None
         self.finished = False
         self._context: PruningContext | None = None
-        #: counter snapshot taken the moment the context (and so the
-        #: index) came into play — the zero point of this execution's
-        #: probe attribution.  The engine's counters are cumulative
-        #: across executions; without this baseline the first
-        #: index-touching operator would be charged all history.
-        self._counter_baseline: dict[str, int] | None = None
+        #: the index's ``(lookups, entries_scanned)`` when the running
+        #: operator started, or when the context (and so the index) came
+        #: into play during it — the zero point of its probe attribution.
+        #: The engine's counters are cumulative across executions; without
+        #: this baseline the first index-touching operator would be
+        #: charged all history.
+        self._counter_baseline: tuple[int, int] = (0, 0)
 
     @property
     def context(self) -> PruningContext:
@@ -149,7 +143,8 @@ class ExecutionState:
         """
         if self._context is None:
             self._context = PruningContext(self.graph, self.query, self.engine.reachability)
-            self._counter_baseline = self._context.reach.counters.snapshot()
+            counters = self._context.reach.counters
+            self._counter_baseline = (counters.lookups, counters.entries_scanned)
         return self._context
 
     def subtree_fingerprint(self, node_id: str) -> str:
@@ -227,8 +222,7 @@ class ExecutionState:
     def restore_covered(self) -> None:
         """Give every covered node its downward set back, children first:
         a ``peek`` of the subtree cache, or — evicted since the probe —
-        a prune through :meth:`prune` (predecessor contours of the
-        children it reads are built first, as their visits would have)."""
+        a prune through :meth:`prune`."""
         cache, covered = self.subtree_cache, self.covered
         for node_id in self.query.bottom_up():
             if node_id not in covered:
@@ -237,19 +231,7 @@ class ExecutionState:
             if cached is not None:
                 self.down[node_id] = cached
                 continue
-            context = self.context
-            for child_id in self.query.children[node_id]:
-                if child_id not in context.pred_contours and needs_pred_contour(context, child_id):
-                    context.pred_contours[child_id] = build_pred_contour(
-                        context, self.down[child_id]
-                    )
             self.prune(node_id)
-
-    def index_snapshot(self) -> dict[str, int] | None:
-        """Reachability counters, or None while no index exists yet."""
-        if self._context is None:
-            return None
-        return self._context.reach.counters.snapshot()
 
     def finish(self, answer: ResultSet | dict[int, ResultSet]) -> "ExecutionState":
         self.answer = answer
@@ -342,16 +324,15 @@ class CandidateScan(Operator):
 
     def run(self, state: ExecutionState) -> ExecutionState:
         stats, query, provider = state.stats, state.query, state.candidate_provider
-        with stats.time_phase("candidates"):
-            for node_id in query.nodes:
-                if provider is not None:
-                    nodes = provider(query, node_id)
-                else:
-                    nodes = scan_candidates(state.graph, query.attribute(node_id), state.scan_memo)
-                # Read-only from here on: a posting is kept, not copied.
-                state.mats[node_id] = nodes
-                stats.candidates_initial[node_id] = len(nodes)
-            stats.input_nodes = sum(stats.candidates_initial.values())
+        for node_id in query.nodes:
+            if provider is not None:
+                nodes = provider(query, node_id)
+            else:
+                nodes = scan_candidates(state.graph, query.attribute(node_id), state.scan_memo)
+            # Read-only from here on: a posting is kept, not copied.
+            state.mats[node_id] = nodes
+            stats.candidates_initial[node_id] = len(nodes)
+        stats.input_nodes = sum(stats.candidates_initial.values())
         if not state.mats[query.root]:
             return state.finish_empty()
         return state
@@ -373,23 +354,18 @@ class DownwardPrune(Operator):
 
     def run(self, state: ExecutionState) -> ExecutionState:
         node_id = self.target
-        stats = state.stats
-        with stats.time_phase("prune_downward"):
-            if node_id in state.probed:
-                cached = state.probed[node_id]
-            else:
-                cached = state.probe_subtree(node_id)
-            if cached is None:
-                refined = state.prune(node_id)
-            else:
-                refined = state.down[node_id] = cached
-                self.note = "subtree-cache"
-                covered = state.covered or {}
-                self.covers = tuple(node for node, hit in covered.items() if hit == node_id)
-            context = state.context
-            if needs_pred_contour(context, node_id):
-                context.pred_contours[node_id] = build_pred_contour(context, refined)
-        stats.candidates_after_downward[node_id] = len(refined)
+        if node_id in state.probed:
+            cached = state.probed[node_id]
+        else:
+            cached = state.probe_subtree(node_id)
+        if cached is None:
+            refined = state.prune(node_id)
+        else:
+            refined = state.down[node_id] = cached
+            self.note = "subtree-cache"
+            covered = state.covered or {}
+            self.covers = tuple(node for node, hit in covered.items() if hit == node_id)
+        state.stats.candidates_after_downward[node_id] = len(refined)
         return state
 
 
@@ -409,9 +385,8 @@ class UpwardPrune(Operator):
             else []
         )
         state.prime_outputs = list(dict.fromkeys(query.outputs + structure_outputs))
-        with stats.time_phase("prune_upward"):
-            state.prime = compute_prime_subtree(query, state.down, state.prime_outputs)
-            state.down = prune_upward(state.context, state.down, state.prime)
+        state.prime = compute_prime_subtree(query, state.down, state.prime_outputs)
+        state.down = prune_upward(state.context, state.down, state.prime)
         stats.candidates_after_upward = {
             node_id: len(nodes) for node_id, nodes in state.down.items()
         }
@@ -425,13 +400,10 @@ class BuildMatchingGraph(Operator):
 
     def run(self, state: ExecutionState) -> ExecutionState:
         stats, query = state.stats, state.query
-        with stats.time_phase("matching_graph"):
-            state.fragments = shrink_prime_subtree(
-                query, state.prime, state.down, state.prime_outputs
-            )
-            state.matching_graph = build_matching_graph(state.context, state.down, state.fragments)
-            stats.matching_graph_nodes = state.matching_graph.num_vertices
-            stats.matching_graph_edges = state.matching_graph.num_edges
+        state.fragments = shrink_prime_subtree(query, state.prime, state.down, state.prime_outputs)
+        state.matching_graph = build_matching_graph(state.context, state.down, state.fragments)
+        stats.matching_graph_nodes = state.matching_graph.num_vertices
+        stats.matching_graph_edges = state.matching_graph.num_edges
         return state
 
 
@@ -440,22 +412,21 @@ class CollectResults(Operator):
 
     def run(self, state: ExecutionState) -> ExecutionState:
         stats, query = state.stats, state.query
-        with stats.time_phase("collect_results"):
-            if state.output_structures:
-                answers: dict[int, ResultSet] = {}
-                for position, outputs in enumerate(state.output_structures):
-                    answers[position] = collect_results(
-                        query,
-                        state.matching_graph,
-                        state.down,
-                        outputs=outputs,
-                        group_nodes=state.group_nodes,
-                    )
-                stats.result_count = sum(len(a) for a in answers.values())
-                return state.finish(answers)
-            results = collect_results(
-                query, state.matching_graph, state.down, group_nodes=state.group_nodes
-            )
+        if state.output_structures:
+            answers: dict[int, ResultSet] = {}
+            for position, outputs in enumerate(state.output_structures):
+                answers[position] = collect_results(
+                    query,
+                    state.matching_graph,
+                    state.down,
+                    outputs=outputs,
+                    group_nodes=state.group_nodes,
+                )
+            stats.result_count = sum(len(a) for a in answers.values())
+            return state.finish(answers)
+        results = collect_results(
+            query, state.matching_graph, state.down, group_nodes=state.group_nodes
+        )
         stats.result_count = len(results)
         return state.finish(results)
 
@@ -527,8 +498,7 @@ def run_pipeline(state: ExecutionState, operators: list[Operator]) -> ExecutionS
             if operator.target in covered:
                 continue
         elif state.covered and isinstance(operator, UpwardPrune):
-            with state.stats.time_phase("prune_downward"):
-                state.restore_covered()
+            state.restore_covered()
         _run_operator(state, operator)
         if state.finished:
             break
@@ -546,19 +516,19 @@ def run_pipeline(state: ExecutionState, operators: list[Operator]) -> ExecutionS
 
 def _run_operator(state: ExecutionState, operator: Operator) -> None:
     """Execute one operator; attribute time, sizes and index probes."""
-    before = state.index_snapshot()
+    if state._context is not None:
+        counters = state._context.reach.counters
+        state._counter_baseline = (counters.lookups, counters.entries_scanned)
     input_size = _operator_input_size(state, operator)
     started = time.perf_counter()
     operator.run(state)
     elapsed = time.perf_counter() - started
-    after = state.index_snapshot()
     lookups = entries = 0
-    if after is not None:
-        # The context may have been built mid-run; probes before its
-        # creation baseline belong to earlier executions.
-        seen = before if before is not None else state._counter_baseline
-        lookups = after["lookups"] - seen["lookups"]
-        entries = after["entries_scanned"] - seen["entries_scanned"]
+    if state._context is not None:
+        counters = state._context.reach.counters
+        seen_lookups, seen_entries = state._counter_baseline
+        lookups = counters.lookups - seen_lookups
+        entries = counters.entries_scanned - seen_entries
         state.stats.index_lookups += lookups
         state.stats.index_entries += entries
     state.stats.operator_stats.append(

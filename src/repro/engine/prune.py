@@ -65,10 +65,9 @@ class PruningContext:
         self.index: ThreeHopIndex | None = (
             reach.index if isinstance(reach.index, ThreeHopIndex) else None
         )
+        #: predecessor contours of AD-entered nodes' downward sets (3-hop
+        #: only), built by the parent's visit on first need and kept.
         self.pred_contours: dict[str, Contour] = {}
-        #: node-level downward refinements executed through this context
-        #: (one per Procedure-6 node visit).
-        self.downward_ops = 0
 
     def dag_images(self, nodes: Sequence[int]) -> list[int]:
         """Distinct DAG components of a set of data nodes."""
@@ -98,11 +97,6 @@ def prune_downward(
 ) -> MatSets:
     """Procedure 6: keep candidates satisfying downward constraints.
 
-    Predecessor contours are only materialized for nodes entered through
-    an AD edge — PC children are checked with exact successor lookups, so
-    their contours would never be read (a large saving on the paper's
-    PC-heavy XMark workloads).
-
     Args:
         context: shared pruning state.
         mats: initial candidate sets.
@@ -115,8 +109,6 @@ def prune_downward(
     refined: MatSets = {}
     for node_id in order if order is not None else query.bottom_up():
         refined[node_id] = downward_step(context, node_id, mats[node_id], refined)
-        if needs_pred_contour(context, node_id):
-            context.pred_contours[node_id] = build_pred_contour(context, refined[node_id])
     return refined
 
 
@@ -132,12 +124,13 @@ def downward_step(
     itself when ``fext`` is constant TRUE, else a new tuple — the input
     is filtered, never copied or mutated.  The refined child sets may
     come from the session's subtree cache rather than the same sweep.
-    For AD children the
-    caller must have installed predecessor contours via
-    :func:`build_pred_contour` (3-hop index only; other indexes use the
-    generic fallback, which needs no contours).
+    Under the 3-hop index an AD child's predecessor contour is read from
+    ``context.pred_contours``, or built from its refined set the first
+    time it is needed: only AD children are read through contours (PC
+    children by exact parent sets, a large saving on the paper's
+    PC-heavy XMark workloads), and a visit whose ``fext`` is constant,
+    or that an early exit never reaches, builds none.
     """
-    context.downward_ops += 1
     fext = context.query.fext(node_id)
     if isinstance(fext, Const):
         # Constant fext decides the whole candidate set at once: every
@@ -149,27 +142,15 @@ def downward_step(
     return _filter_downward(context, node_id, candidates, refined_children, fext)
 
 
-def needs_pred_contour(context: PruningContext, node_id: str) -> bool:
-    """Will a later parent visit read this node's predecessor contour?
-
-    Only AD-entered non-root nodes, and only under the 3-hop index (the
-    generic fallback probes ``reaches`` directly and needs no contours).
-    Shared by the full sweep above and the per-node
-    :class:`~repro.engine.operators.DownwardPrune` operator.
-    """
-    query = context.query
-    return (
-        context.index is not None
-        and node_id != query.root
-        and query.edge_type(node_id) is EdgeType.DESCENDANT
-    )
-
-
-def build_pred_contour(context: PruningContext, nodes: Sequence[int]) -> Contour | None:
-    """Predecessor contour of a refined candidate set (3-hop index only)."""
-    if context.index is None:
-        return None
-    return merge_pred_lists(context.index, context.dag_images(nodes))
+def pred_contour(context: PruningContext, node_id: str, nodes: Sequence[int]) -> Contour:
+    """The predecessor contour of ``node_id``'s refined set ``nodes``
+    (3-hop index only): the one in ``context.pred_contours``, else
+    MergePredLists over the set's components, kept there."""
+    contour = context.pred_contours.get(node_id)
+    if contour is None:
+        contour = merge_pred_lists(context.index, context.dag_images(nodes))
+        context.pred_contours[node_id] = contour
+    return contour
 
 
 def _filter_downward(
@@ -204,7 +185,7 @@ def _filter_downward(
             ad_valuations = _ad_valuations_by_component(
                 context,
                 candidates,
-                {c: context.pred_contours[c] for c in ad_children},
+                {c: pred_contour(context, c, refined[c]) for c in ad_children},
                 {c: refined[c] for c in ad_children},
             )
         else:

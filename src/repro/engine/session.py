@@ -51,14 +51,16 @@ five queries of a batch share is pruned once, by the first of them.
 
 Staleness is detected through :attr:`repro.graph.digraph.DataGraph.version`:
 any ``add_node``/``add_edge``/``set_attr`` after session creation drops
-every cache and every pooled index on the next use, and ends a
-fallback.  Only the descendant closure (:mod:`repro.reachability.partial`;
-one per session) outlives a mutation that leaves the numbered cones
-alone — new nodes, an edge out of a node no query has numbered yet, an
-attribute write: its rows stay exact along the graph's lineage.  An
-edge out of a numbered node, or :meth:`QuerySession.invalidate`, drops
-it too.  (The graph absorbs a mutation below the session: its
-component numbering and label postings grow, and nothing is rebuilt.)
+every cache and every pooled index on the next use.  Only the
+descendant closure (:mod:`repro.reachability.partial`; one per session)
+outlives a mutation that leaves the numbered cones alone — new nodes,
+an edge out of a node no query has numbered yet, an attribute write:
+its rows stay exact along the graph's lineage — and, once the closure
+has passed its budget, the fallback to the ladder's pick, which holds
+for the lineage it blew out on.  An edge out of a numbered node, or
+:meth:`QuerySession.invalidate`, drops both.  (The graph absorbs a
+mutation below the session: its component numbering and label postings
+grow, and nothing is rebuilt.)
 Cache activity is surfaced through :meth:`QuerySession.cache_info` and the
 ``*_cache_hits``/``*_cache_misses`` counters of
 :class:`~repro.engine.stats.EvaluationStats`, next to the paper's I/O
@@ -275,9 +277,10 @@ class QuerySession:
         # explain()'s estimated-vs-observed view), bounded like the plan
         # cache so a stream of distinct queries cannot grow it forever.
         self._observed_ops = LRUCache(plan_cache_size)
-        # The ladder's pick once the closure passed its budget: every
-        # plan runs on it until the next version.
+        # The ladder's pick once the closure passed its budget, and the
+        # lineage it did so on: every plan runs on it while that holds.
         self._fallback: str | None = None
+        self._fallback_lineage = None
         self._graph_version = graph.version
         if store is None or isinstance(store, ArtifactStore):
             self.store = store
@@ -310,7 +313,7 @@ class QuerySession:
         name = resolve_index(self.graph, index or self.default_index)
         if name == "tc":
             # One holder: ``tc`` is the slot's closure, whoever asks.
-            budget = 8 * cost.AUTO_CLOSURE_MAX_BYTES if self.default_index == "auto" else None
+            budget = cost.AUTO_CLOSURE_MAX_BYTES if self.default_index == "auto" else None
             return self._closure.current(self.graph) or self._closure.create(self.graph, budget)
         service = self._reach_pool.get(name)
         if service is None:
@@ -326,26 +329,31 @@ class QuerySession:
 
         A moved :attr:`DataGraph.version` needs no call: the next use
         drops the same things — plans, aliases, subtree and result sets,
-        the scan memo, pooled full indexes, a fallback — except the
-        closure, which is kept while the graph's lineage holds
-        (``cache_info()["partial"]``: ``kept`` / ``dropped``).  The
+        the scan memo, pooled full indexes — except the closure, which is
+        kept while the graph's lineage holds (``cache_info()["partial"]``:
+        ``kept`` / ``dropped``), and a fallback, kept while the lineage it
+        blew out on holds.  The
         graph's own derived state (:meth:`DataGraph.structure`, label
         postings) follows the graph by itself, and attribute writes go
         through :meth:`DataGraph.set_attr`, which bumps the version
         (:meth:`DataGraph.attrs` is read-only).
         """
         self._closure.drop()
+        self._fallback = None
         self._drop_versioned()
 
     def _drop_versioned(self) -> None:
         """What a version bump invalidates.  The closure's slot is left
-        alone: it asks the graph's lineage at its next use."""
+        alone: it asks the graph's lineage at its next use.  A fallback
+        ends with the lineage it blew out on."""
         for kind in ARTIFACT_KINDS:
             getattr(self, kind.attr).clear()
         self.scan_memo.clear()
         self._reach_pool.clear()
         self._observed_ops.clear()
-        self._fallback = None
+        if self._fallback is not None:
+            if self.graph.structure().lineage is not self._fallback_lineage:
+                self._fallback = None
         self._graph_version = self.graph.version
 
     def close(self) -> None:
@@ -450,9 +458,9 @@ class QuerySession:
         if physical.index_name != "tc":
             return physical.index_line
         if self._fallback is not None:
-            return f"index: {self._fallback} (tc passed its budget at this graph version)"
+            return f"index: {self._fallback} (tc passed its budget on this graph lineage)"
         index = self._closure.service.index if self._closure.service is not None else None
-        filled, rows = (index.bits // 8, index.rows) if index is not None else (0, 0)
+        filled, rows = (index.filled_bytes, index.rows) if index is not None else (0, 0)
         return f"index: tc ({physical.index_reason}; filled {filled} bytes in {rows} rows)"
 
     def _plan_for(self, query: QueryLike, alias: str | None = None) -> QueryPlan:
@@ -611,12 +619,13 @@ class QuerySession:
 
         A ``tc`` plan runs on the session's closure.  When a fill would
         take it past its budget, the closure is dropped and the plan
-        reruns on the ladder's pick, which every later plan of this
-        graph version runs on too.
+        reruns on the ladder's pick, which every later plan runs on too
+        while the graph's lineage holds.
         """
         try:
             results, stats = self._run(plan, group_nodes)
         except ClosureBudgetError:
+            self._fallback_lineage = self._closure.service.lineage
             self._closure.drop()
             self._fallback = choose_index(graph_stats(self.graph))
             results, stats = self._run(plan, group_nodes)

@@ -6,11 +6,17 @@ Three headline numbers per evaluation:
 * ``index_entries`` (#index) — elements retrieved from index lists;
 * ``intermediate_cost`` (#intermediate_results) — for GTEA, twice the node
   plus edge count of the maximal matching graph (paper's definition).
+
+A GTEA run is observed once per executed operator: the pipeline driver
+(:func:`repro.engine.operators.run_pipeline`) appends one
+:class:`~repro.engine.operators.OperatorStats` record — sizes, wall time,
+index probes — to :attr:`EvaluationStats.operator_stats`.
+``phase_seconds`` is filled only by the baselines (HGJoin+'s best and
+all plans).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, fields
 
 #: the int counters :meth:`EvaluationStats.merge` does not simply add.
@@ -22,7 +28,8 @@ _MERGE_EXCEPTIONS = {
 
 @dataclass
 class EvaluationStats:
-    """Counters and phase timings collected during one evaluation."""
+    """Counters collected during one evaluation, and GTEA's operator
+    records; the baselines also time their phases here."""
 
     input_nodes: int = 0
     index_lookups: int = 0
@@ -45,6 +52,8 @@ class EvaluationStats:
     candidates_initial: dict[str, int] = field(default_factory=dict)
     candidates_after_downward: dict[str, int] = field(default_factory=dict)
     candidates_after_upward: dict[str, int] = field(default_factory=dict)
+    #: named wall times of a baseline's phases (HGJoin+'s ``best_plan``
+    #: and ``all_plans``); GTEA leaves it empty.
     phase_seconds: dict[str, float] = field(default_factory=dict)
     # ------------------------------------------------------------------
     # Session-layer counters (repro.engine.session).  All zero when the
@@ -80,10 +89,6 @@ class EvaluationStats:
             self.intermediate_tuples
         )
 
-    def time_phase(self, name: str):
-        """Context manager accumulating wall time into ``phase_seconds``."""
-        return _PhaseTimer(self, name)
-
     def merge(self, other: "EvaluationStats") -> None:
         """Fold ``other`` into this object (used by batch aggregation).
 
@@ -113,20 +118,3 @@ class EvaluationStats:
 #: folds (annotations are strings under ``from __future__ import annotations``).
 _INT_COUNTERS = tuple(spec.name for spec in fields(EvaluationStats) if spec.type == "int")
 
-
-class _PhaseTimer:
-    def __init__(self, stats: EvaluationStats, name: str):
-        self._stats = stats
-        self._name = name
-        self._start = 0.0
-
-    def __enter__(self):
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        elapsed = time.perf_counter() - self._start
-        self._stats.phase_seconds[self._name] = (
-            self._stats.phase_seconds.get(self._name, 0.0) + elapsed
-        )
-        return False

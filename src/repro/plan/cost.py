@@ -2,8 +2,8 @@
 
 No index is decided per query.  ``index="auto"`` is ``tc``, the
 session's descendant closure, filled on demand under a byte budget
-(:data:`AUTO_CLOSURE_MAX_BYTES`, counted in filled bits); past it the
-session runs the ladder's pick for the version (:func:`choose_index`),
+(:data:`AUTO_CLOSURE_MAX_BYTES`, the bytes its rows hold); past it the
+session runs the ladder's pick for the lineage (:func:`choose_index`),
 read from statistics only.  There is no executor choice either: every
 satisfiable plan runs on GTEA, which beats TwigStackD even on
 conjunctive tree patterns (paper Figs. 8–10).
@@ -20,11 +20,12 @@ from ..graph.stats import GraphStats
 from ..query.gtpq import GTPQ
 
 #: the bytes a session's descendant closure may fill, counted as the
-#: ``bit_length()`` of its rows (:class:`repro.reachability.partial.
-#: DescendantClosure`).  Row ``c`` holds fewer than ``c`` bits, so the
-#: rows of an n-node graph hold at most n(n−1)/2 bits: no graph of up to
-#: 32 768 nodes can reach 64 MiB (XMark at 13 329 nodes: 4.3 MB with
-#: every row).  Past it the session falls back to :func:`choose_index`.
+#: ``sys.getsizeof`` of its rows (:class:`repro.reachability.partial.
+#: DescendantClosure`).  Row ``c`` is an int of at most ``c`` bits — on
+#: 64-bit CPython 28 bytes plus 4 per 30 bits past the first 30 — so the
+#: rows of an n-node graph hold at most ≈ 28n + n²/15 bytes: no graph of
+#: up to 31 500 nodes can reach 64 MiB (XMark at 13 329 nodes: 12.2 MB
+#: with every row).  Past it the session falls back to :func:`choose_index`.
 AUTO_CLOSURE_MAX_BYTES = 64 * 2**20
 
 #: edge/node ratio under which a DAG counts as "near-tree".

@@ -84,11 +84,8 @@ class PhysicalPlan:
         return f"index: {self.index_name} ({self.index_reason})"
 
     def covers_query(self, query) -> bool:
-        """Does the downward order cover every node of ``query``?
-
-        :meth:`repro.engine.gtea.GTEA._instantiate` falls back to the
-        default bottom-up order when it is False.
-        """
+        """Does the downward order cover every node of ``query``?  Read
+        by ``benchmarks/e2e/layers.py`` (ROADMAP item 1 step C)."""
         return set(self.downward_order) == set(query.nodes)
 
     def explain_lines(

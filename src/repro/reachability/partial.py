@@ -14,12 +14,13 @@ probed) and ``reaches`` is one shift-and-mask that counts one lookup.
 The pruning passes read whole rows (:meth:`DescendantClosure.rows_for`)
 and test a component against a *set* with one AND against a
 :func:`mask`.  Worst case the memo is the lower-triangular closure,
-n(n−1)/2 bits.  A closure may carry a budget of filled bits (the
-``bit_length()`` of its rows): a fill that would pass it raises
+n(n−1)/2 bits.  A closure counts the bytes its rows hold
+(``sys.getsizeof`` of each row, added as it is stored) and may carry a
+budget of them: a fill that would pass it raises
 :class:`ClosureBudgetError` before writing the row.  ``index="auto"`` in
-a session is this closure, filled on demand under the byte budget
+a session is this closure, filled on demand under
 :data:`repro.plan.cost.AUTO_CLOSURE_MAX_BYTES`; past it the ladder's pick
-for the version.  A closure built outside a session has no budget.
+for the lineage.  A closure built outside a session has no budget.
 
 **The lineage rule.**  A row depends only on the successor rows of the
 components below it.  A graph lineage has one component numbering,
@@ -106,7 +107,7 @@ def candidate_cone(
 
 
 class ClosureBudgetError(RuntimeError):
-    """A fill would pass the closure's budget of filled bits."""
+    """A fill would pass the closure's budget of filled bytes."""
 
 
 class Footprint:
@@ -136,25 +137,25 @@ class DescendantClosure(DagIndex):
 
     ``dag`` must number its nodes in reverse topological order (every
     successor id is smaller than its source's), as condensation DAGs do.
-    ``budget_bits`` bounds :attr:`bits`; None (the default) leaves the
+    ``budget`` bounds :attr:`filled_bytes`; None (the default) leaves the
     closure unbounded.
     """
 
     name = "tc"
 
-    def __init__(self, dag: Dag, budget_bits: int | None = None):
+    def __init__(self, dag: Dag, budget: int | None = None):
         super().__init__(dag)
         self._rows: dict[int, int] = {}
         self.fills = 0  #: rows computed into this memo so far.
-        self.bits = 0  #: the ``bit_length()`` of the stored rows, summed.
-        self.budget_bits = budget_bits
+        self.filled_bytes = 0  #: the ``sys.getsizeof`` of the stored rows, summed.
+        self.budget = budget
 
     def fill(self, components: Iterable[int]) -> None:
         """Make sure every component of ``components`` has its row.
 
         A row needs the rows of everything below it, so this computes
         the missing part of the cone, smallest id (successors) first.
-        A row that would take :attr:`bits` past the budget raises
+        A row that would take :attr:`filled_bytes` past the budget raises
         :class:`ClosureBudgetError` unwritten; the rows before it stay.
         """
         rows, successors = self._rows, self.dag.succ
@@ -165,21 +166,21 @@ class DescendantClosure(DagIndex):
                 if successor not in rows and successor not in missing:
                     missing.add(successor)
                     stack.append(successor)
-        stored, bits, budget = len(rows), self.bits, self.budget_bits
+        stored, filled, budget, size = len(rows), self.filled_bytes, self.budget, sys.getsizeof
         try:
             for component in sorted(missing):
                 row = 0
                 for successor in successors[component]:
                     row |= rows[successor] | 1 << successor
-                width = row.bit_length()
-                if budget is not None and bits + width > budget:
+                width = size(row)
+                if budget is not None and filled + width > budget:
                     raise ClosureBudgetError(
-                        f"row {component} would take the closure past {budget} bits"
+                        f"row {component} would take the closure past {budget} bytes"
                     )
-                bits += width
+                filled += width
                 rows[component] = row
         finally:
-            self.bits = bits
+            self.filled_bytes = filled
             self.fills += len(rows) - stored
 
     def reaches(self, source: int, target: int) -> bool:
@@ -201,8 +202,8 @@ class DescendantClosure(DagIndex):
         return len(self._rows)
 
     def index_size(self) -> int:
-        """Bytes held by the stored rows."""
-        return sum(map(sys.getsizeof, self._rows.values()))
+        """Bytes held by the stored rows (:attr:`filled_bytes`)."""
+        return self.filled_bytes
 
 
 class PartialReachability(GraphReachability):
@@ -213,14 +214,15 @@ class PartialReachability(GraphReachability):
     closure reads the lineage's successor rows as they grow (its DAG's
     ``order`` is never read), so only the cones the queries map are
     numbered.  ``lineage`` decides whether the rows outlive a version
-    bump (:meth:`following`).
+    bump (:meth:`following`); ``budget`` bounds the bytes the closure
+    may fill (None: unbounded).
     """
 
-    def __init__(self, graph: DataGraph, budget_bits: int | None = None):
+    def __init__(self, graph: DataGraph, budget: int | None = None):
         self.graph = graph
         self.condensation = self.lineage = graph.structure().condensation
         self.dag = Dag.from_condensation(self.condensation)
-        self.index = DescendantClosure(self.dag, budget_bits)
+        self.index = DescendantClosure(self.dag, budget)
 
     def following(self, graph: DataGraph) -> "PartialReachability | None":
         """This service, when the graph is still on its lineage (every

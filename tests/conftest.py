@@ -3,8 +3,8 @@
 import pytest
 
 #: 512² / 16 bytes: the closure budget patched down so that a graph of
-#: test size can fill past it.  A 2,000-node chain's rows hold ≈ 2 M bits;
-#: the enclave queries of ``index_choice_workload`` fill a few hundred.
+#: test size can fill past it.  A 2,000-node chain's rows hold ≈ 320 kB;
+#: the enclave queries of ``index_choice_workload`` fill about 1 kB.
 LOW_CLOSURE_BOUND = 512 * 512 // 16
 
 

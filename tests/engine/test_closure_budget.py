@@ -1,8 +1,8 @@
 """QuerySession's closure budget: ``index="auto"`` is one descendant
-closure, filled on demand, kept across appends, under a byte budget of
-filled bits; a fill past it drops the closure and the session runs the
-ladder's pick for the rest of the graph version.  (The closure is never
-stored: a warm restart fills it like a cold session,
+closure, filled on demand, kept across appends, under a budget of the
+bytes its rows hold; a fill past it drops the closure and the session
+runs the ladder's pick while the graph's lineage holds.  (The closure is
+never stored: a warm restart fills it like a cold session,
 ``tests/store/test_session_artifacts.py``; appends against the oracle in
 ``tests/oracle/test_churn_differential.py``.)
 
@@ -20,8 +20,6 @@ from tests.conftest import LOW_CLOSURE_BOUND
 
 pytestmark = pytest.mark.usefixtures("low_closure_bound")
 
-BUDGET_BITS = 8 * LOW_CLOSURE_BOUND
-
 
 def workload(scale=1, queries=6):
     return index_choice_workload(scale=scale, queries=queries)
@@ -31,9 +29,9 @@ def chain_with_wide_apex(length=2000):
     """A chain whose rare-label apex reaches *everything*.
 
     The label posting lists are tiny (one ``q``, one ``r``), but the
-    apex's rows are the whole chain's: ≈ ``length²/2`` filled bits, past
-    the patched budget, so the session must fall back.  A forest, so the
-    ladder's pick is ``interval``.
+    apex's rows are the whole chain's: ≈ ``28·length + length²/15``
+    filled bytes, past the patched budget, so the session must fall
+    back.  A forest, so the ladder's pick is ``interval``.
     """
     graph = DataGraph()
     graph.add_node(label="q")
@@ -76,7 +74,7 @@ class TestUnderBudget:
         assert row["rows"] == row["fills"] > 0 and row["bytes"] > 0
         assert (row["kept"], row["dropped"]) == (0, 0)
         assert session.cache_info()["indexes"]["pooled"] == 0
-        assert 0 < session._closure.service.index.bits <= BUDGET_BITS
+        assert 0 < session._closure.service.index.filled_bytes <= LOW_CLOSURE_BOUND
 
     def test_equal_cones_fill_nothing_new(self):
         graph, queries = workload()
@@ -122,7 +120,7 @@ class TestUnderBudget:
         assert index_line(session, queries[0]) == f"index: tc ({reason}; filled 0 bytes in 0 rows)"
         session.evaluate(queries[0])
         index = session._closure.service.index
-        filled = f"filled {index.bits // 8} bytes in {index.rows} rows"
+        filled = f"filled {index.filled_bytes} bytes in {index.rows} rows"
         assert index_line(session, queries[0]) == f"index: tc ({reason}; {filled})"
 
     def test_invalidate_drops_the_closure(self):
@@ -180,18 +178,18 @@ class TestPastBudget:
         held = session.reachability()  # handed out before the blow-out
         results = session.evaluate(query)
         assert results == evaluate_naive(query, graph)
-        # The counted bits never passed the budget.
-        assert 0 < held.index.bits <= BUDGET_BITS
+        # The counted bytes never passed the budget.
+        assert 0 < held.index.filled_bytes <= LOW_CLOSURE_BOUND
         assert held.index.rows < graph.num_nodes
         # The closure was dropped and the ladder's pick pooled.
         row = session.cache_info()["partial"]
         assert (row["rows"], row["dropped"]) == (0, 1)
         assert session.cache_info()["indexes"]["pooled"] == 1
         assert session._reach_pool["interval"].index.name == "interval"
-        line = "index: interval (tc passed its budget at this graph version)"
+        line = "index: interval (tc passed its budget on this graph lineage)"
         assert index_line(session, query) == line
 
-    def test_the_fallback_fires_once_per_version(self):
+    def test_the_fallback_fires_once_per_lineage(self):
         graph = chain_with_wide_apex()
         session = QuerySession(graph, result_cache_size=0)
         for query in (apex_query(), apex_query("q", "a"), apex_query()):
@@ -199,12 +197,33 @@ class TestPastBudget:
         row = session.cache_info()["partial"]
         assert (row["rows"], row["dropped"]) == (0, 1)  # no closure tried again
         assert session.cache_info()["indexes"]["pooled"] == 1
-        # A new version ends the fallback: one more closure, one more
-        # blow-out, one pooled index of the new version.
-        graph.add_edge(graph.add_node(label="q"), 0)
+        # Appends that keep the lineage keep the fallback: no closure is
+        # filled again, and each version pools the ladder's pick anew.
+        for __ in range(2):
+            graph.add_edge(graph.add_node(label="q"), 0)
+            assert session.evaluate(apex_query()) == evaluate_naive(apex_query(), graph)
+            row = session.cache_info()["partial"]
+            assert (row["rows"], row["dropped"]) == (0, 1)
+            assert session.cache_info()["indexes"]["pooled"] == 1
+        line = "index: interval (tc passed its budget on this graph lineage)"
+        assert index_line(session, apex_query()) == line
+        # An edge out of a numbered node ends the lineage and the
+        # fallback: one more closure, one more blow-out.
+        break_lineage(graph)
         assert session.evaluate(apex_query()) == evaluate_naive(apex_query(), graph)
         assert session.cache_info()["partial"]["dropped"] == 2
         assert session.cache_info()["indexes"]["pooled"] == 1
+
+    def test_invalidate_ends_the_fallback(self):
+        graph = chain_with_wide_apex()
+        session = QuerySession(graph)
+        session.evaluate(apex_query())
+        session.invalidate()
+        reason = f"closure filled on demand, budget {LOW_CLOSURE_BOUND} bytes"
+        line = f"index: tc ({reason}; filled 0 bytes in 0 rows)"
+        assert index_line(session, apex_query()) == line
+        assert session.evaluate(apex_query()) == evaluate_naive(apex_query(), graph)
+        assert session.cache_info()["partial"]["dropped"] == 2
 
     def test_grouped_and_batched_runs_fall_back_alike(self):
         graph = chain_with_wide_apex()
@@ -224,12 +243,12 @@ class TestPastBudget:
         expected = evaluate_naive(query, graph)
         pinned = QuerySession(graph, index="tc")
         assert pinned.evaluate(query) == expected
-        assert pinned._closure.service.index.bits > BUDGET_BITS
+        assert pinned._closure.service.index.filled_bytes > LOW_CLOSURE_BOUND
         assert pinned.cache_info()["partial"]["dropped"] == 0
         assert pinned.cache_info()["indexes"]["pooled"] == 0
         engine = GTEA(graph, index="auto")
         assert engine.evaluate(query) == expected
-        assert engine.reachability.index.bits > BUDGET_BITS
+        assert engine.reachability.index.filled_bytes > LOW_CLOSURE_BOUND
 
 
 class TestStructureAttribution:

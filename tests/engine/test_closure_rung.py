@@ -1,8 +1,8 @@
 """The closure in a session under its real budget
-(``AUTO_CLOSURE_MAX_BYTES`` of filled bits): an ``index="auto"`` session
+(``AUTO_CLOSURE_MAX_BYTES`` of filled bytes): an ``index="auto"`` session
 runs every query on its one lazily filled descendant closure — nothing
 is built up front, 3-hop is never constructed, the rows outlive appends
-*and* attribute writes, and the filled bits of every row of a graph this
+*and* attribute writes, and the filled bytes of every row of a graph this
 size stay far inside the budget.
 
 (A fill past the budget, and the ladder's pick it falls back to, are
@@ -12,6 +12,7 @@ patched down.)
 """
 
 import asyncio
+import sys
 
 import pytest
 
@@ -101,7 +102,7 @@ class TestOneHolder:
         service = session.reachability()  # what the server's warm-up does
         assert service is session.reachability() is session._closure.service
         assert not any(session.cache_info()["partial"].values())  # no row, no fill
-        assert service.index.budget_bits == 8 * AUTO_CLOSURE_MAX_BYTES
+        assert service.index.budget == AUTO_CLOSURE_MAX_BYTES
         query = fig7_query("q1", person_group=1)
         session.evaluate(query)
         row = session.cache_info()["partial"]
@@ -121,13 +122,14 @@ class TestOneHolder:
         assert index_line() == f"index: tc ({budget}; filled 0 bytes in 0 rows)"
         session.evaluate(query)
         index = session._closure.service.index
-        assert index.rows > 0 and index.bits > 0
-        filled = f"filled {index.bits // 8} bytes in {index.rows} rows"
+        assert index.rows > 0 and index.filled_bytes > 0
+        filled = f"filled {index.filled_bytes} bytes in {index.rows} rows"
         assert index_line() == f"index: tc ({budget}; {filled})"
 
     def test_every_row_filled_stays_inside_the_budget(self):
-        # XMark 0.2 (13,329 nodes), the largest e2e graph: n(n−1)/2 bits
-        # is the most any rows of it can hold, under the budget.
+        # XMark 0.2 (13,329 nodes), the largest e2e graph: row c holds at
+        # most c bits, so the bytes of n such ints are the most any rows
+        # of it can hold, under the budget.
         graph = generate_xmark(scale=0.2, seed=97).graph
         session = QuerySession(graph)
         closure = session.reachability().index
@@ -135,7 +137,9 @@ class TestOneHolder:
         row = session.cache_info()["partial"]
         assert row["rows"] == closure.dag.num_nodes
         n = graph.num_nodes
-        assert closure.bits <= n * (n - 1) // 2 <= 8 * AUTO_CLOSURE_MAX_BYTES
+        most = sum(sys.getsizeof((1 << c) - 1) for c in range(n))
+        assert closure.filled_bytes <= most <= AUTO_CLOSURE_MAX_BYTES
+        assert closure.filled_bytes == sum(map(sys.getsizeof, closure._rows.values()))
         assert session.cache_info()["indexes"]["pooled"] == 0
 
 

@@ -19,13 +19,14 @@ import pytest
 from hypothesis import given, settings
 
 from repro.datasets import exp2_query, fig7_query, generate_xmark
-from repro.engine import GTEA
+from repro.engine import GTEA, EvaluationStats, ExecutionState, prune
+from repro.engine.operators import instantiate_operators, run_pipeline
 from repro.engine.prune import (
     PruningContext,
     _ad_valuations_by_component,
     _ad_valuations_generic,
     _filter_downward,
-    build_pred_contour,
+    pred_contour,
 )
 from repro.graph import DataGraph
 from repro.logic import FALSE, TRUE, And, Not, Or, Var, evaluate, land, lnot, lor
@@ -86,9 +87,10 @@ def make_context(graph, edges, refined, index):
         builder.predicate(f"c{position}", parent="u", edge=edge)
     query = builder.build()
     context = PruningContext(graph, query, build_reachability(graph, index))
-    for child, nodes in refined.items():
-        if query.edge_type(child) is EdgeType.DESCENDANT:
-            context.pred_contours[child] = build_pred_contour(context, nodes)
+    if context.index is not None:
+        for child, nodes in refined.items():
+            if query.edge_type(child) is EdgeType.DESCENDANT:
+                pred_contour(context, child, nodes)
     return context
 
 
@@ -253,6 +255,57 @@ def test_variable_without_child_valuation_is_an_error():
     with pytest.raises(KeyError, match=r"'u'.*'ghost'"):
         _filter_downward(*arguments)
     assert _reference_filter_downward(*arguments) == [0, 2]
+
+
+# ----------------------------------------------------------------------
+# Predecessor contours: the 3-hop filter's own, built on first need
+# ----------------------------------------------------------------------
+def test_an_installed_contour_is_read_not_rebuilt(monkeypatch):
+    """A contour in ``pred_contours`` is the one the filter reads: here
+    the contour of ``[4]`` stands in for the child's set ``[3]``, so only
+    4's ancestor 0 survives, and nothing is merged again."""
+    graph = cyclic_graph()
+    context = make_context(graph, ("ad",), {"c0": [4]}, "3hop")
+    installed = context.pred_contours["c0"]
+    monkeypatch.setattr(prune, "merge_pred_lists", None)  # a rebuild would raise
+    assert list(_filter_downward(context, "u", EVERY_NODE, {"c0": [3]}, Var("c0"))) == [0]
+    assert context.pred_contours == {"c0": installed}
+
+
+def test_a_missing_contour_is_built_once_from_the_refined_set():
+    context = make_context(cyclic_graph(), ("ad",), {}, "3hop")
+    assert context.pred_contours == {}
+    survivors = _filter_downward(context, "u", EVERY_NODE, {"c0": [3]}, Var("c0"))
+    assert list(survivors) == [0, 1, 2]
+    built = context.pred_contours["c0"]
+    assert pred_contour(context, "c0", [3]) is built
+
+
+def run_pipeline_of(graph, query, index):
+    engine = GTEA(graph, index=index)
+    plan = engine.compile(query)
+    state = ExecutionState(engine, plan.query, EvaluationStats())
+    run_pipeline(state, instantiate_operators(plan.physical.operators))
+    assert state.answer == evaluate_naive(query, graph)
+    return state
+
+
+def ad_chain_query():
+    """``a // b // c``, outputs ``a`` and ``c``."""
+    builder = QueryBuilder().backbone("a").backbone("b", parent="a").backbone("c", parent="b")
+    return builder.outputs("a", "c").build()
+
+
+def test_a_tc_execution_builds_no_contour():
+    state = run_pipeline_of(cyclic_graph(), ad_chain_query(), "tc")
+    assert state.context.index is None
+    assert state.context.pred_contours == {}
+
+
+def test_a_3hop_execution_builds_the_contours_its_parents_read():
+    state = run_pipeline_of(cyclic_graph(), ad_chain_query(), "3hop")
+    # The root's contour is never read, so never built.
+    assert set(state.context.pred_contours) == {"b", "c"}
 
 
 # ----------------------------------------------------------------------

@@ -114,14 +114,3 @@ class TestStatsShape:
         assert total.subtree_cache_misses == 0
         assert (total.batch_queries, total.batch_unique_queries) == (2, 4)
         assert total.downward_prune_ops == 0
-
-    def test_phase_timer_accumulates(self):
-        from repro.engine.stats import EvaluationStats
-
-        stats = EvaluationStats()
-        with stats.time_phase("x"):
-            pass
-        with stats.time_phase("x"):
-            pass
-        assert stats.phase_seconds["x"] >= 0
-        assert len(stats.phase_seconds) == 1

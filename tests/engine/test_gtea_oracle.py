@@ -161,4 +161,4 @@ def test_stand_alone_auto_stays_the_closure_over_the_budget(low_closure_bound):
     assert engine.resolved_index() == "tc"
     assert engine.evaluate(query) == evaluate_naive(query, graph)
     assert engine.reachability.index.name == "tc"
-    assert engine.reachability.index.budget_bits is None
+    assert engine.reachability.index.budget is None

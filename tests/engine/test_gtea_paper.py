@@ -76,10 +76,17 @@ class TestFullPipeline:
         assert stats.intermediate_cost == 2 * (
             stats.matching_graph_nodes + stats.matching_graph_edges
         )
-        assert set(stats.phase_seconds) >= {
-            "candidates", "prune_downward", "prune_upward",
-            "matching_graph", "collect_results",
-        }
+        # One record per executed operator, in pipeline order, and no
+        # second timing mechanism beside them.
+        # (one DownwardPrune per node of the rewritten query).
+        visited = GTEA(graph).compile(query).query.nodes
+        ops = [record.op for record in stats.operator_stats]
+        assert ops == [
+            "CandidateScan", *["DownwardPrune"] * len(visited),
+            "UpwardPrune", "BuildMatchingGraph", "CollectResults",
+        ]
+        assert {record.target for record in stats.operator_stats[1:-3]} == set(visited)
+        assert stats.phase_seconds == {}
 
     def test_engine_reuse_across_queries(self):
         graph = fig2_graph()

@@ -113,10 +113,10 @@ class TestBudgetBoundary:
 
     @pytest.mark.parametrize("cone_fraction", [0.05, 0.24, 0.5, 0.95])
     def test_boundary_cones_stay_correct(self, cone_fraction):
-        """A chain of c nodes fills ≈ c²/2 bits: 60 and 288 nodes stay
-        under the patched budget, 600 and 1,140 pass it.  Either way the
-        answers match the oracle and a pinned full index, and the counted
-        bits never pass the budget."""
+        """A chain of c nodes fills ≈ 28c + c²/15 bytes: 60 and 288 nodes
+        stay under the patched budget, 600 and 1,140 pass it.  Either way
+        the answers match the oracle and a pinned full index, and the
+        counted bytes never pass the budget."""
         graph = self.ladder_graph(cone_fraction)
         query = pair_query("q", "r")
         session = QuerySession(graph)
@@ -124,7 +124,7 @@ class TestBudgetBoundary:
         answer = session.evaluate(query)
         assert answer == evaluate_naive(query, graph)
         assert answer == QuerySession(graph, index="3hop").evaluate(query)
-        assert closure.bits <= 8 * LOW_CLOSURE_BOUND
+        assert closure.filled_bytes <= LOW_CLOSURE_BOUND
         row = session.cache_info()["partial"]
         past = cone_fraction >= 0.5
         assert row["dropped"] == past

@@ -2,6 +2,8 @@
 probe order, across append-only extensions with the memo kept — and not
 reused across anything else — and its budget of filled bits."""
 
+import sys
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -116,7 +118,7 @@ def test_an_old_to_old_edge_changes_the_lineage(data):
 @settings(max_examples=120, deadline=None)
 def test_budget_abort_leaves_every_stored_row_exact(data):
     graph = data.draw(digraphs(min_nodes=2))
-    budget = data.draw(st.integers(min_value=0, max_value=40))
+    budget = data.draw(st.integers(min_value=0, max_value=400))
     index = DescendantClosure(graph.structure().dag, budget)
     component = st.integers(min_value=0, max_value=index.dag.num_nodes - 1)
     for _ in range(6):
@@ -127,29 +129,33 @@ def test_budget_abort_leaves_every_stored_row_exact(data):
             pass
         else:
             assert wanted <= index._rows.keys()
-        assert index.bits == sum(row.bit_length() for row in index._rows.values())
-        assert index.bits <= budget
+        assert index.filled_bytes == sum(map(sys.getsizeof, index._rows.values()))
+        assert index.filled_bytes <= budget
         assert index.fills == len(index._rows)
         assert_rows_equal_bfs(graph, index)
 
 
-def test_the_budget_counts_filled_bits_and_raises_before_the_row():
+def test_the_budget_counts_filled_bytes_and_raises_before_the_row():
     graph = DataGraph()
     for _ in range(100):
         graph.add_node(label="x")
     for node in range(99):
         graph.add_edge(node, node + 1)
-    # Row c of a chain holds c bits: 0 + 1 + ... + 9 = 45 bits for the
-    # ten rows under component 10, whose own row would add 10 more.
-    service = PartialReachability(graph, budget_bits=45)
+    # Row c of a chain is the int of c one-bits: the ten rows under
+    # component 10 hold exactly the budget, and its own row would pass it.
+    budget = sum(sys.getsizeof((1 << c) - 1) for c in range(10))
+    service = PartialReachability(graph, budget=budget)
     head = service.component_of(0)
     with pytest.raises(ClosureBudgetError):
         service.index.fill([head])
-    assert (service.index.rows, service.index.bits) == (10, 45)
+    assert (service.index.rows, service.index.filled_bytes) == (10, budget)
+    assert service.index.index_size() == budget
     unbounded = build_reachability(graph, "tc")
-    assert unbounded.index.budget_bits is None
+    assert unbounded.index.budget is None
     assert unbounded.reaches(0, 99)
-    assert unbounded.index.bits == 100 * 99 // 2  # n(n−1)/2: the most n rows hold
+    # Every row filled: the n ints of 0 .. n−1 bits, the most n rows hold.
+    most = sum(sys.getsizeof((1 << c) - 1) for c in range(100))
+    assert unbounded.index.filled_bytes == unbounded.index.index_size() == most
 
 
 def test_fill_is_iterative_on_a_deep_chain():
