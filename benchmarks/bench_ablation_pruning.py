@@ -1,4 +1,5 @@
-"""Ablation — the design choices behind GTEA's pruning (DESIGN.md).
+"""Ablation — the design choices behind GTEA's pruning (docs/ARCHITECTURE.md,
+"Reachability and pruning").
 
 Three levels of the downward-pruning machinery on the same workload:
 

@@ -42,7 +42,7 @@ def test_fig8a_report(xmark_suites, benchmark):
         rows,
     ))
     # Shape assertions (the claims that survive pure-Python constants —
-    # see EXPERIMENTS.md for the HGJoin+ discussion): GTEA beats the
+    # see docs/BENCHMARKS.md, "Standing against HGJoin"): GTEA beats the
     # stack/pool-based algorithms at the largest scale.
     largest = {name: table[name][-1] for name in ALGORITHMS}
     assert largest["GTEA"] < largest["TwigStackD"]

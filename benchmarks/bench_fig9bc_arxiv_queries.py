@@ -68,7 +68,8 @@ def test_fig9b_small_results(arxiv_suite, query_groups, benchmark):
     assert rows, "query generator produced no small-result queries"
     # Shape: GTEA dominates TwigStackD at every size on this denser,
     # deeper graph (the paper's Section 5.2 headline; HGJoin's relative
-    # standing at pure-Python scale is discussed in EXPERIMENTS.md).
+    # standing at pure-Python scale is in docs/BENCHMARKS.md, "Standing
+    # against HGJoin").
     algo_index = {name: i + 2 for i, name in enumerate(ALGORITHMS)}
     for row in rows:
         assert row[algo_index["GTEA"]] < row[algo_index["TwigStackD"]]

@@ -1,4 +1,4 @@
-"""Query analysis (S5 in DESIGN.md): Section 3's decision procedures."""
+"""Query analysis (docs/ARCHITECTURE.md, Layer 1): Section 3's decision procedures."""
 
 from .containment import (
     are_equivalent,

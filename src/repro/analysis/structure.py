@@ -14,7 +14,7 @@ Attribute predicates are read only through the query's
 :class:`~repro.query.gtpq.PredicateRelation` (satisfiability of
 ``fa(u)`` and ``fa(v) ⊢ fa(u)``), asked once per query.
 
-Two readings documented in DESIGN.md:
+Two readings (docs/ARCHITECTURE.md, Layer 2, "What compile computes"):
 
 * the independence XOR test is evaluated on ``fext(parent)`` (the paper
   prints ``fs``, under which backbone nodes could never be independent);

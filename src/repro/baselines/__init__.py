@@ -1,4 +1,5 @@
-"""Baseline algorithms (S7 in DESIGN.md): the paper's competitors."""
+"""Baseline algorithms: the paper's competitors, checked against the oracle
+(docs/ARCHITECTURE.md, "Invariants the layers preserve")."""
 
 from .base import BaselineEvaluator, ResultSet, project_outputs
 from .decompose import DecomposingEvaluator, enumerate_conjunctive_variants

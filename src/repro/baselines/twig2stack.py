@@ -10,7 +10,8 @@ queries — and pays the corresponding overheads the paper observed on
 XMark: maintaining the hierarchical structures costs more than TwigStack's
 stacks when documents are shallow.
 
-Simplification documented in DESIGN.md: the original's document-order
+Simplification (the baselines' checks: docs/ARCHITECTURE.md, "Invariants
+the layers preserve"): the original's document-order
 sweep with in-place stack merging is replaced by an equivalent bottom-up
 pass per query node over start-sorted candidates; the produced encoding
 (entries + links) and the enumeration are the same.

@@ -6,7 +6,8 @@ and a final merge join of path lists — the tuple-shaped intermediate
 results whose size the paper's Fig. 10 contrasts with GTEA's matching
 graph.
 
-Scope notes (documented in DESIGN.md):
+Scope notes (the baselines' checks: docs/ARCHITECTURE.md, "Invariants the
+layers preserve"):
 
 * optimal for AD-only twigs, as in the original; PC query edges are
   treated as AD during the join and enforced by a level post-filter on

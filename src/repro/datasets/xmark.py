@@ -45,7 +45,7 @@ def generate_xmark(scale: float = 0.1, seed: int = 42) -> XMarkGraph:
         scale: scaling factor; entity counts grow linearly with it.  The
             paper uses factors 0.5–4 on a C++ code base; this pure-Python
             reproduction sweeps the same shape at smaller absolute sizes
-            (see DESIGN.md substitutions).
+            (see docs/BENCHMARKS.md, "Paper-reproduction benchmarks").
         seed: RNG seed.
     """
     rng = random.Random(seed)

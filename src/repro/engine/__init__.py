@@ -1,4 +1,4 @@
-"""GTEA evaluation engine (S6 in DESIGN.md) — the paper's Section 4.
+"""GTEA evaluation engine (docs/ARCHITECTURE.md, Layer 3) — the paper's Section 4.
 
 Evaluation routes through the compiler of :mod:`repro.plan`
 (normalize → logical plan → physical plan) before execution.  Two entry

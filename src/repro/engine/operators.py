@@ -10,6 +10,9 @@ operators, each exposing ``run(state) -> state`` over a shared
   (:func:`scan_candidates`);
 * :class:`DownwardPrune` — one Procedure-6 node visit (one per query
   node, children before parents), or a subtree-cache hit;
+* :class:`RestoreCovered` — re-prune the nodes a subtree-cache hit
+  covered whose sets the cache evicted before :class:`UpwardPrune`
+  (:func:`run_pipeline` adds it; no plan row names it);
 * :class:`UpwardPrune` — Procedure 7 over the prime subtree;
 * :class:`BuildMatchingGraph` — shrink + assemble the matching graph;
 * :class:`CollectResults` — Algorithm CollectResults (incl. group
@@ -44,7 +47,7 @@ from itertools import compress
 from typing import Sequence
 
 from ..graph.digraph import DataGraph
-from ..query.attribute import AttributePredicate
+from ..query.attribute import AttributePredicate, pinned_label_atom
 from ..query.gtpq import GTPQ
 from ..query.serialize import subtree_fingerprints
 from .matching_graph import build_matching_graph
@@ -219,19 +222,21 @@ class ExecutionState:
             self.subtree_cache.put(self.subtree_fingerprint(node_id), refined)
         return refined
 
-    def restore_covered(self) -> None:
-        """Give every covered node its downward set back, children first:
-        a ``peek`` of the subtree cache, or — evicted since the probe —
-        a prune through :meth:`prune`."""
-        cache, covered = self.subtree_cache, self.covered
+    def restore_covered(self) -> tuple[str, ...]:
+        """Give every covered node whose set is still in the subtree
+        cache that set back (a ``peek``), and return the others — evicted
+        since the probe — children first: :class:`RestoreCovered` prunes
+        them."""
+        cache, down, evicted = self.subtree_cache, self.down, []
         for node_id in self.query.bottom_up():
-            if node_id not in covered:
+            if node_id not in self.covered:
                 continue
             cached = cache.peek(self.subtree_fingerprint(node_id))
-            if cached is not None:
-                self.down[node_id] = cached
-                continue
-            self.prune(node_id)
+            if cached is None:
+                evicted.append(node_id)
+            else:
+                down[node_id] = cached
+        return tuple(evicted)
 
     def finish(self, answer: ResultSet | dict[int, ResultSet]) -> "ExecutionState":
         self.answer = answer
@@ -266,20 +271,6 @@ class Operator:
     def __repr__(self) -> str:
         suffix = f"({self.target})" if self.target else ""
         return f"{self.name}{suffix}"
-
-
-def pinned_label_atom(predicate: AttributePredicate) -> int | None:
-    """Position of the first ``label = c`` atom whose label posting is
-    exactly its match set, or None.
-
-    ``c`` must not be None (a None label has no posting) and must equal
-    itself: NaN keys a posting by identity yet equals no label, not even
-    its own.
-    """
-    for position, (attribute, op, constant) in enumerate(predicate.atoms):
-        if attribute == "label" and op == "=" and constant is not None and constant == constant:
-            return position
-    return None
 
 
 def scan_candidates(graph: DataGraph, predicate: AttributePredicate, memo=None) -> Sequence[int]:
@@ -366,6 +357,20 @@ class DownwardPrune(Operator):
             covered = state.covered or {}
             self.covers = tuple(node for node, hit in covered.items() if hit == node_id)
         state.stats.candidates_after_downward[node_id] = len(refined)
+        return state
+
+
+class RestoreCovered(Operator):
+    """Re-prune, children first, the covered nodes whose sets the subtree
+    cache evicted between its probe and :class:`UpwardPrune` (Procedure 6
+    at each, over refined child sets).  Run only when one was evicted."""
+
+    def __init__(self, nodes: tuple[str, ...]):
+        self.nodes = nodes
+
+    def run(self, state: ExecutionState) -> ExecutionState:
+        for node_id in self.nodes:
+            state.prune(node_id)
         return state
 
 
@@ -481,9 +486,10 @@ def run_pipeline(state: ExecutionState, operators: list[Operator]) -> ExecutionS
     record is tagged ``early-exit``).  Before the first
     :class:`DownwardPrune` the subtree cache is probed top-down, and the
     visits it covers are skipped: no record, no count; their sets are
-    read back before :class:`UpwardPrune`.  A backbone node the probe
-    finds empty is visited first, and so ends the run before anything is
-    pruned."""
+    read back before :class:`UpwardPrune`, and a :class:`RestoreCovered`
+    record prunes those the cache evicted meanwhile.  A backbone node the
+    probe finds empty is visited first, and so ends the run before
+    anything is pruned."""
     query = state.query
     for operator in operators:
         if isinstance(operator, DownwardPrune):
@@ -498,7 +504,9 @@ def run_pipeline(state: ExecutionState, operators: list[Operator]) -> ExecutionS
             if operator.target in covered:
                 continue
         elif state.covered and isinstance(operator, UpwardPrune):
-            state.restore_covered()
+            evicted = state.restore_covered()
+            if evicted:
+                _run_operator(state, RestoreCovered(evicted))
         _run_operator(state, operator)
         if state.finished:
             break
@@ -551,6 +559,8 @@ def _operator_input_size(state: ExecutionState, operator: Operator) -> int:
         return len(state.query.nodes)
     if isinstance(operator, DownwardPrune):
         return len(state.mats.get(operator.target, ()))
+    if isinstance(operator, RestoreCovered):
+        return sum(len(state.mats[node_id]) for node_id in operator.nodes)
     if isinstance(operator, (UpwardPrune, BuildMatchingGraph, CollectResults)):
         return sum(len(nodes) for nodes in state.down.values())
     return 0
@@ -561,6 +571,8 @@ def _operator_output_size(state: ExecutionState, operator: Operator) -> int:
         return sum(len(nodes) for nodes in state.mats.values())
     if isinstance(operator, DownwardPrune):
         return len(state.down.get(operator.target, ()))
+    if isinstance(operator, RestoreCovered):
+        return sum(len(state.down[node_id]) for node_id in operator.nodes)
     if isinstance(operator, (UpwardPrune, BuildMatchingGraph)):
         return sum(len(nodes) for nodes in state.down.values())
     return state.stats.result_count

@@ -1,4 +1,4 @@
-"""Attributed digraph substrate (S2 in DESIGN.md)."""
+"""Attributed digraph substrate (docs/ARCHITECTURE.md, Layer 3)."""
 
 from .condensation import Condensation, Dag, GraphStructure, StaleLineageError, condense
 from .digraph import DataGraph

@@ -1,4 +1,4 @@
-"""Propositional logic engine (substrate S1 in DESIGN.md).
+"""Propositional logic engine (docs/ARCHITECTURE.md, Layer 1).
 
 Everything the paper's Sections 2–4 need from propositional logic:
 formula ASTs, parsing, evaluation, substitution/renaming, normal forms,

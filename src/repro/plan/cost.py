@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from ..graph.digraph import DataGraph
 from ..graph.stats import GraphStats
+from ..query.attribute import pinned_label_atom
 from ..query.gtpq import GTPQ
 
 #: the bytes a session's descendant closure may fill, counted as the
@@ -61,24 +62,18 @@ def choose_index(stats: GraphStats) -> str:
 def estimate_candidates(graph: DataGraph, query: GTPQ) -> dict[str, int]:
     """Estimated ``|mat(u)|`` per query node, without materializing lists.
 
-    A predicate pinning ``label`` is bounded by the posting-list length;
-    any other predicate conservatively by the node count.  Extra atoms
-    beyond the label pin can only shrink the set, so these are upper
-    bounds — what the logical plan's prune order needs.
+    A predicate pinning ``label`` by the scan's own rule
+    (:func:`~repro.query.attribute.pinned_label_atom`) is bounded by the
+    posting-list length; any other predicate conservatively by the node
+    count.  Extra atoms beyond the label pin can only shrink the set, so
+    these are upper bounds — what the logical plan's prune order needs.
     """
     estimates: dict[str, int] = {}
-    for node_id in query.nodes:
-        predicate = query.attribute(node_id)
-        pinned = next(
-            (
-                constant
-                for attribute, op, constant in predicate.atoms
-                if attribute == "label" and op == "="
-            ),
-            None,
-        )
-        if pinned is not None:
-            estimates[node_id] = len(graph.nodes_with_label(pinned))
-        else:
+    for node_id, node in query.nodes.items():
+        predicate = node.predicate
+        position = pinned_label_atom(predicate)
+        if position is None:
             estimates[node_id] = graph.num_nodes
+        else:
+            estimates[node_id] = len(graph.nodes_with_label(predicate.atoms[position][2]))
     return estimates

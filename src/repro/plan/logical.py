@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..graph.digraph import DataGraph
-from ..query.attribute import AttributePredicate
+from ..query.attribute import AttributePredicate, pinned_label_atom
 from ..query.gtpq import GTPQ, EdgeType
 from ..query.serialize import subtree_fingerprints
 from .cost import estimate_candidates
@@ -122,24 +122,27 @@ class LogicalPlan:
 
 def _selectivity_order(query: GTPQ, estimates: dict[str, int]) -> tuple[str, ...]:
     """Post-order with siblings visited by ascending subtree estimate."""
+    children = query.children
     subtree_cost: dict[str, int] = {}
     for node_id in query.bottom_up():
-        subtree_cost[node_id] = estimates[node_id] + sum(
-            subtree_cost[child] for child in query.children[node_id]
-        )
+        below = sum(map(subtree_cost.__getitem__, children[node_id]))
+        subtree_cost[node_id] = estimates[node_id] + below
 
     order: list[str] = []
-    _visit_cheapest_first(query, query.root, subtree_cost, order)
+    _visit_cheapest_first(children, query.root, subtree_cost, order)
     return tuple(order)
 
 
 def _visit_cheapest_first(
-    query: GTPQ, node_id: str, subtree_cost: dict[str, int], order: list[str]
+    children: dict[str, list[str]], node_id: str, subtree_cost: dict[str, int], order: list[str]
 ) -> None:
     """Append the subtree of ``node_id`` to ``order`` in post-order.  Not a
     closure: one that calls itself is a cycle left for the collector."""
-    for child in sorted(query.children[node_id], key=lambda c: (subtree_cost[c], c)):
-        _visit_cheapest_first(query, child, subtree_cost, order)
+    child_ids = children[node_id]
+    if len(child_ids) > 1:
+        child_ids = sorted(child_ids, key=lambda c: (subtree_cost[c], c))
+    for child in child_ids:
+        _visit_cheapest_first(children, child, subtree_cost, order)
     order.append(node_id)
 
 
@@ -156,19 +159,24 @@ def build_logical_plan(
         else estimate_candidates(graph, query)
     )
 
+    # A node's source is a function of the node and its estimate: the
+    # subtree record keeps the last one, for the next plan over it.
     sources = []
-    for node_id in query.depth_first():
-        predicate = query.attribute(node_id)
-        pins_label = any(attribute == "label" and op == "=" for attribute, op, _ in predicate.atoms)
-        sources.append(
-            CandidateSource(
+    records = query.records()
+    for node_id in query.preorder():
+        record, estimate = records[node_id], estimates[node_id]
+        source = record.source
+        if source is None or source.estimate != estimate:
+            node = record.node
+            source = record.source = CandidateSource(
                 node_id=node_id,
-                kind="backbone" if query.nodes[node_id].is_backbone else "predicate",
-                source="label-index" if pins_label else "full-scan",
-                predicate=predicate,
-                estimate=estimates[node_id],
+                kind="backbone" if node.is_backbone else "predicate",
+                # The scan's own rule: a None or NaN label pins nothing.
+                source="full-scan" if pinned_label_atom(node.predicate) is None else "label-index",
+                predicate=node.predicate,
+                estimate=estimate,
             )
-        )
+        sources.append(source)
 
     return LogicalPlan(
         query=query,

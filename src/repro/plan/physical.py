@@ -137,18 +137,20 @@ def build_operator_pipeline(
     estimates = {source.node_id: source.estimate for source in logical.sources}
     total = sum(estimates.values())
     pipeline = [PhysicalOperator(op="CandidateScan", estimate=total)]
-    pipeline.extend(
-        PhysicalOperator(op="DownwardPrune", target=node_id, estimate=estimates[node_id])
-        for node_id in downward_order
-    )
-    pipeline.extend(
-        [
-            PhysicalOperator(op="UpwardPrune", estimate=total),
-            PhysicalOperator(op="BuildMatchingGraph"),
-            PhysicalOperator(op="CollectResults"),
-        ]
-    )
+    records = logical.query.records()  # each keeps its node's last row
+    for node_id in downward_order:
+        record, estimate = records[node_id], estimates[node_id]
+        row = record.row
+        if row is None or row.estimate != estimate:
+            row = PhysicalOperator(op="DownwardPrune", target=node_id, estimate=estimate)
+            record.row = row
+        pipeline.append(row)
+    pipeline.extend([PhysicalOperator(op="UpwardPrune", estimate=total), *_UNPRICED_TAIL])
     return tuple(pipeline)
+
+
+#: the rows after ``UpwardPrune``, the same in every pipeline.
+_UNPRICED_TAIL = (PhysicalOperator(op="BuildMatchingGraph"), PhysicalOperator(op="CollectResults"))
 
 
 def build_physical_plan(

@@ -1,4 +1,4 @@
-"""GTPQ query model (S4 in DESIGN.md)."""
+"""GTPQ query model (docs/ARCHITECTURE.md, Layer 1)."""
 
 from .attribute import AttributePredicate
 from .builder import QueryBuilder

@@ -25,6 +25,9 @@ _OPS = ("<", "<=", "=", "!=", ">", ">=")
 # is at most, at least or equal to the general one.
 _COMPATIBLE = {"<": le, "<=": le, ">": ge, ">=": ge, "=": eq, "!=": eq}
 _COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
+#: the operators whose condition is equal constants.
+_BY_VALUE = frozenset({"=", "!="})
+_NO_BITS: dict[str, int] = {}
 
 
 def _compare(left: Any, op: str, right: Any) -> bool:
@@ -52,14 +55,16 @@ class AttributePredicate:
     The empty predicate (no atoms) matches every node — useful for
     wildcard query nodes like the starred ``*`` nodes of the paper's Fig. 1.
 
-    ``_sat`` and ``_canonical`` lazily cache the satisfiability verdict and
-    the canonical rendering (:func:`repro.query.serialize.predicate_key`);
-    ``__reduce__`` rebuilds through ``__init__``, so neither is pickled.
-    :func:`shared_predicate` hands out one instance per atom list, so the
-    two memos serve every query that carries it.
+    ``_sat``, ``_canonical`` and ``_pin`` lazily cache the satisfiability
+    verdict, the canonical rendering
+    (:func:`repro.query.serialize.predicate_key`) and the pinned label
+    (:func:`pinned_label_atom`); ``__reduce__`` rebuilds through
+    ``__init__``, so none is pickled.  :func:`shared_predicate` hands out
+    one instance per atom list, so the memos serve every query that
+    carries it.
     """
 
-    __slots__ = ("atoms", "_sat", "_canonical", "__weakref__")
+    __slots__ = ("atoms", "_sat", "_canonical", "_pin", "__weakref__")
 
     def __init__(self, atoms: Iterable[tuple[str, str, Any]] = ()):
         normalized = []
@@ -204,9 +209,35 @@ _STR = frozenset({str})
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
-def shared_predicate(atoms: Iterable[Sequence[Any]]) -> AttributePredicate:
-    """The predicate of ``atoms``, shared with every live predicate built
-    here from the same atom list.
+def pinned_label_atom(predicate: AttributePredicate) -> int | None:
+    """Position of the first ``label = c`` atom whose label posting is
+    exactly its match set, or None: the one rule by which the candidate
+    scan reads a posting, the logical plan names a ``label-index`` source
+    and the cost model estimates from a posting length.
+
+    ``c`` must not be None (a None label has no posting) and must equal
+    itself: NaN keys a posting by identity yet equals no label, not even
+    its own.  Cached on the predicate, so a shared one is asked once.
+    """
+    try:
+        return predicate._pin
+    except AttributeError:
+        pass
+    position = next(
+        (
+            position
+            for position, (attribute, op, constant) in enumerate(predicate.atoms)
+            if attribute == "label" and op == "=" and constant is not None and constant == constant
+        ),
+        None,
+    )
+    object.__setattr__(predicate, "_pin", position)
+    return position
+
+
+def atom_key(atoms: Iterable[Sequence[Any]]) -> tuple[tuple, tuple | None]:
+    """``atoms`` as tuples, and the key :func:`shared_predicate` shares
+    their predicate under — None when it is not shared.
 
     Equal keys must mean equal :meth:`~AttributePredicate.canonical`
     texts, because every fingerprint embeds that text: ``1``, ``True``,
@@ -214,26 +245,47 @@ def shared_predicate(atoms: Iterable[Sequence[Any]]) -> AttributePredicate:
     ``-0.0``.  A list whose attributes, operators and constants are all
     ``str`` is its own key; one with other scalars is keyed by each
     value's type and ``repr``, as ``canonical()`` renders them; anything
-    else is not shared.  The table holds no predicate alive: an entry
-    goes with the last query that holds its predicate.  Two threads that
-    miss one key at once each build a predicate; the later entry wins,
-    and either is correct.
+    else is not shared.
     """
     atoms = tuple(map(tuple, atoms))
     types = {*map(type, chain.from_iterable(atoms))}
     if types <= _STR:
-        key = atoms
-    elif types <= _SCALARS:
-        key = tuple(tuple((type(value), repr(value)) for value in atom) for atom in atoms)
-    else:
+        return atoms, atoms
+    if types <= _SCALARS:
+        return atoms, tuple(tuple((type(value), repr(value)) for value in atom) for atom in atoms)
+    return atoms, None
+
+
+def shared_predicate(atoms: Iterable[Sequence[Any]]) -> AttributePredicate:
+    """The predicate of ``atoms``, shared with every live predicate built
+    here from the same atom list (the key rule is :func:`atom_key`'s).
+
+    The table holds no predicate alive: an entry goes with the last query
+    that holds its predicate.  Two threads that miss one key at once each
+    build a predicate; the later entry wins, and either is correct.
+    """
+    return keyed_predicate(*atom_key(atoms))
+
+
+def keyed_predicate(atoms: tuple, key: tuple | None) -> AttributePredicate:
+    """:func:`shared_predicate` of atoms already split by :func:`atom_key`."""
+    if key is None:
         return AttributePredicate(atoms)
-    predicate = _SHARED.get(key)
+    predicate = live(_SHARED, key)
     if predicate is None:
         predicate = AttributePredicate(atoms)
         # Keyed by the predicate's own atoms where they are the key, so
         # the entry adds no tuples of its own.
         _SHARED[predicate.atoms if predicate.atoms == key else key] = predicate
     return predicate
+
+
+def live(table: WeakValueDictionary, key):
+    """The live value under ``key`` in a weak table, or None.  Read from
+    the table's own dict: ``WeakValueDictionary.get`` raises and catches
+    a KeyError on every miss, and a new query's probes mostly miss."""
+    ref = table.data.get(key)
+    return None if ref is None else ref()
 
 
 def _subsumption_compatible(op: str, specific: Any, general: Any) -> bool:
@@ -252,20 +304,35 @@ def subsumer_rows(predicates: Sequence[AttributePredicate]) -> list[int]:
     ``fa(u)`` are those holding an atom ``A op a2`` with a compatible
     constant, and ``fa(u)`` is subsumed by the predicates covering all of
     its atoms.  Each atom is compared with the atoms of its attribute and
-    operator only, not with every atom of every other predicate.
+    operator only, not with every atom of every other predicate; and
+    where compatible means equal (``=``, ``!=``), a ``str`` constant is
+    looked up among the ``str`` constants instead of compared with each.
     """
     held: dict[tuple[str, str], list[tuple[Any, int]]] = {}
+    exact: dict[tuple[str, str], dict[str, int]] = {}
     for position, fa in enumerate(predicates):
+        bit = 1 << position
         for attribute, op, constant in fa.atoms:
-            held.setdefault((attribute, op), []).append((constant, 1 << position))
+            if type(constant) is str and op in _BY_VALUE:
+                bits = exact.setdefault((attribute, op), {})
+                bits[constant] = bits.get(constant, 0) | bit
+            else:
+                held.setdefault((attribute, op), []).append((constant, bit))
     everyone = (1 << len(predicates)) - 1
     rows = []
     for fa in predicates:
         row = everyone
         for attribute, op, general in fa.atoms:
+            group = (attribute, op)
+            by_value = exact.get(group, _NO_BITS)
+            if type(general) is str and op in _BY_VALUE:
+                covering = by_value.get(general, 0)
+                candidates: Iterable[tuple[Any, int]] = held.get(group, ())
+            else:
+                covering = 0
+                candidates = chain(held.get(group, ()), by_value.items())
             compatible = _COMPATIBLE[op]
-            covering = 0
-            for specific, bit in held[attribute, op]:
+            for specific, bit in candidates:
                 try:
                     if compatible(specific, general):
                         covering |= bit

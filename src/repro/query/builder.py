@@ -70,11 +70,9 @@ class QueryBuilder:
             self._children,
             self._edge_types,
             self._root,
-            node_id,
+            QueryNode(node_id, predicate, is_backbone),
             parent,
             edge,
-            predicate,
-            is_backbone,
         )
         return self
 
@@ -130,7 +128,7 @@ class QueryBuilder:
             self._root,
             dict(self._nodes),
             dict(self._parent),
-            self._children,
+            {node_id: list(child_ids) for node_id, child_ids in self._children.items()},
             dict(self._edge_types),
             dict(self._structural),
             self._outputs,
@@ -143,32 +141,36 @@ def add_node(
     children: dict[str, list[str]],
     edge_types: dict[str, EdgeType],
     root: str | None,
-    node_id: str,
+    node: QueryNode,
     parent_id: str | None,
     edge: EdgeType | str,
-    predicate: AttributePredicate,
-    is_backbone: bool,
 ) -> str | None:
-    """Add ``node_id`` under ``parent_id`` (the root when ``None``) to
+    """Add ``node`` under ``parent_id`` (the root when ``None``) to
     these components and return the root.  Every node enters here, from
     :class:`QueryBuilder` and from :func:`~repro.query.query_from_dict`:
     a predicate node needs a parent, ids are unique, there is one root,
-    and a parent is added before its children."""
-    if parent_id is None and not is_backbone:
+    and a parent is added before its children — not with them, so the
+    components always form a tree (:meth:`GTPQ.of_tree`).  A node that
+    breaks a rule raises and leaves the components as they were."""
+    node_id = node.id
+    if parent_id is None and not node.is_backbone:
         raise QueryValidationError("a predicate node cannot be the root")
     if node_id in nodes:
         raise QueryValidationError(f"duplicate query node id {node_id!r}")
-    nodes[node_id] = QueryNode(node_id, predicate, is_backbone)
-    children[node_id] = []
     if parent_id is None:
         if root is not None:
             raise QueryValidationError(f"second root {node_id!r}; pass parent= for non-root nodes")
+        nodes[node_id] = node
+        children[node_id] = []
         return node_id
     if parent_id not in nodes:
         raise QueryValidationError(f"parent {parent_id!r} of {node_id!r} not yet added")
+    edge_type = EdgeType.parse(edge)
+    nodes[node_id] = node
+    children[node_id] = []
     parent[node_id] = parent_id
     children[parent_id].append(node_id)
-    edge_types[node_id] = EdgeType.parse(edge)
+    edge_types[node_id] = edge_type
     return root
 
 
@@ -181,19 +183,20 @@ def assemble(
     structural: dict[str, Formula],
     outputs: list[str],
 ) -> GTPQ:
-    """The :class:`GTPQ` of these components, with the defaults of
-    :meth:`QueryBuilder.build`: a node with predicate children and no
-    ``fs`` conjoins them, and no outputs means every backbone node.
-    ``structural`` gains the defaulted formulas."""
+    """The :class:`GTPQ` of components :func:`add_node` built (taken,
+    not copied), with the defaults of :meth:`QueryBuilder.build`: a node
+    with predicate children and no ``fs`` conjoins them, and no outputs
+    means every backbone node.  ``structural`` gains the defaulted
+    formulas."""
     if root is None:
         raise QueryValidationError("query has no nodes")
     for node_id, child_ids in children.items():
-        if node_id in structural:
+        if not child_ids or node_id in structural:
             continue
         predicate_children = [child_id for child_id in child_ids if not nodes[child_id].is_backbone]
         if predicate_children:
             structural[node_id] = land(*map(Var, predicate_children))
-    return GTPQ(
+    return GTPQ.of_tree(
         root=root,
         nodes=nodes,
         parent=parent,

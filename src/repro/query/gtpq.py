@@ -27,10 +27,10 @@ from __future__ import annotations
 
 from enum import Enum
 from typing import Iterable, Iterator
-from weakref import WeakValueDictionary
 
-from ..logic import TRUE, And, Const, Formula, Not, Var, land
+from ..logic import TRUE, And, Const, Formula, Not, Var
 from .attribute import AttributePredicate, subsumer_rows
+from .subtrees import Subtree, subtree_records
 
 
 class EdgeType(Enum):
@@ -78,12 +78,14 @@ class GTPQ:
     structure is fixed; the analysis algorithms produce *new* queries
     rather than mutating existing ones.
 
-    Because the structure is fixed, every fact derived from it — ``fext``,
-    the depth map, the class verdicts, the subtree fingerprints — is
-    computed when first read and kept in ``_facts`` (:meth:`derived`),
-    which is never pickled and which a :meth:`copy` starts empty, but for
-    the :class:`PredicateRelation`: a copy keeps its nodes' predicates, so
-    it inherits the relation instead of asking them again.
+    Because the structure is fixed, every fact derived from it — the
+    subtree records (``fext`` and the fingerprints), the pre-order, the
+    depth map, the class verdicts — is computed when first read and kept
+    in ``_facts`` (:meth:`derived`), which is never pickled and which a
+    :meth:`copy` starts empty, but for the :class:`PredicateRelation`: a
+    copy keeps its nodes' predicates, so it inherits the relation instead
+    of asking them again.  A query parsed from JSON starts with its
+    records (:func:`~repro.query.serialize.query_from_dict`).
     """
 
     def __init__(
@@ -117,6 +119,33 @@ class GTPQ:
         self.validate()
         self._facts: dict[str, object] = {}
 
+    @classmethod
+    def of_tree(
+        cls,
+        root: str,
+        nodes: dict[str, QueryNode],
+        parent: dict[str, str],
+        children: dict[str, list[str]],
+        edge_types: dict[str, EdgeType],
+        structural: dict[str, Formula],
+        outputs: list[str],
+    ) -> "GTPQ":
+        """The query of components :func:`~repro.query.builder.add_node`
+        built, which are a tree rooted at ``root`` by construction: its
+        dicts and child lists are taken as they are, and only the checks a
+        tree does not settle run (:meth:`validate` without the walk)."""
+        query = cls.__new__(cls)
+        query.root = root
+        query.nodes = nodes
+        query.parent = parent
+        query.children = children
+        query.edge_types = edge_types
+        query.structural = {node_id: structural.get(node_id, TRUE) for node_id in nodes}
+        query.outputs = list(outputs)
+        query._validate_nodes()
+        query._facts = {}
+        return query
+
     def __getstate__(self) -> dict:
         return {**self.__dict__, "_facts": {}}
 
@@ -133,6 +162,10 @@ class GTPQ:
     def validate(self) -> None:
         """Raise :class:`QueryValidationError` unless the query is
         well-formed, in time linear in the size of the query."""
+        self._validate_tree()
+        self._validate_nodes()
+
+    def _validate_tree(self) -> None:
         root, nodes, parent = self.root, self.nodes, self.parent
         if root not in nodes:
             raise QueryValidationError(f"root {root!r} is not a query node")
@@ -167,6 +200,9 @@ class GTPQ:
         for node_id in parent:
             if node_id not in self.edge_types:
                 raise QueryValidationError(f"edge into {node_id!r} has no type")
+
+    def _validate_nodes(self) -> None:
+        root, nodes, parent = self.root, self.nodes, self.parent
         # Paper constraint (3): backbone nodes hang off backbone nodes.
         for node_id, node in nodes.items():
             if node_id != root and node.is_backbone and not nodes[parent[node_id]].is_backbone:
@@ -218,9 +254,14 @@ class GTPQ:
         :class:`PredicateRelation`."""
         return self.derived("relation", _relation)
 
+    def records(self) -> dict[str, Subtree]:
+        """The interned record of every rooted subtree, by root node,
+        children before parents (:mod:`repro.query.subtrees`)."""
+        return self.derived("records", subtree_records)
+
     def fext(self, node_id: str) -> Formula:
         """``fext(u)``: backbone-children conjunction AND ``fs(u)``."""
-        return self.derived("fext", _fext)[node_id]
+        return self.derived("records", subtree_records)[node_id].fext
 
     def edge_type(self, node_id: str) -> EdgeType:
         """Type of the edge *into* ``node_id`` (undefined for the root)."""
@@ -229,21 +270,25 @@ class GTPQ:
     def is_leaf(self, node_id: str) -> bool:
         return not self.children[node_id]
 
+    def preorder(self) -> tuple[str, ...]:
+        """Every node in pre-order, children in list order; walked once
+        per query."""
+        return self.derived("preorder", _preorder)
+
     def depth_first(self, start: str | None = None) -> Iterator[str]:
         """Pre-order traversal of (a subtree of) the query."""
-        stack = [start if start is not None else self.root]
-        while stack:
-            node_id = stack.pop()
-            yield node_id
-            stack.extend(reversed(self.children[node_id]))
+        if start is None:
+            return iter(self.derived("preorder", _preorder))
+        return _walk(self.children, start)
 
-    def bottom_up(self) -> list[str]:
-        """Nodes ordered leaves-first (children before parents)."""
-        return list(reversed(list(self.depth_first())))
+    def bottom_up(self) -> tuple[str, ...]:
+        """Nodes ordered leaves-first (children before parents): the
+        pre-order reversed."""
+        return self.derived("preorder", _preorder)[::-1]
 
     def subtree_nodes(self, node_id: str) -> list[str]:
         """All nodes of the subtree rooted at ``node_id`` (pre-order)."""
-        return list(self.depth_first(node_id))
+        return list(_walk(self.children, node_id))
 
     def ancestors(self, node_id: str) -> list[str]:
         """Proper ancestors from parent up to the root."""
@@ -380,36 +425,21 @@ def _relation(query: GTPQ) -> PredicateRelation:
     return PredicateRelation(query.nodes)
 
 
-#: ``(fs, backbone child ids)`` → the live ``fext`` built from them.
-_SHARED_FEXT: WeakValueDictionary = WeakValueDictionary()
+def _walk(children: dict[str, list[str]], start: str) -> Iterator[str]:
+    stack = [start]
+    while stack:
+        node_id = stack.pop()
+        yield node_id
+        stack.extend(reversed(children[node_id]))
 
 
-def _fext(query: GTPQ) -> dict[str, Formula]:
-    """``fext`` of every node.  A node with backbone children shares its
-    formula with every live query whose node has the same ``fs`` and
-    backbone child ids.  An entry must not outlive its queries, so two
-    kinds stay out: a constant, which never dies, and the ``fext`` of a
-    node without backbone children, which can be ``fs`` itself and so
-    be held alive by its own key."""
-    nodes, children, fext = query.nodes, query.children, {}
-    for node_id, fs in query.structural.items():
-        backbone = tuple(c for c in children[node_id] if nodes[c].is_backbone)
-        if not backbone:
-            fext[node_id] = land(fs)
-            continue
-        key = (fs, backbone)
-        formula = _SHARED_FEXT.get(key)
-        if formula is None:
-            formula = land(*map(Var, backbone), fs)
-            if not formula.is_constant():
-                _SHARED_FEXT[key] = formula
-        fext[node_id] = formula
-    return fext
+def _preorder(query: GTPQ) -> tuple[str, ...]:
+    return tuple(_walk(query.children, query.root))
 
 
 def _depths(query: GTPQ) -> dict[str, int]:
     depths = {query.root: 0}
-    for node_id in query.depth_first():  # parents before children
+    for node_id in query.preorder():  # parents before children
         for child_id in query.children[node_id]:
             depths[child_id] = depths[node_id] + 1
     return depths

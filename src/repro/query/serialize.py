@@ -11,7 +11,9 @@ insertion order, or of a round trip through :func:`query_to_dict` /
 :func:`query_from_dict` when every ``fs`` is simplified — share one
 fingerprint.  Output order is part of
 the fingerprint (it determines result-tuple column order); sibling order
-is not.
+is not.  Both are composed from the query's interned subtree records
+(:mod:`repro.query.subtrees`), which :func:`query_from_dict` builds from
+interned node entries.
 """
 
 from __future__ import annotations
@@ -19,13 +21,16 @@ from __future__ import annotations
 import hashlib
 import json
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Any
+from weakref import WeakValueDictionary
 
-from ..logic.formula import TRUE, And, Const, Formula, Not, Or, Var
+from ..logic.formula import TRUE, Formula
 from ..logic.parser import shared_formula
-from .attribute import AttributePredicate, shared_predicate
+from .attribute import AttributePredicate, atom_key, keyed_predicate, live
 from .builder import add_node, assemble
 from .gtpq import GTPQ, EdgeType, QueryNode
+from .subtrees import canonical_formula, fext_of, nontrivial, subtree
 
 
 def query_to_dict(query: GTPQ) -> dict[str, Any]:
@@ -56,36 +61,113 @@ def query_from_dict(data: dict[str, Any]) -> GTPQ:
 
     Accepts what :class:`QueryBuilder` accepts, with its errors and
     defaults: nodes in parent-before-child order, ``kind`` defaulting
-    to ``"backbone"`` and ``edge`` to ``"ad"``.  Predicates and ``fs``
-    formulas come from :func:`shared_predicate` and
-    :func:`shared_formula`, so a value met in an earlier live query is
-    not built or analysed again.
+    to ``"backbone"`` and ``edge`` to ``"ad"``.  Each node entry is
+    interned (:class:`_Entry`): an entry met in an earlier live query
+    hands back its node, predicate, edge and ``fs`` as they were built.
+    Once the query has validated, its subtrees are interned children
+    first (:mod:`repro.query.subtrees`), so it starts with every record;
+    a subtree met before is not analysed or fingerprinted again.
     """
     nodes: dict[str, QueryNode] = {}
     parent: dict[str, str] = {}
     children: dict[str, list[str]] = {}
     edge_types: dict[str, EdgeType] = {}
-    texts: list[tuple[str, str]] = []
+    structural: dict[str, Formula] = {}
+    entries = []
     root = None
-    for entry in data["nodes"]:
-        predicate = shared_predicate(entry.get("atoms", ()))
-        node_id = entry["id"]
-        root = add_node(
-            nodes,
-            parent,
-            children,
-            edge_types,
-            root,
-            node_id,
-            entry.get("parent"),
-            entry.get("edge", "ad"),
-            predicate,
-            entry.get("kind", "backbone") == "backbone",
-        )
-        if "fs" in entry:
-            texts.append((node_id, entry["fs"]))
-    structural = {node_id: shared_formula(text) for node_id, text in texts}
-    return assemble(root, nodes, parent, children, edge_types, structural, list(data["outputs"]))
+    for raw in data["nodes"]:
+        entry = _entry(raw)
+        node = entry.node
+        root = add_node(nodes, parent, children, edge_types, root, node, entry.parent, entry.edge)
+        if entry.fs is not None:
+            structural[node.id] = entry.fs
+        entries.append(entry)
+    query = assemble(root, nodes, parent, children, edge_types, structural, list(data["outputs"]))
+    # Parents come before their children, so the reversed entries are
+    # children first; the entries' nodes key the records.
+    children, structural, records = query.children, query.structural, {}
+    for entry in reversed(entries):
+        node = entry.node
+        kids = map(records.__getitem__, children[node.id])
+        key = (node, entry.parent, entry.edge, structural[node.id], *kids)
+        records[node.id] = entry.last = subtree(key, entry)
+    query._facts["records"] = records
+    query._facts["entries"] = entries  # held here, or they would die at once
+    return query
+
+
+class _Entry:
+    """One interned JSON node entry: its node (with the shared predicate),
+    its parent id, its edge (None at the root), its shared ``fs`` (None
+    when the entry has none) and the last subtree record parsed for it."""
+
+    __slots__ = ("node", "parent", "edge", "fs", "last", "__weakref__")
+
+    def __init__(self, node: QueryNode, parent: str | None, edge: EdgeType | None, fs):
+        self.node, self.parent, self.edge, self.fs = node, parent, edge, fs
+        self.last = None
+
+    def fext(self, fs: Formula, children) -> Formula:
+        """:func:`~repro.query.subtrees.fext_of` of this entry's node with
+        formula ``fs`` over the child records ``children``: the last
+        record's when its ``fs`` and its children's nodes, which fix the
+        variables, are these — a new record of an entry seldom differs
+        there, only further down."""
+        last = self.last
+        if (
+            last is not None
+            and last.fs == fs
+            and tuple(map(_NODE, last.children)) == tuple(map(_NODE, children))
+        ):
+            return last.fext
+        return fext_of(fs, children)
+
+
+#: ``(id, parent, edge, kind, fs text, atom key)`` → the live entry record.
+_ENTRIES: WeakValueDictionary = WeakValueDictionary()
+_TEXT = frozenset({str, type(None)})
+_NODE = attrgetter("node")
+
+
+def _entry(raw: dict[str, Any]) -> _Entry:
+    """The record of one JSON node entry, shared with every live query
+    that holds an equal entry.  The atoms are keyed by
+    :func:`~repro.query.attribute.atom_key`'s rule, and the other fields
+    must be text (an id, a parent, an edge, a kind; ``parent`` and ``fs``
+    may be absent), or ``1`` and ``true`` would share; an entry that
+    breaks either rule is built and not entered.  Raises what
+    :class:`QueryBuilder` raises for a bad operator, edge or ``fs``."""
+    atoms, atoms_key = atom_key(raw.get("atoms", ()))
+    node_id = raw["id"]
+    parent_id = raw.get("parent")
+    edge = raw.get("edge", "ad")
+    kind = raw.get("kind", "backbone")
+    text = raw.get("fs")
+    key = None
+    if (
+        atoms_key is not None
+        and type(node_id) is str
+        and type(edge) is str
+        and type(kind) is str
+        and type(parent_id) in _TEXT
+        and type(text) in _TEXT
+    ):
+        key = (node_id, parent_id, edge, kind, text, atoms_key)
+        entry = live(_ENTRIES, key)
+        if entry is not None:
+            return entry
+    predicate = keyed_predicate(atoms, atoms_key)
+    entry = _Entry(
+        QueryNode(node_id, predicate, kind == "backbone"),
+        parent_id,
+        None if parent_id is None else EdgeType.parse(edge),
+        None if text is None else shared_formula(text),
+    )
+    if key is not None:
+        if predicate.atoms == atoms_key:  # keyed by the predicate's own tuples
+            key = (node_id, parent_id, edge, kind, text, predicate.atoms)
+        _ENTRIES[key] = entry
+    return entry
 
 
 def query_to_json(query: GTPQ, **dumps_kwargs) -> str:
@@ -99,30 +181,6 @@ def query_from_json(text: str) -> GTPQ:
 # ----------------------------------------------------------------------
 # Canonicalization and fingerprints
 # ----------------------------------------------------------------------
-def _canonical_formula(formula: Formula, rename: dict[str, str] | None = None) -> str:
-    """Order-independent rendering of a structural formula.
-
-    ``And``/``Or`` operands are sorted by their canonical form (the smart
-    constructors already flatten and deduplicate them), so conjunctions
-    and disjunctions built in different operand orders canonicalize
-    identically.  Fingerprinting only — serialization keeps ``str(fs)``.
-
-    ``rename`` substitutes variable names before rendering; the subtree
-    fingerprints use it to replace child node ids with content hashes.
-    """
-    if isinstance(formula, Var):
-        return rename.get(formula.name, formula.name) if rename else formula.name
-    if isinstance(formula, Const):
-        return "1" if formula.value else "0"
-    if isinstance(formula, Not):
-        return f"!({_canonical_formula(formula.child, rename)})"
-    if isinstance(formula, (And, Or)):
-        separator = " & " if isinstance(formula, And) else " | "
-        operands = sorted(_canonical_formula(child, rename) for child in formula.children)
-        return "(" + separator.join(operands) + ")"
-    return str(formula)  # future connectives: fall back to display form
-
-
 def predicate_key(predicate: AttributePredicate) -> str:
     """Stable key of an attribute predicate: the JSON text of its
     canonical atoms.
@@ -154,15 +212,10 @@ def canonical_query_dict(query: GTPQ) -> dict[str, Any]:
             entry["parent"] = query.parent[node_id]
             entry["edge"] = query.edge_type(node_id).value
         fs = query.fs(node_id)
-        if _nontrivial(fs):
-            entry["fs"] = _canonical_formula(fs)
+        if nontrivial(fs):
+            entry["fs"] = canonical_formula(fs)
         nodes.append(entry)
     return {"nodes": nodes, "outputs": list(query.outputs)}
-
-
-def _nontrivial(fs: Formula) -> bool:
-    """Does a canonical form carry ``fs``?  Only a constant TRUE is left out."""
-    return bool(fs.variables()) or fs.is_constant() and not fs.value
 
 
 def subtree_fingerprints(query: GTPQ) -> dict[str, str]:
@@ -185,25 +238,12 @@ def subtree_fingerprints(query: GTPQ) -> dict[str, str]:
     equivalent but structurally different subtrees may hash apart, which
     costs sharing but never correctness.
 
-    Computed once per query object (:meth:`GTPQ.derived`); callers get
-    their own copy of the mapping.
+    Read off the query's interned subtree records
+    (:meth:`GTPQ.records <repro.query.gtpq.GTPQ.records>`), each hashed
+    once while any live query holds it, children first (so no hash waits
+    on a deeper one); callers get their own mapping.
     """
-    return dict(query.derived("subtree_fingerprints", _subtree_fingerprints))
-
-
-def _subtree_fingerprints(query: GTPQ) -> dict[str, str]:
-    fingerprints: dict[str, str] = {}
-    for node_id in query.bottom_up():
-        rename = {
-            child_id: f"{query.edge_type(child_id).value}:{fingerprints[child_id]}"
-            for child_id in query.children[node_id]
-        }
-        # The JSON text of ``[canonical atoms, canonical fext]``; the
-        # string encoder is what ``json.dumps`` of a ``str`` calls.
-        formula = encode_basestring_ascii(_canonical_formula(query.fext(node_id), rename))
-        payload = f"[{predicate_key(query.attribute(node_id))},{formula}]"
-        fingerprints[node_id] = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    return fingerprints
+    return {node_id: record.fingerprint() for node_id, record in query.records().items()}
 
 
 def subtree_fingerprint(query: GTPQ, node_id: str) -> str:
@@ -222,9 +262,9 @@ def query_fingerprint(query: GTPQ) -> str:
     simplified: the round trip answers alike but may fingerprint apart.
     The hashed text is exactly
     ``json.dumps(canonical_query_dict(query), sort_keys=True,
-    separators=(",", ":"))``, written directly — keys in sorted order,
-    each node's atoms as the cached :func:`predicate_key` text — instead
-    of through a dict.
+    separators=(",", ":"))``, written directly: each node's entry is the
+    :meth:`~repro.query.subtrees.Subtree.fragment` its subtree record
+    renders once.
     """
     try:
         payload = _canonical_text(query)
@@ -235,21 +275,7 @@ def query_fingerprint(query: GTPQ) -> str:
 
 def _canonical_text(query: GTPQ) -> str:
     """The canonical JSON text of ``query`` (string ids only)."""
-    encode = encode_basestring_ascii
-    root, parent = query.root, query.parent
-    entries = []
-    for node_id in sorted(query.nodes):
-        node = query.nodes[node_id]
-        entry = '{"atoms":' + node.predicate.canonical()[1]
-        if node_id != root:
-            entry += ',"edge":' + encode(query.edge_type(node_id).value)
-        fs = query.fs(node_id)
-        if _nontrivial(fs):
-            entry += ',"fs":' + encode(_canonical_formula(fs))
-        entry += ',"id":' + encode(node_id)
-        entry += ',"kind":"backbone"' if node.is_backbone else ',"kind":"predicate"'
-        if node_id != root:
-            entry += ',"parent":' + encode(parent[node_id])
-        entries.append(entry + "}")
-    outputs = ",".join(map(encode, query.outputs))
-    return '{"nodes":[' + ",".join(entries) + '],"outputs":[' + outputs + "]}"
+    records = query.records()
+    nodes = ",".join([records[node_id].fragment() for node_id in sorted(query.nodes)])
+    outputs = ",".join(map(encode_basestring_ascii, query.outputs))
+    return '{"nodes":[' + nodes + '],"outputs":[' + outputs + "]}"

@@ -1,4 +1,4 @@
-"""Reachability indexes (substrate S3 in DESIGN.md).
+"""Reachability indexes (docs/ARCHITECTURE.md, "Reachability and pruning").
 
 The paper's evaluation framework is index-agnostic ("flexible for our
 framework to use other labeling schemes", Section 4.1).  Five index

@@ -7,7 +7,7 @@ cover** via maximum bipartite matching (König/Dilworth style: ``#chains =
 #nodes - #matching``) using Hopcroft–Karp.  A path cover is a chain cover
 whose consecutive nodes are connected by *actual edges* — a property the
 strict-reachability contour arguments in :mod:`repro.reachability.contour`
-rely on (see DESIGN.md, semantics notes).
+rely on (see docs/ARCHITECTURE.md, "Reachability and pruning").
 """
 
 from __future__ import annotations

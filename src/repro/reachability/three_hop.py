@@ -16,7 +16,8 @@ lists (skip pointers jump over nodes with empty lists), the *complete
 predecessor list* ``Y_v`` walking up through ``Lin``, and report reachable
 iff some pair ``(x, y) in X_v × Y_v`` satisfies ``x <=_c y``.
 
-Construction note (documented in DESIGN.md): the original paper compresses
+Construction note (docs/ARCHITECTURE.md, "Reachability and pruning", has
+the index's place in GTEA): the original paper compresses
 contour segments with a densest-subgraph heuristic; we delta-encode against
 chain neighbours instead.  The stored-list/query interface — what GTEA's
 pruning consumes — is identical.

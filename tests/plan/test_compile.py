@@ -1,5 +1,7 @@
 """Unit tests of the query compiler: normalize → logical → physical."""
 
+import math
+
 import pytest
 
 from repro.graph import DataGraph
@@ -11,7 +13,7 @@ from repro.plan import (
     estimate_candidates,
     normalize,
 )
-from repro.engine import GTEA
+from repro.engine import GTEA, QuerySession
 from repro.query import AttributePredicate, QueryBuilder, evaluate_naive
 from tests.paper_fixtures import fig2_graph, fig2_query, fig4_q3, fig4_query
 
@@ -293,3 +295,47 @@ class TestMinimizationExposedUnsatisfiability:
         assert refined["x"] == ()
         assert refined["r"] == ()
         assert downward_step(context, "x", [2], {}) == ()
+
+
+class TestOnePinnedLabelRule:
+    """The logical plan's source, the estimate and the candidate scan
+    read one pin (``pinned_label_atom``): a ``label = None`` or
+    ``label = NaN`` atom pins nothing, so all three see a full scan."""
+
+    @staticmethod
+    def plan_and_answer(graph, constant):
+        query = (
+            QueryBuilder()
+            .backbone("r", predicate=AttributePredicate([("label", "=", constant)]))
+            .outputs("r")
+            .build()
+        )
+        session = QuerySession(graph)
+        (source,) = session.plan(query).compiled.logical.sources
+        return source, session.evaluate(query), evaluate_naive(query, graph)
+
+    def test_a_none_label_is_a_full_scan(self):
+        graph = DataGraph()
+        graph.add_node(label="a")
+        graph.add_node({"label": None})
+        graph.add_node(label="b")
+        source, answer, expected = self.plan_and_answer(graph, None)
+        assert (source.source, source.estimate) == ("full-scan", 3)
+        assert answer == expected == {(1,)}
+
+    def test_a_nan_label_is_a_full_scan(self):
+        nan = math.nan
+        graph = DataGraph()
+        graph.add_node(label=nan)
+        graph.add_node(label=nan)  # one object: its posting holds both nodes
+        graph.add_node(label="a")
+        assert len(graph.nodes_with_label(nan)) == 2
+        source, answer, expected = self.plan_and_answer(graph, nan)
+        assert (source.source, source.estimate) == ("full-scan", 3)
+        assert answer == expected == set()
+
+    def test_a_pinned_label_reads_its_posting(self):
+        graph = chain_graph("aab")
+        source, answer, expected = self.plan_and_answer(graph, "a")
+        assert (source.source, source.estimate) == ("label-index", 2)
+        assert answer == expected == {(0,), (1,)}

@@ -17,7 +17,7 @@ import pytest
 
 import repro.plan.logical as logical
 import repro.query.attribute as attribute
-import repro.query.gtpq as gtpq
+import repro.query.subtrees as subtrees
 from repro.datasets import exp2_query, fig7_query, generate_xmark
 from repro.engine.session import QuerySession
 from repro.query import evaluate_naive, subtree_fingerprints
@@ -51,10 +51,10 @@ def graph():
 
 def test_compile_builds_each_fext_and_each_verdict_once(graph, counted, monkeypatch):
     query = fig7_query("q3")
-    # fext is shared with every live query of the process, and one left
-    # by an earlier test may already hold q3's; count from an empty table.
-    monkeypatch.setattr(gtpq, "_SHARED_FEXT", WeakValueDictionary())
-    fext_builds = counted(gtpq, "land")  # gtpq.py calls land() in fext() only
+    # A subtree record (and its fext) is shared with every live query of
+    # the process that holds the subtree; count from an empty table.
+    monkeypatch.setattr(subtrees, "_SUBTREES", WeakValueDictionary())
+    fext_builds = counted(subtrees, "fext_of")  # once per new record
     verdicts = counted(attribute, "_atoms_satisfiable")  # one attribute per predicate here
     plan = QuerySession(graph).plan(query)
     assert plan.compiled.query is query  # nothing was rewritten: one object, one memo

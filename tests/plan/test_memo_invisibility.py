@@ -1,9 +1,10 @@
 """Nothing a query remembers about itself shows from outside.
 
-``GTPQ``, ``AttributePredicate`` and ``LogicalPlan`` derive ``fext``,
-depths, class verdicts, satisfiability verdicts, canonical renderings,
-prune obligations and subtree fingerprints when first asked.  That must
-change no text and no stored byte:
+``GTPQ``, ``AttributePredicate`` and ``LogicalPlan`` derive subtree
+records (``fext`` and fingerprints), the pre-order, depths, class
+verdicts, satisfiability verdicts, canonical renderings, label pins and
+prune obligations when first asked.  That must change no text and no
+stored byte:
 
 * ``explain()`` on Fig. 7 q1–q3 and the ten Table 4
   GTPQs equal ``explain_golden.json``, written **at the commit before the
@@ -70,7 +71,7 @@ def test_pickled_plan_is_the_same_bytes_after_explain_and_execution():
         session.explain(query)
         session.evaluate(query)
         session.evaluate_many([query])
-        assert "fext" in plan.query._facts and plan.compiled.query._facts  # the memos did fill
+        assert "records" in plan.query._facts and plan.compiled.query._facts  # the memos did fill
         assert pickle.dumps(plan) == before, name
         restored = pickle.loads(before)
         for parsed in (restored.query, restored.compiled.query, restored.compiled.original):
@@ -78,6 +79,7 @@ def test_pickled_plan_is_the_same_bytes_after_explain_and_execution():
             for node in parsed.nodes.values():
                 assert not hasattr(node.predicate, "_sat")
                 assert not hasattr(node.predicate, "_canonical")
+                assert not hasattr(node.predicate, "_pin")
 
 
 def test_persisted_plan_explains_identically_in_a_fresh_session(tmp_path, golden):
@@ -97,7 +99,8 @@ def test_copy_never_inherits_a_memo():
     node = "open_auction"
     assert not query.is_conjunctive() and not query.is_union_conjunctive()
     assert query.depths()[node] == 0 and query.fext(node) is query.fext(node)
-    assert set(query._facts) == {"conjunctive", "union_conjunctive", "depths", "fext"}
+    facts = {"conjunctive", "union_conjunctive", "depths", "preorder", "records"}
+    assert set(query._facts) == facts
 
     override = {node: Var("bidder"), "person": Var("education")}
     conjunctive = query.copy(drop=["seller", "item"], structural_override=override)

@@ -5,13 +5,15 @@ Two soundness obligations used throughout Section 3:
 * ``is_satisfiable`` — if any concrete tuple matches, the predicate must
   be declared satisfiable (no false negatives);
 * ``subsumes`` (the paper's ``⊢``) — if ``p.subsumes(q)`` then every
-  tuple matching ``p`` matches ``q``.
+  tuple matching ``p`` matches ``q``; ``subsumer_rows`` asks it of
+  every ordered pair of a query's predicates at once.
 """
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.query import AttributePredicate
+from repro.query.attribute import subsumer_rows
 
 _ATTRS = ["a", "b"]
 _OPS = ["<", "<=", "=", "!=", ">", ">="]
@@ -87,3 +89,32 @@ def test_conjoin_strengthens(left_atoms, right_atoms):
     joined = left.conjoin(right)
     assert joined.subsumes(left)
     assert joined.subsumes(right)
+
+
+#: constants that compare equal in a tuple (or are NaN) but are not the
+#: same value: a ``str`` is looked up among ``str`` constants, the rest
+#: compared one by one.
+_LOOKALIKES = [1, True, 1.0, "1", "a", "b", 0, False, -0.0, None, float("nan"), 2.5]
+
+
+@given(
+    st.lists(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["label", "a"]),
+                st.sampled_from(_OPS),
+                st.sampled_from(_LOOKALIKES),
+            ),
+            max_size=3,
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_subsumer_rows_ask_subsumes_of_every_pair(atom_lists):
+    predicates = [AttributePredicate(atom_list) for atom_list in atom_lists]
+    rows = subsumer_rows(predicates)
+    for u, general in enumerate(predicates):
+        for v, specific in enumerate(predicates):
+            assert bool(rows[u] >> v & 1) == specific.subsumes(general)

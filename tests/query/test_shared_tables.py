@@ -1,7 +1,7 @@
 """The shared-value tables are weak: they need no bound and no knob.
 
-Parsing enters each predicate, ``fs`` formula and ``fext`` it builds in
-a process-wide weak-value table (:mod:`tests.query.test_shared_values`
+Parsing enters each predicate, ``fs`` formula, JSON node entry and
+subtree record it builds in a process-wide weak-value table (:mod:`tests.query.test_shared_values`
 checks what may share an entry).  An entry lives only as long as a
 query or plan holds its value, so once every session and query is
 dropped the tables are back to their size before; and threads that
@@ -20,18 +20,20 @@ from repro.engine import QuerySession
 from repro.logic import parser
 from repro.query import (
     attribute,
-    gtpq,
     query_fingerprint,
     query_from_json,
     query_to_json,
+    serialize,
     subtree_fingerprints,
+    subtrees,
 )
 from tests.plan.test_normalize_identity import _round_queries
 
 TABLES = {
     "predicates": attribute._SHARED,
     "formulas": parser._SHARED,
-    "fext": gtpq._SHARED_FEXT,
+    "entries": serialize._ENTRIES,
+    "subtrees": subtrees._SUBTREES,
 }
 
 

@@ -1,8 +1,9 @@
-"""Parsing shares predicates and formulas across queries (hash-consing).
+"""Parsing shares predicates, formulas, node entries and subtree
+records across queries (hash-consing).
 
-``query_from_dict`` takes each attribute predicate and each ``fs``
-formula from a process-wide weak table, so their memos serve every
-later query.  Sharing must be invisible: a fingerprint embeds each
+``query_from_dict`` takes each attribute predicate, ``fs`` formula, node
+entry and subtree record from a process-wide weak table, so their memos
+serve every later query.  Sharing must be invisible: a fingerprint embeds each
 predicate's canonical text, so two atom lists whose texts differ never
 share an object, and every fingerprint is what the same query built
 with :class:`QueryBuilder` gets, whatever was parsed before it.
@@ -112,6 +113,48 @@ class TestKeyRule:
             )
             assert query_fingerprint(built) == fingerprint, constant
 
+    def test_entries_that_differ_only_as_one_and_true_never_share_a_record(self):
+        def data(constant, node_id="x"):
+            return {
+                "nodes": [
+                    {"id": "r", "atoms": [["label", "=", "a"]]},
+                    {"id": node_id, "parent": "r", "atoms": atoms_of(constant)},
+                ],
+                "outputs": ["r"],
+            }
+
+        for first, second in ((1, True), (0, False), (1, 1.0), (1, "1")):
+            one, other = query_from_dict(data(first)), query_from_dict(data(second))
+            assert one.nodes["x"] is not other.nodes["x"]
+            for node_id in ("r", "x"):
+                assert one.records()[node_id] is not other.records()[node_id]
+            assert query_fingerprint(one) != query_fingerprint(other)
+            same = query_from_dict(data(first))
+            assert same.nodes["x"] is one.nodes["x"]
+            assert same.records() == one.records()
+        # Ids are entry text: 1 and true are not, and so share nothing.
+        one, other = query_from_dict(data("a", node_id=1)), query_from_dict(data("a", node_id=True))
+        assert one.nodes[1] is not other.nodes[True]
+        assert one.records()[1] is not other.records()[True]
+
+    def test_a_rewrite_shares_the_records_of_what_it_left_alone(self):
+        data = {
+            "nodes": [
+                node("r"),
+                node("x", "r"),
+                node("y", "x"),
+                node("z", "r"),
+                node("w", "z"),
+            ],
+            "outputs": ["r"],
+        }
+        query = query_from_dict(data)
+        rewrite = query.copy(drop=["w"])
+        records, kept = query.records(), rewrite.records()
+        assert kept["x"] is records["x"] and kept["y"] is records["y"]
+        assert kept["z"] is not records["z"] and kept["r"] is not records["r"]
+        assert query_fingerprint(rewrite) == query_fingerprint(via_builder_of(rewrite))
+
     def test_a_formula_text_parses_once_while_it_lives(self):
         first = shared_formula("!u6 | (u7 & u8)")
         assert shared_formula("!u6 | (u7 & u8)") is first
@@ -186,6 +229,11 @@ class TestRoundTrip:
         back = query_from_json(query_to_json(query))
         assert back.fs("r") == query.fs("r") == TRUE
         assert evaluate_naive(back, graph) == evaluate_naive(query, graph) == {(0,)}
+
+
+def via_builder_of(query):
+    """``query`` built again from its JSON text through :class:`QueryBuilder`."""
+    return via_builder(json.loads(query_to_json(query)))
 
 
 def via_builder(data):
@@ -294,6 +342,26 @@ class TestDirectConstruction:
         expected = outcome(via_builder, WELL_FORMED[name])
         assert not isinstance(expected[0], type), expected
         assert outcome(query_from_dict, WELL_FORMED[name]) == expected
+
+    def test_a_rejected_node_leaves_the_query_builder_as_it_was(self):
+        # The built query skips the tree walk (add_node keeps a tree), so
+        # a node add_node rejects must not be half added.
+        builder = QueryBuilder().backbone("r", label="a").predicate("p", parent="r", label="b")
+        rejected = [
+            lambda: builder.backbone("r", parent="p"),  # duplicate id
+            lambda: builder.predicate("q"),  # predicate root
+            lambda: builder.backbone("s"),  # second root
+            lambda: builder.backbone("x", parent="y"),  # parent not yet added
+            lambda: builder.backbone("x", parent="x"),  # its own parent
+            lambda: builder.backbone("x", parent="r", edge="sideways"),  # unknown edge
+        ]
+        for add in rejected:
+            with pytest.raises(ValueError):
+                add()
+        query = builder.backbone("x", parent="r", edge="pc").outputs("r", "x").build()
+        assert list(query.nodes) == ["r", "p", "x"]
+        assert query.children == {"r": ["p", "x"], "p": [], "x": []}
+        assert query.edge_types == {"p": EdgeType.DESCENDANT, "x": EdgeType.CHILD}
 
 
 def reference_tree_error(root, nodes, parent, children):

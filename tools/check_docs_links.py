@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Verify internal Markdown links in docs/ and the README resolve.
+"""Verify internal Markdown links in docs/ and the README resolve, and
+that the documents Python files cite exist.
 
 Checks every inline link/image target in the repository's top-level
 ``*.md`` files and everything under ``docs/``:
@@ -13,8 +14,13 @@ Checks every inline link/image target in the repository's top-level
   site-relative targets that resolve outside the repository (e.g. the
   README's ``../../actions/...`` CI badge, a GitHub-web convention).
 
-Stdlib only.  Exit status: 0 when every link resolves, 1 otherwise
-(one ``file:line: message`` diagnostic per broken link).
+Every ``*.md`` name cited in a ``.py`` file under ``src/``, ``tests/``,
+``benchmarks/`` or ``tools/`` (a docstring's "see docs/ARCHITECTURE.md")
+must name a file at the repository root, under ``docs/`` or in the
+citing file's directory.
+
+Stdlib only.  Exit status: 0 when every link and citation resolves, 1
+otherwise (one ``file:line: message`` diagnostic per broken one).
 """
 
 from __future__ import annotations
@@ -30,6 +36,11 @@ LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 HEADING = re.compile(r"^(#{1,6})\s+(.*?)\s*#*\s*$")
 CODE_FENCE = re.compile(r"^\s*(```|~~~)")
 EXTERNAL = re.compile(r"^[a-zA-Z][a-zA-Z0-9+.-]*:")  # any URI scheme
+#: a document name cited in Python source: a path that ends in ``.md``.
+CITED = re.compile(r"[\w./-]*\w\.md\b")
+CITING_DIRS = ("src", "tests", "benchmarks", "tools")
+#: names this tool's own docstring uses as examples, not citations.
+EXAMPLE_NAMES = frozenset({"file.md"})
 
 
 def github_slug(heading: str, seen: dict[str, int]) -> str:
@@ -97,16 +108,37 @@ def check_file(path: pathlib.Path, anchor_cache: dict) -> list[str]:
     return errors
 
 
+def check_citations(path: pathlib.Path) -> list[str]:
+    """The ``*.md`` names ``path`` cites that resolve nowhere."""
+    errors = []
+    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        for name in CITED.findall(line):
+            if name in EXAMPLE_NAMES:
+                continue
+            places = (REPO_ROOT, REPO_ROOT / "docs", path.parent)
+            if not any((place / name).is_file() for place in places):
+                errors.append(
+                    f"{path.relative_to(REPO_ROOT)}:{number}: cited document {name!r} "
+                    "is not at the repo root, under docs/ or beside the file"
+                )
+    return errors
+
+
 def main() -> int:
     files = sorted(REPO_ROOT.glob("*.md")) + sorted(REPO_ROOT.glob("docs/**/*.md"))
+    sources = sorted(
+        path for folder in CITING_DIRS for path in (REPO_ROOT / folder).rglob("*.py")
+    )
     anchor_cache: dict = {}
     errors = []
     for path in files:
         errors.extend(check_file(path, anchor_cache))
+    for path in sources:
+        errors.extend(check_citations(path))
     for error in errors:
         print(error, file=sys.stderr)
-    print(f"checked {len(files)} markdown files: "
-          f"{'OK' if not errors else f'{len(errors)} broken link(s)'}")
+    print(f"checked {len(files)} markdown files and {len(sources)} Python files: "
+          f"{'OK' if not errors else f'{len(errors)} broken link(s) or citation(s)'}")
     return 1 if errors else 0
 
 
