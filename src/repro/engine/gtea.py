@@ -36,7 +36,7 @@ from .operators import (
     instantiate_operators,
     run_pipeline,
 )
-from .results import ResultSet
+from .results import ResultSet, check_group_nodes
 from .stats import EvaluationStats
 
 
@@ -169,7 +169,8 @@ class GTEA:
         the reachability index (zero candidate fetches, zero lookups).
         Group nodes and alternative output structures are evaluated
         against the *original* query — their node ids may reference
-        nodes the rewrite dropped or relocated.
+        nodes the rewrite dropped or relocated; a group node with an
+        output below it raises ``ValueError``.
 
         ``subtree_cache`` optionally carries an
         :class:`~repro.engine.cache.LRUCache` of downward-pruned sets by
@@ -181,6 +182,9 @@ class GTEA:
         the candidate scans of predicates without a pinned label
         (:func:`~repro.engine.operators.scan_candidates`).
         """
+        if group_nodes:
+            structure_outputs = [o for outputs in output_structures or () for o in outputs]
+            check_group_nodes(plan.original, group_nodes, plan.original.outputs + structure_outputs)
         if stats is None:
             stats = EvaluationStats()
         query, operators = self._instantiate(plan, group_nodes, output_structures)

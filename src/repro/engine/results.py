@@ -1,28 +1,57 @@
 """Result enumeration from the maximal matching graph (Procedure 5).
 
-``CollectResults`` traverses the matching graph top-down, producing per
-(query node, data node) the set of output tuples of the dominated subtree,
-combining branch lists by Cartesian product and memoizing shared vertices
-(the paper's "merges the intermediate partial results in advance").
+``CollectResults`` reads each fragment of the matching graph children
+first and keeps, per (query node, data node), the distinct rows of the
+dominated subtree (the paper's "merges the intermediate partial results
+in advance").  A row is a tuple over the subtree's output columns: the
+node's own image when it is an output, then its children's columns in
+query order.  A child subtree with no output column adds no columns,
+only an existence bit.  Rows are deduped by set membership where two
+images can give one row: below a child that is not an output.  Pruning
+leaves the matching graph fully reduced, so, as in Yannakakis' join-tree
+enumeration (VLDB 1981), every row extends to an answer and the work is
+linear in the matching graph plus the output.  Fragments and singleton
+outputs are joined by Cartesian product and one position map.
 
-Also implements the two extensions from the paper:
-
-* the *group* operator (Section 4.3, Remark): a grouped node contributes a
-  single element carrying the set of its subtree matches;
-* *multiple output structures* (Appendix D): several output-node lists
-  evaluated in one pass over the same matching graph.
+The *group* operator (Section 4.3, Remark) gives a group node's column
+one element per parent row: the ``frozenset`` of its images as sorted
+``(node, image)`` items; no output may lie below it
+(:func:`check_group_nodes`).  *Multiple output structures* (Appendix D)
+run this per output-node list over one matching graph.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Iterable
+from itertools import chain
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 from ..query.gtpq import GTPQ
 from .matching_graph import MatchingGraph
 from .prune import MatSets
 
 ResultSet = set[tuple]
+
+
+def check_group_nodes(
+    query: GTPQ, group_nodes: Iterable[str], outputs: Iterable[str] | None = None
+) -> None:
+    """Reject group nodes the group operator cannot evaluate.
+
+    Raises ``ValueError`` for a group node that is not one of ``outputs``
+    (default ``query.outputs``) and for one with another output strictly
+    below it, whose column its group element would swallow.
+    """
+    if not group_nodes:
+        return
+    output_ids = list(query.outputs if outputs is None else outputs)
+    stray = [node_id for node_id in group_nodes if node_id not in output_ids]
+    if stray:
+        raise ValueError(f"group nodes {stray!r} are not outputs of the query {output_ids!r}")
+    for node_id in group_nodes:
+        for output in output_ids:
+            if node_id in query.ancestors(output):
+                raise ValueError(f"group node {node_id!r} has the output {output!r} below it")
 
 
 def collect_results(
@@ -39,142 +68,114 @@ def collect_results(
         matching_graph: matches of the shrunk prime subtree fragments.
         mats: pruned candidate sets (supplies singleton outputs).
         outputs: output-node list (defaults to ``query.outputs``).
-        group_nodes: output nodes whose subtree matches are grouped into a
-            single frozenset element instead of being expanded.
+        group_nodes: output nodes whose matches are grouped into a single
+            frozenset element per row instead of being expanded; they
+            must pass :func:`check_group_nodes`.
     """
     output_ids = list(outputs) if outputs is not None else list(query.outputs)
-    group_set = set(group_nodes)
-    fragment_outputs: dict[str, list[str]] = {}
-    covered: set[str] = set()
+    wanted = set(output_ids)
+    groups = wanted.intersection(group_nodes)
+    layout: list[str] = []
+    fragment_rows: list[Sequence[tuple]] = []
     for root in matching_graph.roots:
-        in_fragment = _fragment_nodes(matching_graph, root)
-        frag_outputs = [o for o in output_ids if o in in_fragment]
-        fragment_outputs[root] = frag_outputs
-        covered.update(in_fragment)
-
-    # Enumerate each fragment independently.
-    per_fragment: list[tuple[list[str], list[dict[str, object]]]] = []
-    for root in matching_graph.roots:
-        columns = fragment_outputs[root]
-        rows = _enumerate_fragment(matching_graph, root, set(columns), group_set)
-        if not rows and _fragment_has_vertices(matching_graph, root):
-            # Defensive: pruning guarantees non-emptiness, but a fragment
-            # without complete matches must empty the whole answer.
-            return set()
-        per_fragment.append((columns, rows))
+        columns, rows = _enumerate_fragment(matching_graph, root, wanted, groups)
         if not rows:
             return set()
+        layout.extend(columns)
+        fragment_rows.append(rows)
 
     # Singleton outputs sit outside every fragment: one fixed value each.
-    singleton_values: dict[str, object] = {}
-    for output in output_ids:
-        if output in covered:
+    placed = set(layout)
+    singles: list[object] = []
+    for output in dict.fromkeys(output_ids):
+        if output in placed:
             continue
         candidates = mats[output]
         if not candidates:
             return set()
-        if output in group_set:
-            singleton_values[output] = frozenset(
-                {((output, candidates[0]),)}
-            )
+        layout.append(output)
+        if output in groups:
+            singles.append(frozenset({((output, candidates[0]),)}))
         else:
-            singleton_values[output] = candidates[0]
+            singles.append(candidates[0])
 
-    results: ResultSet = set()
-    fragment_rows = [rows for _, rows in per_fragment]
-    for combination in product(*fragment_rows) if fragment_rows else [()]:
-        merged: dict[str, object] = dict(singleton_values)
-        for row in combination:
-            merged.update(row)
-        results.add(tuple(merged[o] for o in output_ids))
-    return results
-
-
-def _fragment_nodes(matching_graph: MatchingGraph, root: str) -> set[str]:
-    nodes = {root}
-    stack = [root]
-    while stack:
-        current = stack.pop()
-        for child_id in matching_graph.children.get(current, []):
-            nodes.add(child_id)
-            stack.append(child_id)
-    return nodes
-
-
-def _fragment_has_vertices(matching_graph: MatchingGraph, root: str) -> bool:
-    return bool(matching_graph.vertices.get(root))
+    if singles:
+        fragment_rows.append([tuple(singles)])
+    rows = _join((), fragment_rows)
+    position = {column: index for index, column in enumerate(layout)}
+    order = [position[output] for output in output_ids]
+    if order == list(range(len(layout))):
+        return set(rows)
+    return set(map(itemgetter(*order), rows))
 
 
 def _enumerate_fragment(
     matching_graph: MatchingGraph,
     root: str,
-    outputs: set[str],
-    group_set: set[str],
-) -> list[dict[str, object]]:
-    """All output rows of one fragment (union over root candidates)."""
-    memo: dict[tuple[str, int], list[dict[str, object]]] = {}
-
-    def visit(node_id: str, data_node: int) -> list[dict[str, object]]:
-        key = (node_id, data_node)
-        if key in memo:
-            return memo[key]
-        child_ids = matching_graph.children.get(node_id, [])
-        branch_lists = matching_graph.branches.get(key, {})
-        per_branch: list[list[dict[str, object]]] = []
-        complete = True
-        for child_id in child_ids:
-            targets = branch_lists.get(child_id, [])
-            branch_rows: list[dict[str, object]] = []
-            for target in targets:
-                branch_rows.extend(visit(child_id, target))
-            if not branch_rows:
-                complete = False
-                break
-            # Deduplicate rows (paper: partial results merged in advance).
-            branch_rows = _dedup(branch_rows)
-            if child_id in group_set:
-                # Group operator (Section 4.3, Remark): the whole branch
-                # collapses into one element carrying the set of subtree
-                # matches instead of being Cartesian-expanded.
-                grouped = frozenset(
-                    tuple(sorted(row.items())) for row in branch_rows
-                )
-                branch_rows = [{child_id: grouped}]
-            per_branch.append(branch_rows)
-        if not complete:
-            memo[key] = []
-            return []
-        rows: list[dict[str, object]] = []
-        for combination in product(*per_branch) if per_branch else [()]:
-            merged: dict[str, object] = {}
-            for piece in combination:
-                merged.update(piece)
-            rows.append(merged)
-        if node_id in outputs:
-            # For group nodes the image participates in the branch rows so
-            # the parent-level collapse sees it; for plain outputs it is
-            # the tuple column.
-            for row in rows:
-                row[node_id] = data_node
-        rows = _dedup(rows)
-        memo[key] = rows
-        return rows
-
-    all_rows: list[dict[str, object]] = []
-    for data_node in matching_graph.vertices.get(root, []):
-        all_rows.extend(visit(root, data_node))
-    # ``visit`` reaches itself through its closure: unbinding it breaks
-    # that cycle, so the memo is freed here and not by the collector.
-    del visit
-    return _dedup(all_rows)
+    wanted: set[str],
+    groups: set[str],
+) -> tuple[tuple[str, ...], Sequence[tuple]]:
+    """The column order and the distinct rows of one fragment, read
+    children first: per node and vertex, the rows of the dominated
+    subtree (empty for a vertex without complete matches)."""
+    children, branches = matching_graph.children, matching_graph.branches
+    preorder = [root]
+    for node_id in preorder:
+        preorder.extend(children[node_id])
+    columns: dict[str, tuple[str, ...]] = {}
+    tables: dict[str, dict[int, Sequence[tuple]]] = {}
+    no_branches: dict[str, list[int]] = {}
+    for node_id in reversed(preorder):
+        child_ids = children[node_id]
+        own = node_id in wanted
+        if node_id in groups:
+            columns[node_id] = (node_id,)
+        else:
+            columns[node_id] = ((node_id,) if own else ()) + tuple(
+                chain.from_iterable(columns[child_id] for child_id in child_ids)
+            )
+        table = tables[node_id] = {}
+        for vertex in matching_graph.vertices.get(node_id, []):
+            branch = branches.get((node_id, vertex), no_branches)
+            factors: list[Sequence[tuple]] = []
+            rows: Sequence[tuple] = ()
+            for child_id in child_ids:
+                targets = branch.get(child_id, ())
+                child_table = tables[child_id]
+                if not columns[child_id]:
+                    # The existence bit: one row of no columns, or none.
+                    if not any(child_table[target] for target in targets):
+                        break
+                    continue
+                if child_id in groups:
+                    element = frozenset(
+                        [((child_id, target),) for target in targets if child_table[target]]
+                    )
+                    factor = [(element,)] if element else []
+                elif len(targets) == 1:
+                    factor = child_table[targets[0]]
+                elif child_id in wanted:
+                    factor = [row for target in targets for row in child_table[target]]
+                else:
+                    factor = list({row for target in targets for row in child_table[target]})
+                if not factor:
+                    break
+                factors.append(factor)
+            else:
+                rows = _join((vertex,) if own else (), factors)
+            table[vertex] = rows
+    table = tables[root]
+    vertices = matching_graph.vertices.get(root, [])
+    if root in wanted:
+        return columns[root], [row for vertex in vertices for row in table[vertex]]
+    return columns[root], list({row for vertex in vertices for row in table[vertex]})
 
 
-def _dedup(rows: list[dict[str, object]]) -> list[dict[str, object]]:
-    seen: set[tuple] = set()
-    out: list[dict[str, object]] = []
-    for row in rows:
-        key = tuple(sorted(row.items()))
-        if key not in seen:
-            seen.add(key)
-            out.append(row)
-    return out
+def _join(prefix: tuple, factors: list[Sequence[tuple]]) -> Sequence[tuple]:
+    """``prefix`` followed by each combination of one row per factor."""
+    if not factors:
+        return [prefix]
+    rows = [prefix + row for row in factors[0]] if prefix else factors[0]
+    for factor in factors[1:]:
+        rows = [row + tail for row in rows for tail in factor]
+    return rows

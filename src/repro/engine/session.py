@@ -106,7 +106,7 @@ from ..store import ArtifactStore, graph_fingerprint
 from .artifacts import ARTIFACT_KINDS, ClosureSlot
 from .cache import LRUCache
 from .gtea import GTEA
-from .results import ResultSet
+from .results import ResultSet, check_group_nodes
 from .stats import EvaluationStats
 
 #: anything :meth:`QuerySession.evaluate` accepts as a query.
@@ -165,15 +165,6 @@ class BatchResult:
 def _json_alias(text: str) -> str:
     """The alias-cache key of JSON query text: its raw content hash."""
     return "json:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _check_group_nodes(plan: QueryPlan, group_nodes: tuple[str, ...]) -> None:
-    """Reject group nodes that are not outputs of the planned query."""
-    stray = [node_id for node_id in group_nodes if node_id not in plan.query.outputs]
-    if stray:
-        raise ValueError(
-            f"group nodes {stray!r} are not outputs of the query {plan.query.outputs!r}"
-        )
 
 
 def _hit_stats(answer) -> EvaluationStats:
@@ -526,8 +517,9 @@ class QuerySession:
     def evaluate(self, query: QueryLike, group_nodes: Sequence[str] = ()) -> ResultSet:
         """Evaluate ``query``, reusing every applicable cache.
 
-        ``group_nodes`` must be outputs of ``query`` (``ValueError``
-        otherwise); their subtree matches are grouped per answer row."""
+        ``group_nodes`` must be outputs of ``query`` with no output below
+        them (``ValueError`` otherwise); their matches are grouped per
+        answer row."""
         results, _ = self.evaluate_with_stats(query, group_nodes)
         return results
 
@@ -537,7 +529,7 @@ class QuerySession:
         """Evaluate with counters; cache activity lands in the stats.
 
         Raises ``ValueError`` when a group node is not an output of the
-        query."""
+        query or has an output below it."""
         group_key = tuple(group_nodes)
         alias = _json_alias(query) if isinstance(query, str) else None
         if alias is not None:
@@ -548,7 +540,7 @@ class QuerySession:
         plan_hits = self.plan_cache.counters.hits
         plan_misses = self.plan_cache.counters.misses
         plan = self._plan_for(query, alias)
-        _check_group_nodes(plan, group_key)
+        check_group_nodes(plan.query, group_key)
         results, stats = self._probe_result_cache(plan, group_key) or self._execute_plan(
             plan, group_key
         )
@@ -682,7 +674,7 @@ class QuerySession:
         for query in queries:
             hits, misses = plan_counters.hits, plan_counters.misses
             plans.append(self._plan_for(query))
-            _check_group_nodes(plans[-1], group_key)
+            check_group_nodes(plans[-1].query, group_key)
             plan_deltas.append((plan_counters.hits - hits, plan_counters.misses - misses))
 
         answers: dict[str, ResultSet] = {}

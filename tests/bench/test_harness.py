@@ -30,7 +30,7 @@ def suite():
 class TestAlgorithmSuite:
     def test_algorithm_roster(self, suite):
         assert suite.algorithms() == [
-            "GTEA", "TwigStackD", "HGJoin+", "HGJoin*",
+            "GTEA", "GTEA (tc)", "TwigStackD", "HGJoin+", "HGJoin*",
             "TwigStack", "Twig2Stack",
         ]
 

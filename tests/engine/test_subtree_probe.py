@@ -59,16 +59,16 @@ def test_a_shared_subtree_is_one_hit_and_its_descendants_never_run():
 def test_group_node_runs_probe_every_visit_as_before():
     graph = shared_chain_graph()
     session = QuerySession(graph, result_cache_size=0)
-    session.evaluate(chain("r"), group_nodes=("a",))
+    session.evaluate(chain("r"), group_nodes=("c",))
     second = chain("s")
-    grouped, stats = session.evaluate_with_stats(second, group_nodes=("a",))
+    grouped, stats = session.evaluate_with_stats(second, group_nodes=("c",))
     records = downward_records(stats)
     # Every visit runs and probes for itself; nothing is covered.
     assert sorted(records) == ["a", "b", "c", "root"]
     assert [records[node].note for node in ("a", "b", "c")] == ["subtree-cache"] * 3
     assert all(record.covers == () for record in records.values())
     assert (stats.subtree_cache_hits, stats.downward_prune_ops) == (3, 1)
-    flat = {(row[0], dict(item)["a"], row[2]) for row in grouped for item in row[1]}
+    flat = {(row[0], row[1], dict(item)["c"]) for row in grouped for item in row[2]}
     assert flat == evaluate_naive(second, graph)
 
 
