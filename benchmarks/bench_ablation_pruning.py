@@ -40,8 +40,8 @@ def _downward_shared(suite, query):
 
 def _downward_per_candidate(suite, query):
     """Level 2: contours, but one full Proposition-7 walk per candidate."""
-    context = PruningContext(suite.graph, query, suite.gtea.reachability)
-    graph, reach, index = suite.graph, suite.gtea.reachability, context.index
+    graph, reach = suite.graph, suite.gtea.reachability
+    index = reach.index
     mats = {u: candidate_nodes(graph, query, u) for u in query.nodes}
     refined = {}
     for node_id in query.bottom_up():
@@ -50,18 +50,16 @@ def _downward_per_candidate(suite, query):
         if not children:
             refined[node_id] = list(candidates)
             continue
-        contours = {
-            c: merge_pred_lists(index, context.dag_images(refined[c]))
+        child_sets = {
+            c: set(reach.components(refined[c]))
             for c in children
             if query.edge_type(c) is EdgeType.DESCENDANT
         }
+        contours = {c: merge_pred_lists(index, members) for c, members in child_sets.items()}
         pc_parents = {
             c: {p for w in refined[c] for p in graph.predecessors(w)}
             for c in children
             if query.edge_type(c) is EdgeType.CHILD
-        }
-        child_sets = {
-            c: set(context.dag_images(refined[c])) for c in contours
         }
         fext = query.fext(node_id)
         survivors = []
@@ -83,7 +81,6 @@ def _downward_per_candidate(suite, query):
 
 def _downward_pairwise(suite, query):
     """Level 3: per-pair index probes, no contours."""
-    context = PruningContext(suite.graph, query, suite.gtea.reachability)
     graph, reach = suite.graph, suite.gtea.reachability
     mats = {u: candidate_nodes(graph, query, u) for u in query.nodes}
     refined = {}

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..graph.digraph import DataGraph
-from ..reachability.partial import PartialReachability
+from ..reachability import PartialReachability
 from .cache import LRUCache
 
 

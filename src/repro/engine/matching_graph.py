@@ -12,9 +12,9 @@ matching that child (Example 12's ``bch`` lists).
 
 from __future__ import annotations
 
+from itertools import chain
+
 from ..query.gtpq import EdgeType
-from ..reachability.contour import merge_succ_lists
-from ..reachability.partial import mask
 from .prune import MatSets, PruningContext
 
 
@@ -56,7 +56,7 @@ def build_matching_graph(
     """Compute matches for every query edge of the shrunk prime subtree.
 
     Args:
-        context: pruning context (graph, query, 3-hop index).
+        context: pruning context (graph, query, reachability index).
         mats: fully pruned candidate sets.
         fragments: each fragment is a pre-order node list of one connected
             piece of the shrunk prime subtree.
@@ -90,105 +90,20 @@ def _pc_edges(graph, result: MatchingGraph, parent_id, child_id, mats) -> None:
 
 
 def _ad_edges(context: PruningContext, result: MatchingGraph, parent_id, child_id, mats) -> None:
-    """AD edge matches via per-source successor contours.
-
-    For each source the candidates of the child are grouped by chain in
-    ascending order: once one chain member is reachable all deeper members
-    are, so the tail of each chain is filled without index probes (the
-    optimization the paper describes for reusing PruneUpward's technique).
-    """
-    index, reach = context.index, context.reach
-    if index is None:
-        _ad_edges_generic(context, result, parent_id, child_id, mats)
-        return
-    cover = index.cover
-    by_component: dict[int, list[int]] = {}
-    for candidate, component in zip(mats[child_id], reach.components(mats[child_id])):
-        by_component.setdefault(component, []).append(candidate)
-    by_chain: dict[int, list[int]] = {}
-    for component in by_component:
-        by_chain.setdefault(cover.cid[component], []).append(component)
-    for members in by_chain.values():
-        members.sort(key=lambda c: cover.sid[c])
-
-    from ..reachability.contour import contour_reaches_node
-
-    for source, source_component in zip(mats[parent_id], reach.components(mats[parent_id])):
-        contour = merge_succ_lists(index, [source_component])
-        targets: list[int] = []
-        for members in by_chain.values():
-            confirmed = False
-            for component in members:
-                if confirmed:
-                    targets.extend(by_component[component])
-                    continue
-                if component == source_component:
-                    # Own component: included only when cyclic; everything
-                    # deeper on this chain is reachable via real edges.
-                    if reach.is_cyclic_component(component):
-                        targets.extend(by_component[component])
-                    confirmed = True
-                    continue
-                if contour_reaches_node(index, component, contour):
-                    confirmed = True
-                    targets.extend(by_component[component])
-        result.branches.setdefault((parent_id, source), {})[child_id] = targets
-
-
-def _ad_edges_generic(
-    context: PruningContext, result: MatchingGraph, parent_id, child_id, mats
-) -> None:
-    """AD edge matches of non-3-hop indexes.
-
-    Target lists are memoized per source component — all sources in one
-    component strictly reach the same candidates: one row AND (one
-    counted lookup) where the index hands out rows, else a ``reaches``
-    probe per child component.  Targets keep the child's candidate order
-    either way.
-    """
+    """AD edge matches: the index's ``edges`` kernel names the child
+    components a source component strictly reaches, in the child's
+    candidate order.  All sources in one component reach the same
+    candidates, so the list is made once per source component."""
     reach = context.reach
-    dag_index = reach.index
     by_component: dict[int, list[int]] = {}
     for candidate, component in zip(mats[child_id], reach.components(mats[child_id])):
         by_component.setdefault(component, []).append(candidate)
-    source_components = reach.components(mats[parent_id])
-    rows = dag_index.rows_for(set(source_components))
-    if rows is not None:
-        child_mask = mask(by_component)
-        rank = {component: position for position, component in enumerate(by_component)}
+    targets = context.prepared_set(child_id, mats[child_id])
+    edges, members = reach.index.edges, by_component.__getitem__
     targets_of: dict[int, list[int]] = {}
-    for source, source_component in zip(mats[parent_id], source_components):
-        targets = targets_of.get(source_component)
-        if targets is None:
-            targets = []
-            if rows is not None:
-                # Row kernel: the child components below this source.
-                dag_index.counters.lookups += 1
-                hits = rows[source_component] & child_mask
-                if reach.is_cyclic_component(source_component) and source_component in rank:
-                    hits |= 1 << source_component
-                for component in _hit_components(hits, rank):
-                    targets.extend(by_component[component])
-            else:
-                for component, members in by_component.items():
-                    if component == source_component:
-                        if reach.is_cyclic_component(component):
-                            targets.extend(members)
-                    elif dag_index.reaches(source_component, component):
-                        targets.extend(members)
-            targets_of[source_component] = targets
-        result.branches.setdefault((parent_id, source), {})[child_id] = list(targets)
-
-
-def _hit_components(hits: int, rank: dict[int, int]) -> list[int]:
-    """The components of ``rank`` whose bit is set in ``hits``, in rank
-    order — walked by set bit or by component, whichever is shorter."""
-    if hits.bit_count() >= len(rank):
-        return [component for component in rank if hits >> component & 1]
-    components = []
-    while hits:
-        lowest = hits & -hits
-        components.append(lowest.bit_length() - 1)
-        hits ^= lowest
-    components.sort(key=rank.__getitem__)
-    return components
+    for source, source_component in zip(mats[parent_id], reach.components(mats[parent_id])):
+        found = targets_of.get(source_component)
+        if found is None:
+            found = list(chain.from_iterable(map(members, edges(source_component, targets))))
+            targets_of[source_component] = found
+        result.branches.setdefault((parent_id, source), {})[child_id] = list(found)

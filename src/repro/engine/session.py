@@ -99,9 +99,12 @@ from ..plan import (
 )
 from ..query.gtpq import GTPQ
 from ..query.serialize import query_fingerprint, query_from_dict, query_from_json
-from ..reachability.base import GraphReachability
-from ..reachability.factory import build_reachability, resolve_index
-from ..reachability.partial import ClosureBudgetError
+from ..reachability import (
+    ClosureBudgetError,
+    GraphReachability,
+    build_reachability,
+    resolve_index,
+)
 from ..store import ArtifactStore, graph_fingerprint
 from .artifacts import ARTIFACT_KINDS, ClosureSlot
 from .cache import LRUCache

@@ -7,9 +7,11 @@ planner's ladder: 3-hop (the paper's default), the lazily filled
 descendant closure ``tc`` (what ``index="auto"`` is), interval labels and
 the Agrawal tree cover (the forest and near-tree rungs of the ladder a
 session falls back to past the closure's budget; the tree cover also
-serves HGJoin) and SSPI (TwigStackD's index).  The
-chain decomposition and the contour merges behind 3-hop and GTEA's set
-pruning live in :mod:`.chain_cover` and :mod:`.contour`.
+serves HGJoin) and SSPI (TwigStackD's index).  GTEA reads every family
+through the same three AD kernels of :class:`DagIndex` (``downward``,
+``upward``, ``edges``) over sets the family prepares its own way
+(:class:`.base.ComponentSet`).  The chain decomposition and the contour
+merges behind 3-hop live in :mod:`.chain_cover` and :mod:`.contour`.
 """
 
 from .base import Dag, DagIndex, GraphReachability, IndexCounters

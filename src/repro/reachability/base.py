@@ -10,17 +10,25 @@ nodes decomposes into:
 Every index counts the elements it touches in an :class:`IndexCounters`
 instance so the I/O experiment (paper Appendix C.1, Fig. 10) can report the
 ``#index`` metric without instrumenting call sites.
+
+GTEA's pruning passes and matching graph ask an index three set-level
+questions about AD (ancestor-descendant) edges — :meth:`DagIndex.downward`,
+:meth:`DagIndex.upward` and :meth:`DagIndex.edges` — over sets it has
+prepared its own way (:meth:`DagIndex.prepare`, a :class:`ComponentSet`).
+The base class answers them with pairwise ``reaches`` probes; a family
+with a faster kernel overrides them.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Collection
+from itertools import compress
+from typing import Collection, Sequence
 
 from ..graph.condensation import Dag
 from ..graph.digraph import DataGraph
 
-__all__ = ["Dag", "DagIndex", "GraphReachability", "IndexCounters"]
+__all__ = ["ComponentSet", "Dag", "DagIndex", "GraphReachability", "IndexCounters"]
 
 
 class IndexCounters:
@@ -60,16 +68,65 @@ class DagIndex(ABC):
     def reaches(self, source: int, target: int) -> bool:
         """Strict DAG reachability."""
 
-    def rows_for(self, components) -> dict[int, int] | None:
-        """``component -> descendant row`` (an int, bit ``d`` set iff the
-        component strictly reaches ``d``) covering at least
-        ``components``, for indexes that store such rows; None (the
-        default) sends the pruning passes through per-pair ``reaches``."""
-        return None
+    def prepare(self, components: list[int], cyclic: Sequence[bool]) -> ComponentSet:
+        """A set of distinct ``components`` (in the caller's order) as
+        this family's AD kernels read it; ``cyclic`` flags every
+        component of the condensation."""
+        return ComponentSet(self, components, cyclic)
+
+    def downward(self, components: set[int], targets: Sequence[ComponentSet]) -> list[set[int]]:
+        """Per target set, the components of ``components`` that strictly
+        reach some component of it — Procedure 6's AD valuations.
+        Pairwise: ``reaches`` against the target's components in
+        ascending order, up to the first hit."""
+        hits = []
+        for target in targets:
+            order, own = sorted(target.components), target.cyclic
+            hits.append({c for c in components if any(self._probe(c, t, own) for t in order)})
+        return hits
+
+    def upward(self, components: set[int], sources: ComponentSet) -> set[int]:
+        """The components of ``components`` that some component of
+        ``sources`` strictly reaches — Procedure 7's AD filter.
+        Pairwise: ``reaches`` from the sources in ascending order, up to
+        the first hit."""
+        order, own = sorted(sources.components), sources.cyclic
+        return {c for c in components if any(self._probe(p, c, own) for p in order)}
+
+    def edges(self, source: int, targets: ComponentSet) -> list[int]:
+        """The components of ``targets`` that ``source`` strictly
+        reaches, in the target's order — one matching-graph branch list.
+        Pairwise: one ``reaches`` per other target component."""
+        own = targets.cyclic
+        return [c for c in targets.components if self._probe(source, c, own)]
+
+    def _probe(self, source: int, target: int, own: set[int]) -> bool:
+        """One pairwise test; a component against itself is the cyclic
+        rule (``own``: the set's cyclic components), not a probe."""
+        return source in own if source == target else self.reaches(source, target)
 
     def index_size(self) -> int:
         """Total number of stored index entries (for size comparisons)."""
         return 0
+
+
+class ComponentSet:
+    """One query node's candidate set as an index's AD kernels read it.
+
+    ``components`` are the set's distinct DAG components, in the order
+    the caller gave them.  ``cyclic`` holds those that are cyclic: the
+    cyclic same-component rule, written once for every family.  A DAG
+    index answers strict reachability *between* components; a node of a
+    cyclic component also strictly reaches every node of it.  So a
+    component hits the set through itself exactly when it is in
+    ``cyclic``.  A family subclasses this to add the forms its kernels
+    read (a contour, a mask), each built on first read.
+    """
+
+    def __init__(self, index: DagIndex, components: list[int], cyclic: Sequence[bool]):
+        self.index = index
+        self.components = components
+        self.cyclic = set(compress(components, map(cyclic.__getitem__, components)))
 
 
 class GraphReachability:

@@ -27,9 +27,10 @@ Two observations keep merging linear (the paper's cost analysis):
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .three_hop import ThreeHopIndex
+if TYPE_CHECKING:  # three_hop imports this module
+    from .three_hop import ThreeHopIndex
 
 
 class Contour:

@@ -11,10 +11,10 @@ one Python int of fewer than ``c`` bits::
 
 It is exact for *every* source (a missing row is filled when first
 probed) and ``reaches`` is one shift-and-mask that counts one lookup.
-The pruning passes read whole rows (:meth:`DescendantClosure.rows_for`)
-and test a component against a *set* with one AND against a
-:func:`mask`.  Worst case the memo is the lower-triangular closure,
-n(n−1)/2 bits.  A closure counts the bytes its rows hold
+The AD kernels (:meth:`DescendantClosure.downward`, ``upward``,
+``edges``) read whole rows and test a component against a *set* with
+one AND against a :func:`mask`.  Worst case the memo is the
+lower-triangular closure, n(n−1)/2 bits.  A closure counts the bytes its rows hold
 (``sys.getsizeof`` of each row, added as it is stored) and may carry a
 budget of them: a fill that would pass it raises
 :class:`ClosureBudgetError` before writing the row.  ``index="auto"`` in
@@ -40,10 +40,10 @@ from __future__ import annotations
 
 import hashlib
 import sys
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from ..graph.digraph import DataGraph
-from .base import Dag, DagIndex, GraphReachability
+from .base import ComponentSet, Dag, DagIndex, GraphReachability
 
 __all__ = [
     "ClosureBudgetError",
@@ -53,6 +53,7 @@ __all__ = [
     "build_partial_reachability",
     "candidate_cone",
     "domain_fingerprint",
+    "hit_components",
     "mask",
 ]
 
@@ -183,18 +184,49 @@ class DescendantClosure(DagIndex):
             self.filled_bytes = filled
             self.fills += len(rows) - stored
 
+    def row(self, component: int) -> int:
+        """``component``'s row, filled first when missing."""
+        row = self._rows.get(component)
+        if row is None:
+            self.fill((component,))
+            row = self._rows[component]
+        return row
+
     def reaches(self, source: int, target: int) -> bool:
         self.counters.lookups += 1
-        row = self._rows.get(source)
-        if row is None:
-            self.fill((source,))
-            row = self._rows[source]
-        return bool(row >> target & 1)
+        return bool(self.row(source) >> target & 1)
 
-    def rows_for(self, components: Iterable[int]) -> dict[int, int]:
-        """The memo itself, with the rows of ``components`` filled."""
+    # The row kernel: one AND of a row against a set's mask per test, one
+    # lookup counted per test.  Rows are strict, so each adds the set's
+    # cyclic members (ComponentSet.cyclic) itself.
+    def prepare(self, components: list[int], cyclic: Sequence[bool]) -> RowSet:
+        return RowSet(self, components, cyclic)
+
+    def downward(self, components: set[int], targets: Sequence[RowSet]) -> list[set[int]]:
+        """One test per component and target: ``row & mask``."""
         self.fill(components)
-        return self._rows
+        rows, hits = self._rows, []
+        self.counters.lookups += len(components) * len(targets)
+        for target in targets:
+            bits = target.mask
+            hit = {component for component in components if rows[component] & bits}
+            hits.append(hit | target.cyclic.intersection(components))
+        return hits
+
+    def upward(self, components: set[int], sources: RowSet) -> set[int]:
+        """One test per component: its bit in the OR of the sources' rows."""
+        below = sources.below
+        self.counters.lookups += len(components)
+        reached = {component for component in components if below >> component & 1}
+        return reached | sources.cyclic.intersection(components)
+
+    def edges(self, source: int, targets: RowSet) -> list[int]:
+        """One test: ``row(source) & mask``, read off in target order."""
+        hits = self.row(source) & targets.mask
+        self.counters.lookups += 1
+        if source in targets.cyclic:
+            hits |= 1 << source
+        return hit_components(hits, targets.rank)
 
     @property
     def rows(self) -> int:
@@ -204,6 +236,54 @@ class DescendantClosure(DagIndex):
     def index_size(self) -> int:
         """Bytes held by the stored rows (:attr:`filled_bytes`)."""
         return self.filled_bytes
+
+
+class RowSet(ComponentSet):
+    """A set as the row kernel reads it: its :func:`mask`, the OR of its
+    rows (everything strictly below it) and each component's position,
+    each built on first read."""
+
+    index: DescendantClosure
+    _mask: int | None = None
+    _below: int | None = None
+    _rank: dict[int, int] | None = None
+
+    @property
+    def mask(self) -> int:
+        if self._mask is None:
+            self._mask = mask(self.components)
+        return self._mask
+
+    @property
+    def below(self) -> int:
+        if self._below is None:
+            closure = self.index
+            closure.fill(self.components)
+            below = 0
+            for component in self.components:
+                below |= closure._rows[component]
+            self._below = below
+        return self._below
+
+    @property
+    def rank(self) -> dict[int, int]:
+        if self._rank is None:
+            self._rank = {component: position for position, component in enumerate(self.components)}
+        return self._rank
+
+
+def hit_components(hits: int, rank: dict[int, int]) -> list[int]:
+    """The components of ``rank`` whose bit is set in ``hits``, in rank
+    order — walked by set bit or by component, whichever is shorter."""
+    if hits.bit_count() >= len(rank):
+        return [component for component in rank if hits >> component & 1]
+    components = []
+    while hits:
+        lowest = hits & -hits
+        components.append(lowest.bit_length() - 1)
+        hits ^= lowest
+    components.sort(key=rank.__getitem__)
+    return components
 
 
 class PartialReachability(GraphReachability):

@@ -26,14 +26,21 @@ Strictness: chains come from a *path cover* (consecutive chain nodes joined
 by real edges), so on the DAG the only inclusive-vs-strict difference is a
 node's own chain position; helpers below expose both flavours and
 :mod:`repro.reachability.contour` builds strict contours from them.
+
+GTEA reads the index through its AD kernels (``downward``, ``upward`` and
+``edges``, the :class:`~repro.reachability.base.DagIndex` interface): set
+reachability against merged contours with chain-shared scans, over a
+:class:`ContourSet` whose contours are merged on first read.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from itertools import chain
+from typing import Collection, Iterator, Sequence
 
-from .base import Dag, DagIndex
+from .base import ComponentSet, Dag, DagIndex
 from .chain_cover import ChainCover, chain_decomposition
+from .contour import Contour, contour_reaches_node, merge_pred_lists, merge_succ_lists
 
 #: An index entry: (chain id, sequence number).
 Entry = tuple[int, int]
@@ -222,7 +229,121 @@ class ThreeHopIndex(DagIndex):
                     return True
         return False
 
+    # ------------------------------------------------------------------
+    # AD kernels: chain-shared contour scans (Section 4.2.2)
+    # ------------------------------------------------------------------
+    def prepare(self, components: list[int], cyclic: Sequence[bool]) -> ContourSet:
+        return ContourSet(self, components, cyclic)
+
+    def by_chain(self, components: Collection[int]) -> dict[int, list[int]]:
+        """``components`` grouped by chain, each group shallowest first."""
+        cid, groups = self.cover.cid, {}
+        for component in sorted(components, key=self.cover.sid.__getitem__):
+            groups.setdefault(cid[component], []).append(component)
+        return groups
+
+    def downward(self, components: set[int], targets: Sequence[ContourSet]) -> list[set[int]]:
+        """Procedure 6's AD valuations against the targets' predecessor
+        contours (Proposition 7), all targets in one scan.
+
+        Chain mechanics: the components are grouped by chain and visited
+        in descending sequence order.  Along one chain the reach-set only
+        grows as the sequence number shrinks, so a target reached at a
+        deep component is reached by every shallower one (0 -> 1), and
+        each chain region of the index is scanned once — the ``visited``
+        bookkeeping of the paper's expanded Procedure 6.
+        """
+        contours = [target.pred.data for target in targets]
+        hits = [target.cyclic.intersection(components) for target in targets]
+        sid = self.cover.sid
+        for chain_id, members in self.by_chain(components).items():
+            reached: set[int] = set()  # positions of the targets reached so far
+            pending = {position for position, contour in enumerate(contours) if contour}
+            scanned_up_to: int | None = None  # smallest sid already scanned
+            for component in reversed(members):
+                if pending:
+                    # The component's own chain position, then the Lout
+                    # entries of its chain region (sids are 1-based: a
+                    # chain missing from a contour reads 0).
+                    depth = sid[component]
+                    region = self.iter_out_entries(component, stop_sid=scanned_up_to)
+                    for at, seq in chain([(chain_id, depth)], region):
+                        found = {p for p in pending if seq <= contours[p].get(at, 0)}
+                        if found:
+                            reached |= found
+                            pending -= found
+                            if not pending:
+                                break
+                    scanned_up_to = depth
+                for position in reached:
+                    hits[position].add(component)
+        return hits
+
+    def upward(self, components: set[int], sources: ContourSet) -> set[int]:
+        """Procedure 7's AD filter against the sources' successor
+        contour: each chain shallowest first, and once one member is
+        reached every deeper one is, through the chain, unprobed."""
+        contour, own = sources.succ, sources.cyclic
+        reached: set[int] = set()
+        for members in self.by_chain(components).values():
+            for position, component in enumerate(members):
+                if contour_reaches_node(self, component, contour) or component in own:
+                    reached.update(members[position:])
+                    break
+        return reached
+
+    def edges(self, source: int, targets: ContourSet) -> list[int]:
+        """The targets ``source`` reaches, through its own successor
+        contour; each of the targets' chains is walked as in
+        :meth:`upward`.  The source's own component on a chain ends the
+        walk: deeper members are reached through real edges, itself
+        only when cyclic."""
+        contour = merge_succ_lists(self, (source,))
+        reached: set[int] = set()
+        for members in targets.chains.values():
+            for position, component in enumerate(members):
+                if component == source:
+                    reached.update(members[position + 1 :])
+                    if source in targets.cyclic:
+                        reached.add(source)
+                    break
+                if contour_reaches_node(self, component, contour):
+                    reached.update(members[position:])
+                    break
+        return [component for component in targets.components if component in reached]
+
     def index_size(self) -> int:
         stored = sum(len(entries) for entries in self.lout)
         stored += sum(len(entries) for entries in self.lin)
         return stored
+
+
+class ContourSet(ComponentSet):
+    """A set as the 3-hop kernels read it: its strict predecessor and
+    successor contours (MergePredLists / MergeSuccLists) and its chain
+    groups, each built on first read — an upward or matching-graph pass
+    never merges a predecessor contour, and a node never read as a
+    parent merges no successor contour."""
+
+    index: ThreeHopIndex
+    _pred: Contour | None = None
+    _succ: Contour | None = None
+    _chains: dict[int, list[int]] | None = None
+
+    @property
+    def pred(self) -> Contour:
+        if self._pred is None:
+            self._pred = merge_pred_lists(self.index, self.components)
+        return self._pred
+
+    @property
+    def succ(self) -> Contour:
+        if self._succ is None:
+            self._succ = merge_succ_lists(self.index, self.components)
+        return self._succ
+
+    @property
+    def chains(self) -> dict[int, list[int]]:
+        if self._chains is None:
+            self._chains = self.index.by_chain(self.components)
+        return self._chains

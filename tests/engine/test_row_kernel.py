@@ -1,14 +1,15 @@
 """The row kernel against the loops it replaced.
 
-For an index that hands out descendant rows (``DagIndex.rows_for`` —
-``tc``, the lazily filled closure) the three generic AD sites of the
-pruning passes test a component against a *set* with one AND against a
-mask.  The per-pair ``reaches`` loops they ran before are kept here
-verbatim as the reference; the kernel must return the same survivors and
-the same branch lists **in the same order**, agree with the 3-hop
-chain/contour path (whose branch lists come out in chain order, so those
-are compared sorted), and keep doing so over append-only extensions of
-the graph with the rows kept.
+``tc``'s AD kernels (``DescendantClosure.downward``, ``upward`` and
+``edges``) test a component against a *set* with one AND against a
+mask.  The per-pair ``reaches`` loops they replaced are kept here
+verbatim as the reference (``PruningContext.component_reaches_any``
+inlined, and restated over the kernels' arguments); the kernels must
+return the same survivors and the same branch lists **in the same
+order**, agree with the 3-hop chain/contour kernels (whose branch lists
+are compared sorted, as they were when those came out in chain order),
+and keep doing so over append-only extensions of the graph with the rows
+kept.
 """
 
 from unittest import mock
@@ -16,7 +17,7 @@ from unittest import mock
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.engine import GTEA, matching_graph, prune
+from repro.engine import GTEA, matching_graph
 from repro.engine.matching_graph import build_matching_graph
 from repro.engine.prune import PruningContext, prune_downward, prune_upward
 from repro.graph import DataGraph
@@ -24,75 +25,72 @@ from repro.query import QueryBuilder, evaluate_naive
 from repro.query.gtpq import EdgeType
 from repro.query.naive import candidate_nodes
 from repro.reachability import PartialReachability, build_reachability, mask
+from repro.reachability.partial import hit_components
 
 
 # ----------------------------------------------------------------------
 # The replaced loops, verbatim from the parent commit
 # ----------------------------------------------------------------------
-def _reference_ad_valuations(context, candidates, child_mats):
-    child_components = {
-        child_id: context.dag_images(nodes)
-        for child_id, nodes in child_mats.items()
-    }
-    result = {}
-    for component in {context.reach.component_of(c) for c in candidates}:
-        result[component] = {
-            child_id: context.component_reaches_any(component, components)
-            for child_id, components in child_components.items()
-        }
-    return result
-
-
-def _reference_filter_upward_ad(context, candidates, parent_components):
-    reach = context.reach
+def _reference_downward(reach, components, targets):
     dag_index = reach.index
-    reached = {}
-    survivors = []
-    for candidate in candidates:
-        component = reach.component_of(candidate)
-        hit = reached.get(component)
-        if hit is None:
-            hit = any(
-                dag_index.reaches(parent, component)
-                if parent != component
-                else reach.is_cyclic_component(component)
-                for parent in parent_components
-            )
-            reached[component] = hit
-        if hit:
-            survivors.append(candidate)
-    return survivors
-
-
-def _reference_ad_edges(context, result, parent_id, child_id, mats):
-    reach = context.reach
-    dag_index = reach.index
-    by_component = {}
-    for candidate in mats[child_id]:
-        by_component.setdefault(reach.component_of(candidate), []).append(candidate)
-    targets_of = {}
-    for source in mats[parent_id]:
-        source_component = reach.component_of(source)
-        targets = targets_of.get(source_component)
-        if targets is None:
-            targets = []
-            for component, members in by_component.items():
-                if component == source_component:
+    hits = []
+    for target in targets:
+        target_components = sorted(target.components)
+        hit = set()
+        for component in components:
+            for other in target_components:
+                if other == component:
                     if reach.is_cyclic_component(component):
-                        targets.extend(members)
-                elif dag_index.reaches(source_component, component):
-                    targets.extend(members)
-            targets_of[source_component] = targets
-        result.branches.setdefault((parent_id, source), {})[child_id] = list(targets)
+                        hit.add(component)
+                        break
+                elif dag_index.reaches(component, other):
+                    hit.add(component)
+                    break
+        hits.append(hit)
+    return hits
 
 
-def kept_loops():
-    """The pruning passes with the three kernel sites swapped back."""
+def _reference_upward(reach, components, sources):
+    dag_index = reach.index
+    parent_components = sorted(sources.components)
+    return {
+        component
+        for component in components
+        if any(
+            dag_index.reaches(parent, component)
+            if parent != component
+            else reach.is_cyclic_component(component)
+            for parent in parent_components
+        )
+    }
+
+
+def _reference_edges(reach, source_component, targets):
+    dag_index = reach.index
+    hits = []
+    for component in targets.components:
+        if component == source_component:
+            if reach.is_cyclic_component(component):
+                hits.append(component)
+        elif dag_index.reaches(source_component, component):
+            hits.append(component)
+    return hits
+
+
+def kept_loops(reach):
+    """``reach``'s three AD kernels swapped back to the per-pair loops."""
+    index = reach.index
     return (
-        mock.patch.object(prune, "_ad_valuations_generic", _reference_ad_valuations),
-        mock.patch.object(prune, "_filter_upward_ad_generic", _reference_filter_upward_ad),
-        mock.patch.object(matching_graph, "_ad_edges_generic", _reference_ad_edges),
+        mock.patch.object(index, "downward", lambda *args: _reference_downward(reach, *args)),
+        mock.patch.object(index, "upward", lambda *args: _reference_upward(reach, *args)),
+        mock.patch.object(index, "edges", lambda *args: _reference_edges(reach, *args)),
     )
+
+
+def prepared(reach, nodes):
+    """``nodes`` as ``reach``'s index prepares a set."""
+    components = list(dict.fromkeys(reach.components(nodes)))
+    return reach.index.prepare(components, reach.condensation.cyclic)
 
 
 # ----------------------------------------------------------------------
@@ -183,7 +181,7 @@ def assert_kernel_equals_kept_loops_and_three_hop(graph, query, closure):
     # The closure reads the lineage's own growing rows.
     assert closure.dag.succ is graph.structure().condensation._succ
     kernel = phases(graph, query, closure)
-    loops = kept_loops()
+    loops = kept_loops(closure)
     with loops[0], loops[1], loops[2]:
         kept = phases(graph, query, closure)
     assert kernel == kept  # survivors and branch lists, order included
@@ -252,7 +250,7 @@ def test_hit_components_come_out_in_branch_order_whichever_walk_is_shorter(order
     rank = {component: position for position, component in enumerate(order)}
     hits = mask(hit & rank.keys())
     expected = [component for component in order if component in hit]
-    assert matching_graph._hit_components(hits, rank) == expected
+    assert hit_components(hits, rank) == expected
 
 
 # ----------------------------------------------------------------------
@@ -301,31 +299,35 @@ def test_one_lookup_per_row_test():
     scc_of = closure.condensation.complete().scc_of
     assert scc_of[2] == scc_of[3] and len(set(scc_of)) == 6
 
+    index = closure.index
+    components = set(closure.components([0, 1, 5]))
+
     # Downward at u: candidates 0, 1, 5 (three components) × AD children v, w.
-    valuations = prune._ad_valuations_generic(context, [0, 1, 5], {"v": [2, 3], "w": [4]})
+    targets = [prepared(closure, [2, 3]), prepared(closure, [4])]
+    v, w = index.downward(components, targets)
     assert counters.lookups == 3 * 2
-    assert valuations[scc_of[5]] == {"v": False, "w": True}
-    assert valuations[scc_of[0]] == {"v": True, "w": True}
+    assert scc_of[5] not in v and scc_of[5] in w
+    assert scc_of[0] in v and scc_of[0] in w
     # The cyclic same-component rule: a node of the cycle reaches its own component.
-    own = prune._ad_valuations_generic(context, [2, 4], {"v": [3], "w": [4]})
+    v, w = index.downward({scc_of[2], scc_of[4]}, [prepared(closure, [3]), prepared(closure, [4])])
     assert counters.lookups == 6 + 2 * 2
-    assert own[scc_of[2]] == {"v": True, "w": True}
-    assert own[scc_of[4]] == {"v": False, "w": False}
+    assert scc_of[2] in v and scc_of[2] in w
+    assert scc_of[4] not in v and scc_of[4] not in w
 
     # Upward into v: candidates 2, 3 share a component, 6 has its own.
     counters.reset()
-    parents = context.dag_images([0, 5])
-    assert prune._filter_upward_ad_generic(context, [2, 3, 6], parents) == [2, 3]
+    parents = prepared(closure, [0, 5])
+    assert index.upward({scc_of[2], scc_of[6]}, parents) == {scc_of[2]}
     assert counters.lookups == 2
     counters.reset()
-    assert prune._filter_upward_ad_generic(context, [2, 3], context.dag_images([3])) == [2, 3]
+    assert index.upward({scc_of[2]}, prepared(closure, [3])) == {scc_of[2]}
     assert counters.lookups == 1
 
     # Matching u -> v: sources 0, 1, 5 are three components; 2, 3 are one.
     counters.reset()
     result = matching_graph.MatchingGraph()
     mats = {"u": [0, 1, 5], "v": [2, 3]}
-    matching_graph._ad_edges_generic(context, result, "u", "v", mats)
+    matching_graph._ad_edges(context, result, "u", "v", mats)
     assert counters.lookups == 3
     assert result.branches == {
         ("u", 0): {"v": [2, 3]},
@@ -333,11 +335,12 @@ def test_one_lookup_per_row_test():
         ("u", 5): {"v": []},
     }
     counters.reset()
-    matching_graph._ad_edges_generic(context, result, "v", "v", {"v": [3, 2]})
+    context.prepared.clear()
+    matching_graph._ad_edges(context, result, "v", "v", {"v": [3, 2]})
     assert counters.lookups == 1
     assert result.branches[("v", 2)] == result.branches[("v", 3)] == {"v": [3, 2]}
 
     # The kept loops count one per pair probed instead.
     counters.reset()
-    _reference_ad_valuations(context, [0, 1, 5], {"v": [2, 3], "w": [4]})
+    _reference_downward(closure, components, targets)
     assert counters.lookups == 6  # here: every component × one target component each

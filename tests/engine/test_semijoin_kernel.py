@@ -1,8 +1,8 @@
 """The set-at-a-time semijoins against the per-candidate loops they replaced.
 
 Upward PC pruning keeps the candidates that are children of a refined
-parent (one ``DataGraph.children_of`` and one ``filter``), the generic
-upward AD filter decides each distinct component once and ``compress``-es
+parent (one ``DataGraph.children_of`` and one ``filter``), the upward AD
+kernel decides each distinct component once and the pass ``compress``-es
 the candidates, and the matching graph's PC branch lists ``filter`` each
 source's successor tuple.  The loops they replaced — one
 ``predecessors()`` call, one memo probe or one comprehension step per
@@ -13,13 +13,13 @@ components and on XMark.
 """
 
 import random
+from itertools import compress
 
 import pytest
 
 from repro.datasets import exp2_query, fig7_query, generate_xmark
 from repro.datasets.random_queries import random_labeled_graph, random_query_batch
 from repro.datasets.workloads import TABLE4_PREDICATES
-from repro.engine import prune
 from repro.engine.matching_graph import MatchingGraph, _pc_edges
 from repro.engine.prime import compute_prime_subtree
 from repro.engine.prune import PruningContext, prune_downward, prune_upward
@@ -27,8 +27,7 @@ from repro.graph import DataGraph
 from repro.query import QueryBuilder
 from repro.query.gtpq import EdgeType
 from repro.query.naive import candidate_nodes
-from repro.reachability import build_reachability
-from repro.reachability.contour import merge_succ_lists
+from repro.reachability import DescendantClosure, ThreeHopIndex, build_reachability
 
 INDEXES = ("3hop", "interval", "tc")
 
@@ -37,24 +36,16 @@ INDEXES = ("3hop", "interval", "tc")
 # The replaced loops, verbatim from the parent commit
 # ----------------------------------------------------------------------
 def _reference_prune_upward(context, mats, prime):
-    query, index, reach = context.query, context.index, context.reach
+    query, reach = context.query, context.reach
     parents = context.graph.predecessors
     prime_set = set(prime)
     refined = {node_id: list(nodes) for node_id, nodes in mats.items()}
-    succ_contours = {}
     for node_id in prime:  # pre-order: parents first
         children = [c for c in query.children[node_id] if c in prime_set]
         if not children:
             continue
         parent_nodes = refined[node_id]
-        parent_components = context.dag_images(parent_nodes)
-        parent_component_set = set(parent_components)
-        contour = None
-        if index is not None:
-            contour = succ_contours.get(node_id)
-            if contour is None:
-                contour = merge_succ_lists(index, parent_components)
-                succ_contours[node_id] = contour
+        parent_components = sorted(set(reach.components(parent_nodes)))
         parent_data_set = set(parent_nodes)
         for child_id in children:
             if query.edge_type(child_id) is EdgeType.CHILD:
@@ -63,25 +54,25 @@ def _reference_prune_upward(context, mats, prime):
                     for candidate in refined[child_id]
                     if not parent_data_set.isdisjoint(parents(candidate))
                 ]
-            elif index is not None:
-                refined[child_id] = prune._filter_upward_ad(
-                    context, refined[child_id], contour, parent_component_set
+            elif isinstance(reach.index, ThreeHopIndex):
+                # The chain/contour kernel itself: not what this file checks.
+                refined[child_id] = upward_kernel(
+                    context, refined[child_id], context.prepared_set(node_id, parent_nodes)
                 )
             else:
                 refined[child_id] = _reference_filter_upward_ad_generic(
                     context, refined[child_id], parent_components
                 )
-            if index is not None:
-                succ_contours[child_id] = merge_succ_lists(
-                    index, context.dag_images(refined[child_id])
-                )
+            context.prepared.pop(child_id, None)
     return refined
 
 
 def _reference_filter_upward_ad_generic(context, candidates, parent_components):
     reach = context.reach
     dag_index = reach.index
-    rows = dag_index.rows_for(parent_components)
+    rows = None
+    if isinstance(dag_index, DescendantClosure):  # the index that hands out rows
+        rows = {parent: dag_index.row(parent) for parent in parent_components}
     if rows is not None:
         below = 0
         for parent in parent_components:
@@ -106,6 +97,14 @@ def _reference_filter_upward_ad_generic(context, candidates, parent_components):
         if hit:
             survivors.append(candidate)
     return survivors
+
+
+def upward_kernel(context, candidates, sources):
+    """The index's upward kernel over ``candidates``, mapped back to them."""
+    reach = context.reach
+    components = reach.components(candidates)
+    reached = reach.index.upward(dict.fromkeys(components), sources)
+    return list(compress(candidates, map(reached.__contains__, components)))
 
 
 def _reference_pc_edges(graph, result, parent_id, child_id, mats):
@@ -165,7 +164,10 @@ def assert_upward_equal(graph, query, index):
     prime = compute_prime_subtree(query, down, list(query.outputs))
     # The reference first: a lazily filled closure then has its rows for
     # both runs, so the two count the same lookups from the same state.
+    # Each run prepares its own sets.
+    context.prepared.clear()
     expected, reference_counts = counted(context, _reference_prune_upward, context, down, prime)
+    context.prepared.clear()
     actual, kernel_counts = counted(context, prune_upward, context, down, prime)
     # Survivors, order included; a set the pass keeps is passed through.
     assert {node: list(nodes) for node, nodes in actual.items()} == expected
@@ -210,10 +212,10 @@ def test_pc_semijoin_keeps_children_of_refined_parents():
 
 
 # ----------------------------------------------------------------------
-# _filter_upward_ad_generic on its own: survivors and the lookups delta
+# The upward AD kernel on its own: survivors and the lookups delta
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("index", ["tc", "interval"])
-def test_generic_upward_ad_filter_equals_reference(index):
+def test_upward_ad_kernel_equals_reference(index):
     for seed in range(40):
         graph, rng = cyclic_random_graph(seed)
         context = PruningContext(graph, None, build_reachability(graph, index))
@@ -221,13 +223,12 @@ def test_generic_upward_ad_filter_equals_reference(index):
         parents = rng.sample(nodes, rng.randint(1, min(4, len(nodes))))
         # Any order, as a shard of a candidate list may come.
         candidates = rng.sample(nodes, rng.randint(0, len(nodes)))
-        parent_components = context.dag_images(parents)
+        parent_components = sorted(set(context.reach.components(parents)))
         expected, reference_counts = counted(
             context, _reference_filter_upward_ad_generic, context, candidates, parent_components
         )
-        actual, kernel_counts = counted(
-            context, prune._filter_upward_ad_generic, context, candidates, parent_components
-        )
+        sources = context.prepared_set("parents", parents)
+        actual, kernel_counts = counted(context, upward_kernel, context, candidates, sources)
         assert actual == expected
         assert kernel_counts == reference_counts
         if index == "tc":

@@ -774,7 +774,9 @@ def test_a_first_answer_numbers_only_the_cones_it_reads():
     with QuerySession(graph) as session:
         assert session.evaluate(query) == evaluate_naive(query, graph)
     info = graph.structure_info()
-    assert (info["covered"], info["covers"], graph.num_nodes) == (130, 3, 1314)
+    # A parent whose prime children are all PC children is never mapped
+    # to components by the upward pass: no AD kernel reads its set.
+    assert (info["covered"], info["covers"], graph.num_nodes) == (80, 2, 1314)
 
     graph = generate_arxiv(num_papers=300, num_authors=60, seed=2).graph
     query = random_embedded_query(graph, 5, random.Random(2))

@@ -442,8 +442,16 @@ class TestFingerprintByteIdentity:
             graph_of({"label": "a"}, {"label": "a"}, {"label": "b"}, edges=[(2, 0), (2, 1)]),
             DataGraph(),
         ],
-        ids=["hash-alike", "signed-zero", "unhashable", "non-str-keys", "key-order",
-             "odd-values", "repeated-labels", "empty"],
+        ids=[
+            "hash-alike",
+            "signed-zero",
+            "unhashable",
+            "non-str-keys",
+            "key-order",
+            "odd-values",
+            "repeated-labels",
+            "empty",
+        ],
     )
     def test_hand_built(self, graph):
         assert graph_fingerprint(graph) == reference_fingerprint(graph)
