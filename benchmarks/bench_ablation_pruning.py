@@ -17,14 +17,15 @@ this quantifies the paper's claim that contour merging is what makes
 index-based pruning viable.
 """
 
-from repro.bench import format_table, mean
+import time
+from statistics import median
+
+from repro.bench import format_table
 from repro.datasets import fig7_query
 from repro.engine.prune import PruningContext
-from repro.query import EdgeType, candidate_nodes
 from repro.logic import evaluate
+from repro.query import EdgeType, candidate_nodes
 from repro.reachability.contour import merge_pred_lists, node_reaches_contour
-
-import time
 
 from .conftest import emit_report
 
@@ -103,9 +104,7 @@ def _downward_pairwise(suite, query):
                 if c in pc_parents:
                     valuation[c] = candidate in pc_parents[c]
                 else:
-                    valuation[c] = any(
-                        reach.reaches(candidate, w) for w in refined[c]
-                    )
+                    valuation[c] = any(reach.reaches(candidate, w) for w in refined[c])
             if evaluate(fext, valuation, default=False):
                 survivors.append(candidate)
         refined[node_id] = survivors
@@ -119,32 +118,45 @@ LEVELS = [
 ]
 
 
+#: warm repetitions per level, after one untimed warm-up call each.
+REPS = 5
+
+
 def test_ablation_report(xmark_large, benchmark):
     query = fig7_query("q1", person_group=2, item_group=4, seller_group=6)
     rows = []
 
     def run():
         rows.clear()
+        # One untimed call per level takes the process's first-call
+        # warm-up, whichever level would otherwise pay it.
         reference = None
         for name, fn in LEVELS:
-            times = []
-            for __ in range(3):
-                started = time.perf_counter()
-                result = fn(xmark_large, query)
-                times.append((time.perf_counter() - started) * 1e3)
-            survivor_sets = {u: set(v) for u, v in result.items()}
+            survivor_sets = {u: set(v) for u, v in fn(xmark_large, query).items()}
             if reference is None:
                 reference = survivor_sets
             else:
                 assert survivor_sets == reference, f"{name} prunes differently"
-            rows.append([name, mean(times)])
+        # Warm repetitions, the levels alternating inside each one, so
+        # drift over the run reaches every level alike.
+        times = {name: [] for name, __ in LEVELS}
+        for __ in range(REPS):
+            for name, fn in LEVELS:
+                started = time.perf_counter()
+                fn(xmark_large, query)
+                times[name].append((time.perf_counter() - started) * 1e3)
+        rows.extend([name, median(times[name])] for name, __ in LEVELS)
 
     benchmark.pedantic(run, rounds=1, iterations=1)
-    emit_report("ablation_pruning", format_table(
-        "Ablation: downward pruning strategies on Q1, largest scale (ms)",
-        ["strategy", "time"],
-        rows,
-    ))
+    emit_report(
+        "ablation_pruning",
+        format_table(
+            f"Ablation: downward pruning strategies on Q1, largest scale "
+            f"(median ms of {REPS} warm repetitions)",
+            ["strategy", "time"],
+            rows,
+        ),
+    )
     # All three agree on the pruned sets; shared contours must not lose
     # to pairwise probing.
     by_name = {row[0]: row[1] for row in rows}
@@ -153,13 +165,9 @@ def test_ablation_report(xmark_large, benchmark):
 
 def test_ablation_shared(xmark_large, benchmark):
     query = fig7_query("q1", person_group=2, item_group=4, seller_group=6)
-    benchmark.pedantic(
-        lambda: _downward_shared(xmark_large, query), rounds=3, iterations=1
-    )
+    benchmark.pedantic(lambda: _downward_shared(xmark_large, query), rounds=3, iterations=1)
 
 
 def test_ablation_pairwise(xmark_large, benchmark):
     query = fig7_query("q1", person_group=2, item_group=4, seller_group=6)
-    benchmark.pedantic(
-        lambda: _downward_pairwise(xmark_large, query), rounds=3, iterations=1
-    )
+    benchmark.pedantic(lambda: _downward_pairwise(xmark_large, query), rounds=3, iterations=1)

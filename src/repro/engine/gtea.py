@@ -162,6 +162,7 @@ class GTEA:
         *,
         scan_memo=None,
         subtree_cache=None,
+        parent_memo=None,
     ) -> tuple[ResultSet | dict[int, ResultSet], EvaluationStats]:
         """Run a compiled plan; see :meth:`evaluate_with_stats` for args.
 
@@ -180,7 +181,9 @@ class GTEA:
         :class:`~repro.engine.operators.DownwardPrune`, and the visits
         fill it.  ``scan_memo``, an LRU valid for the same version, keeps
         the candidate scans of predicates without a pinned label
-        (:func:`~repro.engine.operators.scan_candidates`).
+        (:func:`~repro.engine.operators.scan_candidates`), and
+        ``parent_memo``, another, the PC valuations ``P_{u'}`` by child
+        subtree fingerprint (:meth:`~repro.engine.prune.PruningContext.parent_set`).
         """
         if group_nodes:
             structure_outputs = [o for outputs in output_structures or () for o in outputs]
@@ -196,6 +199,7 @@ class GTEA:
             output_structures=output_structures,
             scan_memo=scan_memo,
             subtree_cache=subtree_cache,
+            parent_memo=parent_memo,
         )
         run_pipeline(state, operators)
         return state.answer, stats

@@ -97,6 +97,7 @@ class ExecutionState:
         candidate_provider=None,
         scan_memo=None,
         subtree_cache=None,
+        parent_memo=None,
     ):
         self.engine = engine
         self.graph = engine.graph
@@ -111,6 +112,10 @@ class ExecutionState:
         #: optional LRU of downward-pruned sets keyed by subtree
         #: fingerprint (the session's, one graph version's worth).
         self.subtree_cache = subtree_cache
+        #: optional LRU of PC valuations ``P_{u'}`` by subtree fingerprint
+        #: (the session's, one graph version's worth), handed to the
+        #: :class:`PruningContext`.
+        self.parent_memo = parent_memo
         self._subtree_fingerprints: dict[str, str] | None = None
         #: outcome of :meth:`probe_subtrees` per node it probed: the
         #: cached set on a hit, None on a miss.
@@ -145,17 +150,28 @@ class ExecutionState:
         ones — from paying index construction.
         """
         if self._context is None:
-            self._context = PruningContext(self.graph, self.query, self.engine.reachability)
+            memo = self.parent_memo
+            # The context gets the fingerprint dict itself, never a bound
+            # method of this state: the state holds the context, and a
+            # reference back would leave a cycle per execution.
+            self._context = PruningContext(
+                self.graph,
+                self.query,
+                self.engine.reachability,
+                memo,
+                self.fingerprints if memo is not None else None,
+            )
             counters = self._context.reach.counters
             self._counter_baseline = (counters.lookups, counters.entries_scanned)
         return self._context
 
-    def subtree_fingerprint(self, node_id: str) -> str:
-        """Subtree-cache key of ``node_id`` in the query this execution
-        runs; the fingerprints are derived once per execution."""
+    @property
+    def fingerprints(self) -> dict[str, str]:
+        """Subtree-cache key per node of the query this execution runs,
+        derived once per execution."""
         if self._subtree_fingerprints is None:
             self._subtree_fingerprints = subtree_fingerprints(self.query)
-        return self._subtree_fingerprints[node_id]
+        return self._subtree_fingerprints
 
     def probe_subtree(self, node_id: str) -> Sequence[int] | None:
         """One subtree-cache probe for ``node_id``: the cached downward
@@ -163,7 +179,7 @@ class ExecutionState:
         cache = self.subtree_cache
         if cache is None:
             return None
-        cached = cache.get(self.subtree_fingerprint(node_id))
+        cached = cache.get(self.fingerprints[node_id])
         if cached is None:
             self.stats.subtree_cache_misses += 1
         else:
@@ -184,7 +200,7 @@ class ExecutionState:
         self.covered = covered = {}
         if self.subtree_cache is None or self.group_nodes or self.output_structures:
             return covered
-        query, fingerprint = self.query, self.subtree_fingerprint
+        query, fingerprint = self.query, self.fingerprints.__getitem__
         children = query.children
         counts = Counter(map(fingerprint, query.nodes))
         repeated = {key for key, count in counts.items() if count > 1}
@@ -219,7 +235,7 @@ class ExecutionState:
         self.down[node_id] = refined
         self.stats.downward_prune_ops += 1
         if self.subtree_cache is not None:
-            self.subtree_cache.put(self.subtree_fingerprint(node_id), refined)
+            self.subtree_cache.put(self.fingerprints[node_id], refined)
         return refined
 
     def restore_covered(self) -> tuple[str, ...]:
@@ -231,7 +247,7 @@ class ExecutionState:
         for node_id in self.query.bottom_up():
             if node_id not in self.covered:
                 continue
-            cached = cache.peek(self.subtree_fingerprint(node_id))
+            cached = cache.peek(self.fingerprints[node_id])
             if cached is None:
                 evicted.append(node_id)
             else:

@@ -52,13 +52,25 @@ class PruningContext:
     prepared.
     """
 
-    def __init__(self, graph: DataGraph, query: GTPQ, reach: GraphReachability):
+    def __init__(
+        self,
+        graph: DataGraph,
+        query: GTPQ,
+        reach: GraphReachability,
+        parent_memo=None,
+        fingerprints: dict[str, str] | None = None,
+    ):
         self.graph = graph
         self.query = query
         self.reach = reach
         #: per query node, its set as the index's kernels read it: the
         #: downward set until the upward pass replaces it, then that one.
         self.prepared: dict[str, ComponentSet] = {}
+        #: optional LRU of PC valuations ``P_{u'}`` by the child's subtree
+        #: fingerprint (the session's, one graph version's worth), read
+        #: through ``fingerprints``, the execution's own subtree keys.
+        self.parent_memo = parent_memo
+        self.fingerprints = fingerprints
 
     def prepared_set(self, node_id: str, nodes: Sequence[int]) -> ComponentSet:
         """``node_id``'s set ``nodes`` as the index prepared it: the one
@@ -70,6 +82,22 @@ class PruningContext:
             prepared = reach.index.prepare(components, reach.condensation.cyclic)
             self.prepared[node_id] = prepared
         return prepared
+
+    def parent_set(self, child_id: str, nodes: Sequence[int]) -> set[int]:
+        """``P_{u'}`` of the PC child ``child_id`` whose downward set is
+        ``nodes``: the merged parent set of ``nodes``.  With a memo it is
+        merged once per child subtree and graph version — equal subtree
+        fingerprints have equal downward sets — and the set is shared, so
+        callers must not mutate it."""
+        memo = self.parent_memo
+        if memo is None:
+            return self.graph.parents_of(nodes)
+        key = self.fingerprints[child_id]
+        parents = memo.get(key)
+        if parents is None:
+            parents = self.graph.parents_of(nodes)
+            memo.put(key, parents)
+        return parents
 
 
 def prune_downward(
@@ -143,7 +171,7 @@ def _filter_downward(
         if query.edge_type(child_id) is EdgeType.CHILD:
             # Section 4.4: "merge the set of parents of mat(u') for each
             # child u' into P_{u'}" — a PC child holds for exactly P_{u'}.
-            child_sets[child_id] = context.graph.parents_of(refined[child_id])
+            child_sets[child_id] = context.parent_set(child_id, refined[child_id])
         else:
             ad_children.append(child_id)
     if ad_children:

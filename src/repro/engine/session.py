@@ -35,7 +35,11 @@ reuses four kinds of evaluation artifacts across queries:
 A label-pinned ``mat(u)`` is the graph's own posting and needs no
 cache; the scans of predicates without a pinned label, which check
 every node, are kept per graph version in a **scan memo**
-(``cache_info()["candidate"]``, never persisted).
+(``cache_info()["candidate"]``, never persisted).  Likewise a **parent
+memo** keeps, per graph version and by subtree fingerprint, the merged
+parent set ``P_{u'}`` a PC child's downward set gives its parent's
+prune (``cache_info()["parents"]``, never persisted): a subtree valued
+under one parent is not merged again under the next.
 
 Beside them, a **normalize memo** maps
 :func:`repro.plan.normalize_key` — a query's shape and predicate
@@ -263,6 +267,10 @@ class QuerySession:
         # node: per graph version, memory only (a pinned label reads the
         # graph's own posting instead).
         self.scan_memo = LRUCache(subtree_cache_size)
+        # PC valuations P_{u'} (merged parent sets of a PC child's downward
+        # set) by the child's subtree fingerprint: per graph version,
+        # memory only, shared read-only by the prunes that read them.
+        self.parent_memo = LRUCache(subtree_cache_size)
         # Reachability state lives in memory only: the pooled full
         # indexes by name, and the one descendant closure.
         self._reach_pool: dict[str, GraphReachability] = {}
@@ -323,7 +331,7 @@ class QuerySession:
 
         A moved :attr:`DataGraph.version` needs no call: the next use
         drops the same things — plans, aliases, subtree and result sets,
-        the scan memo, pooled full indexes — except the closure, which is
+        the scan and parent memos, pooled full indexes — except the closure, which is
         kept while the graph's lineage holds (``cache_info()["partial"]``:
         ``kept`` / ``dropped``), and a fallback, kept while the lineage it
         blew out on holds.  The
@@ -343,6 +351,7 @@ class QuerySession:
         for kind in ARTIFACT_KINDS:
             getattr(self, kind.attr).clear()
         self.scan_memo.clear()
+        self.parent_memo.clear()
         self._reach_pool.clear()
         self._observed_ops.clear()
         if self._fallback is not None:
@@ -643,6 +652,7 @@ class QuerySession:
             stats=EvaluationStats(),
             scan_memo=self.scan_memo,
             subtree_cache=self.subtree_cache,
+            parent_memo=self.parent_memo,
         )
 
     def _record_observed(self, plan: QueryPlan, stats: EvaluationStats) -> None:
@@ -730,7 +740,8 @@ class QuerySession:
         ``bytes`` held, ``fills`` ever computed, version bumps ``kept``
         across, closures ``dropped`` (a lineage break, ``invalidate()`` or
         a fill past the budget).  ``"indexes"`` counts the other, pooled
-        indexes, a fallback's among them.  ``"normalize"`` is the normalize memo's row, and
+        indexes, a fallback's among them.  ``"normalize"`` is the normalize memo's row,
+        ``"parents"`` the parent memo's (PC valuations), and
         ``"candidate"`` the scan memo's — all zero while every predicate
         pins a label (it was the candidate cache's row, and keeps its
         name until the e2e tracer stops reading it, ROADMAP item 1 step
@@ -739,6 +750,7 @@ class QuerySession:
         for kind in ARTIFACT_KINDS:
             info[kind.info] = kind.describe(getattr(self, kind.attr))
         info["candidate"] = {**self.scan_memo.counters.snapshot(), "size": len(self.scan_memo)}
+        info["parents"] = {**self.parent_memo.counters.snapshot(), "size": len(self.parent_memo)}
         info["normalize"] = {
             **self.normalize_cache.counters.snapshot(),
             "size": len(self.normalize_cache),
