@@ -15,7 +15,9 @@ and refuses requests after the graph mutates
 (:class:`StaleSnapshotError`) until :meth:`QueryServer.refresh` re-pins;
 like :meth:`QueryServer.stop`, it waits for the requests ahead of it.
 
-``python -m repro.serve`` starts the TCP JSON-lines front.
+``python -m repro.serve`` starts the TCP JSON-lines front
+(:func:`serve_tcp`), which answers a hit inside the callback that read
+its line and sends everything else through the same lock and thread.
 """
 
 from .server import (

@@ -5,6 +5,8 @@ import functools
 import inspect
 import json
 import pickle
+import socket
+import struct
 import sys
 import threading
 import time
@@ -612,6 +614,304 @@ class TestTcpFront:
         assert errors == 1
         expected = len(evaluate_naive(query, graph))
         assert [(a["ok"], a["count"]) for a in answers] == [(True, expected)] * 2
+
+
+def request_line(query, group_nodes=None) -> bytes:
+    payload = {"query": query_to_json(query)}
+    if group_nodes is not None:
+        payload["group_nodes"] = group_nodes
+    return (json.dumps(payload) + "\n").encode()
+
+
+async def replies(reader, count):
+    return [json.loads(await asyncio.wait_for(reader.readline(), 10)) for _ in range(count)]
+
+
+async def serving(server):
+    """``(tcp, port)`` of ``serve_tcp(server)`` on an ephemeral port."""
+    tcp = await serve_tcp(server, host="127.0.0.1", port=0)
+    return tcp, tcp.sockets[0].getsockname()[1]
+
+
+async def shut(tcp, server, *writers):
+    for writer in writers:
+        writer.close()
+        await writer.wait_closed()
+    tcp.close()
+    await tcp.wait_closed()
+    await server.stop()
+
+
+def slow_evaluate(monkeypatch, seconds, stamps=None):
+    """Make every miss take ``seconds`` in the thread; stamp its
+    ``enter`` / ``exit`` (and every ``lookup``) into ``stamps``."""
+    evaluate, lookup = QuerySession.evaluate, QuerySession.lookup
+    stamps = [] if stamps is None else stamps
+
+    def slow(self, *args):
+        stamps.append(("enter", time.perf_counter()))
+        time.sleep(seconds)
+        try:
+            return evaluate(self, *args)
+        finally:
+            stamps.append(("exit", time.perf_counter()))
+
+    def stamped_lookup(self, *args):
+        stamps.append(("lookup", time.perf_counter()))
+        return lookup(self, *args)
+
+    monkeypatch.setattr(QuerySession, "evaluate", slow)
+    monkeypatch.setattr(QuerySession, "lookup", stamped_lookup)
+    return stamps
+
+
+class TestTcpFraming:
+    """Pipelined, split and oversized request lines, slow readers and
+    clients that leave."""
+
+    def test_pipelined_requests_are_answered_in_request_order(self, monkeypatch):
+        """One write carries a slow miss, hits, a bad line and the miss's
+        query again: the replies come back in that order, so the hits
+        wait for the miss's reply."""
+        graph = serve_graph()
+        hot, cold = serve_query("b"), serve_query("a")
+        stamps = slow_evaluate(monkeypatch, 0.2)
+        server = QueryServer(graph)
+
+        async def run():
+            tcp, port = await serving(server)
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(request_line(hot))  # the first one is a miss
+            await replies(reader, 1)
+            lines = [cold, hot, None, hot, cold]
+            writer.write(b"".join(b"nope\n" if q is None else request_line(q) for q in lines))
+            answers = await replies(reader, len(lines))
+            await shut(tcp, server, writer)
+            return answers
+
+        answers = asyncio.run(run())
+        counts = [len(evaluate_naive(query, graph)) for query in (cold, hot)]
+        assert counts[0] != counts[1]
+        assert [a.get("count") for a in answers] == [counts[0], counts[1], None, *counts[::-1]]
+        assert not answers[2]["ok"]
+        kinds = [kind for kind, _ in stamps]
+        assert kinds.count("enter") == 2  # the first request and the cold miss
+        assert (server.stats.requests, server.stats.loop_hits, server.stats.errors) == (5, 3, 1)
+
+    def test_a_hit_waits_while_another_connections_miss_holds_the_session(self, monkeypatch):
+        graph = serve_graph()
+        hot, cold = serve_query("b"), serve_query("c")
+        stamps = slow_evaluate(monkeypatch, 0.3)
+        server = QueryServer(graph)
+
+        async def run():
+            tcp, port = await serving(server)
+            first, first_writer = await asyncio.open_connection("127.0.0.1", port)
+            second, second_writer = await asyncio.open_connection("127.0.0.1", port)
+            first_writer.write(request_line(hot))
+            await replies(first, 1)
+            first_writer.write(request_line(cold))
+
+            async def miss_running():
+                while sum(kind == "enter" for kind, _ in stamps) < 2:
+                    await asyncio.sleep(0.001)
+
+            await asyncio.wait_for(miss_running(), 10)
+            second_writer.write(request_line(hot))
+            answers = await replies(second, 1) + await replies(first, 1)
+            await shut(tcp, server, first_writer, second_writer)
+            return answers
+
+        hit, miss = asyncio.run(run())
+        assert hit["count"] == len(evaluate_naive(hot, graph))
+        assert miss["count"] == len(evaluate_naive(cold, graph))
+        kinds = [kind for kind, _ in stamps]
+        assert kinds == ["lookup", "enter", "exit", "lookup", "enter", "exit", "lookup"]
+        assert stamps[-1][1] >= stamps[-2][1], "a hit read the session while a miss ran"
+        assert server.stats.loop_hits == 1
+
+    def test_a_line_in_several_chunks_is_answered_once_complete(self):
+        graph = serve_graph()
+        query = serve_query()
+        line = request_line(query)
+        server = QueryServer(graph)
+
+        async def run():
+            tcp, port = await serving(server)
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            for start in range(0, len(line) - 1, 40):
+                writer.write(line[start : min(start + 40, len(line) - 1)])
+                await writer.drain()
+                await asyncio.sleep(0.01)
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(reader.readline(), 0.1)  # not answered yet
+            writer.write(b"\n" + line[:-1])  # the last byte, then a line without one
+            writer.write_eof()  # end of input completes the last line
+            answers = await replies(reader, 2)
+            closed = await asyncio.wait_for(reader.read(), 10)
+            await shut(tcp, server, writer)
+            return answers, closed
+
+        assert len(line) > 120  # at least three chunks
+        answers, closed = asyncio.run(run())
+        expected = len(evaluate_naive(query, graph))
+        assert [(a["ok"], a["count"]) for a in answers] == [(True, expected)] * 2
+        assert closed == b"", "the server closes once the last line is answered"
+        assert (server.stats.requests, server.stats.errors) == (2, 0)
+
+    @pytest.mark.parametrize("newline", [True, False], ids=["with-newline", "before-newline"])
+    def test_an_oversized_line_is_refused_after_the_replies_ahead_of_it(self, newline):
+        """A request, then 70 000 bytes in the same write (then a newline
+        and another request, or nothing): the request is answered, the
+        long line refused once — even while its newline has not arrived
+        — and the connection closed."""
+        graph = serve_graph()
+        query = serve_query()
+        server = QueryServer(graph)
+
+        async def run():
+            tcp, port = await serving(server)
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            tail = b"\n" + request_line(query) if newline else b""
+            writer.write(request_line(query) + b"x" * 70_000 + tail)
+            answers = await replies(reader, 2)
+            closed = await asyncio.wait_for(reader.read(), 10)
+            await shut(tcp, server, writer)
+            return answers, closed
+
+        (answer, refused), closed = asyncio.run(run())
+        assert answer["ok"] and answer["count"] == len(evaluate_naive(query, graph))
+        assert refused == {"ok": False, "error": f"request line exceeds {MAX_REQUEST_LINE} bytes"}
+        assert closed == b""
+        assert (server.stats.requests, server.stats.errors) == (1, 1)
+
+    def test_a_client_that_stops_reading_does_not_stall_another(self):
+        """A client pipelines 150 requests for ≈ 150 kB answers and reads
+        none: once its replies back up, the server stops handling its
+        lines, another connection is answered meanwhile, and the first
+        client gets every reply once it reads."""
+        labels = "a" * 100 + "b" * 100
+        graph = DataGraph.from_edges(labels, [(a, b) for a in range(100) for b in range(100, 200)])
+        query = serve_query()
+        server = QueryServer(graph)
+
+        async def run():
+            tcp, port = await serving(server)
+            late_reader, stalled = await asyncio.open_connection("127.0.0.1", port, limit=2**22)
+            stalled.write(request_line(query) * 150)
+            await asyncio.sleep(0.5)
+            reader, writer = await asyncio.open_connection("127.0.0.1", port, limit=2**22)
+            writer.write(request_line(query))
+            answer = (await replies(reader, 1))[0]
+            served = server.stats.requests
+            late = [await asyncio.wait_for(late_reader.readline(), 10) for _ in range(150)]
+            await shut(tcp, server, writer, stalled)
+            return answer, served, late
+
+        answer, served, late = asyncio.run(run())
+        assert answer["ok"] and answer["count"] == 100 * 100
+        assert served < 150, "every request of a client that reads nothing was served"
+        assert late == [late[0]] * 150 and json.loads(late[0]) == answer
+        assert server.stats.requests == 151
+
+    def test_a_stale_snapshot_is_refused_over_the_wire_until_refresh(self):
+        graph = serve_graph()
+        query = serve_query()
+        server = QueryServer(graph)
+
+        async def run():
+            tcp, port = await serving(server)
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            answers = []
+            for step in range(3):
+                if step == 1:
+                    graph.add_node(label="a")
+                elif step == 2:
+                    await server.refresh()
+                writer.write(request_line(query))
+                answers += await replies(reader, 1)
+            await shut(tcp, server, writer)
+            return answers
+
+        before, stale, after = asyncio.run(run())
+        assert before["ok"] and after["ok"] and after["count"] == len(evaluate_naive(query, graph))
+        assert (stale["ok"], stale["stale"]) == (False, True) and "refresh()" in stale["error"]
+        assert (server.stats.stale_rejections, server.stats.errors) == (1, 0)
+
+    def test_clients_that_reset_mid_stream_log_nothing(self, monkeypatch, caplog):
+        """20 clients each write 50 pipelined requests (hits and slow
+        misses) and reset the connection: no error is logged or counted,
+        no request reads the session while a miss runs, and a new
+        connection is answered."""
+        graph = serve_graph()
+        queries = [serve_query(label) for label in "abc"]
+        stamps = slow_evaluate(monkeypatch, 0.01)
+        server = QueryServer(graph)
+        caplog.set_level("WARNING", logger="asyncio")
+
+        async def client(port, index):
+            loop = asyncio.get_running_loop()
+            with socket.socket() as sock:
+                sock.setblocking(False)
+                await loop.sock_connect(sock, ("127.0.0.1", port))
+                lines = [request_line(queries[(index + i) % 3]) for i in range(50)]
+                await loop.sock_sendall(sock, b"".join(lines))
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+
+        async def run():
+            contexts = []
+            asyncio.get_running_loop().set_exception_handler(lambda _, c: contexts.append(c))
+            tcp, port = await serving(server)
+            await asyncio.gather(*[client(port, index) for index in range(20)])
+            await asyncio.sleep(0.3)
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(request_line(queries[1]))
+            answer = (await replies(reader, 1))[0]
+            await shut(tcp, server, writer)
+            return contexts, answer
+
+        contexts, answer = asyncio.run(run())
+        assert contexts == []
+        assert [r.getMessage() for r in caplog.records] == []
+        assert answer["ok"] and answer["count"] == len(evaluate_naive(queries[1], graph))
+        assert server.stats.errors == 0 and server.stats.requests >= 1
+        kinds = [kind for kind, _ in stamps]
+        after_enter = {kinds[i + 1] for i, kind in enumerate(kinds) if kind == "enter"}
+        assert after_enter == {"exit"}, "the session was read while a miss ran"
+
+
+class TestRendering:
+    #: root 0 has kids 2, 10 and 12, root 1 kids 3 and 11: text order
+    #: ("[0, 10]" < "[0, 2]") differs from tuple order.
+    GRAPH = ("aa" + "b" * 11, [(0, 2), (0, 10), (0, 12), (1, 3), (1, 11)])
+
+    def raw_replies(self, requests):
+        server = QueryServer(DataGraph.from_edges(*self.GRAPH))
+
+        async def run():
+            tcp, port = await serving(server)
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b"".join(requests))
+            lines = [await asyncio.wait_for(reader.readline(), 10) for _ in requests]
+            await shut(tcp, server, writer)
+            return lines
+
+        return asyncio.run(run())
+
+    def test_ungrouped_rows_come_back_in_ascending_tuple_order(self):
+        line = request_line(serve_query())
+        first, second = self.raw_replies([line, line])  # a miss, then a hit
+        rows = json.loads(first)["results"]
+        assert rows == [[0, 2], [0, 10], [0, 12], [1, 3], [1, 11]]
+        assert rows != sorted(rows, key=repr)
+        assert second == first
+
+    def test_a_grouped_answer_renders_as_it_always_has(self):
+        (line,) = self.raw_replies([request_line(serve_query(), ["kid"])])
+        assert line == (
+            b'{"ok": true, "count": 2, "results": [[0, [[["kid", 10]], [["kid", 12]], '
+            b'[["kid", 2]]]], [1, [[["kid", 11]], [["kid", 3]]]]]}\n'
+        )
 
 
 def grouped_rows(rows):
